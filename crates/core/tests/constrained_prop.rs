@@ -1,14 +1,12 @@
 //! Property-based tests for the constraint-generic pipelines: on arbitrary
 //! netlists with arbitrary pin sets, fixed modules never move through any of
-//! the four drivers (ML, k-way, recursive general-k, two-phase), and the
-//! legacy unconstrained entry points stay byte-identical to the
-//! pre-refactor expected-cut fixtures below.
+//! the four drivers (ML, k-way, recursive general-k, two-phase). Byte
+//! identity of both schedules is pinned by `golden.rs`.
 
 use mlpart_cluster::MatchConfig;
 use mlpart_core::{
-    ml_bipartition, ml_bipartition_constrained, ml_kway, ml_kway_constrained,
-    recursive_ml_bisection, recursive_ml_partition, two_phase_fm, two_phase_fm_constrained,
-    Constraints, MlConfig, MlKwayConfig,
+    ml_bipartition_constrained, ml_kway_constrained, recursive_ml_partition,
+    two_phase_fm_constrained, Constraints, MlConfig, MlKwayConfig,
 };
 use mlpart_fm::FmConfig;
 use mlpart_hypergraph::rng::seeded_rng;
@@ -151,93 +149,4 @@ proptest! {
         prop_assert_eq!(p1.assignment(), p2.assignment());
         prop_assert_eq!(r1, r2);
     }
-}
-
-/// A deterministic clustered instance shared by the fixture tests: two
-/// 64-module ring communities with a single bridge net.
-fn fixture_netlist() -> Hypergraph {
-    let half = 64;
-    let mut b = HypergraphBuilder::with_unit_areas(2 * half);
-    for base in [0, half] {
-        for i in 0..half {
-            b.add_net([base + i, base + (i + 1) % half]).unwrap();
-            b.add_net([base + i, base + (i + 3) % half]).unwrap();
-        }
-    }
-    b.add_net([half - 1, half]).unwrap();
-    b.build().unwrap()
-}
-
-/// The constraint refactor must not perturb the legacy entry points: these
-/// exact cut values were recorded from the pre-refactor code on the fixture
-/// netlist and pin the byte-identity contract for unconstrained runs.
-#[test]
-fn legacy_cuts_match_prerefactor_fixtures() {
-    let h = fixture_netlist();
-
-    for (seed, &expected) in FIXTURE_ML_CUTS.iter().enumerate() {
-        let mut rng = seeded_rng(seed as u64);
-        let (_, r) = ml_bipartition(&h, &MlConfig::default(), &mut rng);
-        assert_eq!(r.cut, expected, "ml_bipartition seed {seed}");
-    }
-    for (seed, &expected) in FIXTURE_KWAY_CUTS.iter().enumerate() {
-        let mut rng = seeded_rng(seed as u64);
-        let (_, r) = ml_kway(&h, &MlKwayConfig::default(), &[], &mut rng);
-        assert_eq!(r.cut, expected, "ml_kway seed {seed}");
-    }
-    for (seed, &expected) in FIXTURE_RECURSIVE_CUTS.iter().enumerate() {
-        let mut rng = seeded_rng(seed as u64);
-        let (_, r) = recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng);
-        assert_eq!(r.cut, expected, "recursive_ml_bisection seed {seed}");
-    }
-    for (seed, &expected) in FIXTURE_TWO_PHASE_CUTS.iter().enumerate() {
-        let mut rng = seeded_rng(seed as u64);
-        let (_, r) = two_phase_fm(&h, &FmConfig::default(), &MatchConfig::default(), &mut rng);
-        assert_eq!(r.cut, expected, "two_phase_fm seed {seed}");
-    }
-}
-
-/// Expected cuts, seeds 0..4 in order, per legacy pipeline. Regenerate with
-/// `cargo test -p mlpart-core --test constrained_prop -- --nocapture
-/// print_fixture_cuts --ignored` only when a PR *intends* to change legacy
-/// behavior.
-const FIXTURE_ML_CUTS: [u64; 4] = [1, 1, 1, 1];
-const FIXTURE_KWAY_CUTS: [u64; 4] = [17, 17, 17, 17];
-const FIXTURE_RECURSIVE_CUTS: [u64; 4] = [17, 17, 17, 17];
-const FIXTURE_TWO_PHASE_CUTS: [u64; 4] = [1, 1, 16, 1];
-
-/// Prints the fixture values; run ignored to regenerate the constants above.
-#[test]
-#[ignore]
-fn print_fixture_cuts() {
-    let h = fixture_netlist();
-    let ml: Vec<u64> = (0..4)
-        .map(|s| {
-            let mut rng = seeded_rng(s);
-            ml_bipartition(&h, &MlConfig::default(), &mut rng).1.cut
-        })
-        .collect();
-    let kway: Vec<u64> = (0..4)
-        .map(|s| {
-            let mut rng = seeded_rng(s);
-            ml_kway(&h, &MlKwayConfig::default(), &[], &mut rng).1.cut
-        })
-        .collect();
-    let rec: Vec<u64> = (0..4)
-        .map(|s| {
-            let mut rng = seeded_rng(s);
-            recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng)
-                .1
-                .cut
-        })
-        .collect();
-    let tp: Vec<u64> = (0..4)
-        .map(|s| {
-            let mut rng = seeded_rng(s);
-            two_phase_fm(&h, &FmConfig::default(), &MatchConfig::default(), &mut rng)
-                .1
-                .cut
-        })
-        .collect();
-    println!("ML {ml:?} KWAY {kway:?} RECURSIVE {rec:?} TWO_PHASE {tp:?}");
 }

@@ -232,6 +232,47 @@ fn trace_and_report_outputs_are_valid_and_deterministic() {
     assert_eq!(normalize(&report1), normalize(&report4), "threads=4");
 }
 
+/// Traced `--stats` rebuilds the per-level table from the trace; it must
+/// agree with the untraced table (built from `LevelStats`) under both
+/// schedules, bisection and k-way alike. Only the untraced `fill_ms` column
+/// (wall clock) is ignored.
+#[cfg(feature = "obs")]
+#[test]
+fn trace_and_report_stats_match_untraced_stats() {
+    let table = |extra: &[&str], traced: bool| {
+        let mut cmd = mlpart();
+        cmd.args(["syn-primary1", "--runs", "1", "--seed", "3", "--stats"])
+            .args(extra);
+        if traced {
+            cmd.env("MLPART_TRACE", "1");
+        } else {
+            cmd.env_remove("MLPART_TRACE");
+        }
+        let out = cmd.output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stderr)
+            .lines()
+            .skip_while(|l| !l.starts_with("level"))
+            .take_while(|l| l.starts_with("level") || l.trim_start().starts_with(char::is_numeric))
+            .map(|l| l.split_whitespace().take(7).collect::<Vec<_>>().join(" "))
+            .collect::<Vec<_>>()
+    };
+    for extra in [
+        &["--algo", "ml-c"][..],
+        &["--algo", "ml-c", "--epsilon", "0.2"],
+        &["--algo", "ml-f", "--k", "4"],
+        &["--algo", "ml-f", "--k", "4", "--epsilon", "0.2"],
+    ] {
+        let untraced = table(extra, false);
+        assert!(untraced.len() > 2, "{extra:?}: a multilevel table");
+        assert_eq!(table(extra, true), untraced, "{extra:?}");
+    }
+}
+
 /// `--help` is a successful command (exit 0) and documents the full
 /// exit-code contract so scripts can rely on it.
 #[test]

@@ -69,7 +69,9 @@ fn bench_coarsening_phase(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 let mut rng = seeded_rng(seed);
-                Hierarchy::coarsen(&h, &cfg, &[], &mut rng).num_levels()
+                Hierarchy::coarsen(&h, &cfg, &[], &mut rng)
+                    .expect("coarsens")
+                    .num_levels()
             });
         });
     }
@@ -88,7 +90,7 @@ fn bench_refine_workspace(c: &mut Criterion) {
     let h = by_name("primary1").expect("in suite").generate(1997);
     let ml_cfg = MlConfig::default().with_ratio(0.5);
     let mut rng = seeded_rng(7);
-    let hier = Hierarchy::coarsen(&h, &ml_cfg, &[], &mut rng);
+    let hier = Hierarchy::coarsen(&h, &ml_cfg, &[], &mut rng).expect("coarsens");
     // Coarsest → finest, the order the V-cycle refines them.
     let levels: Vec<&mlpart_hypergraph::Hypergraph> = (1..=hier.num_levels())
         .rev()

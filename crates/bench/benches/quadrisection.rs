@@ -16,7 +16,7 @@ fn bench_table9_quadrisection(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             let mut rng = seeded_rng(seed);
-            algos::ml4(&h, &[], &mut rng)
+            algos::ml4(&h, &mut rng)
         });
     });
     group.bench_function("fm4", |b| {

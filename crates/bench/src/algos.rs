@@ -1,18 +1,17 @@
 //! One-call wrappers around every algorithm the tables compare, so each
 //! harness binary stays declarative.
 //!
-//! Every wrapper with an `_in` twin routes through the engines' `*_in`
-//! workspace-reuse entry points; results are bit-identical either way (the
-//! `*_in` contract), so the parallel runner can hand each worker thread one
-//! long-lived [`RefineWorkspace`] without changing any table number.
+//! Every wrapper with an `_in` twin runs through a caller-owned
+//! [`RefineWorkspace`]; results are bit-identical either way, so the
+//! parallel runner can hand each worker thread one long-lived workspace
+//! without changing any table number.
 
 use mlpart_core::{
-    ml_bipartition_constrained_in, ml_bipartition_in, ml_kway_constrained_in, ml_kway_in,
-    recursive_ml_partition_budgeted_in, BudgetMeter, MlConfig, MlKwayConfig,
+    ml_bipartition, ml_kway, recursive_ml_partition, MlConfig, MlKwayConfig, Request,
 };
 use mlpart_fm::{fm_partition_in, BucketPolicy, Engine, FmConfig, RefineWorkspace};
 use mlpart_hypergraph::rng::MlRng;
-use mlpart_hypergraph::{Constraints, Hypergraph, ModuleId, PartId, Partition};
+use mlpart_hypergraph::{Constraints, Hypergraph, ModuleId, Partition};
 use mlpart_kway::{kway_partition_in, KwayConfig};
 use mlpart_lsmc::{lsmc_bipartition, lsmc_kway, LsmcConfig, LsmcKwayConfig};
 use mlpart_place::{gordian_quadrisection, PlacerConfig};
@@ -60,6 +59,24 @@ pub fn clip_in(h: &Hypergraph, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u64
     fm_partition_in(h, None, &cfg, rng, ws).1.cut
 }
 
+/// A paper-schedule request through `ws`.
+pub fn reusing(ws: &mut RefineWorkspace) -> Request<'_> {
+    Request {
+        workspace: Some(ws),
+        ..Request::default()
+    }
+}
+
+/// The cut of an ML bisection run through `ws`.
+///
+/// # Panics
+///
+/// Panics on invalid input; the harness's inputs are valid by construction.
+pub fn ml_cut_in(h: &Hypergraph, cfg: &MlConfig, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u64 {
+    let (_, r) = ml_bipartition(h, cfg, rng, reusing(ws)).expect("valid ML input");
+    r.cut
+}
+
 /// `ML_F` with matching ratio `r`.
 pub fn ml_f(h: &Hypergraph, r: f64, rng: &mut MlRng) -> u64 {
     ml_f_in(h, r, rng, &mut RefineWorkspace::new())
@@ -67,9 +84,7 @@ pub fn ml_f(h: &Hypergraph, r: f64, rng: &mut MlRng) -> u64 {
 
 /// [`ml_f`] through a caller-owned workspace.
 pub fn ml_f_in(h: &Hypergraph, r: f64, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u64 {
-    ml_bipartition_in(h, &MlConfig::fm().with_ratio(r), rng, ws)
-        .1
-        .cut
+    ml_cut_in(h, &MlConfig::fm().with_ratio(r), rng, ws)
 }
 
 /// `ML_C` with matching ratio `r`.
@@ -79,9 +94,7 @@ pub fn ml_c(h: &Hypergraph, r: f64, rng: &mut MlRng) -> u64 {
 
 /// [`ml_c`] through a caller-owned workspace.
 pub fn ml_c_in(h: &Hypergraph, r: f64, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u64 {
-    ml_bipartition_in(h, &MlConfig::clip().with_ratio(r), rng, ws)
-        .1
-        .cut
+    ml_cut_in(h, &MlConfig::clip().with_ratio(r), rng, ws)
 }
 
 /// 2-way LSMC with FM descents, `descents` long; Table VII baseline. (The
@@ -147,85 +160,65 @@ pub fn lsmc4_c(h: &Hypergraph, descents: usize, rng: &mut MlRng) -> u64 {
     lsmc_kway(h, 4, &cfg, rng).1.cut
 }
 
-/// Multilevel quadrisection (`ML_F`, `R = 1.0`, `T = 100`), optionally with
-/// pre-assigned pads; the Table IX headline algorithm.
-pub fn ml4(h: &Hypergraph, fixed: &[(ModuleId, PartId)], rng: &mut MlRng) -> u64 {
-    ml4_in(h, fixed, rng, &mut RefineWorkspace::new())
+/// Multilevel quadrisection (`ML_F`, `R = 1.0`, `T = 100`); the Table IX
+/// headline algorithm.
+pub fn ml4(h: &Hypergraph, rng: &mut MlRng) -> u64 {
+    ml4_in(h, rng, &mut RefineWorkspace::new())
 }
 
 /// [`ml4`] through a caller-owned workspace.
-pub fn ml4_in(
+pub fn ml4_in(h: &Hypergraph, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u64 {
+    kway_cut_in(h, &MlKwayConfig::default(), rng, ws)
+}
+
+/// The cut of an ML k-way run through `ws`.
+///
+/// # Panics
+///
+/// Panics on invalid input; the harness's inputs are valid by construction.
+pub fn kway_cut_in(
     h: &Hypergraph,
-    fixed: &[(ModuleId, PartId)],
+    cfg: &MlKwayConfig,
     rng: &mut MlRng,
     ws: &mut RefineWorkspace,
 ) -> u64 {
-    ml_kway_in(h, &MlKwayConfig::default(), fixed, rng, ws)
-        .1
-        .cut
+    let (_, r) = ml_kway(h, cfg, rng, reusing(ws)).expect("valid k-way input");
+    r.cut
 }
 
-/// Panics if any pinned module ended up off its pin — the bench harness's
-/// cheap end-to-end check that the constrained drivers honor fixed
+/// Constraint-aware ML for `constraints.k()` parts, dispatched like the
+/// CLI: `ML_C` bisection with matching ratio `r` at k = 2, direct
+/// quadrisection (`T = 100`, `R = 1`) at k = 4, and recursive `ML_C`
+/// bisection with ratio `r` otherwise.
+///
+/// # Panics
+///
+/// Panics if a pinned module ended up off its pin — the bench harness's
+/// cheap end-to-end check that the constrained schedule honors fixed
 /// terminals even in release builds (the audit layer is compiled out here).
-fn assert_pins(p: &Partition, constraints: &Constraints) {
+pub fn ml_constrained_in(
+    h: &Hypergraph,
+    r: f64,
+    constraints: &Constraints,
+    rng: &mut MlRng,
+    ws: &mut RefineWorkspace,
+) -> u64 {
+    let req = Request {
+        constraints: Some(constraints),
+        workspace: Some(ws),
+        meter: None,
+    };
+    let cfg = MlConfig::clip().with_ratio(r);
+    let (p, cut): (Partition, u64) = match constraints.k() {
+        2 => ml_bipartition(h, &cfg, rng, req).map(|(p, r)| (p, r.cut)),
+        4 => ml_kway(h, &MlKwayConfig::default(), rng, req).map(|(p, r)| (p, r.cut)),
+        _ => recursive_ml_partition(h, &cfg, rng, req).map(|(p, r)| (p, r.cut)),
+    }
+    .expect("valid constraints");
     for &(v, part) in constraints.fixed() {
         assert_eq!(p.part(v), part, "pinned module {v:?} moved off part {part}");
     }
-}
-
-/// Constraint-aware `ML_C` bipartition with matching ratio `r`; honors the
-/// constraints' pins and ε-bounds (`constraints.k()` must be 2).
-pub fn ml_c_constrained_in(
-    h: &Hypergraph,
-    r: f64,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> u64 {
-    let cfg = MlConfig::clip()
-        .with_ratio(r)
-        .with_epsilon(constraints.epsilon());
-    let (p, result) = ml_bipartition_constrained_in(h, &cfg, constraints, rng, ws);
-    assert_pins(&p, constraints);
-    result.cut
-}
-
-/// Constraint-aware multilevel quadrisection (`constraints.k()` must be 4).
-pub fn ml4_constrained_in(
-    h: &Hypergraph,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> u64 {
-    let (p, result) = ml_kway_constrained_in(h, &MlKwayConfig::default(), constraints, rng, ws);
-    assert_pins(&p, constraints);
-    result.cut
-}
-
-/// Constraint-aware recursive general-k partition (any `k ≥ 1`) with
-/// matching ratio `r` for each bisection level.
-pub fn ml_general_k_in(
-    h: &Hypergraph,
-    r: f64,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> u64 {
-    let cfg = MlConfig::clip()
-        .with_ratio(r)
-        .with_k(constraints.k())
-        .with_epsilon(constraints.epsilon());
-    let (p, result) = recursive_ml_partition_budgeted_in(
-        h,
-        &cfg,
-        constraints,
-        rng,
-        ws,
-        &mut BudgetMeter::unlimited(),
-    );
-    assert_pins(&p, constraints);
-    result.cut
+    cut
 }
 
 /// GORDIAN-style quadrisection via quadratic placement; deterministic, so
@@ -267,7 +260,7 @@ mod tests {
         assert!(clip4(&h, &mut rng) >= 1);
         assert!(lsmc4_f(&h, 2, &mut rng) >= 1);
         assert!(lsmc4_c(&h, 2, &mut rng) >= 1);
-        assert!(ml4(&h, &[], &mut rng) >= 1);
+        assert!(ml4(&h, &mut rng) >= 1);
     }
 
     #[test]
@@ -285,7 +278,7 @@ mod tests {
                 ml_c(&h, 0.5, &mut rng),
                 fm4(&h, &mut rng),
                 clip4(&h, &mut rng),
-                ml4(&h, &[], &mut rng),
+                ml4(&h, &mut rng),
             ]
         };
         let reused: Vec<u64> = {
@@ -297,7 +290,7 @@ mod tests {
                 ml_c_in(&h, 0.5, &mut rng, &mut ws),
                 fm4_in(&h, &mut rng, &mut ws),
                 clip4_in(&h, &mut rng, &mut ws),
-                ml4_in(&h, &[], &mut rng, &mut ws),
+                ml4_in(&h, &mut rng, &mut ws),
             ]
         };
         assert_eq!(fresh, reused);
@@ -310,11 +303,11 @@ mod tests {
         let mut rng = seeded_rng(5);
         let pins = |k: u32| vec![(ModuleId::new(0), k - 1), (ModuleId::new(40), 0)];
         let c2 = Constraints::new(2, 0.2, pins(2)).expect("valid");
-        assert!(ml_c_constrained_in(&h, 0.5, &c2, &mut rng, &mut ws) >= 1);
+        assert!(ml_constrained_in(&h, 0.5, &c2, &mut rng, &mut ws) >= 1);
         let c4 = Constraints::new(4, 0.2, pins(4)).expect("valid");
-        assert!(ml4_constrained_in(&h, &c4, &mut rng, &mut ws) >= 1);
+        assert!(ml_constrained_in(&h, 0.5, &c4, &mut rng, &mut ws) >= 1);
         let c8 = Constraints::new(8, 0.2, pins(8)).expect("valid");
-        assert!(ml_general_k_in(&h, 0.5, &c8, &mut rng, &mut ws) >= 1);
+        assert!(ml_constrained_in(&h, 0.5, &c8, &mut rng, &mut ws) >= 1);
     }
 
     #[test]

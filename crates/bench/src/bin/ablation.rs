@@ -16,10 +16,10 @@
 //! These are *our* experiments (not in the paper); they quantify how much
 //! each ingredient of ML matters on the synthetic suite.
 
-use mlpart_bench::{report_shape_checks, run_many_par, with_report, HarnessArgs, ShapeCheck};
-use mlpart_core::{
-    ml_bipartition_in, ml_kway_in, recursive_ml_bisection_in, Coarsener, MlConfig, MlKwayConfig,
+use mlpart_bench::{
+    algos, report_shape_checks, run_many_par, with_report, HarnessArgs, ShapeCheck,
 };
+use mlpart_core::{ml_bipartition, recursive_ml_bisection, Coarsener, MlConfig, MlKwayConfig};
 use mlpart_fm::FmConfig;
 use mlpart_hypergraph::rng::child_seed;
 use mlpart_hypergraph::transform::{
@@ -64,7 +64,7 @@ fn run(args: &HarnessArgs) -> bool {
                 args.runs,
                 child_seed(seed, lane),
                 args.threads,
-                |rng, ws| ml_bipartition_in(&h, &cfg, rng, ws).1.cut,
+                |rng, ws| algos::ml_cut_in(&h, &cfg, rng, ws),
             )
         };
         let base = MlConfig::clip();
@@ -188,7 +188,7 @@ fn run(args: &HarnessArgs) -> bool {
         let h = c.generate(args.seed);
         let seed = child_seed(args.seed, 900 + ci as u64);
         let a_sod = run_many_par(args.runs, child_seed(seed, 0), args.threads, |rng, ws| {
-            ml_kway_in(&h, &MlKwayConfig::default(), &[], rng, ws).1.cut
+            algos::kway_cut_in(&h, &MlKwayConfig::default(), rng, ws)
         });
         let a_cut = run_many_par(args.runs, child_seed(seed, 1), args.threads, |rng, ws| {
             let cfg = MlKwayConfig {
@@ -198,10 +198,11 @@ fn run(args: &HarnessArgs) -> bool {
                 },
                 ..MlKwayConfig::default()
             };
-            ml_kway_in(&h, &cfg, &[], rng, ws).1.cut
+            algos::kway_cut_in(&h, &cfg, rng, ws)
         });
         let a_rec = run_many_par(args.runs, child_seed(seed, 2), args.threads, |rng, ws| {
-            recursive_ml_bisection_in(&h, 2, &MlConfig::default(), rng, ws)
+            recursive_ml_bisection(&h, 2, &MlConfig::default(), rng, algos::reusing(ws))
+                .expect("valid run")
                 .1
                 .cut
         });
@@ -224,17 +225,19 @@ fn run(args: &HarnessArgs) -> bool {
         let h = c.generate(args.seed);
         let seed = child_seed(args.seed, 1_200 + ci as u64);
         let a_direct = run_many_par(args.runs, child_seed(seed, 0), args.threads, |rng, ws| {
-            ml_bipartition_in(&h, &MlConfig::clip(), rng, ws).1.cut
+            algos::ml_cut_in(&h, &MlConfig::clip(), rng, ws)
         });
         let clique = clique_expansion(&h, DEFAULT_WEIGHT_SCALE, 50).expect("expansion fits u32");
         let a_clique = run_many_par(args.runs, child_seed(seed, 1), args.threads, |rng, ws| {
-            let (p, _) = ml_bipartition_in(&clique, &MlConfig::clip(), rng, ws);
+            let (p, _) = ml_bipartition(&clique, &MlConfig::clip(), rng, algos::reusing(ws))
+                .expect("valid run");
             hypergraph_cut_of_expanded(&h, p.assignment(), 2).expect("assignment covers h")
         });
         let (star, _original) =
             star_expansion(&h, DEFAULT_WEIGHT_SCALE, 200).expect("expansion fits u32");
         let a_star = run_many_par(args.runs, child_seed(seed, 2), args.threads, |rng, ws| {
-            let (p, _) = ml_bipartition_in(&star, &MlConfig::clip(), rng, ws);
+            let (p, _) = ml_bipartition(&star, &MlConfig::clip(), rng, algos::reusing(ws))
+                .expect("valid run");
             hypergraph_cut_of_expanded(&h, p.assignment(), 2).expect("assignment covers h")
         });
         println!(

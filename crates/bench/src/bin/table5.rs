@@ -6,7 +6,7 @@
 //! R = 0.5 and R = 0.33 are nearly indistinguishable.
 
 use mlpart_bench::{algos, print_level_stats, sweeps, HarnessArgs};
-use mlpart_core::{ml_bipartition, MlConfig};
+use mlpart_core::{ml_bipartition, MlConfig, Request};
 use mlpart_hypergraph::rng::seeded_rng;
 
 fn main() {
@@ -19,7 +19,13 @@ fn main() {
     if let Some(c) = args.circuits().iter().max_by_key(|c| c.modules) {
         let h = c.generate(args.seed);
         let mut rng = seeded_rng(args.seed);
-        let (_, r) = ml_bipartition(&h, &MlConfig::fm().with_ratio(0.5), &mut rng);
+        let (_, r) = ml_bipartition(
+            &h,
+            &MlConfig::fm().with_ratio(0.5),
+            &mut rng,
+            Request::default(),
+        )
+        .expect("valid run");
         print_level_stats(
             &format!(
                 "per-level stats — {} (ML_F, R = 0.5, seed {})",

@@ -26,7 +26,7 @@ fn main() {
         let (h, pads) = c.generate_with_pads(args.seed);
         let base = child_seed(args.seed, 9_000 + ci as u64);
         let ml = run_many_par(args.runs, child_seed(base, 0), args.threads, |rng, ws| {
-            algos::ml4_in(&h, &[], rng, ws)
+            algos::ml4_in(&h, rng, ws)
         });
         let (g_quad, g_lin) = algos::gordian_cuts(&h, &pads);
         let gordian = g_quad.min(g_lin);

@@ -45,11 +45,8 @@ fn sweep(args: &HarnessArgs) -> bool {
                 let cons = Constraints::new(k, eps, pins).expect("pins in range, ε > 0");
                 let cell = (ci * KS.len() + ki) * EPSILONS.len() + ei;
                 let seed = child_seed(args.seed, 7_000 + cell as u64);
-                let job = |rng: &mut _, ws: &mut _| match k {
-                    2 => algos::ml_c_constrained_in(&h, 0.5, &cons, rng, ws),
-                    4 => algos::ml4_constrained_in(&h, &cons, rng, ws),
-                    _ => algos::ml_general_k_in(&h, 0.5, &cons, rng, ws),
-                };
+                let job =
+                    |rng: &mut _, ws: &mut _| algos::ml_constrained_in(&h, 0.5, &cons, rng, ws);
                 let stats = run_many_par(args.runs, seed, 1, job);
                 let par = run_many_par(args.runs, seed, 4, job);
                 if stats != par {

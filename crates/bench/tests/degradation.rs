@@ -14,8 +14,7 @@
 //! Run with `cargo test -p mlpart-bench --test degradation`.
 
 use mlpart_core::{
-    ml_bipartition_budgeted_in, ml_kway_budgeted_in, Budget, BudgetMeter, MlConfig, MlKwayConfig,
-    Truncation,
+    ml_bipartition, ml_kway, Budget, BudgetMeter, MlConfig, MlKwayConfig, Request, Truncation,
 };
 use mlpart_fm::{fm_partition_budgeted_in, Engine, FmConfig, RefineWorkspace};
 use mlpart_gen::suite;
@@ -138,7 +137,17 @@ fn truncated_multilevel_runs_stay_valid() {
             let mut rng = seeded_rng(seed);
             let mut ws = RefineWorkspace::new();
             let mut meter = BudgetMeter::new(&budget);
-            let (p, r) = ml_bipartition_budgeted_in(&h, &cfg, &mut rng, &mut ws, &mut meter);
+            let (p, r) = ml_bipartition(
+                &h,
+                &cfg,
+                &mut rng,
+                Request {
+                    meter: Some(&mut meter),
+                    workspace: Some(&mut ws),
+                    ..Request::default()
+                },
+            )
+            .expect("valid run");
             assert!(p.validate(&h), "seed {seed}: truncated ml result invalid");
             assert_eq!(r.cut, cut(&h, &p), "seed {seed}: reported cut honest");
             assert!(
@@ -149,7 +158,17 @@ fn truncated_multilevel_runs_stay_valid() {
             let kcfg = MlKwayConfig::default();
             let mut rng = seeded_rng(seed);
             let mut meter = BudgetMeter::new(&budget);
-            let (p, r) = ml_kway_budgeted_in(&h, &kcfg, &[], &mut rng, &mut ws, &mut meter);
+            let (p, r) = ml_kway(
+                &h,
+                &kcfg,
+                &mut rng,
+                Request {
+                    meter: Some(&mut meter),
+                    workspace: Some(&mut ws),
+                    ..Request::default()
+                },
+            )
+            .expect("valid run");
             assert!(
                 p.validate(&h),
                 "seed {seed}: truncated ml-kway result invalid"

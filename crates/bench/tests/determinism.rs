@@ -69,7 +69,7 @@ fn quadrisectioners_are_thread_count_invariant() {
     let sequential = [
         run_many(runs, child_seed(seed, 0), |rng| algos::fm4(&h, rng)),
         run_many(runs, child_seed(seed, 1), |rng| algos::clip4(&h, rng)),
-        run_many(runs, child_seed(seed, 2), |rng| algos::ml4(&h, &[], rng)),
+        run_many(runs, child_seed(seed, 2), |rng| algos::ml4(&h, rng)),
     ];
     for threads in thread_counts() {
         let parallel = [
@@ -80,7 +80,7 @@ fn quadrisectioners_are_thread_count_invariant() {
                 algos::clip4_in(&h, rng, ws)
             }),
             run_many_par(runs, child_seed(seed, 2), threads, |rng, ws| {
-                algos::ml4_in(&h, &[], rng, ws)
+                algos::ml4_in(&h, rng, ws)
             }),
         ];
         assert_eq!(sequential, parallel, "threads = {threads}");
@@ -113,7 +113,7 @@ fn repeated_parallel_runs_agree_with_each_other() {
 /// spends against its own meter and the checkpoints count work, not time.
 #[test]
 fn budgeted_runs_are_thread_count_invariant() {
-    use mlpart_core::{ml_bipartition_budgeted_in, Budget, BudgetMeter, MlConfig, Truncation};
+    use mlpart_core::{ml_bipartition, Budget, BudgetMeter, MlConfig, Request, Truncation};
 
     let h = suite::by_name("balu").expect("suite circuit").generate(3);
     let budget = Budget {
@@ -123,7 +123,17 @@ fn budgeted_runs_are_thread_count_invariant() {
     let cfg = MlConfig::clip().with_ratio(0.5);
     let job = |rng: &mut _, ws: &mut _| -> (u64, Vec<u32>, Option<Truncation>) {
         let mut meter = BudgetMeter::new(&budget);
-        let (p, r) = ml_bipartition_budgeted_in(&h, &cfg, rng, ws, &mut meter);
+        let (p, r) = ml_bipartition(
+            &h,
+            &cfg,
+            rng,
+            Request {
+                meter: Some(&mut meter),
+                workspace: Some(ws),
+                ..Request::default()
+            },
+        )
+        .expect("valid run");
         (r.cut, p.assignment().to_vec(), r.truncation)
     };
     let (reference, _) = mlpart_exec::run_starts(6, 55, 1, &job);

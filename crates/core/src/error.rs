@@ -1,10 +1,10 @@
 //! Typed errors for the multilevel pipeline drivers.
 //!
-//! Every `try_*` driver returns [`PipelineError`] instead of panicking, so
-//! harnesses feeding parsed benchmarks can report bad inputs as values. The
-//! legacy panicking entry points remain as thin wrappers that funnel through
-//! [`expect_valid`] — the single deliberate panic site of this crate, kept on
-//! the analyzer's ratchet.
+//! Every pipeline entry point returns [`PipelineError`] instead of
+//! panicking, so harnesses feeding parsed benchmarks can report bad inputs as
+//! values. The three panicking wrappers the `perf` benchmark calls funnel
+//! through `expect_valid`, the single deliberate panic site of this crate,
+//! kept on the analyzer's ratchet.
 
 use std::error::Error as StdError;
 use std::fmt;
@@ -14,9 +14,9 @@ use mlpart_hypergraph::{BuildHypergraphError, ConstraintsError};
 
 /// Why a pipeline driver rejected its inputs (or an internal stage failed).
 ///
-/// Display strings deliberately contain the historical panic phrases (e.g.
-/// "bipartition requires k = 2") so `should_panic` expectations written
-/// against the legacy wrappers keep matching through [`expect_valid`].
+/// Display strings keep the historical panic phrases (e.g. "bipartition
+/// requires k = 2"), so a panic raised through `expect_valid` names the
+/// rule that was broken.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum PipelineError {
@@ -27,8 +27,6 @@ pub enum PipelineError {
     /// A derived sub-netlist (e.g. a recursive-bisection region extract)
     /// failed hypergraph validation.
     Netlist(BuildHypergraphError),
-    /// A multi-start driver was asked for zero runs.
-    NoStarts,
     /// Two part counts that must agree do not; `context` names the rule.
     KMismatch {
         /// The invariant text, e.g. `"bipartition requires k = 2"`.
@@ -37,27 +35,6 @@ pub enum PipelineError {
         expected: u32,
         /// The part count actually supplied.
         got: u32,
-    },
-    /// A part-0 area target exceeds the total module area.
-    TargetExceedsTotal {
-        /// Requested area for part 0.
-        target0: u64,
-        /// Total area of all modules.
-        total: u64,
-    },
-    /// A fixed module index is `>= num_modules`.
-    FixedModuleOutOfRange {
-        /// Offending module index.
-        module: usize,
-        /// Modules in the netlist.
-        num_modules: usize,
-    },
-    /// A fixed part id is `>= k`.
-    FixedPartOutOfRange {
-        /// Offending part id.
-        part: u32,
-        /// The part count.
-        k: u32,
     },
     /// Recursive bisection depth outside `1..=16`.
     BadDepth {
@@ -69,6 +46,9 @@ pub enum PipelineError {
         /// The part count the assignment was checked against.
         k: u32,
     },
+    /// The entry point cannot serve this combination of inputs, e.g.
+    /// constraints passed to the paper-only recursive bisection.
+    Unsupported(&'static str),
 }
 
 impl fmt::Display for PipelineError {
@@ -77,34 +57,18 @@ impl fmt::Display for PipelineError {
             PipelineError::Constraints(e) => write!(f, "invalid constraints: {e}"),
             PipelineError::Coarsen(e) => write!(f, "coarsening failed: {e}"),
             PipelineError::Netlist(e) => write!(f, "derived netlist is invalid: {e}"),
-            PipelineError::NoStarts => {
-                write!(f, "multi-start search needs at least one start (runs > 0)")
-            }
             PipelineError::KMismatch {
                 context,
                 expected,
                 got,
             } => write!(f, "{context} (expected {expected}, got {got})"),
-            PipelineError::TargetExceedsTotal { target0, total } => write!(
-                f,
-                "part-0 area target {target0} exceeds the total module area {total}"
-            ),
-            PipelineError::FixedModuleOutOfRange {
-                module,
-                num_modules,
-            } => write!(
-                f,
-                "fixed module {module} out of range (netlist has {num_modules} modules)"
-            ),
-            PipelineError::FixedPartOutOfRange { part, k } => {
-                write!(f, "fixed part id {part} out of range (k = {k})")
-            }
             PipelineError::BadDepth { depth } => {
                 write!(f, "depth must be at least 1 and at most 16, got {depth}")
             }
             PipelineError::InvalidRegionIds { k } => {
                 write!(f, "recursive split must keep region ids below k = {k}")
             }
+            PipelineError::Unsupported(what) => write!(f, "unsupported request: {what}"),
         }
     }
 }
@@ -138,12 +102,13 @@ impl From<BuildHypergraphError> for PipelineError {
     }
 }
 
-/// Unwraps a pipeline result for the legacy panicking entry points.
+/// Unwraps a pipeline result for the panicking wrappers
+/// (`ml_bipartition_in`, `ml_kway_in`, `recursive_ml_partition_budgeted_in`).
 ///
-/// This is the one sanctioned panic site of `mlpart-core`: every historical
-/// `assert!`/`expect` precondition now produces a [`PipelineError`] (or a
-/// [`CoarsenError`]) in the `try_*` drivers, and the legacy names funnel
-/// through here so the panic message carries the typed error's Display text.
+/// This is the one sanctioned panic site of `mlpart-core`: every
+/// precondition produces a [`PipelineError`] in the entry points, and the
+/// wrappers funnel through here so the panic message carries the typed
+/// error's Display text.
 #[track_caller]
 pub(crate) fn expect_valid<T, E: fmt::Display>(r: Result<T, E>) -> T {
     match r {
@@ -164,9 +129,9 @@ mod tests {
             got: 3,
         };
         assert!(e.to_string().contains("bipartition requires k = 2"));
-        assert!(PipelineError::NoStarts
+        assert!(PipelineError::Unsupported("pins")
             .to_string()
-            .contains("at least one start"));
+            .contains("unsupported request: pins"));
         assert!(PipelineError::BadDepth { depth: 0 }
             .to_string()
             .contains("depth must be at least 1"));
@@ -184,13 +149,16 @@ mod tests {
         assert!(StdError::source(&e).is_some());
         let e = PipelineError::from(BuildHypergraphError::AreaOverflow);
         assert!(StdError::source(&e).is_some());
-        assert_eq!(PipelineError::NoStarts, PipelineError::NoStarts);
+        assert_eq!(
+            PipelineError::BadDepth { depth: 0 },
+            PipelineError::BadDepth { depth: 0 }
+        );
     }
 
     #[test]
     #[should_panic(expected = "invalid pipeline input")]
     fn expect_valid_panics_with_display() {
-        let r: Result<(), PipelineError> = Err(PipelineError::NoStarts);
+        let r: Result<(), PipelineError> = Err(PipelineError::BadDepth { depth: 0 });
         expect_valid(r);
     }
 

@@ -1,9 +1,10 @@
 //! Construction of the multilevel netlist hierarchy (the coarsening phase of
 //! Fig. 2, steps 1-5).
 
+use crate::error::PipelineError;
 use mlpart_cluster::{
     heavy_edge_matching, induce, induce_coalesced, match_clusters_frozen_in,
-    match_clusters_parts_in, random_matching, Clustering, CoarsenError, MatchConfig, MatchScratch,
+    match_clusters_parts_in, random_matching, Clustering, MatchConfig, MatchScratch,
 };
 use mlpart_hypergraph::{Hypergraph, ModuleId, PartId};
 use rand::Rng;
@@ -36,9 +37,8 @@ impl std::fmt::Display for Coarsener {
 /// with the clustering connecting each adjacent pair of levels.
 ///
 /// `H₀` itself is not stored (the caller owns it); `level(i)` returns
-/// `Hᵢ₊₁`. The hierarchy also threads pre-assigned (fixed) modules upward:
-/// a coarse module is fixed iff its (singleton) cluster wraps a fixed fine
-/// module.
+/// `Hᵢ`. The hierarchy also threads pre-assigned (fixed) modules upward: a
+/// coarse module is fixed iff its cluster holds a fixed fine module.
 ///
 /// # Examples
 ///
@@ -54,7 +54,7 @@ impl std::fmt::Display for Coarsener {
 /// let h = b.build()?;
 /// let cfg = MlConfig { coarsen_threshold: 10, ..MlConfig::default() };
 /// let mut rng = seeded_rng(0);
-/// let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+/// let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng)?;
 /// assert!(hier.coarsest(&h).num_modules() <= 10);
 /// assert!(hier.num_levels() >= 2);
 /// # Ok(())
@@ -82,34 +82,28 @@ impl Hierarchy {
     /// [`max_levels`](crate::MlConfig::max_levels) is reached, so the loop
     /// always terminates and never piles up near-identical levels.
     ///
-    /// `fixed` lists pre-assigned modules of `H₀`; they are kept as singleton
-    /// clusters on every level (§III-C pad pre-assignment).
+    /// `fixed` lists pre-assigned modules of `H₀` (the constrained
+    /// schedule's pins; the paper's schedule passes none). `Match` merges two
+    /// pins only when they share a part, and never a pin with a free module,
+    /// so heavily pinned netlists still coarsen. Coarse fixed lists hold one
+    /// entry per cluster, sorted by coarse module id.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a coarse netlist fails validation (see
-    /// [`Hierarchy::try_coarsen`] for the non-panicking form).
+    /// [`PipelineError::Unsupported`] when pins meet a baseline coarsener;
+    /// [`PipelineError::Coarsen`] when inducing a coarse level fails (e.g.
+    /// coalesced net weights overflow `u32`).
     pub fn coarsen<R: Rng + ?Sized>(
         h0: &Hypergraph,
         cfg: &crate::MlConfig,
         fixed: &[(ModuleId, PartId)],
         rng: &mut R,
-    ) -> Self {
-        crate::error::expect_valid(Self::try_coarsen(h0, cfg, fixed, rng))
-    }
-
-    /// [`Hierarchy::coarsen`] returning a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`CoarsenError`] when inducing a coarse level fails (e.g. coalesced
-    /// net weights overflow `u32`).
-    pub fn try_coarsen<R: Rng + ?Sized>(
-        h0: &Hypergraph,
-        cfg: &crate::MlConfig,
-        fixed: &[(ModuleId, PartId)],
-        rng: &mut R,
-    ) -> Result<Self, CoarsenError> {
+    ) -> Result<Self, PipelineError> {
+        if !fixed.is_empty() && cfg.coarsener != Coarsener::PaperMatch {
+            return Err(PipelineError::Unsupported(
+                "fixed modules require the PaperMatch coarsener",
+            ));
+        }
         let match_cfg = MatchConfig::with_ratio(cfg.matching_ratio);
         // One scratch serves every `Match` pass: levels shrink, so the
         // level-0 buffers are never reallocated further down the hierarchy.
@@ -139,48 +133,19 @@ impl Hierarchy {
             {
                 break;
             }
-            let level_fixed = &current_fixed;
-            let frozen_mask: Option<Vec<bool>> = if level_fixed.is_empty() {
-                None
-            } else {
-                let mut mask = vec![false; current.num_modules()];
-                for &(v, _) in level_fixed {
-                    mask[v.index()] = true;
-                }
-                Some(mask)
-            };
-            let clustering = match cfg.coarsener {
-                Coarsener::PaperMatch => match_clusters_frozen_in(
-                    current,
-                    &match_cfg,
-                    frozen_mask.as_deref(),
-                    rng,
-                    &mut scratch,
+            let (clustering, effective_ratio) = match cfg.coarsener {
+                Coarsener::PaperMatch => (
+                    match_level(current, &match_cfg, &current_fixed, rng, &mut scratch),
+                    cfg.matching_ratio,
                 ),
-                Coarsener::RandomMatching => {
-                    assert!(
-                        frozen_mask.is_none(),
-                        "fixed modules require the PaperMatch coarsener"
-                    );
-                    random_matching(current, rng)
-                }
-                Coarsener::HeavyEdge => {
-                    assert!(
-                        frozen_mask.is_none(),
-                        "fixed modules require the PaperMatch coarsener"
-                    );
-                    heavy_edge_matching(current, rng)
-                }
+                Coarsener::RandomMatching => (random_matching(current, rng), 1.0),
+                Coarsener::HeavyEdge => (heavy_edge_matching(current, rng), 1.0),
             };
             // A matching with ratio R shrinks by the factor 1 − R/2 when it
             // succeeds; stop once the realized shrink is closer to "no
             // progress" than to that promise (baseline coarseners behave
             // like R = 1). This truncates the stall tail on netlists whose
             // coarse levels become star-like.
-            let effective_ratio = match cfg.coarsener {
-                Coarsener::PaperMatch => cfg.matching_ratio,
-                Coarsener::RandomMatching | Coarsener::HeavyEdge => 1.0,
-            };
             let guard = 1.0 - effective_ratio / 4.0;
             let stalled = clustering.num_clusters() as f64 > guard * current.num_modules() as f64;
             #[cfg(feature = "obs")]
@@ -201,139 +166,7 @@ impl Hierarchy {
             } else {
                 induce(current, &clustering)?
             };
-            let next_fixed: Vec<(ModuleId, PartId)> = level_fixed
-                .iter()
-                .map(|&(v, p)| (ModuleId::new(clustering.cluster_of(v) as usize), p))
-                .collect();
-            clusterings.push(clustering);
-            if let Some(prev) = owned_current.take() {
-                coarse.push(prev);
-            }
-            fixed_levels.push(std::mem::replace(&mut current_fixed, next_fixed));
-            owned_current = Some(next);
-        }
-        if let Some(last) = owned_current {
-            coarse.push(last);
-        }
-        fixed_levels.push(current_fixed);
-        Ok(Hierarchy {
-            clusterings,
-            coarse,
-            fixed: fixed_levels,
-        })
-    }
-
-    /// [`Hierarchy::coarsen`] for the constraint-aware pipelines: instead of
-    /// freezing every fixed module as a singleton, `Match` may merge two
-    /// fixed modules pre-assigned to the **same** part (free–free pairs
-    /// merge as always; fixed–free and cross-part pairs never do), so
-    /// heavily pinned netlists still coarsen. Coarse fixed lists are
-    /// deduplicated per cluster — a cluster of same-part pins appears once —
-    /// and stay sorted by coarse module id, keeping every downstream loop
-    /// over them deterministic. With no fixed modules this is byte-identical
-    /// to [`Hierarchy::coarsen`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if fixed modules are combined with a baseline coarsener or a
-    /// coarse netlist fails validation (see
-    /// [`Hierarchy::try_coarsen_parts`] for the non-panicking form).
-    pub fn coarsen_parts<R: Rng + ?Sized>(
-        h0: &Hypergraph,
-        cfg: &crate::MlConfig,
-        fixed: &[(ModuleId, PartId)],
-        rng: &mut R,
-    ) -> Self {
-        crate::error::expect_valid(Self::try_coarsen_parts(h0, cfg, fixed, rng))
-    }
-
-    /// [`Hierarchy::coarsen_parts`] returning a typed error instead of
-    /// panicking on induction failures. The baseline-coarsener restriction
-    /// stays a panic: it is a static configuration bug, not an input
-    /// property.
-    ///
-    /// # Errors
-    ///
-    /// [`CoarsenError`] when inducing a coarse level fails.
-    pub fn try_coarsen_parts<R: Rng + ?Sized>(
-        h0: &Hypergraph,
-        cfg: &crate::MlConfig,
-        fixed: &[(ModuleId, PartId)],
-        rng: &mut R,
-    ) -> Result<Self, CoarsenError> {
-        if fixed.is_empty() {
-            return Hierarchy::try_coarsen(h0, cfg, fixed, rng);
-        }
-        assert!(
-            cfg.coarsener == Coarsener::PaperMatch,
-            "fixed modules require the PaperMatch coarsener"
-        );
-        let match_cfg = MatchConfig::with_ratio(cfg.matching_ratio);
-        let mut scratch = MatchScratch::new();
-        let mut clusterings = Vec::new();
-        let mut coarse: Vec<Hypergraph> = Vec::new();
-        let mut fixed_levels: Vec<Vec<(ModuleId, PartId)>> = Vec::new();
-        let mut owned_current: Option<Hypergraph> = None;
-        let mut current_fixed: Vec<(ModuleId, PartId)> = fixed.to_vec();
-
-        #[cfg(feature = "obs")]
-        let _obs_span = mlpart_obs::span(
-            "coarsen_parts",
-            &[
-                ("modules", h0.num_modules().into()),
-                ("fixed", fixed.len().into()),
-                ("threshold", cfg.coarsen_threshold.into()),
-                ("ratio", cfg.matching_ratio.into()),
-            ],
-        );
-        loop {
-            let current: &Hypergraph = owned_current.as_ref().unwrap_or(h0);
-            if current.num_modules() <= cfg.coarsen_threshold || clusterings.len() >= cfg.max_levels
-            {
-                break;
-            }
-            let level_fixed = &current_fixed;
-            let mut seed: Vec<Option<PartId>> = vec![None; current.num_modules()];
-            for &(v, p) in level_fixed {
-                seed[v.index()] = Some(p);
-            }
-            let clustering = match_clusters_parts_in(
-                current,
-                &match_cfg,
-                Some(seed.as_slice()),
-                rng,
-                &mut scratch,
-            );
-            let guard = 1.0 - cfg.matching_ratio / 4.0;
-            let stalled = clustering.num_clusters() as f64 > guard * current.num_modules() as f64;
-            #[cfg(feature = "obs")]
-            mlpart_obs::counter(
-                "coarsen_level",
-                &[
-                    ("level", clusterings.len().into()),
-                    ("modules", current.num_modules().into()),
-                    ("clusters", clustering.num_clusters().into()),
-                    ("stalled", u64::from(stalled).into()),
-                ],
-            );
-            if stalled {
-                break; // matching stalled: treat this level as coarsest
-            }
-            let next = if cfg.coalesce_nets {
-                induce_coalesced(current, &clustering)?
-            } else {
-                induce(current, &clustering)?
-            };
-            let mut next_fixed: Vec<(ModuleId, PartId)> = level_fixed
-                .iter()
-                .map(|&(v, p)| (ModuleId::new(clustering.cluster_of(v) as usize), p))
-                .collect();
-            // Same-part pins may now share a cluster; keep one entry each.
-            next_fixed.sort_unstable_by_key(|&(v, _)| v.index());
-            next_fixed.dedup_by(|a, b| {
-                debug_assert!(a.0 != b.0 || a.1 == b.1, "cross-part pins merged");
-                a.0 == b.0
-            });
+            let next_fixed = lift_fixed(&current_fixed, &clustering);
             clusterings.push(clustering);
             if let Some(prev) = owned_current.take() {
                 coarse.push(prev);
@@ -398,14 +231,43 @@ impl Hierarchy {
     }
 }
 
-/// Dense `module → fixed?` mask over `n` modules, shared by the
-/// constraint-aware pipelines.
-pub(crate) fn fixed_mask(fixed: &[(ModuleId, PartId)], n: usize) -> Vec<bool> {
-    let mut mask = vec![false; n];
-    for &(v, _) in fixed {
-        mask[v.index()] = true;
+/// One `Match` pass (Fig. 3) that keeps pins apart: the paper's `Match`
+/// when `fixed` is empty, otherwise a pass that merges two modules only if
+/// both are free or both are pinned to the same part.
+pub(crate) fn match_level<R: Rng + ?Sized>(
+    h: &Hypergraph,
+    cfg: &MatchConfig,
+    fixed: &[(ModuleId, PartId)],
+    rng: &mut R,
+    scratch: &mut MatchScratch,
+) -> Clustering {
+    if fixed.is_empty() {
+        return match_clusters_frozen_in(h, cfg, None, rng, scratch);
     }
-    mask
+    let mut seed: Vec<Option<PartId>> = vec![None; h.num_modules()];
+    for &(v, p) in fixed {
+        seed[v.index()] = Some(p);
+    }
+    match_clusters_parts_in(h, cfg, Some(seed.as_slice()), rng, scratch)
+}
+
+/// `fixed` carried onto the clusters of `clustering`: one entry per
+/// cluster (same-part pins may now share one), sorted by coarse module id so
+/// every downstream loop over them is deterministic.
+pub(crate) fn lift_fixed(
+    fixed: &[(ModuleId, PartId)],
+    clustering: &Clustering,
+) -> Vec<(ModuleId, PartId)> {
+    let mut lifted: Vec<(ModuleId, PartId)> = fixed
+        .iter()
+        .map(|&(v, p)| (ModuleId::new(clustering.cluster_of(v) as usize), p))
+        .collect();
+    lifted.sort_unstable_by_key(|&(v, _)| v.index());
+    lifted.dedup_by(|a, b| {
+        debug_assert!(a.0 != b.0 || a.1 == b.1, "cross-part pins merged");
+        a.0 == b.0
+    });
+    lifted
 }
 
 #[cfg(test)]
@@ -439,7 +301,7 @@ mod tests {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(1);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng).expect("coarsens");
         assert!(hier.coarsest(&h).num_modules() <= 35);
         assert!(hier.num_levels() >= 3);
         // Every level preserves total area.
@@ -458,7 +320,9 @@ mod tests {
                 matching_ratio: ratio,
                 ..MlConfig::default()
             };
-            Hierarchy::coarsen(&h, &cfg, &[], rng).num_levels()
+            Hierarchy::coarsen(&h, &cfg, &[], rng)
+                .expect("coarsens")
+                .num_levels()
         };
         let l_full = levels_at(1.0, &mut rng);
         let l_half = levels_at(0.5, &mut rng);
@@ -475,7 +339,7 @@ mod tests {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(3);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng).expect("coarsens");
         let sizes = hier.level_sizes(&h);
         assert!(sizes.windows(2).all(|w| w[1] < w[0]), "{sizes:?}");
     }
@@ -488,7 +352,7 @@ mod tests {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(0);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng).expect("coarsens");
         assert_eq!(hier.num_levels(), 0);
         assert_eq!(hier.coarsest(&h).num_modules(), 9);
     }
@@ -502,7 +366,7 @@ mod tests {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(0);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng).expect("coarsens");
         assert_eq!(hier.num_levels(), 0);
     }
 
@@ -515,12 +379,12 @@ mod tests {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(0);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng).expect("coarsens");
         assert_eq!(hier.num_levels(), 3);
     }
 
     #[test]
-    fn coarsen_parts_merges_same_part_pins_and_dedups() {
+    fn coarsen_merges_same_part_pins_and_dedups() {
         let h = grid(8, 8);
         let cfg = MlConfig {
             coarsen_threshold: 8,
@@ -532,7 +396,7 @@ mod tests {
         let mut fixed: Vec<(ModuleId, u32)> = (0..8).map(|x| (ModuleId::new(x), 0u32)).collect();
         fixed.push((ModuleId::new(63), 1));
         let mut rng = seeded_rng(5);
-        let hier = Hierarchy::coarsen_parts(&h, &cfg, &fixed, &mut rng);
+        let hier = Hierarchy::coarsen(&h, &cfg, &fixed, &mut rng).expect("coarsens");
         assert!(hier.coarsest(&h).num_modules() <= 8);
         for i in 0..=hier.num_levels() {
             let level_fixed = hier.fixed_at(i);
@@ -549,46 +413,15 @@ mod tests {
     }
 
     #[test]
-    fn coarsen_parts_without_pins_matches_plain_coarsen() {
-        let h = grid(12, 12);
+    fn pins_require_the_paper_coarsener() {
+        let h = grid(4, 4);
         let cfg = MlConfig {
-            coarsen_threshold: 20,
+            coarsen_threshold: 2,
+            coarsener: Coarsener::HeavyEdge,
             ..MlConfig::default()
         };
-        let mut rng1 = seeded_rng(9);
-        let mut rng2 = seeded_rng(9);
-        let a = Hierarchy::coarsen(&h, &cfg, &[], &mut rng1);
-        let b = Hierarchy::coarsen_parts(&h, &cfg, &[], &mut rng2);
-        assert_eq!(a.num_levels(), b.num_levels());
-        for i in 0..a.num_levels() {
-            assert_eq!(a.clustering(i).as_map(), b.clustering(i).as_map());
-        }
-    }
-
-    #[test]
-    fn fixed_modules_stay_singletons_and_propagate() {
-        let h = grid(8, 8);
-        let cfg = MlConfig {
-            coarsen_threshold: 8,
-            ..MlConfig::default()
-        };
-        let fixed = vec![(ModuleId::new(0), 1u32), (ModuleId::new(63), 2u32)];
-        let mut rng = seeded_rng(4);
-        let hier = Hierarchy::coarsen(&h, &cfg, &fixed, &mut rng);
-        for i in 0..hier.num_levels() {
-            let c = hier.clustering(i);
-            for &(v, part) in hier.fixed_at(i) {
-                // The fixed module's cluster contains only itself.
-                let cluster = c.cluster_of(v);
-                let members = c.as_map().iter().filter(|&&x| x == cluster).count();
-                assert_eq!(members, 1, "level {i}");
-                let _ = part;
-            }
-            assert_eq!(hier.fixed_at(i + 1).len(), fixed.len());
-        }
-        // Parts carried through unchanged.
-        let top = hier.fixed_at(hier.num_levels());
-        assert_eq!(top[0].1, 1);
-        assert_eq!(top[1].1, 2);
+        let mut rng = seeded_rng(0);
+        let err = Hierarchy::coarsen(&h, &cfg, &[(ModuleId::new(0), 1)], &mut rng);
+        assert!(matches!(err, Err(PipelineError::Unsupported(_))));
     }
 }

@@ -4,17 +4,27 @@
 //!
 //! ML recursively coarsens a netlist hypergraph with connectivity-based
 //! matching (controlled by the matching ratio `R`), partitions the coarsest
-//! netlist, then uncoarsens while refining with FM or CLIP. See
-//! [`ml_bipartition`] (Fig. 2 of the paper) and [`ml_kway`] /
-//! [`ml_quadrisection`] (§III-C).
+//! netlist, then uncoarsens while refining with FM or CLIP. One V-cycle
+//! serves every multilevel pipeline; each pipeline has one fallible entry
+//! point taking a [`Request`]:
+//!
+//! * [`ml_bipartition`] — ML bisection (Fig. 2);
+//! * [`ml_kway`] — ML k-way, quadrisection at `k = 4` (§III-C);
+//! * [`recursive_ml_bisection`] and [`recursive_ml_partition`] — recursive
+//!   bisection into `2^depth` or any `k` parts;
+//! * [`two_phase_fm`] — the two-phase baseline (§II-C).
+//!
+//! `Request::constraints` picks the schedule: `None` is the paper's,
+//! `Some` the constrained one (pins and an ε window).
 //!
 //! # Examples
 //!
 //! The `ML_C` variant with slow coarsening (the paper's best configuration,
-//! Table VII):
+//! Table VII), refining through a caller-owned workspace under a budget:
 //!
 //! ```
-//! use mlpart_core::{ml_bipartition, MlConfig};
+//! use mlpart_core::{ml_bipartition, BudgetMeter, MlConfig, Request};
+//! use mlpart_fm::RefineWorkspace;
 //! use mlpart_hypergraph::{HypergraphBuilder, rng::seeded_rng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,10 +39,16 @@
 //! let h = b.build()?;
 //!
 //! let cfg = MlConfig::clip().with_ratio(0.5);
-//! let mut rng = seeded_rng(0);
-//! let (partition, result) = ml_bipartition(&h, &cfg, &mut rng);
+//! let (mut ws, mut meter) = (RefineWorkspace::new(), BudgetMeter::unlimited());
+//! let req = Request {
+//!     workspace: Some(&mut ws),
+//!     meter: Some(&mut meter),
+//!     ..Request::default()
+//! };
+//! let (partition, result) = ml_bipartition(&h, &cfg, &mut seeded_rng(0), req)?;
 //! assert!(result.levels >= 2);
 //! assert_eq!(partition.k(), 2);
+//! assert_eq!(result.truncation, None);
 //! # Ok(())
 //! # }
 //! ```
@@ -47,33 +63,19 @@ pub mod preflight;
 pub mod quadrisection;
 pub mod recursive;
 pub mod two_phase;
+mod vcycle;
 
 pub use error::PipelineError;
 pub use hierarchy::{Coarsener, Hierarchy};
-pub use ml::{
-    ml_best_of_in, ml_bipartition, ml_bipartition_budgeted_in, ml_bipartition_constrained,
-    ml_bipartition_constrained_budgeted_in, ml_bipartition_constrained_in, ml_bipartition_in,
-    try_ml_best_of_in, try_ml_bipartition_budgeted_in, try_ml_bipartition_constrained_budgeted_in,
-    LevelStats, MlConfig, MlResult,
-};
+pub use ml::{ml_bipartition, ml_bipartition_in, LevelStats, MlConfig, MlResult};
 pub use preflight::{preflight, preflight_constrained, PreflightError};
-pub use quadrisection::{
-    ml_kway, ml_kway_best_of_in, ml_kway_budgeted_in, ml_kway_constrained,
-    ml_kway_constrained_budgeted_in, ml_kway_constrained_in, ml_kway_in, ml_quadrisection,
-    try_ml_kway_best_of_in, try_ml_kway_budgeted_in, try_ml_kway_constrained_budgeted_in,
-    MlKwayConfig, MlKwayResult,
-};
+pub use quadrisection::{ml_kway, ml_kway_in, MlKwayConfig, MlKwayResult};
 pub use recursive::{
-    recursive_ml_bisection, recursive_ml_bisection_budgeted_in, recursive_ml_bisection_in,
-    recursive_ml_partition, recursive_ml_partition_budgeted_in,
-    try_recursive_ml_bisection_budgeted_in, try_recursive_ml_partition_budgeted_in,
+    recursive_ml_bisection, recursive_ml_partition, recursive_ml_partition_budgeted_in,
     RecursiveResult,
 };
-pub use two_phase::{
-    try_two_phase_fm_budgeted_in, try_two_phase_fm_constrained_budgeted_in, two_phase_fm,
-    two_phase_fm_budgeted_in, two_phase_fm_constrained, two_phase_fm_constrained_budgeted_in,
-    two_phase_fm_constrained_in, two_phase_fm_in, TwoPhaseResult,
-};
+pub use two_phase::{two_phase_fm, TwoPhaseResult};
+pub use vcycle::Request;
 
 // Re-export the budget vocabulary so pipeline callers need not depend on
 // `mlpart-fm` directly.

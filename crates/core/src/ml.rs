@@ -18,18 +18,10 @@
 //! the larger side, which happens between steps 8 and 9.
 
 use crate::error::{expect_valid, PipelineError};
-use crate::hierarchy::{fixed_mask, Hierarchy};
-use mlpart_cluster::{project, rebalance_bipart};
-use mlpart_fm::{
-    fm_partition_budgeted_in, refine_budgeted_in, refine_constrained_budgeted_in, BudgetMeter,
-    Engine, FmConfig, PassStats, RefineWorkspace, Truncation,
-};
-use mlpart_hypergraph::rng::{child_seed, seeded_rng, MlRng};
-use mlpart_hypergraph::{
-    metrics, BipartBalance, Constraints, Hypergraph, ModuleId, PartBounds, PartId, Partition,
-    DEFAULT_EPSILON,
-};
-use mlpart_kway::rebalance_to_bounds;
+use crate::vcycle::{Bisect, Cycle, Pinned, Request, Window};
+use mlpart_fm::{Engine, FmConfig, PassStats, RefineWorkspace, Truncation};
+use mlpart_hypergraph::rng::MlRng;
+use mlpart_hypergraph::{Hypergraph, Partition, DEFAULT_EPSILON};
 
 /// Per-level instrumentation of a multilevel run, collected during
 /// uncoarsening (and for the coarsest-level initial partitioning).
@@ -143,16 +135,13 @@ pub struct MlConfig {
     /// more CPU time partitioning at these levels, e.g., by calling FM
     /// multiple times"). `1` reproduces the paper's algorithm.
     pub initial_tries: usize,
-    /// Number of parts `k` for the constraint-generic drivers
-    /// ([`recursive_ml_partition`](crate::recursive_ml_partition) and the
-    /// CLI). The classic entry points ([`ml_bipartition`]) are 2-way by
-    /// construction and ignore this field.
+    /// Number of parts `k`, kept for callers that describe a constrained
+    /// run in one value. The pipelines read `k` from
+    /// [`Constraints`](crate::Constraints), never from here.
     pub k: u32,
-    /// Balance tolerance ε for the constraint-generic drivers: each part
-    /// stays within `(1 ± ε)·A(V)/k`. The default ε = 0.2 equals `2r` for
-    /// the paper's `r = 0.1`, so constraint-aware runs reproduce the legacy
-    /// `fm.balance_r` windows. The classic entry points keep reading
-    /// `fm.balance_r` and ignore this field.
+    /// Balance tolerance ε, kept like [`k`](Self::k); the pipelines read ε
+    /// from [`Constraints`](crate::Constraints). The default ε = 0.2 equals
+    /// `2r` for the paper's `r = 0.1`.
     pub epsilon: f64,
 }
 
@@ -201,15 +190,14 @@ impl MlConfig {
         self
     }
 
-    /// Returns a copy with the given part count `k` (constraint-generic
-    /// drivers only).
+    /// Returns a copy with the given part count `k` (see [`k`](Self::k)).
     pub fn with_k(mut self, k: u32) -> Self {
         self.k = k;
         self
     }
 
-    /// Returns a copy with the given balance tolerance ε (constraint-generic
-    /// drivers only).
+    /// Returns a copy with the given balance tolerance ε (see
+    /// [`epsilon`](Self::epsilon)).
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon = epsilon;
         self
@@ -241,565 +229,63 @@ pub struct MlResult {
 
 /// Runs the ML multilevel bipartitioning algorithm of Fig. 2.
 ///
-/// Returns the refined bipartition `P₀` of `h` and run statistics.
+/// Returns the refined bipartition `P₀` of `h` and run statistics. With
+/// `req.constraints` the constrained schedule runs instead of the paper's:
+/// pins keep their side through every level, and each level's window is
+/// `A(V)/2 ± ε` (widened to the level's largest module) instead of the
+/// ratio-derived §III-B window. See [`Request`] for the budget and the
+/// workspace, and the crate-level example for a call.
 ///
-/// # Examples
+/// # Errors
 ///
-/// ```
-/// use mlpart_core::{ml_bipartition, MlConfig};
-/// use mlpart_hypergraph::{HypergraphBuilder, rng::seeded_rng, metrics};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // Two 32-module communities bridged by one net.
-/// let mut b = HypergraphBuilder::with_unit_areas(64);
-/// for base in [0usize, 32] {
-///     for i in 0..31 {
-///         b.add_net([base + i, base + i + 1])?;
-///         b.add_net([base + i, base + (i + 7) % 32])?;
-///     }
-/// }
-/// b.add_net([31, 32])?;
-/// let h = b.build()?;
-/// let mut rng = seeded_rng(5);
-/// let (p, result) = ml_bipartition(&h, &MlConfig::default(), &mut rng);
-/// assert_eq!(result.cut, metrics::cut(&h, &p));
-/// assert!(result.cut <= 3);
-/// # Ok(())
-/// # }
-/// ```
-pub fn ml_bipartition(h: &Hypergraph, cfg: &MlConfig, rng: &mut MlRng) -> (Partition, MlResult) {
-    let mut ws = RefineWorkspace::new();
-    ml_bipartition_in(h, cfg, rng, &mut ws)
+/// [`PipelineError::KMismatch`] when the constraints are not 2-way,
+/// [`PipelineError::Constraints`] when a pin is out of range, and
+/// [`PipelineError::Coarsen`] when building or projecting through the
+/// hierarchy fails.
+pub fn ml_bipartition(
+    h: &Hypergraph,
+    cfg: &MlConfig,
+    rng: &mut MlRng,
+    req: Request<'_>,
+) -> Result<(Partition, MlResult), PipelineError> {
+    req.with(rng, |c, cx| {
+        let split = |epsilon| Window::Split {
+            target0: h.total_area() / 2,
+            epsilon,
+        };
+        let pins = Pinned::checked(c, h, 2, "bipartition requires k = 2", split)?;
+        let refiner = Bisect(&cfg.fm);
+        Cycle { refiner, pins }.run(h, cfg, cx)
+    })
 }
 
-/// [`ml_bipartition`] with caller-owned scratch: every level of the V-cycle
-/// (initial tries included) refines through the same [`RefineWorkspace`], so
-/// the gain/bucket machinery is allocated once per run instead of once per
-/// level. Results are bit-identical to [`ml_bipartition`].
+/// [`ml_bipartition`] under the paper's schedule through a caller-owned
+/// workspace, panicking on invalid input.
+///
+/// # Panics
+///
+/// Panics where [`ml_bipartition`] returns an error.
 pub fn ml_bipartition_in(
     h: &Hypergraph,
     cfg: &MlConfig,
     rng: &mut MlRng,
     ws: &mut RefineWorkspace,
 ) -> (Partition, MlResult) {
-    ml_bipartition_budgeted_in(h, cfg, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`ml_bipartition_in`] under a cooperative execution budget.
-///
-/// The meter is consulted at every pass and level boundary; once a limit
-/// fires the remaining refinement is skipped, but projection and §III-B
-/// rebalancing still run at every level, so the returned partition is always
-/// a valid, feasible bipartition of `h` — the best solution reachable within
-/// the budget. The truncation (if any) is recorded in
-/// [`MlResult::truncation`]. With an unlimited meter this is bit-identical
-/// to [`ml_bipartition_in`].
-pub fn ml_bipartition_budgeted_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, MlResult) {
-    expect_valid(try_ml_bipartition_budgeted_in(h, cfg, rng, ws, meter))
-}
-
-/// [`ml_bipartition_budgeted_in`] returning a typed error instead of
-/// panicking — the non-panicking root of the classic bipartition entry
-/// points.
-///
-/// # Errors
-///
-/// [`PipelineError::Coarsen`] when building or projecting through the
-/// hierarchy fails.
-pub fn try_ml_bipartition_budgeted_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> Result<(Partition, MlResult), PipelineError> {
-    #[cfg(feature = "obs")]
-    let _obs_run = mlpart_obs::span("ml_bipartition", &[("modules", h.num_modules().into())]);
-    // --- Coarsening phase (steps 1-5). ---
-    let hierarchy = Hierarchy::try_coarsen(h, cfg, &[], rng)?;
-    let m = hierarchy.num_levels();
-
-    // --- Initial partitioning of Hₘ (step 6). ---
-    let coarsest = hierarchy.coarsest(h);
-    meter.set_level_context(Some(m as u32));
-    let mut total_passes = 0usize;
-    let tries = cfg.initial_tries.max(1);
-    let mut best: Option<(u64, Partition, Vec<PassStats>)> = None;
-    let mut _winner = 0usize;
-    #[cfg(feature = "obs")]
-    let obs_initial = mlpart_obs::span(
-        "initial",
-        &[
-            ("tries", tries.into()),
-            ("level", m.into()),
-            ("modules", coarsest.num_modules().into()),
-        ],
-    );
-    for _t in 0..tries {
-        #[cfg(feature = "obs")]
-        let obs_try = mlpart_obs::span("try", &[("try", _t.into())]);
-        let (p, r) = fm_partition_budgeted_in(coarsest, None, &cfg.fm, rng, ws, meter);
-        total_passes += r.passes;
-        #[cfg(feature = "obs")]
-        {
-            drop(obs_try);
-            mlpart_obs::counter(
-                "initial_try",
-                &[
-                    ("try", _t.into()),
-                    ("cut", r.cut.into()),
-                    ("passes", r.passes.into()),
-                ],
-            );
-        }
-        // Determinism tie-break: strict `<` keeps the *first* try that
-        // reaches the minimum cut, so for a fixed seed the winning
-        // partition — and every downstream projection/refinement — does not
-        // depend on how many later tries happen to tie it.
-        if best.as_ref().is_none_or(|(c, _, _)| r.cut < *c) {
-            best = Some((r.cut, p, r.pass_stats));
-            _winner = _t;
-        }
-    }
-    let Some((_best_cut, mut p, initial_stats)) = best else {
-        return Err(PipelineError::NoStarts);
+    let req = Request {
+        workspace: Some(ws),
+        ..Request::default()
     };
-    #[cfg(feature = "obs")]
-    {
-        mlpart_obs::counter(
-            "initial_winner",
-            &[("try", _winner.into()), ("cut", _best_cut.into())],
-        );
-        drop(obs_initial);
-    }
-    let mut level_stats = Vec::with_capacity(m + 1);
-    level_stats.push(LevelStats::from_passes(
-        m,
-        coarsest.num_modules(),
-        &initial_stats,
-        0,
-    ));
-
-    // --- Uncoarsening phase (steps 7-9). ---
-    let mut rebalance_moves = 0usize;
-    for i in (0..m).rev() {
-        let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
-        #[cfg(feature = "obs")]
-        let _obs_level = mlpart_obs::span(
-            "level",
-            &[("level", i.into()), ("modules", fine.num_modules().into())],
-        );
-        let mut fine_p = project(fine, hierarchy.clustering(i), &p)?;
-        // Definition 2 audit: the projected solution must pull back through
-        // the cluster map and preserve the cut bit-exactly, checked before
-        // §III-B rebalancing perturbs `fine_p`.
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                mlpart_audit::audit_projection(
-                    fine,
-                    &fine_p,
-                    hierarchy.level(i + 1),
-                    &p,
-                    hierarchy.clustering(i).as_map(),
-                )
-                .map_err(|e| e.with_level(i)),
-            );
-        }
-        let balance = BipartBalance::new(fine, cfg.fm.balance_r);
-        let mut level_rebalance = 0usize;
-        if !balance.is_partition_feasible(&fine_p) {
-            level_rebalance = rebalance_bipart(fine, &mut fine_p, &balance, rng);
-            rebalance_moves += level_rebalance;
-        }
-        #[cfg(feature = "obs")]
-        mlpart_obs::counter(
-            "rebalance",
-            &[("level", i.into()), ("moves", level_rebalance.into())],
-        );
-        // Cooperative budget checkpoint. When the level budget (or any
-        // sticky earlier limit) is exhausted, refinement below runs zero
-        // passes and the projected, rebalanced partition flows through
-        // unchanged — projection never stops, so the final answer is always
-        // a valid partition of `h`.
-        meter.set_level_context(Some(i as u32));
-        let _ = meter.level_checkpoint(i as u32);
-        let r = refine_budgeted_in(fine, &mut fine_p, &cfg.fm, rng, ws, meter);
-        meter.note_level();
-        total_passes += r.passes;
-        level_stats.push(LevelStats::from_passes(
-            i,
-            fine.num_modules(),
-            &r.pass_stats,
-            level_rebalance,
-        ));
-        p = fine_p;
-    }
-
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-    }
-    let cut = metrics::cut(h, &p);
-    let result = MlResult {
-        cut,
-        levels: m,
-        level_sizes: hierarchy.level_sizes(h),
-        total_passes,
-        rebalance_moves,
-        level_stats,
-        truncation: meter.truncation(),
-    };
-    Ok((p, result))
-}
-
-/// Constraint-aware ML bipartition: [`ml_bipartition`] honoring a
-/// [`Constraints`] set — fixed (pre-assigned) modules and an ε balance
-/// tolerance.
-///
-/// Fixed modules are threaded through every phase: coarsening merges only
-/// same-part pins (via [`Hierarchy::coarsen_parts`]), the initial partition
-/// seeds them on their pinned parts, and refinement/rebalancing never move
-/// them. With no fixed modules and ε = 0.2 the constraint machinery is
-/// algebraically inert, but the RNG schedule differs from
-/// [`ml_bipartition`] (the initial partition is generated by the pipeline,
-/// not inside FM), so cuts are comparable rather than byte-identical.
-///
-/// # Panics
-///
-/// Panics if `constraints.k() != 2` or a fixed module is out of range (run
-/// [`preflight_constrained`](crate::preflight_constrained) first for typed
-/// errors).
-pub fn ml_bipartition_constrained(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-) -> (Partition, MlResult) {
-    let mut ws = RefineWorkspace::new();
-    ml_bipartition_constrained_in(h, cfg, constraints, rng, &mut ws)
-}
-
-/// [`ml_bipartition_constrained`] with caller-owned scratch.
-pub fn ml_bipartition_constrained_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, MlResult) {
-    expect_valid(try_ml_bipartition_constrained_in(
-        h,
-        cfg,
-        constraints,
-        rng,
-        ws,
-    ))
-}
-
-/// [`ml_bipartition_constrained_in`] returning a typed error instead of
-/// panicking.
-///
-/// # Errors
-///
-/// [`PipelineError::KMismatch`] when `constraints.k() != 2`,
-/// [`PipelineError::Constraints`] when a fixed module is out of range, plus
-/// anything [`try_ml_bipartition_constrained_budgeted_in`] reports.
-pub fn try_ml_bipartition_constrained_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> Result<(Partition, MlResult), PipelineError> {
-    if constraints.k() != 2 {
-        return Err(PipelineError::KMismatch {
-            context: "bipartition requires k = 2",
-            expected: 2,
-            got: constraints.k(),
-        });
-    }
-    constraints.check_modules(h.num_modules())?;
-    try_ml_bipartition_constrained_budgeted_in(
-        h,
-        cfg,
-        constraints.fixed(),
-        h.total_area() / 2,
-        constraints.epsilon(),
-        rng,
-        ws,
-        &mut BudgetMeter::unlimited(),
-    )
-}
-
-/// The fully general constrained bisection step: pins, an explicit area
-/// target for side 0 (side 1 gets the rest), a tolerance ε, and a budget.
-///
-/// This is the primitive [`recursive_ml_partition`](crate::recursive_ml_partition)
-/// builds general k from — asymmetric targets let one bisection carve
-/// `⌈k/2⌉ : ⌊k/2⌋` area shares. Per-level bounds recompute around the
-/// targets with each level's max module area (the §III-B widening), so
-/// coarse levels are never over-constrained.
-///
-/// # Panics
-///
-/// Panics if `target0 > A(V)`, ε is invalid, or a fixed entry is out of
-/// range.
-#[allow(clippy::too_many_arguments)]
-pub fn ml_bipartition_constrained_budgeted_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    fixed: &[(ModuleId, PartId)],
-    target0: u64,
-    epsilon: f64,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, MlResult) {
-    expect_valid(try_ml_bipartition_constrained_budgeted_in(
-        h, cfg, fixed, target0, epsilon, rng, ws, meter,
-    ))
-}
-
-/// [`ml_bipartition_constrained_budgeted_in`] returning a typed error
-/// instead of panicking.
-///
-/// # Errors
-///
-/// [`PipelineError::TargetExceedsTotal`] when `target0 > A(V)`,
-/// [`PipelineError::FixedModuleOutOfRange`] /
-/// [`PipelineError::FixedPartOutOfRange`] for bad pins, and
-/// [`PipelineError::Coarsen`] when the hierarchy cannot be built or
-/// projected.
-#[allow(clippy::too_many_arguments)]
-pub fn try_ml_bipartition_constrained_budgeted_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    fixed: &[(ModuleId, PartId)],
-    target0: u64,
-    epsilon: f64,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> Result<(Partition, MlResult), PipelineError> {
-    let total = h.total_area();
-    if target0 > total {
-        return Err(PipelineError::TargetExceedsTotal { target0, total });
-    }
-    for &(v, p) in fixed {
-        if v.index() >= h.num_modules() {
-            return Err(PipelineError::FixedModuleOutOfRange {
-                module: v.index(),
-                num_modules: h.num_modules(),
-            });
-        }
-        if p >= 2 {
-            return Err(PipelineError::FixedPartOutOfRange { part: p, k: 2 });
-        }
-    }
-    #[cfg(feature = "obs")]
-    let _obs_run = mlpart_obs::span(
-        "ml_bipartition_constrained",
-        &[
-            ("modules", h.num_modules().into()),
-            ("fixed", fixed.len().into()),
-        ],
-    );
-    let bounds_for = |fine: &Hypergraph| {
-        PartBounds::around_targets(&[target0, total - target0], total, fine.max_area(), epsilon)
-    };
-
-    // --- Coarsening (same-part pins may merge). ---
-    let hierarchy = Hierarchy::try_coarsen_parts(h, cfg, fixed, rng)?;
-    let m = hierarchy.num_levels();
-
-    // --- Initial partitioning of Hₘ, seeded from the coarse pins. ---
-    let coarsest = hierarchy.coarsest(h);
-    let coarse_fixed = hierarchy.fixed_at(m);
-    let coarse_mask = fixed_mask(coarse_fixed, coarsest.num_modules());
-    let coarse_bounds = bounds_for(coarsest);
-    meter.set_level_context(Some(m as u32));
-    let mut total_passes = 0usize;
-    let tries = cfg.initial_tries.max(1);
-    let mut best: Option<(u64, Partition, Vec<PassStats>)> = None;
-    for _t in 0..tries {
-        let mut p = Partition::random_fixed(coarsest, 2, coarse_fixed, rng);
-        if !coarse_bounds.is_partition_feasible(&p) {
-            let _ = rebalance_to_bounds(coarsest, &mut p, coarse_fixed, &coarse_bounds, rng);
-        }
-        let r = refine_constrained_budgeted_in(
-            coarsest,
-            &mut p,
-            &cfg.fm,
-            &coarse_bounds,
-            &coarse_mask,
-            rng,
-            ws,
-            meter,
-        );
-        total_passes += r.passes;
-        // Strict `<`: the first try reaching the minimum wins (see
-        // `ml_bipartition_budgeted_in`).
-        if best.as_ref().is_none_or(|(c, _, _)| r.cut < *c) {
-            best = Some((r.cut, p, r.pass_stats));
-        }
-    }
-    let Some((_best_cut, mut p, initial_stats)) = best else {
-        return Err(PipelineError::NoStarts);
-    };
-    let mut level_stats = Vec::with_capacity(m + 1);
-    level_stats.push(LevelStats::from_passes(
-        m,
-        coarsest.num_modules(),
-        &initial_stats,
-        0,
-    ));
-
-    // --- Uncoarsening with pin-respecting rebalance and refinement. ---
-    let mut rebalance_moves = 0usize;
-    for i in (0..m).rev() {
-        let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
-        #[cfg(feature = "obs")]
-        let _obs_level = mlpart_obs::span(
-            "level",
-            &[("level", i.into()), ("modules", fine.num_modules().into())],
-        );
-        let mut fine_p = project(fine, hierarchy.clustering(i), &p)?;
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                mlpart_audit::audit_projection(
-                    fine,
-                    &fine_p,
-                    hierarchy.level(i + 1),
-                    &p,
-                    hierarchy.clustering(i).as_map(),
-                )
-                .map_err(|e| e.with_level(i)),
-            );
-        }
-        let bounds = bounds_for(fine);
-        let level_fixed = hierarchy.fixed_at(i);
-        let mut level_rebalance = 0usize;
-        if !bounds.is_partition_feasible(&fine_p) {
-            level_rebalance = rebalance_to_bounds(fine, &mut fine_p, level_fixed, &bounds, rng);
-            rebalance_moves += level_rebalance;
-        }
-        meter.set_level_context(Some(i as u32));
-        let _ = meter.level_checkpoint(i as u32);
-        let mask = fixed_mask(level_fixed, fine.num_modules());
-        let r = refine_constrained_budgeted_in(
-            fine,
-            &mut fine_p,
-            &cfg.fm,
-            &bounds,
-            &mask,
-            rng,
-            ws,
-            meter,
-        );
-        meter.note_level();
-        // Pins must survive every level, not just the final answer.
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                mlpart_audit::audit_fixed_assignment(&fine_p, level_fixed)
-                    .map_err(|e| e.with_level(i)),
-            );
-        }
-        total_passes += r.passes;
-        level_stats.push(LevelStats::from_passes(
-            i,
-            fine.num_modules(),
-            &r.pass_stats,
-            level_rebalance,
-        ));
-        p = fine_p;
-    }
-
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-        mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(&p, fixed));
-    }
-    let cut = metrics::cut(h, &p);
-    let result = MlResult {
-        cut,
-        levels: m,
-        level_sizes: hierarchy.level_sizes(h),
-        total_passes,
-        rebalance_moves,
-        level_stats,
-        truncation: meter.truncation(),
-    };
-    Ok((p, result))
-}
-
-/// Multi-start convenience driver: runs [`ml_bipartition_in`] once per start
-/// with the independent seed stream `child_seed(base_seed, i)` and returns
-/// the winning start's index, partition, and statistics. The winner is the
-/// lowest cut, ties broken by the **lowest start index**, so the result is a
-/// pure function of `(h, cfg, runs, base_seed)` — the contract the parallel
-/// execution layer (`mlpart-exec`) relies on to fan starts out across
-/// threads without changing any answer.
-///
-/// All starts refine through the caller's workspace, so per-start allocation
-/// stays amortized.
-///
-/// # Panics
-///
-/// Panics if `runs == 0`.
-pub fn ml_best_of_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    runs: usize,
-    base_seed: u64,
-    ws: &mut RefineWorkspace,
-) -> (usize, Partition, MlResult) {
-    expect_valid(try_ml_best_of_in(h, cfg, runs, base_seed, ws))
-}
-
-/// [`ml_best_of_in`] returning a typed error instead of panicking.
-///
-/// # Errors
-///
-/// [`PipelineError::NoStarts`] when `runs == 0`, plus anything a single
-/// start ([`try_ml_bipartition_budgeted_in`]) reports.
-pub fn try_ml_best_of_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    runs: usize,
-    base_seed: u64,
-    ws: &mut RefineWorkspace,
-) -> Result<(usize, Partition, MlResult), PipelineError> {
-    if runs == 0 {
-        return Err(PipelineError::NoStarts);
-    }
-    let mut best: Option<(usize, Partition, MlResult)> = None;
-    for i in 0..runs {
-        let mut rng = seeded_rng(child_seed(base_seed, i as u64));
-        let (p, r) =
-            try_ml_bipartition_budgeted_in(h, cfg, &mut rng, ws, &mut BudgetMeter::unlimited())?;
-        // Strict `<`: the earliest start that reaches the minimum wins.
-        if best.as_ref().is_none_or(|(_, _, b)| r.cut < b.cut) {
-            best = Some((i, p, r));
-        }
-    }
-    best.ok_or(PipelineError::NoStarts)
+    expect_valid(ml_bipartition(h, cfg, rng, req))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlpart_fm::{fm_partition, BucketPolicy};
+    use mlpart_fm::{fm_partition, BucketPolicy, Budget, BudgetLimit, BudgetMeter};
     use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
+    use mlpart_hypergraph::{
+        metrics, BipartBalance, Constraints, HypergraphBuilder, ModuleId, PartBounds,
+    };
 
     /// Two communities of size `half`, internally ring+chords, one bridge.
     fn two_communities(half: usize) -> Hypergraph {
@@ -814,30 +300,39 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn finds_community_cut() {
-        let h = two_communities(64);
-        let best = (0..5)
-            .map(|s| {
-                let mut rng = seeded_rng(s);
-                ml_bipartition(&h, &MlConfig::default(), &mut rng).1.cut
-            })
-            .min()
-            .unwrap();
-        assert!(best <= 2, "best={best}");
+    fn ml(h: &Hypergraph, cfg: &MlConfig, seed: u64) -> (Partition, MlResult) {
+        ml_bipartition(h, cfg, &mut seeded_rng(seed), Request::default()).unwrap()
+    }
+
+    fn pinned(h: &Hypergraph, cfg: &MlConfig, c: &Constraints, seed: u64) -> (Partition, MlResult) {
+        let req = Request {
+            constraints: Some(c),
+            ..Request::default()
+        };
+        ml_bipartition(h, cfg, &mut seeded_rng(seed), req).unwrap()
+    }
+
+    fn budgeted(
+        h: &Hypergraph,
+        cfg: &MlConfig,
+        budget: &Budget,
+        seed: u64,
+    ) -> (Partition, MlResult) {
+        let mut meter = BudgetMeter::new(budget);
+        let req = Request {
+            meter: Some(&mut meter),
+            ..Request::default()
+        };
+        ml_bipartition(h, cfg, &mut seeded_rng(seed), req).unwrap()
     }
 
     #[test]
-    fn clip_variant_finds_community_cut() {
+    fn finds_community_cut() {
         let h = two_communities(64);
-        let best = (0..5)
-            .map(|s| {
-                let mut rng = seeded_rng(50 + s);
-                ml_bipartition(&h, &MlConfig::clip(), &mut rng).1.cut
-            })
-            .min()
-            .unwrap();
-        assert!(best <= 2, "best={best}");
+        for cfg in [MlConfig::default(), MlConfig::clip()] {
+            let best = (0..5).map(|s| ml(&h, &cfg, s).1.cut).min().unwrap();
+            assert!(best <= 2, "best={best}");
+        }
     }
 
     #[test]
@@ -846,8 +341,7 @@ mod tests {
         let cfg = MlConfig::default();
         let bal = BipartBalance::new(&h, cfg.fm.balance_r);
         for seed in 0..3 {
-            let mut rng = seeded_rng(seed);
-            let (p, r) = ml_bipartition(&h, &cfg, &mut rng);
+            let (p, r) = ml(&h, &cfg, seed);
             assert!(p.validate(&h));
             assert!(bal.is_partition_feasible(&p), "{:?}", p.part_areas());
             assert_eq!(r.cut, metrics::cut(&h, &p));
@@ -860,17 +354,15 @@ mod tests {
     #[test]
     fn ratio_below_one_builds_deeper_hierarchies() {
         let h = two_communities(200);
-        let mut rng = seeded_rng(9);
-        let (_, r_full) = ml_bipartition(&h, &MlConfig::default(), &mut rng);
-        let (_, r_half) = ml_bipartition(&h, &MlConfig::default().with_ratio(0.5), &mut rng);
+        let r_full = ml(&h, &MlConfig::default(), 9).1;
+        let r_half = ml(&h, &MlConfig::default().with_ratio(0.5), 9).1;
         assert!(r_half.levels > r_full.levels);
     }
 
     #[test]
     fn small_netlist_skips_coarsening() {
         let h = two_communities(8); // 16 modules < T = 35
-        let mut rng = seeded_rng(1);
-        let (p, r) = ml_bipartition(&h, &MlConfig::default(), &mut rng);
+        let (p, r) = ml(&h, &MlConfig::default(), 1);
         assert_eq!(r.levels, 0);
         assert!(p.validate(&h));
     }
@@ -889,10 +381,7 @@ mod tests {
             .sum::<f64>()
             / runs as f64;
         let ml_avg: f64 = (0..runs)
-            .map(|s| {
-                let mut rng = seeded_rng(2000 + s);
-                ml_bipartition(&h, &MlConfig::default(), &mut rng).1.cut as f64
-            })
+            .map(|s| ml(&h, &MlConfig::default(), 2000 + s).1.cut as f64)
             .sum::<f64>()
             / runs as f64;
         assert!(
@@ -908,8 +397,7 @@ mod tests {
             initial_tries: 5,
             ..MlConfig::default()
         };
-        let mut rng = seeded_rng(3);
-        let (p, r) = ml_bipartition(&h, &cfg, &mut rng);
+        let (p, r) = ml(&h, &cfg, 3);
         assert!(p.validate(&h));
         assert!(r.total_passes >= 5, "five initial tries imply ≥5 passes");
     }
@@ -917,12 +405,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let h = two_communities(64);
-        let run = |seed| {
-            let mut rng = seeded_rng(seed);
-            ml_bipartition(&h, &MlConfig::clip(), &mut rng)
-        };
-        let (p1, r1) = run(42);
-        let (p2, r2) = run(42);
+        let (p1, r1) = ml(&h, &MlConfig::clip(), 42);
+        let (p2, r2) = ml(&h, &MlConfig::clip(), 42);
         assert_eq!(p1.assignment(), p2.assignment());
         assert_eq!(r1, r2);
     }
@@ -938,82 +422,31 @@ mod tests {
                 },
                 ..MlConfig::default()
             };
-            let mut rng = seeded_rng(7);
-            let (p, _) = ml_bipartition(&h, &cfg, &mut rng);
-            assert!(p.validate(&h));
+            assert!(ml(&h, &cfg, 7).0.validate(&h));
         }
     }
 
-    #[test]
-    fn best_of_matches_manual_sequential_loop() {
-        let h = two_communities(48);
-        let cfg = MlConfig::clip();
-        let (runs, base) = (6usize, 77u64);
-        let mut ws = RefineWorkspace::new();
-        let (win_idx, win_p, win_r) = ml_best_of_in(&h, &cfg, runs, base, &mut ws);
-        // Manual loop with fresh workspaces: same streams, same winner.
-        let mut best: Option<(usize, Partition, MlResult)> = None;
-        for i in 0..runs {
-            let mut rng = seeded_rng(child_seed(base, i as u64));
-            let (p, r) = ml_bipartition(&h, &cfg, &mut rng);
-            if best.as_ref().is_none_or(|(_, _, b)| r.cut < b.cut) {
-                best = Some((i, p, r));
-            }
-        }
-        let (idx, p, r) = best.unwrap();
-        assert_eq!(win_idx, idx);
-        assert_eq!(win_p.assignment(), p.assignment());
-        assert_eq!(win_r, r);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one start")]
-    fn best_of_rejects_zero_runs() {
-        let h = two_communities(8);
-        let mut ws = RefineWorkspace::new();
-        let _ = ml_best_of_in(&h, &MlConfig::default(), 0, 1, &mut ws);
-    }
-
-    /// With audits forced on, every projection boundary of a multilevel run
-    /// is checked (and a healthy run survives them all).
+    /// With audits forced on, every projection, pin and partition check of
+    /// both schedules runs (and a healthy run survives them all).
     #[cfg(feature = "audit")]
     #[test]
-    fn audit_hooks_fire_on_healthy_run() {
+    fn audit_hooks_fire_on_healthy_runs() {
         mlpart_audit::force_enabled(true);
         let h = two_communities(64); // 128 modules > T = 35, so m >= 1
-        let mut rng = seeded_rng(11);
-        let (p, r) = ml_bipartition(&h, &MlConfig::default(), &mut rng);
+        let c = Constraints::new(2, 0.2, vec![(ModuleId::new(0), 0)]).unwrap();
+        let (p, r) = ml(&h, &MlConfig::default(), 11);
+        let (q, s) = pinned(&h, &MlConfig::default(), &c, 7);
         mlpart_audit::force_enabled(false);
-        assert!(r.levels >= 1, "need at least one projection to audit");
-        assert!(p.validate(&h));
+        assert!(r.levels >= 1 && s.levels >= 1, "need projections to audit");
+        assert!(p.validate(&h) && q.validate(&h));
     }
 
     #[test]
     fn handles_netless_input() {
         let h = HypergraphBuilder::with_unit_areas(100).build().unwrap();
-        let mut rng = seeded_rng(0);
-        let (p, r) = ml_bipartition(&h, &MlConfig::default(), &mut rng);
+        let (p, r) = ml(&h, &MlConfig::default(), 0);
         assert_eq!(r.cut, 0);
         assert!(p.validate(&h));
-    }
-}
-
-#[cfg(test)]
-mod constrained_tests {
-    use super::*;
-    use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
-
-    fn two_communities(half: usize) -> Hypergraph {
-        let mut b = HypergraphBuilder::with_unit_areas(2 * half);
-        for base in [0, half] {
-            for i in 0..half {
-                b.add_net([base + i, base + (i + 1) % half]).unwrap();
-                b.add_net([base + i, base + (i + 3) % half]).unwrap();
-            }
-        }
-        b.add_net([half - 1, half]).unwrap();
-        b.build().unwrap()
     }
 
     #[test]
@@ -1021,19 +454,14 @@ mod constrained_tests {
         let h = two_communities(64);
         // Pin two modules against the natural community split and one with
         // it; every seed must honor all three.
-        let c = Constraints::new(
-            2,
-            0.2,
-            vec![
-                (ModuleId::new(0), 1),
-                (ModuleId::new(70), 0),
-                (ModuleId::new(5), 1),
-            ],
-        )
-        .unwrap();
+        let pins = vec![
+            (ModuleId::new(0), 1),
+            (ModuleId::new(70), 0),
+            (ModuleId::new(5), 1),
+        ];
+        let c = Constraints::new(2, 0.2, pins).unwrap();
         for seed in 0..6 {
-            let mut rng = seeded_rng(seed);
-            let (p, r) = ml_bipartition_constrained(&h, &MlConfig::clip(), &c, &mut rng);
+            let (p, r) = pinned(&h, &MlConfig::clip(), &c, seed);
             assert!(p.validate(&h));
             for &(v, part) in c.fixed() {
                 assert_eq!(p.part(v), part, "seed {seed}");
@@ -1043,14 +471,13 @@ mod constrained_tests {
     }
 
     #[test]
-    fn unconstrained_run_matches_legacy_quality_and_bounds() {
+    fn unpinned_run_under_constraints_keeps_quality_and_bounds() {
         let h = two_communities(64);
         let c = Constraints::unconstrained(2);
         let bounds = c.bounds(&h);
         let best = (0..5)
             .map(|s| {
-                let mut rng = seeded_rng(s);
-                let (p, r) = ml_bipartition_constrained(&h, &MlConfig::default(), &c, &mut rng);
+                let (p, r) = pinned(&h, &MlConfig::default(), &c, s);
                 assert!(bounds.is_partition_feasible(&p), "{:?}", p.part_areas());
                 r.cut
             })
@@ -1066,8 +493,7 @@ mod constrained_tests {
         // slack = max(⌊0.02·64⌋, 1) = 1 around the 64/64 target.
         let bounds = PartBounds::around_targets(&[64, 64], 128, 1, 0.02);
         for seed in 0..3 {
-            let mut rng = seeded_rng(seed);
-            let (p, _) = ml_bipartition_constrained(&h, &MlConfig::default(), &c, &mut rng);
+            let (p, _) = pinned(&h, &MlConfig::default(), &c, seed);
             assert!(bounds.is_partition_feasible(&p), "{:?}", p.part_areas());
         }
     }
@@ -1082,8 +508,7 @@ mod constrained_tests {
             fixed.push((ModuleId::new(64 + i), u32::from(i % 2 == 0)));
         }
         let c = Constraints::new(2, 0.2, fixed).unwrap();
-        let mut rng = seeded_rng(13);
-        let (p, r) = ml_bipartition_constrained(&h, &MlConfig::default(), &c, &mut rng);
+        let (p, r) = pinned(&h, &MlConfig::default(), &c, 13);
         assert!(p.validate(&h));
         for &(v, part) in c.fixed() {
             assert_eq!(p.part(v), part);
@@ -1093,102 +518,62 @@ mod constrained_tests {
     }
 
     #[test]
-    fn deterministic_given_seed() {
+    fn constrained_run_is_deterministic_given_seed() {
         let h = two_communities(48);
         let c = Constraints::new(2, 0.1, vec![(ModuleId::new(3), 1)]).unwrap();
-        let run = |seed| {
-            let mut rng = seeded_rng(seed);
-            ml_bipartition_constrained(&h, &MlConfig::clip(), &c, &mut rng)
-        };
-        let (p1, r1) = run(21);
-        let (p2, r2) = run(21);
+        let (p1, r1) = pinned(&h, &MlConfig::clip(), &c, 21);
+        let (p2, r2) = pinned(&h, &MlConfig::clip(), &c, 21);
         assert_eq!(p1.assignment(), p2.assignment());
         assert_eq!(r1, r2);
     }
 
     #[test]
-    fn budgeted_constrained_run_keeps_pins_under_truncation() {
-        use mlpart_fm::Budget;
+    fn budgeted_pinned_run_keeps_pins_under_truncation() {
         let h = two_communities(64);
         let c = Constraints::new(2, 0.2, vec![(ModuleId::new(0), 1)]).unwrap();
-        let mut rng = seeded_rng(2);
-        let mut ws = RefineWorkspace::new();
         let mut meter = BudgetMeter::new(&Budget {
             max_passes: Some(1),
             ..Budget::default()
         });
-        let (p, r) = ml_bipartition_constrained_budgeted_in(
-            &h,
-            &MlConfig::default(),
-            c.fixed(),
-            h.total_area() / 2,
-            c.epsilon(),
-            &mut rng,
-            &mut ws,
-            &mut meter,
-        );
+        let req = Request {
+            constraints: Some(&c),
+            meter: Some(&mut meter),
+            workspace: None,
+        };
+        let (p, r) = ml_bipartition(&h, &MlConfig::default(), &mut seeded_rng(2), req).unwrap();
         assert!(r.truncation.is_some());
         assert!(p.validate(&h));
         assert_eq!(p.part(ModuleId::new(0)), 1, "pin survives truncation");
     }
 
-    /// With audits forced on, the pin and bounds checkers run at every level
-    /// of a healthy constrained run.
-    #[cfg(feature = "audit")]
     #[test]
-    fn audit_hooks_fire_on_constrained_run() {
-        mlpart_audit::force_enabled(true);
-        let h = two_communities(64);
-        let c = Constraints::new(2, 0.2, vec![(ModuleId::new(0), 0)]).unwrap();
-        let mut rng = seeded_rng(7);
-        let (p, r) = ml_bipartition_constrained(&h, &MlConfig::default(), &c, &mut rng);
-        mlpart_audit::force_enabled(false);
-        assert!(r.levels >= 1, "need at least one projection to audit");
-        assert!(p.validate(&h));
-    }
-
-    #[test]
-    #[should_panic(expected = "bipartition requires k = 2")]
-    fn rejects_nonbisection_k() {
+    fn rejects_nonbisection_constraints() {
         let h = two_communities(8);
         let c = Constraints::unconstrained(4);
-        let mut rng = seeded_rng(0);
-        let _ = ml_bipartition_constrained(&h, &MlConfig::default(), &c, &mut rng);
-    }
-}
-
-#[cfg(test)]
-mod budget_tests {
-    use super::*;
-    use mlpart_fm::{Budget, BudgetLimit};
-    use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
-
-    fn two_communities(half: usize) -> Hypergraph {
-        let mut b = HypergraphBuilder::with_unit_areas(2 * half);
-        for base in [0, half] {
-            for i in 0..half {
-                b.add_net([base + i, base + (i + 1) % half]).unwrap();
-                b.add_net([base + i, base + (i + 3) % half]).unwrap();
-            }
-        }
-        b.add_net([half - 1, half]).unwrap();
-        b.build().unwrap()
+        let req = Request {
+            constraints: Some(&c),
+            ..Request::default()
+        };
+        let err = ml_bipartition(&h, &MlConfig::default(), &mut seeded_rng(0), req).unwrap_err();
+        assert!(err.to_string().contains("bipartition requires k = 2"));
     }
 
     #[test]
-    fn unlimited_meter_is_bit_identical_to_unbudgeted() {
+    fn request_parts_do_not_change_results() {
         let h = two_communities(64);
         let cfg = MlConfig::clip();
-        let mut rng1 = seeded_rng(21);
-        let mut rng2 = seeded_rng(21);
         let mut ws = RefineWorkspace::new();
-        let (p1, r1) = ml_bipartition_in(&h, &cfg, &mut rng1, &mut ws);
-        let (p2, r2) =
-            ml_bipartition_budgeted_in(&h, &cfg, &mut rng2, &mut ws, &mut BudgetMeter::unlimited());
+        let mut meter = BudgetMeter::unlimited();
+        let req = Request {
+            workspace: Some(&mut ws),
+            meter: Some(&mut meter),
+            constraints: None,
+        };
+        let (p1, r1) = ml_bipartition(&h, &cfg, &mut seeded_rng(21), req).unwrap();
+        let (p2, r2) = ml(&h, &cfg, 21);
         assert_eq!(p1.assignment(), p2.assignment());
         assert_eq!(r1, r2);
-        assert_eq!(r2.truncation, None);
+        assert_eq!(r1.truncation, None);
     }
 
     #[test]
@@ -1199,19 +584,12 @@ mod budget_tests {
             max_passes: Some(2),
             ..Budget::default()
         };
-        let mut rng = seeded_rng(5);
-        let mut ws = RefineWorkspace::new();
-        let mut meter = BudgetMeter::new(&budget);
-        let (p, r) = ml_bipartition_budgeted_in(&h, &cfg, &mut rng, &mut ws, &mut meter);
+        let (p, r) = budgeted(&h, &cfg, &budget, 5);
         let t = r
             .truncation
             .expect("two passes cannot finish a V-cycle here");
         assert_eq!(t.limit, BudgetLimit::Passes);
-        assert!(
-            r.total_passes <= 2,
-            "pass budget respected: {}",
-            r.total_passes
-        );
+        assert!(r.total_passes <= 2, "pass budget: {}", r.total_passes);
         assert!(p.validate(&h));
         let bal = BipartBalance::new(&h, cfg.fm.balance_r);
         assert!(bal.is_partition_feasible(&p));
@@ -1222,13 +600,11 @@ mod budget_tests {
     fn zero_move_budget_yields_the_projected_initial_partition() {
         let h = two_communities(64);
         let cfg = MlConfig::default();
-        let mut rng = seeded_rng(9);
-        let mut ws = RefineWorkspace::new();
-        let mut meter = BudgetMeter::new(&Budget {
+        let budget = Budget {
             max_moves: Some(0),
             ..Budget::default()
-        });
-        let (p, r) = ml_bipartition_budgeted_in(&h, &cfg, &mut rng, &mut ws, &mut meter);
+        };
+        let (p, r) = budgeted(&h, &cfg, &budget, 9);
         assert_eq!(r.total_passes, 0, "no refinement pass may run");
         assert_eq!(r.truncation.unwrap().limit, BudgetLimit::Moves);
         assert!(p.validate(&h));
@@ -1240,13 +616,11 @@ mod budget_tests {
     fn level_budget_refines_only_the_coarsest_levels() {
         let h = two_communities(128);
         let cfg = MlConfig::default().with_ratio(0.5);
-        let mut rng = seeded_rng(17);
-        let mut ws = RefineWorkspace::new();
-        let mut meter = BudgetMeter::new(&Budget {
+        let budget = Budget {
             max_levels: Some(1),
             ..Budget::default()
-        });
-        let (p, r) = ml_bipartition_budgeted_in(&h, &cfg, &mut rng, &mut ws, &mut meter);
+        };
+        let (p, r) = budgeted(&h, &cfg, &budget, 17);
         assert!(r.levels >= 2, "need a deep hierarchy for this test");
         let t = r.truncation.expect("level budget must fire");
         assert_eq!(t.limit, BudgetLimit::Levels);
@@ -1265,62 +639,36 @@ mod budget_tests {
     #[test]
     fn budgeted_runs_are_deterministic() {
         let h = two_communities(64);
-        let cfg = MlConfig::clip();
         let budget = Budget {
             max_passes: Some(3),
             ..Budget::default()
         };
-        let run = || {
-            let mut rng = seeded_rng(33);
-            let mut ws = RefineWorkspace::new();
-            let mut meter = BudgetMeter::new(&budget);
-            ml_bipartition_budgeted_in(&h, &cfg, &mut rng, &mut ws, &mut meter)
-        };
-        let (p1, r1) = run();
-        let (p2, r2) = run();
+        let (p1, r1) = budgeted(&h, &MlConfig::clip(), &budget, 33);
+        let (p2, r2) = budgeted(&h, &MlConfig::clip(), &budget, 33);
         assert_eq!(p1.assignment(), p2.assignment());
         assert_eq!(r1, r2);
     }
-}
-
-#[cfg(test)]
-mod coalesce_tests {
-    use super::*;
-    use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
 
     #[test]
     fn coalesced_ml_produces_valid_comparable_results() {
-        let mut b = HypergraphBuilder::with_unit_areas(128);
-        for base in [0usize, 64] {
-            for i in 0..64 {
-                b.add_net([base + i, base + (i + 1) % 64]).unwrap();
-                b.add_net([base + i, base + (i + 3) % 64]).unwrap();
-            }
-        }
-        b.add_net([63, 64]).unwrap();
-        let h = b.build().unwrap();
-        let runs = 5;
+        let h = two_communities(64);
         let avg = |coalesce: bool, base: u64| -> f64 {
-            (0..runs)
+            let cfg = MlConfig {
+                coalesce_nets: coalesce,
+                ..MlConfig::clip()
+            };
+            (0..5)
                 .map(|s| {
-                    let cfg = MlConfig {
-                        coalesce_nets: coalesce,
-                        ..MlConfig::clip()
-                    };
-                    let mut rng = seeded_rng(base + s);
-                    let (p, r) = ml_bipartition(&h, &cfg, &mut rng);
+                    let (p, r) = ml(&h, &cfg, base + s);
                     assert!(p.validate(&h));
-                    assert_eq!(r.cut, mlpart_hypergraph::metrics::cut(&h, &p));
+                    assert_eq!(r.cut, metrics::cut(&h, &p));
                     r.cut as f64
                 })
                 .sum::<f64>()
-                / runs as f64
+                / 5.0
         };
-        let plain = avg(false, 100);
-        let merged = avg(true, 200);
         // Same algorithm quality class; both should land near the optimum 1.
-        assert!(plain <= 6.0, "plain avg {plain}");
-        assert!(merged <= 6.0, "coalesced avg {merged}");
+        assert!(avg(false, 100) <= 6.0, "plain");
+        assert!(avg(true, 200) <= 6.0, "coalesced");
     }
 }

@@ -10,9 +10,8 @@
 //! parts.
 
 use crate::error::{expect_valid, PipelineError};
-use crate::ml::{
-    try_ml_bipartition_budgeted_in, try_ml_bipartition_constrained_budgeted_in, MlConfig,
-};
+use crate::ml::MlConfig;
+use crate::vcycle::{Bisect, Ctx, Cycle, Pinned, Request, Window};
 use mlpart_fm::{BudgetMeter, RefineWorkspace, Truncation};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
@@ -35,186 +34,129 @@ pub struct RecursiveResult {
     pub truncation: Option<Truncation>,
 }
 
-/// Partitions `h` into `2^depth` parts by recursive ML bisection.
+impl RecursiveResult {
+    fn new(h: &Hypergraph, p: &Partition, bisections: usize, meter: &BudgetMeter) -> Self {
+        RecursiveResult {
+            cut: metrics::cut(h, p),
+            sum_of_degrees: metrics::sum_of_spans_minus_one(h, p),
+            bisections,
+            truncation: meter.truncation(),
+        }
+    }
+}
+
+/// Partitions `h` into `2^depth` parts by recursive ML bisection under the
+/// paper's schedule.
 ///
-/// Each level runs the full multilevel algorithm on the extracted
-/// sub-netlist of a region. Regions with fewer than two modules are left
-/// whole (their "split" is trivial), so the result always has exactly
-/// `2^depth` part ids (possibly with empty parts on degenerate inputs).
+/// Each level runs the full V-cycle on the extracted sub-netlist of a
+/// region. Regions with fewer than two modules are left whole (their
+/// "split" is trivial), so the result always has exactly `2^depth` part ids
+/// (possibly with empty parts on degenerate inputs). A budget in `req` is
+/// shared by every region: once exhausted, the remaining regions still
+/// split, unrefined, keeping the `2^depth`-part shape.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `depth == 0` or `depth > 16`.
-///
-/// # Examples
-///
-/// ```
-/// use mlpart_core::{recursive_ml_bisection, MlConfig};
-/// use mlpart_hypergraph::{HypergraphBuilder, rng::seeded_rng, metrics};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = HypergraphBuilder::with_unit_areas(64);
-/// for c in 0..4usize {
-///     let base = 16 * c;
-///     for i in 0..16 {
-///         b.add_net([base + i, base + (i + 1) % 16])?;
-///     }
-///     b.add_net([base + 15, (base + 16) % 64])?;
-/// }
-/// let h = b.build()?;
-/// let mut rng = seeded_rng(2);
-/// let (p, r) = recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng);
-/// assert_eq!(p.k(), 4);
-/// assert_eq!(r.cut, metrics::cut(&h, &p));
-/// # Ok(())
-/// # }
-/// ```
+/// [`PipelineError::Unsupported`] when `req` carries constraints (use
+/// [`recursive_ml_partition`]); [`PipelineError::BadDepth`] when `depth` is
+/// outside `1..=16`; [`PipelineError::Netlist`] when a region sub-netlist
+/// fails extraction; plus anything a region's bisection reports.
 pub fn recursive_ml_bisection(
     h: &Hypergraph,
     depth: u32,
     cfg: &MlConfig,
     rng: &mut MlRng,
-) -> (Partition, RecursiveResult) {
-    let mut ws = RefineWorkspace::new();
-    recursive_ml_bisection_in(h, depth, cfg, rng, &mut ws)
-}
-
-/// [`recursive_ml_bisection`] with caller-owned scratch: every region's
-/// multilevel bisection (`2^depth − 1` of them) shares one
-/// [`RefineWorkspace`] instead of allocating its own refinement state.
-pub fn recursive_ml_bisection_in(
-    h: &Hypergraph,
-    depth: u32,
-    cfg: &MlConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, RecursiveResult) {
-    recursive_ml_bisection_budgeted_in(h, depth, cfg, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`recursive_ml_bisection_in`] under a cooperative execution budget.
-///
-/// One meter is shared across every region's multilevel bisection, so the
-/// limits bound the *whole* recursive run, not each region: once exhausted,
-/// the remaining regions still split (their sub-bisections project random
-/// coarse partitions without refinement), keeping the `2^depth`-part shape.
-pub fn recursive_ml_bisection_budgeted_in(
-    h: &Hypergraph,
-    depth: u32,
-    cfg: &MlConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, RecursiveResult) {
-    expect_valid(try_recursive_ml_bisection_budgeted_in(
-        h, depth, cfg, rng, ws, meter,
-    ))
-}
-
-/// [`recursive_ml_bisection_budgeted_in`] returning a typed error instead
-/// of panicking.
-///
-/// # Errors
-///
-/// [`PipelineError::BadDepth`] when `depth` is outside `1..=16`;
-/// [`PipelineError::Netlist`] when a region sub-netlist fails extraction;
-/// plus anything a region's bisection reports.
-pub fn try_recursive_ml_bisection_budgeted_in(
-    h: &Hypergraph,
-    depth: u32,
-    cfg: &MlConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
+    req: Request<'_>,
 ) -> Result<(Partition, RecursiveResult), PipelineError> {
+    if req.constraints.is_some() {
+        return Err(PipelineError::Unsupported(
+            "recursive_ml_bisection runs the paper schedule; use recursive_ml_partition",
+        ));
+    }
     if !(1..=16).contains(&depth) {
         return Err(PipelineError::BadDepth { depth });
     }
     let k = 1u32 << depth;
     let n = h.num_modules();
+    let cycle = Cycle {
+        refiner: Bisect(&cfg.fm),
+        pins: None,
+    };
     #[cfg(feature = "obs")]
     let _obs_run = mlpart_obs::span(
         "recursive_bisection",
         &[("depth", u64::from(depth).into()), ("modules", n.into())],
     );
-    // `region[v]` is the current part of module v; regions split in place.
-    let mut region = vec![0u32; n];
-    let mut bisections = 0usize;
-    for level in 0..depth {
-        let regions_at_level = 1u32 << level;
-        // Split against the frozen labels of this level and write the new
-        // labels into a fresh array: relabeling in place would make a fresh
-        // `high` id collide with a not-yet-processed old region id.
-        let mut next_region = region.clone();
-        for r_id in 0..regions_at_level {
-            let keep: Vec<bool> = region.iter().map(|&r| r == r_id).collect();
-            let count = keep.iter().filter(|&&x| x).count();
-            // The new ids for this region's halves after this level.
-            let low = r_id * 2;
-            let high = r_id * 2 + 1;
-            if count < 2 {
-                for (v, &k2) in keep.iter().enumerate() {
-                    if k2 {
+    req.with(rng, |_, cx| {
+        // `region[v]` is the current part of module v.
+        let mut region = vec![0u32; n];
+        let mut bisections = 0usize;
+        for level in 0..depth {
+            // Split against the frozen labels of this level and write the
+            // new labels into a fresh array: relabeling in place would make a
+            // fresh `high` id collide with a not-yet-processed old region id.
+            let mut next_region = region.clone();
+            for r_id in 0..1u32 << level {
+                let keep: Vec<bool> = region.iter().map(|&r| r == r_id).collect();
+                let count = keep.iter().filter(|&&x| x).count();
+                // The new ids for this region's halves after this level.
+                let (low, high) = (r_id * 2, r_id * 2 + 1);
+                if count < 2 {
+                    for (v, _) in keep.iter().enumerate().filter(|(_, &x)| x) {
                         next_region[v] = low;
                     }
+                    continue;
                 }
-                continue;
+                let (sub, back) = h.extract(&keep)?;
+                #[cfg(feature = "obs")]
+                let _obs_region = mlpart_obs::span(
+                    "region",
+                    &[
+                        ("depth_level", u64::from(level).into()),
+                        ("region", u64::from(r_id).into()),
+                        ("modules", count.into()),
+                    ],
+                );
+                let (sub_p, _) = cycle.run(&sub, cfg, cx)?;
+                bisections += 1;
+                // Write back: side 0 -> low, side 1 -> high.
+                for (&side, &orig) in sub_p.assignment().iter().zip(&back) {
+                    next_region[orig.index()] = if side == 0 { low } else { high };
+                }
             }
-            let (sub, back) = h.extract(&keep)?;
-            #[cfg(feature = "obs")]
-            let _obs_region = mlpart_obs::span(
-                "region",
-                &[
-                    ("depth_level", u64::from(level).into()),
-                    ("region", u64::from(r_id).into()),
-                    ("modules", count.into()),
-                ],
-            );
-            let (sub_p, _) = try_ml_bipartition_budgeted_in(&sub, cfg, rng, ws, meter)?;
-            bisections += 1;
-            // Write back: side 0 -> low, side 1 -> high.
-            for (sub_v, &orig) in back.iter().enumerate() {
-                next_region[orig.index()] = if sub_p.assignment()[sub_v] == 0 {
-                    low
-                } else {
-                    high
-                };
-            }
+            region = next_region;
         }
-        region = next_region;
-    }
-    let p =
-        Partition::from_assignment(h, k, region).ok_or(PipelineError::InvalidRegionIds { k })?;
-    let result = RecursiveResult {
-        cut: metrics::cut(h, &p),
-        sum_of_degrees: metrics::sum_of_spans_minus_one(h, &p),
-        bisections,
-        truncation: meter.truncation(),
-    };
-    Ok((p, result))
+        let p = Partition::from_assignment(h, k, region)
+            .ok_or(PipelineError::InvalidRegionIds { k })?;
+        let result = RecursiveResult::new(h, &p, bisections, cx.meter);
+        Ok((p, result))
+    })
 }
 
-/// Partitions `h` into an **arbitrary** `k` parts by recursive constrained
-/// ML bisection, honoring a full [`Constraints`] set.
+/// Partitions `h` into an **arbitrary** `k` parts by recursive ML bisection
+/// under the constrained schedule; `req.constraints` is required and gives
+/// `k`, ε and the pins.
 ///
 /// Where [`recursive_ml_bisection`] serves only `k = 2^depth` with uniform
-/// halves, this driver splits each region `⌈k/2⌉ : ⌊k/2⌋` with an
-/// area target proportional to the part counts, runs every bisection under
-/// the per-level tolerance `ε′ = (1 + ε)^(1/⌈log₂ k⌉) − 1`
-/// ([`adapted_epsilon`]) so the composed imbalance never exceeds the
-/// requested ε, and routes each fixed module to whichever side of a split
-/// contains its pinned part.
+/// halves, this driver splits each region `⌈k/2⌉ : ⌊k/2⌋` with an area
+/// target proportional to the part counts, runs every bisection under the
+/// per-level tolerance `ε′ = (1 + ε)^(1/⌈log₂ k⌉) − 1` ([`adapted_epsilon`])
+/// so the composed imbalance never exceeds the requested ε, and routes each
+/// fixed module to whichever side of a split contains its pinned part. A
+/// budget in `req` is shared by every region, as in
+/// [`recursive_ml_bisection`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a fixed module is out of range (run
-/// [`preflight_constrained`](crate::preflight_constrained) first for typed
-/// errors).
+/// [`PipelineError::Unsupported`] when `req` carries no constraints;
+/// [`PipelineError::Constraints`] when a pin is out of range;
+/// [`PipelineError::Netlist`] when a region sub-netlist fails extraction;
+/// plus anything a region's bisection reports.
 ///
 /// # Examples
 ///
 /// ```
-/// use mlpart_core::{recursive_ml_partition, MlConfig};
+/// use mlpart_core::{recursive_ml_partition, MlConfig, Request};
 /// use mlpart_hypergraph::{Constraints, HypergraphBuilder, rng::seeded_rng, metrics};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -224,8 +166,8 @@ pub fn try_recursive_ml_bisection_budgeted_in(
 /// }
 /// let h = b.build()?;
 /// let c = Constraints::new(3, 0.1, vec![])?;
-/// let mut rng = seeded_rng(4);
-/// let (p, r) = recursive_ml_partition(&h, &MlConfig::default(), &c, &mut rng);
+/// let req = Request { constraints: Some(&c), ..Request::default() };
+/// let (p, r) = recursive_ml_partition(&h, &MlConfig::default(), &mut seeded_rng(4), req)?;
 /// assert_eq!(p.k(), 3);
 /// assert_eq!(r.cut, metrics::cut(&h, &p));
 /// # Ok(())
@@ -234,23 +176,55 @@ pub fn try_recursive_ml_bisection_budgeted_in(
 pub fn recursive_ml_partition(
     h: &Hypergraph,
     cfg: &MlConfig,
-    constraints: &Constraints,
     rng: &mut MlRng,
-) -> (Partition, RecursiveResult) {
-    let mut ws = RefineWorkspace::new();
-    recursive_ml_partition_budgeted_in(
-        h,
-        cfg,
-        constraints,
-        rng,
-        &mut ws,
-        &mut BudgetMeter::unlimited(),
-    )
+    req: Request<'_>,
+) -> Result<(Partition, RecursiveResult), PipelineError> {
+    let Some(c) = req.constraints else {
+        return Err(PipelineError::Unsupported(
+            "recursive_ml_partition needs constraints: they give k",
+        ));
+    };
+    let k = c.k();
+    let n = h.num_modules();
+    c.check_modules(n)?;
+    #[cfg(feature = "obs")]
+    let _obs_run = mlpart_obs::span(
+        "recursive_partition",
+        &[
+            ("k", u64::from(k).into()),
+            ("modules", n.into()),
+            ("fixed", c.fixed().len().into()),
+        ],
+    );
+    req.with(rng, |_, cx| {
+        let mut split = Split {
+            h,
+            cfg,
+            pins: c,
+            epsilon: adapted_epsilon(c.epsilon(), k),
+            region: vec![0u32; n],
+            bisections: 0,
+        };
+        let members: Vec<u32> = (0..n as u32).collect();
+        split.region(&members, 0, k, cx)?;
+        let p = Partition::from_assignment(h, k, split.region)
+            .ok_or(PipelineError::InvalidRegionIds { k })?;
+        #[cfg(feature = "audit")]
+        if mlpart_audit::enabled() {
+            mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
+            mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(&p, c.fixed()));
+        }
+        let result = RecursiveResult::new(h, &p, split.bisections, cx.meter);
+        Ok((p, result))
+    })
 }
 
-/// [`recursive_ml_partition`] with caller-owned scratch and a cooperative
-/// execution budget shared across every region's bisection (exhausted
-/// regions still split, unrefined, preserving the k-part shape).
+/// [`recursive_ml_partition`] with caller-owned scratch and budget,
+/// panicking on invalid input.
+///
+/// # Panics
+///
+/// Panics where [`recursive_ml_partition`] returns an error.
 pub fn recursive_ml_partition_budgeted_in(
     h: &Hypergraph,
     cfg: &MlConfig,
@@ -259,171 +233,99 @@ pub fn recursive_ml_partition_budgeted_in(
     ws: &mut RefineWorkspace,
     meter: &mut BudgetMeter,
 ) -> (Partition, RecursiveResult) {
-    expect_valid(try_recursive_ml_partition_budgeted_in(
-        h,
-        cfg,
-        constraints,
-        rng,
-        ws,
-        meter,
-    ))
-}
-
-/// [`recursive_ml_partition_budgeted_in`] returning a typed error instead
-/// of panicking.
-///
-/// # Errors
-///
-/// [`PipelineError::Constraints`] when a fixed module is out of range;
-/// [`PipelineError::Netlist`] when a region sub-netlist fails extraction;
-/// plus anything a region's constrained bisection reports.
-pub fn try_recursive_ml_partition_budgeted_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> Result<(Partition, RecursiveResult), PipelineError> {
-    let k = constraints.k();
-    let n = h.num_modules();
-    constraints.check_modules(n)?;
-    #[cfg(feature = "obs")]
-    let _obs_run = mlpart_obs::span(
-        "recursive_partition",
-        &[
-            ("k", u64::from(k).into()),
-            ("modules", n.into()),
-            ("fixed", constraints.fixed().len().into()),
-        ],
-    );
-    let eps = adapted_epsilon(constraints.epsilon(), k);
-    // Pin lookup dense by module, shared by every region.
-    let mut pin: Vec<Option<PartId>> = vec![None; n];
-    for &(v, p) in constraints.fixed() {
-        pin[v.index()] = Some(p);
-    }
-    let mut region = vec![0u32; n];
-    let mut bisections = 0usize;
-    let members: Vec<u32> = (0..n as u32).collect();
-    split_region(
-        h,
-        cfg,
-        &pin,
-        &mut region,
-        &members,
-        0,
-        k,
-        eps,
-        rng,
-        ws,
-        meter,
-        &mut bisections,
-    )?;
-    let p =
-        Partition::from_assignment(h, k, region).ok_or(PipelineError::InvalidRegionIds { k })?;
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-        mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(
-            &p,
-            constraints.fixed(),
-        ));
-    }
-    let result = RecursiveResult {
-        cut: metrics::cut(h, &p),
-        sum_of_degrees: metrics::sum_of_spans_minus_one(h, &p),
-        bisections,
-        truncation: meter.truncation(),
+    let req = Request {
+        constraints: Some(constraints),
+        meter: Some(meter),
+        workspace: Some(ws),
     };
-    Ok((p, result))
+    expect_valid(recursive_ml_partition(h, cfg, rng, req))
 }
 
-/// One region of the recursion: assign `members` the final part ids
-/// `part_base .. part_base + k_region`, bisecting `⌈k/2⌉ : ⌊k/2⌋` until
-/// regions are single parts. Deterministic: regions recurse low side first,
-/// so the RNG schedule is a pure function of the inputs.
-#[allow(clippy::too_many_arguments)]
-fn split_region(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    pin: &[Option<PartId>],
-    region: &mut [u32],
-    members: &[u32],
-    part_base: u32,
-    k_region: u32,
-    eps: f64,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-    bisections: &mut usize,
-) -> Result<(), PipelineError> {
-    if k_region == 1 {
+/// The state of one general-k recursion: final part ids land in `region`.
+struct Split<'a> {
+    h: &'a Hypergraph,
+    cfg: &'a MlConfig,
+    pins: &'a Constraints,
+    epsilon: f64,
+    region: Vec<u32>,
+    bisections: usize,
+}
+
+impl Split<'_> {
+    /// Assigns `members` the final part ids `part_base .. part_base +
+    /// k_region`, bisecting `⌈k/2⌉ : ⌊k/2⌋` until regions are single parts.
+    /// Regions recurse low side first, so the RNG schedule is a pure
+    /// function of the inputs.
+    fn region(
+        &mut self,
+        members: &[u32],
+        part_base: u32,
+        k_region: u32,
+        cx: &mut Ctx<'_>,
+    ) -> Result<(), PipelineError> {
+        if k_region == 1 || members.len() < 2 {
+            // A single part, or too small to bisect: pins keep their parts,
+            // free modules take the region's first part.
+            for &v in members {
+                let pin = self.pins.part_of(ModuleId::from(v));
+                self.region[v as usize] = pin.unwrap_or(part_base);
+            }
+            return Ok(());
+        }
+        let k_lo = k_region - k_region / 2; // ⌈k/2⌉ parts on side 0
+        let mut keep = vec![false; self.h.num_modules()];
         for &v in members {
-            region[v as usize] = part_base;
+            keep[v as usize] = true;
         }
-        return Ok(());
-    }
-    let k_lo = k_region - k_region / 2; // ⌈k/2⌉ parts on side 0
-    let k_hi = k_region / 2;
-    if members.len() < 2 {
-        // Too small to bisect: pins keep their parts, free modules take the
-        // region's first part.
-        for &v in members {
-            region[v as usize] = pin[v as usize].unwrap_or(part_base);
+        let (sub, back) = self.h.extract(&keep)?;
+        #[cfg(feature = "obs")]
+        let _obs_region = mlpart_obs::span(
+            "region",
+            &[
+                ("part_base", u64::from(part_base).into()),
+                ("k_region", u64::from(k_region).into()),
+                ("modules", members.len().into()),
+            ],
+        );
+        // A pin belongs to side 0 iff its part falls in the low part range.
+        let boundary = part_base + k_lo;
+        let sub_fixed: Vec<(ModuleId, PartId)> = back
+            .iter()
+            .enumerate()
+            .filter_map(|(sub_v, &orig)| {
+                let pin = self.pins.part_of(orig)?;
+                Some((ModuleId::new(sub_v), u32::from(pin >= boundary)))
+            })
+            .collect();
+        let target0 = ((sub.total_area() as u128 * k_lo as u128) / k_region as u128) as u64;
+        let window = Window::Split {
+            target0,
+            epsilon: self.epsilon,
+        };
+        let cycle = Cycle {
+            refiner: Bisect(&self.cfg.fm),
+            pins: Some(Pinned {
+                fixed: &sub_fixed,
+                window,
+            }),
+        };
+        let (sub_p, _) = cycle.run(&sub, self.cfg, cx)?;
+        self.bisections += 1;
+        let (mut low, mut high) = (Vec::new(), Vec::new());
+        for (&side, &orig) in sub_p.assignment().iter().zip(&back) {
+            let half = if side == 0 { &mut low } else { &mut high };
+            half.push(orig.raw());
         }
-        return Ok(());
+        self.region(&low, part_base, k_lo, cx)?;
+        self.region(&high, boundary, k_region / 2, cx)
     }
-    let mut keep = vec![false; h.num_modules()];
-    for &v in members {
-        keep[v as usize] = true;
-    }
-    let (sub, back) = h.extract(&keep)?;
-    #[cfg(feature = "obs")]
-    let _obs_region = mlpart_obs::span(
-        "region",
-        &[
-            ("part_base", u64::from(part_base).into()),
-            ("k_region", u64::from(k_region).into()),
-            ("modules", members.len().into()),
-        ],
-    );
-    // A pin belongs to side 0 iff its part falls in the low part range.
-    let boundary = part_base + k_lo;
-    let sub_fixed: Vec<(ModuleId, PartId)> = back
-        .iter()
-        .enumerate()
-        .filter_map(|(sub_v, &orig)| {
-            pin[orig.index()].map(|t| (ModuleId::new(sub_v), u32::from(t >= boundary)))
-        })
-        .collect();
-    let total = sub.total_area();
-    let target0 = ((total as u128 * k_lo as u128) / k_region as u128) as u64;
-    let (sub_p, _) = try_ml_bipartition_constrained_budgeted_in(
-        &sub, cfg, &sub_fixed, target0, eps, rng, ws, meter,
-    )?;
-    *bisections += 1;
-    let mut low = Vec::new();
-    let mut high = Vec::new();
-    for (sub_v, &orig) in back.iter().enumerate() {
-        if sub_p.assignment()[sub_v] == 0 {
-            low.push(orig.raw());
-        } else {
-            high.push(orig.raw());
-        }
-    }
-    split_region(
-        h, cfg, pin, region, &low, part_base, k_lo, eps, rng, ws, meter, bisections,
-    )?;
-    split_region(
-        h, cfg, pin, region, &high, boundary, k_hi, eps, rng, ws, meter, bisections,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ml::ml_bipartition;
+    use mlpart_fm::{Budget, BudgetLimit};
     use mlpart_hypergraph::rng::seeded_rng;
     use mlpart_hypergraph::HypergraphBuilder;
 
@@ -441,26 +343,30 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn bisect(h: &Hypergraph, depth: u32, seed: u64) -> (Partition, RecursiveResult) {
+        let cfg = MlConfig::default();
+        recursive_ml_bisection(h, depth, &cfg, &mut seeded_rng(seed), Request::default()).unwrap()
+    }
+
+    fn general(h: &Hypergraph, c: &Constraints, seed: u64) -> (Partition, RecursiveResult) {
+        let req = Request {
+            constraints: Some(c),
+            ..Request::default()
+        };
+        recursive_ml_partition(h, &MlConfig::default(), &mut seeded_rng(seed), req).unwrap()
+    }
+
     #[test]
     fn quadrisects_four_communities() {
         let h = four_communities(32);
-        let best = (0..5)
-            .map(|s| {
-                let mut rng = seeded_rng(s);
-                recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng)
-                    .1
-                    .cut
-            })
-            .min()
-            .unwrap();
+        let best = (0..5).map(|s| bisect(&h, 2, s).1.cut).min().unwrap();
         assert!(best <= 8, "best={best}");
     }
 
     #[test]
     fn produces_exactly_k_parts_with_near_even_sizes() {
         let h = four_communities(25);
-        let mut rng = seeded_rng(3);
-        let (p, r) = recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng);
+        let (p, r) = bisect(&h, 2, 3);
         assert_eq!(p.k(), 4);
         assert!(p.validate(&h));
         assert_eq!(r.cut, metrics::cut(&h, &p));
@@ -476,10 +382,9 @@ mod tests {
     #[test]
     fn depth_one_matches_plain_bisection_cutwise() {
         let h = four_communities(16);
-        let mut rng1 = seeded_rng(7);
-        let mut rng2 = seeded_rng(7);
-        let (_, r1) = recursive_ml_bisection(&h, 1, &MlConfig::default(), &mut rng1);
-        let (_, r2) = ml_bipartition(&h, &MlConfig::default(), &mut rng2);
+        let (_, r1) = bisect(&h, 1, 7);
+        let req = Request::default();
+        let (_, r2) = ml_bipartition(&h, &MlConfig::default(), &mut seeded_rng(7), req).unwrap();
         assert_eq!(r1.cut, r2.cut, "same seed, same single bisection");
         assert_eq!(r1.bisections, 1);
     }
@@ -490,30 +395,24 @@ mod tests {
         b.add_net([0, 1]).unwrap();
         b.add_net([1, 2]).unwrap();
         let h = b.build().unwrap();
-        let mut rng = seeded_rng(0);
-        let (p, _) = recursive_ml_bisection(&h, 3, &MlConfig::default(), &mut rng);
+        let (p, _) = bisect(&h, 3, 0);
         assert_eq!(p.k(), 8);
         assert!(p.validate(&h));
     }
 
     #[test]
     fn budgeted_recursion_shares_one_meter_across_regions() {
-        use mlpart_fm::{Budget, BudgetLimit, BudgetMeter};
         let h = four_communities(32);
-        let mut rng = seeded_rng(3);
-        let mut ws = RefineWorkspace::new();
         let mut meter = BudgetMeter::new(&Budget {
             max_passes: Some(2),
             ..Budget::default()
         });
-        let (p, r) = recursive_ml_bisection_budgeted_in(
-            &h,
-            2,
-            &MlConfig::default(),
-            &mut rng,
-            &mut ws,
-            &mut meter,
-        );
+        let req = Request {
+            meter: Some(&mut meter),
+            ..Request::default()
+        };
+        let cfg = MlConfig::default();
+        let (p, r) = recursive_ml_bisection(&h, 2, &cfg, &mut seeded_rng(3), req).unwrap();
         // Two passes cannot cover three bisections' V-cycles.
         assert_eq!(
             r.truncation.expect("must truncate").limit,
@@ -525,20 +424,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "depth must be at least 1")]
-    fn rejects_zero_depth() {
+    fn rejects_bad_depth_and_constraints() {
         let h = four_communities(8);
-        let mut rng = seeded_rng(0);
-        let _ = recursive_ml_bisection(&h, 0, &MlConfig::default(), &mut rng);
+        let cfg = MlConfig::default();
+        let err = recursive_ml_bisection(&h, 0, &cfg, &mut seeded_rng(0), Request::default());
+        assert_eq!(err.unwrap_err(), PipelineError::BadDepth { depth: 0 });
+        let c = Constraints::unconstrained(4);
+        let req = Request {
+            constraints: Some(&c),
+            ..Request::default()
+        };
+        let err = recursive_ml_bisection(&h, 2, &cfg, &mut seeded_rng(0), req);
+        assert!(matches!(err, Err(PipelineError::Unsupported(_))));
+        let err = recursive_ml_partition(&h, &cfg, &mut seeded_rng(0), Request::default());
+        assert!(matches!(err, Err(PipelineError::Unsupported(_))));
     }
 
     #[test]
     fn general_k_produces_exactly_k_near_even_parts() {
         let h = four_communities(30); // 120 unit modules
         for k in [3u32, 5, 6] {
-            let c = Constraints::unconstrained(k);
-            let mut rng = seeded_rng(5);
-            let (p, r) = recursive_ml_partition(&h, &MlConfig::default(), &c, &mut rng);
+            let (p, r) = general(&h, &Constraints::unconstrained(k), 5);
             assert_eq!(p.k(), k);
             assert!(p.validate(&h));
             assert_eq!(r.cut, metrics::cut(&h, &p));
@@ -557,20 +463,15 @@ mod tests {
     #[test]
     fn general_k_honors_pins() {
         let h = four_communities(30);
-        let c = Constraints::new(
-            5,
-            0.2,
-            vec![
-                (ModuleId::new(0), 4),
-                (ModuleId::new(31), 0),
-                (ModuleId::new(64), 2),
-                (ModuleId::new(119), 1),
-            ],
-        )
-        .unwrap();
+        let pins = vec![
+            (ModuleId::new(0), 4),
+            (ModuleId::new(31), 0),
+            (ModuleId::new(64), 2),
+            (ModuleId::new(119), 1),
+        ];
+        let c = Constraints::new(5, 0.2, pins).unwrap();
         for seed in 0..4 {
-            let mut rng = seeded_rng(seed);
-            let (p, _) = recursive_ml_partition(&h, &MlConfig::default(), &c, &mut rng);
+            let (p, _) = general(&h, &c, seed);
             for &(v, part) in c.fixed() {
                 assert_eq!(p.part(v), part, "seed {seed}");
             }
@@ -582,12 +483,8 @@ mod tests {
     fn general_k_is_deterministic_given_seed() {
         let h = four_communities(20);
         let c = Constraints::new(3, 0.1, vec![(ModuleId::new(2), 1)]).unwrap();
-        let run = |seed| {
-            let mut rng = seeded_rng(seed);
-            recursive_ml_partition(&h, &MlConfig::default(), &c, &mut rng)
-        };
-        let (p1, r1) = run(17);
-        let (p2, r2) = run(17);
+        let (p1, r1) = general(&h, &c, 17);
+        let (p2, r2) = general(&h, &c, 17);
         assert_eq!(p1.assignment(), p2.assignment());
         assert_eq!(r1, r2);
     }
@@ -596,24 +493,14 @@ mod tests {
     fn general_k_power_of_two_matches_quadrant_structure() {
         let h = four_communities(25);
         let c = Constraints::unconstrained(4);
-        let best = (0..5)
-            .map(|s| {
-                let mut rng = seeded_rng(s);
-                recursive_ml_partition(&h, &MlConfig::default(), &c, &mut rng)
-                    .1
-                    .cut
-            })
-            .min()
-            .unwrap();
+        let best = (0..5).map(|s| general(&h, &c, s).1.cut).min().unwrap();
         assert!(best <= 10, "best={best}");
     }
 
     #[test]
     fn general_k_one_part_puts_everything_in_part_zero() {
         let h = four_communities(8);
-        let c = Constraints::unconstrained(1);
-        let mut rng = seeded_rng(0);
-        let (p, r) = recursive_ml_partition(&h, &MlConfig::default(), &c, &mut rng);
+        let (p, r) = general(&h, &Constraints::unconstrained(1), 0);
         assert_eq!(p.k(), 1);
         assert_eq!(r.bisections, 0);
         assert_eq!(r.cut, 0);

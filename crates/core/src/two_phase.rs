@@ -11,20 +11,13 @@
 //! to as many phases as desired". Included as a baseline so the value of
 //! *multiple* levels can be isolated experimentally.
 
-use crate::error::{expect_valid, PipelineError};
-use crate::hierarchy::fixed_mask;
-use mlpart_cluster::{
-    induce, match_clusters, match_clusters_parts, project, rebalance_bipart, MatchConfig,
-};
-use mlpart_fm::{
-    fm_partition_budgeted_in, refine_budgeted_in, refine_constrained_budgeted_in, BudgetMeter,
-    FmConfig, FmResult, RefineWorkspace, Truncation,
-};
+use crate::error::PipelineError;
+use crate::hierarchy::{lift_fixed, match_level};
+use crate::vcycle::{Bisect, Cycle, Pinned, Refiner, Request, Window};
+use mlpart_cluster::{induce, project, MatchConfig, MatchScratch};
+use mlpart_fm::{FmConfig, FmResult, Truncation};
 use mlpart_hypergraph::rng::MlRng;
-use mlpart_hypergraph::{
-    metrics, BipartBalance, Constraints, Hypergraph, ModuleId, PartBounds, PartId, Partition,
-};
-use mlpart_kway::rebalance_to_bounds;
+use mlpart_hypergraph::{metrics, Hypergraph, Partition};
 
 /// Result of a two-phase FM run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,15 +39,27 @@ pub struct TwoPhaseResult {
 /// projection, and a final FM refinement.
 ///
 /// `fm` configures both FM runs (engine, buckets, balance); `match_cfg`
-/// configures the single clustering pass.
+/// configures the single clustering pass. The phases use the V-cycle's
+/// schedule helpers, so `req.constraints` (2-way only) selects the
+/// constrained schedule exactly as in
+/// [`ml_bipartition`](crate::ml_bipartition): pins keep their side through
+/// clustering, the coarse start, projection and both FM runs, and balance
+/// follows the ε window instead of `fm.balance_r`.
+///
+/// # Errors
+///
+/// [`PipelineError::KMismatch`] when the constraints are not 2-way,
+/// [`PipelineError::Constraints`] when a pin is out of range, and
+/// [`PipelineError::Coarsen`] when inducing the coarse netlist or projecting
+/// the coarse partition back fails.
 ///
 /// # Examples
 ///
 /// ```
-/// use mlpart_core::two_phase::{two_phase_fm, TwoPhaseResult};
+/// use mlpart_core::{two_phase_fm, Request};
 /// use mlpart_cluster::MatchConfig;
 /// use mlpart_fm::FmConfig;
-/// use mlpart_hypergraph::{HypergraphBuilder, rng::seeded_rng, metrics};
+/// use mlpart_hypergraph::{Constraints, HypergraphBuilder, ModuleId, rng::seeded_rng, metrics};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = HypergraphBuilder::with_unit_areas(32);
@@ -62,10 +67,15 @@ pub struct TwoPhaseResult {
 ///     b.add_net([i, i + 1])?;
 /// }
 /// let h = b.build()?;
-/// let mut rng = seeded_rng(3);
-/// let (p, r) = two_phase_fm(&h, &FmConfig::default(), &MatchConfig::default(), &mut rng);
+/// let (fm, mc) = (FmConfig::default(), MatchConfig::default());
+/// let (p, r) = two_phase_fm(&h, &fm, &mc, &mut seeded_rng(3), Request::default())?;
 /// assert_eq!(r.cut, metrics::cut(&h, &p));
 /// assert!(r.coarse_modules < 32);
+///
+/// let c = Constraints::new(2, 0.2, vec![(ModuleId::new(0), 1)])?;
+/// let req = Request { constraints: Some(&c), ..Request::default() };
+/// let (p, _) = two_phase_fm(&h, &fm, &mc, &mut seeded_rng(3), req)?;
+/// assert_eq!(p.part(ModuleId::new(0)), 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -74,307 +84,79 @@ pub fn two_phase_fm(
     fm: &FmConfig,
     match_cfg: &MatchConfig,
     rng: &mut MlRng,
-) -> (Partition, TwoPhaseResult) {
-    let mut ws = RefineWorkspace::new();
-    two_phase_fm_in(h, fm, match_cfg, rng, &mut ws)
-}
-
-/// [`two_phase_fm`] with caller-owned scratch: both FM runs share the
-/// workspace's gain/bucket allocations.
-pub fn two_phase_fm_in(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, TwoPhaseResult) {
-    two_phase_fm_budgeted_in(h, fm, match_cfg, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`two_phase_fm_in`] under a cooperative execution budget. Both FM runs
-/// draw on the same meter; once exhausted, the remaining refinement is
-/// skipped while projection and rebalancing keep the result valid and
-/// feasible. With an unlimited meter this is bit-identical to
-/// [`two_phase_fm_in`].
-pub fn two_phase_fm_budgeted_in(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, TwoPhaseResult) {
-    expect_valid(try_two_phase_fm_budgeted_in(
-        h, fm, match_cfg, rng, ws, meter,
-    ))
-}
-
-/// [`two_phase_fm_budgeted_in`] returning a typed error instead of
-/// panicking.
-///
-/// # Errors
-///
-/// [`PipelineError::Coarsen`] when inducing the coarse netlist or
-/// projecting the coarse partition back fails.
-pub fn try_two_phase_fm_budgeted_in(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
+    req: Request<'_>,
 ) -> Result<(Partition, TwoPhaseResult), PipelineError> {
-    #[cfg(feature = "obs")]
-    let _obs_run = mlpart_obs::span("two_phase", &[("modules", h.num_modules().into())]);
-    // Phase 1: cluster once and partition the coarse netlist.
-    let clustering = match_clusters(h, match_cfg, rng);
-    let coarse = induce(h, &clustering)?;
-    #[cfg(feature = "obs")]
-    mlpart_obs::counter(
-        "two_phase_coarse",
-        &[("coarse_modules", coarse.num_modules().into())],
-    );
-    meter.set_level_context(Some(1));
-    let (coarse_p, coarse_r) = fm_partition_budgeted_in(&coarse, None, fm, rng, ws, meter);
+    req.with(rng, |c, cx| {
+        let split = |epsilon| Window::Split {
+            target0: h.total_area() / 2,
+            epsilon,
+        };
+        let pins = Pinned::checked(c, h, 2, "two-phase FM requires k = 2", split)?;
+        let cycle = Cycle {
+            refiner: Bisect(fm),
+            pins,
+        };
+        let fixed = cycle.fixed();
+        #[cfg(feature = "obs")]
+        let _obs_run = match cycle.pins {
+            None => mlpart_obs::span("two_phase", &[("modules", h.num_modules().into())]),
+            Some(_) => mlpart_obs::span(
+                "two_phase_constrained",
+                &[
+                    ("modules", h.num_modules().into()),
+                    ("fixed", fixed.len().into()),
+                ],
+            ),
+        };
+        // Phase 1: cluster once and partition the coarse netlist.
+        let clustering = match_level(h, match_cfg, fixed, cx.rng, &mut MatchScratch::new());
+        let coarse = induce(h, &clustering)?;
+        let coarse_fixed = lift_fixed(fixed, &clustering);
+        #[cfg(feature = "obs")]
+        mlpart_obs::counter(
+            "two_phase_coarse",
+            &[("coarse_modules", coarse.num_modules().into())],
+        );
+        cx.meter.set_level_context(Some(1));
+        let (coarse_p, coarse_r) = cycle.seed(&coarse, &coarse_fixed, cx);
 
-    // Phase 2: project and refine on the original netlist.
-    let mut p = project(h, &clustering, &coarse_p)?;
-    let balance = BipartBalance::new(h, fm.balance_r);
-    let mut _rebalance = 0usize;
-    if !balance.is_partition_feasible(&p) {
-        _rebalance = rebalance_bipart(h, &mut p, &balance, rng);
-    }
-    #[cfg(feature = "obs")]
-    mlpart_obs::counter(
-        "rebalance",
-        &[("level", 0u64.into()), ("moves", _rebalance.into())],
-    );
-    meter.set_level_context(Some(0));
-    let refine_r = refine_budgeted_in(h, &mut p, fm, rng, ws, meter);
+        // Phase 2: project and refine on the original netlist.
+        let mut p = project(h, &clustering, &coarse_p)?;
+        let bounds = cycle.bounds(h);
+        let _rebalance = cycle.rebalance(h, &mut p, &bounds, fixed, cx.rng);
+        #[cfg(feature = "obs")]
+        mlpart_obs::counter(
+            "rebalance",
+            &[("level", 0u64.into()), ("moves", _rebalance.into())],
+        );
+        cx.meter.set_level_context(Some(0));
+        let refine = cycle.refiner.refine(h, &mut p, &bounds, fixed, cx);
 
-    let result = TwoPhaseResult {
-        cut: metrics::cut(h, &p),
-        coarse_cut: coarse_r.cut,
-        coarse_modules: coarse.num_modules(),
-        refine: refine_r,
-        truncation: meter.truncation(),
-    };
-    Ok((p, result))
-}
-
-/// [`two_phase_fm`] generalized to [`Constraints`]: fixed modules keep their
-/// pinned side through clustering, the coarse partition, projection, and both
-/// refinement runs, and balance follows the constraints' ε window instead of
-/// `fm.balance_r`.
-///
-/// Only `k = 2` constraints are accepted — two-phase FM is a bipartitioning
-/// baseline. Unconstrained runs are comparable rather than byte-identical to
-/// [`two_phase_fm`]: the initial coarse partition is drawn by this driver
-/// (so pins can seed it) rather than inside FM, which shifts the RNG
-/// schedule.
-///
-/// # Examples
-///
-/// ```
-/// use mlpart_core::two_phase::two_phase_fm_constrained;
-/// use mlpart_cluster::MatchConfig;
-/// use mlpart_fm::FmConfig;
-/// use mlpart_hypergraph::{Constraints, HypergraphBuilder, ModuleId, rng::seeded_rng};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = HypergraphBuilder::with_unit_areas(32);
-/// for i in 0..31 {
-///     b.add_net([i, i + 1])?;
-/// }
-/// let h = b.build()?;
-/// let c = Constraints::new(2, 0.2, vec![(ModuleId::new(0), 1)])?;
-/// let mut rng = seeded_rng(3);
-/// let (p, _) = two_phase_fm_constrained(&h, &FmConfig::default(), &MatchConfig::default(), &c, &mut rng);
-/// assert_eq!(p.part(ModuleId::new(0)), 1);
-/// # Ok(())
-/// # }
-/// ```
-///
-/// # Panics
-///
-/// Panics if `constraints.k() != 2` or a fixed module is out of range.
-pub fn two_phase_fm_constrained(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-) -> (Partition, TwoPhaseResult) {
-    let mut ws = RefineWorkspace::new();
-    two_phase_fm_constrained_in(h, fm, match_cfg, constraints, rng, &mut ws)
-}
-
-/// [`two_phase_fm_constrained`] with caller-owned scratch.
-pub fn two_phase_fm_constrained_in(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, TwoPhaseResult) {
-    two_phase_fm_constrained_budgeted_in(
-        h,
-        fm,
-        match_cfg,
-        constraints,
-        rng,
-        ws,
-        &mut BudgetMeter::unlimited(),
-    )
-}
-
-/// [`two_phase_fm_constrained_in`] under a cooperative execution budget.
-pub fn two_phase_fm_constrained_budgeted_in(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, TwoPhaseResult) {
-    expect_valid(try_two_phase_fm_constrained_budgeted_in(
-        h,
-        fm,
-        match_cfg,
-        constraints,
-        rng,
-        ws,
-        meter,
-    ))
-}
-
-/// [`two_phase_fm_constrained_budgeted_in`] returning a typed error instead
-/// of panicking.
-///
-/// # Errors
-///
-/// [`PipelineError::KMismatch`] when `constraints.k() != 2`,
-/// [`PipelineError::Constraints`] when a fixed module is out of range, and
-/// [`PipelineError::Coarsen`] for induction/projection failures.
-pub fn try_two_phase_fm_constrained_budgeted_in(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> Result<(Partition, TwoPhaseResult), PipelineError> {
-    if constraints.k() != 2 {
-        return Err(PipelineError::KMismatch {
-            context: "two-phase FM requires k = 2",
-            expected: 2,
-            got: constraints.k(),
-        });
-    }
-    constraints.check_modules(h.num_modules())?;
-    let fixed = constraints.fixed();
-    let total = h.total_area();
-    let target0 = total / 2;
-    let epsilon = constraints.epsilon();
-    #[cfg(feature = "obs")]
-    let _obs_run = mlpart_obs::span(
-        "two_phase_constrained",
-        &[
-            ("modules", h.num_modules().into()),
-            ("fixed", fixed.len().into()),
-        ],
-    );
-    let bounds_for = |net: &Hypergraph| {
-        PartBounds::around_targets(&[target0, total - target0], total, net.max_area(), epsilon)
-    };
-
-    // Phase 1: cluster once (same-part pins may merge, cross-part pins may
-    // not) and partition the induced netlist from a pin-seeded start.
-    let clustering = if fixed.is_empty() {
-        match_clusters(h, match_cfg, rng)
-    } else {
-        let mut seed: Vec<Option<PartId>> = vec![None; h.num_modules()];
-        for &(v, p) in fixed {
-            seed[v.index()] = Some(p);
+        #[cfg(feature = "audit")]
+        if mlpart_audit::enabled() {
+            mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
+            mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(&p, fixed));
+            let (lo, hi): (Vec<u64>, Vec<u64>) =
+                (0..2u32).map(|q| (bounds.lo(q), bounds.hi(q))).unzip();
+            mlpart_audit::enforce(mlpart_audit::audit_part_bounds(&p, &lo, &hi));
         }
-        match_clusters_parts(h, match_cfg, Some(seed.as_slice()), rng)
-    };
-    let coarse = induce(h, &clustering)?;
-    let mut coarse_fixed: Vec<(ModuleId, PartId)> = fixed
-        .iter()
-        .map(|&(v, p)| (ModuleId::new(clustering.cluster_of(v) as usize), p))
-        .collect();
-    coarse_fixed.sort_unstable_by_key(|&(v, _)| v);
-    coarse_fixed.dedup_by(|a, b| {
-        debug_assert!(a.0 != b.0 || a.1 == b.1, "cross-part pins merged");
-        a.0 == b.0
-    });
-    #[cfg(feature = "obs")]
-    mlpart_obs::counter(
-        "two_phase_coarse",
-        &[("coarse_modules", coarse.num_modules().into())],
-    );
-    let coarse_bounds = bounds_for(&coarse);
-    let coarse_mask = fixed_mask(&coarse_fixed, coarse.num_modules());
-    meter.set_level_context(Some(1));
-    let mut coarse_p = Partition::random_fixed(&coarse, 2, &coarse_fixed, rng);
-    if !coarse_bounds.is_partition_feasible(&coarse_p) {
-        let _ = rebalance_to_bounds(&coarse, &mut coarse_p, &coarse_fixed, &coarse_bounds, rng);
-    }
-    let coarse_r = refine_constrained_budgeted_in(
-        &coarse,
-        &mut coarse_p,
-        fm,
-        &coarse_bounds,
-        &coarse_mask,
-        rng,
-        ws,
-        meter,
-    );
-
-    // Phase 2: project and refine on the original netlist.
-    let mut p = project(h, &clustering, &coarse_p)?;
-    let bounds = bounds_for(h);
-    let mut _rebalance = 0usize;
-    if !bounds.is_partition_feasible(&p) {
-        _rebalance = rebalance_to_bounds(h, &mut p, fixed, &bounds, rng);
-    }
-    #[cfg(feature = "obs")]
-    mlpart_obs::counter(
-        "rebalance",
-        &[("level", 0u64.into()), ("moves", _rebalance.into())],
-    );
-    meter.set_level_context(Some(0));
-    let mask = fixed_mask(fixed, h.num_modules());
-    let refine_r = refine_constrained_budgeted_in(h, &mut p, fm, &bounds, &mask, rng, ws, meter);
-
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-        mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(&p, fixed));
-        let (lo, hi): (Vec<u64>, Vec<u64>) =
-            (0..2u32).map(|q| (bounds.lo(q), bounds.hi(q))).unzip();
-        mlpart_audit::enforce(mlpart_audit::audit_part_bounds(&p, &lo, &hi));
-    }
-    let result = TwoPhaseResult {
-        cut: metrics::cut(h, &p),
-        coarse_cut: coarse_r.cut,
-        coarse_modules: coarse.num_modules(),
-        refine: refine_r,
-        truncation: meter.truncation(),
-    };
-    Ok((p, result))
+        let result = TwoPhaseResult {
+            cut: metrics::cut(h, &p),
+            coarse_cut: coarse_r.cut,
+            coarse_modules: coarse.num_modules(),
+            refine,
+            truncation: cx.meter.truncation(),
+        };
+        Ok((p, result))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlpart_fm::fm_partition;
+    use mlpart_fm::{fm_partition, Budget, BudgetLimit, BudgetMeter};
     use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
+    use mlpart_hypergraph::{BipartBalance, Constraints, HypergraphBuilder, ModuleId, PartBounds};
 
     fn two_communities(half: usize) -> Hypergraph {
         let mut b = HypergraphBuilder::with_unit_areas(2 * half);
@@ -388,13 +170,24 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn run(h: &Hypergraph, seed: u64, req: Request<'_>) -> (Partition, TwoPhaseResult) {
+        let (fm, mc) = (FmConfig::default(), MatchConfig::default());
+        two_phase_fm(h, &fm, &mc, &mut seeded_rng(seed), req).unwrap()
+    }
+
+    fn pinned(h: &Hypergraph, c: &Constraints, seed: u64) -> (Partition, TwoPhaseResult) {
+        let req = Request {
+            constraints: Some(c),
+            ..Request::default()
+        };
+        run(h, seed, req)
+    }
+
     #[test]
     fn produces_feasible_consistent_result() {
         let h = two_communities(50);
-        let fm = FmConfig::default();
-        let bal = BipartBalance::new(&h, fm.balance_r);
-        let mut rng = seeded_rng(2);
-        let (p, r) = two_phase_fm(&h, &fm, &MatchConfig::default(), &mut rng);
+        let bal = BipartBalance::new(&h, FmConfig::default().balance_r);
+        let (p, r) = run(&h, 2, Request::default());
         assert!(p.validate(&h));
         assert!(bal.is_partition_feasible(&p));
         assert_eq!(r.cut, metrics::cut(&h, &p));
@@ -404,22 +197,16 @@ mod tests {
     #[test]
     fn beats_or_matches_flat_fm_on_average() {
         let h = two_communities(80);
-        let fm = FmConfig::default();
         let runs = 6;
         let flat: f64 = (0..runs)
             .map(|s| {
                 let mut rng = seeded_rng(10 + s);
-                fm_partition(&h, None, &fm, &mut rng).1.cut as f64
+                fm_partition(&h, None, &FmConfig::default(), &mut rng).1.cut as f64
             })
             .sum::<f64>()
             / runs as f64;
         let two_phase: f64 = (0..runs)
-            .map(|s| {
-                let mut rng = seeded_rng(20 + s);
-                two_phase_fm(&h, &fm, &MatchConfig::default(), &mut rng)
-                    .1
-                    .cut as f64
-            })
+            .map(|s| run(&h, 20 + s, Request::default()).1.cut as f64)
             .sum::<f64>()
             / runs as f64;
         assert!(
@@ -436,21 +223,17 @@ mod tests {
         // (averages differ only by noise at this scale; the average gap is
         // what the Table IV harness measures on the full suite).
         let h = two_communities(100);
-        let fm = FmConfig::default();
         let runs = 6;
         let two_phase = (0..runs)
-            .map(|s| {
-                let mut rng = seeded_rng(30 + s);
-                two_phase_fm(&h, &fm, &MatchConfig::default(), &mut rng)
-                    .1
-                    .cut
-            })
+            .map(|s| run(&h, 30 + s, Request::default()).1.cut)
             .min()
             .expect("runs");
         let ml = (0..runs)
             .map(|s| {
                 let mut rng = seeded_rng(40 + s);
-                crate::ml_bipartition(&h, &crate::MlConfig::default(), &mut rng)
+                let cfg = crate::MlConfig::default();
+                crate::ml_bipartition(&h, &cfg, &mut rng, Request::default())
+                    .unwrap()
                     .1
                     .cut
             })
@@ -461,30 +244,23 @@ mod tests {
 
     #[test]
     fn budgeted_two_phase_truncates_and_stays_feasible() {
-        use mlpart_fm::{Budget, BudgetLimit, BudgetMeter};
         let h = two_communities(50);
-        let fm = FmConfig::default();
-        let mut rng = seeded_rng(8);
-        let mut ws = RefineWorkspace::new();
         let mut meter = BudgetMeter::new(&Budget {
             max_passes: Some(1),
             ..Budget::default()
         });
-        let (p, r) = two_phase_fm_budgeted_in(
-            &h,
-            &fm,
-            &MatchConfig::default(),
-            &mut rng,
-            &mut ws,
-            &mut meter,
-        );
+        let req = Request {
+            meter: Some(&mut meter),
+            ..Request::default()
+        };
+        let (p, r) = run(&h, 8, req);
         assert_eq!(
             r.truncation.expect("must truncate").limit,
             BudgetLimit::Passes
         );
         assert_eq!(r.refine.passes, 0, "the budget went to the coarse run");
         assert!(p.validate(&h));
-        let bal = BipartBalance::new(&h, fm.balance_r);
+        let bal = BipartBalance::new(&h, FmConfig::default().balance_r);
         assert!(bal.is_partition_feasible(&p));
         assert_eq!(r.cut, metrics::cut(&h, &p));
     }
@@ -492,12 +268,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let h = two_communities(30);
-        let run = |seed| {
-            let mut rng = seeded_rng(seed);
-            two_phase_fm(&h, &FmConfig::default(), &MatchConfig::default(), &mut rng)
-        };
-        let (p1, r1) = run(5);
-        let (p2, r2) = run(5);
+        let (p1, r1) = run(&h, 5, Request::default());
+        let (p2, r2) = run(&h, 5, Request::default());
         assert_eq!(p1.assignment(), p2.assignment());
         assert_eq!(r1, r2);
     }
@@ -509,14 +281,7 @@ mod tests {
             Constraints::new(2, 0.2, vec![(ModuleId::new(0), 1), (ModuleId::new(60), 0)]).unwrap();
         let bounds = PartBounds::from_epsilon(&h, 2, 0.2);
         for seed in 0..5 {
-            let mut rng = seeded_rng(seed);
-            let (p, r) = two_phase_fm_constrained(
-                &h,
-                &FmConfig::default(),
-                &MatchConfig::default(),
-                &c,
-                &mut rng,
-            );
+            let (p, r) = pinned(&h, &c, seed);
             assert!(p.validate(&h));
             for &(v, part) in c.fixed() {
                 assert_eq!(p.part(v), part, "seed {seed}");
@@ -531,34 +296,22 @@ mod tests {
     fn constrained_two_phase_is_deterministic_given_seed() {
         let h = two_communities(30);
         let c = Constraints::new(2, 0.1, vec![(ModuleId::new(4), 1)]).unwrap();
-        let run = |seed| {
-            let mut rng = seeded_rng(seed);
-            two_phase_fm_constrained(
-                &h,
-                &FmConfig::default(),
-                &MatchConfig::default(),
-                &c,
-                &mut rng,
-            )
-        };
-        let (p1, r1) = run(9);
-        let (p2, r2) = run(9);
+        let (p1, r1) = pinned(&h, &c, 9);
+        let (p2, r2) = pinned(&h, &c, 9);
         assert_eq!(p1.assignment(), p2.assignment());
         assert_eq!(r1, r2);
     }
 
     #[test]
-    #[should_panic(expected = "two-phase FM requires k = 2")]
     fn constrained_two_phase_rejects_kway_constraints() {
         let h = two_communities(8);
         let c = Constraints::unconstrained(3);
-        let mut rng = seeded_rng(0);
-        let _ = two_phase_fm_constrained(
-            &h,
-            &FmConfig::default(),
-            &MatchConfig::default(),
-            &c,
-            &mut rng,
-        );
+        let req = Request {
+            constraints: Some(&c),
+            ..Request::default()
+        };
+        let (fm, mc) = (FmConfig::default(), MatchConfig::default());
+        let err = two_phase_fm(&h, &fm, &mc, &mut seeded_rng(0), req).unwrap_err();
+        assert!(err.to_string().contains("two-phase FM requires k = 2"));
     }
 }

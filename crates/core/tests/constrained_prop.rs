@@ -5,8 +5,8 @@
 
 use mlpart_cluster::MatchConfig;
 use mlpart_core::{
-    ml_bipartition_constrained, ml_kway_constrained, recursive_ml_partition,
-    two_phase_fm_constrained, Constraints, MlConfig, MlKwayConfig,
+    ml_bipartition, ml_kway, recursive_ml_partition, two_phase_fm, Constraints, MlConfig,
+    MlKwayConfig, Request,
 };
 use mlpart_fm::FmConfig;
 use mlpart_hypergraph::rng::seeded_rng;
@@ -39,13 +39,21 @@ fn pins_from_bits(n: usize, k: u32, pin_bits: u64) -> Vec<(ModuleId, PartId)> {
         .collect()
 }
 
+/// A request under the constrained schedule of `c`.
+fn pinned(c: &Constraints) -> Request<'_> {
+    Request {
+        constraints: Some(c),
+        ..Request::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Pins survive the full ML V-cycle (coarsen, initial, refine back down)
     /// for every seed and pin set.
     #[test]
-    fn ml_bipartition_constrained_never_moves_pins(
+    fn ml_bipartition_never_moves_pins(
         (areas, nets) in arb_netlist(),
         pin_bits in 0u64..u64::MAX,
         seed in 0u64..200,
@@ -55,7 +63,7 @@ proptest! {
         let c = Constraints::new(2, 2.0, fixed).expect("valid pins");
         let cfg = MlConfig { coarsen_threshold: 8, ..MlConfig::default() };
         let mut rng = seeded_rng(seed);
-        let (p, r) = ml_bipartition_constrained(&h, &cfg, &c, &mut rng);
+        let (p, r) = ml_bipartition(&h, &cfg, &mut rng, pinned(&c)).expect("valid run");
         prop_assert!(p.validate(&h));
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         for &(v, part) in c.fixed() {
@@ -65,7 +73,7 @@ proptest! {
 
     /// Same contract for the direct k-way driver.
     #[test]
-    fn ml_kway_constrained_never_moves_pins(
+    fn ml_kway_never_moves_pins(
         (areas, nets) in arb_netlist(),
         k in 2u32..5,
         pin_bits in 0u64..u64::MAX,
@@ -76,7 +84,7 @@ proptest! {
         let c = Constraints::new(k, 2.0, fixed).expect("valid pins");
         let cfg = MlKwayConfig { k, coarsen_threshold: 8, ..MlKwayConfig::default() };
         let mut rng = seeded_rng(seed);
-        let (p, r) = ml_kway_constrained(&h, &cfg, &c, &mut rng);
+        let (p, r) = ml_kway(&h, &cfg, &mut rng, pinned(&c)).expect("valid run");
         prop_assert!(p.validate(&h));
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         for &(v, part) in c.fixed() {
@@ -98,7 +106,8 @@ proptest! {
         let c = Constraints::new(k, 2.0, fixed).expect("valid pins");
         let cfg = MlConfig { coarsen_threshold: 8, ..MlConfig::default() };
         let mut rng = seeded_rng(seed);
-        let (p, r) = recursive_ml_partition(&h, &cfg, &c, &mut rng);
+        let run = recursive_ml_partition(&h, &cfg, &mut rng, pinned(&c));
+        let (p, r) = run.expect("valid run");
         prop_assert!(p.validate(&h));
         prop_assert_eq!(p.k(), k);
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
@@ -109,7 +118,7 @@ proptest! {
 
     /// Same contract for the two-phase baseline.
     #[test]
-    fn two_phase_constrained_never_moves_pins(
+    fn two_phase_never_moves_pins(
         (areas, nets) in arb_netlist(),
         pin_bits in 0u64..u64::MAX,
         seed in 0u64..200,
@@ -118,9 +127,8 @@ proptest! {
         let fixed = pins_from_bits(h.num_modules(), 2, pin_bits);
         let c = Constraints::new(2, 2.0, fixed).expect("valid pins");
         let mut rng = seeded_rng(seed);
-        let (p, r) = two_phase_fm_constrained(
-            &h, &FmConfig::default(), &MatchConfig::default(), &c, &mut rng,
-        );
+        let (fm, mc) = (FmConfig::default(), MatchConfig::default());
+        let (p, r) = two_phase_fm(&h, &fm, &mc, &mut rng, pinned(&c)).expect("valid run");
         prop_assert!(p.validate(&h));
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         for &(v, part) in c.fixed() {
@@ -142,7 +150,7 @@ proptest! {
         let cfg = MlConfig { coarsen_threshold: 8, ..MlConfig::default() };
         let run = |s| {
             let mut rng = seeded_rng(s);
-            ml_bipartition_constrained(&h, &cfg, &c, &mut rng)
+            ml_bipartition(&h, &cfg, &mut rng, pinned(&c)).expect("valid run")
         };
         let (p1, r1) = run(seed);
         let (p2, r2) = run(seed);

@@ -9,16 +9,12 @@
 //! with `cargo test -p mlpart-core --test golden -- --ignored --nocapture`.
 
 use mlpart_cluster::MatchConfig;
-use mlpart_core::two_phase::{two_phase_fm, two_phase_fm_constrained_budgeted_in, TwoPhaseResult};
 use mlpart_core::{
-    ml_bipartition, ml_bipartition_budgeted_in, ml_bipartition_constrained,
-    ml_bipartition_constrained_budgeted_in, ml_kway, ml_kway_budgeted_in, ml_kway_constrained,
-    ml_kway_constrained_budgeted_in, recursive_ml_bisection, recursive_ml_bisection_budgeted_in,
-    recursive_ml_partition, recursive_ml_partition_budgeted_in, Budget, BudgetMeter, Coarsener,
-    Constraints, LevelStats, MlConfig, MlKwayConfig, MlKwayResult, MlResult, RecursiveResult,
-    Truncation,
+    ml_bipartition, ml_kway, recursive_ml_bisection, recursive_ml_partition, two_phase_fm, Budget,
+    BudgetMeter, Coarsener, Constraints, LevelStats, MlConfig, MlKwayConfig, MlKwayResult,
+    MlResult, PipelineError, RecursiveResult, Request, Truncation, TwoPhaseResult,
 };
-use mlpart_fm::{FmConfig, PassStats, RefineWorkspace};
+use mlpart_fm::{FmConfig, PassStats};
 use mlpart_hypergraph::rng::{seeded_rng, MlRng};
 use mlpart_hypergraph::{Hypergraph, ModuleId, Partition};
 use mlpart_kway::{KwayConfig, KwayGain};
@@ -86,7 +82,8 @@ impl Fnv {
     }
 }
 
-fn ml((p, r): (Partition, MlResult)) -> u64 {
+fn ml(run: Result<(Partition, MlResult), PipelineError>) -> u64 {
+    let (p, r) = run.expect("valid run");
     let mut f = Fnv::new();
     f.partition(&p);
     for v in [r.cut, r.levels as u64, r.total_passes as u64] {
@@ -101,10 +98,16 @@ fn ml((p, r): (Partition, MlResult)) -> u64 {
     f.0
 }
 
-fn kway((p, r): (Partition, MlKwayResult)) -> u64 {
+fn kway(run: Result<(Partition, MlKwayResult), PipelineError>) -> u64 {
+    let (p, r) = run.expect("valid run");
     let mut f = Fnv::new();
     f.partition(&p);
-    for v in [r.cut, r.sum_of_degrees, r.levels as u64, r.total_passes as u64] {
+    for v in [
+        r.cut,
+        r.sum_of_degrees,
+        r.levels as u64,
+        r.total_passes as u64,
+    ] {
         f.word(v);
     }
     f.word(r.rebalance_moves as u64);
@@ -116,7 +119,8 @@ fn kway((p, r): (Partition, MlKwayResult)) -> u64 {
     f.0
 }
 
-fn recursive((p, r): (Partition, RecursiveResult)) -> u64 {
+fn recursive(run: Result<(Partition, RecursiveResult), PipelineError>) -> u64 {
+    let (p, r) = run.expect("valid run");
     let mut f = Fnv::new();
     f.partition(&p);
     for v in [r.cut, r.sum_of_degrees, r.bisections as u64] {
@@ -126,7 +130,8 @@ fn recursive((p, r): (Partition, RecursiveResult)) -> u64 {
     f.0
 }
 
-fn two_phase((p, r): (Partition, TwoPhaseResult)) -> u64 {
+fn two_phase(run: Result<(Partition, TwoPhaseResult), PipelineError>) -> u64 {
+    let (p, r) = run.expect("valid run");
     let mut f = Fnv::new();
     f.partition(&p);
     for v in [r.cut, r.coarse_cut, r.coarse_modules as u64] {
@@ -170,7 +175,17 @@ fn budget() -> BudgetMeter {
     })
 }
 
-type Case = (&'static str, Box<dyn Fn(&Hypergraph, &mut MlRng) -> u64>);
+/// A request under the constrained schedule (`Some`) or the paper's.
+fn req<'a>(c: Option<&'a Constraints>, meter: Option<&'a mut BudgetMeter>) -> Request<'a> {
+    Request {
+        constraints: c,
+        meter,
+        workspace: None,
+    }
+}
+
+type Run = Box<dyn Fn(&Hypergraph, &mut MlRng) -> u64>;
+type Case = (&'static str, Run);
 
 /// Every fingerprinted case, in [`GOLDEN`] order.
 fn cases() -> Vec<Case> {
@@ -191,9 +206,11 @@ fn cases() -> Vec<Case> {
     };
     let fm = FmConfig::default();
     let mc = MatchConfig::default();
-    let paper = |cfg: MlConfig| -> Box<dyn Fn(&Hypergraph, &mut MlRng) -> u64> {
-        Box::new(move |h, rng| ml(ml_bipartition(h, &cfg, rng)))
+    let paper = |cfg: MlConfig| -> Run {
+        Box::new(move |h, rng| ml(ml_bipartition(h, &cfg, rng, req(None, None))))
     };
+    let clip = MlConfig::clip();
+    let quad = MlKwayConfig::default();
     vec![
         ("ml_f_r1", paper(MlConfig::fm())),
         ("ml_f_r05", paper(MlConfig::fm().with_ratio(0.5))),
@@ -217,147 +234,117 @@ fn cases() -> Vec<Case> {
         ("ml_heavy_edge", paper(with(Coarsener::HeavyEdge))),
         (
             "kway_sod",
-            Box::new(|h, rng| kway(ml_kway(h, &MlKwayConfig::default(), &[], rng))),
+            Box::new(move |h, rng| kway(ml_kway(h, &quad, rng, req(None, None)))),
         ),
         (
             "kway_net_cut",
-            Box::new(move |h, rng| kway(ml_kway(h, &net_cut, &[], rng))),
+            Box::new(move |h, rng| kway(ml_kway(h, &net_cut, rng, req(None, None)))),
         ),
         (
             "recursive_depth2",
-            Box::new(|h, rng| recursive(recursive_ml_bisection(h, 2, &MlConfig::fm(), rng))),
+            Box::new(|h, rng| {
+                let cfg = MlConfig::fm();
+                recursive(recursive_ml_bisection(h, 2, &cfg, rng, req(None, None)))
+            }),
         ),
         (
             "two_phase",
-            Box::new(move |h, rng| two_phase(two_phase_fm(h, &fm, &mc, rng))),
+            Box::new(move |h, rng| two_phase(two_phase_fm(h, &fm, &mc, rng, req(None, None)))),
         ),
         (
             "pinned_bisection",
-            Box::new(|h, rng| {
+            Box::new(move |h, rng| {
                 let c = pinned(h, 2);
-                ml(ml_bipartition_constrained(h, &MlConfig::clip(), &c, rng))
+                ml(ml_bipartition(h, &clip, rng, req(Some(&c), None)))
             }),
         ),
         (
             "pinned_kway3",
             Box::new(move |h, rng| {
                 let c = pinned(h, 3);
-                kway(ml_kway_constrained(h, &kway_k(3), &c, rng))
+                kway(ml_kway(h, &kway_k(3), rng, req(Some(&c), None)))
             }),
         ),
         (
             "pinned_kway4",
             Box::new(move |h, rng| {
                 let c = pinned(h, 4);
-                kway(ml_kway_constrained(h, &kway_k(4), &c, rng))
+                kway(ml_kway(h, &kway_k(4), rng, req(Some(&c), None)))
             }),
         ),
         (
             "pinned_recursive3",
-            Box::new(|h, rng| {
+            Box::new(move |h, rng| {
                 let c = pinned(h, 3);
-                recursive(recursive_ml_partition(h, &MlConfig::clip(), &c, rng))
+                recursive(recursive_ml_partition(h, &clip, rng, req(Some(&c), None)))
             }),
         ),
         (
             "pinned_recursive5",
-            Box::new(|h, rng| {
+            Box::new(move |h, rng| {
                 let c = pinned(h, 5);
-                recursive(recursive_ml_partition(h, &MlConfig::clip(), &c, rng))
+                recursive(recursive_ml_partition(h, &clip, rng, req(Some(&c), None)))
             }),
         ),
         (
             "pinned_recursive8",
-            Box::new(|h, rng| {
+            Box::new(move |h, rng| {
                 let c = pinned(h, 8);
-                recursive(recursive_ml_partition(h, &MlConfig::clip(), &c, rng))
+                recursive(recursive_ml_partition(h, &clip, rng, req(Some(&c), None)))
             }),
         ),
         (
             "pinned_two_phase",
             Box::new(move |h, rng| {
                 let c = pinned(h, 2);
-                let mut ws = RefineWorkspace::new();
-                two_phase(two_phase_fm_constrained_budgeted_in(
-                    h,
-                    &fm,
-                    &mc,
-                    &c,
-                    rng,
-                    &mut ws,
-                    &mut BudgetMeter::unlimited(),
-                ))
+                two_phase(two_phase_fm(h, &fm, &mc, rng, req(Some(&c), None)))
             }),
         ),
         (
             "budget_bisection",
-            Box::new(|h, rng| {
-                let mut ws = RefineWorkspace::new();
-                ml(ml_bipartition_budgeted_in(
+            Box::new(move |h, rng| {
+                ml(ml_bipartition(
                     h,
-                    &MlConfig::clip(),
+                    &clip,
                     rng,
-                    &mut ws,
-                    &mut budget(),
+                    req(None, Some(&mut budget())),
                 ))
             }),
         ),
         (
             "budget_kway",
-            Box::new(|h, rng| {
-                let mut ws = RefineWorkspace::new();
-                kway(ml_kway_budgeted_in(
-                    h,
-                    &MlKwayConfig::default(),
-                    &[],
-                    rng,
-                    &mut ws,
-                    &mut budget(),
-                ))
-            }),
+            Box::new(move |h, rng| kway(ml_kway(h, &quad, rng, req(None, Some(&mut budget()))))),
         ),
         (
             "budget_recursive_bisection",
             Box::new(|h, rng| {
-                let mut ws = RefineWorkspace::new();
-                recursive(recursive_ml_bisection_budgeted_in(
-                    h,
-                    2,
-                    &MlConfig::fm(),
-                    rng,
-                    &mut ws,
-                    &mut budget(),
-                ))
+                let cfg = MlConfig::fm();
+                let mut meter = budget();
+                let req = req(None, Some(&mut meter));
+                recursive(recursive_ml_bisection(h, 2, &cfg, rng, req))
             }),
         ),
         (
             "budget_two_phase",
             Box::new(move |h, rng| {
-                let mut ws = RefineWorkspace::new();
-                two_phase(mlpart_core::two_phase::two_phase_fm_budgeted_in(
+                two_phase(two_phase_fm(
                     h,
                     &fm,
                     &mc,
                     rng,
-                    &mut ws,
-                    &mut budget(),
+                    req(None, Some(&mut budget())),
                 ))
             }),
         ),
         (
             "budget_pinned_bisection",
-            Box::new(|h, rng| {
+            Box::new(move |h, rng| {
                 let c = pinned(h, 2);
-                let mut ws = RefineWorkspace::new();
-                ml(ml_bipartition_constrained_budgeted_in(
+                ml(ml_bipartition(
                     h,
-                    &MlConfig::clip(),
-                    c.fixed(),
-                    h.total_area() / 2,
-                    c.epsilon(),
+                    &clip,
                     rng,
-                    &mut ws,
-                    &mut budget(),
+                    req(Some(&c), Some(&mut budget())),
                 ))
             }),
         ),
@@ -365,30 +352,18 @@ fn cases() -> Vec<Case> {
             "budget_pinned_kway4",
             Box::new(move |h, rng| {
                 let c = pinned(h, 4);
-                let mut ws = RefineWorkspace::new();
-                kway(ml_kway_constrained_budgeted_in(
-                    h,
-                    &kway_k(4),
-                    &c,
-                    rng,
-                    &mut ws,
-                    &mut budget(),
-                ))
+                let mut meter = budget();
+                let req = req(Some(&c), Some(&mut meter));
+                kway(ml_kway(h, &kway_k(4), rng, req))
             }),
         ),
         (
             "budget_pinned_recursive5",
-            Box::new(|h, rng| {
+            Box::new(move |h, rng| {
                 let c = pinned(h, 5);
-                let mut ws = RefineWorkspace::new();
-                recursive(recursive_ml_partition_budgeted_in(
-                    h,
-                    &MlConfig::clip(),
-                    &c,
-                    rng,
-                    &mut ws,
-                    &mut budget(),
-                ))
+                let mut meter = budget();
+                let req = req(Some(&c), Some(&mut meter));
+                recursive(recursive_ml_partition(h, &clip, rng, req))
             }),
         ),
     ]

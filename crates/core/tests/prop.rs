@@ -3,7 +3,9 @@
 //! consistently-reported partitions, the hierarchy respects its threshold,
 //! and the whole pipeline is deterministic per seed.
 
-use mlpart_core::{ml_bipartition, ml_bipartition_in, ml_kway, Hierarchy, MlConfig, MlKwayConfig};
+use mlpart_core::{
+    ml_bipartition, ml_bipartition_in, ml_kway, Hierarchy, MlConfig, MlKwayConfig, Request,
+};
 use mlpart_fm::RefineWorkspace;
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_hypergraph::{metrics, BipartBalance, Hypergraph, HypergraphBuilder, KwayBalance};
@@ -42,7 +44,7 @@ proptest! {
             ..base.with_ratio(ratio)
         };
         let mut rng = seeded_rng(seed);
-        let (p, r) = ml_bipartition(&h, &cfg, &mut rng);
+        let (p, r) = ml_bipartition(&h, &cfg, &mut rng, Request::default()).expect("valid run");
         prop_assert!(p.validate(&h));
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         let balance = BipartBalance::new(&h, cfg.fm.balance_r);
@@ -66,7 +68,7 @@ proptest! {
             ..MlKwayConfig::default()
         };
         let mut rng = seeded_rng(seed);
-        let (p, r) = ml_kway(&h, &cfg, &[], &mut rng);
+        let (p, r) = ml_kway(&h, &cfg, &mut rng, Request::default()).expect("valid run");
         prop_assert!(p.validate(&h));
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         prop_assert_eq!(r.sum_of_degrees, metrics::sum_of_spans_minus_one(&h, &p));
@@ -86,7 +88,7 @@ proptest! {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(seed);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng).expect("valid run");
         // Either the coarsest netlist is at/below T, or coarsening stopped
         // on the stall guard — in which case one more Match pass would not
         // meaningfully shrink it; verify levels at least never grow.
@@ -106,7 +108,7 @@ proptest! {
         let cfg = MlConfig::clip().with_ratio(0.5).with_threshold(8);
         let run = |s| {
             let mut rng = seeded_rng(s);
-            ml_bipartition(&h, &cfg, &mut rng)
+            ml_bipartition(&h, &cfg, &mut rng, Request::default()).expect("valid run")
         };
         let (p1, r1) = run(seed);
         let (p2, r2) = run(seed);
@@ -129,7 +131,7 @@ fn multi_try_initial_partitioning_is_deterministic() {
     };
     let run = || {
         let mut rng = seeded_rng(42);
-        ml_bipartition(&h, &cfg, &mut rng)
+        ml_bipartition(&h, &cfg, &mut rng, Request::default()).expect("valid run")
     };
     let (p1, r1) = run();
     let (p2, r2) = run();

@@ -6,8 +6,8 @@
 //! perturb a constrained result.
 
 use mlpart_core::{
-    ml_bipartition_constrained_in, ml_kway_constrained_in, recursive_ml_partition_budgeted_in,
-    BudgetMeter, Constraints, MlConfig, MlKwayConfig,
+    ml_bipartition, ml_kway, recursive_ml_partition, BudgetMeter, Constraints, MlConfig,
+    MlKwayConfig, Request,
 };
 use mlpart_exec::run_starts;
 use mlpart_fm::RefineWorkspace;
@@ -38,7 +38,17 @@ fn constrained_bipartition_batch_is_thread_count_invariant() {
     let c = Constraints::new(2, 0.2, vec![(ModuleId::new(0), 1), (ModuleId::new(60), 0)]).unwrap();
     let cfg = MlConfig::default();
     let job = |rng: &mut MlRng, ws: &mut RefineWorkspace| {
-        let (p, r) = ml_bipartition_constrained_in(&h, &cfg, &c, rng, ws);
+        let (p, r) = ml_bipartition(
+            &h,
+            &cfg,
+            rng,
+            Request {
+                constraints: Some(&c),
+                workspace: Some(ws),
+                ..Request::default()
+            },
+        )
+        .expect("valid run");
         (p.assignment().to_vec(), r.cut)
     };
     let (seq, _) = run_starts(12, 7, 1, &job);
@@ -58,7 +68,17 @@ fn constrained_kway_batch_is_thread_count_invariant() {
     let c = Constraints::new(4, 0.2, vec![(ModuleId::new(3), 2), (ModuleId::new(50), 0)]).unwrap();
     let cfg = MlKwayConfig::default();
     let job = |rng: &mut MlRng, ws: &mut RefineWorkspace| {
-        let (p, r) = ml_kway_constrained_in(&h, &cfg, &c, rng, ws);
+        let (p, r) = ml_kway(
+            &h,
+            &cfg,
+            rng,
+            Request {
+                constraints: Some(&c),
+                workspace: Some(ws),
+                ..Request::default()
+            },
+        )
+        .expect("valid run");
         (p.assignment().to_vec(), r.cut)
     };
     let (seq, _) = run_starts(12, 11, 1, &job);
@@ -78,14 +98,17 @@ fn constrained_general_k_batch_is_thread_count_invariant() {
     let c = Constraints::new(3, 0.2, vec![(ModuleId::new(1), 2)]).unwrap();
     let cfg = MlConfig::default();
     let job = |rng: &mut MlRng, ws: &mut RefineWorkspace| {
-        let (p, r) = recursive_ml_partition_budgeted_in(
+        let (p, r) = recursive_ml_partition(
             &h,
             &cfg,
-            &c,
             rng,
-            ws,
-            &mut BudgetMeter::unlimited(),
-        );
+            Request {
+                constraints: Some(&c),
+                meter: Some(&mut BudgetMeter::unlimited()),
+                workspace: Some(ws),
+            },
+        )
+        .expect("valid run");
         (p.assignment().to_vec(), r.cut)
     };
     let (seq, _) = run_starts(8, 29, 1, &job);

@@ -15,7 +15,7 @@ use mlpart::gen::suite;
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::hypergraph::{metrics, BipartBalance, Hypergraph};
 
-fn main() {
+fn main() -> Result<(), mlpart::PipelineError> {
     let circuit = suite::by_name("primary2").expect("in suite");
     let h0 = circuit.generate(1997);
     let cfg = MlConfig::clip().with_ratio(0.5);
@@ -29,7 +29,7 @@ fn main() {
     println!();
 
     // --- Coarsening phase (Fig. 2, steps 1-5). ---
-    let hier = Hierarchy::coarsen(&h0, &cfg, &[], &mut rng);
+    let hier = Hierarchy::coarsen(&h0, &cfg, &[], &mut rng)?;
     let m = hier.num_levels();
     println!(
         "coarsening with R = {} built {m} levels:",
@@ -77,4 +77,5 @@ fn main() {
     }
     println!();
     println!("final cut on H0: {}", metrics::cut(&h0, &p));
+    Ok(())
 }

@@ -9,7 +9,7 @@
 use mlpart::gen::suite;
 use mlpart::hypergraph::io::{read_hgr, write_hgr};
 use mlpart::hypergraph::rng::seeded_rng;
-use mlpart::{ml_bipartition, MlConfig};
+use mlpart::{ml_bipartition, MlConfig, Request};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Export a synthetic benchmark to hMETIS text. ---
@@ -48,7 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         custom_h.num_nets()
     );
     let mut rng = seeded_rng(1);
-    let (p, r) = ml_bipartition(&custom_h, &MlConfig::default(), &mut rng);
+    let (p, r) = ml_bipartition(
+        &custom_h,
+        &MlConfig::default(),
+        &mut rng,
+        Request::default(),
+    )?;
     println!(
         "partitioned custom netlist: cut {} sides {:?}",
         r.cut,

@@ -1,6 +1,7 @@
 //! The §III-C / Table IX scenario: quadrisection as the core of a top-down
-//! placement flow, comparing multilevel quadrisection (with pre-assigned
-//! pads) against the GORDIAN-style analytical-placement split.
+//! placement flow, comparing multilevel quadrisection (with pads pinned
+//! through `Constraints`) against the GORDIAN-style analytical-placement
+//! split.
 //!
 //! ```text
 //! cargo run --release --example placement_flow
@@ -10,9 +11,9 @@ use mlpart::gen::suite;
 use mlpart::hypergraph::metrics;
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::place::{gordian_quadrisection, pad_ring, PlacerConfig};
-use mlpart::{ml_kway, MlKwayConfig};
+use mlpart::{ml_kway, Constraints, MlKwayConfig, Request, DEFAULT_EPSILON};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = suite::by_name("primary1").expect("in suite");
     let (h, pads) = circuit.generate_with_pads(1997);
     println!(
@@ -40,8 +41,9 @@ fn main() {
     );
     println!();
 
-    // --- Multilevel quadrisection with the pads pre-assigned to the
-    // quadrant their ring position falls into (§III-C pre-assignment). ---
+    // --- Multilevel quadrisection with the pads pinned to the quadrant
+    // their ring position falls into (§III-C pre-assignment), under the
+    // constrained schedule's ε window. ---
     let fixed: Vec<_> = pad_ring(&pads)
         .into_iter()
         .map(|(v, (x, y))| {
@@ -49,12 +51,17 @@ fn main() {
             (v, part)
         })
         .collect();
+    let pins = Constraints::new(4, DEFAULT_EPSILON, fixed)?;
     let mut rng = seeded_rng(5);
     let mut best = u64::MAX;
     for _ in 0..5 {
-        let (p, r) = ml_kway(&h, &MlKwayConfig::default(), &fixed, &mut rng);
+        let req = Request {
+            constraints: Some(&pins),
+            ..Request::default()
+        };
+        let (p, r) = ml_kway(&h, &MlKwayConfig::default(), &mut rng, req)?;
         best = best.min(r.cut);
-        assert!(fixed.iter().all(|&(v, part)| p.part(v) == part));
+        assert!(pins.fixed().iter().all(|&(v, part)| p.part(v) == part));
     }
     println!("ML_F multilevel quadrisection (5 runs, pads fixed): best cut {best}");
     println!();
@@ -62,4 +69,5 @@ fn main() {
         "shape: the move-based multilevel quadrisection should beat the \
          placement-derived split, as in the paper's Table IX."
     );
+    Ok(())
 }

@@ -7,7 +7,7 @@
 
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::hypergraph::{metrics, BipartBalance};
-use mlpart::{fm_partition, ml_bipartition, FmConfig, HypergraphBuilder, MlConfig};
+use mlpart::{fm_partition, ml_bipartition, FmConfig, HypergraphBuilder, MlConfig, Request};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Build a netlist hypergraph. ---
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 3. The paper's ML algorithm (ML_C variant, slow coarsening). ---
     let cfg = MlConfig::clip().with_ratio(0.5);
-    let (ml_solution, ml_result) = ml_bipartition(&h, &cfg, &mut rng);
+    let (ml_solution, ml_result) = ml_bipartition(&h, &cfg, &mut rng, Request::default())?;
     println!(
         "ML_C:     cut {} using {} levels (sizes {:?})",
         ml_result.cut, ml_result.levels, ml_result.level_sizes

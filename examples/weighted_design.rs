@@ -11,7 +11,7 @@
 use mlpart::hypergraph::netd::{module_name, read_netd_with_areas};
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::hypergraph::{metrics, HypergraphBuilder};
-use mlpart::{ml_bipartition, BipartBalance, MlConfig};
+use mlpart::{ml_bipartition, BipartBalance, MlConfig, Request};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- A design with two macros (area 40) and 32 standard cells. ---
@@ -46,8 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut rng = seeded_rng(11);
-    let best = (0..10)
-        .map(|_| ml_bipartition(&h, &cfg, &mut rng))
+    let runs = (0..10)
+        .map(|_| ml_bipartition(&h, &cfg, &mut rng, Request::default()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let best = runs
+        .into_iter()
         .min_by_key(|(_, r)| r.cut)
         .expect("ten runs");
     let (p, r) = best;
@@ -73,7 +76,7 @@ a2 s O\na3 l I\np2 l B\n";
         h2.total_area()
     );
     let mut rng = seeded_rng(3);
-    let (p2, r2) = ml_bipartition(&h2, &MlConfig::default(), &mut rng);
+    let (p2, r2) = ml_bipartition(&h2, &MlConfig::default(), &mut rng, Request::default())?;
     let names: Vec<String> = h2
         .modules()
         .filter(|v| p2.part(*v) == 0)

@@ -56,7 +56,6 @@
 
 use mlpart::checkpoint::{self, CheckpointConfig, CheckpointWriter, StartOutcome, StartValue};
 use mlpart::cluster::MatchConfig;
-use mlpart::core::{two_phase_fm_budgeted_in, two_phase_fm_constrained_budgeted_in};
 use mlpart::fm::fm_partition_budgeted_in;
 use mlpart::gen::by_name;
 use mlpart::hypergraph::io::{read_fix, read_hgr, write_atomic_with, write_partition};
@@ -64,12 +63,11 @@ use mlpart::hypergraph::metrics::CutStats;
 use mlpart::hypergraph::rng::MlRng;
 use mlpart::lsmc::{lsmc_bipartition, LsmcConfig};
 use mlpart::{
-    ml_bipartition_budgeted_in, ml_bipartition_constrained_budgeted_in, ml_kway_budgeted_in,
-    ml_kway_constrained_budgeted_in, preflight, preflight_constrained,
-    recursive_ml_partition_budgeted_in, repair_to_feasible, run_supervised, Attempt, BipartBalance,
-    Budget, BudgetMeter, Constraints, Engine, ExecError, FmConfig, Hypergraph, KwayBalance,
-    LevelStats, MlConfig, MlKwayConfig, PartBounds, Partition, RefineWorkspace, RepairRecord,
-    ResumeState, RetryPolicy, Sink, StartDone, Truncation, ATTEMPT_STRIDE, DEFAULT_EPSILON,
+    ml_bipartition, ml_kway, preflight, preflight_constrained, recursive_ml_partition,
+    repair_to_feasible, run_supervised, two_phase_fm, Attempt, BipartBalance, Budget, BudgetMeter,
+    Constraints, Engine, ExecError, FmConfig, Hypergraph, KwayBalance, LevelStats, MlConfig,
+    MlKwayConfig, PartBounds, Partition, RefineWorkspace, RepairRecord, Request, ResumeState,
+    RetryPolicy, Sink, StartDone, Truncation, ATTEMPT_STRIDE, DEFAULT_EPSILON,
 };
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -419,112 +417,59 @@ fn run_engine(
         fm: fm_cfg(engine),
         ..MlConfig::default()
     };
+    let kway_cfg = MlKwayConfig {
+        matching_ratio: args.ratio,
+        coarsen_threshold: args.threshold.max(100),
+        ..MlKwayConfig::default()
+    };
     // Each start spends against its own meter, so budgets cannot couple
     // starts and results stay thread-count-invariant.
     let mut meter = BudgetMeter::new(budget);
-    if let Some(c) = constraints {
-        // Constraint-generic dispatch: pins, explicit ε, or general k.
-        // Parsing already restricted the algorithms to ml-c/ml-f/two-phase.
-        if args.algo == "two-phase" {
-            let (p, r) = two_phase_fm_constrained_budgeted_in(
-                h,
-                &fm_cfg(Engine::Fm),
-                &MatchConfig::with_ratio(args.ratio),
-                c,
-                rng,
-                ws,
-                &mut meter,
-            );
-            return Ok((p, r.cut, Vec::new(), r.truncation));
+    let k = constraints.map_or(args.k, Constraints::k);
+    let engine = match args.algo.as_str() {
+        "ml-c" | "clip" => Engine::Clip,
+        _ => Engine::Fm,
+    };
+    match (args.algo.as_str(), k) {
+        ("ml-c" | "ml-f", _) | ("two-phase", 2) => {}
+        (_, 4) => return Err("--k 4 requires --algo ml-c or ml-f".to_owned()),
+        ("fm" | "clip", _) => {
+            let (p, r) = fm_partition_budgeted_in(h, None, &fm_cfg(engine), rng, ws, &mut meter);
+            return Ok((p, r.cut, Vec::new(), meter.truncation()));
         }
-        let engine = if args.algo == "ml-c" {
-            Engine::Clip
-        } else {
-            Engine::Fm
-        };
-        return Ok(match c.k() {
-            2 => {
-                let cfg = ml_cfg(engine).with_epsilon(c.epsilon());
-                let (p, r) = ml_bipartition_constrained_budgeted_in(
-                    h,
-                    &cfg,
-                    c.fixed(),
-                    h.total_area() / 2,
-                    c.epsilon(),
-                    rng,
-                    ws,
-                    &mut meter,
-                );
-                (p, r.cut, r.level_stats, r.truncation)
-            }
-            4 => {
-                let cfg = MlKwayConfig {
-                    matching_ratio: args.ratio,
-                    coarsen_threshold: args.threshold.max(100),
-                    ..MlKwayConfig::default()
-                };
-                let (p, r) = ml_kway_constrained_budgeted_in(h, &cfg, c, rng, ws, &mut meter);
-                (p, r.cut, r.level_stats, r.truncation)
-            }
-            k => {
-                let cfg = ml_cfg(engine).with_k(k).with_epsilon(c.epsilon());
-                let (p, r) = recursive_ml_partition_budgeted_in(h, &cfg, c, rng, ws, &mut meter);
-                (p, r.cut, Vec::new(), r.truncation)
-            }
-        });
-    }
-    if args.k == 4 {
-        let cfg = MlKwayConfig {
-            matching_ratio: args.ratio,
-            coarsen_threshold: args.threshold.max(100),
-            ..MlKwayConfig::default()
-        };
-        if !args.algo.starts_with("ml") {
-            return Err("--k 4 requires --algo ml-c or ml-f".to_owned());
-        }
-        let (p, r) = ml_kway_budgeted_in(h, &cfg, &[], rng, ws, &mut meter);
-        return Ok((p, r.cut, r.level_stats, r.truncation));
-    }
-    Ok(match args.algo.as_str() {
-        "ml-c" => {
-            let (p, r) = ml_bipartition_budgeted_in(h, &ml_cfg(Engine::Clip), rng, ws, &mut meter);
-            (p, r.cut, r.level_stats, r.truncation)
-        }
-        "ml-f" => {
-            let (p, r) = ml_bipartition_budgeted_in(h, &ml_cfg(Engine::Fm), rng, ws, &mut meter);
-            (p, r.cut, r.level_stats, r.truncation)
-        }
-        "fm" => {
-            let (p, r) =
-                fm_partition_budgeted_in(h, None, &fm_cfg(Engine::Fm), rng, ws, &mut meter);
-            (p, r.cut, Vec::new(), meter.truncation())
-        }
-        "clip" => {
-            let (p, r) =
-                fm_partition_budgeted_in(h, None, &fm_cfg(Engine::Clip), rng, ws, &mut meter);
-            (p, r.cut, Vec::new(), meter.truncation())
-        }
-        "lsmc" => {
+        ("lsmc", _) => {
             let cfg = LsmcConfig {
                 descents: 20,
                 ..LsmcConfig::default()
             };
             let (p, r) = lsmc_bipartition(h, &cfg, rng);
-            (p, r.cut, Vec::new(), None)
+            return Ok((p, r.cut, Vec::new(), None));
         }
-        "two-phase" => {
-            let (p, r) = two_phase_fm_budgeted_in(
-                h,
-                &fm_cfg(Engine::Fm),
-                &MatchConfig::with_ratio(args.ratio),
-                rng,
-                ws,
-                &mut meter,
-            );
-            (p, r.cut, Vec::new(), r.truncation)
+        (other, _) => return Err(format!("unknown algorithm {other:?}\n{USAGE}")),
+    }
+    // `constraints` (pins, an explicit ε, or general k) selects the
+    // constrained schedule; parsing already restricted it to ml-c/ml-f and
+    // 2-way two-phase.
+    let req = Request {
+        constraints,
+        meter: Some(&mut meter),
+        workspace: Some(ws),
+    };
+    let run = match (args.algo.as_str(), k) {
+        ("two-phase", _) => {
+            let match_cfg = MatchConfig::with_ratio(args.ratio);
+            two_phase_fm(h, &fm_cfg(Engine::Fm), &match_cfg, rng, req)
+                .map(|(p, r)| (p, r.cut, Vec::new(), r.truncation))
         }
-        other => return Err(format!("unknown algorithm {other:?}\n{USAGE}")),
-    })
+        (_, 2) => ml_bipartition(h, &ml_cfg(engine), rng, req)
+            .map(|(p, r)| (p, r.cut, r.level_stats, r.truncation)),
+        (_, 4) => {
+            ml_kway(h, &kway_cfg, rng, req).map(|(p, r)| (p, r.cut, r.level_stats, r.truncation))
+        }
+        _ => recursive_ml_partition(h, &ml_cfg(engine), rng, req)
+            .map(|(p, r)| (p, r.cut, Vec::new(), r.truncation)),
+    };
+    run.map_err(|e| e.to_string())
 }
 
 /// The balance window every emitted partition must satisfy: the constraint

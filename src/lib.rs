@@ -28,16 +28,19 @@
 //! (`ML_C`, `R = 0.5`):
 //!
 //! ```
-//! use mlpart::{ml_bipartition, MlConfig};
+//! use mlpart::{ml_bipartition, MlConfig, Request};
 //! use mlpart::gen::suite;
 //! use mlpart::hypergraph::rng::seeded_rng;
 //!
+//! # fn main() -> Result<(), mlpart::PipelineError> {
 //! let circuit = suite::by_name("balu").expect("in suite");
 //! let h = circuit.generate(42);
-//! let mut rng = seeded_rng(0);
-//! let (partition, result) = ml_bipartition(&h, &MlConfig::clip().with_ratio(0.5), &mut rng);
+//! let cfg = MlConfig::clip().with_ratio(0.5);
+//! let (partition, result) = ml_bipartition(&h, &cfg, &mut seeded_rng(0), Request::default())?;
 //! assert_eq!(partition.k(), 2);
 //! assert!(result.cut > 0);
+//! # Ok(())
+//! # }
 //! ```
 
 #![warn(missing_docs)]
@@ -63,12 +66,9 @@ pub use mlpart_obs as obs;
 pub use mlpart_place as place;
 
 pub use mlpart_core::{
-    ml_bipartition, ml_bipartition_budgeted_in, ml_bipartition_constrained,
-    ml_bipartition_constrained_budgeted_in, ml_bipartition_constrained_in, ml_bipartition_in,
-    ml_kway, ml_kway_budgeted_in, ml_kway_constrained, ml_kway_constrained_budgeted_in,
-    ml_kway_constrained_in, ml_kway_in, ml_quadrisection, preflight, preflight_constrained,
-    recursive_ml_partition, recursive_ml_partition_budgeted_in, Budget, BudgetLimit, BudgetMeter,
-    LevelStats, MlConfig, MlKwayConfig, PreflightError, Truncation,
+    ml_bipartition, ml_kway, preflight, preflight_constrained, recursive_ml_bisection,
+    recursive_ml_partition, two_phase_fm, Budget, BudgetLimit, BudgetMeter, LevelStats, MlConfig,
+    MlKwayConfig, PipelineError, PreflightError, Request, Truncation,
 };
 pub use mlpart_exec::{
     run_supervised, Attempt, BatchResult, ExecError, PriorStart, ResumeState, RetryPolicy,

@@ -5,7 +5,7 @@
 use mlpart::gen::simple::{chain, ring_of_cliques};
 use mlpart::hypergraph::rng::{seeded_rng, MlRng};
 use mlpart::hypergraph::{metrics, BipartBalance, Hypergraph, HypergraphBuilder, Partition};
-use mlpart::{fm_partition, ml_bipartition, FmConfig, MlConfig};
+use mlpart::{fm_partition, ml_bipartition, FmConfig, MlConfig, Request};
 use rand::Rng;
 
 /// Exhaustive balanced min-cut over all 2^n assignments (n ≤ ~16).
@@ -84,7 +84,10 @@ fn ml_reaches_optimum_on_random_tiny_netlists() {
         let balance = BipartBalance::new(&h, cfg.fm.balance_r);
         let optimal = brute_force_min_cut(&h, &balance);
         let found = heuristic_best(30, 9000 + instance * 100, |rng| {
-            ml_bipartition(&h, &cfg, rng).1.cut
+            ml_bipartition(&h, &cfg, rng, Request::default())
+                .expect("valid run")
+                .1
+                .cut
         });
         assert!(found >= optimal, "instance {instance}: below optimum?!");
         assert!(
@@ -110,7 +113,10 @@ fn known_optima_on_structured_netlists() {
     let balance = BipartBalance::new(&h, 0.1);
     assert_eq!(brute_force_min_cut(&h, &balance), 2);
     let found = heuristic_best(10, 2, |rng| {
-        ml_bipartition(&h, &MlConfig::default(), rng).1.cut
+        ml_bipartition(&h, &MlConfig::default(), rng, Request::default())
+            .expect("valid run")
+            .1
+            .cut
     });
     assert_eq!(found, 2);
 }

@@ -9,8 +9,8 @@ use mlpart::hypergraph::metrics;
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::place::{gordian_quadrisection, PlacerConfig};
 use mlpart::{
-    fm_partition, ml_bipartition, ml_quadrisection, BipartBalance, FmConfig, KwayBalance, MlConfig,
-    Partition,
+    fm_partition, ml_bipartition, ml_kway, BipartBalance, FmConfig, KwayBalance, MlConfig,
+    MlKwayConfig, Partition, Request,
 };
 
 #[test]
@@ -20,7 +20,7 @@ fn full_pipeline_on_suite_circuit() {
     let cfg = MlConfig::clip().with_ratio(0.5);
     let balance = BipartBalance::new(&h, cfg.fm.balance_r);
     let mut rng = seeded_rng(11);
-    let (p, r) = ml_bipartition(&h, &cfg, &mut rng);
+    let (p, r) = ml_bipartition(&h, &cfg, &mut rng, Request::default()).expect("valid run");
     assert!(p.validate(&h));
     assert!(balance.is_partition_feasible(&p));
     assert_eq!(r.cut, metrics::cut(&h, &p));
@@ -47,7 +47,10 @@ fn ml_beats_flat_fm_on_suite_circuit() {
     let ml_best = (0..runs)
         .map(|s| {
             let mut rng = seeded_rng(200 + s);
-            ml_bipartition(&h, &MlConfig::clip(), &mut rng).1.cut
+            ml_bipartition(&h, &MlConfig::clip(), &mut rng, Request::default())
+                .expect("valid run")
+                .1
+                .cut
         })
         .min()
         .expect("runs");
@@ -93,7 +96,10 @@ fn quadrisection_pipeline_with_pads_and_placer() {
     let ml_best = (0..3)
         .map(|s| {
             let mut rng = seeded_rng(300 + s);
-            ml_quadrisection(&h, &[], &mut rng).1.cut
+            ml_kway(&h, &MlKwayConfig::default(), &mut rng, Request::default())
+                .expect("valid run")
+                .1
+                .cut
         })
         .min()
         .expect("runs");
@@ -103,7 +109,8 @@ fn quadrisection_pipeline_with_pads_and_placer() {
     );
     let bal = KwayBalance::new(&h, 4, 0.1);
     let mut rng = seeded_rng(400);
-    let (p, r) = ml_quadrisection(&h, &[], &mut rng);
+    let (p, r) =
+        ml_kway(&h, &MlKwayConfig::default(), &mut rng, Request::default()).expect("valid run");
     assert!(bal.is_partition_feasible(&p), "{:?}", p.part_areas());
     assert_eq!(r.cut, metrics::cut(&h, &p));
 }
@@ -119,8 +126,10 @@ fn netlist_io_roundtrip_preserves_partitioning_behaviour() {
     // Same seed on the identical netlist gives the identical result.
     let mut rng1 = seeded_rng(9);
     let mut rng2 = seeded_rng(9);
-    let (p1, r1) = ml_bipartition(&h, &MlConfig::default(), &mut rng1);
-    let (p2, r2) = ml_bipartition(&h2, &MlConfig::default(), &mut rng2);
+    let (p1, r1) =
+        ml_bipartition(&h, &MlConfig::default(), &mut rng1, Request::default()).expect("valid run");
+    let (p2, r2) = ml_bipartition(&h2, &MlConfig::default(), &mut rng2, Request::default())
+        .expect("valid run");
     assert_eq!(p1.assignment(), p2.assignment());
     assert_eq!(r1.cut, r2.cut);
 }
@@ -131,7 +140,8 @@ fn whole_suite_generates_and_small_circuits_partition() {
         let h = c.generate(6);
         assert_eq!(h.num_modules(), c.modules, "{}", c.name);
         let mut rng = seeded_rng(1);
-        let (p, r) = ml_bipartition(&h, &MlConfig::default(), &mut rng);
+        let (p, r) = ml_bipartition(&h, &MlConfig::default(), &mut rng, Request::default())
+            .expect("valid run");
         assert!(p.validate(&h), "{}", c.name);
         assert!(r.cut > 0, "{} should be connected", c.name);
     }

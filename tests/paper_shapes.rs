@@ -13,7 +13,8 @@ use mlpart::hypergraph::metrics;
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::place::{gordian_quadrisection, PlacerConfig};
 use mlpart::{
-    fm_partition, ml_bipartition, ml_quadrisection, BucketPolicy, Engine, FmConfig, MlConfig,
+    fm_partition, ml_bipartition, ml_kway, BucketPolicy, Engine, FmConfig, MlConfig, MlKwayConfig,
+    Request,
 };
 
 const RUNS: u64 = 8;
@@ -75,7 +76,10 @@ fn table4_shape_multilevel_beats_flat() {
     let ml_avg = (0..RUNS)
         .map(|s| {
             let mut rng = seeded_rng(600 + s);
-            ml_bipartition(&h, &MlConfig::clip(), &mut rng).1.cut as f64
+            ml_bipartition(&h, &MlConfig::clip(), &mut rng, Request::default())
+                .expect("valid run")
+                .1
+                .cut as f64
         })
         .sum::<f64>()
         / RUNS as f64;
@@ -90,9 +94,15 @@ fn table5_shape_matching_ratio_controls_levels() {
     let h = suite::by_name("primary2").expect("in suite").generate(42);
     let levels_at = |ratio: f64| {
         let mut rng = seeded_rng(1);
-        ml_bipartition(&h, &MlConfig::default().with_ratio(ratio), &mut rng)
-            .1
-            .levels
+        ml_bipartition(
+            &h,
+            &MlConfig::default().with_ratio(ratio),
+            &mut rng,
+            Request::default(),
+        )
+        .expect("valid run")
+        .1
+        .levels
     };
     let full = levels_at(1.0);
     let half = levels_at(0.5);
@@ -111,9 +121,15 @@ fn table5_shape_slow_coarsening_preserves_quality() {
         (0..RUNS)
             .map(|s| {
                 let mut rng = seeded_rng(base + s);
-                ml_bipartition(&h, &MlConfig::clip().with_ratio(ratio), &mut rng)
-                    .1
-                    .cut as f64
+                ml_bipartition(
+                    &h,
+                    &MlConfig::clip().with_ratio(ratio),
+                    &mut rng,
+                    Request::default(),
+                )
+                .expect("valid run")
+                .1
+                .cut as f64
             })
             .sum::<f64>()
             / RUNS as f64
@@ -136,7 +152,10 @@ fn table9_shape_multilevel_beats_placer_quadrisection() {
     let ml_best = (0..4)
         .map(|s| {
             let mut rng = seeded_rng(900 + s);
-            ml_quadrisection(&h, &[], &mut rng).1.cut
+            ml_kway(&h, &MlKwayConfig::default(), &mut rng, Request::default())
+                .expect("valid run")
+                .1
+                .cut
         })
         .min()
         .expect("runs");

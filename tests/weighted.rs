@@ -6,7 +6,9 @@ use mlpart::cluster::{induce, induce_coalesced, match_clusters, MatchConfig};
 use mlpart::gen::suite;
 use mlpart::hypergraph::metrics;
 use mlpart::hypergraph::rng::seeded_rng;
-use mlpart::{fm_partition, ml_bipartition, FmConfig, HypergraphBuilder, MlConfig, Partition};
+use mlpart::{
+    fm_partition, ml_bipartition, FmConfig, HypergraphBuilder, MlConfig, Partition, Request,
+};
 
 /// A ring where every third net is a weight-5 "bus".
 fn weighted_ring(n: usize) -> mlpart::Hypergraph {
@@ -49,7 +51,7 @@ fn coalesced_multilevel_reports_true_cut_on_suite_circuit() {
     };
     for seed in 0..3 {
         let mut rng = seeded_rng(seed);
-        let (p, r) = ml_bipartition(&h, &cfg, &mut rng);
+        let (p, r) = ml_bipartition(&h, &cfg, &mut rng, Request::default()).expect("valid run");
         // The reported cut is measured on the original unweighted netlist.
         assert_eq!(r.cut, metrics::cut(&h, &p), "seed {seed}");
         assert!(p.validate(&h));

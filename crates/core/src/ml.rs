@@ -249,11 +249,7 @@ pub fn ml_bipartition(
     req: Request<'_>,
 ) -> Result<(Partition, MlResult), PipelineError> {
     req.with(rng, |c, cx| {
-        let split = |epsilon| Window::Split {
-            target0: h.total_area() / 2,
-            epsilon,
-        };
-        let pins = Pinned::checked(c, h, 2, "bipartition requires k = 2", split)?;
+        let pins = Pinned::checked(c, h, 2, "bipartition requires k = 2", Window::halves(h))?;
         let refiner = Bisect(&cfg.fm);
         Cycle { refiner, pins }.run(h, cfg, cx)
     })

@@ -87,11 +87,7 @@ pub fn two_phase_fm(
     req: Request<'_>,
 ) -> Result<(Partition, TwoPhaseResult), PipelineError> {
     req.with(rng, |c, cx| {
-        let split = |epsilon| Window::Split {
-            target0: h.total_area() / 2,
-            epsilon,
-        };
-        let pins = Pinned::checked(c, h, 2, "two-phase FM requires k = 2", split)?;
+        let pins = Pinned::checked(c, h, 2, "two-phase FM requires k = 2", Window::halves(h))?;
         let cycle = Cycle {
             refiner: Bisect(fm),
             pins,

@@ -212,6 +212,14 @@ pub(crate) enum Window {
     Split { target0: u64, epsilon: f64 },
 }
 
+impl Window {
+    /// The bisection window around half of `h`'s area, for a given ε.
+    pub(crate) fn halves(h: &Hypergraph) -> impl FnOnce(f64) -> Window {
+        let target0 = h.total_area() / 2;
+        move |epsilon| Window::Split { target0, epsilon }
+    }
+}
+
 /// The constrained schedule's inputs: pins on `H₀` and the window rule.
 /// Windows are recomputed per level, widened to each level's largest
 /// module, so coarse levels are never over-constrained.

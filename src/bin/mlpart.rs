@@ -20,9 +20,9 @@
 //! `--k 4` uses multilevel quadrisection (only with the ml algorithms);
 //! any other `--k` is served by recursive multilevel bisection. `--fixed`
 //! pre-assigns modules from a `.fix` file (they never move), and
-//! `--epsilon` sets the per-part balance window; either flag (or a
-//! non-legacy `--k`) routes the run through the constraint-generic
-//! drivers, whose pins are honored at every level of the hierarchy.
+//! `--epsilon` sets the per-part balance window; either flag (or a `--k`
+//! outside {2, 4}) runs the pipelines under the constrained schedule,
+//! whose pins are honored at every level of the hierarchy.
 //! `--stats` prints the per-level refinement trajectory of the first run
 //! (multilevel algorithms only). `--threads` spreads the independent starts
 //! over worker threads; every start draws its seed from the same per-start
@@ -89,8 +89,8 @@ struct CliArgs {
     trace_out: Option<String>,
     report_out: Option<String>,
     folded_out: Option<String>,
-    /// Balance tolerance ε; `Some` switches to the constraint-generic
-    /// drivers even without pins.
+    /// Balance tolerance ε; `Some` selects the constrained schedule even
+    /// without pins.
     epsilon: Option<f64>,
     /// Path to an hMETIS/Coloquinte `.fix` file of pre-assigned modules.
     fixed: Option<String>,
@@ -133,10 +133,9 @@ impl Default for CliArgs {
 }
 
 impl CliArgs {
-    /// `true` when the invocation needs the constraint-generic drivers:
-    /// pinned modules, an explicit ε, or a part count the legacy dispatch
-    /// does not serve. Legacy invocations keep their exact pre-constraint
-    /// code path (and bit-identical results).
+    /// `true` when the invocation needs the constrained schedule: pinned
+    /// modules, an explicit ε, or a part count the paper's schedule does
+    /// not serve. Other invocations run the paper's schedule.
     fn is_constrained(&self) -> bool {
         self.fixed.is_some() || self.epsilon.is_some() || (self.k != 2 && self.k != 4)
     }

@@ -7,10 +7,14 @@
 //! implements all three behind [`BucketPolicy`] so the experiment can be
 //! regenerated.
 //!
-//! The structure is the classic array of intrusive doubly-linked lists,
-//! indexed by gain key. All operations except selection are O(1); selection
-//! walks down from a lazily-maintained highest-non-empty-bucket hint, which
-//! amortizes to O(1) per pass in the usual FM argument.
+//! LIFO and FIFO use the classic array of intrusive doubly-linked lists,
+//! indexed by gain key. Random keeps no member order: each bucket is a dense
+//! array with swap-remove, and selection runs a partial Fisher–Yates in place
+//! (the KaSPar bucket layout), so a pick costs one RNG draw per inspected
+//! candidate and allocates nothing. All operations except selection are
+//! O(1); selection walks down from a lazily-maintained
+//! highest-non-empty-bucket hint, which amortizes to O(1) per pass in the
+//! usual FM argument.
 
 use mlpart_hypergraph::ModuleId;
 use rand::Rng;
@@ -36,10 +40,10 @@ pub enum BucketPolicy {
     /// First-in-first-out: insertion at the tail, removal at the head.
     /// Distinctly inferior in Table II.
     Fifo,
-    /// Uniform random choice among the members of the selected bucket
-    /// (the scheme attributed to Sanchis and Krishnamurthy). Statistically
-    /// as good as LIFO in Table II but slower, which is why the paper's ML
-    /// uses LIFO.
+    /// Uniform random choice among the feasible members of the selected
+    /// bucket (the scheme attributed to Sanchis and Krishnamurthy). Buckets
+    /// keep no member order. The paper finds it statistically as good as
+    /// LIFO in Table II but slower, which is why its ML uses LIFO.
     Random,
 }
 
@@ -78,12 +82,17 @@ pub struct GainBuckets {
     policy: BucketPolicy,
     /// `bucket index = key + max_key`.
     max_key: i32,
+    /// List head per bucket. Under Random it only marks occupancy: any
+    /// non-`NIL` value means the bucket has members.
     heads: Vec<u32>,
+    /// The list links, sized under LIFO and FIFO only.
     tails: Vec<u32>,
     next: Vec<u32>,
     prev: Vec<u32>,
     key: Vec<i32>,
     present: Vec<bool>,
+    /// Random's members; empty under LIFO and FIFO.
+    dense: DenseBuckets,
     /// Hint: no non-empty bucket has index greater than this.
     top_hint: i32,
     len: usize,
@@ -93,20 +102,21 @@ impl GainBuckets {
     /// Creates an empty structure for `num_modules` modules with keys in
     /// `[-max_key, +max_key]`.
     pub fn new(num_modules: usize, max_key: i32, policy: BucketPolicy) -> Self {
-        assert!(max_key >= 0, "max_key must be non-negative");
-        let buckets = (2 * max_key + 1) as usize;
-        GainBuckets {
+        let mut b = GainBuckets {
             policy,
             max_key,
-            heads: vec![NIL; buckets],
-            tails: vec![NIL; buckets],
-            next: vec![NIL; num_modules],
-            prev: vec![NIL; num_modules],
-            key: vec![0; num_modules],
-            present: vec![false; num_modules],
+            heads: Vec::new(),
+            tails: Vec::new(),
+            next: Vec::new(),
+            prev: Vec::new(),
+            key: Vec::new(),
+            present: Vec::new(),
+            dense: DenseBuckets::default(),
             top_hint: -1,
             len: 0,
-        }
+        };
+        b.reset(num_modules, max_key, policy);
+        b
     }
 
     /// Number of modules currently in the structure.
@@ -140,7 +150,7 @@ impl GainBuckets {
     /// Panics (in debug builds) if `v` is not present.
     #[inline]
     pub fn key_of(&self, v: ModuleId) -> i32 {
-        debug_assert!(self.present[v.index()], "module not in structure");
+        debug_assert!(self.contains(v), "module not in structure");
         self.key[v.index()]
     }
 
@@ -155,14 +165,14 @@ impl GainBuckets {
     }
 
     /// Inserts module `v` with the given key according to the policy (LIFO:
-    /// head; FIFO / Random: tail — for Random the list order is irrelevant).
+    /// list head; FIFO: list tail; Random: the end of the bucket's array).
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `v` is already present or the key is out of
     /// range.
     pub fn insert(&mut self, v: ModuleId, key: i32) {
-        debug_assert!(!self.present[v.index()], "module already in structure");
+        debug_assert!(!self.contains(v), "module already in structure");
         let b = self.bucket_index(key);
         let i = v.raw();
         match self.policy {
@@ -178,7 +188,7 @@ impl GainBuckets {
                 }
                 self.heads[b] = i;
             }
-            BucketPolicy::Fifo | BucketPolicy::Random => {
+            BucketPolicy::Fifo => {
                 // Append at tail.
                 let old_tail = self.tails[b];
                 self.prev[i as usize] = old_tail;
@@ -189,6 +199,10 @@ impl GainBuckets {
                     self.heads[b] = i;
                 }
                 self.tails[b] = i;
+            }
+            BucketPolicy::Random => {
+                self.dense.push(b, v);
+                self.heads[b] = i;
             }
         }
         self.key[i as usize] = key;
@@ -203,19 +217,25 @@ impl GainBuckets {
     ///
     /// Panics in debug builds if `v` is not present.
     pub fn remove(&mut self, v: ModuleId) {
-        debug_assert!(self.present[v.index()], "module not in structure");
+        debug_assert!(self.contains(v), "module not in structure");
         let i = v.raw();
         let b = self.bucket_index(self.key[i as usize]);
-        let (p, n) = (self.prev[i as usize], self.next[i as usize]);
-        if p != NIL {
-            self.next[p as usize] = n;
+        if self.policy == BucketPolicy::Random {
+            if self.dense.swap_remove(b, v) {
+                self.heads[b] = NIL;
+            }
         } else {
-            self.heads[b] = n;
-        }
-        if n != NIL {
-            self.prev[n as usize] = p;
-        } else {
-            self.tails[b] = p;
+            let (p, n) = (self.prev[i as usize], self.next[i as usize]);
+            if p != NIL {
+                self.next[p as usize] = n;
+            } else {
+                self.heads[b] = n;
+            }
+            if n != NIL {
+                self.prev[n as usize] = p;
+            } else {
+                self.tails[b] = p;
+            }
         }
         self.present[i as usize] = false;
         self.len -= 1;
@@ -235,19 +255,16 @@ impl GainBuckets {
     ///
     /// Walks buckets from the highest non-empty one downward; within a
     /// bucket, candidates are inspected head-to-tail (LIFO/FIFO) or in a
-    /// random order drawn from `rng` (Random). Returns `None` if no present
-    /// module is feasible.
+    /// uniformly random order drawn from `rng`, one draw per inspected
+    /// candidate (Random), so a Random pick is uniform over the feasible
+    /// members of the highest bucket that has any. Returns `None` if no
+    /// present module is feasible.
     pub fn select_where<R, F>(&mut self, rng: &mut R, mut feasible: F) -> Option<ModuleId>
     where
         R: Rng + ?Sized,
         F: FnMut(ModuleId) -> bool,
     {
-        // Lazily lower the hint past empty buckets.
-        while self.top_hint >= 0 && self.heads[self.top_hint as usize] == NIL {
-            self.top_hint -= 1;
-        }
-        let mut b = self.top_hint;
-        let mut scratch: Vec<u32> = Vec::new();
+        let mut b = self.settle_top_hint();
         while b >= 0 {
             let head = self.heads[b as usize];
             if head != NIL {
@@ -263,22 +280,9 @@ impl GainBuckets {
                         }
                     }
                     BucketPolicy::Random => {
-                        scratch.clear();
-                        let mut cur = head;
-                        while cur != NIL {
-                            scratch.push(cur);
-                            cur = self.next[cur as usize];
-                        }
-                        // Inspect in a uniformly random order (partial
-                        // Fisher-Yates performed on demand).
-                        let k = scratch.len();
-                        for i in 0..k {
-                            let j = rng.gen_range(i..k);
-                            scratch.swap(i, j);
-                            let m = ModuleId::from(scratch[i]);
-                            if feasible(m) {
-                                return Some(m);
-                            }
+                        let picked = self.dense.pick(b as usize, rng, &mut feasible);
+                        if picked.is_some() {
+                            return picked;
                         }
                     }
                 }
@@ -291,14 +295,18 @@ impl GainBuckets {
     /// The highest key currently present, or `None` if empty. Lazily lowers
     /// the internal hint, like selection does.
     pub fn max_key(&mut self) -> Option<i32> {
+        let top = self.settle_top_hint();
+        (top >= 0).then_some(top - self.max_key)
+    }
+
+    /// Lowers the top hint past empty buckets and returns it (−1 when the
+    /// structure is empty).
+    #[inline]
+    fn settle_top_hint(&mut self) -> i32 {
         while self.top_hint >= 0 && self.heads[self.top_hint as usize] == NIL {
             self.top_hint -= 1;
         }
-        if self.top_hint >= 0 {
-            Some(self.top_hint - self.max_key)
-        } else {
-            None
-        }
+        self.top_hint
     }
 
     /// Re-dimensions the structure in place for a new module count, key
@@ -310,18 +318,24 @@ impl GainBuckets {
     pub fn reset(&mut self, num_modules: usize, max_key: i32, policy: BucketPolicy) {
         assert!(max_key >= 0, "max_key must be non-negative");
         let buckets = (2 * max_key + 1) as usize;
+        // Each policy sizes only its own layout; the other stays empty.
+        let ((list_buckets, list_modules), (dense_buckets, dense_modules)) = match policy {
+            BucketPolicy::Lifo | BucketPolicy::Fifo => ((buckets, num_modules), (0, 0)),
+            BucketPolicy::Random => ((0, 0), (buckets, num_modules)),
+        };
         self.policy = policy;
         self.max_key = max_key;
         self.heads.clear();
         self.heads.resize(buckets, NIL);
         self.tails.clear();
-        self.tails.resize(buckets, NIL);
-        self.next.resize(num_modules, NIL);
-        self.prev.resize(num_modules, NIL);
+        self.tails.resize(list_buckets, NIL);
+        self.next.resize(list_modules, NIL);
+        self.prev.resize(list_modules, NIL);
         self.key.clear();
         self.key.resize(num_modules, 0);
         self.present.clear();
         self.present.resize(num_modules, false);
+        self.dense.reset(dense_buckets, dense_modules);
         self.top_hint = -1;
         self.len = 0;
     }
@@ -333,20 +347,109 @@ impl GainBuckets {
         self.heads.fill(NIL);
         self.tails.fill(NIL);
         self.present.fill(false);
+        self.dense.clear();
         self.top_hint = -1;
         self.len = 0;
     }
 
-    /// The members of the bucket holding `key`, head to tail. Intended for
-    /// tests and the CLIP preprocessing step.
+    /// The members of the bucket holding `key`: head to tail under LIFO and
+    /// FIFO; in arbitrary order under Random, where selection reorders the
+    /// bucket. Intended for tests and lookahead selection.
     pub fn bucket_members(&self, key: i32) -> Vec<ModuleId> {
+        let b = self.bucket_index(key);
+        if self.policy == BucketPolicy::Random {
+            return self.dense.members.get(b).cloned().unwrap_or_default();
+        }
         let mut out = Vec::new();
-        let mut cur = self.heads[self.bucket_index(key)];
+        let mut cur = self.heads[b];
         while cur != NIL {
             out.push(ModuleId::from(cur));
             cur = self.next[cur as usize];
         }
         out
+    }
+}
+
+/// Random's buckets: each bucket's members packed densely in no particular
+/// order, plus every present module's position in its bucket. Insert
+/// pushes, remove swap-removes, and selection shuffles in place; each keeps
+/// the positions current.
+#[derive(Debug, Clone, Default)]
+struct DenseBuckets {
+    members: Vec<Vec<ModuleId>>,
+    slot: Vec<u32>,
+}
+
+impl DenseBuckets {
+    /// Empties the structure and sizes it for `buckets` buckets over
+    /// `num_modules` modules, keeping allocations.
+    fn reset(&mut self, buckets: usize, num_modules: usize) {
+        self.clear();
+        self.members.resize_with(buckets, Vec::new);
+        self.slot.resize(num_modules, 0);
+    }
+
+    fn clear(&mut self) {
+        self.members.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Records that `v` now sits at position `s` of its bucket. Positions
+    /// fit in `u32`: a bucket holds each module id at most once.
+    #[inline]
+    fn place(slot: &mut [u32], v: ModuleId, s: usize) {
+        if let Some(at) = slot.get_mut(v.index()) {
+            *at = u32::try_from(s).unwrap_or(NIL);
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, b: usize, v: ModuleId) {
+        if let Some(bucket) = self.members.get_mut(b) {
+            Self::place(&mut self.slot, v, bucket.len());
+            bucket.push(v);
+        }
+    }
+
+    /// Removes `v` from bucket `b`; returns `true` if the bucket is now
+    /// empty.
+    #[inline]
+    fn swap_remove(&mut self, b: usize, v: ModuleId) -> bool {
+        let (Some(bucket), Some(&s)) = (self.members.get_mut(b), self.slot.get(v.index())) else {
+            return false;
+        };
+        let s = s as usize;
+        bucket.swap_remove(s);
+        if let Some(&moved) = bucket.get(s) {
+            Self::place(&mut self.slot, moved, s);
+        }
+        bucket.is_empty()
+    }
+
+    /// Partial Fisher–Yates on bucket `b`'s own array: position `i` takes a
+    /// uniform draw from positions `i..k`, and the first feasible member
+    /// drawn is returned. Members are inspected in a uniformly random order,
+    /// so the pick is uniform over the bucket's feasible members.
+    #[inline]
+    fn pick<R, F>(&mut self, b: usize, rng: &mut R, feasible: &mut F) -> Option<ModuleId>
+    where
+        R: Rng + ?Sized,
+        F: FnMut(ModuleId) -> bool,
+    {
+        let bucket = self.members.get_mut(b)?;
+        let k = bucket.len();
+        for i in 0..k {
+            let j = rng.gen_range(i..k);
+            bucket.swap(i, j);
+            let (Some(&m), Some(&other)) = (bucket.get(i), bucket.get(j)) else {
+                break;
+            };
+            Self::place(&mut self.slot, m, i);
+            Self::place(&mut self.slot, other, j);
+            if feasible(m) {
+                return Some(m);
+            }
+        }
+        None
     }
 }
 
@@ -478,6 +581,54 @@ mod tests {
         }
     }
 
+    /// Uniformity oracle for Random. A bucket of 12 members sits above one
+    /// lower-bucket module. Picks must be uniform over the top bucket's
+    /// feasible members (Pearson's χ² below its 99.9% critical value), first
+    /// with all feasible, then with the odd members masked; masked members
+    /// and the lower bucket are never returned.
+    #[test]
+    #[cfg_attr(miri, ignore)] // 48k selections: too slow under the interpreter
+    fn random_selection_is_uniform_over_feasible_members() {
+        const MEMBERS: usize = 12;
+        const DRAWS: u64 = 24_000;
+        // (feasible ids are the multiples of `stride`, 99.9% critical value
+        // of χ² for its degrees of freedom: 11 with all 12 feasible, 5 with
+        // the 6 even ones).
+        for (stride, critical) in [(1, 31.264), (2, 20.515)] {
+            let feasible = |v: ModuleId| v.index().is_multiple_of(stride);
+            let mut b = GainBuckets::new(MEMBERS + 1, 3, BucketPolicy::Random);
+            for i in 0..MEMBERS {
+                b.insert(m(i), 2);
+            }
+            b.insert(m(MEMBERS), 0);
+            let mut rng = seeded_rng(2026);
+            let mut counts = [0u64; MEMBERS + 1];
+            for _ in 0..DRAWS {
+                let got = b.select_where(&mut rng, feasible).expect("feasible member");
+                counts[got.index()] += 1;
+            }
+            assert_eq!(counts[MEMBERS], 0, "lower bucket reached: {counts:?}");
+            let mut observed = Vec::new();
+            for (i, &c) in counts[..MEMBERS].iter().enumerate() {
+                if feasible(m(i)) {
+                    observed.push(c);
+                } else {
+                    assert_eq!(c, 0, "masked member {i} selected");
+                }
+            }
+            let expected = DRAWS as f64 / observed.len() as f64;
+            let chi2: f64 = observed
+                .iter()
+                .map(|&c| (c as f64 - expected).powi(2) / expected)
+                .sum();
+            assert!(
+                chi2 < critical,
+                "χ² = {chi2:.2} ≥ {critical} over {} members: {counts:?}",
+                observed.len()
+            );
+        }
+    }
+
     #[test]
     fn negative_keys_work() {
         let mut b = GainBuckets::new(2, 5, BucketPolicy::Lifo);
@@ -489,17 +640,20 @@ mod tests {
 
     #[test]
     fn clear_resets() {
-        let mut b = GainBuckets::new(3, 2, BucketPolicy::Lifo);
-        b.insert(m(0), 2);
-        b.insert(m(1), -2);
-        b.clear();
-        assert!(b.is_empty());
-        assert!(!b.contains(m(0)));
-        let mut rng = seeded_rng(0);
-        assert_eq!(b.select_where(&mut rng, |_| true), None);
-        // Reusable after clear.
-        b.insert(m(2), 0);
-        assert_eq!(b.select_where(&mut rng, |_| true), Some(m(2)));
+        for policy in [BucketPolicy::Lifo, BucketPolicy::Random] {
+            let mut b = GainBuckets::new(3, 2, policy);
+            b.insert(m(0), 2);
+            b.insert(m(1), -2);
+            b.clear();
+            assert!(b.is_empty());
+            assert!(!b.contains(m(0)));
+            assert!(b.bucket_members(2).is_empty());
+            let mut rng = seeded_rng(0);
+            assert_eq!(b.select_where(&mut rng, |_| true), None);
+            // Reusable after clear.
+            b.insert(m(2), 0);
+            assert_eq!(b.select_where(&mut rng, |_| true), Some(m(2)));
+        }
     }
 
     #[test]

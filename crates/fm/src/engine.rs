@@ -647,8 +647,9 @@ impl RefineState {
     }
 
     /// Lookahead selection: find the highest bucket with a feasible member,
-    /// then break ties inside it by the second-level gain (list order, i.e.
-    /// the configured policy, breaks remaining ties).
+    /// then break ties inside it by the second-level gain (bucket order
+    /// breaks remaining ties: list order under LIFO/FIFO, the arbitrary
+    /// array order under Random).
     fn select_lookahead<F>(
         &mut self,
         h: &Hypergraph,

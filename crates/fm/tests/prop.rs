@@ -92,10 +92,17 @@ proptest! {
     #[test]
     fn buckets_behave_like_priority_structure(
         ops in proptest::collection::vec((0u8..3, 0usize..16, -5i32..=5), 1..200),
+        policy in 0usize..3,
+        mask in any::<u32>(),
     ) {
-        // Model-based test: mirror GainBuckets with a simple map; selection
-        // must always return a module of maximal key.
-        let mut b = GainBuckets::new(16, 5, BucketPolicy::Lifo);
+        // Model-based test over every policy: mirror GainBuckets with a
+        // simple map. Selection under a feasibility mask (bit `v` of `mask`)
+        // must return a feasible module of maximal key among the feasible
+        // ones, and every bucket must hold exactly the model's members for
+        // its key (a stale position after a swap-remove shows up here).
+        let policy = [BucketPolicy::Lifo, BucketPolicy::Fifo, BucketPolicy::Random][policy];
+        let feasible = move |v: ModuleId| (mask >> v.index()) & 1 == 1;
+        let mut b = GainBuckets::new(16, 5, policy);
         let mut model: std::collections::HashMap<usize, i32> = Default::default();
         let mut rng = seeded_rng(0);
         for (op, vi, key) in ops {
@@ -120,14 +127,29 @@ proptest! {
                 }
             }
             prop_assert_eq!(b.len(), model.len());
-            let selected = b.select_where(&mut rng, |_| true);
-            match selected {
-                None => prop_assert!(model.is_empty()),
-                Some(m) => {
-                    let max = model.values().copied().max().expect("non-empty");
+            let best = model
+                .iter()
+                .filter(|&(&v, _)| feasible(ModuleId::new(v)))
+                .map(|(_, &k)| k)
+                .max();
+            match (b.select_where(&mut rng, feasible), best) {
+                (None, None) => {}
+                (Some(m), Some(max)) => {
+                    prop_assert!(feasible(m), "infeasible {:?} selected", m);
                     prop_assert_eq!(b.key_of(m), max);
                     prop_assert_eq!(model[&m.index()], max);
                 }
+                (got, want) => {
+                    prop_assert!(false, "selected {:?}, best feasible key {:?}", got, want)
+                }
+            }
+            for key in -5..=5 {
+                let mut got: Vec<usize> = b.bucket_members(key).iter().map(|m| m.index()).collect();
+                got.sort_unstable();
+                let mut want: Vec<usize> =
+                    model.iter().filter(|&(_, &k)| k == key).map(|(&v, _)| v).collect();
+                want.sort_unstable();
+                prop_assert_eq!(got, want);
             }
         }
     }
@@ -136,16 +158,19 @@ proptest! {
     fn workspace_reuse_is_bit_identical_to_fresh_allocation(
         (areas, nets) in arb_netlist(),
         engine_clip in any::<bool>(),
+        random in any::<bool>(),
         seed in 0u64..1000,
     ) {
         // The refactored engine runs on a shared, reused `RefineState`; the
         // pre-refactor behavior is exactly what the fresh-workspace wrappers
         // produce. For any netlist and seed, a workspace that has already
         // been bound to *other* problems must yield the same move sequence,
-        // cut, and per-pass statistics as a throwaway workspace.
+        // cut, and per-pass statistics as a throwaway workspace — under LIFO
+        // lists and under Random's dense buckets, which `reset` must empty.
         let h = build(areas, &nets);
         let cfg = FmConfig {
             engine: if engine_clip { Engine::Clip } else { Engine::Fm },
+            policy: if random { BucketPolicy::Random } else { BucketPolicy::Lifo },
             ..FmConfig::default()
         };
         let mut ws = RefineWorkspace::new();

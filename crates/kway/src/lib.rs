@@ -544,11 +544,11 @@ pub fn kway_refine_constrained_budgeted_in(
         loop {
             // Probe each destination's best feasible candidate; take the max.
             let mut pick: Option<(i32, PartId, ModuleId)> = None;
+            let part_of = p.assignment();
+            let areas = h.areas();
+            let part_areas = p.part_areas();
             for t in 0..k {
-                let part_of = p.assignment();
-                let areas = h.areas();
                 let area_t = p.part_area(t);
-                let part_areas = p.part_areas().to_vec();
                 let cand = st.buckets[t as usize].select_where(rng, |v| {
                     let a = areas[v.index()];
                     let from = part_of[v.index()];

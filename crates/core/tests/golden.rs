@@ -1,7 +1,7 @@
 //! Golden fingerprints of every pipeline under both schedules.
 //!
-//! Each case runs one pipeline on `syn-primary1` (generated at seed 1997) for
-//! seeds `0..3` and hashes the partition together with every result field
+//! Each case runs one pipeline on `syn-primary1` (generated at seed 1997), or
+//! on its lumpy-area copy ([`lumpy`]), for seeds `0..3` and hashes the partition together with every result field
 //! that `PartialEq` compares (FNV-1a; wall-clock fields such as
 //! `fill_time_ns` are left out). The constants in [`GOLDEN`] were recorded
 //! before the pipelines were merged into one V-cycle: a refactor of the
@@ -14,9 +14,9 @@ use mlpart_core::{
     BudgetMeter, Coarsener, Constraints, LevelStats, MlConfig, MlKwayConfig, MlKwayResult,
     MlResult, PipelineError, RecursiveResult, Request, Truncation, TwoPhaseResult,
 };
-use mlpart_fm::{FmConfig, PassStats};
+use mlpart_fm::{BucketPolicy, FmConfig, PassStats};
 use mlpart_hypergraph::rng::{seeded_rng, MlRng};
-use mlpart_hypergraph::{Hypergraph, ModuleId, Partition};
+use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, ModuleId, Partition};
 use mlpart_kway::{KwayConfig, KwayGain};
 
 /// FNV-1a over little-endian words.
@@ -158,6 +158,21 @@ fn primary1() -> Hypergraph {
         .generate(1997)
 }
 
+/// `h` with lumpy module areas in `1..=20` (a fixed hash of the module
+/// index), so parts fill unevenly and area checks reject many moves.
+fn lumpy(h: &Hypergraph) -> Hypergraph {
+    let areas = (0..h.num_modules() as u64)
+        .map(|v| 1 + ((v * 2_654_435_761) >> 7) % 20)
+        .collect();
+    let mut b = HypergraphBuilder::new(areas);
+    for e in h.net_ids() {
+        let pins = h.pins(e).iter().map(|v| v.index());
+        b.add_weighted_net(pins, h.net_weight(e))
+            .expect("pins in range");
+    }
+    b.build().expect("valid netlist")
+}
+
 /// ε = 0.1 with every 40th module pinned, round-robin over the `k` parts.
 fn pinned(h: &Hypergraph, k: u32) -> Constraints {
     let fixed = (0..h.num_modules())
@@ -204,6 +219,15 @@ fn cases() -> Vec<Case> {
         k,
         ..MlKwayConfig::default()
     };
+    let lumpy_fifo3 = MlKwayConfig {
+        k: 3,
+        kway: KwayConfig {
+            policy: BucketPolicy::Fifo,
+            ..KwayConfig::default()
+        },
+        ..MlKwayConfig::default()
+    };
+    let lumpy_net_cut8 = MlKwayConfig { k: 8, ..net_cut };
     let fm = FmConfig::default();
     let mc = MatchConfig::default();
     let paper = |cfg: MlConfig| -> Run {
@@ -366,6 +390,14 @@ fn cases() -> Vec<Case> {
                 recursive(recursive_ml_partition(h, &clip, rng, req))
             }),
         ),
+        (
+            "lumpy_kway3_fifo",
+            Box::new(move |h, rng| kway(ml_kway(&lumpy(h), &lumpy_fifo3, rng, req(None, None)))),
+        ),
+        (
+            "lumpy_kway8_net_cut",
+            Box::new(move |h, rng| kway(ml_kway(&lumpy(h), &lumpy_net_cut8, rng, req(None, None)))),
+        ),
     ]
 }
 
@@ -384,6 +416,32 @@ fn pipelines_match_golden_fingerprints() {
     }
 }
 
+/// Random selection has no golden fingerprint (its draw sequence is free to
+/// change); a fixed-seed run must still be feasible, report the cut it
+/// leaves and keep every pin in place.
+#[test]
+fn random_kway_is_feasible_and_honest() {
+    let h = lumpy(&primary1());
+    let c = pinned(&h, 4);
+    let cfg = MlKwayConfig {
+        kway: KwayConfig {
+            policy: BucketPolicy::Random,
+            ..KwayConfig::default()
+        },
+        ..MlKwayConfig::default()
+    };
+    let (p, r) = ml_kway(&h, &cfg, &mut seeded_rng(7), req(Some(&c), None)).expect("valid run");
+    assert!(
+        c.bounds(&h).is_partition_feasible(&p),
+        "{:?}",
+        p.part_areas()
+    );
+    assert_eq!(r.cut, metrics::cut(&h, &p));
+    for &(v, part) in c.fixed() {
+        assert_eq!(p.part(v), part, "pin {v:?} moved");
+    }
+}
+
 /// Prints [`GOLDEN`] as source; run ignored to see the current values.
 #[test]
 #[ignore]
@@ -397,7 +455,9 @@ fn print_golden_fingerprints() {
     println!("];");
 }
 
-/// Recorded from the pipelines before the V-cycle merge; never edit.
+/// Recorded from the pipelines before the V-cycle merge (the `lumpy_*` rows:
+/// before the k-way engine's destination gate and fused gain pass); never
+/// edit.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, [u64; 3])] = &[
     ("ml_f_r1", [0x9aea988bb4a08268, 0xf8506c8ebdad6a0b, 0x9da3b055306ed3b8]),
@@ -426,4 +486,6 @@ const GOLDEN: &[(&str, [u64; 3])] = &[
     ("budget_pinned_bisection", [0x04758d330bfeb175, 0x95b6ca42ceb03d86, 0x6264dde65d09d6a3]),
     ("budget_pinned_kway4", [0xff9010d75809fdf6, 0x5d4f85fe80ed2cd7, 0x161e44bc769e94be]),
     ("budget_pinned_recursive5", [0x7191f05b602dee44, 0x1c8ea6a459331f6f, 0xe5d0e5c4335e79b3]),
+    ("lumpy_kway3_fifo", [0x28fdb05e513fa852, 0x6774d4412a0bfb06, 0x3d5947445fcf32e0]),
+    ("lumpy_kway8_net_cut", [0x0f98ff299eccf5f3, 0xe1dda37764c9b9e6, 0x76184f2f1ed14b6c]),
 ];

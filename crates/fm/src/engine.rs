@@ -745,6 +745,7 @@ impl RefineState {
         let mut best_len = 0usize;
         let mut stall = 0usize;
         let mut backtracks = 0usize;
+        let mut inspected = 0u64;
         // Each backtrack permanently locks one seed module, so the pass
         // still terminates; the cap keeps worst cases cheap.
         let max_backtracks = h.num_modules().min(64);
@@ -759,6 +760,7 @@ impl RefineState {
                 let part_of = p.assignment();
                 let areas = h.areas();
                 let check = |v: ModuleId| {
+                    inspected += 1;
                     let a = areas[v.index()];
                     let new_a0 = if part_of[v.index()] == 0 {
                         area0 - a
@@ -884,6 +886,7 @@ impl RefineState {
                 cut_after: best_cut,
                 attempted_moves: attempted,
                 kept_moves: best_len,
+                inspected,
                 fill_time_ns,
             },
         }

@@ -36,6 +36,10 @@ pub struct PassStats {
     pub attempted_moves: usize,
     /// Moves kept after rolling back to the best prefix.
     pub kept_moves: usize,
+    /// Candidates the pass's selection checked for feasibility (balance and
+    /// area bounds), summed over every pick: a hardware-independent measure
+    /// of selection work.
+    pub inspected: u64,
     /// Wall-clock nanoseconds spent rebuilding gains and filling the bucket
     /// structure for this pass. Excluded from equality so fixed-seed runs
     /// compare equal.
@@ -50,6 +54,7 @@ impl PartialEq for PassStats {
             && self.cut_after == other.cut_after
             && self.attempted_moves == other.attempted_moves
             && self.kept_moves == other.kept_moves
+            && self.inspected == other.inspected
     }
 }
 
@@ -276,6 +281,7 @@ mod tests {
             cut_after: 3,
             attempted_moves: 10,
             kept_moves: 4,
+            inspected: 17,
             fill_time_ns: 123,
         };
         let b = PassStats {

@@ -69,6 +69,10 @@ proptest! {
         prop_assert!(r.internal_cut <= r.cut);
         prop_assert!(r.kept_moves <= r.attempted_moves);
         prop_assert!(r.passes >= 1);
+        // Selection checks a move's feasibility before making it.
+        for s in &r.pass_stats {
+            prop_assert!(s.inspected >= s.attempted_moves as u64);
+        }
     }
 
     #[test]

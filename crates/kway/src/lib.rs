@@ -328,46 +328,43 @@ pub fn kway_refine(
     kway_refine_in(h, p, fixed, cfg, rng, &mut ws)
 }
 
-/// The k-way gain of moving `v` to part `to` under `cfg.gain`, computed from
-/// the shared state's k-strided pin counts.
-fn kway_gain(
+/// Writes into `gains[t]` the k-way gain under `cfg.gain` of moving `v`
+/// from part `from` to part `t`, for every part at once, in one walk over
+/// `v`'s nets and the shared state's k-strided pin counts. The entry for
+/// `from` itself is meaningless.
+fn kway_gains(
     st: &RefineState,
     h: &Hypergraph,
     cfg: &KwayConfig,
-    part_of: &[PartId],
     v: ModuleId,
-    to: PartId,
-) -> i32 {
-    let k = st.k as usize;
-    let from = part_of[v.index()] as usize;
-    let mut g = 0i32;
+    from: usize,
+    gains: &mut [i32],
+) {
+    let k = gains.len();
+    gains.fill(0);
     for &e in h.nets(v) {
         if !st.visible[e.index()] {
             continue;
         }
         let row = &st.pins_in[e.index() * k..(e.index() + 1) * k];
         let w = h.net_weight(e) as i32;
+        let flag = |hit: bool| if hit { w } else { 0 };
         match cfg.gain {
             KwayGain::SumOfDegrees => {
-                if row[from] == 1 {
-                    g += w;
-                }
-                if row[to as usize] == 0 {
-                    g -= w;
+                let leave = flag(row[from] == 1);
+                for (g, &n) in gains.iter_mut().zip(row) {
+                    *g += leave - flag(n == 0);
                 }
             }
             KwayGain::NetCut => {
                 let size = h.net_size(e) as u32;
-                if row[to as usize] == size - 1 {
-                    g += w;
-                }
-                if row[from] == size {
-                    g -= w;
+                let leave = flag(row[from] == size);
+                for (g, &n) in gains.iter_mut().zip(row) {
+                    *g += flag(n == size - 1) - leave;
                 }
             }
         }
     }
-    g
 }
 
 /// The engine objective over visible nets: weighted `Σ (span − 1)` for
@@ -384,7 +381,8 @@ fn kway_objective(st: &RefineState, h: &Hypergraph, cfg: &KwayConfig, p: &Partit
 }
 
 /// [`kway_refine`] with caller-owned scratch: bit-identical results, no
-/// per-call allocation of the gain/bucket machinery. The shared
+/// per-call allocation of the gain/bucket machinery beyond one k-length row
+/// of destination gains. The shared
 /// [`RefineState`] is bound in its k-way shape: `k` per-destination bucket
 /// structures and k-strided pin counts.
 pub fn kway_refine_in(
@@ -453,6 +451,10 @@ pub fn kway_refine_constrained_budgeted_in(
     for &(v, _) in fixed {
         st.fixed[v.index()] = true;
     }
+    // Every destination's gain for one module, filled by `kway_gains`.
+    let mut gains = vec![0i32; k as usize];
+    // A part with less than this much room left admits no module at all.
+    let min_area = h.areas().iter().copied().min().unwrap_or(0);
     #[cfg(feature = "obs")]
     let _obs_span = mlpart_obs::span(
         "kway_refine",
@@ -486,17 +488,15 @@ pub fn kway_refine_constrained_budgeted_in(
         for b in &mut st.buckets {
             b.clear();
         }
-        {
-            let part_of = p.assignment();
-            for v in h.modules() {
-                if st.fixed[v.index()] {
-                    continue;
-                }
-                for t in 0..k {
-                    if t != part_of[v.index()] {
-                        let g = kway_gain(st, h, cfg, part_of, v, t);
-                        st.buckets[t as usize].insert(v, g);
-                    }
+        for v in h.modules() {
+            if st.fixed[v.index()] {
+                continue;
+            }
+            let from = p.part(v) as usize;
+            kway_gains(st, h, cfg, v, from, &mut gains);
+            for (t, (b, &g)) in st.buckets.iter_mut().zip(&gains).enumerate() {
+                if t != from {
+                    b.insert(v, g);
                 }
             }
         }
@@ -539,6 +539,7 @@ pub fn kway_refine_constrained_budgeted_in(
         let mut obj = start_obj as i64;
         let mut best_obj = obj;
         let mut best_len = 0usize;
+        let mut inspected = 0u64;
 
         // --- Move loop. ---
         loop {
@@ -549,7 +550,12 @@ pub fn kway_refine_constrained_budgeted_in(
             let part_areas = p.part_areas();
             for t in 0..k {
                 let area_t = p.part_area(t);
+                // Exact gate: every member would fail the area check below.
+                if area_t + min_area > bounds.hi(t) {
+                    continue;
+                }
                 let cand = st.buckets[t as usize].select_where(rng, |v| {
+                    inspected += 1;
                     let a = areas[v.index()];
                     let from = part_of[v.index()];
                     area_t + a <= bounds.hi(t) && part_areas[from as usize] - a >= bounds.lo(from)
@@ -597,11 +603,11 @@ pub fn kway_refine_constrained_budgeted_in(
                         continue;
                     }
                     st.stamp[w.index()] = stamp_val;
-                    let part_of = p.assignment();
-                    for t in 0..k {
-                        if t != part_of[w.index()] {
-                            let g = kway_gain(st, h, cfg, part_of, w, t);
-                            st.buckets[t as usize].update_key(w, g);
+                    let from_w = p.part(w) as usize;
+                    kway_gains(st, h, cfg, w, from_w, &mut gains);
+                    for (t, (b, &g)) in st.buckets.iter_mut().zip(&gains).enumerate() {
+                        if t != from_w {
+                            b.update_key(w, g);
                         }
                     }
                 }
@@ -632,6 +638,7 @@ pub fn kway_refine_constrained_budgeted_in(
             cut_after: best_obj as u64,
             attempted_moves: attempted,
             kept_moves: best_len,
+            inspected,
             fill_time_ns,
         });
         #[cfg(feature = "obs")]

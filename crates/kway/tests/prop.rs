@@ -58,6 +58,10 @@ proptest! {
         prop_assert!(p.validate(&h));
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         prop_assert_eq!(r.sum_of_degrees, metrics::sum_of_spans_minus_one(&h, &p));
+        // Selection checks a move's feasibility before making it.
+        for s in &r.pass_stats {
+            prop_assert!(s.inspected >= s.attempted_moves as u64);
+        }
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //! array with swap-remove, and selection runs a partial Fisher–Yates in place
 //! (the KaSPar bucket layout), so a pick costs one RNG draw per inspected
 //! candidate and allocates nothing. All operations except selection are
-//! O(1); selection walks down from a lazily-maintained
-//! highest-non-empty-bucket hint, which amortizes to O(1) per pass in the
-//! usual FM argument.
+//! O(1). Selection walks down from a lazily-maintained highest-non-empty
+//! bucket hint and, within buckets, until a candidate passes the caller's
+//! feasibility check; that walk is *not* O(1) per move. Measured with
+//! `PassStats::inspected`, the 2-way engine made about 17.6 checks per move
+//! on a large ML bisection, and the k-way engine about 1,860 on a
+//! quadrisection before it learned to skip destinations no module fits.
 
 use mlpart_hypergraph::ModuleId;
 use rand::Rng;

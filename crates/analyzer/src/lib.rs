@@ -54,7 +54,7 @@ use std::path::{Path, PathBuf};
 
 /// In-workspace stand-in crates (vendored API shims, not algorithm code)
 /// and this crate itself — excluded from scanning.
-const SKIP_CRATES: &[&str] = &["rand", "proptest", "criterion", "analyzer"];
+const SKIP_CRATES: &[&str] = &["rand", "proptest", "analyzer"];
 
 /// The pipeline library crates under the panic-freedom, gate-hygiene, and
 /// no-debug-print contracts. The bench harness (static-shape table math on

@@ -16,12 +16,8 @@ use mlpart_kway::{kway_partition_in, KwayConfig};
 use mlpart_lsmc::{lsmc_bipartition, lsmc_kway, LsmcConfig, LsmcKwayConfig};
 use mlpart_place::{gordian_quadrisection, PlacerConfig};
 
-/// Flat FM with the given bucket policy; returns the cut.
-pub fn fm_with_policy(h: &Hypergraph, policy: BucketPolicy, rng: &mut MlRng) -> u64 {
-    fm_with_policy_in(h, policy, rng, &mut RefineWorkspace::new())
-}
-
-/// [`fm_with_policy`] through a caller-owned workspace.
+/// Flat FM with the given bucket policy through a caller-owned workspace;
+/// returns the cut.
 pub fn fm_with_policy_in(
     h: &Hypergraph,
     policy: BucketPolicy,

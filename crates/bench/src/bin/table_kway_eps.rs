@@ -6,8 +6,8 @@
 //! is exercised end to end (the wrappers assert the pins held), and re-runs
 //! the batch at one and four worker threads to recheck the executor's
 //! bit-identity contract on the constrained code paths. Emits one JSON line
-//! per (circuit, k, ε) cell in the `BENCH_*.json` format plus a `meta`
-//! line; exits non-zero on any determinism violation.
+//! per (circuit, k, ε) cell plus a `meta` line (committed as
+//! `results/kway_eps.json`); exits non-zero on any determinism violation.
 
 use mlpart_bench::{algos, run_many_par, with_report, HarnessArgs};
 use mlpart_hypergraph::rng::child_seed;

@@ -550,11 +550,11 @@ mod tests {
         // workspace-independent (the *_in contract), so here we only check
         // the runner never hands the same workspace to two concurrent jobs:
         // each job writes a marker and asserts it sees its own.
-        let marker_job = |rng: &mut MlRng, ws: &mut RefineWorkspace| -> u64 {
-            let tag = rng.gen_range(1..u64::MAX);
-            ws.state.cut_cache = tag;
+        let marker_job = |rng: &mut MlRng, ws: &mut RefineWorkspace| -> i32 {
+            let tag = rng.gen_range(1..i32::MAX);
+            ws.state.key_bound = tag;
             std::thread::yield_now();
-            assert_eq!(ws.state.cut_cache, tag);
+            assert_eq!(ws.state.key_bound, tag);
             tag
         };
         let (seq, _) = run_starts(32, 9, 1, &marker_job);

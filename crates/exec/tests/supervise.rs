@@ -200,7 +200,8 @@ fn any_resume_split_matches_the_uninterrupted_batch() {
                 Err(f) => Err(f.clone()),
             },
             retries: done.retries.to_vec(),
-            trace: done.trace.clone(),
+            // `()` without `obs`, where a `.clone()` call is clone_on_copy.
+            trace: Clone::clone(done.trace),
         });
     };
     {

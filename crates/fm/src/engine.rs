@@ -93,13 +93,6 @@ pub struct FmConfig {
     /// nets; other modules enter the structure when a neighboring move first
     /// changes their gain.
     pub boundary_init: bool,
-    /// §V extension: between passes, repair only the gains of modules
-    /// touched by the previous pass instead of recomputing every gain ("if
-    /// only a few modules were moved during a pass, then only these modules
-    /// and their neighbors need to be updated"). Produces *identical*
-    /// results to the full reinitialization, only faster on converged
-    /// passes.
-    pub incremental_reinit: bool,
     /// §II-B extension (Dutt-Deng's CDIP): when the move sequence since the
     /// last best solution accumulates `Some(window)` moves without a new
     /// best, the sequence is rolled back, its first module is locked out,
@@ -126,7 +119,6 @@ impl Default for FmConfig {
             max_passes: 64,
             early_exit_stall: None,
             boundary_init: false,
-            incremental_reinit: false,
             cdip_window: None,
             lookahead: false,
         }
@@ -514,16 +506,6 @@ impl RefineState {
         if self.buckets[0].contains(v) {
             self.buckets[0].remove(v);
         }
-        if cfg.incremental_reinit {
-            // Everything whose gain a move can invalidate: the mover and
-            // every pin sharing a visible net with it.
-            self.touched.push(v.raw());
-            for &e in h.nets(v) {
-                if self.visible[e.index()] {
-                    self.touched.extend(h.pins(e).iter().map(|w| w.raw()));
-                }
-            }
-        }
         self.shift_module(h, p, v, cfg, cut);
     }
 
@@ -692,21 +674,7 @@ impl RefineState {
         _pass_no: usize,
     ) -> PassOutcome {
         let fill_start = Instant::now();
-        let start_cut = if cfg.incremental_reinit && self.state_valid {
-            // §V fast reinit: only touched modules can have stale gains.
-            // Duplicates in the touched list are harmless (recomputation is
-            // idempotent), so no dedup pass is needed.
-            let touched = std::mem::take(&mut self.touched);
-            for &raw in &touched {
-                self.recompute_gain_of(h, p, ModuleId::from(raw));
-            }
-            self.gain0.copy_from_slice(&self.gain);
-            self.cut_cache
-        } else {
-            self.touched.clear();
-            self.recompute(h, p)
-        };
-        self.state_valid = false;
+        let start_cut = self.recompute(h, p);
         // Fixed modules start (and stay) locked: never selected, skipped by
         // the gain-update rules. All-false `fixed` makes this `fill(false)`.
         self.locked.copy_from_slice(&self.fixed);
@@ -829,32 +797,13 @@ impl RefineState {
         }
         let attempted = self.moves.len();
         // Roll back to the best prefix.
-        if cfg.incremental_reinit {
-            // Undo through the gain-maintaining path so `pins_in`, `gain`
-            // and the cut stay valid for the next pass's fast reinit.
-            let undo: Vec<(ModuleId, u32)> = self.moves[best_len..].to_vec();
-            for &(v, _from) in undo.iter().rev() {
-                self.shift_module(h, p, v, cfg, &mut cut);
-            }
-            #[cfg(feature = "audit")]
-            if mlpart_audit::enabled() {
-                mlpart_audit::enforce(
-                    mlpart_audit::check_counter("RefineState", "rollback-cut", cut, best_cut)
-                        .map_err(|e| e.with_pass(_pass_no)),
-                );
-            }
-            debug_assert_eq!(cut, best_cut);
-            self.cut_cache = best_cut;
-            self.state_valid = true;
-        } else {
-            for &(v, from) in self.moves[best_len..].iter().rev() {
-                p.move_module(h, v, from);
-            }
+        for &(v, from) in self.moves[best_len..].iter().rev() {
+            p.move_module(h, v, from);
         }
         #[cfg(feature = "audit")]
         if mlpart_audit::enabled() {
             mlpart_audit::enforce(
-                crate::audit::audit_pass_end(self, h, p, cfg, best_cut)
+                crate::audit::audit_pass_end(h, p, cfg, best_cut)
                     .map_err(|e| e.with_pass(_pass_no)),
             );
         }
@@ -1534,83 +1483,5 @@ mod cdip_tests {
         let (p, r) = fm_partition(&h, None, &cfg, &mut rng);
         assert!(p.validate(&h));
         assert_eq!(r.cut, metrics::cut(&h, &p));
-    }
-}
-
-#[cfg(test)]
-mod incremental_tests {
-    use super::*;
-    use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
-
-    fn chordal_ring(n: usize) -> Hypergraph {
-        let mut b = HypergraphBuilder::with_unit_areas(n);
-        for i in 0..n {
-            b.add_net([i, (i + 1) % n]).unwrap();
-            b.add_net([i, (i + 7) % n]).unwrap();
-        }
-        b.build().unwrap()
-    }
-
-    /// The §V claim, made exact: incremental reinitialization must produce
-    /// bit-identical partitions to full reinitialization — repaired gains
-    /// equal recomputed gains, and bucket filling iterates modules in the
-    /// same order either way.
-    #[test]
-    #[cfg_attr(miri, ignore)] // multi-seed loop: too slow under the interpreter
-    fn incremental_reinit_is_exactly_equivalent() {
-        for (engine, policy, seed) in [
-            (Engine::Fm, BucketPolicy::Lifo, 1u64),
-            (Engine::Fm, BucketPolicy::Fifo, 2),
-            (Engine::Fm, BucketPolicy::Random, 3),
-            (Engine::Clip, BucketPolicy::Lifo, 4),
-            (Engine::Clip, BucketPolicy::Random, 5),
-        ] {
-            let h = chordal_ring(80);
-            let full_cfg = FmConfig {
-                engine,
-                policy,
-                ..FmConfig::default()
-            };
-            let inc_cfg = FmConfig {
-                incremental_reinit: true,
-                ..full_cfg
-            };
-            let mut rng_a = seeded_rng(seed);
-            let mut rng_b = seeded_rng(seed);
-            let (p_full, r_full) = fm_partition(&h, None, &full_cfg, &mut rng_a);
-            let (p_inc, r_inc) = fm_partition(&h, None, &inc_cfg, &mut rng_b);
-            assert_eq!(
-                p_full.assignment(),
-                p_inc.assignment(),
-                "engine {engine} policy {policy} seed {seed}"
-            );
-            assert_eq!(r_full.cut, r_inc.cut);
-            assert_eq!(r_full.passes, r_inc.passes);
-            assert_eq!(r_full.kept_moves, r_inc.kept_moves);
-        }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // multi-seed loop: too slow under the interpreter
-    fn incremental_reinit_with_weighted_nets() {
-        let mut b = HypergraphBuilder::with_unit_areas(24);
-        for i in 0..24usize {
-            b.add_weighted_net([i, (i + 1) % 24], 1 + (i % 3) as u32)
-                .unwrap();
-            b.add_net([i, (i + 5) % 24]).unwrap();
-        }
-        let h = b.build().unwrap();
-        let cfg_full = FmConfig::default();
-        let cfg_inc = FmConfig {
-            incremental_reinit: true,
-            ..cfg_full
-        };
-        for seed in 0..6 {
-            let (pf, rf) = fm_partition(&h, None, &cfg_full, &mut seeded_rng(seed));
-            let (pi, ri) = fm_partition(&h, None, &cfg_inc, &mut seeded_rng(seed));
-            assert_eq!(pf.assignment(), pi.assignment(), "seed {seed}");
-            assert_eq!(rf, ri);
-        }
     }
 }

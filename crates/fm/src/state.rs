@@ -90,18 +90,10 @@ pub struct RefineState {
     pub buckets: Vec<GainBuckets>,
     /// Move log of the current pass: `(module, from_part)`.
     pub moves: Vec<(ModuleId, u32)>,
-    /// Incremental-reinit bookkeeping (2-way engine): modules whose gains may
-    /// be stale going into the next pass.
-    pub touched: Vec<u32>,
     /// Per-move visit stamps (k-way neighbor updates).
     pub stamp: Vec<u32>,
     /// Magnitude of the bucket key range.
     pub key_bound: i32,
-    /// Whether `pins_in`/`gain` are valid carrying into the next pass
-    /// (2-way incremental reinit).
-    pub state_valid: bool,
-    /// The visible cut `pins_in`/`gain` correspond to when `state_valid`.
-    pub cut_cache: u64,
 }
 
 impl RefineState {
@@ -159,12 +151,9 @@ impl RefineState {
         }
         self.moves.clear();
         self.moves.reserve(n);
-        self.touched.clear();
         self.stamp.clear();
         self.stamp.resize(n, u32::MAX);
         self.key_bound = max_key;
-        self.state_valid = false;
-        self.cut_cache = 0;
     }
 
     /// Pin count of net `e` in `part`.
@@ -245,7 +234,6 @@ mod tests {
         assert_eq!(st.pins_in.len(), h.num_nets() * 2);
         assert_eq!(st.gain.len(), h.num_modules());
         assert_eq!(st.buckets.len(), 1);
-        assert!(!st.state_valid);
     }
 
     #[test]

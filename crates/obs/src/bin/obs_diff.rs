@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Both inputs must be the same kind of artifact: run reports
-//! (`mlpart-run-report-v2`/`v3`, from `--report-out`), Chrome traces or
+//! (`mlpart-run-report-v3`, from `--report-out`), Chrome traces or
 //! JSONL traces (from `--trace-out`). Exit codes: 0 clean, 1 telemetry
 //! regression past a threshold, 2 content mismatch / unusable input.
 

@@ -1,7 +1,7 @@
 //! Comparison engine behind the `obs-diff` binary.
 //!
-//! Compares two observability artifacts — run reports (v2 or v3), Chrome
-//! traces, or JSONL traces — in two stages:
+//! Compares two observability artifacts — run reports, Chrome traces, or
+//! JSONL traces — in two stages:
 //!
 //! 1. **Normative content check.** Both documents are normalized with
 //!    [`strip_profile`] (timing zeroed, scheduling keys zeroed, alloc keys

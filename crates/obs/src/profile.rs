@@ -189,9 +189,8 @@ fn node_from_json(span: &Json) -> Result<OwnedNode, String> {
     })
 }
 
-/// Extracts per-phase aggregates from a parsed run report (v2 or v3): the
-/// rollup is recomputed from the `spans` tree, so v2 documents — which
-/// predate the `profile` section — diff exactly like v3 ones.
+/// Extracts per-phase aggregates from a parsed run report: the rollup is
+/// recomputed from the `spans` tree.
 pub fn phases_from_report(doc: &Json) -> Result<Vec<PhaseAgg>, String> {
     let spans = doc
         .get("spans")

@@ -2,12 +2,12 @@
 //!
 //! A [`RunReport`] pairs the flat event stream with run-level metadata
 //! (algorithm, seed, per-start cuts, total timing) and serializes as a
-//! single JSON document (`schema: "mlpart-run-report-v3"`, which extends v2
-//! with a per-phase `profile` rollup and a deterministic `metrics`
-//! registry; [`parse_report`] loads both versions). The span tree is
-//! rebuilt from `Begin`/`End` bracketing; [`level_rows`] renders the same
-//! per-level table the CLI's `--stats` flag has always printed, now derived
-//! from trace content instead of ad-hoc plumbing.
+//! single JSON document (`schema: "mlpart-run-report-v3"`, with a per-phase
+//! `profile` rollup and a deterministic `metrics` registry; [`parse_report`]
+//! loads it back). The span tree is rebuilt from `Begin`/`End` bracketing;
+//! [`level_rows`] renders the same per-level table the CLI's `--stats` flag
+//! has always printed, now derived from trace content instead of ad-hoc
+//! plumbing.
 
 use crate::export;
 use crate::json;
@@ -232,15 +232,14 @@ fn write_opt_u64(out: &mut String, v: Option<u64>) {
 impl RunReport {
     /// Serializes the report as a `mlpart-run-report-v3` JSON document.
     ///
-    /// v2 extended v1 with the `failures` and `truncations` arrays; v3 adds
-    /// the `profile` section (per-phase time/alloc rollup from the span
-    /// tree, `alloc_tracked` flagging whether an `obs-alloc` allocator was
-    /// compiled in), the `metrics` array (the deterministic
-    /// counter-argument registry), and the crash-safety arrays `retries`
-    /// (attempt failures absorbed by the supervisor) and `repairs` (balance
-    /// repairs applied to infeasible outputs). Consumers that ignore
-    /// unknown keys keep working; [`parse_report`] still loads committed v2
-    /// documents.
+    /// Besides the cuts, timing and span tree, the document carries the
+    /// `failures` and `truncations` arrays, the `profile` section (per-phase
+    /// time/alloc rollup from the span tree, `alloc_tracked` flagging
+    /// whether an `obs-alloc` allocator was compiled in), the `metrics`
+    /// array (the deterministic counter-argument registry), and the
+    /// crash-safety arrays `retries` (attempt failures absorbed by the
+    /// supervisor) and `repairs` (balance repairs applied to infeasible
+    /// outputs).
     pub fn to_json(&self) -> String {
         let tree = build_tree(&self.trace);
         let mut out = String::from("{\"schema\":\"mlpart-run-report-v3\",\"meta\":");
@@ -355,24 +354,19 @@ impl RunReport {
 
 /// A run report loaded back from its JSON serialization.
 ///
-/// [`parse_report`] accepts both the current `mlpart-run-report-v3` format
-/// and committed `mlpart-run-report-v2` documents; for v2 — which predates
-/// the `profile` section — the per-phase rollup is recomputed from the
-/// `spans` tree, so old baselines diff cleanly against new runs.
+/// [`parse_report`] accepts the `mlpart-run-report-v3` format; the
+/// per-phase rollup is recomputed from the `spans` tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadedReport {
-    /// Schema version: 2 or 3.
-    pub version: u32,
-    /// Per-phase time/alloc aggregates (recomputed for v2).
+    /// Per-phase time/alloc aggregates.
     pub phases: Vec<crate::profile::PhaseAgg>,
-    /// Whether the producing binary tracked allocations (`obs-alloc`);
-    /// always `false` for v2.
+    /// Whether the producing binary tracked allocations (`obs-alloc`).
     pub alloc_tracked: bool,
     /// The parsed document, for callers needing more than the rollup.
     pub doc: json::Json,
 }
 
-/// Parses and version-dispatches a run-report JSON document.
+/// Parses a run-report JSON document.
 ///
 /// # Errors
 ///
@@ -384,11 +378,9 @@ pub fn parse_report(text: &str) -> Result<LoadedReport, String> {
         .get("schema")
         .and_then(json::Json::as_str)
         .ok_or("document has no schema tag")?;
-    let version = match tag {
-        "mlpart-run-report-v2" => 2,
-        "mlpart-run-report-v3" => 3,
-        other => return Err(format!("unsupported report schema {other:?}")),
-    };
+    if tag != "mlpart-run-report-v3" {
+        return Err(format!("unsupported report schema {tag:?}"));
+    }
     let phases = crate::profile::phases_from_report(&doc)?;
     let alloc_tracked = doc
         .get("profile")
@@ -396,7 +388,6 @@ pub fn parse_report(text: &str) -> Result<LoadedReport, String> {
         .and_then(json::Json::as_num)
         == Some(1.0);
     Ok(LoadedReport {
-        version,
         phases,
         alloc_tracked,
         doc,
@@ -748,8 +739,10 @@ mod tests {
             cpu_secs: 0.9,
             trace: synthetic_run(),
         };
-        let loaded = parse_report(&report.to_json()).expect("v3 parses");
-        assert_eq!(loaded.version, 3);
+        let text = report.to_json();
+        let loaded = parse_report(&text).expect("v3 parses");
+        let v2 = text.replacen("mlpart-run-report-v3", "mlpart-run-report-v2", 1);
+        assert!(parse_report(&v2).is_err(), "only v3 loads");
         assert_eq!(loaded.alloc_tracked, cfg!(feature = "obs-alloc"));
         assert_eq!(loaded.phases[0].name, "run");
         // The serialized profile table matches the recomputed rollup.

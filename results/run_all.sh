@@ -14,4 +14,5 @@ $B table9 -- --runs 5 --suite primary1,primary2,biomed,s13207,s15850,industry2,i
 $B fig4   -- --runs 10 --suite avqsmall,avqlarge > results/fig4.txt 2>&1
 $B ablation -- --runs 5 --suite small          > results/ablation.txt 2>&1
 $B table4 -- --runs 3 --suite golem3           > results/golem3.txt 2>&1
+$B table_kway_eps -- --suite balu,primary1,struct --runs 5 --seed 1997 > results/kway_eps.json
 echo ALL_DONE

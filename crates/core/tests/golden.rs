@@ -7,6 +7,11 @@
 //! before the pipelines were merged into one V-cycle: a refactor of the
 //! pipelines must leave every one of them unchanged. Print the current values
 //! with `cargo test -p mlpart-core --test golden -- --ignored --nocapture`.
+//!
+//! Under `--features obs` the same runs are traced and [`GOLDEN_TRACE`] pins
+//! the FNV-1a of each trace's JSONL with timing stripped, so the span tree
+//! and every counter sample (`fm_pass`, `kway_pass`, `coarsen_level`,
+//! `rebalance`, ...) is held to a fixed reference too.
 
 use mlpart_cluster::MatchConfig;
 use mlpart_core::{
@@ -405,6 +410,19 @@ fn fingerprints(h: &Hypergraph, run: &dyn Fn(&Hypergraph, &mut MlRng) -> u64) ->
     [0, 1, 2].map(|seed| run(h, &mut seeded_rng(seed)))
 }
 
+/// The trace of each seed's run, as FNV-1a of its timing-free JSONL
+/// (`strip_profile` also drops the `obs-alloc` telemetry).
+#[cfg(feature = "obs")]
+fn trace_fingerprints(h: &Hypergraph, run: &dyn Fn(&Hypergraph, &mut MlRng) -> u64) -> [u64; 3] {
+    [0, 1, 2].map(|seed| {
+        let (_, trace) = mlpart_obs::capture(|| run(h, &mut seeded_rng(seed)));
+        let jsonl = mlpart_obs::to_jsonl(&trace.expect("gate forced on"));
+        let mut f = Fnv::new();
+        f.bytes(mlpart_obs::strip_profile(&jsonl).as_bytes());
+        f.0
+    })
+}
+
 #[test]
 fn pipelines_match_golden_fingerprints() {
     let h = primary1();
@@ -413,6 +431,24 @@ fn pipelines_match_golden_fingerprints() {
     for ((name, run), &(golden_name, expected)) in cases.iter().zip(GOLDEN) {
         assert_eq!(*name, golden_name, "case order");
         assert_eq!(fingerprints(&h, run.as_ref()), expected, "case {name}");
+    }
+}
+
+#[cfg(feature = "obs")]
+#[test]
+fn pipelines_match_golden_trace_fingerprints() {
+    let h = primary1();
+    let cases = cases();
+    assert_eq!(cases.len(), GOLDEN_TRACE.len(), "one constant row per case");
+    mlpart_obs::force_enabled(true);
+    let got: Vec<[u64; 3]> = cases
+        .iter()
+        .map(|(_, run)| trace_fingerprints(&h, run.as_ref()))
+        .collect();
+    mlpart_obs::force_enabled(false);
+    for (((name, _), &(golden_name, expected)), got) in cases.iter().zip(GOLDEN_TRACE).zip(got) {
+        assert_eq!(*name, golden_name, "case order");
+        assert_eq!(got, expected, "trace of case {name}");
     }
 }
 
@@ -453,6 +489,17 @@ fn print_golden_fingerprints() {
         println!("    (\"{name}\", [{a:#018x}, {b:#018x}, {c:#018x}]),");
     }
     println!("];");
+    #[cfg(feature = "obs")]
+    {
+        mlpart_obs::force_enabled(true);
+        println!("const GOLDEN_TRACE: &[(&str, [u64; 3])] = &[");
+        for (name, run) in cases() {
+            let [a, b, c] = trace_fingerprints(&h, run.as_ref());
+            println!("    (\"{name}\", [{a:#018x}, {b:#018x}, {c:#018x}]),");
+        }
+        println!("];");
+        mlpart_obs::force_enabled(false);
+    }
 }
 
 /// Recorded from the pipelines before the V-cycle merge (the `lumpy_*` rows:
@@ -488,4 +535,39 @@ const GOLDEN: &[(&str, [u64; 3])] = &[
     ("budget_pinned_recursive5", [0x7191f05b602dee44, 0x1c8ea6a459331f6f, 0xe5d0e5c4335e79b3]),
     ("lumpy_kway3_fifo", [0x28fdb05e513fa852, 0x6774d4412a0bfb06, 0x3d5947445fcf32e0]),
     ("lumpy_kway8_net_cut", [0x0f98ff299eccf5f3, 0xe1dda37764c9b9e6, 0x76184f2f1ed14b6c]),
+];
+
+/// Recorded from the traced pipelines before the hook call sites moved to the
+/// one-line macros; never edit.
+#[cfg(feature = "obs")]
+#[rustfmt::skip]
+const GOLDEN_TRACE: &[(&str, [u64; 3])] = &[
+    ("ml_f_r1", [0xe24093b86c0e3894, 0xe9324d4105b1e787, 0x81d1c543b265d066]),
+    ("ml_f_r05", [0x29b67cb7f1c43b32, 0xedfc0fa0f30854c8, 0xa9ba071951cf4938]),
+    ("ml_c_r1", [0x0dafd6d941bdc90a, 0xd88f368290a47e73, 0x8832d4c4f5a5bd8a]),
+    ("ml_c_r05", [0x31cfcfdd60a57ebf, 0x89e82382ae5beae5, 0x3b0b896a328890f2]),
+    ("ml_tries3", [0x4b2d2b391b881497, 0xb34e612ee8179abb, 0x830e20a0f9bd67ac]),
+    ("ml_coalesce", [0xb687058e318687a8, 0xe9e45ba191627113, 0xfa95e693b74f33a5]),
+    ("ml_random_matching", [0xbc8fecd9fae86550, 0xa6096f43b219a4b0, 0x3ba4ffe3e451acb4]),
+    ("ml_heavy_edge", [0x8901a18095725871, 0x26a530cdc44d47e2, 0x67341fd6bc1684e4]),
+    ("kway_sod", [0xf071f9f04d0ce27a, 0xe26fcf8ca2f15374, 0x6bb3af6856300ce0]),
+    ("kway_net_cut", [0xd28961beefdd073e, 0x5b38c10504689292, 0x6796224f3e2ea1d3]),
+    ("recursive_depth2", [0xd66361a52a4c1d39, 0x049d7c91223cac54, 0x72bd3771df72949f]),
+    ("two_phase", [0x59d8dd51087aad23, 0xbb1d386856af640b, 0x5ff5be857a96ab8a]),
+    ("pinned_bisection", [0xa452c055239a99b2, 0x3c5937e59c2f798d, 0x75cee8d1625c9695]),
+    ("pinned_kway3", [0x02e2855dda0ae9f7, 0xab3f12edf27b784f, 0x05ed0369bce41a5e]),
+    ("pinned_kway4", [0x1e1824d93d8b6395, 0x1a702ad434716b32, 0x4471e5e2ba1fb40e]),
+    ("pinned_recursive3", [0x06434bbd5846b9fb, 0xebfba6a34ecd6c2c, 0xc70b08fb30dd8857]),
+    ("pinned_recursive5", [0x9bfb71c46ac7deab, 0x942921de9b7b58b7, 0xc6d42095e8ca6cb6]),
+    ("pinned_recursive8", [0x4668607dbfdb5ff9, 0x04ff959f13b4e861, 0x345872077c097fae]),
+    ("pinned_two_phase", [0x36adbca041034552, 0x7e560bea72a2c61b, 0x22bd65c2f4ff94d1]),
+    ("budget_bisection", [0x04cbee8e59af68e3, 0xb85a5bc96f4b8aa4, 0x77647c56c4afa237]),
+    ("budget_kway", [0x5baa6d9ad6b7660f, 0xaec9df3714f04efb, 0xf31a675942ea720b]),
+    ("budget_recursive_bisection", [0xa5b6f767cbb8f0d9, 0x70efb225eb3d4b43, 0x08865e4122a5aab1]),
+    ("budget_two_phase", [0x553e4ef8d3d9f7ae, 0xd919163c05f15ac1, 0x69f9c01190554184]),
+    ("budget_pinned_bisection", [0x6cf637eca1f378fd, 0x7d873203499d0bac, 0x63036aa9c0f22c3d]),
+    ("budget_pinned_kway4", [0x28e88b716264a33a, 0xf4b7d46bddb4273e, 0x59e6368e4e8c6ece]),
+    ("budget_pinned_recursive5", [0x0f43e57e8af2cf41, 0x13b322362d766b57, 0xe29c95f7072997a2]),
+    ("lumpy_kway3_fifo", [0x668da57feb25cbab, 0xfa578aa7f3f96ae1, 0x381dbb3b1c565807]),
+    ("lumpy_kway8_net_cut", [0xa63c47615c11cd23, 0x118a2977d84268a6, 0x9332db5c1b94d197]),
 ];

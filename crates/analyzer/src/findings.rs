@@ -145,7 +145,6 @@ mod tests {
             "wall-clock",
             "id-truncation",
             "debug-print",
-            "ungated-hook",
         ] {
             assert!(
                 schema.contains(&format!("\"{check}\"")),

@@ -7,8 +7,8 @@
 //! pipeline crates. This crate enforces both statically. It supersedes the
 //! PR 3 line-regex lint (`mlpart-lint`) with a real engine: a hand-rolled
 //! std-only lexer ([`lexer`]) produces a spanned token stream, a structural
-//! outline ([`outline`]) recovers `#[cfg]` regions, `use`-alias bindings,
-//! and fn spans, and four passes ([`passes`]) run over them:
+//! outline ([`outline`]) recovers test-only regions, `use`-alias bindings,
+//! and fn spans, and three passes ([`passes`]) run over them:
 //!
 //! * **determinism lints** — `default-hasher` (HashMap/HashSet, including
 //!   through `use ... as` renames), `entropy-rng` (`thread_rng` /
@@ -19,10 +19,6 @@
 //! * **panic-path inventory** — `panic-unwrap`/`panic-expect`/
 //!   `panic-macro`/`panic-index` over the six pipeline crates, enforced by
 //!   the `panics-allow.txt` ratchet that can only shrink;
-//! * **feature-gate hygiene** — `ungated-hook`: every `mlpart_obs::` /
-//!   `mlpart_audit::` / `mlpart_fault::` mention in library code must sit
-//!   inside a matching `#[cfg(feature = ...)]` region (or a module gated at
-//!   its `mod` declaration), so hooks provably compile out;
 //! * **staleness** — allow/ratchet entries that no longer match reality
 //!   fail `--check-stale`, so exemptions can't rot.
 //!
@@ -56,8 +52,8 @@ use std::path::{Path, PathBuf};
 /// and this crate itself — excluded from scanning.
 const SKIP_CRATES: &[&str] = &["rand", "proptest", "analyzer"];
 
-/// The pipeline library crates under the panic-freedom, gate-hygiene, and
-/// no-debug-print contracts. The bench harness (static-shape table math on
+/// The pipeline library crates under the panic-freedom and no-debug-print
+/// contracts. The bench harness (static-shape table math on
 /// a terminal it owns) and the hook crates themselves (obs, audit, fault —
 /// they *are* the gated implementation) are deliberately out. The facade
 /// (CLI + checkpoint codec) gets the panic inventory only — see
@@ -90,23 +86,6 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Features a file inherits from a `#[cfg(feature = "...")] mod x;`
-/// declaration in its crate's `lib.rs`. `rel_in_src` is the path below
-/// `src/` (`audit.rs`, `audit/mod.rs`, `audit/deep.rs` all map to the
-/// top-level module `audit`).
-fn inherited_features(gated: &[outline::GatedMod], rel_in_src: &Path) -> Vec<String> {
-    let Some(first) = rel_in_src.components().next() else {
-        return Vec::new();
-    };
-    let first = first.as_os_str().to_string_lossy();
-    let module = first.strip_suffix(".rs").unwrap_or(&first);
-    gated
-        .iter()
-        .filter(|g| g.name == module)
-        .flat_map(|g| g.features.iter().cloned())
-        .collect()
-}
-
 /// Analyzes every scanned crate's `src/` tree plus the facade's root
 /// `src/`, returning all findings in canonical order (allow files not yet
 /// applied).
@@ -127,19 +106,9 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
             continue;
         }
         let is_library = LIBRARY_CRATES.contains(&name.as_str());
-        // Gated `mod` declarations in the crate root let included files
-        // inherit their feature requirement.
-        let gated_mods = if is_library {
-            let lib_rs = src.join("lib.rs");
-            match fs::read_to_string(&lib_rs) {
-                Ok(text) => {
-                    let toks = lexer::lex(&text);
-                    outline::build(&toks).gated_mods
-                }
-                Err(_) => Vec::new(),
-            }
-        } else {
-            Vec::new()
+        let scope = Scope {
+            panics: is_library,
+            debug_print: is_library,
         };
         let mut files = Vec::new();
         rust_files(&src, &mut files)?;
@@ -149,13 +118,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
                 .unwrap_or(&file)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let rel_in_src = file.strip_prefix(&src).unwrap_or(&file);
-            let scope = Scope {
-                panics: is_library,
-                gates: is_library,
-                debug_print: is_library,
-                inherited_features: inherited_features(&gated_mods, rel_in_src),
-            };
             let text = fs::read_to_string(&file)?;
             findings.extend(analyze_source(&rel, &text, &scope));
         }
@@ -172,8 +134,8 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
                 .replace('\\', "/");
             let text = fs::read_to_string(&file)?;
             // The facade's IO and argument paths promise typed errors:
-            // panic inventory on, hook-gate/debug-print checks off (it is
-            // the terminal owner that prints and wires the gated hooks).
+            // panic inventory on, debug-print check off (it is the terminal
+            // owner that prints).
             let scope = Scope {
                 panics: true,
                 ..Scope::default()
@@ -249,37 +211,6 @@ mod tests {
                 .any(|f| f.check == "entropy-rng" && f.snippet.contains("fresh_rng()")),
             "aliased thread_rng call not flagged: {f:?}"
         );
-    }
-
-    /// Un-gated hook calls must be reported; properly gated ones must not.
-    #[test]
-    fn ungated_obs_fixture_flags_only_the_naked_call() {
-        let text = include_str!("../fixtures/ungated_obs.rs.fixture");
-        let scope = Scope {
-            gates: true,
-            ..Scope::default()
-        };
-        let f = analyze_source("fixtures/ungated_obs.rs", text, &scope);
-        let hooks: Vec<&Finding> = f.iter().filter(|f| f.check == "ungated-hook").collect();
-        assert_eq!(hooks.len(), 2, "{f:?}");
-        assert!(hooks.iter().all(|f| f.snippet.contains("naked")));
-    }
-
-    /// Allocation-tracking hook sites need the stricter `obs-alloc` gate:
-    /// both the weakly-gated (`obs` only) and naked calls are reported,
-    /// while the properly gated one and the plain span hook are not.
-    #[test]
-    fn ungated_alloc_fixture_flags_weak_gates() {
-        let text = include_str!("../fixtures/ungated_alloc.rs.fixture");
-        let scope = Scope {
-            gates: true,
-            ..Scope::default()
-        };
-        let f = analyze_source("fixtures/ungated_alloc.rs", text, &scope);
-        let hooks: Vec<&Finding> = f.iter().filter(|f| f.check == "ungated-hook").collect();
-        assert_eq!(hooks.len(), 2, "{f:?}");
-        assert!(hooks.iter().any(|f| f.snippet.contains("snapshot")));
-        assert!(hooks.iter().any(|f| f.snippet.contains("peak_bytes")));
     }
 
     /// A fresh unwrap/index in pipeline code shows up in the panic

@@ -1,11 +1,10 @@
 //! Lightweight structural outline over the token stream.
 //!
 //! The outline extracts exactly the structure the passes need — no full
-//! parse: `#[cfg(...)]` regions with their positive feature set and
-//! test-ness, `use`-alias resolution (including grouped imports and
-//! `as` renames), function spans (for finding context labels), and
-//! body-less gated `mod` declarations (so a file can inherit gating from
-//! the `#[cfg(feature = "...")] mod x;` line that includes it).
+//! parse: test-only regions (`#[cfg(test)]` items and `#[test]` functions,
+//! which the panic inventory and the debug-print check skip), `use`-alias
+//! resolution (including grouped imports and `as` renames), and function
+//! spans (for finding context labels).
 //!
 //! Attribute attachment uses a heuristic that covers real Rust without a
 //! grammar: an attribute's region starts after any immediately following
@@ -14,19 +13,7 @@
 //! (continuing through `else` chains).
 
 use crate::lexer::{TokKind, Token};
-
-/// A conditionally-compiled token range.
-#[derive(Debug, Clone)]
-pub struct CfgRegion {
-    /// First token index covered (inclusive).
-    pub start: usize,
-    /// One past the last token index covered.
-    pub end: usize,
-    /// Positive feature names: `feature = "x"` terms not under `not(...)`.
-    pub features: Vec<String>,
-    /// True for `#[cfg(test)]` regions and `#[test]` functions.
-    pub is_test: bool,
-}
+use std::ops::Range;
 
 /// A function item: name and the token range from `fn` through its body.
 #[derive(Debug, Clone)]
@@ -39,43 +26,23 @@ pub struct FnSpan {
     pub end: usize,
 }
 
-/// A body-less `mod name;` declaration carrying `#[cfg(feature = ...)]`.
-#[derive(Debug, Clone)]
-pub struct GatedMod {
-    /// Module name from the declaration.
-    pub name: String,
-    /// Positive feature names guarding the declaration.
-    pub features: Vec<String>,
-}
-
 /// Structural facts about one source file.
 #[derive(Debug, Default)]
 pub struct Outline {
-    /// Attribute-gated token ranges, in source order.
-    pub regions: Vec<CfgRegion>,
+    /// Token ranges of test-only code, in source order.
+    pub test_regions: Vec<Range<usize>>,
     /// `alias → full path` pairs from `use` trees, e.g.
     /// `("Map", "std::collections::HashMap")`. Plain imports are recorded
     /// too (`("HashMap", "std::collections::HashMap")`).
     pub aliases: Vec<(String, String)>,
     /// Function items, in source order.
     pub fns: Vec<FnSpan>,
-    /// Body-less `mod` declarations carrying feature gates.
-    pub gated_mods: Vec<GatedMod>,
 }
 
 impl Outline {
-    /// True when token `idx` sits inside a region gated on `feature`.
-    pub fn in_feature(&self, idx: usize, feature: &str) -> bool {
-        self.regions
-            .iter()
-            .any(|r| r.start <= idx && idx < r.end && r.features.iter().any(|f| f == feature))
-    }
-
     /// True when token `idx` is inside test-only code.
     pub fn in_test(&self, idx: usize) -> bool {
-        self.regions
-            .iter()
-            .any(|r| r.start <= idx && idx < r.end && r.is_test)
+        self.test_regions.iter().any(|r| r.contains(&idx))
     }
 
     /// Name of the innermost function containing token `idx`, if any.
@@ -110,38 +77,17 @@ pub fn build(toks: &[Token]) -> Outline {
             {
                 // Inner attribute `#![...]`: a cfg here gates the whole file.
                 let close = matching_bracket(toks, i + 2);
-                let meta = parse_meta(&toks[i + 3..close]);
-                if meta.is_cfg && (!meta.features.is_empty() || meta.is_test) {
-                    out.regions.push(CfgRegion {
-                        start: 0,
-                        end: toks.len(),
-                        features: meta.features,
-                        is_test: meta.is_test,
-                    });
+                if is_test_attr(&toks[i + 3..close]) {
+                    out.test_regions.push(0..toks.len());
                 }
                 i = close + 1;
                 continue;
             }
             if toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
                 let close = matching_bracket(toks, i + 1);
-                let meta = parse_meta(&toks[i + 2..close]);
-                if meta.is_cfg && (!meta.features.is_empty() || meta.is_test) {
+                if is_test_attr(&toks[i + 2..close]) {
                     let start = skip_attributes(toks, close + 1);
-                    let end = attachment_end(toks, start);
-                    if let Some(name) = bodyless_mod_name(&toks[start..end]) {
-                        if !meta.features.is_empty() {
-                            out.gated_mods.push(GatedMod {
-                                name,
-                                features: meta.features.clone(),
-                            });
-                        }
-                    }
-                    out.regions.push(CfgRegion {
-                        start,
-                        end,
-                        features: meta.features,
-                        is_test: meta.is_test,
-                    });
+                    out.test_regions.push(start..attachment_end(toks, start));
                 }
                 i = close + 1;
                 continue;
@@ -229,48 +175,22 @@ fn attachment_end(toks: &[Token], start: usize) -> usize {
     toks.len()
 }
 
-/// For a region holding `pub? mod name ;` with no body: the mod name.
-fn bodyless_mod_name(toks: &[Token]) -> Option<String> {
-    if toks.iter().any(|t| t.is_punct('{')) {
-        return None;
-    }
-    let pos = toks.iter().position(|t| t.is_ident("mod"))?;
-    let name = toks.get(pos + 1)?;
-    (name.kind == TokKind::Ident).then(|| name.text.clone())
-}
-
-struct Meta {
-    is_cfg: bool,
-    features: Vec<String>,
-    is_test: bool,
-}
-
-/// Parses attribute meta tokens (the part between `[` and `]`).
-/// `feature = "x"` terms under `not(...)` are excluded from the positive
-/// set; a bare `test` (as in `#[test]` or `#[cfg(test)]`) marks test-ness.
-fn parse_meta(toks: &[Token]) -> Meta {
-    let mut meta = Meta {
-        is_cfg: false,
-        features: Vec::new(),
-        is_test: false,
-    };
+/// True for attribute meta tokens (the part between `[` and `]`) that mark
+/// test-only code: `#[test]`, or a `cfg` naming `test` outside `not(...)`
+/// (`#[cfg(test)]`, `#[cfg(all(test, unix))]`).
+fn is_test_attr(toks: &[Token]) -> bool {
     let Some(first) = toks.first() else {
-        return meta;
+        return false;
     };
     if first.is_ident("test") && toks.len() == 1 {
-        meta.is_cfg = true; // treat #[test] as a test region marker
-        meta.is_test = true;
-        return meta;
+        return true;
     }
     if !first.is_ident("cfg") {
-        return meta; // cfg_attr, derive, doc, ... — not a region
+        return false; // cfg_attr, derive, doc, ... — not a region
     }
-    meta.is_cfg = true;
     let mut depth = 0usize;
     let mut not_depths: Vec<usize> = Vec::new();
-    let mut k = 0;
-    while k < toks.len() {
-        let t = &toks[k];
+    for (k, t) in toks.iter().enumerate() {
         if t.is_punct('(') {
             depth += 1;
         } else if t.is_punct(')') {
@@ -280,33 +200,11 @@ fn parse_meta(toks: &[Token]) -> Meta {
             depth = depth.saturating_sub(1);
         } else if t.is_ident("not") && toks.get(k + 1).is_some_and(|t| t.is_punct('(')) {
             not_depths.push(depth + 1);
-        } else if not_depths.is_empty() {
-            if t.is_ident("feature")
-                && toks.get(k + 1).is_some_and(|t| t.is_punct('='))
-                && toks.get(k + 2).is_some_and(|t| t.kind == TokKind::Str)
-            {
-                meta.features.push(str_value(&toks[k + 2].text));
-                k += 3;
-                continue;
-            }
-            if t.is_ident("test") {
-                meta.is_test = true;
-            }
+        } else if not_depths.is_empty() && t.is_ident("test") {
+            return true;
         }
-        k += 1;
     }
-    meta
-}
-
-/// The value of a string-literal token (`"obs"` → `obs`).
-fn str_value(text: &str) -> String {
-    let first = text.find('"').map(|p| p + 1).unwrap_or(0);
-    let last = text.rfind('"').unwrap_or(text.len());
-    if first <= last {
-        text[first..last].to_string()
-    } else {
-        String::new()
-    }
+    false
 }
 
 /// One past the end of the fn starting at token `fn_idx` (at the body's
@@ -496,51 +394,17 @@ mod tests {
     }
 
     #[test]
-    fn cfg_feature_region_covers_statement() {
+    fn cfg_test_region_covers_statement() {
         let src = r#"
             fn f() {
-                #[cfg(feature = "obs")]
-                let _span = mlpart_obs::span("x");
+                #[cfg(test)]
+                let probe = check();
                 other();
             }
         "#;
         let (toks, o) = outline_of(src);
-        assert!(o.in_feature(idx_of(&toks, "mlpart_obs"), "obs"));
-        assert!(!o.in_feature(idx_of(&toks, "other"), "obs"));
-    }
-
-    #[test]
-    fn cfg_region_covers_block_and_fn() {
-        let src = r#"
-            #[cfg(feature = "audit")]
-            fn hooked() { mlpart_audit::check(); }
-            fn plain() { naked(); }
-        "#;
-        let (toks, o) = outline_of(src);
-        assert!(o.in_feature(idx_of(&toks, "mlpart_audit"), "audit"));
-        assert!(!o.in_feature(idx_of(&toks, "naked"), "audit"));
-    }
-
-    #[test]
-    fn not_feature_is_excluded() {
-        let src = r#"
-            #[cfg(not(feature = "obs"))]
-            fn f() { body(); }
-        "#;
-        let (toks, o) = outline_of(src);
-        assert!(!o.in_feature(idx_of(&toks, "body"), "obs"));
-    }
-
-    #[test]
-    fn any_with_not_keeps_only_positive() {
-        let src = r#"
-            #[cfg(any(feature = "obs", not(feature = "audit")))]
-            fn f() { body(); }
-        "#;
-        let (toks, o) = outline_of(src);
-        let i = idx_of(&toks, "body");
-        assert!(o.in_feature(i, "obs"));
-        assert!(!o.in_feature(i, "audit"));
+        assert!(o.in_test(idx_of(&toks, "check")));
+        assert!(!o.in_test(idx_of(&toks, "other")));
     }
 
     #[test]
@@ -561,50 +425,53 @@ mod tests {
     }
 
     #[test]
-    fn inner_cfg_gates_whole_file() {
-        let src = "#![cfg(feature = \"fault\")]\nfn f() { body(); }";
+    fn not_test_and_feature_gates_are_library_code() {
+        let src = r#"
+            #[cfg(not(test))]
+            fn f() { body(); }
+            #[cfg(feature = "obs")]
+            fn g() { traced(); }
+            #[cfg(all(test, unix))]
+            fn h() { unix_test(); }
+        "#;
         let (toks, o) = outline_of(src);
-        assert!(o.in_feature(idx_of(&toks, "body"), "fault"));
+        assert!(!o.in_test(idx_of(&toks, "body")));
+        assert!(!o.in_test(idx_of(&toks, "traced")));
+        assert!(o.in_test(idx_of(&toks, "unix_test")));
+    }
+
+    #[test]
+    fn inner_cfg_test_covers_whole_file() {
+        let src = "#![cfg(test)]\nfn f() { body(); }";
+        let (toks, o) = outline_of(src);
+        assert!(o.in_test(idx_of(&toks, "body")));
     }
 
     #[test]
     fn stacked_attributes_attach_to_same_item() {
         let src = r#"
-            #[cfg(feature = "obs")]
+            #[cfg(test)]
             #[allow(dead_code)]
             fn f() { body(); }
             fn g() { after(); }
         "#;
         let (toks, o) = outline_of(src);
-        assert!(o.in_feature(idx_of(&toks, "body"), "obs"));
-        assert!(!o.in_feature(idx_of(&toks, "after"), "obs"));
+        assert!(o.in_test(idx_of(&toks, "body")));
+        assert!(!o.in_test(idx_of(&toks, "after")));
     }
 
     #[test]
     fn region_ends_at_comma_inside_enum() {
         let src = r#"
             enum E {
-                #[cfg(feature = "obs")]
-                Traced(u32),
+                #[cfg(test)]
+                Probe(u32),
                 Plain(u32),
             }
         "#;
         let (toks, o) = outline_of(src);
-        assert!(o.in_feature(idx_of(&toks, "Traced"), "obs"));
-        assert!(!o.in_feature(idx_of(&toks, "Plain"), "obs"));
-    }
-
-    #[test]
-    fn gated_mod_declaration_recorded() {
-        let src = r#"
-            #[cfg(feature = "audit")]
-            pub mod audit;
-            mod plain;
-        "#;
-        let (_, o) = outline_of(src);
-        assert_eq!(o.gated_mods.len(), 1);
-        assert_eq!(o.gated_mods[0].name, "audit");
-        assert_eq!(o.gated_mods[0].features, ["audit"]);
+        assert!(o.in_test(idx_of(&toks, "Probe")));
+        assert!(!o.in_test(idx_of(&toks, "Plain")));
     }
 
     #[test]
@@ -641,13 +508,13 @@ mod tests {
     fn else_chain_stays_in_region() {
         let src = r#"
             fn f() {
-                #[cfg(feature = "obs")]
+                #[cfg(test)]
                 if a { x(); } else { y(); }
                 after();
             }
         "#;
         let (toks, o) = outline_of(src);
-        assert!(o.in_feature(idx_of(&toks, "y"), "obs"));
-        assert!(!o.in_feature(idx_of(&toks, "after"), "obs"));
+        assert!(o.in_test(idx_of(&toks, "y")));
+        assert!(!o.in_test(idx_of(&toks, "after")));
     }
 }

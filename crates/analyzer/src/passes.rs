@@ -1,28 +1,22 @@
-//! The analysis passes: determinism lints, panic-path inventory, and
-//! feature-gate hygiene, all running over one file's token stream and
+//! The analysis passes: determinism lints, panic-path inventory and the
+//! library debug-print check, all running over one file's token stream and
 //! outline.
 //!
 //! Every pass is a pure function of `(tokens, outline, scope)`; the scope
 //! says which passes apply to this file (panic checks only run on the six
-//! pipeline crates, gate checks only on library code) and which features
-//! the file inherits from a gated `mod` declaration in its crate root.
+//! pipeline crates and the facade, debug-print checks only on library code).
 
 use crate::findings::Finding;
 use crate::lexer::{TokKind, Token};
 use crate::outline::Outline;
 
-/// Which passes apply to the file being analyzed, plus inherited gating.
+/// Which passes apply to the file being analyzed.
 #[derive(Debug, Clone, Default)]
 pub struct Scope {
     /// Run the panic-path inventory (pipeline library crates only).
     pub panics: bool,
-    /// Run feature-gate hygiene (library crates with optional hook deps).
-    pub gates: bool,
     /// Deny `dbg!`/`println!` outside tests (library crates).
     pub debug_print: bool,
-    /// Features the whole file is gated on via `#[cfg(feature = "...")]
-    /// mod name;` in the crate root — e.g. `fm::audit` inherits `audit`.
-    pub inherited_features: Vec<String>,
 }
 
 /// Identifiers that disqualify the preceding-token heuristic for slice
@@ -36,32 +30,6 @@ const NON_INDEX_PREV: &[&str] = &[
 
 /// Macro names whose invocation panics.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Hook-crate roots and the cargo feature each must be gated behind.
-/// Sub-paths can demand a *stricter* gate than the crate root; see
-/// [`hook_feature`].
-const HOOK_ROOTS: &[(&str, &str)] = &[
-    ("mlpart_obs", "obs"),
-    ("mlpart_audit", "audit"),
-    ("mlpart_fault", "fault"),
-];
-
-/// The feature a hook-path token at `i` must be gated behind, or `None`
-/// when `toks[i]` is not a hook root. Most hook sites need the crate-level
-/// feature from [`HOOK_ROOTS`]; `mlpart_obs::alloc::…` — the allocation
-/// tracker — only exists under `obs-alloc`, so a plain `obs` gate would
-/// still break the build and the stricter gate is required.
-fn hook_feature(toks: &[Token], i: usize) -> Option<&'static str> {
-    let (_, feature) = HOOK_ROOTS.iter().find(|(root, _)| toks[i].is_ident(root))?;
-    if toks[i].is_ident("mlpart_obs")
-        && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-        && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        && toks.get(i + 3).is_some_and(|t| t.is_ident("alloc"))
-    {
-        return Some("obs-alloc");
-    }
-    Some(feature)
-}
 
 /// Runs every applicable pass over one file. `src` is only used to attach
 /// trimmed line snippets to findings.
@@ -159,17 +127,6 @@ pub fn analyze(
                 };
                 if indexes {
                     hit("panic-index", i, toks, outline);
-                }
-            }
-        }
-
-        // --- feature-gate hygiene ---
-        if scope.gates && t.kind == TokKind::Ident && !outline.in_test(i) {
-            if let Some(feature) = hook_feature(toks, i) {
-                let gated = outline.in_feature(i, feature)
-                    || scope.inherited_features.iter().any(|f| f == feature);
-                if !gated {
-                    hit("ungated-hook", i, toks, outline);
                 }
             }
         }
@@ -327,96 +284,6 @@ mod tests {
     fn unwrap_or_variants_are_not_panics() {
         let src = "fn f(o: Option<u32>) -> u32 { o.unwrap_or(0) + o.unwrap_or_default() + o.unwrap_or_else(|| 1) }\n";
         assert!(run(src, &panic_scope()).is_empty());
-    }
-
-    fn gate_scope() -> Scope {
-        Scope {
-            gates: true,
-            ..Scope::default()
-        }
-    }
-
-    #[test]
-    fn gated_hooks_pass_ungated_fail() {
-        let src = r#"
-            fn f() {
-                #[cfg(feature = "obs")]
-                let _span = mlpart_obs::span("match");
-                mlpart_audit::check_partition(&p);
-            }
-        "#;
-        let f = run(src, &gate_scope());
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].check, "ungated-hook");
-        assert!(f[0].snippet.contains("mlpart_audit"));
-    }
-
-    #[test]
-    fn inherited_module_gating_counts() {
-        let src = "pub fn hook() { mlpart_audit::check(); }\n";
-        let mut scope = gate_scope();
-        let f = run(src, &scope);
-        assert_eq!(f.len(), 1);
-        scope.inherited_features = vec!["audit".into()];
-        assert!(run(src, &scope).is_empty());
-    }
-
-    #[test]
-    fn alloc_hook_requires_the_stricter_obs_alloc_gate() {
-        // A crate-level `obs` gate is not enough for the allocation
-        // tracker: the `alloc` module only compiles under `obs-alloc`.
-        let under_obs = r#"
-            fn f() {
-                #[cfg(feature = "obs")]
-                {
-                    mlpart_obs::alloc::reset_thread_tallies();
-                }
-            }
-        "#;
-        assert_eq!(checks(under_obs, &gate_scope()), ["ungated-hook"]);
-        let under_alloc = r#"
-            fn f() {
-                #[cfg(feature = "obs-alloc")]
-                {
-                    mlpart_obs::alloc::reset_thread_tallies();
-                }
-            }
-        "#;
-        assert!(run(under_alloc, &gate_scope()).is_empty());
-    }
-
-    #[test]
-    fn metrics_hook_needs_only_the_obs_gate() {
-        let src = r#"
-            fn f() {
-                #[cfg(feature = "obs")]
-                {
-                    let r = mlpart_obs::metrics::Registry::from_trace(&t);
-                }
-            }
-        "#;
-        assert!(run(src, &gate_scope()).is_empty());
-    }
-
-    #[test]
-    fn inherited_obs_alloc_module_gating_counts() {
-        let src = "pub fn hook() { mlpart_obs::alloc::snapshot(); }\n";
-        let mut scope = gate_scope();
-        assert_eq!(checks(src, &scope), ["ungated-hook"]);
-        // Inheriting plain `obs` from a gated `mod` is still not enough…
-        scope.inherited_features = vec!["obs".into()];
-        assert_eq!(checks(src, &scope), ["ungated-hook"]);
-        // …but inheriting `obs-alloc` is.
-        scope.inherited_features = vec!["obs-alloc".into()];
-        assert!(run(src, &scope).is_empty());
-    }
-
-    #[test]
-    fn gated_use_import_is_fine_ungated_is_not() {
-        let gated = "#[cfg(feature = \"fault\")]\nuse mlpart_fault::plan::Plan;\n";
-        assert!(run(gated, &gate_scope()).is_empty());
-        let ungated = "use mlpart_fault::plan::Plan;\n";
-        assert_eq!(checks(ungated, &gate_scope()), ["ungated-hook"]);
     }
 
     #[test]

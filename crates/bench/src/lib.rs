@@ -22,7 +22,7 @@ pub mod sweeps;
 use mlpart_fm::RefineWorkspace;
 use mlpart_gen::{SizeClass, SuiteCircuit, SUITE};
 use mlpart_hypergraph::rng::{child_seed, seeded_rng, MlRng};
-use mlpart_hypergraph::CutStats;
+use mlpart_hypergraph::{obs_counter, CutStats};
 use std::time::Instant;
 
 /// Statistics plus timing for a batch of runs of one algorithm on one
@@ -107,19 +107,14 @@ where
     };
     // One deterministic summary event per batch; timing stays out of the
     // args so trace content is reproducible across runs and thread counts.
-    #[cfg(feature = "obs")]
-    if mlpart_obs::recording() {
-        mlpart_obs::counter(
-            "batch",
-            &[
-                ("runs", runs.into()),
-                ("seed", base_seed.into()),
-                ("cut_min", stats.cut.min.into()),
-                ("cut_max", stats.cut.max.into()),
-                ("cut_avg", stats.cut.avg.into()),
-            ],
-        );
-    }
+    obs_counter!(
+        "batch",
+        "runs" => runs,
+        "seed" => base_seed,
+        "cut_min" => stats.cut.min,
+        "cut_max" => stats.cut.max,
+        "cut_avg" => stats.cut.avg,
+    );
     stats
 }
 
@@ -165,10 +160,7 @@ pub fn with_report<R>(args: &HarnessArgs, harness: &'static str, body: impl FnOn
         mlpart_obs::force_enabled(true);
         let wall = Instant::now();
         let (value, trace) = mlpart_obs::capture(|| {
-            let _run = mlpart_obs::span(
-                "run",
-                &[("runs", args.runs.into()), ("seed", args.seed.into())],
-            );
+            mlpart_hypergraph::obs_span!("run", "runs" => args.runs, "seed" => args.seed);
             body()
         });
         let trace = trace.expect("gate forced on");

@@ -9,8 +9,8 @@
 
 use crate::clustering::Clustering;
 use mlpart_hypergraph::{
-    BipartBalance, BuildHypergraphError, Hypergraph, HypergraphBuilder, KwayBalance, ModuleId,
-    Partition,
+    audit, BipartBalance, BuildHypergraphError, Hypergraph, HypergraphBuilder, KwayBalance,
+    ModuleId, Partition,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -137,16 +137,15 @@ pub fn induce(h: &Hypergraph, clustering: &Clustering) -> Result<Hypergraph, Coa
         builder.add_weighted_net(scratch.iter().copied(), h.net_weight(e))?;
     }
     let coarse = builder.build()?;
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_hypergraph(&coarse));
-        mlpart_audit::enforce(mlpart_audit::check_counter(
+    audit!(
+        mlpart_audit::audit_hypergraph(&coarse),
+        mlpart_audit::check_counter(
             "Hypergraph",
             "induce-total-area",
             coarse.total_area(),
             h.total_area(),
-        ));
-    }
+        ),
+    );
     Ok(coarse)
 }
 
@@ -194,18 +193,17 @@ pub fn induce_coalesced(
         builder.add_weighted_net(pins.iter().map(|&p| p as usize), weight)?;
     }
     let coalesced = builder.build()?;
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_hypergraph(&coalesced));
-        // Coalescing must conserve total net weight (each merged net carries
-        // the sum of its duplicates), which is what keeps weighted cuts equal.
-        mlpart_audit::enforce(mlpart_audit::check_counter(
+    // Coalescing must conserve total net weight (each merged net carries
+    // the sum of its duplicates), which is what keeps weighted cuts equal.
+    audit!(
+        mlpart_audit::audit_hypergraph(&coalesced),
+        mlpart_audit::check_counter(
             "Hypergraph",
             "coalesce-net-weight",
             coalesced.total_net_weight(),
             dup.total_net_weight(),
-        ));
-    }
+        ),
+    );
     Ok(coalesced)
 }
 
@@ -243,18 +241,16 @@ pub fn project(
             num_clusters: clustering.num_clusters(),
         },
     )?;
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_cluster_map(
-            clustering.as_map(),
-            clustering.num_clusters(),
-        ));
-        mlpart_audit::enforce(mlpart_audit::audit_partition(fine, &fine_p));
-        // Definition 2 preserves per-part areas; the multilevel driver
-        // additionally audits bit-exact cut preservation (it owns both the
-        // fine and the coarse netlist).
-        if fine_p.part_areas() != coarse_partition.part_areas() {
-            mlpart_audit::enforce(Err(mlpart_audit::AuditError::new(
+    // Definition 2 preserves per-part areas; the multilevel driver
+    // additionally audits bit-exact cut preservation (it owns both the fine
+    // and the coarse netlist).
+    audit!(
+        mlpart_audit::audit_cluster_map(clustering.as_map(), clustering.num_clusters()),
+        mlpart_audit::audit_partition(fine, &fine_p),
+        if fine_p.part_areas() == coarse_partition.part_areas() {
+            Ok(())
+        } else {
+            Err(mlpart_audit::AuditError::new(
                 "Projection",
                 "area-preserved",
                 format!(
@@ -262,9 +258,9 @@ pub fn project(
                     fine_p.part_areas(),
                     coarse_partition.part_areas()
                 ),
-            )));
-        }
-    }
+            ))
+        },
+    );
     Ok(fine_p)
 }
 

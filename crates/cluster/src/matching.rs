@@ -17,7 +17,7 @@
 
 use crate::clustering::Clustering;
 use mlpart_hypergraph::rng::{random_permutation, random_permutation_into};
-use mlpart_hypergraph::{Hypergraph, ModuleId, PartId};
+use mlpart_hypergraph::{obs_counter, Hypergraph, ModuleId, PartId};
 use rand::Rng;
 
 /// Reusable scratch buffers for [`match_clusters_frozen_in`]: the random
@@ -293,15 +293,12 @@ where
             k += 1;
         }
     }
-    #[cfg(feature = "obs")]
-    mlpart_obs::counter(
+    obs_counter!(
         "match_pass",
-        &[
-            ("modules", n.into()),
-            ("clusters", u64::from(k).into()),
-            ("matched", n_match.into()),
-            ("ratio", cfg.ratio.into()),
-        ],
+        "modules" => n,
+        "clusters" => k,
+        "matched" => n_match,
+        "ratio" => cfg.ratio,
     );
     Clustering::from_dense(cluster_of, k as usize)
 }

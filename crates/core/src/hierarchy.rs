@@ -6,7 +6,7 @@ use mlpart_cluster::{
     heavy_edge_matching, induce, induce_coalesced, match_clusters_frozen_in,
     match_clusters_parts_in, random_matching, Clustering, MatchConfig, MatchScratch,
 };
-use mlpart_hypergraph::{Hypergraph, ModuleId, PartId};
+use mlpart_hypergraph::{obs_counter, obs_span, Hypergraph, ModuleId, PartId};
 use rand::Rng;
 
 /// Which matching algorithm drives coarsening — the paper's `Match` by
@@ -118,14 +118,11 @@ impl Hierarchy {
         let mut owned_current: Option<Hypergraph> = None;
         let mut current_fixed: Vec<(ModuleId, PartId)> = fixed.to_vec();
 
-        #[cfg(feature = "obs")]
-        let _obs_span = mlpart_obs::span(
+        obs_span!(
             "coarsen",
-            &[
-                ("modules", h0.num_modules().into()),
-                ("threshold", cfg.coarsen_threshold.into()),
-                ("ratio", cfg.matching_ratio.into()),
-            ],
+            "modules" => h0.num_modules(),
+            "threshold" => cfg.coarsen_threshold,
+            "ratio" => cfg.matching_ratio,
         );
         loop {
             let current: &Hypergraph = owned_current.as_ref().unwrap_or(h0);
@@ -148,15 +145,12 @@ impl Hierarchy {
             // coarse levels become star-like.
             let guard = 1.0 - effective_ratio / 4.0;
             let stalled = clustering.num_clusters() as f64 > guard * current.num_modules() as f64;
-            #[cfg(feature = "obs")]
-            mlpart_obs::counter(
+            obs_counter!(
                 "coarsen_level",
-                &[
-                    ("level", clusterings.len().into()),
-                    ("modules", current.num_modules().into()),
-                    ("clusters", clustering.num_clusters().into()),
-                    ("stalled", u64::from(stalled).into()),
-                ],
+                "level" => clusterings.len(),
+                "modules" => current.num_modules(),
+                "clusters" => clustering.num_clusters(),
+                "stalled" => u64::from(stalled),
             );
             if stalled {
                 break; // matching stalled: treat this level as coarsest

@@ -15,7 +15,7 @@ use crate::vcycle::{Bisect, Ctx, Cycle, Pinned, Request, Window};
 use mlpart_fm::{BudgetMeter, RefineWorkspace, Truncation};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
-    adapted_epsilon, metrics, Constraints, Hypergraph, ModuleId, PartId, Partition,
+    adapted_epsilon, audit, metrics, obs_span, Constraints, Hypergraph, ModuleId, PartId, Partition,
 };
 
 /// Statistics from a recursive bisection run.
@@ -82,11 +82,7 @@ pub fn recursive_ml_bisection(
         refiner: Bisect(&cfg.fm),
         pins: None,
     };
-    #[cfg(feature = "obs")]
-    let _obs_run = mlpart_obs::span(
-        "recursive_bisection",
-        &[("depth", u64::from(depth).into()), ("modules", n.into())],
-    );
+    obs_span!("recursive_bisection", "depth" => depth, "modules" => n);
     req.with(rng, |_, cx| {
         // `region[v]` is the current part of module v.
         let mut region = vec![0u32; n];
@@ -108,14 +104,11 @@ pub fn recursive_ml_bisection(
                     continue;
                 }
                 let (sub, back) = h.extract(&keep)?;
-                #[cfg(feature = "obs")]
-                let _obs_region = mlpart_obs::span(
+                obs_span!(
                     "region",
-                    &[
-                        ("depth_level", u64::from(level).into()),
-                        ("region", u64::from(r_id).into()),
-                        ("modules", count.into()),
-                    ],
+                    "depth_level" => level,
+                    "region" => r_id,
+                    "modules" => count,
                 );
                 let (sub_p, _) = cycle.run(&sub, cfg, cx)?;
                 bisections += 1;
@@ -187,15 +180,7 @@ pub fn recursive_ml_partition(
     let k = c.k();
     let n = h.num_modules();
     c.check_modules(n)?;
-    #[cfg(feature = "obs")]
-    let _obs_run = mlpart_obs::span(
-        "recursive_partition",
-        &[
-            ("k", u64::from(k).into()),
-            ("modules", n.into()),
-            ("fixed", c.fixed().len().into()),
-        ],
-    );
+    obs_span!("recursive_partition", "k" => k, "modules" => n, "fixed" => c.fixed().len());
     req.with(rng, |_, cx| {
         let mut split = Split {
             h,
@@ -209,11 +194,10 @@ pub fn recursive_ml_partition(
         split.region(&members, 0, k, cx)?;
         let p = Partition::from_assignment(h, k, split.region)
             .ok_or(PipelineError::InvalidRegionIds { k })?;
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-            mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(&p, c.fixed()));
-        }
+        audit!(
+            mlpart_audit::audit_partition(h, &p),
+            mlpart_audit::audit_fixed_assignment(&p, c.fixed()),
+        );
         let result = RecursiveResult::new(h, &p, split.bisections, cx.meter);
         Ok((p, result))
     })
@@ -278,14 +262,11 @@ impl Split<'_> {
             keep[v as usize] = true;
         }
         let (sub, back) = self.h.extract(&keep)?;
-        #[cfg(feature = "obs")]
-        let _obs_region = mlpart_obs::span(
+        obs_span!(
             "region",
-            &[
-                ("part_base", u64::from(part_base).into()),
-                ("k_region", u64::from(k_region).into()),
-                ("modules", members.len().into()),
-            ],
+            "part_base" => part_base,
+            "k_region" => k_region,
+            "modules" => members.len(),
         );
         // A pin belongs to side 0 iff its part falls in the low part range.
         let boundary = part_base + k_lo;

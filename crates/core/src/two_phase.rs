@@ -13,11 +13,11 @@
 
 use crate::error::PipelineError;
 use crate::hierarchy::{lift_fixed, match_level};
-use crate::vcycle::{Bisect, Cycle, Pinned, Refiner, Request, Window};
+use crate::vcycle::{Bisect, Ctx, Cycle, Pinned, Refiner, Request, Window};
 use mlpart_cluster::{induce, project, MatchConfig, MatchScratch};
 use mlpart_fm::{FmConfig, FmResult, Truncation};
 use mlpart_hypergraph::rng::MlRng;
-use mlpart_hypergraph::{metrics, Hypergraph, Partition};
+use mlpart_hypergraph::{audit, metrics, obs_counter, obs_span, Hypergraph, Partition};
 
 /// Result of a two-phase FM run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,59 +92,61 @@ pub fn two_phase_fm(
             refiner: Bisect(fm),
             pins,
         };
-        let fixed = cycle.fixed();
-        #[cfg(feature = "obs")]
-        let _obs_run = match cycle.pins {
-            None => mlpart_obs::span("two_phase", &[("modules", h.num_modules().into())]),
-            Some(_) => mlpart_obs::span(
-                "two_phase_constrained",
-                &[
-                    ("modules", h.num_modules().into()),
-                    ("fixed", fixed.len().into()),
-                ],
-            ),
-        };
-        // Phase 1: cluster once and partition the coarse netlist.
-        let clustering = match_level(h, match_cfg, fixed, cx.rng, &mut MatchScratch::new());
-        let coarse = induce(h, &clustering)?;
-        let coarse_fixed = lift_fixed(fixed, &clustering);
-        #[cfg(feature = "obs")]
-        mlpart_obs::counter(
-            "two_phase_coarse",
-            &[("coarse_modules", coarse.num_modules().into())],
-        );
-        cx.meter.set_level_context(Some(1));
-        let (coarse_p, coarse_r) = cycle.seed(&coarse, &coarse_fixed, cx);
+        let n = h.num_modules();
+        match cycle.pins {
+            None => {
+                obs_span!("two_phase", "modules" => n);
+                phases(h, &cycle, match_cfg, cx)
+            }
+            Some(_) => {
+                obs_span!("two_phase_constrained", "modules" => n, "fixed" => cycle.fixed().len());
+                phases(h, &cycle, match_cfg, cx)
+            }
+        }
+    })
+}
 
-        // Phase 2: project and refine on the original netlist.
-        let mut p = project(h, &clustering, &coarse_p)?;
-        let bounds = cycle.bounds(h);
-        let _rebalance = cycle.rebalance(h, &mut p, &bounds, fixed, cx.rng);
-        #[cfg(feature = "obs")]
-        mlpart_obs::counter(
-            "rebalance",
-            &[("level", 0u64.into()), ("moves", _rebalance.into())],
-        );
-        cx.meter.set_level_context(Some(0));
-        let refine = cycle.refiner.refine(h, &mut p, &bounds, fixed, cx);
+/// The two phases of [`two_phase_fm`], inside its run span.
+fn phases(
+    h: &Hypergraph,
+    cycle: &Cycle<Bisect<'_>>,
+    match_cfg: &MatchConfig,
+    cx: &mut Ctx<'_>,
+) -> Result<(Partition, TwoPhaseResult), PipelineError> {
+    let fixed = cycle.fixed();
+    // Phase 1: cluster once and partition the coarse netlist.
+    let clustering = match_level(h, match_cfg, fixed, cx.rng, &mut MatchScratch::new());
+    let coarse = induce(h, &clustering)?;
+    let coarse_fixed = lift_fixed(fixed, &clustering);
+    obs_counter!("two_phase_coarse", "coarse_modules" => coarse.num_modules());
+    cx.meter.set_level_context(Some(1));
+    let (coarse_p, coarse_r) = cycle.seed(&coarse, &coarse_fixed, cx);
 
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-            mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(&p, fixed));
+    // Phase 2: project and refine on the original netlist.
+    let mut p = project(h, &clustering, &coarse_p)?;
+    let bounds = cycle.bounds(h);
+    let rebalance = cycle.rebalance(h, &mut p, &bounds, fixed, cx.rng);
+    obs_counter!("rebalance", "level" => 0u64, "moves" => rebalance);
+    cx.meter.set_level_context(Some(0));
+    let refine = cycle.refiner.refine(h, &mut p, &bounds, fixed, cx);
+
+    audit!(
+        mlpart_audit::audit_partition(h, &p),
+        mlpart_audit::audit_fixed_assignment(&p, fixed),
+        {
             let (lo, hi): (Vec<u64>, Vec<u64>) =
                 (0..2u32).map(|q| (bounds.lo(q), bounds.hi(q))).unzip();
-            mlpart_audit::enforce(mlpart_audit::audit_part_bounds(&p, &lo, &hi));
-        }
-        let result = TwoPhaseResult {
-            cut: metrics::cut(h, &p),
-            coarse_cut: coarse_r.cut,
-            coarse_modules: coarse.num_modules(),
-            refine,
-            truncation: cx.meter.truncation(),
-        };
-        Ok((p, result))
-    })
+            mlpart_audit::audit_part_bounds(&p, &lo, &hi)
+        },
+    );
+    let result = TwoPhaseResult {
+        cut: metrics::cut(h, &p),
+        coarse_cut: coarse_r.cut,
+        coarse_modules: coarse.num_modules(),
+        refine,
+        truncation: cx.meter.truncation(),
+    };
+    Ok((p, result))
 }
 
 #[cfg(test)]

@@ -22,8 +22,8 @@ use mlpart_fm::{
 };
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
-    metrics, BipartBalance, Constraints, Hypergraph, KwayBalance, ModuleId, PartBounds, PartId,
-    Partition,
+    audit, metrics, obs_counter, obs_span, BipartBalance, Constraints, Hypergraph, KwayBalance,
+    ModuleId, PartBounds, PartId, Partition,
 };
 use mlpart_kway::{
     kway_partition_budgeted_in, kway_refine_constrained_budgeted_in, rebalance_to_bounds,
@@ -80,11 +80,9 @@ pub(crate) trait Refiner {
     /// What the engine's calls report.
     type Run;
     /// Run-span names under the paper and the constrained schedule.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     const SPANS: [&'static str; 2];
     /// The k-way engine's traces name `k` on the run span and report only
     /// the winning initial try; the 2-way engine's report every try.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     const TRACE_K: bool;
     /// Parts the engine produces.
     fn k(&self) -> u32;
@@ -326,29 +324,47 @@ impl<R: Refiner> Cycle<'_, R> {
         }
     }
 
-    /// The V-cycle of Fig. 2: coarsen `h` under `cfg`, seed the coarsest
-    /// level (`cfg.initial_tries` times, keeping the first best cut), then
-    /// project, rebalance and refine level by level down to `h`.
+    /// The V-cycle of Fig. 2 under its run span: the span names the
+    /// schedule, and carries `k` for the k-way engine and the pin count under
+    /// the constrained schedule.
     pub(crate) fn run(
         &self,
         h: &Hypergraph,
         cfg: &MlConfig,
         cx: &mut Ctx<'_>,
     ) -> Result<(Partition, MlResult), PipelineError> {
-        let fixed = self.fixed();
-        #[cfg(feature = "obs")]
-        let _obs_run = {
-            let [paper, pinned] = R::SPANS;
-            let k = ("k", self.refiner.k().into());
-            let n = ("modules", h.num_modules().into());
-            let f = ("fixed", fixed.len().into());
-            match (self.pins.is_some(), R::TRACE_K) {
-                (false, false) => mlpart_obs::span(paper, &[n]),
-                (false, true) => mlpart_obs::span(paper, &[k, n]),
-                (true, false) => mlpart_obs::span(pinned, &[n, f]),
-                (true, true) => mlpart_obs::span(pinned, &[k, n, f]),
+        let [paper, pinned] = R::SPANS;
+        let (k, n, f) = (self.refiner.k(), h.num_modules(), self.fixed().len());
+        match (self.pins.is_some(), R::TRACE_K) {
+            (false, false) => {
+                obs_span!(paper, "modules" => n);
+                self.cycle(h, cfg, cx)
             }
-        };
+            (false, true) => {
+                obs_span!(paper, "k" => k, "modules" => n);
+                self.cycle(h, cfg, cx)
+            }
+            (true, false) => {
+                obs_span!(pinned, "modules" => n, "fixed" => f);
+                self.cycle(h, cfg, cx)
+            }
+            (true, true) => {
+                obs_span!(pinned, "k" => k, "modules" => n, "fixed" => f);
+                self.cycle(h, cfg, cx)
+            }
+        }
+    }
+
+    /// Coarsens `h` under `cfg`, seeds the coarsest level
+    /// (`cfg.initial_tries` times, keeping the first best cut), then projects,
+    /// rebalances and refines level by level down to `h`.
+    fn cycle(
+        &self,
+        h: &Hypergraph,
+        cfg: &MlConfig,
+        cx: &mut Ctx<'_>,
+    ) -> Result<(Partition, MlResult), PipelineError> {
+        let fixed = self.fixed();
         let hierarchy = Hierarchy::coarsen(h, cfg, fixed, cx.rng)?;
         let m = hierarchy.num_levels();
 
@@ -356,56 +372,40 @@ impl<R: Refiner> Cycle<'_, R> {
         let coarsest = hierarchy.coarsest(h);
         cx.meter.set_level_context(Some(m as u32));
         let tries = cfg.initial_tries.max(1);
-        #[cfg(feature = "obs")]
-        let obs_initial = mlpart_obs::span(
-            "initial",
-            &[
-                ("tries", tries.into()),
-                ("level", m.into()),
-                ("modules", coarsest.num_modules().into()),
-            ],
-        );
-        let mut attempt = |t: usize| {
-            #[cfg(feature = "obs")]
-            let obs_try = mlpart_obs::span("try", &[("try", t.into())]);
-            let (p, run) = self.seed(coarsest, hierarchy.fixed_at(m), cx);
-            let (cut, passes) = R::summary(&run);
-            #[cfg(feature = "obs")]
-            {
-                drop(obs_try);
+        let (mut p, initial, mut total_passes) = {
+            obs_span!(
+                "initial",
+                "tries" => tries,
+                "level" => m,
+                "modules" => coarsest.num_modules(),
+            );
+            let mut attempt = |t: usize| {
+                let (p, run) = {
+                    obs_span!("try", "try" => t);
+                    self.seed(coarsest, hierarchy.fixed_at(m), cx)
+                };
+                let (cut, passes) = R::summary(&run);
                 if !R::TRACE_K {
-                    mlpart_obs::counter(
-                        "initial_try",
-                        &[
-                            ("try", t.into()),
-                            ("cut", cut.into()),
-                            ("passes", passes.len().into()),
-                        ],
-                    );
+                    obs_counter!("initial_try", "try" => t, "cut" => cut, "passes" => passes.len());
+                }
+                (cut, passes.len(), t, p, run)
+            };
+            let mut best = attempt(0);
+            let mut total_passes = best.1;
+            for t in 1..tries {
+                let next = attempt(t);
+                total_passes += next.1;
+                // Strict `<` keeps the *first* try that reaches the minimum
+                // cut, so the winner does not depend on how many later tries
+                // tie it.
+                if next.0 < best.0 {
+                    best = next;
                 }
             }
-            (cut, passes.len(), t, p, run)
+            let (best_cut, _, winner, p, initial) = best;
+            obs_counter!("initial_winner", "try" => winner, "cut" => best_cut);
+            (p, initial, total_passes)
         };
-        let mut best = attempt(0);
-        let mut total_passes = best.1;
-        for t in 1..tries {
-            let next = attempt(t);
-            total_passes += next.1;
-            // Strict `<` keeps the *first* try that reaches the minimum cut,
-            // so the winner does not depend on how many later tries tie it.
-            if next.0 < best.0 {
-                best = next;
-            }
-        }
-        let (_best_cut, _, _winner, mut p, initial) = best;
-        #[cfg(feature = "obs")]
-        {
-            mlpart_obs::counter(
-                "initial_winner",
-                &[("try", _winner.into()), ("cut", _best_cut.into())],
-            );
-            drop(obs_initial);
-        }
         let mut level_stats = Vec::with_capacity(m + 1);
         let initial_passes = R::summary(&initial).1;
         level_stats.push(LevelStats::from_passes(
@@ -419,37 +419,24 @@ impl<R: Refiner> Cycle<'_, R> {
         let mut rebalance_moves = 0usize;
         for i in (0..m).rev() {
             let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
-            #[cfg(feature = "obs")]
-            let _obs_level = mlpart_obs::span(
-                "level",
-                &[("level", i.into()), ("modules", fine.num_modules().into())],
-            );
+            obs_span!("level", "level" => i, "modules" => fine.num_modules());
             let mut fine_p = project(fine, hierarchy.clustering(i), &p)?;
             // Definition 2 audit: the projected solution must pull back
             // through the cluster map and preserve the cut bit-exactly,
             // checked before rebalancing perturbs `fine_p`.
-            #[cfg(feature = "audit")]
-            if mlpart_audit::enabled() {
-                mlpart_audit::enforce(
-                    mlpart_audit::audit_projection(
-                        fine,
-                        &fine_p,
-                        hierarchy.level(i + 1),
-                        &p,
-                        hierarchy.clustering(i).as_map(),
-                    )
-                    .map_err(|e| e.with_level(i)),
-                );
-            }
+            audit!(mlpart_audit::audit_projection(
+                fine,
+                &fine_p,
+                hierarchy.level(i + 1),
+                &p,
+                hierarchy.clustering(i).as_map(),
+            )
+            .map_err(|e| e.with_level(i)));
             let level_fixed = hierarchy.fixed_at(i);
             let bounds = self.bounds(fine);
             let level_rebalance = self.rebalance(fine, &mut fine_p, &bounds, level_fixed, cx.rng);
             rebalance_moves += level_rebalance;
-            #[cfg(feature = "obs")]
-            mlpart_obs::counter(
-                "rebalance",
-                &[("level", i.into()), ("moves", level_rebalance.into())],
-            );
+            obs_counter!("rebalance", "level" => i, "moves" => level_rebalance);
             // Cooperative budget checkpoint. When the level budget (or any
             // sticky earlier limit) is exhausted, refinement below runs zero
             // passes and the projected, rebalanced partition flows through
@@ -462,13 +449,8 @@ impl<R: Refiner> Cycle<'_, R> {
                 .refine(fine, &mut fine_p, &bounds, level_fixed, cx);
             cx.meter.note_level();
             // Pins must survive every level, not just the final answer.
-            #[cfg(feature = "audit")]
-            if mlpart_audit::enabled() {
-                mlpart_audit::enforce(
-                    mlpart_audit::audit_fixed_assignment(&fine_p, level_fixed)
-                        .map_err(|e| e.with_level(i)),
-                );
-            }
+            audit!(mlpart_audit::audit_fixed_assignment(&fine_p, level_fixed)
+                .map_err(|e| e.with_level(i)));
             let passes = R::summary(&r).1;
             total_passes += passes.len();
             let stats = LevelStats::from_passes(i, fine.num_modules(), passes, level_rebalance);
@@ -476,11 +458,10 @@ impl<R: Refiner> Cycle<'_, R> {
             p = fine_p;
         }
 
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-            mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(&p, fixed));
-        }
+        audit!(
+            mlpart_audit::audit_partition(h, &p),
+            mlpart_audit::audit_fixed_assignment(&p, fixed),
+        );
         let result = MlResult {
             cut: metrics::cut(h, &p),
             levels: m,

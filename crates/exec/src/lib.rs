@@ -49,77 +49,18 @@
 
 use mlpart_fm::RefineWorkspace;
 use mlpart_hypergraph::rng::{child_seed, seeded_rng, MlRng};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use mlpart_hypergraph::{audit, fault_point};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+use trace::{append_start_trace, capture_unwind, failure_phase, StartTrace};
 
 pub mod supervise;
+mod trace;
 
 pub use supervise::{
     run_supervised, Attempt, PriorStart, ResumeState, RetryPolicy, RetryRecord, Sink, StartDone,
     SupervisedBatch, ATTEMPT_STRIDE,
 };
-
-/// Per-start observability payload: each start's events are captured on
-/// whichever worker ran it, then merged into the caller's trace **in start
-/// order** — so the merged stream's content is thread-count-invariant, the
-/// same argument as for the result vector itself.
-#[cfg(feature = "obs")]
-type StartTrace = Option<mlpart_obs::Trace>;
-/// Zero-sized stand-in so the runner's plumbing is feature-independent.
-#[cfg(not(feature = "obs"))]
-type StartTrace = ();
-
-/// Splices one start's captured trace into the calling thread's recorder as
-/// a `start` span. No-op when the start recorded nothing.
-#[cfg(feature = "obs")]
-fn append_start_trace(i: usize, trace: &StartTrace) {
-    if let Some(t) = trace {
-        mlpart_obs::append_trace("start", &[("start", (i as u64).into())], t);
-    }
-}
-#[cfg(not(feature = "obs"))]
-fn append_start_trace(_i: usize, _trace: &StartTrace) {}
-
-/// Best-effort phase attribution for a failed start: the innermost span
-/// open when the panic began unwinding. Span guards close during the unwind
-/// (their `Drop` records `End`), so a drained stack is recovered from the
-/// trailing run of `End` events the unwind appended.
-#[cfg(feature = "obs")]
-fn failure_phase(trace: &StartTrace) -> Option<String> {
-    use mlpart_obs::EvKind;
-    let t = trace.as_ref()?;
-    let mut stack: Vec<&'static str> = Vec::new();
-    for e in &t.events {
-        match e.kind {
-            EvKind::Begin => stack.push(e.name),
-            EvKind::End => {
-                stack.pop();
-            }
-            EvKind::Counter => {}
-        }
-    }
-    if let Some(name) = stack.last() {
-        // A panic with the unwind trace cut short (or a non-unwinding
-        // recorder) leaves the true open stack behind.
-        return Some((*name).to_string());
-    }
-    // The first End of the trailing End-run names the phase that was
-    // closing when the trace stopped.
-    let trailing = t
-        .events
-        .iter()
-        .rev()
-        .take_while(|e| e.kind == EvKind::End)
-        .count();
-    t.events
-        .get(t.events.len() - trailing)
-        .map(|e| e.name.to_string())
-}
-#[cfg(not(feature = "obs"))]
-fn failure_phase(_trace: &StartTrace) -> Option<String> {
-    None
-}
 
 /// Renders a caught panic payload as a message (the common `&str` / `String`
 /// payloads verbatim, anything else a placeholder).
@@ -317,15 +258,10 @@ where
     let run_one = |i: usize, ws: &mut RefineWorkspace| -> (f64, StartSlot<T>) {
         let start = Instant::now();
         let mut rng = seeded_rng(child_seed(base_seed, i as u64));
-        let body = AssertUnwindSafe(|| {
-            #[cfg(feature = "fault")]
-            mlpart_fault::maybe_panic("start", i as u64);
+        let (result, trace) = capture_unwind(|| {
+            fault_point!("start", i as u64);
             job(&mut rng, ws)
         });
-        #[cfg(feature = "obs")]
-        let (result, trace) = mlpart_obs::capture(|| catch_unwind(body));
-        #[cfg(not(feature = "obs"))]
-        let (result, trace) = (catch_unwind(body), ());
         let secs = start.elapsed().as_secs_f64();
         let result = result.map_err(panic_message);
         if result.is_err() {
@@ -405,10 +341,7 @@ where
         // Work-stealing audit: every start index must have been claimed by
         // exactly one worker (a duplicate or dropped claim would silently
         // break the determinism contract before the `Lost` check fires).
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(mlpart_audit::audit_start_claims(&claims));
-        }
+        audit!(mlpart_audit::audit_start_claims(&claims));
     }
 
     let mut survivors: Vec<(usize, T)> = Vec::with_capacity(runs);

@@ -27,31 +27,15 @@
 //! [`run_supervised`] is **bit-identical** to [`try_run_starts`] — same
 //! survivors, failures, and (under `obs`) the same merged trace content.
 
-use crate::{failure_phase, panic_message, BatchResult, ExecError, ExecTiming, StartFailure};
+use crate::trace::{append_attempt, append_contribution, capture_unwind, failure_phase};
+use crate::{panic_message, BatchResult, ExecError, ExecTiming, StartFailure};
 use mlpart_fm::{Budget, RefineWorkspace};
 use mlpart_hypergraph::rng::{child_seed, seeded_rng, MlRng};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use mlpart_hypergraph::{audit, fault_point};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// A start's full trace contribution: the concatenation of its per-attempt
-/// streams, each wrapped in its `start` span. An empty trace when the obs
-/// gate was off; the unit type on non-`obs` builds. Checkpoints persist
-/// this and replay it verbatim on resume.
-#[cfg(feature = "obs")]
-pub type StartContribution = mlpart_obs::Trace;
-/// Zero-sized stand-in so the supervision plumbing is feature-independent.
-#[cfg(not(feature = "obs"))]
-pub type StartContribution = ();
-
-/// Splices a start's contribution into the calling thread's recorder
-/// verbatim (the wrapper spans are already inside).
-#[cfg(feature = "obs")]
-fn append_contribution(t: &StartContribution) {
-    mlpart_obs::append_raw(t);
-}
-#[cfg(not(feature = "obs"))]
-fn append_contribution(_t: &StartContribution) {}
+pub use crate::trace::StartContribution;
 
 /// Fixed stride between starts in the `attempt` fault-site index space:
 /// attempt `a` of start `i` hits index `i * ATTEMPT_STRIDE + a`. Also the
@@ -237,10 +221,9 @@ where
     let t0 = Instant::now();
     let max = policy.attempts();
     let mut retries = Vec::new();
-    #[cfg(feature = "obs")]
-    let mut contribution = mlpart_obs::Trace::default();
-    #[cfg(not(feature = "obs"))]
-    let contribution = ();
+    // The unit type on non-`obs` builds.
+    #[allow(clippy::let_unit_value)]
+    let mut contribution = StartContribution::default();
     let mut attempts;
     let mut a = 0;
     let outcome = loop {
@@ -263,33 +246,12 @@ where
             attempt: a,
             budget,
         };
-        let body = AssertUnwindSafe(|| {
-            #[cfg(feature = "fault")]
-            {
-                mlpart_fault::maybe_panic("start", i as u64);
-                mlpart_fault::maybe_panic("attempt", i as u64 * ATTEMPT_STRIDE + u64::from(a));
-            }
+        let (result, trace) = capture_unwind(|| {
+            fault_point!("start", i as u64);
+            fault_point!("attempt", i as u64 * ATTEMPT_STRIDE + u64::from(a));
             job(&mut rng, ws, attempt)
         });
-        #[cfg(feature = "obs")]
-        let (result, trace) = mlpart_obs::capture(|| catch_unwind(body));
-        #[cfg(not(feature = "obs"))]
-        let (result, trace) = (catch_unwind(body), ());
-        #[cfg(feature = "obs")]
-        if let Some(t) = &trace {
-            // Attempt 0 keeps the unsupervised wrapper args so the merged
-            // stream is byte-compatible with try_run_starts; retries are
-            // tagged with their attempt index.
-            if a == 0 {
-                contribution.append_span("start", &[("start", (i as u64).into())], t);
-            } else {
-                contribution.append_span(
-                    "start",
-                    &[("start", (i as u64).into()), ("attempt", a.into())],
-                    t,
-                );
-            }
-        }
+        append_attempt(&mut contribution, i, a, &trace);
         match result {
             Ok(value) => break Ok(value),
             Err(payload) => {
@@ -481,14 +443,13 @@ where
         }
         // Work-stealing audit: every *pending* start claimed exactly once
         // (an out-of-range claim would read as zero and fail the audit).
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
+        audit!({
             let pending_claims: Vec<u32> = pending
                 .iter()
                 .map(|&i| claims.get(i).copied().unwrap_or(0))
                 .collect();
-            mlpart_audit::enforce(mlpart_audit::audit_start_claims(&pending_claims));
-        }
+            mlpart_audit::audit_start_claims(&pending_claims)
+        });
     }
 
     // Gather in start order: splice traces, split outcomes, merge retries.

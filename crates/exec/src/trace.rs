@@ -1,0 +1,134 @@
+//! Per-start trace plumbing shared by both runners.
+//!
+//! Under `obs` each start runs inside its own capture, on whichever worker
+//! claimed it, and the runners splice the captured streams into the caller's
+//! trace **in start order** — so the merged stream's content is
+//! thread-count-invariant, the same argument as for the result vector
+//! itself. Without `obs` every item here is a zero-sized stand-in with the
+//! same signature, so the runners' plumbing is feature-independent.
+
+pub use imp::*;
+
+#[cfg(feature = "obs")]
+mod imp {
+    use mlpart_obs::{EvKind, Trace};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// One attempt's captured events (`None` when the obs gate was off).
+    pub(crate) type StartTrace = Option<Trace>;
+
+    /// A start's full trace contribution: the concatenation of its
+    /// per-attempt streams, each wrapped in its `start` span. Empty when
+    /// the obs gate was off; the unit type on non-`obs` builds. Checkpoints
+    /// persist this and replay it verbatim on resume.
+    pub type StartContribution = Trace;
+
+    /// Runs `body` under the per-start isolation boundary: `catch_unwind`
+    /// inside the obs capture, so a panicking start still yields the events
+    /// it recorded before unwinding.
+    pub(crate) fn capture_unwind<T>(
+        body: impl FnOnce() -> T,
+    ) -> (std::thread::Result<T>, StartTrace) {
+        mlpart_obs::capture(|| catch_unwind(AssertUnwindSafe(body)))
+    }
+
+    /// Splices one start's captured trace into the calling thread's recorder
+    /// as a `start` span. No-op when the start recorded nothing.
+    pub(crate) fn append_start_trace(i: usize, trace: &StartTrace) {
+        if let Some(t) = trace {
+            mlpart_obs::append_trace("start", &[("start", i.into())], t);
+        }
+    }
+
+    /// Appends attempt `a` of start `i` to the start's contribution as a
+    /// `start` span. Attempt 0 keeps the unsupervised wrapper args so the
+    /// merged stream is byte-compatible with `try_run_starts`; retries are
+    /// tagged with their attempt index.
+    pub(crate) fn append_attempt(
+        contribution: &mut StartContribution,
+        i: usize,
+        a: u32,
+        trace: &StartTrace,
+    ) {
+        if let Some(t) = trace {
+            if a == 0 {
+                contribution.append_span("start", &[("start", i.into())], t);
+            } else {
+                contribution.append_span("start", &[("start", i.into()), ("attempt", a.into())], t);
+            }
+        }
+    }
+
+    /// Splices a start's contribution into the calling thread's recorder
+    /// verbatim (the wrapper spans are already inside).
+    pub(crate) fn append_contribution(t: &StartContribution) {
+        mlpart_obs::append_raw(t);
+    }
+
+    /// Best-effort phase attribution for a failed start: the innermost span
+    /// open when the panic began unwinding. Span guards close during the
+    /// unwind (their `Drop` records `End`), so a drained stack is recovered
+    /// from the trailing run of `End` events the unwind appended.
+    pub(crate) fn failure_phase(trace: &StartTrace) -> Option<String> {
+        let t = trace.as_ref()?;
+        let mut stack: Vec<&'static str> = Vec::new();
+        for e in &t.events {
+            match e.kind {
+                EvKind::Begin => stack.push(e.name),
+                EvKind::End => {
+                    stack.pop();
+                }
+                EvKind::Counter => {}
+            }
+        }
+        if let Some(name) = stack.last() {
+            // A panic with the unwind trace cut short (or a non-unwinding
+            // recorder) leaves the true open stack behind.
+            return Some((*name).to_string());
+        }
+        // The first End of the trailing End-run names the phase that was
+        // closing when the trace stopped.
+        let trailing = t
+            .events
+            .iter()
+            .rev()
+            .take_while(|e| e.kind == EvKind::End)
+            .count();
+        t.events
+            .get(t.events.len() - trailing)
+            .map(|e| e.name.to_string())
+    }
+}
+
+#[cfg(not(feature = "obs"))]
+mod imp {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    pub(crate) type StartTrace = ();
+
+    /// A start's full trace contribution: the unit type on non-`obs` builds
+    /// (the per-attempt `start` spans under `obs`).
+    pub type StartContribution = ();
+
+    pub(crate) fn capture_unwind<T>(
+        body: impl FnOnce() -> T,
+    ) -> (std::thread::Result<T>, StartTrace) {
+        (catch_unwind(AssertUnwindSafe(body)), ())
+    }
+
+    pub(crate) fn append_start_trace(_i: usize, _trace: &StartTrace) {}
+
+    pub(crate) fn append_attempt(
+        _contribution: &mut StartContribution,
+        _i: usize,
+        _a: u32,
+        _trace: &StartTrace,
+    ) {
+    }
+
+    pub(crate) fn append_contribution(_t: &StartContribution) {}
+
+    pub(crate) fn failure_phase(_trace: &StartTrace) -> Option<String> {
+        None
+    }
+}

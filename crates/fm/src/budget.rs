@@ -27,6 +27,8 @@
 //! `exhaust@level` faults record an [`BudgetLimit::Injected`] truncation —
 //! exercising exactly the code paths real budget exhaustion takes.
 
+use mlpart_hypergraph::fault_point;
+
 /// Effort bounds for one start. `None` fields are unlimited; the default
 /// budget is fully unlimited and adds no overhead beyond a few compares per
 /// pass boundary.
@@ -203,13 +205,11 @@ impl BudgetMeter {
     /// when the pass must not run. Doubles as the `pass` fault-injection
     /// site.
     pub fn pass_checkpoint(&mut self, pass: u32) -> bool {
-        #[cfg(feature = "fault")]
-        mlpart_fault::maybe_panic("pass", pass as u64);
+        fault_point!("pass", u64::from(pass));
         if self.exhausted() {
             return false;
         }
-        #[cfg(feature = "fault")]
-        if mlpart_fault::should_exhaust("pass", pass as u64) {
+        if fault_point!(should_exhaust("pass", u64::from(pass))) {
             self.truncate(BudgetLimit::Injected, "pass", Some(pass));
             return false;
         }
@@ -230,13 +230,11 @@ impl BudgetMeter {
     /// `false` when the level's refinement must be skipped (projection and
     /// rebalancing still run). Doubles as the `level` fault-injection site.
     pub fn level_checkpoint(&mut self, level: u32) -> bool {
-        #[cfg(feature = "fault")]
-        mlpart_fault::maybe_panic("level", level as u64);
+        fault_point!("level", u64::from(level));
         if self.exhausted() {
             return false;
         }
-        #[cfg(feature = "fault")]
-        if mlpart_fault::should_exhaust("level", level as u64) {
+        if fault_point!(should_exhaust("level", u64::from(level))) {
             self.current_level = Some(level);
             self.truncate(BudgetLimit::Injected, "level", None);
             return false;

@@ -25,10 +25,11 @@
 
 use crate::bucket::BucketPolicy;
 use crate::budget::BudgetMeter;
-use crate::state::{PassStats, RefineState, RefineWorkspace};
+use crate::state::{GainSpread, PassStats, RefineState, RefineWorkspace};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
-    metrics, BipartBalance, Hypergraph, ModuleId, NetId, PartBounds, Partition,
+    audit, metrics, obs_counter, obs_span, BipartBalance, Hypergraph, ModuleId, NetId, PartBounds,
+    Partition,
 };
 use std::time::Instant;
 
@@ -304,20 +305,13 @@ pub fn refine_constrained_budgeted_in(
     if !fixed.is_empty() {
         st.fixed.copy_from_slice(fixed);
     }
-    #[cfg(feature = "obs")]
-    let _obs_span = mlpart_obs::span(
+    obs_span!(
         "fm_refine",
-        &[
-            (
-                "engine",
-                match cfg.engine {
-                    Engine::Fm => "FM",
-                    Engine::Clip => "CLIP",
-                }
-                .into(),
-            ),
-            ("modules", h.num_modules().into()),
-        ],
+        "engine" => match cfg.engine {
+            Engine::Fm => "FM",
+            Engine::Clip => "CLIP",
+        },
+        "modules" => h.num_modules(),
     );
     let mut passes = 0;
     let mut kept_moves = 0u64;
@@ -671,7 +665,7 @@ impl RefineState {
         cfg: &FmConfig,
         bounds: &PartBounds,
         rng: &mut MlRng,
-        _pass_no: usize,
+        pass_no: usize,
     ) -> PassOutcome {
         let fill_start = Instant::now();
         let start_cut = self.recompute(h, p);
@@ -683,29 +677,12 @@ impl RefineState {
         let fill_time_ns = fill_start.elapsed().as_nanos() as u64;
         // Post-fill gain distribution and bucket occupancy; sampled here (a
         // deterministic point in the pass) only when a trace is recording.
-        #[cfg(feature = "obs")]
-        let obs_fill = mlpart_obs::recording().then(|| {
-            let (mut neg, mut zero, mut pos) = (0u64, 0u64, 0u64);
-            let (mut gmin, mut gmax) = (0i64, 0i64);
-            for v in h.modules() {
-                let g = i64::from(self.gain[v.index()]);
-                match g.cmp(&0) {
-                    std::cmp::Ordering::Less => neg += 1,
-                    std::cmp::Ordering::Equal => zero += 1,
-                    std::cmp::Ordering::Greater => pos += 1,
-                }
-                gmin = gmin.min(g);
-                gmax = gmax.max(g);
-            }
-            (self.buckets[0].len() as u64, gmin, gmax, neg, zero, pos)
-        });
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                crate::audit::audit_pass_start(self, h, p, cfg, start_cut)
-                    .map_err(|e| e.with_pass(_pass_no)),
-            );
-        }
+        let fill = obs_counter!(snapshot: GainSpread::scan(
+            self.buckets[0].len() as u64,
+            h.modules().map(|v| i64::from(self.gain[v.index()])),
+        ));
+        audit!(crate::audit::audit_pass_start(self, h, p, cfg, start_cut)
+            .map_err(|e| e.with_pass(pass_no)));
 
         let total = h.total_area();
         let mut cut = start_cut;
@@ -778,18 +755,13 @@ impl RefineState {
                     self.moves.truncate(best_len);
                     // In audit builds this runs in release too (the
                     // debug_assert it replaces was debug-only).
-                    #[cfg(feature = "audit")]
-                    if mlpart_audit::enabled() {
-                        mlpart_audit::enforce(
-                            mlpart_audit::check_counter(
-                                "RefineState",
-                                "cdip-backtrack-cut",
-                                cut,
-                                best_cut,
-                            )
-                            .map_err(|e| e.with_pass(_pass_no)),
-                        );
-                    }
+                    audit!(mlpart_audit::check_counter(
+                        "RefineState",
+                        "cdip-backtrack-cut",
+                        cut,
+                        best_cut,
+                    )
+                    .map_err(|e| e.with_pass(pass_no)));
                     debug_assert_eq!(cut, best_cut);
                     stall = 0;
                 }
@@ -800,32 +772,23 @@ impl RefineState {
         for &(v, from) in self.moves[best_len..].iter().rev() {
             p.move_module(h, v, from);
         }
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                crate::audit::audit_pass_end(h, p, cfg, best_cut)
-                    .map_err(|e| e.with_pass(_pass_no)),
-            );
-        }
-        #[cfg(feature = "obs")]
-        if let Some((occupancy, gmin, gmax, neg, zero, pos)) = obs_fill {
-            mlpart_obs::counter(
+        audit!(crate::audit::audit_pass_end(h, p, cfg, best_cut).map_err(|e| e.with_pass(pass_no)));
+        if let Some(s) = fill {
+            obs_counter!(
                 "fm_pass",
-                &[
-                    ("pass", (_pass_no as u64).into()),
-                    ("cut_before", start_cut.into()),
-                    ("cut_after", best_cut.into()),
-                    ("attempted", (attempted as u64).into()),
-                    ("kept", (best_len as u64).into()),
-                    ("rolled_back", ((attempted - best_len) as u64).into()),
-                    ("backtracks", (backtracks as u64).into()),
-                    ("bucket_occupancy", occupancy.into()),
-                    ("gain_min", gmin.into()),
-                    ("gain_max", gmax.into()),
-                    ("gain_neg", neg.into()),
-                    ("gain_zero", zero.into()),
-                    ("gain_pos", pos.into()),
-                ],
+                "pass" => pass_no,
+                "cut_before" => start_cut,
+                "cut_after" => best_cut,
+                "attempted" => attempted,
+                "kept" => best_len,
+                "rolled_back" => attempted - best_len,
+                "backtracks" => backtracks,
+                "bucket_occupancy" => s.occupancy,
+                "gain_min" => s.min,
+                "gain_max" => s.max,
+                "gain_neg" => s.neg,
+                "gain_zero" => s.zero,
+                "gain_pos" => s.pos,
             );
         }
         PassOutcome {

@@ -49,4 +49,4 @@ pub use engine::{
     refine_constrained_budgeted_in, refine_in, Engine, FmConfig, FmResult,
 };
 pub use repair::{repair_to_feasible, RepairRecord};
-pub use state::{PassStats, RefineState, RefineWorkspace};
+pub use state::{GainSpread, PassStats, RefineState, RefineWorkspace};

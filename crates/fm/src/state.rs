@@ -58,6 +58,45 @@ impl PartialEq for PassStats {
     }
 }
 
+/// A pass's gain distribution right after its buckets are filled, reported
+/// in the engines' `fm_pass`/`kway_pass` trace counters: bucket occupancy
+/// and the extremes and sign counts of the filled gains.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GainSpread {
+    /// Entries in the gain buckets.
+    pub occupancy: u64,
+    /// Smallest gain, or 0 when every gain is positive.
+    pub min: i64,
+    /// Largest gain, or 0 when every gain is negative.
+    pub max: i64,
+    /// Gains below zero.
+    pub neg: u64,
+    /// Gains equal to zero.
+    pub zero: u64,
+    /// Gains above zero.
+    pub pos: u64,
+}
+
+impl GainSpread {
+    /// Scans `gains` (the buckets held `occupancy` entries).
+    pub fn scan(occupancy: u64, gains: impl IntoIterator<Item = i64>) -> Self {
+        let mut s = GainSpread {
+            occupancy,
+            ..GainSpread::default()
+        };
+        for g in gains {
+            match g.cmp(&0) {
+                std::cmp::Ordering::Less => s.neg += 1,
+                std::cmp::Ordering::Equal => s.zero += 1,
+                std::cmp::Ordering::Greater => s.pos += 1,
+            }
+            s.min = s.min.min(g);
+            s.max = s.max.max(g);
+        }
+        s
+    }
+}
+
 /// The k-generic scratch state driven by the refinement engines.
 ///
 /// Fields are public: this is a deliberately low-level substrate shared by
@@ -221,6 +260,23 @@ mod tests {
         b.add_net([2, 3]).unwrap();
         b.add_net([3, 4, 5]).unwrap();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn gain_spread_counts_signs_and_brackets_zero() {
+        let s = GainSpread::scan(7, [-3, 0, 2, 5, 0]);
+        let want = GainSpread {
+            occupancy: 7,
+            min: -3,
+            max: 5,
+            neg: 1,
+            zero: 2,
+            pos: 2,
+        };
+        assert_eq!(s, want);
+        let all_positive = GainSpread::scan(2, [4, 1]);
+        assert_eq!((all_positive.min, all_positive.max), (0, 4));
+        assert_eq!(GainSpread::scan(0, []), GainSpread::default());
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   [`KwayBalance`], §III-B);
 //! * [`metrics`] — cut size and the statistics columns of the paper's tables;
 //! * [`io`] — hMETIS `.hgr` reading/writing;
-//! * [`rng`] — seeded randomness so every experiment is reproducible.
+//! * [`rng`] — seeded randomness so every experiment is reproducible;
+//! * the hook macros [`obs_span!`], [`obs_counter!`], [`audit!`] and
+//!   [`fault_point!`] — one-line observability, audit and fault-injection
+//!   call sites that compile out unless the *calling* crate's feature is on.
 //!
 //! # Examples
 //!
@@ -38,6 +41,7 @@
 
 pub mod constraints;
 pub mod error;
+mod hooks;
 pub mod hypergraph;
 pub mod ids;
 pub mod io;

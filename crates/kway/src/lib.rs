@@ -46,10 +46,11 @@
 #[cfg(feature = "audit")]
 pub mod audit;
 
-use mlpart_fm::{BucketPolicy, BudgetMeter, PassStats, RefineState, RefineWorkspace};
+use mlpart_fm::{BucketPolicy, BudgetMeter, GainSpread, PassStats, RefineState, RefineWorkspace};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
-    metrics, Hypergraph, KwayBalance, ModuleId, PartBounds, PartId, Partition,
+    audit, metrics, obs_counter, obs_span, Hypergraph, KwayBalance, ModuleId, PartBounds, PartId,
+    Partition,
 };
 use std::time::Instant;
 
@@ -455,14 +456,7 @@ pub fn kway_refine_constrained_budgeted_in(
     let mut gains = vec![0i32; k as usize];
     // A part with less than this much room left admits no module at all.
     let min_area = h.areas().iter().copied().min().unwrap_or(0);
-    #[cfg(feature = "obs")]
-    let _obs_span = mlpart_obs::span(
-        "kway_refine",
-        &[
-            ("k", u64::from(k).into()),
-            ("modules", h.num_modules().into()),
-        ],
-    );
+    obs_span!("kway_refine", "k" => k, "modules" => h.num_modules());
 
     let mut passes = 0usize;
     let mut kept_moves = 0u64;
@@ -504,38 +498,21 @@ pub fn kway_refine_constrained_budgeted_in(
         // Post-fill gain distribution and total bucket occupancy, sampled
         // only when a trace is recording (the scan re-reads stored keys, so
         // it cannot perturb the pass).
-        #[cfg(feature = "obs")]
-        let obs_fill = mlpart_obs::recording().then(|| {
-            let (mut neg, mut zero, mut pos) = (0u64, 0u64, 0u64);
-            let (mut gmin, mut gmax) = (0i64, 0i64);
-            let part_of = p.assignment();
-            for v in h.modules() {
-                if st.fixed[v.index()] {
-                    continue;
-                }
-                for t in 0..k {
-                    if t != part_of[v.index()] {
-                        let g = i64::from(st.buckets[t as usize].key_of(v));
-                        match g.cmp(&0) {
-                            std::cmp::Ordering::Less => neg += 1,
-                            std::cmp::Ordering::Equal => zero += 1,
-                            std::cmp::Ordering::Greater => pos += 1,
-                        }
-                        gmin = gmin.min(g);
-                        gmax = gmax.max(g);
-                    }
-                }
-            }
-            let occupancy: u64 = st.buckets.iter().map(|b| b.len() as u64).sum();
-            (occupancy, gmin, gmax, neg, zero, pos)
+        let fill = obs_counter!(snapshot: {
+            let (part_of, fixed, buckets) = (p.assignment(), &st.fixed, &st.buckets);
+            GainSpread::scan(
+                buckets.iter().map(|b| b.len() as u64).sum(),
+                h.modules()
+                    .filter(|v| !fixed[v.index()])
+                    .flat_map(|v| {
+                        (0..k)
+                            .filter(move |&t| t != part_of[v.index()])
+                            .map(move |t| i64::from(buckets[t as usize].key_of(v)))
+                    }),
+            )
         });
         let start_obj = kway_objective(st, h, cfg, p);
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                audit::audit_pass_start(st, h, p, cfg, start_obj).map_err(|e| e.with_pass(passes)),
-            );
-        }
+        audit!(audit::audit_pass_start(st, h, p, cfg, start_obj).map_err(|e| e.with_pass(passes)));
         let mut obj = start_obj as i64;
         let mut best_obj = obj;
         let mut best_len = 0usize;
@@ -625,12 +602,7 @@ pub fn kway_refine_constrained_budgeted_in(
         kept_moves += best_len as u64;
         // In audit builds the rollback invariant runs in release too (the
         // debug_assert below is debug-only).
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                audit::audit_pass_end(st, h, p, cfg, best_obj).map_err(|e| e.with_pass(passes)),
-            );
-        }
+        audit!(audit::audit_pass_end(st, h, p, cfg, best_obj).map_err(|e| e.with_pass(passes)));
         debug_assert_eq!(kway_objective(st, h, cfg, p) as i64, best_obj);
         meter.note_pass(attempted as u64);
         pass_stats.push(PassStats {
@@ -641,24 +613,21 @@ pub fn kway_refine_constrained_budgeted_in(
             inspected,
             fill_time_ns,
         });
-        #[cfg(feature = "obs")]
-        if let Some((occupancy, gmin, gmax, neg, zero, pos)) = obs_fill {
-            mlpart_obs::counter(
+        if let Some(s) = fill {
+            obs_counter!(
                 "kway_pass",
-                &[
-                    ("pass", (passes as u64 - 1).into()),
-                    ("cut_before", start_obj.into()),
-                    ("cut_after", (best_obj as u64).into()),
-                    ("attempted", (attempted as u64).into()),
-                    ("kept", (best_len as u64).into()),
-                    ("rolled_back", ((attempted - best_len) as u64).into()),
-                    ("bucket_occupancy", occupancy.into()),
-                    ("gain_min", gmin.into()),
-                    ("gain_max", gmax.into()),
-                    ("gain_neg", neg.into()),
-                    ("gain_zero", zero.into()),
-                    ("gain_pos", pos.into()),
-                ],
+                "pass" => passes - 1,
+                "cut_before" => start_obj,
+                "cut_after" => best_obj as u64,
+                "attempted" => attempted,
+                "kept" => best_len,
+                "rolled_back" => attempted - best_len,
+                "bucket_occupancy" => s.occupancy,
+                "gain_min" => s.min,
+                "gain_max" => s.max,
+                "gain_neg" => s.neg,
+                "gain_zero" => s.zero,
+                "gain_pos" => s.pos,
             );
         }
         if best_obj >= start_obj as i64 {

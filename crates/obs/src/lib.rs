@@ -8,6 +8,15 @@
 //! per-crate `obs` cargo features plus an `MLPART_TRACE=1` environment gate
 //! (mirroring `mlpart-audit`'s gating exactly).
 //!
+//! The algorithm crates never call [`span`] or [`counter`] directly: each
+//! call site is one `mlpart_hypergraph::obs_span!` or `obs_counter!` line.
+//! The macros are the gate — their expansion carries the
+//! `#[cfg(feature = "obs")]`, evaluated in the calling crate — and the
+//! compiler enforces it: this crate is an optional dependency no workspace
+//! member enables by default, so a hook written without a macro fails the
+//! default build, and a macro used in a crate without an `obs` feature
+//! fails `clippy -D warnings` through `unexpected_cfgs`.
+//!
 //! # Determinism contract
 //!
 //! Trace **content** — event kinds, names, nesting, and every argument

@@ -61,6 +61,7 @@ use mlpart::gen::by_name;
 use mlpart::hypergraph::io::{read_fix, read_hgr, write_atomic_with, write_partition};
 use mlpart::hypergraph::metrics::CutStats;
 use mlpart::hypergraph::rng::MlRng;
+use mlpart::hypergraph::{fault_point, obs_span};
 use mlpart::lsmc::{lsmc_bipartition, LsmcConfig};
 use mlpart::{
     ml_bipartition, ml_kway, preflight, preflight_constrained, recursive_ml_partition,
@@ -503,8 +504,7 @@ fn run_once(
     let budget = attempt.budget.copied().unwrap_or(args.budget);
     let (mut partition, mut cut, level_stats, truncation) =
         run_engine(h, args, constraints, &budget, rng, ws)?;
-    #[cfg(feature = "fault")]
-    if mlpart::fault::should_unbalance("start", attempt.start as u64) {
+    if fault_point!(should_unbalance("start", attempt.start as u64)) {
         // Deterministic imbalance injection: overfill part 0 with free
         // modules (id order) so the repair gate has real work to do.
         for v in (0..h.num_modules()).map(mlpart::hypergraph::ModuleId::new) {
@@ -781,15 +781,7 @@ fn main() -> ExitCode {
     // streams arrive merged in start order — restored starts splice their
     // recorded streams back in, keeping resumed trace content identical.
     let run_batch = || {
-        #[cfg(feature = "obs")]
-        let _obs_run = mlpart::obs::span(
-            "run",
-            &[
-                ("runs", args.runs.into()),
-                ("seed", args.seed.into()),
-                ("k", args.k.into()),
-            ],
-        );
+        obs_span!("run", "runs" => args.runs, "seed" => args.seed, "k" => args.k);
         run_supervised(
             args.runs,
             args.seed,

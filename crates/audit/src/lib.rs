@@ -9,8 +9,9 @@
 //! `audit` cargo feature plus an `MLPART_AUDIT=1` environment gate.
 //!
 //! Checkers return a structured [`AuditError`] (structure, check, level,
-//! pass, offending module/net) instead of panicking; the call sites funnel
-//! failures through [`enforce`], which formats the report before aborting.
+//! pass, offending module/net) instead of panicking; the call sites (each one
+//! `mlpart_hypergraph::audit!`) funnel failures through [`enforce`], which
+//! formats the report before aborting.
 //!
 //! Checkers for engine-internal state (`RefineState`, k-way gain tables)
 //! live inside `mlpart-fm` / `mlpart-kway` behind their own `audit`

@@ -10,8 +10,9 @@
 //!
 //! # Gating
 //!
-//! Mirrors `mlpart-audit`/`mlpart-obs` exactly: call sites are compiled in
-//! only under per-crate `fault` cargo features, and at runtime nothing fires
+//! Mirrors `mlpart-audit`/`mlpart-obs` exactly: call sites (each one
+//! `mlpart_hypergraph::fault_point!`) are compiled in only under per-crate
+//! `fault` cargo features, and at runtime nothing fires
 //! unless the `MLPART_FAULTS` environment variable holds a fault plan (or a
 //! test forces one with [`force_plan`]). With the feature compiled in but no
 //! plan active, every hook is a cheap no-op and results are byte-identical

@@ -129,7 +129,9 @@ pub struct RefineState {
     pub buckets: Vec<GainBuckets>,
     /// Move log of the current pass: `(module, from_part)`.
     pub moves: Vec<(ModuleId, u32)>,
-    /// Per-move visit stamps (k-way neighbor updates).
+    /// k-way neighbour slots: while a move's gain changes are gathered,
+    /// the index of each touched neighbour in the engine's list; else
+    /// `u32::MAX`.
     pub stamp: Vec<u32>,
     /// Magnitude of the bucket key range.
     pub key_bound: i32,

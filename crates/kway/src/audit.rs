@@ -134,7 +134,6 @@ pub fn audit_pass_start(
 ) -> AuditResult {
     audit_partition(h, p)?;
     audit_counts(st, h, p, cfg)?;
-    let k = p.k();
     let recomputed = crate::kway_objective(st, h, cfg, p);
     if recomputed != start_obj {
         return Err(err(
@@ -142,6 +141,46 @@ pub fn audit_pass_start(
             format!("engine starts the pass at objective {start_obj}, recount gives {recomputed}"),
         ));
     }
+    audit_bucket_keys(st, h, p, cfg, "gain-rederive")
+}
+
+/// Gain-drift audit, run after the move loop and before rollback: the pin
+/// rows and the running objective must match a recount of the moved
+/// partition, and every module still in a bucket must hold, toward every
+/// foreign destination, the key `rederive_gain` gives. The pass-start audit
+/// only sees the keys as the fill wrote them; this one sees them after the
+/// incremental updates of a whole pass.
+pub fn audit_pass_drift(
+    st: &RefineState,
+    h: &Hypergraph,
+    p: &Partition,
+    cfg: &KwayConfig,
+    obj: i64,
+) -> AuditResult {
+    audit_partition(h, p)?;
+    audit_counts(st, h, p, cfg)?;
+    let recomputed = crate::kway_objective(st, h, cfg, p) as i64;
+    if recomputed != obj {
+        return Err(err(
+            "objective-drift",
+            format!("engine ends the move loop at objective {obj}, recount gives {recomputed}"),
+        ));
+    }
+    audit_bucket_keys(st, h, p, cfg, "gain-drift")
+}
+
+/// Bucket membership and keys: a free module sits in the bucket of every
+/// foreign destination under the key `rederive_gain` gives (else the check
+/// `gain_check` fails); a fixed or locked module, or a module toward its
+/// own part, sits in none.
+fn audit_bucket_keys(
+    st: &RefineState,
+    h: &Hypergraph,
+    p: &Partition,
+    cfg: &KwayConfig,
+    gain_check: &'static str,
+) -> AuditResult {
+    let k = p.k();
     for v in h.modules() {
         let movable = !st.fixed[v.index()] && !st.locked[v.index()];
         for t in 0..k {
@@ -182,7 +221,7 @@ pub fn audit_pass_start(
             let want = rederive_gain(st, h, p, cfg, v, t);
             if key != want {
                 return Err(err(
-                    "gain-rederive",
+                    gain_check,
                     format!(
                         "bucketed toward part {t} under gain {key}, re-derivation gives {want}"
                     ),
@@ -285,6 +324,19 @@ mod tests {
     }
 
     #[test]
+    fn detects_gain_drift_before_rollback() {
+        let h = path4();
+        let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
+        let cfg = KwayConfig::default();
+        let mut st = filled_state(&h, &p, &cfg);
+        assert_eq!(audit_pass_drift(&st, &h, &p, &cfg, 1), Ok(()));
+        st.buckets[0].update_key(ModuleId::from(2), -1);
+        let e = audit_pass_drift(&st, &h, &p, &cfg, 1).unwrap_err();
+        assert_eq!(e.check, "gain-drift");
+        assert_eq!(e.module, Some(2));
+    }
+
+    #[test]
     fn detects_fixed_module_in_bucket() {
         let h = path4();
         let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
@@ -306,6 +358,8 @@ mod tests {
         assert_eq!(e.check, "objective-recount");
         let e = audit_pass_end(&st, &h, &p, &cfg, 7).unwrap_err();
         assert_eq!(e.check, "objective-rollback");
+        let e = audit_pass_drift(&st, &h, &p, &cfg, 7).unwrap_err();
+        assert_eq!(e.check, "objective-drift");
     }
 
     #[test]

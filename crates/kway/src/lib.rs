@@ -9,6 +9,14 @@
 //! (fixed) modules for I/O pads, and pass-with-rollback semantics identical
 //! to the 2-way engine.
 //!
+//! Gains are kept exact the way the 2-way engine keeps them: each pass
+//! fills the buckets with every module's gain to every part, and after each
+//! move only the changed net terms are added to the free neighbours' keys.
+//! A module's gain sums, over its nets, a *leave* term of the net's pin
+//! count in its own part and an *enter* term of the count in the
+//! destination; a move from `a` to `b` changes only the counts in `a` and
+//! `b`, so only those terms need updating.
+//!
 //! # Examples
 //!
 //! Quadrisect a ring of four cliques:
@@ -49,8 +57,8 @@ pub mod audit;
 use mlpart_fm::{BucketPolicy, BudgetMeter, GainSpread, PassStats, RefineState, RefineWorkspace};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
-    audit, metrics, obs_counter, obs_span, Hypergraph, KwayBalance, ModuleId, PartBounds, PartId,
-    Partition,
+    audit, metrics, obs_counter, obs_span, Hypergraph, KwayBalance, ModuleId, NetId, PartBounds,
+    PartId, Partition,
 };
 use std::time::Instant;
 
@@ -75,6 +83,27 @@ impl std::fmt::Display for KwayGain {
         match self {
             KwayGain::SumOfDegrees => write!(f, "sum-of-degrees"),
             KwayGain::NetCut => write!(f, "net-cut"),
+        }
+    }
+}
+
+impl KwayGain {
+    /// Per unit of net weight, a visible net's *leave* term in the gain of
+    /// moving one of its pins out of a part that holds `n` of its `size`
+    /// pins.
+    fn leave(self, n: u32, size: u32) -> i32 {
+        match self {
+            KwayGain::SumOfDegrees => i32::from(n == 1),
+            KwayGain::NetCut => -i32::from(n == size),
+        }
+    }
+
+    /// Per unit of net weight, a visible net's *enter* term in the gain of
+    /// moving one of its pins into a part that holds `n` of its `size` pins.
+    fn enter(self, n: u32, size: u32) -> i32 {
+        match self {
+            KwayGain::SumOfDegrees => -i32::from(n == 0),
+            KwayGain::NetCut => i32::from(n + 1 == size),
         }
     }
 }
@@ -332,7 +361,8 @@ pub fn kway_refine(
 /// Writes into `gains[t]` the k-way gain under `cfg.gain` of moving `v`
 /// from part `from` to part `t`, for every part at once, in one walk over
 /// `v`'s nets and the shared state's k-strided pin counts. The entry for
-/// `from` itself is meaningless.
+/// `from` itself is meaningless. Only the bucket fill calls it; the move
+/// loop keeps gains current with [`NetDelta`].
 fn kway_gains(
     st: &RefineState,
     h: &Hypergraph,
@@ -349,22 +379,77 @@ fn kway_gains(
         }
         let row = &st.pins_in[e.index() * k..(e.index() + 1) * k];
         let w = h.net_weight(e) as i32;
-        let flag = |hit: bool| if hit { w } else { 0 };
-        match cfg.gain {
-            KwayGain::SumOfDegrees => {
-                let leave = flag(row[from] == 1);
-                for (g, &n) in gains.iter_mut().zip(row) {
-                    *g += leave - flag(n == 0);
-                }
-            }
-            KwayGain::NetCut => {
-                let size = h.net_size(e) as u32;
-                let leave = flag(row[from] == size);
-                for (g, &n) in gains.iter_mut().zip(row) {
-                    *g += flag(n == size - 1) - leave;
-                }
-            }
+        let size = h.net_size(e) as u32;
+        let leave = w * cfg.gain.leave(row[from], size);
+        for (g, &n) in gains.iter_mut().zip(row) {
+            *g += leave + w * cfg.gain.enter(n, size);
         }
+    }
+}
+
+/// How a move from part `a` to part `b` changes one visible net's terms in
+/// the gains of its other pins. The gain of a pin on part `f` toward `t` sums,
+/// over its nets, a *leave* term of the net's count at `f` and an *enter*
+/// term of its count at `t` ([`KwayGain::leave`], [`KwayGain::enter`]). The
+/// move changes only the counts at `a` and `b`, so the only terms that change
+/// are the leave term of a pin on `a` or `b` and the enter terms toward `a`
+/// and `b` of a pin elsewhere.
+#[derive(Debug, Clone, Copy)]
+struct NetDelta {
+    a: usize,
+    b: usize,
+    /// Leave-term change of a pin on `a` (on `b`).
+    on_a: i32,
+    on_b: i32,
+    /// Enter-term change toward `a` (toward `b`) of a pin not on it.
+    toward_a: i32,
+    toward_b: i32,
+}
+
+impl NetDelta {
+    /// Applies the move to `row`, the pin counts of net `e`, and returns the
+    /// change it makes to the net's gain terms.
+    fn of_move(
+        gain: KwayGain,
+        h: &Hypergraph,
+        e: NetId,
+        row: &mut [u32],
+        a: usize,
+        b: usize,
+    ) -> Self {
+        let (a0, b0) = (row[a], row[b]);
+        row[a] -= 1;
+        row[b] += 1;
+        let w = h.net_weight(e) as i32;
+        let size = h.net_size(e) as u32;
+        let change = |term: fn(KwayGain, u32, u32) -> i32, old: u32, new: u32| {
+            w * (term(gain, new, size) - term(gain, old, size))
+        };
+        NetDelta {
+            a,
+            b,
+            on_a: change(KwayGain::leave, a0, a0 - 1),
+            on_b: change(KwayGain::leave, b0, b0 + 1),
+            toward_a: change(KwayGain::enter, a0, a0 - 1),
+            toward_b: change(KwayGain::enter, b0, b0 + 1),
+        }
+    }
+
+    /// The changes at parts `a` and `b` for a pin on part `f`: its leave
+    /// term where it sits, its enter term elsewhere.
+    fn at(self, f: usize) -> (i32, i32) {
+        (
+            if f == self.a {
+                self.on_a
+            } else {
+                self.toward_a
+            },
+            if f == self.b {
+                self.on_b
+            } else {
+                self.toward_b
+            },
+        )
     }
 }
 
@@ -383,7 +468,7 @@ fn kway_objective(st: &RefineState, h: &Hypergraph, cfg: &KwayConfig, p: &Partit
 
 /// [`kway_refine`] with caller-owned scratch: bit-identical results, no
 /// per-call allocation of the gain/bucket machinery beyond one k-length row
-/// of destination gains. The shared
+/// of destination gains and the list of a move's free neighbours. The shared
 /// [`RefineState`] is bound in its k-way shape: `k` per-destination bucket
 /// structures and k-strided pin counts.
 pub fn kway_refine_in(
@@ -454,6 +539,10 @@ pub fn kway_refine_constrained_budgeted_in(
     }
     // Every destination's gain for one module, filled by `kway_gains`.
     let mut gains = vec![0i32; k as usize];
+    // The free neighbours of the current move in first-touch order, each
+    // with its summed gain changes at the move's source and destination
+    // parts; while a neighbour is listed, `st.stamp` holds its index.
+    let mut touched: Vec<(ModuleId, i32, i32)> = Vec::new();
     // A part with less than this much room left admits no module at all.
     let min_area = h.areas().iter().copied().min().unwrap_or(0);
     obs_span!("kway_refine", "k" => k, "modules" => h.num_modules());
@@ -558,42 +647,58 @@ pub fn kway_refine_constrained_budgeted_in(
             obj -= gain as i64;
             st.moves.push((v, from));
 
-            // Update pin counts, then recompute gains of affected neighbors.
-            let stamp_val = st.moves.len() as u32;
+            // Update pin counts and sum each free neighbour's exact gain
+            // changes over the moved module's nets, then apply them in
+            // first-touch order.
+            let (a, b) = (from as usize, to as usize);
             for &e in h.nets(v) {
                 if !st.visible[e.index()] {
                     continue;
                 }
-                st.pins_in[e.index() * k as usize + from as usize] -= 1;
-                st.pins_in[e.index() * k as usize + to as usize] += 1;
-            }
-            for &e in h.nets(v) {
-                if !st.visible[e.index()] {
-                    continue;
-                }
+                let row = &mut st.pins_in[e.index() * k as usize..][..k as usize];
+                let delta = NetDelta::of_move(cfg.gain, h, e, row, a, b);
                 for &w in h.pins(e) {
-                    if w == v
-                        || st.locked[w.index()]
-                        || st.fixed[w.index()]
-                        || st.stamp[w.index()] == stamp_val
-                    {
+                    if st.locked[w.index()] || st.fixed[w.index()] {
                         continue;
                     }
-                    st.stamp[w.index()] = stamp_val;
-                    let from_w = p.part(w) as usize;
-                    kway_gains(st, h, cfg, w, from_w, &mut gains);
-                    for (t, (b, &g)) in st.buckets.iter_mut().zip(&gains).enumerate() {
-                        if t != from_w {
-                            b.update_key(w, g);
-                        }
+                    let slot = &mut st.stamp[w.index()];
+                    if *slot == u32::MAX {
+                        *slot = touched.len() as u32;
+                        touched.push((w, 0, 0));
+                    }
+                    let (da, db) = delta.at(p.part(w) as usize);
+                    let (_, at_a, at_b) = &mut touched[*slot as usize];
+                    *at_a += da;
+                    *at_b += db;
+                }
+            }
+            for &(w, at_a, at_b) in &touched {
+                st.stamp[w.index()] = u32::MAX;
+                // A neighbour's gain toward `t` changes by its leave-term
+                // change at its own part plus its enter-term change at `t`.
+                let at = |part: usize| {
+                    if part == a {
+                        at_a
+                    } else if part == b {
+                        at_b
+                    } else {
+                        0
+                    }
+                };
+                let from_w = p.part(w) as usize;
+                for (t, bucket) in st.buckets.iter_mut().enumerate() {
+                    if t != from_w {
+                        bucket.update_key(w, bucket.key_of(w) + at(from_w) + at(t));
                     }
                 }
             }
+            touched.clear();
             if obj < best_obj {
                 best_obj = obj;
                 best_len = st.moves.len();
             }
         }
+        audit!(audit::audit_pass_drift(st, h, p, cfg, obj).map_err(|e| e.with_pass(passes)));
         // --- Rollback to the best prefix. ---
         let attempted = st.moves.len();
         for &(v, from) in st.moves[best_len..].iter().rev() {
@@ -633,9 +738,6 @@ pub fn kway_refine_constrained_budgeted_in(
         if best_obj >= start_obj as i64 {
             break;
         }
-        // Stamps are per-move within a pass; reset between passes so the
-        // move counter can restart at 1.
-        st.stamp.fill(u32::MAX);
     }
 
     KwayResult {

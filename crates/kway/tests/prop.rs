@@ -8,18 +8,22 @@ use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, KwayBalance, Mod
 use mlpart_kway::{kway_partition, kway_refine, kway_refine_in, KwayConfig, KwayGain};
 use proptest::prelude::*;
 
-fn arb_netlist() -> impl Strategy<Value = (Vec<u64>, Vec<Vec<usize>>)> {
+/// Module areas and weighted nets: weights 1..=4 drive both gain kinds'
+/// terms through net weights, not just pin counts.
+fn arb_netlist() -> impl Strategy<Value = (Vec<u64>, Vec<(Vec<usize>, u32)>)> {
     (4usize..32).prop_flat_map(|n| {
         let areas = proptest::collection::vec(1u64..4, n);
-        let nets = proptest::collection::vec(proptest::collection::vec(0usize..n, 2..6), 1..40);
+        let nets =
+            proptest::collection::vec((proptest::collection::vec(0usize..n, 2..6), 1u32..5), 1..40);
         (areas, nets)
     })
 }
 
-fn build(areas: Vec<u64>, nets: &[Vec<usize>]) -> Hypergraph {
+fn build(areas: Vec<u64>, nets: &[(Vec<usize>, u32)]) -> Hypergraph {
     let mut b = HypergraphBuilder::new(areas);
-    for net in nets {
-        b.add_net(net.iter().copied()).expect("in range");
+    for (net, weight) in nets {
+        b.add_weighted_net(net.iter().copied(), *weight)
+            .expect("in range");
     }
     b.build().expect("valid")
 }
@@ -30,7 +34,7 @@ proptest! {
     #[test]
     fn refinement_never_worsens_objective(
         (areas, nets) in arb_netlist(),
-        k in 2u32..5,
+        k in 2u32..9,
         sod in any::<bool>(),
         seed in 0u64..500,
     ) {
@@ -90,7 +94,7 @@ proptest! {
     #[test]
     fn workspace_reuse_is_bit_identical_to_fresh_allocation(
         (areas, nets) in arb_netlist(),
-        k in 2u32..5,
+        k in 2u32..9,
         sod in any::<bool>(),
         seed in 0u64..500,
     ) {
@@ -106,7 +110,7 @@ proptest! {
         let mut ws = RefineWorkspace::new();
         // Dirty the workspace on an unrelated problem (different k too).
         {
-            let dirty = build(vec![1, 1, 2, 3], &[vec![0, 1, 2], vec![2, 3]]);
+            let dirty = build(vec![1, 1, 2, 3], &[(vec![0, 1, 2], 1), (vec![2, 3], 1)]);
             let mut rng = seeded_rng(seed ^ 0xbeef);
             let mut dp = Partition::random(&dirty, 2, &mut rng);
             let _ = kway_refine_in(&dirty, &mut dp, &[], &cfg, &mut rng, &mut ws);

@@ -238,14 +238,14 @@ mod tests {
     fn filled_state(h: &Hypergraph, cfg: &FmConfig) -> RefineState {
         let mut st = RefineState::default();
         st.bind_nets(h, 2, cfg.max_net_size);
-        st.bind_modules(h, 1, 4, BucketPolicy::Lifo);
+        st.bind_modules(h, 1, 1, 4, BucketPolicy::Lifo);
         // pins per net: {0,1}→[2,0], {1,2}→[1,1], {2,3}→[0,2].
         st.pins_in.copy_from_slice(&[2, 0, 1, 1, 0, 2]);
         // Gains: ends −1, middles 0 (cut net crossing 1–2).
         st.gain.copy_from_slice(&[-1, 0, 0, -1]);
         st.gain0.copy_from_slice(&st.gain.clone());
         for v in h.modules() {
-            st.buckets[0].insert(v, st.gain[v.index()]);
+            st.buckets[0].insert(v, 0, st.gain[v.index()]);
         }
         st
     }
@@ -292,7 +292,7 @@ mod tests {
         st.gain[1] += 3;
         // Keep the bucket key consistent with the (corrupt) gain so the
         // gain recomputation itself is what fires.
-        st.buckets[0].update_key(ModuleId::from(1), st.gain[1]);
+        st.buckets[0].update_key(ModuleId::from(1), 0, st.gain[1]);
         let e = audit_pass_start(&st, &h, &p, &cfg, 1).unwrap_err();
         assert_eq!(e.check, "gain-recompute");
         assert_eq!(e.module, Some(1));
@@ -304,7 +304,7 @@ mod tests {
         let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
         let cfg = FmConfig::default();
         let mut st = filled_state(&h, &cfg);
-        st.buckets[0].update_key(ModuleId::from(2), 3);
+        st.buckets[0].update_key(ModuleId::from(2), 0, 3);
         let e = audit_pass_start(&st, &h, &p, &cfg, 1).unwrap_err();
         assert_eq!(e.check, "bucket-key");
         assert_eq!(e.module, Some(2));

@@ -23,7 +23,7 @@
 //! initially) and [`FmConfig::early_exit_stall`] (abandon a pass after a run
 //! of non-improving moves).
 
-use crate::bucket::BucketPolicy;
+use crate::bucket::{BucketPolicy, OpenClasses};
 use crate::budget::BudgetMeter;
 use crate::state::{GainSpread, PassStats, RefineState, RefineWorkspace};
 use mlpart_hypergraph::rng::MlRng;
@@ -354,7 +354,7 @@ fn bind_bipart(st: &mut RefineState, h: &Hypergraph, cfg: &FmConfig) {
         Engine::Fm => max_vis_weight,
         Engine::Clip => 2 * max_vis_weight,
     };
-    st.bind_modules(h, 1, max_key, cfg.policy);
+    st.bind_modules(h, 1, 1, max_key, cfg.policy);
 }
 
 struct PassOutcome {
@@ -458,7 +458,7 @@ impl RefineState {
             Engine::Fm => {
                 for v in h.modules() {
                     if eligible(self, v) {
-                        self.buckets[0].insert(v, self.gain[v.index()]);
+                        self.buckets[0].insert(v, 0, self.gain[v.index()]);
                     }
                 }
             }
@@ -472,12 +472,12 @@ impl RefineState {
                 match cfg.policy {
                     BucketPolicy::Lifo => {
                         for &v in &order {
-                            self.buckets[0].insert(v, 0);
+                            self.buckets[0].insert(v, 0, 0);
                         }
                     }
                     BucketPolicy::Fifo | BucketPolicy::Random => {
                         for &v in order.iter().rev() {
-                            self.buckets[0].insert(v, 0);
+                            self.buckets[0].insert(v, 0, 0);
                         }
                     }
                 }
@@ -498,7 +498,7 @@ impl RefineState {
     ) {
         self.locked[v.index()] = true;
         if self.buckets[0].contains(v) {
-            self.buckets[0].remove(v);
+            self.buckets[0].remove(v, 0);
         }
         self.shift_module(h, p, v, cfg, cut);
     }
@@ -591,10 +591,10 @@ impl RefineState {
         self.gain[w.index()] += delta;
         let key = self.bucket_key(w, cfg.engine);
         if self.buckets[0].contains(w) {
-            self.buckets[0].update_key(w, key);
+            self.buckets[0].update_key(w, 0, key);
         } else {
             // Boundary mode: a module touched by a move enters the structure.
-            self.buckets[0].insert(w, key);
+            self.buckets[0].insert(w, 0, key);
         }
     }
 
@@ -638,7 +638,7 @@ impl RefineState {
         let top = self.buckets[0].max_key()?;
         let mut key = top;
         while key >= -self.key_bound {
-            let members = self.buckets[0].bucket_members(key);
+            let members = self.buckets[0].bucket_members(key, OpenClasses::SINGLE);
             let mut best: Option<(i32, ModuleId)> = None;
             for v in members {
                 if !feasible(v) {
@@ -718,7 +718,7 @@ impl RefineState {
                 if cfg.lookahead {
                     self.select_lookahead(h, p, check)
                 } else {
-                    self.buckets[0].select_where(rng, check)
+                    self.buckets[0].select_where(rng, OpenClasses::SINGLE, check)
                 }
             };
             let Some(v) = pick else { break };
@@ -749,7 +749,7 @@ impl RefineState {
                             self.locked[u.index()] = false;
                             self.recompute_gain_of(h, p, u);
                             let key = self.bucket_key(u, cfg.engine);
-                            self.buckets[0].insert(u, key);
+                            self.buckets[0].insert(u, 0, key);
                         }
                     }
                     self.moves.truncate(best_len);
@@ -965,7 +965,7 @@ mod tests {
         let p = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1, 0, 1, 0, 1]).unwrap();
         ctx.recompute(&h, &p);
         ctx.fill_buckets(&h, &p, &cfg);
-        let members = ctx.buckets[0].bucket_members(0);
+        let members = ctx.buckets[0].bucket_members(0, OpenClasses::SINGLE);
         assert_eq!(members.len(), h.num_modules());
         let head_gain = ctx.gain0[members[0].index()];
         let max_gain = ctx.gain0.iter().copied().max().unwrap();

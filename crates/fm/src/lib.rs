@@ -42,7 +42,7 @@ pub mod engine;
 pub mod repair;
 pub mod state;
 
-pub use bucket::{BucketPolicy, GainBuckets};
+pub use bucket::{BucketPolicy, GainBuckets, OpenClasses};
 pub use budget::{Budget, BudgetLimit, BudgetMeter, Truncation};
 pub use engine::{
     fm_partition, fm_partition_budgeted_in, fm_partition_in, refine, refine_budgeted_in,

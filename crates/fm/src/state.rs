@@ -106,8 +106,10 @@ impl GainSpread {
 ///
 /// * `pins_in[e * k + part]` counts the pins of net `e` in `part`, for
 ///   engine-visible nets only (`visible[e]`); invisible entries are zero.
-/// * `buckets` holds one structure for the 2-way engine (moves always go to
-///   the other side) and `k` per-destination structures for the k-way engine.
+/// * `buckets` holds one one-class structure for the 2-way engine (moves
+///   always go to the other side) and `k` per-destination structures for
+///   the k-way engine, each filing a module under its current part (`k`
+///   classes, ordered by `stamp`).
 /// * `moves` logs `(module, from_part)` pairs; rollback walks it in reverse.
 #[derive(Debug, Default)]
 pub struct RefineState {
@@ -132,6 +134,11 @@ pub struct RefineState {
     /// k-way neighbour slots: while a move's gain changes are gathered,
     /// the index of each touched neighbour in the engine's list; else
     /// `u32::MAX`.
+    pub slot: Vec<u32>,
+    /// Insertion stamps of multi-class buckets: the clock tick at which each
+    /// module was last inserted into its bucket structures (see
+    /// [`OpenClasses`](crate::OpenClasses)). Empty when the buckets have one
+    /// class.
     pub stamp: Vec<u32>,
     /// Magnitude of the bucket key range.
     pub key_bound: i32,
@@ -164,13 +171,14 @@ impl RefineState {
     }
 
     /// Phase 2 of binding: sizes the per-module state for `h`, resetting
-    /// `num_buckets` bucket structures with keys in `[-max_key, +max_key]`.
-    /// After this the state is observationally identical to a freshly
-    /// allocated one.
+    /// `num_buckets` bucket structures with `classes` lists per bucket and
+    /// keys in `[-max_key, +max_key]`. After this the state is
+    /// observationally identical to a freshly allocated one.
     pub fn bind_modules(
         &mut self,
         h: &Hypergraph,
         num_buckets: usize,
+        classes: usize,
         max_key: i32,
         policy: BucketPolicy,
     ) {
@@ -185,15 +193,20 @@ impl RefineState {
         self.fixed.resize(n, false);
         self.buckets.truncate(num_buckets);
         for b in &mut self.buckets {
-            b.reset(n, max_key, policy);
+            b.reset(n, max_key, policy, classes);
         }
         while self.buckets.len() < num_buckets {
-            self.buckets.push(GainBuckets::new(n, max_key, policy));
+            self.buckets
+                .push(GainBuckets::new(n, max_key, policy, classes));
         }
         self.moves.clear();
         self.moves.reserve(n);
+        self.slot.clear();
+        self.slot.resize(n, u32::MAX);
         self.stamp.clear();
-        self.stamp.resize(n, u32::MAX);
+        if classes > 1 {
+            self.stamp.resize(n, 0);
+        }
         self.key_bound = max_key;
     }
 
@@ -287,7 +300,7 @@ mod tests {
         let mut st = RefineState::default();
         let w = st.bind_nets(&h, 2, 200);
         assert_eq!(w, 2, "modules 2 and 3 each touch two unit nets");
-        st.bind_modules(&h, 1, 2, BucketPolicy::Lifo);
+        st.bind_modules(&h, 1, 1, 2, BucketPolicy::Lifo);
         assert_eq!(st.visible.len(), h.num_nets());
         assert_eq!(st.pins_in.len(), h.num_nets() * 2);
         assert_eq!(st.gain.len(), h.num_modules());
@@ -300,11 +313,11 @@ mod tests {
         let tiny = HypergraphBuilder::with_unit_areas(2).build().unwrap();
         let mut st = RefineState::default();
         st.bind_nets(&h, 4, 200);
-        st.bind_modules(&h, 4, 5, BucketPolicy::Lifo);
+        st.bind_modules(&h, 4, 4, 5, BucketPolicy::Lifo);
         assert_eq!(st.buckets.len(), 4);
         // Shrink to the k = 2 shape with a single bucket structure.
         st.bind_nets(&tiny, 2, 200);
-        st.bind_modules(&tiny, 1, 0, BucketPolicy::Fifo);
+        st.bind_modules(&tiny, 1, 1, 0, BucketPolicy::Fifo);
         assert_eq!(st.buckets.len(), 1);
         assert_eq!(st.pins_in.len(), 0);
         assert_eq!(st.gain.len(), 2);

@@ -5,7 +5,7 @@
 
 use mlpart_fm::{
     fm_partition, fm_partition_in, refine, refine_in, BucketPolicy, Engine, FmConfig, GainBuckets,
-    RefineWorkspace,
+    OpenClasses, RefineWorkspace,
 };
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_hypergraph::{
@@ -95,64 +95,108 @@ proptest! {
 
     #[test]
     fn buckets_behave_like_priority_structure(
-        ops in proptest::collection::vec((0u8..3, 0usize..16, -5i32..=5), 1..200),
+        ops in proptest::collection::vec((0u8..3, 0usize..16, -5i32..=5, 0usize..4), 1..200),
         policy in 0usize..3,
+        classes in 1usize..=4,
         mask in any::<u32>(),
+        open_mask in 0u32..16,
     ) {
-        // Model-based test over every policy: mirror GainBuckets with a
-        // simple map. Selection under a feasibility mask (bit `v` of `mask`)
-        // must return a feasible module of maximal key among the feasible
-        // ones, and every bucket must hold exactly the model's members for
-        // its key (a stale position after a swap-remove shows up here).
+        // Model-based test over every policy and 1–4 classes: mirror
+        // GainBuckets with one list per bucket, i.e. each module's key,
+        // class and insertion stamp, and open the classes in `open_mask`.
+        // Under a feasibility mask (bit `v` of `mask`), LIFO and FIFO must
+        // pick the first feasible open-class member in the single list's
+        // order (newest stamp first under LIFO, oldest first under FIFO),
+        // and `bucket_members` must list the open classes in that order.
+        // Random ignores classes: its pick must be a feasible member of the
+        // highest bucket that has one, and each bucket must hold exactly the
+        // model's members for its key (a stale position after a
+        // swap-remove shows up here).
         let policy = [BucketPolicy::Lifo, BucketPolicy::Fifo, BucketPolicy::Random][policy];
         let feasible = move |v: ModuleId| (mask >> v.index()) & 1 == 1;
-        let mut b = GainBuckets::new(16, 5, policy);
-        let mut model: std::collections::HashMap<usize, i32> = Default::default();
+        let open: Vec<bool> = (0..classes).map(|c| (open_mask >> c) & 1 == 1).collect();
+        let mut b = GainBuckets::new(16, 5, policy, classes);
+        let mut stamps = vec![0u32; 16];
+        let mut clock = 0u32;
+        let mut model: std::collections::HashMap<usize, (i32, usize)> = Default::default();
         let mut rng = seeded_rng(0);
-        for (op, vi, key) in ops {
+        for (op, vi, key, class) in ops {
             let v = ModuleId::new(vi);
             match op {
                 0 => {
                     model.entry(vi).or_insert_with(|| {
-                        b.insert(v, key);
-                        key
+                        let class = class % classes;
+                        clock += 1;
+                        stamps[vi] = clock;
+                        b.insert(v, class, key);
+                        (key, class)
                     });
                 }
                 1 => {
-                    if model.remove(&vi).is_some() {
-                        b.remove(v);
+                    if let Some((_, class)) = model.remove(&vi) {
+                        b.remove(v, class);
                     }
                 }
                 _ => {
-                    if model.contains_key(&vi) {
-                        b.update_key(v, key);
-                        model.insert(vi, key);
+                    if let Some(entry) = model.get_mut(&vi) {
+                        clock += 1;
+                        stamps[vi] = clock;
+                        b.update_key(v, entry.1, key);
+                        entry.0 = key;
                     }
                 }
             }
             prop_assert_eq!(b.len(), model.len());
-            let best = model
-                .iter()
-                .filter(|&(&v, _)| feasible(ModuleId::new(v)))
-                .map(|(_, &k)| k)
-                .max();
-            match (b.select_where(&mut rng, feasible), best) {
-                (None, None) => {}
-                (Some(m), Some(max)) => {
-                    prop_assert!(feasible(m), "infeasible {:?} selected", m);
-                    prop_assert_eq!(b.key_of(m), max);
-                    prop_assert_eq!(model[&m.index()], max);
+            // The open-class members of bucket `key` in single-list order.
+            let single_list = |key: i32| -> Vec<usize> {
+                let mut members: Vec<usize> = model
+                    .iter()
+                    .filter(|&(_, &(k, c))| k == key && open[c])
+                    .map(|(&v, _)| v)
+                    .collect();
+                members.sort_by_key(|&v| stamps[v]);
+                if policy == BucketPolicy::Lifo {
+                    members.reverse();
                 }
-                (got, want) => {
-                    prop_assert!(false, "selected {:?}, best feasible key {:?}", got, want)
+                members
+            };
+            let view = OpenClasses::new(&open, &stamps);
+            let got = b.select_where(&mut rng, view, feasible);
+            if policy == BucketPolicy::Random {
+                let best = model
+                    .iter()
+                    .filter(|&(&v, _)| feasible(ModuleId::new(v)))
+                    .map(|(_, &(k, _))| k)
+                    .max();
+                match (got, best) {
+                    (None, None) => {}
+                    (Some(m), Some(max)) => {
+                        prop_assert!(feasible(m), "infeasible {:?} selected", m);
+                        prop_assert_eq!(b.key_of(m), max);
+                        prop_assert_eq!(model[&m.index()].0, max);
+                    }
+                    (got, want) => {
+                        prop_assert!(false, "selected {:?}, best feasible key {:?}", got, want)
+                    }
                 }
+            } else {
+                let want = (-5..=5)
+                    .rev()
+                    .find_map(|key| single_list(key).into_iter().find(|&v| feasible(ModuleId::new(v))));
+                prop_assert_eq!(got.map(|m| m.index()), want);
             }
             for key in -5..=5 {
-                let mut got: Vec<usize> = b.bucket_members(key).iter().map(|m| m.index()).collect();
-                got.sort_unstable();
-                let mut want: Vec<usize> =
-                    model.iter().filter(|&(_, &k)| k == key).map(|(&v, _)| v).collect();
-                want.sort_unstable();
+                let mut got: Vec<usize> =
+                    b.bucket_members(key, view).iter().map(|m| m.index()).collect();
+                let want = if policy == BucketPolicy::Random {
+                    got.sort_unstable();
+                    let mut all: Vec<usize> =
+                        model.iter().filter(|&(_, &(k, _))| k == key).map(|(&v, _)| v).collect();
+                    all.sort_unstable();
+                    all
+                } else {
+                    single_list(key)
+                };
                 prop_assert_eq!(got, want);
             }
         }

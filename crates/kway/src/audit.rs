@@ -5,11 +5,12 @@
 //! checkers re-derive every stored quantity from scratch — pin rows from
 //! the partition alone, Sanchis gains from the recomputed rows, the
 //! objective by a full sweep — and compare against the engine's
-//! incremental bookkeeping.
+//! incremental bookkeeping. They also check the source-class filing that
+//! lets selection skip parts at their lower bound.
 
 use crate::{KwayConfig, KwayGain};
 use mlpart_audit::{audit_partition, AuditError, AuditResult};
-use mlpart_fm::RefineState;
+use mlpart_fm::{BucketPolicy, OpenClasses, RefineState};
 use mlpart_hypergraph::{Hypergraph, ModuleId, NetId, PartId, Partition};
 
 const ST: &str = "KwayState";
@@ -172,7 +173,8 @@ pub fn audit_pass_drift(
 /// Bucket membership and keys: a free module sits in the bucket of every
 /// foreign destination under the key `rederive_gain` gives (else the check
 /// `gain_check` fails); a fixed or locked module, or a module toward its
-/// own part, sits in none.
+/// own part, sits in none. Then the class filing: see
+/// [`audit_class_filing`].
 fn audit_bucket_keys(
     st: &RefineState,
     h: &Hypergraph,
@@ -230,6 +232,60 @@ fn audit_bucket_keys(
             }
         }
     }
+    audit_class_filing(st, p)
+}
+
+/// Class filing of every list (LIFO and FIFO; Random keeps none): a member
+/// of class `c`'s list sits on part `c` (`class-filing`), and each list is
+/// in strict stamp order, newest first under LIFO and oldest first under
+/// FIFO (`class-order`). Selection merges a bucket's open lists by stamp
+/// and skips a closed class wholesale, so either fault would change which
+/// module it picks.
+fn audit_class_filing(st: &RefineState, p: &Partition) -> AuditResult {
+    let k = p.k() as usize;
+    let stamp = |v: ModuleId| st.stamp.get(v.index()).copied();
+    for (t, bucket) in st.buckets.iter().enumerate() {
+        let newest_first = match bucket.policy() {
+            BucketPolicy::Lifo => true,
+            BucketPolicy::Fifo => false,
+            BucketPolicy::Random => continue,
+        };
+        for class in 0..k {
+            // With one class open, a bucket's members are that list's.
+            let only: Vec<bool> = (0..k).map(|c| c == class).collect();
+            let list = OpenClasses::new(&only, &st.stamp);
+            for key in -st.key_bound..=st.key_bound {
+                let members = bucket.bucket_members(key, list);
+                for &v in &members {
+                    if p.part(v) as usize != class {
+                        return Err(err(
+                            "class-filing",
+                            format!(
+                                "on part {} but filed under class {class} toward part {t}",
+                                p.part(v)
+                            ),
+                        )
+                        .with_module(v.index()));
+                    }
+                }
+                for pair in members.windows(2) {
+                    let &[u, v] = pair else { continue };
+                    let (a, b) = (stamp(u), stamp(v));
+                    let ordered = if newest_first { a > b } else { a < b };
+                    if !ordered || b.is_none() {
+                        return Err(err(
+                            "class-order",
+                            format!(
+                                "class {class} list at key {key} toward part {t} holds stamp \
+                                 {a:?} before {b:?}"
+                            ),
+                        )
+                        .with_module(v.index()));
+                    }
+                }
+            }
+        }
+    }
     Ok(())
 }
 
@@ -260,7 +316,7 @@ pub fn audit_pass_end(
 mod tests {
     use super::*;
     use crate::kway_refine_in;
-    use mlpart_fm::{BucketPolicy, RefineWorkspace};
+    use mlpart_fm::RefineWorkspace;
     use mlpart_hypergraph::rng::seeded_rng;
     use mlpart_hypergraph::HypergraphBuilder;
 
@@ -272,17 +328,22 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Hand-builds the exact post-fill k=2 state for `path4`, split [0,0,1,1].
+    /// Hand-builds the exact post-fill k=2 state of `h` split as `p`,
+    /// filing each module under its part and stamping it in id order.
     fn filled_state(h: &Hypergraph, p: &Partition, cfg: &KwayConfig) -> RefineState {
         let mut st = RefineState::default();
         st.bind_nets(h, 2, cfg.max_net_size);
-        st.bind_modules(h, 2, 4, BucketPolicy::Lifo);
-        st.pins_in.copy_from_slice(&[2, 0, 1, 1, 0, 2]);
+        st.bind_modules(h, 2, 2, 4, BucketPolicy::Lifo);
+        for e in h.net_ids() {
+            let row = recount_row(h, p, e, 2);
+            st.pins_in[2 * e.index()..][..2].copy_from_slice(&row);
+        }
         for v in h.modules() {
+            st.stamp[v.index()] = v.raw();
             for t in 0..2u32 {
                 if t != p.part(v) {
                     let g = rederive_gain(&st, h, p, cfg, v, t);
-                    st.buckets[t as usize].insert(v, g);
+                    st.buckets[t as usize].insert(v, p.part(v) as usize, g);
                 }
             }
         }
@@ -317,7 +378,7 @@ mod tests {
         let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
         let cfg = KwayConfig::default();
         let mut st = filled_state(&h, &p, &cfg);
-        st.buckets[1].update_key(ModuleId::from(0), 3);
+        st.buckets[1].update_key(ModuleId::from(0), 0, 3);
         let e = audit_pass_start(&st, &h, &p, &cfg, 1).unwrap_err();
         assert_eq!(e.check, "gain-rederive");
         assert_eq!(e.module, Some(0));
@@ -330,10 +391,42 @@ mod tests {
         let cfg = KwayConfig::default();
         let mut st = filled_state(&h, &p, &cfg);
         assert_eq!(audit_pass_drift(&st, &h, &p, &cfg, 1), Ok(()));
-        st.buckets[0].update_key(ModuleId::from(2), -1);
+        st.buckets[0].update_key(ModuleId::from(2), 1, -1);
         let e = audit_pass_drift(&st, &h, &p, &cfg, 1).unwrap_err();
         assert_eq!(e.check, "gain-drift");
         assert_eq!(e.module, Some(2));
+    }
+
+    #[test]
+    fn detects_module_filed_under_wrong_part() {
+        let h = path4();
+        let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
+        let cfg = KwayConfig::default();
+        let mut st = filled_state(&h, &p, &cfg);
+        // Module 0 sits on part 0, but is refiled under class 1 toward
+        // part 1 with its key unchanged.
+        let v = ModuleId::from(0);
+        let key = st.buckets[1].key_of(v);
+        st.buckets[1].remove(v, 0);
+        st.buckets[1].insert(v, 1, key);
+        let e = audit_pass_start(&st, &h, &p, &cfg, 1).unwrap_err();
+        assert_eq!(e.check, "class-filing");
+        assert_eq!(e.module, Some(0));
+    }
+
+    #[test]
+    fn detects_class_list_out_of_stamp_order() {
+        // No nets: every gain is 0, so modules 0 and 1 share one class-0
+        // list toward part 1, module 1 (stamp 1) ahead of module 0.
+        let h = HypergraphBuilder::with_unit_areas(4).build().unwrap();
+        let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
+        let cfg = KwayConfig::default();
+        let mut st = filled_state(&h, &p, &cfg);
+        assert_eq!(audit_pass_start(&st, &h, &p, &cfg, 0), Ok(()));
+        st.stamp[1] = 0;
+        let e = audit_pass_start(&st, &h, &p, &cfg, 0).unwrap_err();
+        assert_eq!(e.check, "class-order");
+        assert_eq!(e.module, Some(0));
     }
 
     #[test]

@@ -17,6 +17,14 @@
 //! destination; a move from `a` to `b` changes only the counts in `a` and
 //! `b`, so only those terms need updating.
 //!
+//! Selection follows Sanchis in filing each move by source and destination
+//! block: each destination's bucket structure files a module under its
+//! current part. A destination too full for the smallest module is skipped,
+//! and so is every module of a source part that cannot give up even the
+//! smallest one: its class is closed. Both gates drop only candidates the
+//! balance check would reject, so they change no pick, only the number of
+//! candidates checked.
+//!
 //! # Examples
 //!
 //! Quadrisect a ring of four cliques:
@@ -54,7 +62,9 @@
 #[cfg(feature = "audit")]
 pub mod audit;
 
-use mlpart_fm::{BucketPolicy, BudgetMeter, GainSpread, PassStats, RefineState, RefineWorkspace};
+use mlpart_fm::{
+    BucketPolicy, BudgetMeter, GainSpread, OpenClasses, PassStats, RefineState, RefineWorkspace,
+};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
     audit, metrics, obs_counter, obs_span, Hypergraph, KwayBalance, ModuleId, NetId, PartBounds,
@@ -533,7 +543,7 @@ pub fn kway_refine_constrained_budgeted_in(
         max_vis_weight <= i32::MAX as i64 / 4,
         "net weights too large for the bucket structure"
     );
-    st.bind_modules(h, k as usize, max_vis_weight as i32, cfg.policy);
+    st.bind_modules(h, k as usize, k as usize, max_vis_weight as i32, cfg.policy);
     for &(v, _) in fixed {
         st.fixed[v.index()] = true;
     }
@@ -541,10 +551,13 @@ pub fn kway_refine_constrained_budgeted_in(
     let mut gains = vec![0i32; k as usize];
     // The free neighbours of the current move in first-touch order, each
     // with its summed gain changes at the move's source and destination
-    // parts; while a neighbour is listed, `st.stamp` holds its index.
+    // parts; while a neighbour is listed, `st.slot` holds its index.
     let mut touched: Vec<(ModuleId, i32, i32)> = Vec::new();
-    // A part with less than this much room left admits no module at all.
+    // A part with less than this much room left admits no module at all,
+    // and a part with less than this much above its lower bound can give
+    // up none: its class is closed.
     let min_area = h.areas().iter().copied().min().unwrap_or(0);
+    let mut open = vec![false; k as usize];
     obs_span!("kway_refine", "k" => k, "modules" => h.num_modules());
 
     let mut passes = 0usize;
@@ -571,15 +584,26 @@ pub fn kway_refine_constrained_budgeted_in(
         for b in &mut st.buckets {
             b.clear();
         }
+        // Each module is filed under its current part, and every
+        // (re)insertion into its k − 1 structures takes one clock tick, so
+        // one stamp per module orders all of them. A pass makes at most
+        // `n + Σ_e |e|²` ticks over its visible nets, each of at most
+        // `max_net_size` pins: within `u32` below about 20M pins at the
+        // default limit of 200.
+        let mut clock = 0u32;
         for v in h.modules() {
             if st.fixed[v.index()] {
                 continue;
             }
             let from = p.part(v) as usize;
             kway_gains(st, h, cfg, v, from, &mut gains);
+            if let Some(s) = st.stamp.get_mut(v.index()) {
+                *s = clock;
+            }
+            clock += 1;
             for (t, (b, &g)) in st.buckets.iter_mut().zip(&gains).enumerate() {
                 if t != from {
-                    b.insert(v, g);
+                    b.insert(v, from, g);
                 }
             }
         }
@@ -614,13 +638,19 @@ pub fn kway_refine_constrained_budgeted_in(
             let part_of = p.assignment();
             let areas = h.areas();
             let part_areas = p.part_areas();
+            // Exact source gate: every member of a closed class would fail
+            // the lower-bound check below.
+            for (f, (o, &area)) in open.iter_mut().zip(part_areas).enumerate() {
+                *o = area >= bounds.lo(f as PartId) + min_area;
+            }
+            let classes = OpenClasses::new(&open, &st.stamp);
             for t in 0..k {
                 let area_t = p.part_area(t);
                 // Exact gate: every member would fail the area check below.
                 if area_t + min_area > bounds.hi(t) {
                     continue;
                 }
-                let cand = st.buckets[t as usize].select_where(rng, |v| {
+                let cand = st.buckets[t as usize].select_where(rng, classes, |v| {
                     inspected += 1;
                     let a = areas[v.index()];
                     let from = part_of[v.index()];
@@ -639,7 +669,7 @@ pub fn kway_refine_constrained_budgeted_in(
             // Execute the move.
             for b in &mut st.buckets {
                 if b.contains(v) {
-                    b.remove(v);
+                    b.remove(v, from as usize);
                 }
             }
             st.locked[v.index()] = true;
@@ -661,7 +691,7 @@ pub fn kway_refine_constrained_budgeted_in(
                     if st.locked[w.index()] || st.fixed[w.index()] {
                         continue;
                     }
-                    let slot = &mut st.stamp[w.index()];
+                    let slot = &mut st.slot[w.index()];
                     if *slot == u32::MAX {
                         *slot = touched.len() as u32;
                         touched.push((w, 0, 0));
@@ -673,7 +703,7 @@ pub fn kway_refine_constrained_budgeted_in(
                 }
             }
             for &(w, at_a, at_b) in &touched {
-                st.stamp[w.index()] = u32::MAX;
+                st.slot[w.index()] = u32::MAX;
                 // A neighbour's gain toward `t` changes by its leave-term
                 // change at its own part plus its enter-term change at `t`.
                 let at = |part: usize| {
@@ -686,9 +716,13 @@ pub fn kway_refine_constrained_budgeted_in(
                     }
                 };
                 let from_w = p.part(w) as usize;
+                if let Some(s) = st.stamp.get_mut(w.index()) {
+                    *s = clock;
+                }
+                clock += 1;
                 for (t, bucket) in st.buckets.iter_mut().enumerate() {
                     if t != from_w {
-                        bucket.update_key(w, bucket.key_of(w) + at(from_w) + at(t));
+                        bucket.update_key(w, from_w, bucket.key_of(w) + at(from_w) + at(t));
                     }
                 }
             }

@@ -277,27 +277,7 @@ pub fn rebalance_bipart<R: Rng + ?Sized>(
     balance: &BipartBalance,
     rng: &mut R,
 ) -> usize {
-    rebalance_bipart_frozen(h, p, balance, None, rng)
-}
-
-/// [`rebalance_bipart`] with a frozen-module mask: frozen modules (e.g.
-/// pre-assigned pads) are never moved.
-///
-/// # Panics
-///
-/// Panics if `frozen` is present with the wrong length.
-pub fn rebalance_bipart_frozen<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    p: &mut Partition,
-    balance: &BipartBalance,
-    frozen: Option<&[bool]>,
-    rng: &mut R,
-) -> usize {
     debug_assert_eq!(p.k(), 2);
-    if let Some(f) = frozen {
-        assert_eq!(f.len(), h.num_modules(), "frozen mask has wrong length");
-    }
-    let is_frozen = |v: ModuleId| frozen.is_some_and(|f| f[v.index()]);
     let mut moved = 0;
     let mut order: Vec<u32> = (0..h.num_modules() as u32).collect();
     order.shuffle(rng);
@@ -312,7 +292,7 @@ pub fn rebalance_bipart_frozen<R: Rng + ?Sized>(
         while cursor < order.len() {
             let v = ModuleId::from(order[cursor]);
             cursor += 1;
-            if p.part(v) == big && !is_frozen(v) {
+            if p.part(v) == big {
                 p.move_module(h, v, 1 - big);
                 moved += 1;
                 break;
@@ -324,19 +304,9 @@ pub fn rebalance_bipart_frozen<R: Rng + ?Sized>(
 
 /// K-way analogue of [`rebalance_bipart`]: random modules move from
 /// over-full parts to the currently smallest part until all parts fit.
+/// Frozen modules (e.g. pre-assigned pads) are never moved.
 ///
 /// Returns the number of modules moved.
-pub fn rebalance_kway<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    p: &mut Partition,
-    balance: &KwayBalance,
-    rng: &mut R,
-) -> usize {
-    rebalance_kway_frozen(h, p, balance, None, rng)
-}
-
-/// [`rebalance_kway`] with a frozen-module mask: frozen modules (e.g.
-/// pre-assigned pads) are never moved.
 ///
 /// # Panics
 ///
@@ -495,7 +465,7 @@ mod tests {
         let balance = KwayBalance::new(&h, 4, 0.1);
         let mut p = Partition::from_assignment(&h, 4, vec![0; 100]).unwrap();
         let mut rng = seeded_rng(3);
-        rebalance_kway(&h, &mut p, &balance, &mut rng);
+        rebalance_kway_frozen(&h, &mut p, &balance, None, &mut rng);
         assert!(balance.is_partition_feasible(&p));
         assert!(p.validate(&h));
     }

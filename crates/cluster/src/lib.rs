@@ -43,11 +43,9 @@ pub mod matching;
 
 pub use clustering::Clustering;
 pub use hierarchy::{
-    induce, induce_coalesced, project, rebalance_bipart, rebalance_bipart_frozen, rebalance_kway,
-    rebalance_kway_frozen, CoarsenError,
+    induce, induce_coalesced, project, rebalance_bipart, rebalance_kway_frozen, CoarsenError,
 };
 pub use matching::{
-    conn, heavy_edge_matching, match_clusters, match_clusters_frozen, match_clusters_frozen_in,
-    match_clusters_parts, match_clusters_parts_in, random_matching, MatchConfig, MatchScratch,
-    MATCH_MAX_NET_SIZE,
+    conn, heavy_edge_matching, match_clusters, match_clusters_frozen_in, match_clusters_parts_in,
+    random_matching, MatchConfig, MatchScratch, MATCH_MAX_NET_SIZE,
 };

@@ -107,31 +107,16 @@ pub fn match_clusters<R: Rng + ?Sized>(
     cfg: &MatchConfig,
     rng: &mut R,
 ) -> Clustering {
-    match_clusters_frozen(h, cfg, None, rng)
+    match_clusters_frozen_in(h, cfg, None, rng, &mut MatchScratch::new())
 }
 
 /// [`match_clusters`] with a set of *frozen* modules that must remain
 /// singleton clusters — used by multilevel quadrisection so that pre-assigned
 /// I/O pads are never merged with movable logic (or with pads pinned to a
-/// different part).
+/// different part) — and caller-owned scratch buffers, so no pass allocates
+/// the permutation or `Conn` machinery.
 ///
 /// `frozen`, when present, must have one entry per module.
-///
-/// # Panics
-///
-/// Panics if `ratio` is not in `(0, 1]` or `frozen` has the wrong length.
-pub fn match_clusters_frozen<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    cfg: &MatchConfig,
-    frozen: Option<&[bool]>,
-    rng: &mut R,
-) -> Clustering {
-    let mut scratch = MatchScratch::new();
-    match_clusters_frozen_in(h, cfg, frozen, rng, &mut scratch)
-}
-
-/// [`match_clusters_frozen`] with caller-owned scratch buffers: bit-identical
-/// results, no per-pass allocation of the permutation or `Conn` machinery.
 ///
 /// # Panics
 ///
@@ -158,22 +143,7 @@ pub fn match_clusters_frozen_in<R: Rng + ?Sized>(
 /// unambiguous inherited assignment.
 ///
 /// With `parts = None` this is byte-identical to [`match_clusters`] on an
-/// identical RNG stream.
-///
-/// # Panics
-///
-/// Panics if `ratio` is not in `(0, 1]` or `parts` has the wrong length.
-pub fn match_clusters_parts<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    cfg: &MatchConfig,
-    parts: Option<&[Option<PartId>]>,
-    rng: &mut R,
-) -> Clustering {
-    let mut scratch = MatchScratch::new();
-    match_clusters_parts_in(h, cfg, parts, rng, &mut scratch)
-}
-
-/// [`match_clusters_parts`] with caller-owned scratch buffers.
+/// identical RNG stream. `scratch` holds the caller-owned buffers.
 ///
 /// # Panics
 ///
@@ -597,7 +567,7 @@ mod tests {
             let h = b.build().unwrap();
             let cfg = MatchConfig::with_ratio(0.7);
             let with_reuse = match_clusters_frozen_in(&h, &cfg, None, &mut rng_reuse, &mut scratch);
-            let fresh = match_clusters_frozen(&h, &cfg, None, &mut rng_fresh);
+            let fresh = match_clusters(&h, &cfg, &mut rng_fresh);
             assert_eq!(with_reuse.as_map(), fresh.as_map(), "half={half}");
         }
     }
@@ -615,10 +585,11 @@ mod frozen_tests {
         b.add_net([0, 1]).unwrap();
         b.add_net([2, 3]).unwrap();
         let h = b.build().unwrap();
+        let (cfg, mut scratch) = (MatchConfig::default(), MatchScratch::new());
         let frozen = [true, false, false, true];
         for seed in 0..10 {
             let mut rng = seeded_rng(seed);
-            let c = match_clusters_frozen(&h, &MatchConfig::default(), Some(&frozen), &mut rng);
+            let c = match_clusters_frozen_in(&h, &cfg, Some(&frozen), &mut rng, &mut scratch);
             assert!(c.validate(&h));
             let sizes = c.cluster_sizes();
             // 0 and 3 alone; 1 and 2 may or may not pair (they share no net).
@@ -632,8 +603,9 @@ mod frozen_tests {
         let mut b = HypergraphBuilder::with_unit_areas(3);
         b.add_net([0, 1, 2]).unwrap();
         let h = b.build().unwrap();
+        let (cfg, mut scratch) = (MatchConfig::default(), MatchScratch::new());
         let mut rng = seeded_rng(0);
-        let c = match_clusters_frozen(&h, &MatchConfig::default(), Some(&[true; 3]), &mut rng);
+        let c = match_clusters_frozen_in(&h, &cfg, Some(&[true; 3]), &mut rng, &mut scratch);
         assert_eq!(c.num_clusters(), 3);
     }
 
@@ -643,8 +615,9 @@ mod frozen_tests {
         let mut b = HypergraphBuilder::with_unit_areas(3);
         b.add_net([0, 1]).unwrap();
         let h = b.build().unwrap();
+        let (cfg, mut scratch) = (MatchConfig::default(), MatchScratch::new());
         let mut rng = seeded_rng(0);
-        let _ = match_clusters_frozen(&h, &MatchConfig::default(), Some(&[true]), &mut rng);
+        let _ = match_clusters_frozen_in(&h, &cfg, Some(&[true]), &mut rng, &mut scratch);
     }
 }
 
@@ -662,10 +635,11 @@ mod parts_tests {
         b.add_net([0, 1]).unwrap();
         b.add_net([2, 3]).unwrap();
         let h = b.build().unwrap();
+        let (cfg, mut scratch) = (MatchConfig::default(), MatchScratch::new());
         let parts = [Some(0), Some(1), None, None];
         for seed in 0..10 {
             let mut rng = seeded_rng(seed);
-            let c = match_clusters_parts(&h, &MatchConfig::default(), Some(&parts), &mut rng);
+            let c = match_clusters_parts_in(&h, &cfg, Some(&parts), &mut rng, &mut scratch);
             assert!(c.validate(&h));
             assert_ne!(c.cluster_of_index(0), c.cluster_of_index(1), "seed {seed}");
             // The free pair is unaffected by the constraint.
@@ -678,10 +652,11 @@ mod parts_tests {
         let mut b = HypergraphBuilder::with_unit_areas(2);
         b.add_net([0, 1]).unwrap();
         let h = b.build().unwrap();
+        let (cfg, mut scratch) = (MatchConfig::default(), MatchScratch::new());
         let parts = [Some(1), Some(1)];
         for seed in 0..10 {
             let mut rng = seeded_rng(seed);
-            let c = match_clusters_parts(&h, &MatchConfig::default(), Some(&parts), &mut rng);
+            let c = match_clusters_parts_in(&h, &cfg, Some(&parts), &mut rng, &mut scratch);
             assert_eq!(c.cluster_of_index(0), c.cluster_of_index(1), "seed {seed}");
         }
     }
@@ -691,10 +666,11 @@ mod parts_tests {
         let mut b = HypergraphBuilder::with_unit_areas(2);
         b.add_net([0, 1]).unwrap();
         let h = b.build().unwrap();
+        let (cfg, mut scratch) = (MatchConfig::default(), MatchScratch::new());
         let parts = [Some(0), None];
         for seed in 0..10 {
             let mut rng = seeded_rng(seed);
-            let c = match_clusters_parts(&h, &MatchConfig::default(), Some(&parts), &mut rng);
+            let c = match_clusters_parts_in(&h, &cfg, Some(&parts), &mut rng, &mut scratch);
             assert_eq!(c.num_clusters(), 2, "seed {seed}");
         }
     }
@@ -706,12 +682,13 @@ mod parts_tests {
             b.add_net([i, i + 1]).unwrap();
         }
         let h = b.build().unwrap();
+        let mut scratch = MatchScratch::new();
         let cfg = MatchConfig::with_ratio(0.7);
         for seed in 0..5 {
             let mut rng_a = seeded_rng(seed);
             let mut rng_b = seeded_rng(seed);
             let plain = match_clusters(&h, &cfg, &mut rng_a);
-            let parts = match_clusters_parts(&h, &cfg, None, &mut rng_b);
+            let parts = match_clusters_parts_in(&h, &cfg, None, &mut rng_b, &mut scratch);
             assert_eq!(plain.as_map(), parts.as_map(), "seed {seed}");
         }
     }
@@ -723,12 +700,13 @@ mod parts_tests {
             b.add_net([i, i + 1]).unwrap();
         }
         let h = b.build().unwrap();
+        let mut scratch = MatchScratch::new();
         let cfg = MatchConfig::default();
         let seed_vec = vec![None; 12];
         let mut rng_a = seeded_rng(9);
         let mut rng_b = seeded_rng(9);
         let plain = match_clusters(&h, &cfg, &mut rng_a);
-        let seeded = match_clusters_parts(&h, &cfg, Some(&seed_vec), &mut rng_b);
+        let seeded = match_clusters_parts_in(&h, &cfg, Some(&seed_vec), &mut rng_b, &mut scratch);
         assert_eq!(plain.as_map(), seeded.as_map());
     }
 
@@ -738,7 +716,8 @@ mod parts_tests {
         let mut b = HypergraphBuilder::with_unit_areas(3);
         b.add_net([0, 1]).unwrap();
         let h = b.build().unwrap();
+        let (cfg, mut scratch) = (MatchConfig::default(), MatchScratch::new());
         let mut rng = seeded_rng(0);
-        let _ = match_clusters_parts(&h, &MatchConfig::default(), Some(&[None]), &mut rng);
+        let _ = match_clusters_parts_in(&h, &cfg, Some(&[None]), &mut rng, &mut scratch);
     }
 }

@@ -1,11 +1,12 @@
-//! Per-start trace plumbing shared by both runners.
+//! Per-start trace plumbing for the scheduler in [`crate::supervise`].
 //!
-//! Under `obs` each start runs inside its own capture, on whichever worker
-//! claimed it, and the runners splice the captured streams into the caller's
-//! trace **in start order** — so the merged stream's content is
-//! thread-count-invariant, the same argument as for the result vector
-//! itself. Without `obs` every item here is a zero-sized stand-in with the
-//! same signature, so the runners' plumbing is feature-independent.
+//! Under `obs` each attempt runs inside its own capture, on whichever worker
+//! claimed the start, and is wrapped into the start's contribution; the
+//! scheduler splices the contributions into the caller's trace **in start
+//! order** — so the merged stream's content is thread-count-invariant, the
+//! same argument as for the result vector itself. Without `obs` every item
+//! here is a zero-sized stand-in with the same signature, so the
+//! scheduler's plumbing is feature-independent.
 
 pub use imp::*;
 
@@ -32,17 +33,9 @@ mod imp {
         mlpart_obs::capture(|| catch_unwind(AssertUnwindSafe(body)))
     }
 
-    /// Splices one start's captured trace into the calling thread's recorder
-    /// as a `start` span. No-op when the start recorded nothing.
-    pub(crate) fn append_start_trace(i: usize, trace: &StartTrace) {
-        if let Some(t) = trace {
-            mlpart_obs::append_trace("start", &[("start", i.into())], t);
-        }
-    }
-
     /// Appends attempt `a` of start `i` to the start's contribution as a
-    /// `start` span. Attempt 0 keeps the unsupervised wrapper args so the
-    /// merged stream is byte-compatible with `try_run_starts`; retries are
+    /// `start` span. Attempt 0 carries only the start index, so a
+    /// retry-free batch merges to one `start` span per start; retries are
     /// tagged with their attempt index.
     pub(crate) fn append_attempt(
         contribution: &mut StartContribution,
@@ -115,8 +108,6 @@ mod imp {
     ) -> (std::thread::Result<T>, StartTrace) {
         (catch_unwind(AssertUnwindSafe(body)), ())
     }
-
-    pub(crate) fn append_start_trace(_i: usize, _trace: &StartTrace) {}
 
     pub(crate) fn append_attempt(
         _contribution: &mut StartContribution,

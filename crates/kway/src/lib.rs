@@ -161,59 +161,18 @@ pub struct KwayResult {
     pub pass_stats: Vec<PassStats>,
 }
 
-/// Repairs an infeasible k-way partition by moving random non-fixed modules
-/// from the most over-full part to the least-full one until the §III-B-style
-/// bounds hold (or no move can help). Draws from `rng` only while the
-/// partition is infeasible.
+/// Repairs an infeasible k-way partition against per-part `[lo, hi]`
+/// windows: repeatedly moves a random non-fixed module from the part with
+/// the worst upper-bound overflow to the part with the worst lower-bound
+/// deficit until `bounds` holds (or no move can help). Draws from `rng`
+/// only while the partition is infeasible. Under uniform windows
+/// ([`PartBounds::from_kway`]) the donor is the largest part and the
+/// receiver the smallest, lowest id on ties.
 ///
 /// `kway_partition` applies this to random starting solutions: on lumpy
 /// area distributions the greedy random split can overfill a part, and
 /// refinement alone cannot fix it (its best-prefix rollback may restore the
 /// infeasible start).
-pub fn rebalance_to_feasibility(
-    h: &Hypergraph,
-    p: &mut Partition,
-    fixed: &[(ModuleId, PartId)],
-    balance: &KwayBalance,
-    rng: &mut MlRng,
-) -> usize {
-    use rand::Rng;
-    let mut is_fixed = vec![false; h.num_modules()];
-    for &(v, _) in fixed {
-        is_fixed[v.index()] = true;
-    }
-    let k = p.k();
-    let mut moved = 0usize;
-    let mut attempts = 0usize;
-    let max_attempts = 4 * h.num_modules() + 16;
-    while !balance.is_partition_feasible(p) && attempts < max_attempts {
-        attempts += 1;
-        let (mut big, mut small) = (0u32, 0u32);
-        for part in 1..k {
-            if p.part_area(part) > p.part_area(big) {
-                big = part;
-            }
-            if p.part_area(part) < p.part_area(small) {
-                small = part;
-            }
-        }
-        if big == small {
-            break;
-        }
-        let v = ModuleId::new(rng.gen_range(0..h.num_modules()));
-        if p.part(v) == big && !is_fixed[v.index()] {
-            p.move_module(h, v, small);
-            moved += 1;
-        }
-    }
-    moved
-}
-
-/// [`rebalance_to_feasibility`] generalized to per-part `[lo, hi]` windows:
-/// repeatedly moves a random non-fixed module from the part with the worst
-/// upper-bound overflow to the part with the worst lower-bound deficit until
-/// `bounds` holds (or no move can help). Draws from `rng` only while the
-/// partition is infeasible.
 ///
 /// # Panics
 ///
@@ -346,8 +305,8 @@ pub fn kway_partition_budgeted_in(
     // A lumpy random start (or the pinning above) can violate the bounds;
     // refinement alone cannot repair that, so fix feasibility first. No-op
     // (and no RNG draws) when the start is already feasible.
-    let balance = KwayBalance::new(h, k, cfg.balance_r);
-    rebalance_to_feasibility(h, &mut p, fixed, &balance, rng);
+    let bounds = PartBounds::from_kway(&KwayBalance::new(h, k, cfg.balance_r));
+    rebalance_to_bounds(h, &mut p, fixed, &bounds, rng);
     let result = kway_refine_budgeted_in(h, &mut p, fixed, cfg, rng, ws, meter);
     (p, result)
 }

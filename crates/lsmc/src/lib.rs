@@ -41,7 +41,7 @@
 
 use mlpart_fm::{fm_partition, refine, FmConfig};
 use mlpart_hypergraph::rng::MlRng;
-use mlpart_hypergraph::{metrics, Hypergraph, ModuleId, Partition};
+use mlpart_hypergraph::{metrics, Hypergraph, KwayBalance, ModuleId, PartBounds, Partition};
 use mlpart_kway::{kway_refine, KwayConfig};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -199,8 +199,8 @@ pub fn lsmc_kway(
     assert!(k > 0, "k must be positive");
     assert!(cfg.descents >= 1, "need at least one descent");
     let mut best_p = Partition::random(h, k, rng);
-    let balance = mlpart_hypergraph::KwayBalance::new(h, k, cfg.kway.balance_r);
-    mlpart_kway::rebalance_to_feasibility(h, &mut best_p, &[], &balance, rng);
+    let bounds = PartBounds::from_kway(&KwayBalance::new(h, k, cfg.kway.balance_r));
+    mlpart_kway::rebalance_to_bounds(h, &mut best_p, &[], &bounds, rng);
     let r0 = kway_refine(h, &mut best_p, &[], &cfg.kway, rng);
     let mut best_cut = r0.cut;
     let mut improvements = 0usize;

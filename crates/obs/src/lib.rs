@@ -91,7 +91,7 @@ pub use export::{
 };
 pub use profile::to_folded;
 pub use trace::{
-    append_raw, append_trace, capture, counter, recording, span, EvKind, Event, SpanGuard, Trace, V,
+    append_raw, capture, counter, recording, span, EvKind, Event, SpanGuard, Trace, V,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

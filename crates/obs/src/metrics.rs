@@ -8,7 +8,7 @@
 //! (timing and allocation telemetry) are excluded up front — so a registry
 //! built from a merged multi-thread trace is bit-identical to the
 //! single-thread one, inheriting the start-order merge contract of
-//! [`crate::append_trace`].
+//! [`crate::append_raw`].
 //!
 //! # Log2 bucket edges
 //!

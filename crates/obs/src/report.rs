@@ -534,7 +534,7 @@ pub fn level_rows(trace: &Trace) -> Vec<LevelRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{append_trace, capture, counter, span};
+    use crate::trace::{append_raw, capture, counter, span};
 
     fn synthetic_start(win: u64) {
         let _ml = span("ml_bipartition", &[("modules", V::U(64))]);
@@ -584,7 +584,9 @@ mod tests {
             let _run = span("run", &[("runs", V::U(2))]);
             for i in 0..2u64 {
                 let (_, child) = capture(|| synthetic_start(i % 2));
-                append_trace("start", &[("start", V::U(i))], &child.unwrap());
+                let mut wrapped = Trace::default();
+                wrapped.append_span("start", &[("start", V::U(i))], &child.unwrap());
+                append_raw(&wrapped);
             }
         });
         crate::force_enabled(false);

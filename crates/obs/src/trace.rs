@@ -96,10 +96,10 @@ pub struct Trace {
 
 impl Trace {
     /// Appends `child` into this trace wrapped in one `name` span, rebasing
-    /// the child's timestamps after this trace's last event — the offline
-    /// (recorder-free) twin of [`append_trace`]. The supervision layer uses
-    /// it to assemble a start's full contribution (every attempt, wrapped)
-    /// before splicing it into the batch stream in start order.
+    /// the child's timestamps after this trace's last event. Recorder-free:
+    /// the execution layer uses it to assemble a start's full contribution
+    /// (every attempt, wrapped) before splicing it into the batch stream in
+    /// start order with [`append_raw`].
     pub fn append_span(&mut self, name: &'static str, args: &[(&'static str, V)], child: &Trace) {
         let base = self.events.last().map_or(0, |e| e.ts_ns);
         let child_end = child.events.last().map_or(0, |e| e.ts_ns);
@@ -196,8 +196,8 @@ impl Drop for CaptureScope {
 /// Returns `None` for the trace when the runtime gate is off — `f` then
 /// runs with zero recording overhead. Captures nest: an inner `capture`
 /// stashes the outer recorder and restores it afterwards, which is how the
-/// execution layer captures one stream per start and then merges them into
-/// the caller's stream via [`append_trace`].
+/// execution layer captures one stream per attempt and then merges them into
+/// the caller's stream via [`Trace::append_span`] and [`append_raw`].
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Option<Trace>) {
     if !crate::enabled() {
         return (f(), None);
@@ -283,46 +283,16 @@ pub fn counter(name: &'static str, args: &[(&'static str, V)]) {
     });
 }
 
-/// Appends a previously captured trace into the current recorder as one
-/// span named `name`, rebasing the child's timestamps onto this recorder's
+/// Appends a previously captured trace **verbatim** into the current
+/// recorder — no wrapper span — rebasing timestamps onto this recorder's
 /// timeline.
 ///
 /// This is the deterministic merge primitive: the execution layer captures
-/// one trace per start (on whichever worker thread ran it) and appends them
-/// **in start order**, so the merged stream's content is independent of the
-/// thread count and of which worker ran which start. No-op when not
-/// [`recording`].
-pub fn append_trace(name: &'static str, args: &[(&'static str, V)], child: &Trace) {
-    with_recorder(|rec| {
-        let base = clock::now_ns() - rec.t0_ns;
-        let child_end = child.events.last().map_or(0, |e| e.ts_ns);
-        rec.events.push(Event {
-            kind: EvKind::Begin,
-            name,
-            ts_ns: base,
-            args: args.to_vec(),
-        });
-        for ev in &child.events {
-            rec.events.push(Event {
-                ts_ns: base + ev.ts_ns,
-                ..ev.clone()
-            });
-        }
-        rec.events.push(Event {
-            kind: EvKind::End,
-            name,
-            ts_ns: base + child_end,
-            args: Vec::new(),
-        });
-    });
-}
-
-/// Appends a previously captured trace **verbatim** into the current
-/// recorder — no wrapper span — rebasing timestamps onto this recorder's
-/// timeline. The supervision layer uses it to splice a start's pre-wrapped
-/// contribution (or a checkpoint-restored one) into the batch stream; the
-/// content that lands is byte-identical to what [`append_trace`] would have
-/// produced live. No-op when not [`recording`].
+/// each start's attempts (on whichever worker thread ran it), wraps them
+/// with [`Trace::append_span`], and splices the contributions (or
+/// checkpoint-restored ones) **in start order**, so the merged stream's
+/// content is independent of the thread count and of which worker ran which
+/// start. No-op when not [`recording`].
 pub fn append_raw(child: &Trace) {
     with_recorder(|rec| {
         let base = clock::now_ns() - rec.t0_ns;
@@ -405,7 +375,9 @@ mod tests {
             let (_, inner) = capture(|| counter("inner", &[]));
             let inner = inner.expect("inner capture records");
             assert_eq!(names(&inner), vec![("inner", EvKind::Counter)]);
-            append_trace("start", &[("start", V::U(0))], &inner);
+            let mut wrapped = Trace::default();
+            wrapped.append_span("start", &[("start", V::U(0))], &inner);
+            append_raw(&wrapped);
             counter("after", &[]);
         });
         crate::force_enabled(false);
@@ -445,35 +417,6 @@ mod tests {
         );
     }
 
-    /// Assembling a contribution offline (`Trace::append_span`) and splicing
-    /// it verbatim (`append_raw`) yields the same *content* as the live
-    /// `append_trace` merge — the equivalence the supervised runner and
-    /// checkpoint replay rely on.
-    #[test]
-    fn offline_wrap_plus_raw_splice_matches_live_append() {
-        let _gate = crate::test_gate_lock();
-        crate::force_enabled(true);
-        let (_, child) = capture(|| {
-            let _s = span("job", &[("x", V::U(3))]);
-            counter("tick", &[]);
-        });
-        let child = child.expect("recorded");
-        let (_, live) = capture(|| append_trace("start", &[("start", V::U(4))], &child));
-        let mut contribution = Trace::default();
-        contribution.append_span("start", &[("start", V::U(4))], &child);
-        let (_, replay) = capture(|| append_raw(&contribution));
-        crate::force_enabled(false);
-        let live = live.expect("recorded");
-        let replay = replay.expect("recorded");
-        let content = |t: &Trace| -> Vec<_> {
-            t.events
-                .iter()
-                .map(|e| (e.kind, e.name, e.args.clone()))
-                .collect()
-        };
-        assert_eq!(content(&live), content(&replay));
-    }
-
     #[test]
     fn append_rebases_timestamps() {
         let _gate = crate::test_gate_lock();
@@ -482,7 +425,9 @@ mod tests {
         let child = child.expect("recorded");
         let (_, parent) = capture(|| {
             std::thread::sleep(std::time::Duration::from_millis(1));
-            append_trace("start", &[], &child);
+            let mut wrapped = Trace::default();
+            wrapped.append_span("start", &[], &child);
+            append_raw(&wrapped);
         });
         crate::force_enabled(false);
         let parent = parent.expect("recorded");

@@ -72,7 +72,7 @@ pub use mlpart_core::{
 };
 pub use mlpart_exec::{
     run_supervised, Attempt, BatchResult, ExecError, PriorStart, ResumeState, RetryPolicy,
-    RetryRecord, RunOutcome, Sink, StartDone, StartFailure, SupervisedBatch, ATTEMPT_STRIDE,
+    RetryRecord, Sink, StartDone, StartFailure, SupervisedBatch, ATTEMPT_STRIDE,
 };
 pub use mlpart_fm::{
     fm_partition, repair_to_feasible, BucketPolicy, Engine, FmConfig, PassStats, RefineWorkspace,

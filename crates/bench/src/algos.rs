@@ -9,10 +9,10 @@
 use mlpart_core::{
     ml_bipartition, ml_kway, recursive_ml_partition, MlConfig, MlKwayConfig, Request,
 };
-use mlpart_fm::{fm_partition_in, BucketPolicy, Engine, FmConfig, RefineWorkspace};
+use mlpart_fm::{fm_partition, BucketPolicy, Engine, FmConfig, RefineRequest, RefineWorkspace};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{Constraints, Hypergraph, ModuleId, Partition};
-use mlpart_kway::{kway_partition_in, KwayConfig};
+use mlpart_kway::{kway_partition, KwayConfig};
 use mlpart_lsmc::{lsmc_bipartition, lsmc_kway, LsmcConfig, LsmcKwayConfig};
 use mlpart_place::{gordian_quadrisection, PlacerConfig};
 
@@ -28,7 +28,8 @@ pub fn fm_with_policy_in(
         policy,
         ..FmConfig::default()
     };
-    fm_partition_in(h, None, &cfg, rng, ws).1.cut
+    let (_, r) = fm_partition(h, &cfg, rng, RefineRequest::reusing(ws)).expect("valid FM input");
+    r.cut
 }
 
 /// Flat FM (LIFO buckets); Table III baseline.
@@ -52,7 +53,8 @@ pub fn clip_in(h: &Hypergraph, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u64
         engine: Engine::Clip,
         ..FmConfig::default()
     };
-    fm_partition_in(h, None, &cfg, rng, ws).1.cut
+    let (_, r) = fm_partition(h, &cfg, rng, RefineRequest::reusing(ws)).expect("valid FM input");
+    r.cut
 }
 
 /// A paper-schedule request through `ws`.
@@ -94,14 +96,15 @@ pub fn ml_c_in(h: &Hypergraph, r: f64, rng: &mut MlRng, ws: &mut RefineWorkspace
 }
 
 /// 2-way LSMC with FM descents, `descents` long; Table VII baseline. (The
-/// LSMC chain has no workspace-reuse entry point yet; parallel callers pass
-/// it a closure that ignores the worker workspace.)
+/// chain reuses one workspace of its own across its descents; parallel
+/// callers pass it a closure that ignores the worker workspace.)
 pub fn lsmc(h: &Hypergraph, descents: usize, rng: &mut MlRng) -> u64 {
     let cfg = LsmcConfig {
         descents,
         ..LsmcConfig::default()
     };
-    lsmc_bipartition(h, &cfg, rng).1.cut
+    let (_, r) = lsmc_bipartition(h, &cfg, rng).expect("valid LSMC input");
+    r.cut
 }
 
 /// Flat 4-way FM-style engine (net-cut gain); Table IX baseline.
@@ -111,9 +114,10 @@ pub fn fm4(h: &Hypergraph, rng: &mut MlRng) -> u64 {
 
 /// [`fm4`] through a caller-owned workspace.
 pub fn fm4_in(h: &Hypergraph, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u64 {
-    kway_partition_in(h, 4, None, &[], &KwayConfig::default(), &mut *rng, ws)
-        .1
-        .cut
+    let cfg = KwayConfig::default();
+    let (_, r) =
+        kway_partition(h, 4, &cfg, rng, RefineRequest::reusing(ws)).expect("valid k-way input");
+    r.cut
 }
 
 /// Flat 4-way with LIFO buckets seeded like CLIP is not defined for the
@@ -129,9 +133,9 @@ pub fn clip4_in(h: &Hypergraph, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u6
         gain: mlpart_kway::KwayGain::NetCut,
         ..KwayConfig::default()
     };
-    kway_partition_in(h, 4, None, &[], &cfg, &mut *rng, ws)
-        .1
-        .cut
+    let (_, r) =
+        kway_partition(h, 4, &cfg, rng, RefineRequest::reusing(ws)).expect("valid k-way input");
+    r.cut
 }
 
 /// 4-way LSMC with the default (sum-of-degrees) descent engine.
@@ -140,7 +144,8 @@ pub fn lsmc4_f(h: &Hypergraph, descents: usize, rng: &mut MlRng) -> u64 {
         descents,
         ..LsmcKwayConfig::default()
     };
-    lsmc_kway(h, 4, &cfg, rng).1.cut
+    let (_, r) = lsmc_kway(h, 4, &cfg, rng).expect("valid LSMC input");
+    r.cut
 }
 
 /// 4-way LSMC with the net-cut descent engine.
@@ -153,7 +158,8 @@ pub fn lsmc4_c(h: &Hypergraph, descents: usize, rng: &mut MlRng) -> u64 {
         },
         ..LsmcKwayConfig::default()
     };
-    lsmc_kway(h, 4, &cfg, rng).1.cut
+    let (_, r) = lsmc_kway(h, 4, &cfg, rng).expect("valid LSMC input");
+    r.cut
 }
 
 /// Multilevel quadrisection (`ML_F`, `R = 1.0`, `T = 100`); the Table IX

@@ -16,12 +16,12 @@
 use mlpart_core::{
     ml_bipartition, ml_kway, Budget, BudgetMeter, MlConfig, MlKwayConfig, Request, Truncation,
 };
-use mlpart_fm::{fm_partition_budgeted_in, Engine, FmConfig, RefineWorkspace};
+use mlpart_fm::{fm_partition, Engine, FmConfig, RefineRequest, RefineWorkspace};
 use mlpart_gen::suite;
 use mlpart_hypergraph::metrics::cut;
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_hypergraph::Hypergraph;
-use mlpart_kway::{kway_partition_budgeted_in, KwayConfig};
+use mlpart_kway::{kway_partition, KwayConfig};
 
 fn balu() -> Hypergraph {
     suite::by_name("balu").expect("suite circuit").generate(3)
@@ -40,9 +40,12 @@ fn flat_cut(
         ..FmConfig::default()
     };
     let mut rng = seeded_rng(seed);
-    let mut ws = RefineWorkspace::new();
     let mut meter = BudgetMeter::new(&budget);
-    let (p, r) = fm_partition_budgeted_in(h, None, &cfg, &mut rng, &mut ws, &mut meter);
+    let req = RefineRequest {
+        meter: Some(&mut meter),
+        ..RefineRequest::default()
+    };
+    let (p, r) = fm_partition(h, &cfg, &mut rng, req).expect("valid FM input");
     assert!(p.validate(h), "budgeted result must stay a valid partition");
     assert_eq!(r.cut, cut(h, &p), "reported cut matches the partition");
     (r.cut, meter.truncation())
@@ -51,18 +54,12 @@ fn flat_cut(
 /// Same for one flat k-way quadrisection start.
 fn flat4_cut(h: &Hypergraph, budget: Budget, seed: u64) -> (u64, Option<Truncation>) {
     let mut rng = seeded_rng(seed);
-    let mut ws = RefineWorkspace::new();
     let mut meter = BudgetMeter::new(&budget);
-    let (p, r) = kway_partition_budgeted_in(
-        h,
-        4,
-        None,
-        &[],
-        &KwayConfig::default(),
-        &mut rng,
-        &mut ws,
-        &mut meter,
-    );
+    let req = RefineRequest {
+        meter: Some(&mut meter),
+        ..RefineRequest::default()
+    };
+    let (p, r) = kway_partition(h, 4, &KwayConfig::default(), &mut rng, req).expect("valid input");
     assert!(p.validate(h), "budgeted result must stay a valid partition");
     assert_eq!(p.k(), 4);
     assert_eq!(r.cut, cut(h, &p), "reported cut matches the partition");

@@ -10,6 +10,7 @@ use std::error::Error as StdError;
 use std::fmt;
 
 use mlpart_cluster::CoarsenError;
+use mlpart_fm::RefineError;
 use mlpart_hypergraph::{BuildHypergraphError, ConstraintsError};
 
 /// Why a pipeline driver rejected its inputs (or an internal stage failed).
@@ -24,6 +25,9 @@ pub enum PipelineError {
     Constraints(ConstraintsError),
     /// Coarsening, coalescing, or projection failed (see [`CoarsenError`]).
     Coarsen(CoarsenError),
+    /// A refinement engine rejected its input (see [`RefineError`]), e.g. net
+    /// weights too large for its gain buckets.
+    Refine(RefineError),
     /// A derived sub-netlist (e.g. a recursive-bisection region extract)
     /// failed hypergraph validation.
     Netlist(BuildHypergraphError),
@@ -56,6 +60,7 @@ impl fmt::Display for PipelineError {
         match self {
             PipelineError::Constraints(e) => write!(f, "invalid constraints: {e}"),
             PipelineError::Coarsen(e) => write!(f, "coarsening failed: {e}"),
+            PipelineError::Refine(e) => write!(f, "refinement failed: {e}"),
             PipelineError::Netlist(e) => write!(f, "derived netlist is invalid: {e}"),
             PipelineError::KMismatch {
                 context,
@@ -78,6 +83,7 @@ impl StdError for PipelineError {
         match self {
             PipelineError::Constraints(e) => Some(e),
             PipelineError::Coarsen(e) => Some(e),
+            PipelineError::Refine(e) => Some(e),
             PipelineError::Netlist(e) => Some(e),
             _ => None,
         }
@@ -93,6 +99,12 @@ impl From<ConstraintsError> for PipelineError {
 impl From<CoarsenError> for PipelineError {
     fn from(e: CoarsenError) -> Self {
         PipelineError::Coarsen(e)
+    }
+}
+
+impl From<RefineError> for PipelineError {
+    fn from(e: RefineError) -> Self {
+        PipelineError::Refine(e)
     }
 }
 
@@ -147,6 +159,9 @@ mod tests {
             num_modules: 4,
         });
         assert!(StdError::source(&e).is_some());
+        let e = PipelineError::from(RefineError::BoundsArity { bounds: 3, k: 2 });
+        assert!(StdError::source(&e).is_some());
+        assert!(e.to_string().contains("bounds have 3 part(s) but k = 2"));
         let e = PipelineError::from(BuildHypergraphError::AreaOverflow);
         assert!(StdError::source(&e).is_some());
         assert_eq!(

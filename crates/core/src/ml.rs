@@ -277,7 +277,7 @@ pub fn ml_bipartition_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlpart_fm::{fm_partition, BucketPolicy, Budget, BudgetLimit, BudgetMeter};
+    use mlpart_fm::{fm_partition, BucketPolicy, Budget, BudgetLimit, BudgetMeter, RefineRequest};
     use mlpart_hypergraph::rng::seeded_rng;
     use mlpart_hypergraph::{
         metrics, BipartBalance, Constraints, HypergraphBuilder, ModuleId, PartBounds,
@@ -372,7 +372,10 @@ mod tests {
         let flat_avg: f64 = (0..runs)
             .map(|s| {
                 let mut rng = seeded_rng(1000 + s);
-                fm_partition(&h, None, &FmConfig::default(), &mut rng).1.cut as f64
+                fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default())
+                    .unwrap()
+                    .1
+                    .cut as f64
             })
             .sum::<f64>()
             / runs as f64;

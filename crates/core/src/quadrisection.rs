@@ -176,7 +176,7 @@ pub fn ml_kway_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlpart_fm::{Budget, BudgetLimit, BudgetMeter};
+    use mlpart_fm::{Budget, BudgetLimit, BudgetMeter, RefineRequest};
     use mlpart_hypergraph::rng::seeded_rng;
     use mlpart_hypergraph::{Constraints, HypergraphBuilder, KwayBalance};
     use mlpart_kway::kway_partition;
@@ -236,9 +236,16 @@ mod tests {
         let flat_avg: f64 = (0..runs)
             .map(|s| {
                 let mut rng = seeded_rng(3000 + s);
-                kway_partition(&h, 4, None, &[], &KwayConfig::default(), &mut rng)
-                    .1
-                    .cut as f64
+                kway_partition(
+                    &h,
+                    4,
+                    &KwayConfig::default(),
+                    &mut rng,
+                    RefineRequest::default(),
+                )
+                .unwrap()
+                .1
+                .cut as f64
             })
             .sum::<f64>()
             / runs as f64;

@@ -120,15 +120,15 @@ fn phases(
     let coarse_fixed = lift_fixed(fixed, &clustering);
     obs_counter!("two_phase_coarse", "coarse_modules" => coarse.num_modules());
     cx.meter.set_level_context(Some(1));
-    let (coarse_p, coarse_r) = cycle.seed(&coarse, &coarse_fixed, cx);
+    let (coarse_p, coarse_r) = cycle.seed(&coarse, &coarse_fixed, cx)?;
 
     // Phase 2: project and refine on the original netlist.
     let mut p = project(h, &clustering, &coarse_p)?;
     let bounds = cycle.bounds(h);
-    let rebalance = cycle.rebalance(h, &mut p, &bounds, fixed, cx.rng);
+    let rebalance = cycle.rebalance(h, &mut p, &bounds, fixed, cx.rng)?;
     obs_counter!("rebalance", "level" => 0u64, "moves" => rebalance);
     cx.meter.set_level_context(Some(0));
-    let refine = cycle.refiner.refine(h, &mut p, &bounds, fixed, cx);
+    let refine = cycle.refiner.refine(h, &mut p, &bounds, fixed, cx)?;
 
     audit!(
         mlpart_audit::audit_partition(h, &p),
@@ -152,7 +152,7 @@ fn phases(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlpart_fm::{fm_partition, Budget, BudgetLimit, BudgetMeter};
+    use mlpart_fm::{fm_partition, Budget, BudgetLimit, BudgetMeter, RefineRequest};
     use mlpart_hypergraph::rng::seeded_rng;
     use mlpart_hypergraph::{BipartBalance, Constraints, HypergraphBuilder, ModuleId, PartBounds};
 
@@ -199,7 +199,10 @@ mod tests {
         let flat: f64 = (0..runs)
             .map(|s| {
                 let mut rng = seeded_rng(10 + s);
-                fm_partition(&h, None, &FmConfig::default(), &mut rng).1.cut as f64
+                fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default())
+                    .unwrap()
+                    .1
+                    .cut as f64
             })
             .sum::<f64>()
             / runs as f64;

@@ -17,18 +17,15 @@ use crate::hierarchy::Hierarchy;
 use crate::ml::{LevelStats, MlConfig, MlResult};
 use mlpart_cluster::{project, rebalance_bipart, rebalance_kway_frozen};
 use mlpart_fm::{
-    fm_partition_budgeted_in, refine_constrained_budgeted_in, BudgetMeter, FmConfig, FmResult,
-    PassStats, RefineWorkspace,
+    fm_partition, refine, BudgetMeter, FmConfig, FmResult, PassStats, RefineError, RefineRequest,
+    RefineWorkspace,
 };
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
     audit, metrics, obs_counter, obs_span, BipartBalance, Constraints, Hypergraph, KwayBalance,
     ModuleId, PartBounds, PartId, Partition,
 };
-use mlpart_kway::{
-    kway_partition_budgeted_in, kway_refine_constrained_budgeted_in, rebalance_to_bounds,
-    KwayConfig, KwayResult,
-};
+use mlpart_kway::{kway_partition, kway_refine, rebalance_to_bounds, KwayConfig, KwayResult};
 
 /// The optional inputs of every pipeline entry point, beyond its
 /// configuration and RNG (see the crate-level example).
@@ -75,6 +72,23 @@ pub(crate) struct Ctx<'a> {
     pub meter: &'a mut BudgetMeter,
 }
 
+impl Ctx<'_> {
+    /// An engine request through this call's workspace and meter.
+    fn request<'r>(
+        &'r mut self,
+        bounds: Option<&'r PartBounds>,
+        fixed: &'r [(ModuleId, PartId)],
+    ) -> (&'r mut MlRng, RefineRequest<'r>) {
+        let req = RefineRequest {
+            workspace: Some(&mut *self.ws),
+            meter: Some(&mut *self.meter),
+            bounds,
+            fixed,
+        };
+        (&mut *self.rng, req)
+    }
+}
+
 /// A refinement engine the V-cycle drives.
 pub(crate) trait Refiner {
     /// What the engine's calls report.
@@ -92,7 +106,8 @@ pub(crate) trait Refiner {
     fn ratio_bounds(&self, h: &Hypergraph) -> PartBounds;
     /// The paper's initial partition: the engine draws its own random
     /// start, then refines it.
-    fn draw(&self, h: &Hypergraph, cx: &mut Ctx<'_>) -> (Partition, Self::Run);
+    fn draw(&self, h: &Hypergraph, cx: &mut Ctx<'_>)
+        -> Result<(Partition, Self::Run), RefineError>;
     /// The paper's §III-B rebalancing: random moves out of the larger part.
     fn rebalance(&self, h: &Hypergraph, p: &mut Partition, rng: &mut MlRng) -> usize;
     /// Refines `p` within `bounds`, never moving a module of `fixed`.
@@ -103,7 +118,7 @@ pub(crate) trait Refiner {
         bounds: &PartBounds,
         fixed: &[(ModuleId, PartId)],
         cx: &mut Ctx<'_>,
-    ) -> Self::Run;
+    ) -> Result<Self::Run, RefineError>;
 }
 
 /// The 2-way FM/CLIP engine (ML_F / ML_C).
@@ -126,8 +141,9 @@ impl Refiner for Bisect<'_> {
         PartBounds::from_bipart(&BipartBalance::new(h, self.0.balance_r))
     }
 
-    fn draw(&self, h: &Hypergraph, cx: &mut Ctx<'_>) -> (Partition, FmResult) {
-        fm_partition_budgeted_in(h, None, self.0, cx.rng, cx.ws, cx.meter)
+    fn draw(&self, h: &Hypergraph, cx: &mut Ctx<'_>) -> Result<(Partition, FmResult), RefineError> {
+        let (rng, req) = cx.request(None, &[]);
+        fm_partition(h, self.0, rng, req)
     }
 
     fn rebalance(&self, h: &Hypergraph, p: &mut Partition, rng: &mut MlRng) -> usize {
@@ -141,17 +157,9 @@ impl Refiner for Bisect<'_> {
         bounds: &PartBounds,
         fixed: &[(ModuleId, PartId)],
         cx: &mut Ctx<'_>,
-    ) -> FmResult {
-        let mut mask = Vec::new();
-        if !fixed.is_empty() {
-            mask.resize(h.num_modules(), false);
-            for &(v, _) in fixed {
-                if let Some(m) = mask.get_mut(v.index()) {
-                    *m = true;
-                }
-            }
-        }
-        refine_constrained_budgeted_in(h, p, self.0, bounds, &mask, cx.rng, cx.ws, cx.meter)
+    ) -> Result<FmResult, RefineError> {
+        let (rng, req) = cx.request(Some(bounds), fixed);
+        refine(h, p, self.0, rng, req)
     }
 }
 
@@ -178,8 +186,13 @@ impl Refiner for Kway<'_> {
         PartBounds::from_kway(&KwayBalance::new(h, self.k, self.cfg.balance_r))
     }
 
-    fn draw(&self, h: &Hypergraph, cx: &mut Ctx<'_>) -> (Partition, KwayResult) {
-        kway_partition_budgeted_in(h, self.k, None, &[], self.cfg, cx.rng, cx.ws, cx.meter)
+    fn draw(
+        &self,
+        h: &Hypergraph,
+        cx: &mut Ctx<'_>,
+    ) -> Result<(Partition, KwayResult), RefineError> {
+        let (rng, req) = cx.request(None, &[]);
+        kway_partition(h, self.k, self.cfg, rng, req)
     }
 
     fn rebalance(&self, h: &Hypergraph, p: &mut Partition, rng: &mut MlRng) -> usize {
@@ -194,9 +207,9 @@ impl Refiner for Kway<'_> {
         bounds: &PartBounds,
         fixed: &[(ModuleId, PartId)],
         cx: &mut Ctx<'_>,
-    ) -> KwayResult {
-        let Ctx { rng, ws, meter } = cx;
-        kway_refine_constrained_budgeted_in(h, p, fixed, self.cfg, bounds, rng, ws, meter)
+    ) -> Result<KwayResult, RefineError> {
+        let (rng, req) = cx.request(Some(bounds), fixed);
+        kway_refine(h, p, self.cfg, rng, req)
     }
 }
 
@@ -291,17 +304,17 @@ impl<R: Refiner> Cycle<'_, R> {
         h: &Hypergraph,
         fixed: &[(ModuleId, PartId)],
         cx: &mut Ctx<'_>,
-    ) -> (Partition, R::Run) {
+    ) -> Result<(Partition, R::Run), PipelineError> {
         if self.pins.is_none() {
-            return self.refiner.draw(h, cx);
+            return Ok(self.refiner.draw(h, cx)?);
         }
         let bounds = self.bounds(h);
         let mut p = Partition::random_fixed(h, self.refiner.k(), fixed, cx.rng);
         if !bounds.is_partition_feasible(&p) {
-            rebalance_to_bounds(h, &mut p, fixed, &bounds, cx.rng);
+            rebalance_to_bounds(h, &mut p, fixed, &bounds, cx.rng)?;
         }
-        let r = self.refiner.refine(h, &mut p, &bounds, fixed, cx);
-        (p, r)
+        let r = self.refiner.refine(h, &mut p, &bounds, fixed, cx)?;
+        Ok((p, r))
     }
 
     /// Restores feasibility of a projected partition: the paper's §III-B
@@ -314,14 +327,14 @@ impl<R: Refiner> Cycle<'_, R> {
         bounds: &PartBounds,
         fixed: &[(ModuleId, PartId)],
         rng: &mut MlRng,
-    ) -> usize {
-        if bounds.is_partition_feasible(p) {
+    ) -> Result<usize, PipelineError> {
+        Ok(if bounds.is_partition_feasible(p) {
             0
         } else if self.pins.is_none() {
             self.refiner.rebalance(h, p, rng)
         } else {
-            rebalance_to_bounds(h, p, fixed, bounds, rng)
-        }
+            rebalance_to_bounds(h, p, fixed, bounds, rng)?
+        })
     }
 
     /// The V-cycle of Fig. 2 under its run span: the span names the
@@ -382,18 +395,18 @@ impl<R: Refiner> Cycle<'_, R> {
             let mut attempt = |t: usize| {
                 let (p, run) = {
                     obs_span!("try", "try" => t);
-                    self.seed(coarsest, hierarchy.fixed_at(m), cx)
+                    self.seed(coarsest, hierarchy.fixed_at(m), cx)?
                 };
                 let (cut, passes) = R::summary(&run);
                 if !R::TRACE_K {
                     obs_counter!("initial_try", "try" => t, "cut" => cut, "passes" => passes.len());
                 }
-                (cut, passes.len(), t, p, run)
+                Ok::<_, PipelineError>((cut, passes.len(), t, p, run))
             };
-            let mut best = attempt(0);
+            let mut best = attempt(0)?;
             let mut total_passes = best.1;
             for t in 1..tries {
-                let next = attempt(t);
+                let next = attempt(t)?;
                 total_passes += next.1;
                 // Strict `<` keeps the *first* try that reaches the minimum
                 // cut, so the winner does not depend on how many later tries
@@ -434,7 +447,8 @@ impl<R: Refiner> Cycle<'_, R> {
             .map_err(|e| e.with_level(i)));
             let level_fixed = hierarchy.fixed_at(i);
             let bounds = self.bounds(fine);
-            let level_rebalance = self.rebalance(fine, &mut fine_p, &bounds, level_fixed, cx.rng);
+            let level_rebalance =
+                self.rebalance(fine, &mut fine_p, &bounds, level_fixed, cx.rng)?;
             rebalance_moves += level_rebalance;
             obs_counter!("rebalance", "level" => i, "moves" => level_rebalance);
             // Cooperative budget checkpoint. When the level budget (or any
@@ -446,7 +460,7 @@ impl<R: Refiner> Cycle<'_, R> {
             let _ = cx.meter.level_checkpoint(i as u32);
             let r = self
                 .refiner
-                .refine(fine, &mut fine_p, &bounds, level_fixed, cx);
+                .refine(fine, &mut fine_p, &bounds, level_fixed, cx)?;
             cx.meter.note_level();
             // Pins must survive every level, not just the final answer.
             audit!(mlpart_audit::audit_fixed_assignment(&fine_p, level_fixed)

@@ -220,8 +220,8 @@ pub fn audit_pass_end(h: &Hypergraph, p: &Partition, cfg: &FmConfig, best_cut: u
 mod tests {
     use super::*;
     use crate::bucket::BucketPolicy;
-    use crate::engine::refine_in;
-    use crate::state::RefineWorkspace;
+    use crate::engine::refine;
+    use crate::request::RefineRequest;
     use mlpart_hypergraph::rng::seeded_rng;
     use mlpart_hypergraph::{HypergraphBuilder, ModuleId};
 
@@ -237,7 +237,7 @@ mod tests {
     /// Hand-builds the exact post-fill state for `path4` split [0,0,1,1].
     fn filled_state(h: &Hypergraph, cfg: &FmConfig) -> RefineState {
         let mut st = RefineState::default();
-        st.bind_nets(h, 2, cfg.max_net_size);
+        st.bind_nets(h, 2, cfg.max_net_size).unwrap();
         st.bind_modules(h, 1, 1, 4, BucketPolicy::Lifo);
         // pins per net: {0,1}→[2,0], {1,2}→[1,1], {2,3}→[0,2].
         st.pins_in.copy_from_slice(&[2, 0, 1, 1, 0, 2]);
@@ -327,13 +327,14 @@ mod tests {
         let h = path4();
         let mut p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
         let cfg = FmConfig::default();
-        let r = refine_in(
+        let r = refine(
             &h,
             &mut p,
             &cfg,
             &mut seeded_rng(3),
-            &mut RefineWorkspace::new(),
-        );
+            RefineRequest::default(),
+        )
+        .unwrap();
         assert_eq!(audit_pass_end(&h, &p, &cfg, r.internal_cut), Ok(()));
         let e = audit_pass_end(&h, &p, &cfg, r.internal_cut + 1).unwrap_err();
         assert_eq!(e.check, "cut-rollback");
@@ -347,13 +348,14 @@ mod tests {
         let h = path4();
         let mut p = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1]).unwrap();
         let cfg = FmConfig::default();
-        let r = refine_in(
+        let r = refine(
             &h,
             &mut p,
             &cfg,
             &mut seeded_rng(1),
-            &mut RefineWorkspace::new(),
-        );
+            RefineRequest::default(),
+        )
+        .unwrap();
         mlpart_audit::force_enabled(false);
         assert!(r.passes >= 1);
     }

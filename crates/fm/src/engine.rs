@@ -24,13 +24,14 @@
 //! of non-improving moves).
 
 use crate::bucket::{BucketPolicy, OpenClasses};
-use crate::budget::BudgetMeter;
+use crate::request::{expect_valid, RefineError, RefineRequest, RequestParts};
 use crate::state::{GainSpread, PassStats, RefineState, RefineWorkspace};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
     audit, metrics, obs_counter, obs_span, BipartBalance, Hypergraph, ModuleId, NetId, PartBounds,
-    Partition,
+    PartId, Partition,
 };
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Which gain discipline drives module selection.
@@ -144,20 +145,22 @@ pub struct FmResult {
     pub pass_stats: Vec<PassStats>,
 }
 
-/// The paper's `FMPartition(H, P)` (Fig. 2): refines an initial solution, or
-/// starts from a random one when `initial` is `None`.
+/// The paper's `FMPartition(H, P)` (Fig. 2) from a random start: draws a
+/// random bipartition, moves the pins of `req.fixed` onto their parts, and
+/// [`refine`]s it.
 ///
 /// Returns the refined partition and run statistics.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if an `initial` partition is supplied with `k != 2` or with an
-/// assignment length that does not match `h`.
+/// A [`RefineError`] when the request does not fit `h`
+/// ([`RefineRequest::check`]) or its net weights overflow the gain buckets;
+/// nothing is then drawn from `rng`.
 ///
 /// # Examples
 ///
 /// ```
-/// use mlpart_fm::{fm_partition, FmConfig};
+/// use mlpart_fm::{fm_partition, FmConfig, RefineRequest};
 /// use mlpart_hypergraph::{HypergraphBuilder, rng::seeded_rng, metrics};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -167,7 +170,7 @@ pub struct FmResult {
 /// }
 /// let h = b.build()?;
 /// let mut rng = seeded_rng(1);
-/// let (p, result) = fm_partition(&h, None, &FmConfig::default(), &mut rng);
+/// let (p, result) = fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default())?;
 /// assert_eq!(result.cut, metrics::cut(&h, &p));
 /// assert_eq!(result.cut, 1); // the chain graph has a width-1 bisection
 /// # Ok(())
@@ -175,17 +178,54 @@ pub struct FmResult {
 /// ```
 pub fn fm_partition(
     h: &Hypergraph,
-    initial: Option<Partition>,
     cfg: &FmConfig,
     rng: &mut MlRng,
-) -> (Partition, FmResult) {
-    let mut ws = RefineWorkspace::new();
-    fm_partition_in(h, initial, cfg, rng, &mut ws)
+    req: RefineRequest<'_>,
+) -> Result<(Partition, FmResult), RefineError> {
+    req.check(h, 2, None)?;
+    req.with(|r| {
+        bind_bipart(&mut r.ws.state, h, cfg, r.fixed)?;
+        let mut p = Partition::random(h, 2, rng);
+        for &(v, part) in r.fixed {
+            p.move_module(h, v, part);
+        }
+        let result = run(h, &mut p, cfg, rng, r);
+        Ok((p, result))
+    })
 }
 
-/// [`fm_partition`] with caller-owned scratch: behaves identically but
-/// reuses the allocations in `ws` (multilevel drivers call this at every
-/// level of the V-cycle).
+/// Refines the bipartition `p` in place: FM passes, each keeping its best
+/// move prefix, until a pass fails to improve or `req.meter` stops the run
+/// at a pass boundary (`p` then holds the best solution so far).
+///
+/// Every prefix of a pass stays inside `req.bounds` (the §III-B ratio
+/// window when `None`). The modules of `req.fixed` never enter the gain
+/// buckets, so they stay on the part `p` gives them.
+///
+/// # Errors
+///
+/// A [`RefineError`] when `p` or the request does not fit `h`
+/// ([`RefineRequest::check`] with `k = 2`) or the net weights overflow the
+/// gain buckets; `p` and `rng` are then untouched.
+pub fn refine(
+    h: &Hypergraph,
+    p: &mut Partition,
+    cfg: &FmConfig,
+    rng: &mut MlRng,
+    req: RefineRequest<'_>,
+) -> Result<FmResult, RefineError> {
+    req.check(h, 2, Some(p))?;
+    req.with(|r| {
+        bind_bipart(&mut r.ws.state, h, cfg, r.fixed)?;
+        Ok(run(h, p, cfg, rng, r))
+    })
+}
+
+/// [`fm_partition`] through `ws`, or [`refine`] of `initial` when given.
+///
+/// # Panics
+///
+/// Panics on the inputs those entries reject.
 pub fn fm_partition_in(
     h: &Hypergraph,
     initial: Option<Partition>,
@@ -193,48 +233,18 @@ pub fn fm_partition_in(
     rng: &mut MlRng,
     ws: &mut RefineWorkspace,
 ) -> (Partition, FmResult) {
-    fm_partition_budgeted_in(h, initial, cfg, rng, ws, &mut BudgetMeter::unlimited())
+    let req = RefineRequest::reusing(ws);
+    expect_valid(match initial {
+        None => fm_partition(h, cfg, rng, req),
+        Some(mut p) => refine(h, &mut p, cfg, rng, req).map(|r| (p, r)),
+    })
 }
 
-/// [`fm_partition_in`] accounting against a caller-owned [`BudgetMeter`]:
-/// when the meter is exhausted no refinement pass runs and the (rebalanced)
-/// initial partition is returned as the best-so-far solution.
-pub fn fm_partition_budgeted_in(
-    h: &Hypergraph,
-    initial: Option<Partition>,
-    cfg: &FmConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, FmResult) {
-    let mut p = match initial {
-        Some(p) => {
-            assert_eq!(p.k(), 2, "fm_partition requires a bipartition");
-            assert_eq!(
-                p.assignment().len(),
-                h.num_modules(),
-                "partition does not match hypergraph"
-            );
-            p
-        }
-        None => Partition::random(h, 2, rng),
-    };
-    let result = refine_budgeted_in(h, &mut p, cfg, rng, ws, meter);
-    (p, result)
-}
-
-/// Refines a bipartition in place; see [`fm_partition`] for semantics.
+/// [`refine`] through `ws`.
 ///
 /// # Panics
 ///
-/// Panics if `p` is not a bipartition of `h`.
-pub fn refine(h: &Hypergraph, p: &mut Partition, cfg: &FmConfig, rng: &mut MlRng) -> FmResult {
-    let mut ws = RefineWorkspace::new();
-    refine_in(h, p, cfg, rng, &mut ws)
-}
-
-/// [`refine`] with caller-owned scratch: bit-identical results, no per-call
-/// allocation of the gain/bucket machinery.
+/// Panics on the inputs [`refine`] rejects.
 pub fn refine_in(
     h: &Hypergraph,
     p: &mut Partition,
@@ -242,69 +252,20 @@ pub fn refine_in(
     rng: &mut MlRng,
     ws: &mut RefineWorkspace,
 ) -> FmResult {
-    refine_budgeted_in(h, p, cfg, rng, ws, &mut BudgetMeter::unlimited())
+    expect_valid(refine(h, p, cfg, rng, RefineRequest::reusing(ws)))
 }
 
-/// [`refine_in`] with a cooperative budget checkpoint before every pass.
-///
-/// The pass loop consults `meter` at each pass boundary and stops early
-/// when a limit fires, so a budgeted run executes a prefix of the
-/// unbudgeted pass sequence and the partition left in `p` is the best
-/// solution found so far (each pass keeps its best move prefix). The
-/// truncation record, if any, is available from the meter.
-pub fn refine_budgeted_in(
+/// The pass loop over a state [`bind_bipart`] bound.
+fn run(
     h: &Hypergraph,
     p: &mut Partition,
     cfg: &FmConfig,
     rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
+    r: RequestParts<'_>,
 ) -> FmResult {
-    let bounds = PartBounds::from_bipart(&BipartBalance::new(h, cfg.balance_r));
-    refine_constrained_budgeted_in(h, p, cfg, &bounds, &[], rng, ws, meter)
-}
-
-/// [`refine_budgeted_in`] under explicit constraints: per-part `[lo, hi]`
-/// area windows instead of the ratio-derived §III-B bounds, plus a set of
-/// *fixed* modules that never move (one flag per module; pass an empty slice
-/// for none). Fixed modules are excluded from the gain buckets for the whole
-/// run — they are never selected, so every prefix of the move sequence
-/// leaves them on the part the initial partition assigns.
-///
-/// With bounds derived via [`PartBounds::from_bipart`] from the same
-/// tolerance and an empty fixed set, this is byte-identical to
-/// [`refine_budgeted_in`].
-///
-/// # Panics
-///
-/// Panics if `p` is not a bipartition of `h`, `bounds` is not 2-part, or
-/// `fixed` is non-empty with the wrong length.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_constrained_budgeted_in(
-    h: &Hypergraph,
-    p: &mut Partition,
-    cfg: &FmConfig,
-    bounds: &PartBounds,
-    fixed: &[bool],
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> FmResult {
-    assert_eq!(p.k(), 2, "refine requires a bipartition");
-    assert_eq!(
-        p.assignment().len(),
-        h.num_modules(),
-        "partition does not match hypergraph"
-    );
-    assert_eq!(bounds.k(), 2, "refine requires 2-part bounds");
-    if !fixed.is_empty() {
-        assert_eq!(fixed.len(), h.num_modules(), "fixed mask has wrong length");
-    }
-    let st = &mut ws.state;
-    bind_bipart(st, h, cfg);
-    if !fixed.is_empty() {
-        st.fixed.copy_from_slice(fixed);
-    }
+    let ratio = || PartBounds::from_bipart(&BipartBalance::new(h, cfg.balance_r));
+    let bounds = r.bounds.map_or_else(|| Cow::Owned(ratio()), Cow::Borrowed);
+    let (st, meter) = (&mut r.ws.state, r.meter);
     obs_span!(
         "fm_refine",
         "engine" => match cfg.engine {
@@ -321,7 +282,7 @@ pub fn refine_constrained_budgeted_in(
         if !meter.pass_checkpoint(passes as u32) {
             break;
         }
-        let outcome = st.run_pass(h, p, cfg, bounds, rng, passes);
+        let outcome = st.run_pass(h, p, cfg, &bounds, rng, passes);
         passes += 1;
         meter.note_pass(outcome.stats.attempted_moves as u64);
         kept_moves += outcome.stats.kept_moves as u64;
@@ -342,19 +303,22 @@ pub fn refine_constrained_budgeted_in(
 }
 
 /// Binds the shared state to `h` in its 2-way shape: one bucket structure,
-/// key range from the max visible incident weight (doubled for CLIP deltas).
-fn bind_bipart(st: &mut RefineState, h: &Hypergraph, cfg: &FmConfig) {
-    let max_vis_weight = st.bind_nets(h, 2, cfg.max_net_size);
-    assert!(
-        max_vis_weight <= i32::MAX as i64 / 4,
-        "net weights too large for the bucket structure"
-    );
-    let max_vis_weight = max_vis_weight as i32;
+/// key range from the max visible incident weight (doubled for CLIP
+/// deltas), and the modules of `fixed` marked.
+fn bind_bipart(
+    st: &mut RefineState,
+    h: &Hypergraph,
+    cfg: &FmConfig,
+    fixed: &[(ModuleId, PartId)],
+) -> Result<(), RefineError> {
+    let max_vis_weight = st.bind_nets(h, 2, cfg.max_net_size)?;
     let max_key = match cfg.engine {
         Engine::Fm => max_vis_weight,
         Engine::Clip => 2 * max_vis_weight,
     };
     st.bind_modules(h, 1, 1, max_key, cfg.policy);
+    st.fix(fixed);
+    Ok(())
 }
 
 struct PassOutcome {
@@ -836,7 +800,8 @@ mod tests {
     fn finds_optimal_cut_on_dumbbell_fm() {
         let h = dumbbell();
         let mut rng = seeded_rng(3);
-        let (p, r) = fm_partition(&h, None, &FmConfig::default(), &mut rng);
+        let (p, r) =
+            fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default()).unwrap();
         assert_eq!(r.cut, 1);
         assert!(p.validate(&h));
         assert_eq!(metrics::cut(&h, &p), 1);
@@ -850,7 +815,7 @@ mod tests {
             ..FmConfig::default()
         };
         let mut rng = seeded_rng(3);
-        let (_, r) = fm_partition(&h, None, &cfg, &mut rng);
+        let (_, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
         assert_eq!(r.cut, 1);
     }
 
@@ -867,7 +832,10 @@ mod tests {
             let best = (0..8)
                 .map(|s| {
                     let mut rng = seeded_rng(s);
-                    fm_partition(&h, None, &cfg, &mut rng).1.cut
+                    fm_partition(&h, &cfg, &mut rng, RefineRequest::default())
+                        .unwrap()
+                        .1
+                        .cut
                 })
                 .min()
                 .unwrap();
@@ -883,7 +851,7 @@ mod tests {
         let bal = BipartBalance::new(&h, cfg.balance_r);
         for seed in 0..5 {
             let mut rng = seeded_rng(seed);
-            let (p, _) = fm_partition(&h, None, &cfg, &mut rng);
+            let (p, _) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
             assert!(
                 bal.is_partition_feasible(&p),
                 "seed {seed}: areas {:?} outside [{}, {}]",
@@ -898,9 +866,16 @@ mod tests {
     fn never_worsens_initial_solution() {
         let h = dumbbell();
         // Start from the optimal solution; refinement must keep cut = 1.
-        let p0 = Partition::from_assignment(&h, 2, vec![0, 0, 0, 0, 1, 1, 1, 1]).unwrap();
+        let mut p = Partition::from_assignment(&h, 2, vec![0, 0, 0, 0, 1, 1, 1, 1]).unwrap();
         let mut rng = seeded_rng(0);
-        let (p, r) = fm_partition(&h, Some(p0), &FmConfig::default(), &mut rng);
+        let r = refine(
+            &h,
+            &mut p,
+            &FmConfig::default(),
+            &mut rng,
+            RefineRequest::default(),
+        )
+        .unwrap();
         assert_eq!(r.cut, 1);
         assert_eq!(metrics::cut(&h, &p), 1);
         assert_eq!(r.passes, 1, "a pass from the optimum should not improve");
@@ -914,7 +889,15 @@ mod tests {
         let start_cut = metrics::cut(&h, &p0);
         assert_eq!(start_cut, 9);
         let mut rng = seeded_rng(1);
-        let (_, r) = fm_partition(&h, Some(p0), &FmConfig::default(), &mut rng);
+        let mut p = p0;
+        let r = refine(
+            &h,
+            &mut p,
+            &FmConfig::default(),
+            &mut rng,
+            RefineRequest::default(),
+        )
+        .unwrap();
         assert!(r.cut < start_cut);
         assert_eq!(r.cut, 1);
     }
@@ -925,7 +908,8 @@ mod tests {
         let h = chain(30);
         for seed in 0..5 {
             let mut rng = seeded_rng(seed);
-            let (p, r) = fm_partition(&h, None, &FmConfig::default(), &mut rng);
+            let (p, r) =
+                fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default()).unwrap();
             assert_eq!(r.cut, metrics::cut(&h, &p));
             assert_eq!(r.internal_cut, r.cut, "no large nets in this netlist");
         }
@@ -945,7 +929,7 @@ mod tests {
             ..FmConfig::default()
         };
         let mut rng = seeded_rng(2);
-        let (p, r) = fm_partition(&h, None, &cfg, &mut rng);
+        let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
         assert_eq!(r.cut, metrics::cut(&h, &p));
         assert_eq!(r.internal_cut, metrics::cut_with_net_size_limit(&h, &p, 4));
         assert!(r.internal_cut <= r.cut);
@@ -961,7 +945,7 @@ mod tests {
             ..FmConfig::default()
         };
         let mut ctx = RefineState::default();
-        bind_bipart(&mut ctx, &h, &cfg);
+        bind_bipart(&mut ctx, &h, &cfg, &[]).unwrap();
         let p = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1, 0, 1, 0, 1]).unwrap();
         ctx.recompute(&h, &p);
         ctx.fill_buckets(&h, &p, &cfg);
@@ -984,7 +968,7 @@ mod tests {
         let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
         let cfg = FmConfig::default();
         let mut ctx = RefineState::default();
-        bind_bipart(&mut ctx, &h, &cfg);
+        bind_bipart(&mut ctx, &h, &cfg, &[]).unwrap();
         let cut = ctx.recompute(&h, &p);
         assert_eq!(cut, 1);
         // g(0): net {0,1} uncut, moving 0 cuts it -> -1.
@@ -1006,7 +990,10 @@ mod tests {
         let best = (0..8)
             .map(|s| {
                 let mut rng = seeded_rng(100 + s);
-                fm_partition(&h, None, &cfg, &mut rng).1.cut
+                fm_partition(&h, &cfg, &mut rng, RefineRequest::default())
+                    .unwrap()
+                    .1
+                    .cut
             })
             .min()
             .unwrap();
@@ -1022,7 +1009,7 @@ mod tests {
         };
         let bal = BipartBalance::new(&h, cfg.balance_r);
         let mut rng = seeded_rng(4);
-        let (p, r) = fm_partition(&h, None, &cfg, &mut rng);
+        let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
         assert!(bal.is_partition_feasible(&p));
         assert!(r.cut >= 1);
     }
@@ -1032,7 +1019,7 @@ mod tests {
         let h = dumbbell();
         let run = |seed| {
             let mut rng = seeded_rng(seed);
-            fm_partition(&h, None, &FmConfig::default(), &mut rng)
+            fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default()).unwrap()
         };
         let (p1, r1) = run(77);
         let (p2, r2) = run(77);
@@ -1044,7 +1031,8 @@ mod tests {
     fn single_module_netlist() {
         let h = HypergraphBuilder::with_unit_areas(1).build().unwrap();
         let mut rng = seeded_rng(0);
-        let (p, r) = fm_partition(&h, None, &FmConfig::default(), &mut rng);
+        let (p, r) =
+            fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default()).unwrap();
         assert_eq!(r.cut, 0);
         assert!(p.validate(&h));
     }
@@ -1053,18 +1041,10 @@ mod tests {
     fn netlist_with_no_nets() {
         let h = HypergraphBuilder::with_unit_areas(10).build().unwrap();
         let mut rng = seeded_rng(0);
-        let (p, r) = fm_partition(&h, None, &FmConfig::default(), &mut rng);
+        let (p, r) =
+            fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default()).unwrap();
         assert_eq!(r.cut, 0);
         assert!(p.validate(&h));
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a bipartition")]
-    fn rejects_kway_input() {
-        let h = chain(4);
-        let p = Partition::from_assignment(&h, 4, vec![0, 1, 2, 3]).unwrap();
-        let mut rng = seeded_rng(0);
-        let _ = fm_partition(&h, Some(p), &FmConfig::default(), &mut rng);
     }
 
     #[test]
@@ -1080,8 +1060,80 @@ mod tests {
         let cfg = FmConfig::default();
         let bal = BipartBalance::new(&h, cfg.balance_r);
         let mut rng = seeded_rng(9);
-        let (p, _) = fm_partition(&h, None, &cfg, &mut rng);
+        let (p, _) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
         assert!(bal.is_partition_feasible(&p));
+    }
+
+    /// Refines `p0` on `h` under `req`, expecting `err` with the
+    /// partition and the RNG stream untouched.
+    pub(super) fn assert_rejected(
+        h: &Hypergraph,
+        p0: &Partition,
+        req: RefineRequest<'_>,
+        err: RefineError,
+    ) {
+        use rand::Rng;
+        let mut p = p0.clone();
+        let mut rng = seeded_rng(0);
+        let r = refine(h, &mut p, &FmConfig::default(), &mut rng, req);
+        assert_eq!(r, Err(err));
+        assert_eq!(p.assignment(), p0.assignment());
+        assert_eq!(rng.gen::<u64>(), seeded_rng(0).gen::<u64>());
+    }
+
+    #[test]
+    fn rejects_bounds_of_wrong_arity() {
+        let h = dumbbell();
+        let p0 = Partition::random(&h, 2, &mut seeded_rng(0));
+        let bounds = PartBounds::uniform(3, 0, 8);
+        let req = RefineRequest {
+            bounds: Some(&bounds),
+            ..RefineRequest::default()
+        };
+        let err = RefineError::BoundsArity { bounds: 3, k: 2 };
+        assert_rejected(&h, &p0, req, err);
+    }
+
+    #[test]
+    fn rejects_partition_of_another_netlist() {
+        let h = dumbbell();
+        let p0 = Partition::from_assignment(
+            &HypergraphBuilder::with_unit_areas(3).build().unwrap(),
+            2,
+            vec![0, 1, 0],
+        )
+        .unwrap();
+        let err = RefineError::PartitionLength { len: 3, modules: 8 };
+        assert_rejected(&h, &p0, RefineRequest::default(), err);
+    }
+
+    #[test]
+    fn rejects_kway_input() {
+        let h = chain(4);
+        let p0 = Partition::from_assignment(&h, 4, vec![0, 1, 2, 3]).unwrap();
+        let err = RefineError::KMismatch {
+            expected: 2,
+            got: 4,
+        };
+        assert_rejected(&h, &p0, RefineRequest::default(), err);
+    }
+
+    #[test]
+    fn rejects_overweight_nets_before_drawing() {
+        use rand::Rng;
+        let mut b = HypergraphBuilder::with_unit_areas(4);
+        for i in 0..4usize {
+            b.add_weighted_net([i, (i + 1) % 4], 1_000_000_000).unwrap();
+        }
+        let h = b.build().unwrap();
+        let mut rng = seeded_rng(5);
+        let r = fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default());
+        let err = RefineError::WeightsTooLarge {
+            weight: 2_000_000_000,
+            limit: i64::from(i32::MAX / 4),
+        };
+        assert_eq!(r.map(|_| ()), Err(err));
+        assert_eq!(rng.gen::<u64>(), seeded_rng(5).gen::<u64>());
     }
 }
 
@@ -1089,6 +1141,7 @@ mod tests {
 mod constrained_tests {
     use super::*;
     use mlpart_hypergraph::rng::seeded_rng;
+    use mlpart_hypergraph::ConstraintsError;
     use mlpart_hypergraph::HypergraphBuilder;
 
     fn dumbbell() -> Hypergraph {
@@ -1103,25 +1156,28 @@ mod constrained_tests {
         b.build().unwrap()
     }
 
+    /// Pins the modules `ids` to their parts in `p0`.
+    fn pins(p0: &Partition, ids: &[usize]) -> Vec<(ModuleId, PartId)> {
+        ids.iter()
+            .map(|&i| (ModuleId::new(i), p0.part(ModuleId::new(i))))
+            .collect()
+    }
+
     fn run_constrained(
         h: &Hypergraph,
         p0: &Partition,
         cfg: &FmConfig,
-        fixed: &[bool],
+        fixed: &[(ModuleId, PartId)],
         seed: u64,
     ) -> (Partition, FmResult) {
         let bounds = PartBounds::from_bipart(&BipartBalance::new(h, cfg.balance_r));
         let mut p = p0.clone();
-        let r = refine_constrained_budgeted_in(
-            h,
-            &mut p,
-            cfg,
-            &bounds,
+        let req = RefineRequest {
+            bounds: Some(&bounds),
             fixed,
-            &mut seeded_rng(seed),
-            &mut RefineWorkspace::new(),
-            &mut BudgetMeter::unlimited(),
-        );
+            ..RefineRequest::default()
+        };
+        let r = refine(h, &mut p, cfg, &mut seeded_rng(seed), req).unwrap();
         (p, r)
     }
 
@@ -1143,7 +1199,14 @@ mod constrained_tests {
             for seed in 0..6 {
                 let p0 = Partition::random(&h, 2, &mut seeded_rng(1000 + seed));
                 let mut p_legacy = p0.clone();
-                let r_legacy = refine(&h, &mut p_legacy, &cfg, &mut seeded_rng(seed));
+                let r_legacy = refine(
+                    &h,
+                    &mut p_legacy,
+                    &cfg,
+                    &mut seeded_rng(seed),
+                    RefineRequest::default(),
+                )
+                .unwrap();
                 let (p_new, r_new) = run_constrained(&h, &p0, &cfg, &[], seed);
                 assert_eq!(p_legacy.assignment(), p_new.assignment(), "seed {seed}");
                 assert_eq!(r_legacy, r_new, "seed {seed}");
@@ -1158,9 +1221,7 @@ mod constrained_tests {
         // Pin one module of each clique to the "wrong" side: refinement must
         // work around them, never through them.
         let p0 = Partition::from_assignment(&h, 2, vec![1, 0, 0, 0, 1, 1, 1, 0]).unwrap();
-        let mut fixed = vec![false; 8];
-        fixed[0] = true;
-        fixed[7] = true;
+        let fixed = pins(&p0, &[0, 7]);
         for engine in [Engine::Fm, Engine::Clip] {
             for boundary_init in [false, true] {
                 let cfg = FmConfig {
@@ -1184,9 +1245,7 @@ mod constrained_tests {
     fn fixed_modules_survive_cdip_backtracking() {
         let h = dumbbell();
         let p0 = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1, 0, 1, 0, 1]).unwrap();
-        let mut fixed = vec![false; 8];
-        fixed[2] = true;
-        fixed[5] = true;
+        let fixed = pins(&p0, &[2, 5]);
         let cfg = FmConfig {
             cdip_window: Some(1),
             ..FmConfig::default()
@@ -1203,19 +1262,12 @@ mod constrained_tests {
         let h = dumbbell();
         // Exact bisection only: lo = hi = 4 on both sides.
         let bounds = PartBounds::uniform(2, 4, 4);
-        let p0 = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1, 0, 1, 0, 1]).unwrap();
-        let mut p = p0.clone();
-        let cfg = FmConfig::default();
-        let _ = refine_constrained_budgeted_in(
-            &h,
-            &mut p,
-            &cfg,
-            &bounds,
-            &[],
-            &mut seeded_rng(3),
-            &mut RefineWorkspace::new(),
-            &mut BudgetMeter::unlimited(),
-        );
+        let mut p = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1, 0, 1, 0, 1]).unwrap();
+        let req = RefineRequest {
+            bounds: Some(&bounds),
+            ..RefineRequest::default()
+        };
+        refine(&h, &mut p, &FmConfig::default(), &mut seeded_rng(3), req).unwrap();
         assert!(bounds.is_partition_feasible(&p));
     }
 
@@ -1223,7 +1275,7 @@ mod constrained_tests {
     fn all_fixed_leaves_partition_untouched() {
         let h = dumbbell();
         let p0 = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1, 0, 1, 0, 1]).unwrap();
-        let fixed = vec![true; 8];
+        let fixed = pins(&p0, &[0, 1, 2, 3, 4, 5, 6, 7]);
         let (p, r) = run_constrained(&h, &p0, &FmConfig::default(), &fixed, 0);
         assert_eq!(p.assignment(), p0.assignment());
         assert_eq!(r.kept_moves, 0);
@@ -1235,19 +1287,40 @@ mod constrained_tests {
         mlpart_audit::force_enabled(true);
         let h = dumbbell();
         let p0 = Partition::from_assignment(&h, 2, vec![1, 0, 0, 0, 1, 1, 1, 0]).unwrap();
-        let mut fixed = vec![false; 8];
-        fixed[0] = true;
-        let (p, _) = run_constrained(&h, &p0, &FmConfig::default(), &fixed, 2);
+        let (p, _) = run_constrained(&h, &p0, &FmConfig::default(), &pins(&p0, &[0]), 2);
         mlpart_audit::force_enabled(false);
         assert_eq!(p.part(ModuleId::new(0)), 1);
     }
 
     #[test]
-    #[should_panic(expected = "fixed mask has wrong length")]
-    fn rejects_wrong_fixed_length() {
+    fn rejects_fixed_module_out_of_range() {
         let h = dumbbell();
         let p0 = Partition::random(&h, 2, &mut seeded_rng(0));
-        let _ = run_constrained(&h, &p0, &FmConfig::default(), &[true], 0);
+        let req = RefineRequest {
+            fixed: &[(ModuleId::new(8), 0)],
+            ..RefineRequest::default()
+        };
+        let err = ConstraintsError::ModuleOutOfRange {
+            module: 8,
+            modules: 8,
+        };
+        super::tests::assert_rejected(&h, &p0, req, err.into());
+    }
+
+    #[test]
+    fn rejects_fixed_part_out_of_range() {
+        let h = dumbbell();
+        let p0 = Partition::random(&h, 2, &mut seeded_rng(0));
+        let req = RefineRequest {
+            fixed: &[(ModuleId::new(3), 2)],
+            ..RefineRequest::default()
+        };
+        let err = ConstraintsError::PartOutOfRange {
+            module: 3,
+            part: 2,
+            k: 2,
+        };
+        super::tests::assert_rejected(&h, &p0, req, err.into());
     }
 }
 
@@ -1281,7 +1354,10 @@ mod lookahead_tests {
             let best = (0..8)
                 .map(|s| {
                     let mut rng = seeded_rng(s);
-                    fm_partition(&h, None, &cfg, &mut rng).1.cut
+                    fm_partition(&h, &cfg, &mut rng, RefineRequest::default())
+                        .unwrap()
+                        .1
+                        .cut
                 })
                 .min()
                 .unwrap();
@@ -1305,7 +1381,7 @@ mod lookahead_tests {
         let bal = BipartBalance::new(&h, cfg.balance_r);
         for seed in 0..4 {
             let mut rng = seeded_rng(seed);
-            let (p, r) = fm_partition(&h, None, &cfg, &mut rng);
+            let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
             assert!(bal.is_partition_feasible(&p));
             assert_eq!(r.cut, metrics::cut(&h, &p));
         }
@@ -1321,7 +1397,7 @@ mod lookahead_tests {
         };
         let run = |seed| {
             let mut rng = seeded_rng(seed);
-            fm_partition(&h, None, &cfg, &mut rng)
+            fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap()
         };
         let (p1, r1) = run(33);
         let (p2, r2) = run(33);
@@ -1343,7 +1419,7 @@ mod lookahead_tests {
         let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
         let cfg = FmConfig::default();
         let mut ctx = RefineState::default();
-        bind_bipart(&mut ctx, &h, &cfg);
+        bind_bipart(&mut ctx, &h, &cfg, &[]).unwrap();
         ctx.recompute(&h, &p);
         assert_eq!(ctx.second_level_gain(&h, &p, ModuleId::new(1)), 0);
         assert_eq!(ctx.second_level_gain(&h, &p, ModuleId::new(0)), 1);
@@ -1383,7 +1459,10 @@ mod cdip_tests {
             let best = (0..8)
                 .map(|s| {
                     let mut rng = seeded_rng(s);
-                    fm_partition(&h, None, &cdip_cfg(engine), &mut rng).1.cut
+                    fm_partition(&h, &cdip_cfg(engine), &mut rng, RefineRequest::default())
+                        .unwrap()
+                        .1
+                        .cut
                 })
                 .min()
                 .unwrap();
@@ -1404,7 +1483,7 @@ mod cdip_tests {
         let bal = BipartBalance::new(&h, cfg.balance_r);
         for seed in 0..5 {
             let mut rng = seeded_rng(seed);
-            let (p, r) = fm_partition(&h, None, &cfg, &mut rng);
+            let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
             assert!(bal.is_partition_feasible(&p), "seed {seed}");
             assert_eq!(r.cut, metrics::cut(&h, &p), "seed {seed}");
             assert!(p.validate(&h));
@@ -1417,7 +1496,15 @@ mod cdip_tests {
         let p0 = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1, 0, 1, 0, 1]).unwrap();
         let start = metrics::cut(&h, &p0);
         let mut rng = seeded_rng(4);
-        let (_, r) = fm_partition(&h, Some(p0), &cdip_cfg(Engine::Fm), &mut rng);
+        let mut p = p0;
+        let r = refine(
+            &h,
+            &mut p,
+            &cdip_cfg(Engine::Fm),
+            &mut rng,
+            RefineRequest::default(),
+        )
+        .unwrap();
         assert!(r.cut <= start);
     }
 
@@ -1426,7 +1513,13 @@ mod cdip_tests {
         let h = dumbbell();
         let run = |seed| {
             let mut rng = seeded_rng(seed);
-            fm_partition(&h, None, &cdip_cfg(Engine::Clip), &mut rng)
+            fm_partition(
+                &h,
+                &cdip_cfg(Engine::Clip),
+                &mut rng,
+                RefineRequest::default(),
+            )
+            .unwrap()
         };
         let (p1, r1) = run(17);
         let (p2, r2) = run(17);
@@ -1443,7 +1536,7 @@ mod cdip_tests {
             ..FmConfig::default()
         };
         let mut rng = seeded_rng(2);
-        let (p, r) = fm_partition(&h, None, &cfg, &mut rng);
+        let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
         assert!(p.validate(&h));
         assert_eq!(r.cut, metrics::cut(&h, &p));
     }

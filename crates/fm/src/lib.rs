@@ -12,7 +12,7 @@
 //! Bipartition a small netlist from a random start:
 //!
 //! ```
-//! use mlpart_fm::{fm_partition, FmConfig, Engine};
+//! use mlpart_fm::{fm_partition, Engine, FmConfig, RefineRequest};
 //! use mlpart_hypergraph::{HypergraphBuilder, rng::seeded_rng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,7 +24,7 @@
 //!
 //! let cfg = FmConfig { engine: Engine::Clip, ..FmConfig::default() };
 //! let mut rng = seeded_rng(42);
-//! let (partition, result) = fm_partition(&h, None, &cfg, &mut rng);
+//! let (partition, result) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default())?;
 //! assert_eq!(result.cut, 1);
 //! assert_eq!(partition.k(), 2);
 //! # Ok(())
@@ -40,13 +40,12 @@ pub mod bucket;
 pub mod budget;
 pub mod engine;
 pub mod repair;
+pub mod request;
 pub mod state;
 
 pub use bucket::{BucketPolicy, GainBuckets, OpenClasses};
 pub use budget::{Budget, BudgetLimit, BudgetMeter, Truncation};
-pub use engine::{
-    fm_partition, fm_partition_budgeted_in, fm_partition_in, refine, refine_budgeted_in,
-    refine_constrained_budgeted_in, refine_in, Engine, FmConfig, FmResult,
-};
+pub use engine::{fm_partition, fm_partition_in, refine, refine_in, Engine, FmConfig, FmResult};
 pub use repair::{repair_to_feasible, RepairRecord};
+pub use request::{RefineError, RefineRequest, RequestParts};
 pub use state::{GainSpread, PassStats, RefineState, RefineWorkspace};

@@ -18,7 +18,8 @@
 //! tests in `crates/fm/tests` and `crates/kway/tests` pin this down.
 
 use crate::bucket::{BucketPolicy, GainBuckets};
-use mlpart_hypergraph::{Hypergraph, ModuleId};
+use crate::request::RefineError;
+use mlpart_hypergraph::{Hypergraph, ModuleId, PartId};
 
 /// Statistics of one refinement pass, collected by both engines.
 ///
@@ -151,14 +152,26 @@ impl RefineState {
     /// the engines derive their bucket key range from it.
     ///
     /// Grow-only: reuses existing allocations.
-    pub fn bind_nets(&mut self, h: &Hypergraph, k: u32, max_net_size: usize) -> i64 {
+    ///
+    /// # Errors
+    ///
+    /// [`RefineError::WeightsTooLarge`] when that weight exceeds
+    /// `i32::MAX / 4`, the largest the bucket keys (doubled for CLIP
+    /// deltas) can hold.
+    pub fn bind_nets(
+        &mut self,
+        h: &Hypergraph,
+        k: u32,
+        max_net_size: usize,
+    ) -> Result<i32, RefineError> {
         self.k = k;
         self.visible.clear();
         self.visible
             .extend(h.net_ids().map(|e| h.net_size(e) <= max_net_size));
         self.pins_in.clear();
         self.pins_in.resize(h.num_nets() * k as usize, 0);
-        h.modules()
+        let weight = h
+            .modules()
             .map(|v| {
                 h.nets(v)
                     .iter()
@@ -167,7 +180,12 @@ impl RefineState {
                     .sum::<i64>()
             })
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0);
+        let limit = i64::from(i32::MAX / 4);
+        if weight > limit {
+            return Err(RefineError::WeightsTooLarge { weight, limit });
+        }
+        Ok(weight as i32)
     }
 
     /// Phase 2 of binding: sizes the per-module state for `h`, resetting
@@ -210,6 +228,17 @@ impl RefineState {
         self.key_bound = max_key;
     }
 
+    /// Marks the modules of `fixed` as never moving, after
+    /// [`bind_modules`](Self::bind_modules). The engine entries check the
+    /// ids; one out of range is ignored.
+    pub fn fix(&mut self, fixed: &[(ModuleId, PartId)]) {
+        for &(v, _) in fixed {
+            if let Some(f) = self.fixed.get_mut(v.index()) {
+                *f = true;
+            }
+        }
+    }
+
     /// Pin count of net `e` in `part`.
     #[inline]
     pub fn pins(&self, e: usize, part: usize) -> u32 {
@@ -219,16 +248,16 @@ impl RefineState {
 
 /// Owns the scratch memory of one refinement engine instance.
 ///
-/// Create one per multilevel run and pass it to the `*_in` entry points
-/// (`refine_in`, `fm_partition_in`, `kway_refine_in`, …): every level then
-/// reuses the gain arrays, pin counts, buckets, and move log instead of
-/// reallocating them. The convenience wrappers without `_in` create a
-/// throwaway workspace internally and behave identically.
+/// Create one per multilevel run and pass it to every engine call as
+/// [`RefineRequest::workspace`](crate::RefineRequest::workspace): every
+/// level then reuses the gain arrays, pin counts, buckets, and move log
+/// instead of reallocating them. A request without a workspace creates a
+/// throwaway one internally and behaves identically.
 ///
 /// # Examples
 ///
 /// ```
-/// use mlpart_fm::{refine, refine_in, FmConfig, RefineWorkspace};
+/// use mlpart_fm::{refine, FmConfig, RefineRequest, RefineWorkspace};
 /// use mlpart_hypergraph::{HypergraphBuilder, Partition, rng::seeded_rng};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -244,8 +273,9 @@ impl RefineState {
 /// let mut ws = RefineWorkspace::new();
 /// let mut p_a = p0.clone();
 /// let mut p_b = p0.clone();
-/// let r_a = refine_in(&h, &mut p_a, &cfg, &mut seeded_rng(7), &mut ws);
-/// let r_b = refine(&h, &mut p_b, &cfg, &mut seeded_rng(7));
+/// let reuse = RefineRequest::reusing(&mut ws);
+/// let r_a = refine(&h, &mut p_a, &cfg, &mut seeded_rng(7), reuse)?;
+/// let r_b = refine(&h, &mut p_b, &cfg, &mut seeded_rng(7), RefineRequest::default())?;
 /// assert_eq!(p_a.assignment(), p_b.assignment());
 /// assert_eq!(r_a, r_b);
 /// # Ok(())
@@ -253,7 +283,7 @@ impl RefineState {
 /// ```
 #[derive(Debug, Default)]
 pub struct RefineWorkspace {
-    /// The owned scratch state, re-bound by each `*_in` call.
+    /// The owned scratch state, re-bound by each engine call.
     pub state: RefineState,
 }
 
@@ -299,7 +329,7 @@ mod tests {
         let h = small();
         let mut st = RefineState::default();
         let w = st.bind_nets(&h, 2, 200);
-        assert_eq!(w, 2, "modules 2 and 3 each touch two unit nets");
+        assert_eq!(w, Ok(2), "modules 2 and 3 each touch two unit nets");
         st.bind_modules(&h, 1, 1, 2, BucketPolicy::Lifo);
         assert_eq!(st.visible.len(), h.num_nets());
         assert_eq!(st.pins_in.len(), h.num_nets() * 2);
@@ -312,11 +342,11 @@ mod tests {
         let h = small();
         let tiny = HypergraphBuilder::with_unit_areas(2).build().unwrap();
         let mut st = RefineState::default();
-        st.bind_nets(&h, 4, 200);
+        st.bind_nets(&h, 4, 200).unwrap();
         st.bind_modules(&h, 4, 4, 5, BucketPolicy::Lifo);
         assert_eq!(st.buckets.len(), 4);
         // Shrink to the k = 2 shape with a single bucket structure.
-        st.bind_nets(&tiny, 2, 200);
+        st.bind_nets(&tiny, 2, 200).unwrap();
         st.bind_modules(&tiny, 1, 1, 0, BucketPolicy::Fifo);
         assert_eq!(st.buckets.len(), 1);
         assert_eq!(st.pins_in.len(), 0);
@@ -330,7 +360,7 @@ mod tests {
         let mut st = RefineState::default();
         let w = st.bind_nets(&h, 2, 2);
         assert_eq!(st.visible, vec![false, true, false]);
-        assert_eq!(w, 1, "only the 2-pin net counts");
+        assert_eq!(w, Ok(1), "only the 2-pin net counts");
     }
 
     #[test]

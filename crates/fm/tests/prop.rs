@@ -4,8 +4,8 @@
 //! structure under arbitrary operation sequences.
 
 use mlpart_fm::{
-    fm_partition, fm_partition_in, refine, refine_in, BucketPolicy, Engine, FmConfig, GainBuckets,
-    OpenClasses, RefineWorkspace,
+    fm_partition, refine, BucketPolicy, Engine, FmConfig, GainBuckets, OpenClasses, RefineRequest,
+    RefineWorkspace,
 };
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_hypergraph::{
@@ -50,7 +50,7 @@ proptest! {
         prop_assume!(balance.is_partition_feasible(&p0));
         let start_cut = metrics::cut(&h, &p0);
         let mut p = p0;
-        let r = refine(&h, &mut p, &cfg, &mut rng);
+        let r = refine(&h, &mut p, &cfg, &mut rng, RefineRequest::default()).unwrap();
         prop_assert!(r.cut <= start_cut, "cut worsened: {} -> {}", start_cut, r.cut);
         prop_assert!(balance.is_partition_feasible(&p), "balance violated");
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
@@ -64,7 +64,8 @@ proptest! {
     ) {
         let h = build(areas, &nets);
         let mut rng = seeded_rng(seed);
-        let (p, r) = fm_partition(&h, None, &FmConfig::default(), &mut rng);
+        let cfg = FmConfig::default();
+        let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         prop_assert!(r.internal_cut <= r.cut);
         prop_assert!(r.kept_moves <= r.attempted_moves);
@@ -87,7 +88,7 @@ proptest! {
             let cfg = FmConfig { policy, ..FmConfig::default() };
             let balance = BipartBalance::new(&h, cfg.balance_r);
             let mut rng = seeded_rng(seed);
-            let (p, r) = fm_partition(&h, None, &cfg, &mut rng);
+            let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
             prop_assert!(balance.is_partition_feasible(&p));
             prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         }
@@ -209,12 +210,12 @@ proptest! {
         random in any::<bool>(),
         seed in 0u64..1000,
     ) {
-        // The refactored engine runs on a shared, reused `RefineState`; the
-        // pre-refactor behavior is exactly what the fresh-workspace wrappers
-        // produce. For any netlist and seed, a workspace that has already
-        // been bound to *other* problems must yield the same move sequence,
-        // cut, and per-pass statistics as a throwaway workspace — under LIFO
-        // lists and under Random's dense buckets, which `reset` must empty.
+        // The engine runs on a shared, reused `RefineState`; a request
+        // without a workspace gets a fresh one. For any netlist and seed, a
+        // workspace that has already been bound to *other* problems must
+        // yield the same move sequence, cut, and per-pass statistics as a
+        // throwaway workspace — under LIFO lists and under Random's dense
+        // buckets, which `reset` must empty.
         let h = build(areas, &nets);
         let cfg = FmConfig {
             engine: if engine_clip { Engine::Clip } else { Engine::Fm },
@@ -226,13 +227,15 @@ proptest! {
         {
             let dirty = build(vec![1, 2, 3], &[vec![0, 1], vec![1, 2]]);
             let mut rng = seeded_rng(seed ^ 0xdead);
-            let _ = fm_partition_in(&dirty, None, &cfg, &mut rng, &mut ws);
+            fm_partition(&dirty, &cfg, &mut rng, RefineRequest::reusing(&mut ws)).unwrap();
         }
 
         let mut rng_a = seeded_rng(seed);
-        let (p_fresh, r_fresh) = fm_partition(&h, None, &cfg, &mut rng_a);
+        let fresh = RefineRequest::default();
+        let (p_fresh, r_fresh) = fm_partition(&h, &cfg, &mut rng_a, fresh).unwrap();
         let mut rng_b = seeded_rng(seed);
-        let (p_reuse, r_reuse) = fm_partition_in(&h, None, &cfg, &mut rng_b, &mut ws);
+        let reuse = RefineRequest::reusing(&mut ws);
+        let (p_reuse, r_reuse) = fm_partition(&h, &cfg, &mut rng_b, reuse).unwrap();
         prop_assert_eq!(p_fresh.assignment(), p_reuse.assignment());
         prop_assert_eq!(&r_fresh, &r_reuse);
 
@@ -244,9 +247,9 @@ proptest! {
         let mut p1 = p0.clone();
         let mut p2 = p0;
         let mut rng1 = seeded_rng(seed);
-        let r1 = refine(&h, &mut p1, &cfg, &mut rng1);
+        let r1 = refine(&h, &mut p1, &cfg, &mut rng1, RefineRequest::default()).unwrap();
         let mut rng2 = seeded_rng(seed);
-        let r2 = refine_in(&h, &mut p2, &cfg, &mut rng2, &mut ws);
+        let r2 = refine(&h, &mut p2, &cfg, &mut rng2, RefineRequest::reusing(&mut ws)).unwrap();
         prop_assert_eq!(p1.assignment(), p2.assignment());
         prop_assert_eq!(r1.cut, r2.cut);
         prop_assert_eq!(r1.kept_moves, r2.kept_moves);
@@ -270,7 +273,8 @@ proptest! {
         for engine in [Engine::Fm, Engine::Clip] {
             let cfg = FmConfig { engine, ..FmConfig::default() };
             let mut rng = seeded_rng(5);
-            let (_, r) = fm_partition(&h, Some(p0.clone()), &cfg, &mut rng);
+            let mut p = p0.clone();
+            let r = refine(&h, &mut p, &cfg, &mut rng, RefineRequest::default()).unwrap();
             prop_assert!(r.cut <= start);
         }
     }

@@ -315,8 +315,8 @@ pub fn audit_pass_end(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kway_refine_in;
-    use mlpart_fm::RefineWorkspace;
+    use crate::kway_refine;
+    use mlpart_fm::RefineRequest;
     use mlpart_hypergraph::rng::seeded_rng;
     use mlpart_hypergraph::HypergraphBuilder;
 
@@ -332,7 +332,7 @@ mod tests {
     /// filing each module under its part and stamping it in id order.
     fn filled_state(h: &Hypergraph, p: &Partition, cfg: &KwayConfig) -> RefineState {
         let mut st = RefineState::default();
-        st.bind_nets(h, 2, cfg.max_net_size);
+        st.bind_nets(h, 2, cfg.max_net_size).unwrap();
         st.bind_modules(h, 2, 2, 4, BucketPolicy::Lifo);
         for e in h.net_ids() {
             let row = recount_row(h, p, e, 2);
@@ -460,14 +460,9 @@ mod tests {
         mlpart_audit::force_enabled(true);
         let h = path4();
         let mut p = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1]).unwrap();
-        let r = kway_refine_in(
-            &h,
-            &mut p,
-            &[],
-            &KwayConfig::default(),
-            &mut seeded_rng(5),
-            &mut RefineWorkspace::new(),
-        );
+        let cfg = KwayConfig::default();
+        let req = RefineRequest::default();
+        let r = kway_refine(&h, &mut p, &cfg, &mut seeded_rng(5), req).unwrap();
         mlpart_audit::force_enabled(false);
         assert!(r.passes >= 1);
     }

@@ -30,6 +30,7 @@
 //! Quadrisect a ring of four cliques:
 //!
 //! ```
+//! use mlpart_fm::RefineRequest;
 //! use mlpart_kway::{kway_partition, KwayConfig};
 //! use mlpart_hypergraph::{HypergraphBuilder, rng::seeded_rng};
 //!
@@ -44,13 +45,13 @@
 //!     b.add_net([4 * c + 3, (4 * c + 4) % 16])?; // ring links
 //! }
 //! let h = b.build()?;
-//! let best = (0..8)
-//!     .map(|s| {
-//!         let mut rng = seeded_rng(s);
-//!         kway_partition(&h, 4, None, &[], &KwayConfig::default(), &mut rng).1.cut
-//!     })
-//!     .min()
-//!     .expect("eight runs");
+//! let mut best = u64::MAX;
+//! for s in 0..8 {
+//!     let mut rng = seeded_rng(s);
+//!     let cfg = KwayConfig::default();
+//!     let (_, r) = kway_partition(&h, 4, &cfg, &mut rng, RefineRequest::default())?;
+//!     best = best.min(r.cut);
+//! }
 //! assert_eq!(best, 4); // only the ring links are cut
 //! # Ok(())
 //! # }
@@ -63,13 +64,15 @@
 pub mod audit;
 
 use mlpart_fm::{
-    BucketPolicy, BudgetMeter, GainSpread, OpenClasses, PassStats, RefineState, RefineWorkspace,
+    BucketPolicy, BudgetMeter, GainSpread, OpenClasses, PassStats, RefineError, RefineRequest,
+    RefineState, RefineWorkspace,
 };
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
     audit, metrics, obs_counter, obs_span, Hypergraph, KwayBalance, ModuleId, NetId, PartBounds,
     PartId, Partition,
 };
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Which gain computation drives the k-way engine (§III-C lists the paper's
@@ -174,22 +177,33 @@ pub struct KwayResult {
 /// refinement alone cannot fix it (its best-prefix rollback may restore the
 /// infeasible start).
 ///
-/// # Panics
+/// Returns the modules moved.
 ///
-/// Panics if `bounds` does not have `p.k()` parts.
+/// # Errors
+///
+/// A [`RefineError`] when `p`, `bounds` or `fixed` does not fit `h`
+/// ([`RefineRequest::check`] with `k = p.k()`); `p` and `rng` are then
+/// untouched.
 pub fn rebalance_to_bounds(
     h: &Hypergraph,
     p: &mut Partition,
     fixed: &[(ModuleId, PartId)],
     bounds: &PartBounds,
     rng: &mut MlRng,
-) -> usize {
+) -> Result<usize, RefineError> {
     use rand::Rng;
     let k = p.k();
-    assert_eq!(bounds.k(), k, "bounds do not match partition k");
+    let req = RefineRequest {
+        bounds: Some(bounds),
+        fixed,
+        ..RefineRequest::default()
+    };
+    req.check(h, k, Some(p))?;
     let mut is_fixed = vec![false; h.num_modules()];
     for &(v, _) in fixed {
-        is_fixed[v.index()] = true;
+        if let Some(f) = is_fixed.get_mut(v.index()) {
+            *f = true;
+        }
     }
     let mut moved = 0usize;
     let mut attempts = 0usize;
@@ -220,34 +234,68 @@ pub fn rebalance_to_bounds(
             moved += 1;
         }
     }
-    moved
+    Ok(moved)
 }
 
-/// Partitions `h` into `k` parts, starting from `initial` (or a random
-/// balanced solution), with `fixed` modules pinned to given parts (the
-/// paper's I/O-pad pre-assignment).
+/// Partitions `h` into `k` parts from a random start: draws a random
+/// `k`-way partition, moves the pins of `req.fixed` onto their parts (the
+/// paper's I/O-pad pre-assignment), repairs the start into the balance
+/// window with [`rebalance_to_bounds`], and [`kway_refine`]s it.
 ///
 /// Returns the partition and run statistics.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `k == 0`, an initial partition has the wrong `k` or size, or a
-/// fixed assignment references an out-of-range module or part.
+/// A [`RefineError`] when `k == 0`, the request does not fit `h`
+/// ([`RefineRequest::check`]) or its net weights overflow the gain buckets;
+/// nothing is then drawn from `rng`.
 pub fn kway_partition(
     h: &Hypergraph,
     k: u32,
-    initial: Option<Partition>,
-    fixed: &[(ModuleId, PartId)],
     cfg: &KwayConfig,
     rng: &mut MlRng,
-) -> (Partition, KwayResult) {
-    let mut ws = RefineWorkspace::new();
-    kway_partition_in(h, k, initial, fixed, cfg, rng, &mut ws)
+    req: RefineRequest<'_>,
+) -> Result<(Partition, KwayResult), RefineError> {
+    start(h, k, None, cfg, rng, req)
 }
 
-/// [`kway_partition`] with caller-owned scratch: behaves identically but
-/// reuses the allocations in `ws` (the quadrisection driver calls this at
-/// every level of the V-cycle).
+/// Refines the k-way partition `p` in place: passes of moves, each keeping
+/// its best move prefix, until a pass fails to improve the configured
+/// objective or `req.meter` stops the run at a pass boundary (`p` then holds
+/// the best solution so far).
+///
+/// Every prefix of a pass stays inside `req.bounds` (the uniform ratio
+/// window from `cfg.balance_r` when `None`). The modules of `req.fixed`
+/// never enter the gain buckets, so they stay on the part `p` gives them.
+///
+/// # Errors
+///
+/// A [`RefineError`] when `p` or the request does not fit `h`
+/// ([`RefineRequest::check`] with `k = p.k()`) or the net weights overflow
+/// the gain buckets; `p` and `rng` are then untouched.
+pub fn kway_refine(
+    h: &Hypergraph,
+    p: &mut Partition,
+    cfg: &KwayConfig,
+    rng: &mut MlRng,
+    req: RefineRequest<'_>,
+) -> Result<KwayResult, RefineError> {
+    let k = p.k();
+    req.check(h, k, Some(p))?;
+    req.with(|r| {
+        bind_kway(&mut r.ws.state, h, k, cfg, r.fixed)?;
+        let bounds = bounds_or_ratio(r.bounds, h, k, cfg);
+        Ok(run(h, p, cfg, &bounds, rng, &mut r.ws.state, r.meter))
+    })
+}
+
+/// [`kway_partition`] through `ws`, starting from `initial` instead of a
+/// random partition when given.
+///
+/// # Panics
+///
+/// Panics on the inputs [`kway_partition`] rejects, or an `initial`
+/// partition that does not have `k` parts and one entry per module.
 #[allow(clippy::too_many_arguments)]
 pub fn kway_partition_in(
     h: &Hypergraph,
@@ -258,73 +306,94 @@ pub fn kway_partition_in(
     rng: &mut MlRng,
     ws: &mut RefineWorkspace,
 ) -> (Partition, KwayResult) {
-    kway_partition_budgeted_in(
-        h,
-        k,
-        initial,
+    let req = RefineRequest {
         fixed,
-        cfg,
-        rng,
-        ws,
-        &mut BudgetMeter::unlimited(),
-    )
-}
-
-/// [`kway_partition_in`] accounting against a caller-owned [`BudgetMeter`]:
-/// when the meter is exhausted no refinement pass runs and the rebalanced
-/// starting solution is returned as the best-so-far partition.
-#[allow(clippy::too_many_arguments)]
-pub fn kway_partition_budgeted_in(
-    h: &Hypergraph,
-    k: u32,
-    initial: Option<Partition>,
-    fixed: &[(ModuleId, PartId)],
-    cfg: &KwayConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, KwayResult) {
-    assert!(k > 0, "k must be positive");
-    let mut p = match initial {
-        Some(p) => {
-            assert_eq!(p.k(), k, "initial partition has wrong k");
-            assert_eq!(
-                p.assignment().len(),
-                h.num_modules(),
-                "partition does not match hypergraph"
-            );
-            p
-        }
-        None => Partition::random(h, k, rng),
+        ..RefineRequest::reusing(ws)
     };
-    // Pin fixed modules to their parts before refinement begins.
-    for &(v, part) in fixed {
-        assert!(part < k, "fixed part id out of range");
-        p.move_module(h, v, part);
-    }
-    // A lumpy random start (or the pinning above) can violate the bounds;
-    // refinement alone cannot repair that, so fix feasibility first. No-op
-    // (and no RNG draws) when the start is already feasible.
-    let bounds = PartBounds::from_kway(&KwayBalance::new(h, k, cfg.balance_r));
-    rebalance_to_bounds(h, &mut p, fixed, &bounds, rng);
-    let result = kway_refine_budgeted_in(h, &mut p, fixed, cfg, rng, ws, meter);
-    (p, result)
+    expect_valid(start(h, k, initial, cfg, rng, req))
 }
 
-/// Refines a k-way partition in place; see [`kway_partition`].
+/// [`kway_refine`] through `ws`.
 ///
 /// # Panics
 ///
-/// Panics if `p` does not match `h`.
-pub fn kway_refine(
+/// Panics on the inputs [`kway_refine`] rejects.
+pub fn kway_refine_in(
     h: &Hypergraph,
     p: &mut Partition,
     fixed: &[(ModuleId, PartId)],
     cfg: &KwayConfig,
     rng: &mut MlRng,
+    ws: &mut RefineWorkspace,
 ) -> KwayResult {
-    let mut ws = RefineWorkspace::new();
-    kway_refine_in(h, p, fixed, cfg, rng, &mut ws)
+    let req = RefineRequest {
+        fixed,
+        ..RefineRequest::reusing(ws)
+    };
+    expect_valid(kway_refine(h, p, cfg, rng, req))
+}
+
+/// Unwraps an engine result for the `_in` wrappers the `perf` benchmark
+/// pins, naming the broken rule in the panic message.
+#[track_caller]
+fn expect_valid<T>(r: Result<T, RefineError>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(e) => panic!("invalid k-way refinement input: {e}"),
+    }
+}
+
+/// [`kway_partition`] from `initial`, or from a random start when `None`.
+fn start(
+    h: &Hypergraph,
+    k: u32,
+    initial: Option<Partition>,
+    cfg: &KwayConfig,
+    rng: &mut MlRng,
+    req: RefineRequest<'_>,
+) -> Result<(Partition, KwayResult), RefineError> {
+    req.check(h, k, initial.as_ref())?;
+    req.with(|r| {
+        bind_kway(&mut r.ws.state, h, k, cfg, r.fixed)?;
+        let mut p = initial.unwrap_or_else(|| Partition::random(h, k, rng));
+        for &(v, part) in r.fixed {
+            p.move_module(h, v, part);
+        }
+        // A lumpy random start (or the pinning above) can violate the
+        // bounds; refinement alone cannot repair that, so fix feasibility
+        // first. No-op (and no RNG draws) when the start is already feasible.
+        let bounds = bounds_or_ratio(r.bounds, h, k, cfg);
+        rebalance_to_bounds(h, &mut p, r.fixed, &bounds, rng)?;
+        let result = run(h, &mut p, cfg, &bounds, rng, &mut r.ws.state, r.meter);
+        Ok((p, result))
+    })
+}
+
+/// `bounds`, or the uniform ratio window of a `k`-way partition of `h`.
+fn bounds_or_ratio<'b>(
+    bounds: Option<&'b PartBounds>,
+    h: &Hypergraph,
+    k: u32,
+    cfg: &KwayConfig,
+) -> Cow<'b, PartBounds> {
+    let ratio = || PartBounds::from_kway(&KwayBalance::new(h, k, cfg.balance_r));
+    bounds.map_or_else(|| Cow::Owned(ratio()), Cow::Borrowed)
+}
+
+/// Binds the shared state to `h` in its k-way shape: `k` per-destination
+/// bucket structures, k-strided pin counts, and the modules of `fixed`
+/// marked.
+fn bind_kway(
+    st: &mut RefineState,
+    h: &Hypergraph,
+    k: u32,
+    cfg: &KwayConfig,
+    fixed: &[(ModuleId, PartId)],
+) -> Result<(), RefineError> {
+    let max_vis_weight = st.bind_nets(h, k, cfg.max_net_size)?;
+    st.bind_modules(h, k as usize, k as usize, max_vis_weight, cfg.policy);
+    st.fix(fixed);
+    Ok(())
 }
 
 /// Writes into `gains[t]` the k-way gain under `cfg.gain` of moving `v`
@@ -435,77 +504,19 @@ fn kway_objective(st: &RefineState, h: &Hypergraph, cfg: &KwayConfig, p: &Partit
     }
 }
 
-/// [`kway_refine`] with caller-owned scratch: bit-identical results, no
-/// per-call allocation of the gain/bucket machinery beyond one k-length row
-/// of destination gains and the list of a move's free neighbours. The shared
-/// [`RefineState`] is bound in its k-way shape: `k` per-destination bucket
-/// structures and k-strided pin counts.
-pub fn kway_refine_in(
+/// The pass loop over a state [`bind_kway`] bound. It allocates nothing
+/// per call beyond one k-length row of destination gains and the list of a
+/// move's free neighbours.
+fn run(
     h: &Hypergraph,
     p: &mut Partition,
-    fixed: &[(ModuleId, PartId)],
-    cfg: &KwayConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> KwayResult {
-    kway_refine_budgeted_in(h, p, fixed, cfg, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`kway_refine_in`] with a cooperative budget checkpoint before every
-/// pass; mirrors `refine_budgeted_in` in the 2-way engine. A budgeted run
-/// executes a prefix of the unbudgeted pass sequence, and each pass keeps
-/// its best move prefix, so `p` always holds the best-so-far solution.
-#[allow(clippy::too_many_arguments)]
-pub fn kway_refine_budgeted_in(
-    h: &Hypergraph,
-    p: &mut Partition,
-    fixed: &[(ModuleId, PartId)],
-    cfg: &KwayConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> KwayResult {
-    let bounds = PartBounds::from_kway(&KwayBalance::new(h, p.k(), cfg.balance_r));
-    kway_refine_constrained_budgeted_in(h, p, fixed, cfg, &bounds, rng, ws, meter)
-}
-
-/// [`kway_refine_budgeted_in`] under explicit per-part `[lo, hi]` area
-/// windows instead of the uniform ratio-derived bounds. With bounds built
-/// via [`PartBounds::from_kway`] from the same tolerance this is
-/// byte-identical to the ratio path — the windows then equal the legacy
-/// `lower()`/`upper()` pair for every part.
-///
-/// # Panics
-///
-/// Panics if `p` does not match `h` or `bounds` does not have `p.k()` parts.
-#[allow(clippy::too_many_arguments)]
-pub fn kway_refine_constrained_budgeted_in(
-    h: &Hypergraph,
-    p: &mut Partition,
-    fixed: &[(ModuleId, PartId)],
     cfg: &KwayConfig,
     bounds: &PartBounds,
     rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
+    st: &mut RefineState,
     meter: &mut BudgetMeter,
 ) -> KwayResult {
-    assert_eq!(
-        p.assignment().len(),
-        h.num_modules(),
-        "partition does not match hypergraph"
-    );
     let k = p.k();
-    assert_eq!(bounds.k(), k, "bounds do not match partition k");
-    let st = &mut ws.state;
-    let max_vis_weight = st.bind_nets(h, k, cfg.max_net_size);
-    assert!(
-        max_vis_weight <= i32::MAX as i64 / 4,
-        "net weights too large for the bucket structure"
-    );
-    st.bind_modules(h, k as usize, k as usize, max_vis_weight as i32, cfg.policy);
-    for &(v, _) in fixed {
-        st.fixed[v.index()] = true;
-    }
     // Every destination's gain for one module, filled by `kway_gains`.
     let mut gains = vec![0i32; k as usize];
     // The free neighbours of the current move in first-touch order, each
@@ -746,7 +757,7 @@ pub fn kway_refine_constrained_budgeted_in(
 mod tests {
     use super::*;
     use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
+    use mlpart_hypergraph::{ConstraintsError, HypergraphBuilder};
 
     /// Four 4-cliques in a ring: optimal quadrisection cuts the 4 ring nets.
     fn ring_of_cliques() -> Hypergraph {
@@ -772,7 +783,10 @@ mod tests {
         let cfg = KwayConfig::default();
         let best = best_of(10, |s| {
             let mut rng = seeded_rng(s);
-            kway_partition(&h, 4, None, &[], &cfg, &mut rng).1.cut
+            kway_partition(&h, 4, &cfg, &mut rng, RefineRequest::default())
+                .unwrap()
+                .1
+                .cut
         });
         assert_eq!(best, 4);
     }
@@ -786,7 +800,10 @@ mod tests {
         };
         let best = best_of(10, |s| {
             let mut rng = seeded_rng(100 + s);
-            kway_partition(&h, 4, None, &[], &cfg, &mut rng).1.cut
+            kway_partition(&h, 4, &cfg, &mut rng, RefineRequest::default())
+                .unwrap()
+                .1
+                .cut
         });
         assert_eq!(best, 4);
     }
@@ -798,7 +815,7 @@ mod tests {
         let bal = KwayBalance::new(&h, 4, cfg.balance_r);
         for seed in 0..5 {
             let mut rng = seeded_rng(seed);
-            let (p, _) = kway_partition(&h, 4, None, &[], &cfg, &mut rng);
+            let (p, _) = kway_partition(&h, 4, &cfg, &mut rng, RefineRequest::default()).unwrap();
             assert!(
                 bal.is_partition_feasible(&p),
                 "seed {seed}: {:?}",
@@ -826,7 +843,10 @@ mod tests {
         };
         let best = best_of(8, |s| {
             let mut rng = seeded_rng(s);
-            kway_partition(&h, 2, None, &[], &cfg, &mut rng).1.cut
+            kway_partition(&h, 2, &cfg, &mut rng, RefineRequest::default())
+                .unwrap()
+                .1
+                .cut
         });
         assert_eq!(best, 1);
     }
@@ -838,7 +858,17 @@ mod tests {
         let fixed: Vec<(ModuleId, PartId)> = vec![(ModuleId::new(0), 3), (ModuleId::new(5), 2)];
         for seed in 0..5 {
             let mut rng = seeded_rng(seed);
-            let (p, _) = kway_partition(&h, 4, None, &fixed, &cfg, &mut rng);
+            let (p, _) = kway_partition(
+                &h,
+                4,
+                &cfg,
+                &mut rng,
+                RefineRequest {
+                    fixed: &fixed,
+                    ..RefineRequest::default()
+                },
+            )
+            .unwrap();
             assert_eq!(p.part(ModuleId::new(0)), 3);
             assert_eq!(p.part(ModuleId::new(5)), 2);
         }
@@ -852,7 +882,7 @@ mod tests {
         let p0 = Partition::random(&h, 4, &mut rng);
         let start_sod = metrics::sum_of_spans_minus_one(&h, &p0);
         let mut p = p0;
-        let r = kway_refine(&h, &mut p, &[], &cfg, &mut rng);
+        let r = kway_refine(&h, &mut p, &cfg, &mut rng, RefineRequest::default()).unwrap();
         assert!(r.sum_of_degrees <= start_sod);
         assert_eq!(r.cut, metrics::cut(&h, &p));
         assert_eq!(r.sum_of_degrees, metrics::sum_of_spans_minus_one(&h, &p));
@@ -862,7 +892,14 @@ mod tests {
     fn result_statistics_consistent() {
         let h = ring_of_cliques();
         let mut rng = seeded_rng(13);
-        let (p, r) = kway_partition(&h, 4, None, &[], &KwayConfig::default(), &mut rng);
+        let (p, r) = kway_partition(
+            &h,
+            4,
+            &KwayConfig::default(),
+            &mut rng,
+            RefineRequest::default(),
+        )
+        .unwrap();
         assert!(r.passes >= 1);
         assert!(r.cut <= r.sum_of_degrees);
         assert!(p.validate(&h));
@@ -873,7 +910,14 @@ mod tests {
         let h = ring_of_cliques();
         let run = |seed| {
             let mut rng = seeded_rng(seed);
-            kway_partition(&h, 4, None, &[], &KwayConfig::default(), &mut rng)
+            kway_partition(
+                &h,
+                4,
+                &KwayConfig::default(),
+                &mut rng,
+                RefineRequest::default(),
+            )
+            .unwrap()
         };
         let (p1, r1) = run(21);
         let (p2, r2) = run(21);
@@ -881,34 +925,120 @@ mod tests {
         assert_eq!(r1, r2);
     }
 
-    #[test]
-    #[should_panic(expected = "k must be positive")]
-    fn rejects_zero_k() {
-        let h = ring_of_cliques();
-        let mut rng = seeded_rng(0);
-        let _ = kway_partition(&h, 0, None, &[], &KwayConfig::default(), &mut rng);
+    /// Asserts `rng` is where a fresh `seeded_rng(seed)` starts.
+    fn assert_untouched(rng: &mut MlRng, seed: u64) {
+        use rand::Rng;
+        assert_eq!(rng.gen::<u64>(), seeded_rng(seed).gen::<u64>());
     }
 
     #[test]
-    #[should_panic(expected = "fixed part id out of range")]
+    fn rejects_zero_k() {
+        let h = ring_of_cliques();
+        let mut rng = seeded_rng(0);
+        let r = kway_partition(
+            &h,
+            0,
+            &KwayConfig::default(),
+            &mut rng,
+            RefineRequest::default(),
+        );
+        assert_eq!(r.map(|_| ()), Err(ConstraintsError::ZeroParts.into()));
+        assert_untouched(&mut rng, 0);
+    }
+
+    #[test]
     fn rejects_bad_fixed_part() {
         let h = ring_of_cliques();
         let mut rng = seeded_rng(0);
-        let _ = kway_partition(
-            &h,
-            4,
-            None,
-            &[(ModuleId::new(0), 9)],
-            &KwayConfig::default(),
-            &mut rng,
-        );
+        let req = RefineRequest {
+            fixed: &[(ModuleId::new(0), 9)],
+            ..RefineRequest::default()
+        };
+        let r = kway_partition(&h, 4, &KwayConfig::default(), &mut rng, req);
+        let err = ConstraintsError::PartOutOfRange {
+            module: 0,
+            part: 9,
+            k: 4,
+        };
+        assert_eq!(r.map(|_| ()), Err(err.into()));
+        assert_untouched(&mut rng, 0);
+    }
+
+    /// Refines `p0` on `h` under `req`, expecting `err` with the partition
+    /// and the RNG stream untouched.
+    fn assert_refine_rejected(
+        h: &Hypergraph,
+        p0: &Partition,
+        req: RefineRequest<'_>,
+        err: RefineError,
+    ) {
+        let mut p = p0.clone();
+        let mut rng = seeded_rng(0);
+        let r = kway_refine(h, &mut p, &KwayConfig::default(), &mut rng, req);
+        assert_eq!(r, Err(err));
+        assert_eq!(p.assignment(), p0.assignment());
+        assert_untouched(&mut rng, 0);
+    }
+
+    #[test]
+    fn rejects_bounds_of_wrong_arity() {
+        let h = ring_of_cliques();
+        let p0 = Partition::random(&h, 4, &mut seeded_rng(1));
+        let bounds = PartBounds::uniform(3, 0, 16);
+        let req = RefineRequest {
+            bounds: Some(&bounds),
+            ..RefineRequest::default()
+        };
+        let err = RefineError::BoundsArity { bounds: 3, k: 4 };
+        assert_refine_rejected(&h, &p0, req, err.clone());
+        // The start repair the k-way partition entry runs checks the same.
+        let mut p = p0.clone();
+        let mut rng = seeded_rng(0);
+        let r = rebalance_to_bounds(&h, &mut p, &[], &bounds, &mut rng);
+        assert_eq!(r, Err(err));
+        assert_eq!(p.assignment(), p0.assignment());
+        assert_untouched(&mut rng, 0);
+    }
+
+    #[test]
+    fn rejects_partition_of_another_netlist() {
+        let h = ring_of_cliques();
+        let other = HypergraphBuilder::with_unit_areas(5).build().unwrap();
+        let p0 = Partition::random(&other, 4, &mut seeded_rng(1));
+        let err = RefineError::PartitionLength {
+            len: 5,
+            modules: 16,
+        };
+        assert_refine_rejected(&h, &p0, RefineRequest::default(), err);
+    }
+
+    #[test]
+    fn rejects_fixed_module_out_of_range() {
+        let h = ring_of_cliques();
+        let p0 = Partition::random(&h, 4, &mut seeded_rng(1));
+        let req = RefineRequest {
+            fixed: &[(ModuleId::new(16), 0)],
+            ..RefineRequest::default()
+        };
+        let err = ConstraintsError::ModuleOutOfRange {
+            module: 16,
+            modules: 16,
+        };
+        assert_refine_rejected(&h, &p0, req, err.into());
     }
 
     #[test]
     fn trivial_inputs() {
         let h = HypergraphBuilder::with_unit_areas(3).build().unwrap();
         let mut rng = seeded_rng(0);
-        let (p, r) = kway_partition(&h, 4, None, &[], &KwayConfig::default(), &mut rng);
+        let (p, r) = kway_partition(
+            &h,
+            4,
+            &KwayConfig::default(),
+            &mut rng,
+            RefineRequest::default(),
+        )
+        .unwrap();
         assert_eq!(r.cut, 0);
         assert!(p.validate(&h));
     }
@@ -922,17 +1052,19 @@ mod tests {
             let bounds = PartBounds::from_kway(&KwayBalance::new(&h, 4, cfg.balance_r));
             let mut p_legacy = p0.clone();
             let mut p_new = p0.clone();
-            let r_legacy = kway_refine(&h, &mut p_legacy, &[], &cfg, &mut seeded_rng(seed));
-            let r_new = kway_refine_constrained_budgeted_in(
+            let r_legacy = kway_refine(
                 &h,
-                &mut p_new,
-                &[],
+                &mut p_legacy,
                 &cfg,
-                &bounds,
                 &mut seeded_rng(seed),
-                &mut RefineWorkspace::new(),
-                &mut BudgetMeter::unlimited(),
-            );
+                RefineRequest::default(),
+            )
+            .unwrap();
+            let req = RefineRequest {
+                bounds: Some(&bounds),
+                ..RefineRequest::default()
+            };
+            let r_new = kway_refine(&h, &mut p_new, &cfg, &mut seeded_rng(seed), req).unwrap();
             assert_eq!(p_legacy.assignment(), p_new.assignment(), "seed {seed}");
             assert_eq!(r_legacy, r_new, "seed {seed}");
         }
@@ -946,20 +1078,15 @@ mod tests {
         let bounds = PartBounds::new(vec![1, 1, 1, 5], vec![3, 8, 8, 8]);
         for seed in 0..5 {
             let mut p = Partition::random(&h, 4, &mut seeded_rng(seed));
-            rebalance_to_bounds(&h, &mut p, &[], &bounds, &mut seeded_rng(777 + seed));
+            rebalance_to_bounds(&h, &mut p, &[], &bounds, &mut seeded_rng(777 + seed)).unwrap();
             if !bounds.is_partition_feasible(&p) {
                 continue; // random repair can stall; skip this seed
             }
-            let _ = kway_refine_constrained_budgeted_in(
-                &h,
-                &mut p,
-                &[],
-                &cfg,
-                &bounds,
-                &mut seeded_rng(seed),
-                &mut RefineWorkspace::new(),
-                &mut BudgetMeter::unlimited(),
-            );
+            let req = RefineRequest {
+                bounds: Some(&bounds),
+                ..RefineRequest::default()
+            };
+            kway_refine(&h, &mut p, &cfg, &mut seeded_rng(seed), req).unwrap();
             assert!(
                 bounds.is_partition_feasible(&p),
                 "seed {seed}: {:?}",
@@ -975,7 +1102,7 @@ mod tests {
         let mut p = Partition::from_assignment(&h, 4, vec![0; 16]).unwrap();
         let bounds = PartBounds::uniform(4, 2, 6);
         let mut rng = seeded_rng(5);
-        let moved = rebalance_to_bounds(&h, &mut p, &[], &bounds, &mut rng);
+        let moved = rebalance_to_bounds(&h, &mut p, &[], &bounds, &mut rng).unwrap();
         assert!(moved > 0);
         assert!(bounds.is_partition_feasible(&p), "{:?}", p.part_areas());
         assert!(p.validate(&h));
@@ -988,7 +1115,7 @@ mod tests {
             Partition::from_assignment(&h, 4, (0..16).map(|i| (i / 4) as u32).collect()).unwrap();
         let bounds = PartBounds::uniform(4, 2, 6);
         let mut rng = seeded_rng(5);
-        let moved = rebalance_to_bounds(&h, &mut p, &[], &bounds, &mut rng);
+        let moved = rebalance_to_bounds(&h, &mut p, &[], &bounds, &mut rng).unwrap();
         assert_eq!(moved, 0);
         // The stream is untouched: a fresh rng from the same seed agrees.
         use rand::Rng;
@@ -1008,7 +1135,7 @@ mod tests {
             ..KwayConfig::default()
         };
         let mut rng = seeded_rng(2);
-        let (p, r) = kway_partition(&h, 4, None, &[], &cfg, &mut rng);
+        let (p, r) = kway_partition(&h, 4, &cfg, &mut rng, RefineRequest::default()).unwrap();
         assert_eq!(r.cut, metrics::cut(&h, &p));
         assert!(r.cut >= 1, "the 8-pin net must be cut across 4 parts");
     }

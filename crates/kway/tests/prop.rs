@@ -2,10 +2,10 @@
 //! configured objective, balance and fixed modules are always respected,
 //! and reported statistics match independent recomputation.
 
-use mlpart_fm::RefineWorkspace;
+use mlpart_fm::{RefineRequest, RefineWorkspace};
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, KwayBalance, ModuleId, Partition};
-use mlpart_kway::{kway_partition, kway_refine, kway_refine_in, KwayConfig, KwayGain};
+use mlpart_kway::{kway_partition, kway_refine, KwayConfig, KwayGain};
 use proptest::prelude::*;
 
 /// Module areas and weighted nets: weights 1..=4 drive both gain kinds'
@@ -52,7 +52,7 @@ proptest! {
             KwayGain::NetCut => metrics::cut(&h, &p0),
         };
         let mut p = p0;
-        let r = kway_refine(&h, &mut p, &[], &cfg, &mut rng);
+        let r = kway_refine(&h, &mut p, &cfg, &mut rng, RefineRequest::default()).unwrap();
         let end = match cfg.gain {
             KwayGain::SumOfDegrees => r.sum_of_degrees,
             KwayGain::NetCut => r.cut,
@@ -84,7 +84,8 @@ proptest! {
             .filter(|&(v, _)| seen.insert(v))
             .collect();
         let mut rng = seeded_rng(seed);
-        let (p, _) = kway_partition(&h, 4, None, &fixed, &KwayConfig::default(), &mut rng);
+        let req = RefineRequest { fixed: &fixed, ..RefineRequest::default() };
+        let (p, _) = kway_partition(&h, 4, &KwayConfig::default(), &mut rng, req).unwrap();
         for &(v, part) in &fixed {
             prop_assert_eq!(p.part(v), part);
         }
@@ -98,10 +99,9 @@ proptest! {
         sod in any::<bool>(),
         seed in 0u64..500,
     ) {
-        // `kway_refine` now runs on the shared `RefineState` from
-        // `mlpart_fm`; a dirtied, reused workspace must reproduce the
-        // throwaway-workspace wrapper bit for bit — same assignment, same
-        // result, same per-pass statistics.
+        // `kway_refine` runs on the shared `RefineState` from `mlpart_fm`; a
+        // dirtied, reused workspace must reproduce a request without one bit
+        // for bit — same assignment, same result, same per-pass statistics.
         let h = build(areas, &nets);
         let cfg = KwayConfig {
             gain: if sod { KwayGain::SumOfDegrees } else { KwayGain::NetCut },
@@ -113,7 +113,7 @@ proptest! {
             let dirty = build(vec![1, 1, 2, 3], &[(vec![0, 1, 2], 1), (vec![2, 3], 1)]);
             let mut rng = seeded_rng(seed ^ 0xbeef);
             let mut dp = Partition::random(&dirty, 2, &mut rng);
-            let _ = kway_refine_in(&dirty, &mut dp, &[], &cfg, &mut rng, &mut ws);
+            kway_refine(&dirty, &mut dp, &cfg, &mut rng, RefineRequest::reusing(&mut ws)).unwrap();
         }
 
         let mut rng = seeded_rng(seed);
@@ -121,9 +121,11 @@ proptest! {
         let mut p_fresh = p0.clone();
         let mut p_reuse = p0;
         let mut rng1 = seeded_rng(seed);
-        let r_fresh = kway_refine(&h, &mut p_fresh, &[], &cfg, &mut rng1);
+        let fresh = RefineRequest::default();
+        let r_fresh = kway_refine(&h, &mut p_fresh, &cfg, &mut rng1, fresh).unwrap();
         let mut rng2 = seeded_rng(seed);
-        let r_reuse = kway_refine_in(&h, &mut p_reuse, &[], &cfg, &mut rng2, &mut ws);
+        let reuse = RefineRequest::reusing(&mut ws);
+        let r_reuse = kway_refine(&h, &mut p_reuse, &cfg, &mut rng2, reuse).unwrap();
         prop_assert_eq!(p_fresh.assignment(), p_reuse.assignment());
         prop_assert_eq!(&r_fresh, &r_reuse);
         prop_assert_eq!(&r_fresh.pass_stats, &r_reuse.pass_stats);
@@ -137,7 +139,8 @@ proptest! {
         let h = build(areas, &nets);
         let run = |s| {
             let mut rng = seeded_rng(s);
-            kway_partition(&h, 3, None, &[], &KwayConfig::default(), &mut rng)
+            let cfg = KwayConfig::default();
+            kway_partition(&h, 3, &cfg, &mut rng, RefineRequest::default()).unwrap()
         };
         let (p1, r1) = run(seed);
         let (p2, r2) = run(seed);

@@ -2,6 +2,7 @@
 //! k-way pass checked for feasibility. The count is deterministic, so it
 //! pins the engine's selection work independently of the hardware.
 
+use mlpart_fm::RefineRequest;
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_kway::{kway_partition, KwayConfig};
 
@@ -17,7 +18,14 @@ fn kway_selection_skips_full_destinations() {
     let h = mlpart_gen::by_name("primary1")
         .expect("in suite")
         .generate(1997);
-    let (_, r) = kway_partition(&h, 4, None, &[], &KwayConfig::default(), &mut seeded_rng(3));
+    let (_, r) = kway_partition(
+        &h,
+        4,
+        &KwayConfig::default(),
+        &mut seeded_rng(3),
+        RefineRequest::default(),
+    )
+    .unwrap();
     let moves: usize = r.pass_stats.iter().map(|s| s.attempted_moves).sum();
     let inspected: u64 = r.pass_stats.iter().map(|s| s.inspected).sum();
     // The gates change no pick: passes and moves are as before.

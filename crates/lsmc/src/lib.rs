@@ -29,7 +29,7 @@
 //! let h = b.build()?;
 //! let cfg = LsmcConfig { descents: 10, ..LsmcConfig::default() };
 //! let mut rng = seeded_rng(1);
-//! let (p, r) = lsmc_bipartition(&h, &cfg, &mut rng);
+//! let (p, r) = lsmc_bipartition(&h, &cfg, &mut rng)?;
 //! assert_eq!(r.cut, 1);
 //! assert_eq!(p.k(), 2);
 //! # Ok(())
@@ -39,10 +39,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use mlpart_fm::{fm_partition, refine, FmConfig};
+use mlpart_fm::{fm_partition, refine, FmConfig, RefineError, RefineRequest, RefineWorkspace};
 use mlpart_hypergraph::rng::MlRng;
-use mlpart_hypergraph::{metrics, Hypergraph, KwayBalance, ModuleId, PartBounds, Partition};
-use mlpart_kway::{kway_refine, KwayConfig};
+use mlpart_hypergraph::{metrics, Hypergraph, ModuleId, Partition};
+use mlpart_kway::{kway_partition, kway_refine, KwayConfig};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -114,6 +114,11 @@ fn kick_bipartition<R: Rng + ?Sized>(
 ///
 /// Returns the best partition observed and run statistics.
 ///
+/// # Errors
+///
+/// The [`RefineError`] of the first descent when the FM engine rejects `h`
+/// (net weights too large for its gain buckets).
+///
 /// # Panics
 ///
 /// Panics if `cfg.descents == 0`.
@@ -121,16 +126,17 @@ pub fn lsmc_bipartition(
     h: &Hypergraph,
     cfg: &LsmcConfig,
     rng: &mut MlRng,
-) -> (Partition, LsmcResult) {
+) -> Result<(Partition, LsmcResult), RefineError> {
     assert!(cfg.descents >= 1, "need at least one descent");
-    let (mut best_p, r0) = fm_partition(h, None, &cfg.fm, rng);
+    let mut ws = RefineWorkspace::new();
+    let (mut best_p, r0) = fm_partition(h, &cfg.fm, rng, RefineRequest::reusing(&mut ws))?;
     let mut best_cut = r0.cut;
     let mut improvements = 0usize;
     for _ in 1..cfg.descents {
         // Temperature 0: always kick the best solution seen so far.
         let mut p = best_p.clone();
         kick_bipartition(h, &mut p, cfg.kick_fraction, rng);
-        let r = refine(h, &mut p, &cfg.fm, rng);
+        let r = refine(h, &mut p, &cfg.fm, rng, RefineRequest::reusing(&mut ws))?;
         if r.cut < best_cut {
             best_cut = r.cut;
             best_p = p;
@@ -138,14 +144,14 @@ pub fn lsmc_bipartition(
         }
     }
     debug_assert_eq!(best_cut, metrics::cut(h, &best_p));
-    (
+    Ok((
         best_p,
         LsmcResult {
             cut: best_cut,
             descents: cfg.descents,
             improvements,
         },
-    )
+    ))
 }
 
 /// Configuration for [`lsmc_kway`].
@@ -187,41 +193,43 @@ fn kick_kway<R: Rng + ?Sized>(h: &Hypergraph, p: &mut Partition, fraction: f64, 
 ///
 /// Returns the best partition observed and run statistics.
 ///
+/// # Errors
+///
+/// The [`RefineError`] of the first descent when the k-way engine rejects
+/// `k == 0` or `h` (net weights too large for its gain buckets).
+///
 /// # Panics
 ///
-/// Panics if `k == 0` or `cfg.descents == 0`.
+/// Panics if `cfg.descents == 0`.
 pub fn lsmc_kway(
     h: &Hypergraph,
     k: u32,
     cfg: &LsmcKwayConfig,
     rng: &mut MlRng,
-) -> (Partition, LsmcResult) {
-    assert!(k > 0, "k must be positive");
+) -> Result<(Partition, LsmcResult), RefineError> {
     assert!(cfg.descents >= 1, "need at least one descent");
-    let mut best_p = Partition::random(h, k, rng);
-    let bounds = PartBounds::from_kway(&KwayBalance::new(h, k, cfg.kway.balance_r));
-    mlpart_kway::rebalance_to_bounds(h, &mut best_p, &[], &bounds, rng);
-    let r0 = kway_refine(h, &mut best_p, &[], &cfg.kway, rng);
+    let mut ws = RefineWorkspace::new();
+    let (mut best_p, r0) = kway_partition(h, k, &cfg.kway, rng, RefineRequest::reusing(&mut ws))?;
     let mut best_cut = r0.cut;
     let mut improvements = 0usize;
     for _ in 1..cfg.descents {
         let mut p = best_p.clone();
         kick_kway(h, &mut p, cfg.kick_fraction, rng);
-        let r = kway_refine(h, &mut p, &[], &cfg.kway, rng);
+        let r = kway_refine(h, &mut p, &cfg.kway, rng, RefineRequest::reusing(&mut ws))?;
         if r.cut < best_cut {
             best_cut = r.cut;
             best_p = p;
             improvements += 1;
         }
     }
-    (
+    Ok((
         best_p,
         LsmcResult {
             cut: best_cut,
             descents: cfg.descents,
             improvements,
         },
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -250,7 +258,7 @@ mod tests {
             ..LsmcConfig::default()
         };
         let mut rng = seeded_rng(3);
-        let (_, r) = lsmc_bipartition(&h, &cfg, &mut rng);
+        let (_, r) = lsmc_bipartition(&h, &cfg, &mut rng).unwrap();
         assert_eq!(r.cut, 1);
         assert_eq!(r.descents, 20);
     }
@@ -264,7 +272,7 @@ mod tests {
                 ..LsmcConfig::default()
             };
             let mut rng = seeded_rng(seed);
-            lsmc_bipartition(&h, &cfg, &mut rng).1.cut
+            lsmc_bipartition(&h, &cfg, &mut rng).unwrap().1.cut
         };
         // Same seed: a longer chain's incumbent can only improve.
         assert!(run(25, 7) <= run(1, 7));
@@ -278,7 +286,7 @@ mod tests {
             ..LsmcConfig::default()
         };
         let mut rng = seeded_rng(9);
-        let (p, r) = lsmc_bipartition(&h, &cfg, &mut rng);
+        let (p, r) = lsmc_bipartition(&h, &cfg, &mut rng).unwrap();
         assert_eq!(r.cut, metrics::cut(&h, &p));
         assert!(p.validate(&h));
     }
@@ -300,7 +308,7 @@ mod tests {
             ..LsmcKwayConfig::default()
         };
         let mut rng = seeded_rng(5);
-        let (p, r) = lsmc_kway(&h, 4, &cfg, &mut rng);
+        let (p, r) = lsmc_kway(&h, 4, &cfg, &mut rng).unwrap();
         assert_eq!(r.cut, 4);
         assert_eq!(r.cut, metrics::cut(&h, &p));
     }
@@ -313,7 +321,7 @@ mod tests {
             ..LsmcConfig::default()
         };
         let mut rng = seeded_rng(123);
-        let (_, r) = lsmc_bipartition(&h, &cfg, &mut rng);
+        let (_, r) = lsmc_bipartition(&h, &cfg, &mut rng).unwrap();
         assert!(r.improvements < r.descents);
     }
 
@@ -326,7 +334,7 @@ mod tests {
         };
         let run = |seed| {
             let mut rng = seeded_rng(seed);
-            lsmc_bipartition(&h, &cfg, &mut rng)
+            lsmc_bipartition(&h, &cfg, &mut rng).unwrap()
         };
         let (p1, r1) = run(4);
         let (p2, r2) = run(4);

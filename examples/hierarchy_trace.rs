@@ -10,10 +10,10 @@
 use mlpart::cluster::{project, rebalance_bipart};
 use mlpart::core::{Hierarchy, MlConfig};
 use mlpart::fm::refine;
-use mlpart::fm_partition;
 use mlpart::gen::suite;
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::hypergraph::{metrics, BipartBalance, Hypergraph};
+use mlpart::{fm_partition, RefineRequest};
 
 fn main() -> Result<(), mlpart::PipelineError> {
     let circuit = suite::by_name("primary2").expect("in suite");
@@ -42,7 +42,7 @@ fn main() -> Result<(), mlpart::PipelineError> {
 
     // --- Initial partitioning of the coarsest netlist (step 6). ---
     let coarsest = hier.coarsest(&h0);
-    let (mut p, r) = fm_partition(coarsest, None, &cfg.fm, &mut rng);
+    let (mut p, r) = fm_partition(coarsest, &cfg.fm, &mut rng, RefineRequest::default())?;
     println!("initial partitioning of H{m}: cut {}", r.cut);
     println!();
 
@@ -61,7 +61,13 @@ fn main() -> Result<(), mlpart::PipelineError> {
         } else {
             rebalance_bipart(fine, &mut fine_p, &balance, &mut rng)
         };
-        let r = refine(fine, &mut fine_p, &cfg.fm, &mut rng);
+        let r = refine(
+            fine,
+            &mut fine_p,
+            &cfg.fm,
+            &mut rng,
+            RefineRequest::default(),
+        )?;
         println!(
             "H{:<5} {:>10} {:>12} {:>10}",
             i,

@@ -7,7 +7,9 @@
 
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::hypergraph::{metrics, BipartBalance};
-use mlpart::{fm_partition, ml_bipartition, FmConfig, HypergraphBuilder, MlConfig, Request};
+use mlpart::{
+    fm_partition, ml_bipartition, FmConfig, HypergraphBuilder, MlConfig, RefineRequest, Request,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Build a netlist hypergraph. ---
@@ -32,7 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. Flat FM from a random start (the 1982 baseline). ---
     let mut rng = seeded_rng(7);
-    let (fm_solution, fm_result) = fm_partition(&h, None, &FmConfig::default(), &mut rng);
+    let (fm_solution, fm_result) =
+        fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default())?;
     println!(
         "flat FM:  cut {} after {} passes",
         fm_result.cut, fm_result.passes

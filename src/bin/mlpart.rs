@@ -56,7 +56,6 @@
 
 use mlpart::checkpoint::{self, CheckpointConfig, CheckpointWriter, StartOutcome, StartValue};
 use mlpart::cluster::MatchConfig;
-use mlpart::fm::fm_partition_budgeted_in;
 use mlpart::gen::by_name;
 use mlpart::hypergraph::io::{read_fix, read_hgr, write_atomic_with, write_partition};
 use mlpart::hypergraph::metrics::CutStats;
@@ -64,11 +63,12 @@ use mlpart::hypergraph::rng::MlRng;
 use mlpart::hypergraph::{fault_point, obs_span};
 use mlpart::lsmc::{lsmc_bipartition, LsmcConfig};
 use mlpart::{
-    ml_bipartition, ml_kway, preflight, preflight_constrained, recursive_ml_partition,
-    repair_to_feasible, run_supervised, two_phase_fm, Attempt, BipartBalance, Budget, BudgetMeter,
-    Constraints, Engine, ExecError, FmConfig, Hypergraph, KwayBalance, LevelStats, MlConfig,
-    MlKwayConfig, PartBounds, Partition, RefineWorkspace, RepairRecord, Request, ResumeState,
-    RetryPolicy, Sink, StartDone, Truncation, ATTEMPT_STRIDE, DEFAULT_EPSILON,
+    fm_partition, ml_bipartition, ml_kway, preflight, preflight_constrained,
+    recursive_ml_partition, repair_to_feasible, run_supervised, two_phase_fm, Attempt,
+    BipartBalance, Budget, BudgetMeter, Constraints, Engine, ExecError, FmConfig, Hypergraph,
+    KwayBalance, LevelStats, MlConfig, MlKwayConfig, PartBounds, Partition, RefineRequest,
+    RefineWorkspace, RepairRecord, Request, ResumeState, RetryPolicy, Sink, StartDone, Truncation,
+    ATTEMPT_STRIDE, DEFAULT_EPSILON,
 };
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -434,7 +434,12 @@ fn run_engine(
         ("ml-c" | "ml-f", _) | ("two-phase", 2) => {}
         (_, 4) => return Err("--k 4 requires --algo ml-c or ml-f".to_owned()),
         ("fm" | "clip", _) => {
-            let (p, r) = fm_partition_budgeted_in(h, None, &fm_cfg(engine), rng, ws, &mut meter);
+            let req = RefineRequest {
+                workspace: Some(ws),
+                meter: Some(&mut meter),
+                ..RefineRequest::default()
+            };
+            let (p, r) = fm_partition(h, &fm_cfg(engine), rng, req).map_err(|e| e.to_string())?;
             return Ok((p, r.cut, Vec::new(), meter.truncation()));
         }
         ("lsmc", _) => {
@@ -442,7 +447,7 @@ fn run_engine(
                 descents: 20,
                 ..LsmcConfig::default()
             };
-            let (p, r) = lsmc_bipartition(h, &cfg, rng);
+            let (p, r) = lsmc_bipartition(h, &cfg, rng).map_err(|e| e.to_string())?;
             return Ok((p, r.cut, Vec::new(), None));
         }
         (other, _) => return Err(format!("unknown algorithm {other:?}\n{USAGE}")),

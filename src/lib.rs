@@ -75,8 +75,8 @@ pub use mlpart_exec::{
     RetryRecord, Sink, StartDone, StartFailure, SupervisedBatch, ATTEMPT_STRIDE,
 };
 pub use mlpart_fm::{
-    fm_partition, repair_to_feasible, BucketPolicy, Engine, FmConfig, PassStats, RefineWorkspace,
-    RepairRecord,
+    fm_partition, repair_to_feasible, BucketPolicy, Engine, FmConfig, PassStats, RefineError,
+    RefineRequest, RefineWorkspace, RepairRecord,
 };
 pub use mlpart_hypergraph::{
     adapted_epsilon, BipartBalance, Constraints, ConstraintsError, Hypergraph, HypergraphBuilder,

@@ -328,6 +328,48 @@ fn infeasible_input_exits_two() {
     let _ = std::fs::remove_file(&hgr);
 }
 
+/// Exit-code contract, code 2: net weights whose incident sums overflow
+/// the engines' gain buckets are invalid input, reported in one line by
+/// every algorithm, never as a panic.
+#[test]
+fn overweight_nets_exit_two_without_panicking() {
+    let hgr = temp_path("heavy.hgr");
+    // An 8-module ring (weighted `.hgr`, fmt 1): each module touches two
+    // nets of weight 10^9.
+    let nets: String = (1..=8)
+        .map(|i| format!("1000000000 {i} {}\n", i % 8 + 1))
+        .collect();
+    std::fs::write(&hgr, format!("8 8 1\n{nets}")).expect("write temp netlist");
+    let cases: [&[&str]; 8] = [
+        &["--algo", "fm"],
+        &["--algo", "clip"],
+        &["--algo", "ml-c"],
+        &["--algo", "ml-f"],
+        &["--algo", "lsmc"],
+        &["--algo", "two-phase"],
+        &["--algo", "ml-f", "--k", "4"],
+        &["--algo", "ml-c", "--k", "3"],
+    ];
+    for args in cases {
+        let out = mlpart()
+            .arg(hgr.to_str().expect("utf8 path"))
+            .args(args)
+            .args(["--runs", "2"])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        let messages: Vec<&str> = err.lines().filter(|l| l.contains("too large")).collect();
+        assert_eq!(messages.len(), 1, "{args:?}: {err}");
+        assert!(
+            messages[0].contains("net weights too large"),
+            "{args:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_file(&hgr);
+}
+
 /// Exit-code contract, code 3: a budget-truncated run still prints the cut
 /// statistics and writes a complete, valid partition file — the exit code
 /// is the only signal that the result is partial.

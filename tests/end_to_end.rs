@@ -3,6 +3,7 @@
 //! relies on.
 
 use mlpart::cluster::{induce, match_clusters, project, MatchConfig};
+use mlpart::fm::refine;
 use mlpart::gen::suite;
 use mlpart::hypergraph::io::{read_hgr, write_hgr};
 use mlpart::hypergraph::metrics;
@@ -10,7 +11,7 @@ use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::place::{gordian_quadrisection, PlacerConfig};
 use mlpart::{
     fm_partition, ml_bipartition, ml_kway, BipartBalance, FmConfig, KwayBalance, MlConfig,
-    MlKwayConfig, Partition, Request,
+    MlKwayConfig, Partition, RefineRequest, Request,
 };
 
 #[test]
@@ -40,7 +41,10 @@ fn ml_beats_flat_fm_on_suite_circuit() {
     let fm_best = (0..runs)
         .map(|s| {
             let mut rng = seeded_rng(100 + s);
-            fm_partition(&h, None, &FmConfig::default(), &mut rng).1.cut
+            fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default())
+                .unwrap()
+                .1
+                .cut
         })
         .min()
         .expect("runs");
@@ -69,7 +73,13 @@ fn manual_two_phase_equals_library_pieces() {
     let mut rng = seeded_rng(7);
     let clustering = match_clusters(&h, &MatchConfig::default(), &mut rng);
     let coarse = induce(&h, &clustering).expect("clustering covers h");
-    let (coarse_p, _) = fm_partition(&coarse, None, &FmConfig::default(), &mut rng);
+    let (coarse_p, _) = fm_partition(
+        &coarse,
+        &FmConfig::default(),
+        &mut rng,
+        RefineRequest::default(),
+    )
+    .unwrap();
     let projected = project(&h, &clustering, &coarse_p).expect("clustering covers h");
     let projected_cut = metrics::cut(&h, &projected);
     assert_eq!(
@@ -77,7 +87,15 @@ fn manual_two_phase_equals_library_pieces() {
         metrics::cut(&coarse, &coarse_p),
         "projection preserves cut"
     );
-    let (refined, r) = fm_partition(&h, Some(projected), &FmConfig::default(), &mut rng);
+    let mut refined = projected;
+    let r = refine(
+        &h,
+        &mut refined,
+        &FmConfig::default(),
+        &mut rng,
+        RefineRequest::default(),
+    )
+    .unwrap();
     assert!(r.cut <= projected_cut, "refinement never worsens");
     assert!(refined.validate(&h));
 }
@@ -157,7 +175,15 @@ fn partition_types_interoperate_across_crates() {
         Partition::from_assignment(&h, 2, (0..n).map(|i| (i % 2) as u32).collect()).expect("valid");
     let start = metrics::cut(&h, &p0);
     let mut rng = seeded_rng(3);
-    let (p, r) = fm_partition(&h, Some(p0), &FmConfig::default(), &mut rng);
+    let mut p = p0;
+    let r = refine(
+        &h,
+        &mut p,
+        &FmConfig::default(),
+        &mut rng,
+        RefineRequest::default(),
+    )
+    .unwrap();
     assert!(r.cut < start, "interleaved start must improve");
     assert!(p.validate(&h));
 }

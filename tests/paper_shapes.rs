@@ -14,7 +14,7 @@ use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::place::{gordian_quadrisection, PlacerConfig};
 use mlpart::{
     fm_partition, ml_bipartition, ml_kway, BucketPolicy, Engine, FmConfig, MlConfig, MlKwayConfig,
-    Request,
+    RefineRequest, Request,
 };
 
 const RUNS: u64 = 8;
@@ -23,7 +23,10 @@ fn avg_cut(h: &mlpart::Hypergraph, cfg: &FmConfig, seed_base: u64) -> f64 {
     (0..RUNS)
         .map(|s| {
             let mut rng = seeded_rng(seed_base + s);
-            fm_partition(h, None, cfg, &mut rng).1.cut as f64
+            fm_partition(h, cfg, &mut rng, RefineRequest::default())
+                .unwrap()
+                .1
+                .cut as f64
         })
         .sum::<f64>()
         / RUNS as f64

@@ -7,7 +7,8 @@ use mlpart::gen::suite;
 use mlpart::hypergraph::metrics;
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::{
-    fm_partition, ml_bipartition, FmConfig, HypergraphBuilder, MlConfig, Partition, Request,
+    fm_partition, ml_bipartition, FmConfig, HypergraphBuilder, MlConfig, Partition, RefineRequest,
+    Request,
 };
 
 /// A ring where every third net is a weight-5 "bus".
@@ -30,7 +31,8 @@ fn fm_avoids_heavy_nets() {
     let best = (0..10)
         .map(|s| {
             let mut rng = seeded_rng(s);
-            let (p, r) = fm_partition(&h, None, &FmConfig::default(), &mut rng);
+            let (p, r) =
+                fm_partition(&h, &FmConfig::default(), &mut rng, RefineRequest::default()).unwrap();
             assert_eq!(r.cut, metrics::cut(&h, &p));
             r.cut
         })
@@ -120,7 +122,10 @@ fn weighted_and_duplicate_representations_agree_end_to_end() {
         (0..8)
             .map(|s| {
                 let mut rng = seeded_rng(50 + s);
-                fm_partition(h, None, &FmConfig::default(), &mut rng).1.cut
+                fm_partition(h, &FmConfig::default(), &mut rng, RefineRequest::default())
+                    .unwrap()
+                    .1
+                    .cut
             })
             .min()
             .expect("runs")

@@ -1,11 +1,12 @@
 //! Property-based tests for the hypergraph foundation: builder invariants,
-//! CSR consistency, partition bookkeeping, metric identities, and hMETIS
-//! round-trips over arbitrary netlists.
+//! CSR consistency, partition bookkeeping, metric identities, metamorphic
+//! cut relations, and hMETIS round-trips over arbitrary netlists.
 
 use mlpart_hypergraph::io::{read_hgr, write_hgr};
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, ModuleId, Partition};
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
 
 /// Strategy: an arbitrary small netlist as (module areas, nets of indices).
 fn arb_netlist() -> impl Strategy<Value = (Vec<u64>, Vec<Vec<usize>>)> {
@@ -24,7 +25,100 @@ fn build(areas: Vec<u64>, nets: &[Vec<usize>]) -> Hypergraph {
     b.build().expect("valid netlist")
 }
 
+/// `nets` with weights cycling through 1..=4, so the metamorphic cut tests
+/// see weighted nets too.
+fn with_weights(nets: Vec<Vec<usize>>) -> Vec<(Vec<usize>, u32)> {
+    nets.into_iter()
+        .enumerate()
+        .map(|(i, net)| (net, 1 + i as u32 % 4))
+        .collect()
+}
+
+fn build_weighted(areas: Vec<u64>, nets: &[(Vec<usize>, u32)]) -> Hypergraph {
+    let mut b = HypergraphBuilder::new(areas);
+    for (net, w) in nets {
+        b.add_weighted_net(net.iter().copied(), *w)
+            .expect("indices in range");
+    }
+    b.build().expect("valid netlist")
+}
+
+/// The cut of `parts` on `build_weighted(areas, nets)`.
+fn cut_of(areas: Vec<u64>, nets: &[(Vec<usize>, u32)], k: u32, parts: Vec<u32>) -> u64 {
+    let h = build_weighted(areas, nets);
+    let p = Partition::from_assignment(&h, k, parts).expect("valid assignment");
+    metrics::cut(&h, &p)
+}
+
+/// A random `k`-way assignment of `n` modules.
+fn random_parts(n: usize, k: u32, seed: u64) -> Vec<u32> {
+    use rand::Rng;
+    let mut rng = seeded_rng(seed);
+    (0..n).map(|_| rng.gen_range(0..k)).collect()
+}
+
 proptest! {
+    /// The cut is a sum over nets: listing them in another order changes
+    /// nothing.
+    #[test]
+    fn cut_ignores_net_order((areas, nets) in arb_netlist(), k in 2u32..5, seed in 0u64..1000) {
+        let parts = random_parts(areas.len(), k, seed);
+        let nets = with_weights(nets);
+        let mut shuffled = nets.clone();
+        shuffled.shuffle(&mut seeded_rng(seed));
+        prop_assert_eq!(
+            cut_of(areas.clone(), &nets, k, parts.clone()),
+            cut_of(areas, &shuffled, k, parts)
+        );
+    }
+
+    /// Renaming module `v` to `perm[v]` in every net, and moving its area
+    /// and part with it, leaves the cut unchanged.
+    #[test]
+    fn cut_ignores_module_labels((areas, nets) in arb_netlist(), k in 2u32..5, seed in 0u64..1000) {
+        let n = areas.len();
+        let parts = random_parts(n, k, seed);
+        let nets = with_weights(nets);
+        let mut perm: Vec<usize> = (0..n).collect();
+        perm.shuffle(&mut seeded_rng(seed));
+        let mut relabeled_areas = vec![0; n];
+        let mut relabeled_parts = vec![0; n];
+        for v in 0..n {
+            relabeled_areas[perm[v]] = areas[v];
+            relabeled_parts[perm[v]] = parts[v];
+        }
+        let relabeled_nets: Vec<(Vec<usize>, u32)> = nets
+            .iter()
+            .map(|(net, w)| (net.iter().map(|&v| perm[v]).collect(), *w))
+            .collect();
+        prop_assert_eq!(
+            cut_of(areas, &nets, k, parts),
+            cut_of(relabeled_areas, &relabeled_nets, k, relabeled_parts)
+        );
+    }
+
+    /// Appending a copy of net `j` adds its weight to the cut exactly when
+    /// that net is cut (a net that collapses below two pins never is).
+    #[test]
+    fn duplicated_net_adds_its_weight_iff_cut(
+        (areas, nets) in arb_netlist(),
+        k in 2u32..5,
+        seed in 0u64..1000,
+        pick in 0usize..60,
+    ) {
+        prop_assume!(!nets.is_empty());
+        let parts = random_parts(areas.len(), k, seed);
+        let nets = with_weights(nets);
+        let (net, w) = nets[pick % nets.len()].clone();
+        let net_is_cut = net.iter().any(|&v| parts[v] != parts[net[0]]);
+        let mut duplicated = nets.clone();
+        duplicated.push((net, w));
+        prop_assert_eq!(
+            cut_of(areas.clone(), &duplicated, k, parts.clone()),
+            cut_of(areas, &nets, k, parts) + if net_is_cut { u64::from(w) } else { 0 }
+        );
+    }
+
     #[test]
     fn builder_produces_consistent_csr((areas, nets) in arb_netlist()) {
         let h = build(areas.clone(), &nets);

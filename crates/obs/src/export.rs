@@ -2,15 +2,18 @@
 //!
 //! Both formats interleave deterministic content with timestamps;
 //! [`strip_timing`] normalizes the timestamp fields so exported documents
-//! can be compared byte-for-byte across runs and thread counts.
+//! can be compared byte-for-byte across runs and thread counts. The JSONL
+//! stream also reads back: [`trace_from_jsonl`] rebuilds the exact [`Trace`]
+//! through [`json::parse`] and its typed field reader, which is how a
+//! checkpoint restores each finished start's trace on `--resume`.
 
-use crate::json;
-use crate::trace::{EvKind, Trace, V};
+use crate::json::{self, Json};
+use crate::trace::{EvKind, Event, Trace, V};
 
 pub(crate) fn write_v(out: &mut String, v: &V) {
     match v {
-        V::U(n) => out.push_str(&format!("{n}")),
-        V::I(n) => out.push_str(&format!("{n}")),
+        V::U(n) => json::write_int(out, *n),
+        V::I(n) => json::write_int(out, *n),
         V::F(n) => json::write_f64(out, *n),
         V::S(s) => json::write_str(out, s),
     }
@@ -67,158 +70,14 @@ fn intern(s: &str) -> &'static str {
     leaked
 }
 
-/// Byte cursor over one JSONL line. [`to_jsonl`]'s output is rigid (no
-/// whitespace, fixed key order), so the reader is a straight-line scanner
-/// rather than a general JSON parser — crucially it keeps integer argument
-/// values exact (`u64`/`i64`), where a round-trip through `json::parse`'s
-/// `f64` numbers would corrupt values above 2^53 (seeds, hash draws).
-struct LineCursor<'a> {
-    s: &'a str,
-    pos: usize,
-}
-
-impl<'a> LineCursor<'a> {
-    fn expect(&mut self, lit: &str) -> Result<(), String> {
-        if self.s[self.pos..].starts_with(lit) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {lit:?} at byte {} of {:?}",
-                self.pos, self.s
-            ))
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.as_bytes().get(self.pos).copied()
-    }
-
-    /// Parses a quoted string, unescaping what [`crate::json::escape_into`]
-    /// emits (plus the standard escapes it never produces).
-    fn string(&mut self) -> Result<String, String> {
-        self.expect("\"")?;
-        let mut out = String::new();
-        let bytes = self.s.as_bytes();
-        loop {
-            let Some(&b) = bytes.get(self.pos) else {
-                return Err(format!("unterminated string in {:?}", self.s));
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = bytes
-                        .get(self.pos)
-                        .ok_or_else(|| format!("dangling escape in {:?}", self.s))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| format!("truncated \\u escape in {:?}", self.s))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid codepoint \\u{hex}"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unknown escape \\{}", *other as char)),
-                    }
-                }
-                _ => {
-                    let c = self.s[self.pos..]
-                        .chars()
-                        .next()
-                        .expect("pos is on a char boundary");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Parses a number token into the `V` variant that re-serializes to the
-    /// same bytes: plain digits → `U`, leading `-` → `I`, anything with a
-    /// fraction or exponent → `F`.
-    fn number(&mut self) -> Result<V, String> {
-        let start = self.pos;
-        let bytes = self.s.as_bytes();
-        while self.pos < bytes.len()
-            && matches!(
-                bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        let tok = &self.s[start..self.pos];
-        if tok.is_empty() {
-            return Err(format!("expected a number at byte {start} of {:?}", self.s));
-        }
-        if tok.contains(['.', 'e', 'E']) {
-            tok.parse::<f64>()
-                .map(V::F)
-                .map_err(|e| format!("bad number {tok:?}: {e}"))
-        } else if tok.starts_with('-') {
-            tok.parse::<i64>()
-                .map(V::I)
-                .map_err(|e| format!("bad number {tok:?}: {e}"))
-        } else {
-            tok.parse::<u64>()
-                .map(V::U)
-                .map_err(|e| format!("bad number {tok:?}: {e}"))
-        }
-    }
-
-    fn args(&mut self) -> Result<Vec<(&'static str, V)>, String> {
-        self.expect("{")?;
-        let mut args = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(args);
-        }
-        loop {
-            let key = intern(&self.string()?);
-            self.expect(":")?;
-            let value = match self.peek() {
-                Some(b'"') => V::S(intern(&self.string()?)),
-                _ => self.number()?,
-            };
-            args.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(args);
-                }
-                _ => return Err(format!("malformed args object in {:?}", self.s)),
-            }
-        }
-    }
-}
-
 /// Reconstructs a [`Trace`] from its [`to_jsonl`] serialization.
 ///
 /// The inverse the checkpoint/resume path relies on:
 /// `to_jsonl(trace_from_jsonl(to_jsonl(t))?) == to_jsonl(t)` byte-for-byte,
-/// timestamps included — integer argument values stay exact at full
-/// `u64`/`i64` range, and event names and argument keys are interned into
-/// the process-wide static pool.
+/// timestamps included. Each line goes through [`json::parse`], whose
+/// integers are exact, so every argument value maps back to the [`V`] that
+/// re-serializes to the same bytes. Event names and argument keys are
+/// interned into the process-wide static pool.
 ///
 /// # Errors
 ///
@@ -226,44 +85,55 @@ impl<'a> LineCursor<'a> {
 /// `to_jsonl`-shaped event line.
 pub fn trace_from_jsonl(text: &str) -> Result<Trace, String> {
     let mut trace = Trace::default();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let mut c = LineCursor { s: line, pos: 0 };
-        let parsed = (|| -> Result<crate::trace::Event, String> {
-            c.expect("{\"ev\":")?;
-            let kind = match c.string()?.as_str() {
-                "B" => EvKind::Begin,
-                "E" => EvKind::End,
-                "C" => EvKind::Counter,
-                other => return Err(format!("unknown event kind {other:?}")),
-            };
-            c.expect(",\"name\":")?;
-            let name = intern(&c.string()?);
-            c.expect(",\"ts\":")?;
-            let ts_ns = match c.number()? {
-                V::U(n) => n,
-                other => return Err(format!("ts must be a non-negative integer, got {other:?}")),
-            };
-            c.expect(",\"args\":")?;
-            let args = c.args()?;
-            c.expect("}")?;
-            if c.pos != line.len() {
-                return Err(format!("trailing bytes after event object in {line:?}"));
-            }
-            Ok(crate::trace::Event {
-                kind,
-                name,
-                ts_ns,
-                args,
-            })
-        })();
-        trace
-            .events
-            .push(parsed.map_err(|e| format!("trace line {}: {e}", lineno + 1))?);
+    for (lineno, line) in text.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
+        let event = event_from_line(line).map_err(|e| format!("trace line {}: {e}", lineno + 1))?;
+        trace.events.push(event);
     }
     Ok(trace)
+}
+
+fn event_from_line(line: &str) -> Result<Event, String> {
+    let doc = json::parse(line)?;
+    let [ev, name, ts, args] = json::fields(&doc, ["ev", "name", "ts", "args"])?;
+    let kind = match ev.str()? {
+        "B" => EvKind::Begin,
+        "E" => EvKind::End,
+        "C" => EvKind::Counter,
+        other => return Err(format!("unknown event kind {other:?}")),
+    };
+    Ok(Event {
+        kind,
+        name: intern(name.str()?),
+        ts_ns: ts.int()?,
+        args: args
+            .obj()?
+            .iter()
+            .map(|(key, value)| Ok((intern(key), arg_value(key, value)?)))
+            .collect::<Result<_, String>>()?,
+    })
+}
+
+/// The [`V`] that [`write_v`] turns back into `value`'s bytes: integers in
+/// the `u64` range → `U`, other integers in the `i64` range → `I`, every
+/// other number → `F` (so `V::F(1e20)`, written as plain digits, comes
+/// back as `F`), `null` → `F(NaN)`, strings → `S`.
+fn arg_value(key: &str, value: &Json) -> Result<V, String> {
+    if let Some(s) = value.as_str() {
+        Ok(V::S(intern(s)))
+    } else if let Some(n) = value.as_u64() {
+        Ok(V::U(n))
+    } else if let Some(n) = value.as_i64() {
+        Ok(V::I(n))
+    } else if let Some(n) = value.as_num() {
+        Ok(V::F(n))
+    } else if *value == Json::Null {
+        Ok(V::F(f64::NAN))
+    } else {
+        Err(format!(
+            "{key}: expected a number or a string, found {}",
+            json::describe(value)
+        ))
+    }
 }
 
 /// Serializes a trace in Chrome Trace Event Format (JSON object format),
@@ -492,6 +362,9 @@ mod tests {
                     ("offset", V::I(-42)),
                     ("ratio", V::F(0.35)),
                     ("whole", V::F(2.0)),
+                    ("big", V::F(1e20)),
+                    ("neg_big", V::F(-1e19)),
+                    ("nan", V::F(f64::NAN)),
                     ("name", V::S("a \"quoted\"\n\tpath\\x")),
                 ],
             );
@@ -508,6 +381,9 @@ mod tests {
         assert_eq!(back.events[0].ts_ns, 123_456_789);
         assert_eq!(back.events[0].args[0], ("seed", V::U(u64::MAX)));
         assert_eq!(back.events[0].args[1], ("offset", V::I(-42)));
+        // Integers outside both the u64 and i64 ranges come back as floats.
+        assert_eq!(back.events[0].args[4], ("big", V::F(1e20)));
+        assert_eq!(back.events[0].args[5], ("neg_big", V::F(-1e19)));
         // Empty input is an empty trace, blank lines are skipped.
         assert!(trace_from_jsonl("").expect("empty ok").events.is_empty());
         assert_eq!(
@@ -529,6 +405,10 @@ mod tests {
             "{\"ev\":\"B\",\"name\":\"a\",\"ts\":0,\"args\":{}}trailing",
             "{\"ev\":\"B\",\"name\":\"unterminated",
             "{\"ev\":\"B\",\"name\":\"a\",\"ts\":0,\"args\":{\"k\":\"\\u12\"}}",
+            "{\"ev\":\"B\",\"name\":\"a\",\"ts\":0}",
+            "{\"ev\":\"B\",\"name\":\"a\",\"ts\":0,\"args\":{},\"x\":1}",
+            "{\"ev\":\"B\",\"name\":\"a\",\"ts\":1.5,\"args\":{}}",
+            "{\"ev\":\"B\",\"name\":\"a\",\"ts\":0,\"args\":{\"k\":[1]}}",
         ] {
             let err = trace_from_jsonl(bad).expect_err(bad);
             assert!(err.starts_with("trace line 1:"), "{err}");

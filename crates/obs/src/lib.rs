@@ -12,10 +12,13 @@
 //! call site is one `mlpart_hypergraph::obs_span!` or `obs_counter!` line.
 //! The macros are the gate — their expansion carries the
 //! `#[cfg(feature = "obs")]`, evaluated in the calling crate — and the
-//! compiler enforces it: this crate is an optional dependency no workspace
-//! member enables by default, so a hook written without a macro fails the
+//! compiler enforces it: every library crate, where all the refinement and
+//! coarsening hooks live, takes this crate as an optional dependency that no
+//! default build enables, so a hook written without a macro fails the
 //! default build, and a macro used in a crate without an `obs` feature
-//! fails `clippy -D warnings` through `unexpected_cfgs`.
+//! fails `clippy -D warnings` through `unexpected_cfgs`. The root `mlpart`
+//! facade links this crate in every build, for the [`json`] codec its
+//! checkpoints use; it holds no hooks.
 //!
 //! # Determinism contract
 //!

@@ -222,13 +222,6 @@ fn write_node(out: &mut String, node: &SpanNode) {
     out.push_str("]}");
 }
 
-fn write_opt_u64(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(n) => out.push_str(&format!("{n}")),
-        None => out.push_str("null"),
-    }
-}
-
 impl RunReport {
     /// Serializes the report as a `mlpart-run-report-v3` JSON document.
     ///
@@ -266,10 +259,7 @@ impl RunReport {
                 out.push(',');
             }
             out.push_str(&format!("{{\"start\":{},\"phase\":", rec.start));
-            match &rec.phase {
-                Some(p) => json::write_str(&mut out, p),
-                None => out.push_str("null"),
-            }
+            json::write_opt(&mut out, rec.phase.as_deref(), json::write_str);
             out.push_str(",\"message\":");
             json::write_str(&mut out, &rec.message);
             out.push('}');
@@ -284,9 +274,9 @@ impl RunReport {
             out.push_str(",\"site\":");
             json::write_str(&mut out, rec.site);
             out.push_str(",\"level\":");
-            write_opt_u64(&mut out, rec.level);
+            json::write_opt(&mut out, rec.level, json::write_int);
             out.push_str(",\"pass\":");
-            write_opt_u64(&mut out, rec.pass);
+            json::write_opt(&mut out, rec.pass, json::write_int);
             out.push('}');
         }
         out.push_str("],\"retries\":[");
@@ -298,10 +288,7 @@ impl RunReport {
                 "{{\"start\":{},\"attempt\":{},\"phase\":",
                 rec.start, rec.attempt
             ));
-            match &rec.phase {
-                Some(p) => json::write_str(&mut out, p),
-                None => out.push_str("null"),
-            }
+            json::write_opt(&mut out, rec.phase.as_deref(), json::write_str);
             out.push_str(",\"message\":");
             json::write_str(&mut out, &rec.message);
             out.push('}');

@@ -20,8 +20,8 @@ fn type_matches(name: &str, doc: &Json) -> bool {
     match name {
         "null" => matches!(doc, Json::Null),
         "boolean" => matches!(doc, Json::Bool(_)),
-        "number" => matches!(doc, Json::Num(_)),
-        "integer" => matches!(doc, Json::Num(n) if n.fract() == 0.0),
+        "number" => matches!(doc, Json::Num(_) | Json::Int(_)),
+        "integer" => matches!(doc, Json::Int(_)) || matches!(doc, Json::Num(n) if n.fract() == 0.0),
         "string" => matches!(doc, Json::Str(_)),
         "array" => matches!(doc, Json::Arr(_)),
         "object" => matches!(doc, Json::Obj(_)),
@@ -69,8 +69,8 @@ fn check(schema: &Json, doc: &Json, path: &str, errors: &mut Vec<String>) {
             check(items_schema, item, &format!("{path}[{i}]"), errors);
         }
     }
-    if let (Some(Json::Num(min)), Json::Arr(items)) = (schema.get("minItems"), doc) {
-        if (items.len() as f64) < *min {
+    if let (Some(min), Json::Arr(items)) = (schema.get("minItems").and_then(Json::as_num), doc) {
+        if (items.len() as f64) < min {
             errors.push(format!("{path}: fewer than {min} items"));
         }
     }

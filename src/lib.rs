@@ -15,8 +15,9 @@
 //! * [`kway`] — Sanchis-style k-way FM without lookahead;
 //! * [`lsmc`] — the Large-Step Markov Chain baseline;
 //! * [`place`] — the GORDIAN-analogue quadratic placer;
-//! * `obs` (feature-gated) — deterministic structured tracing, metrics,
-//!   and run-report exporters behind `MLPART_TRACE=1`;
+//! * [`obs`] — the JSON codec the checkpoints use and, with the `obs`
+//!   feature compiled into the library crates, deterministic structured
+//!   tracing, metrics, and run-report exporters behind `MLPART_TRACE=1`;
 //! * `fault` (feature-gated) — deterministic fault injection (panics and
 //!   budget exhaustion at named sites) behind `MLPART_FAULTS`.
 //!
@@ -59,9 +60,9 @@ pub use mlpart_gen as gen;
 pub use mlpart_hypergraph as hypergraph;
 pub use mlpart_kway as kway;
 pub use mlpart_lsmc as lsmc;
-/// Structured observability: spans, counters, trace/report exporters.
-/// Present only with the `obs` feature.
-#[cfg(feature = "obs")]
+/// Structured observability: spans, counters, trace/report exporters, and
+/// the JSON codec. The library crates record spans only with the `obs`
+/// feature.
 pub use mlpart_obs as obs;
 pub use mlpart_place as place;
 

@@ -4,9 +4,6 @@
 //! `record`) and an ok record's nested pieces against `outcome_ok`,
 //! `truncation`, and `repair`; the validator subset has no oneOf, so the
 //! test navigates the subschemas directly.
-//!
-//! Needs the `obs` feature: the validator lives in `mlpart-obs`.
-#![cfg(feature = "obs")]
 
 use mlpart::checkpoint::{record_line, CheckpointConfig, StartOutcome, StartValue};
 use mlpart::exec::supervise::StartContribution;

@@ -2,10 +2,12 @@
 //!
 //! Both formats interleave deterministic content with timestamps;
 //! [`strip_timing`] normalizes the timestamp fields so exported documents
-//! can be compared byte-for-byte across runs and thread counts. The JSONL
-//! stream also reads back: [`trace_from_jsonl`] rebuilds the exact [`Trace`]
-//! through [`json::parse`] and its typed field reader, which is how a
-//! checkpoint restores each finished start's trace on `--resume`.
+//! can be compared byte-for-byte across runs and thread counts. Both also
+//! read back through [`json::parse`] and its typed field reader:
+//! [`trace_from_jsonl`] rebuilds the exact [`Trace`], which is how a
+//! checkpoint restores each finished start's trace on `--resume`, and
+//! [`trace_from_chrome`] rebuilds it up to the format's microsecond
+//! timestamps. `obs-diff` reads both formats this way.
 
 use crate::json::{self, Json};
 use crate::trace::{EvKind, Event, Trace, V};
@@ -105,12 +107,16 @@ fn event_from_line(line: &str) -> Result<Event, String> {
         kind,
         name: intern(name.str()?),
         ts_ns: ts.int()?,
-        args: args
-            .obj()?
-            .iter()
-            .map(|(key, value)| Ok((intern(key), arg_value(key, value)?)))
-            .collect::<Result<_, String>>()?,
+        args: read_args(args)?,
     })
+}
+
+/// The argument list [`write_args`] wrote as `args`.
+fn read_args(args: json::Field) -> Result<Vec<(&'static str, V)>, String> {
+    args.obj()?
+        .iter()
+        .map(|(key, value)| Ok((intern(key), arg_value(key, value)?)))
+        .collect()
 }
 
 /// The [`V`] that [`write_v`] turns back into `value`'s bytes: integers in
@@ -171,6 +177,63 @@ pub fn to_chrome_trace(trace: &Trace) -> String {
     out
 }
 
+/// Reconstructs a [`Trace`] from its [`to_chrome_trace`] serialization.
+///
+/// The inverse up to timestamp resolution: each `ts` is microseconds, so
+/// `ts_ns` comes back truncated to a whole microsecond, and a trace whose
+/// timestamps are all whole microseconds re-serializes to the same bytes.
+///
+/// # Errors
+///
+/// Returns a message naming the offending event for anything that is not a
+/// `to_chrome_trace`-shaped document.
+pub fn trace_from_chrome(text: &str) -> Result<Trace, String> {
+    let doc = json::parse(text)?;
+    let [events] = json::fields(&doc, ["traceEvents"])?;
+    let events = events
+        .items()?
+        .enumerate()
+        .map(|(i, ev)| chrome_event(ev.value).map_err(|e| format!("trace event {i}: {e}")));
+    Ok(Trace {
+        events: events.collect::<Result<_, String>>()?,
+    })
+}
+
+fn chrome_event(ev: &Json) -> Result<Event, String> {
+    const KEYS: [&str; 6] = ["name", "ph", "pid", "tid", "ts", "args"];
+    // Counters are thread-scoped instants, the one event with an `s` key.
+    let ([name, ph, pid, tid, ts, args], scope) = match ev.get("s") {
+        None => (json::fields(ev, KEYS)?, None),
+        Some(_) => {
+            let [name, ph, pid, tid, ts, s, args] =
+                json::fields(ev, ["name", "ph", "pid", "tid", "ts", "s", "args"])?;
+            ([name, ph, pid, tid, ts, args], Some(s.str()?))
+        }
+    };
+    let kind = match (ph.str()?, scope) {
+        ("B", None) => EvKind::Begin,
+        ("E", None) => EvKind::End,
+        ("i", Some("t")) => EvKind::Counter,
+        (ph, None) => {
+            return Err(format!(
+                "ph: expected \"B\", \"E\" or \"i\" with s \"t\", found {ph:?}"
+            ))
+        }
+        (ph, Some(s)) => return Err(format!("s: {s:?} on a {ph:?} event")),
+    };
+    pid.int::<u64>()?;
+    tid.int::<u64>()?;
+    Ok(Event {
+        kind,
+        name: intern(name.str()?),
+        ts_ns: ts
+            .int::<u64>()?
+            .checked_mul(1_000)
+            .ok_or("ts: out of range")?,
+        args: read_args(args)?,
+    })
+}
+
 /// Timestamp-carrying JSON keys excluded from the determinism contract,
 /// plus the allocation telemetry keys — alloc tallies depend on which
 /// worker's warm workspace ran a start, so they are scheduling artifacts
@@ -207,34 +270,37 @@ pub fn is_non_normative_key(key: &str) -> bool {
 }
 
 /// Zeroes the numeric value after every `"key":` occurrence for each key in
-/// `keys`; everything else is byte-for-byte intact.
+/// `keys`; everything else is byte-for-byte intact. Only a `"` byte can
+/// start a match, so the scan jumps from quote to quote.
 fn strip_keys(s: &str, keys: &[&str]) -> String {
     let bytes = s.as_bytes();
     let mut out = String::with_capacity(s.len());
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let matched = keys.iter().find_map(|key| {
-            let pat_len = key.len() + 3; // "key":
-            let pat = format!("\"{key}\":");
-            bytes[pos..].starts_with(pat.as_bytes()).then_some(pat_len)
-        });
-        if let Some(pat_len) = matched {
-            out.push_str(&s[pos..pos + pat_len]);
-            pos += pat_len;
-            let start = pos;
-            while pos < bytes.len()
-                && matches!(bytes[pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                pos += 1;
-            }
-            // Only replace an actual number; leave anything else alone.
-            out.push_str(if pos > start { "0" } else { &s[start..pos] });
-        } else {
-            let c = s[pos..].chars().next().unwrap();
-            out.push(c);
-            pos += c.len_utf8();
+    let mut copied = 0; // `s[..copied]` is already in `out`
+    let mut pos = 0;
+    while let Some(quote) = bytes[pos..].iter().position(|&b| b == b'"') {
+        pos += quote + 1;
+        let rest = &bytes[pos..];
+        let Some(key) = keys
+            .iter()
+            .find(|key| rest.starts_with(key.as_bytes()) && rest[key.len()..].starts_with(b"\":"))
+        else {
+            continue;
+        };
+        pos += key.len() + 2;
+        let start = pos;
+        while pos < bytes.len()
+            && matches!(bytes[pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        {
+            pos += 1;
+        }
+        // Only replace an actual number; leave anything else alone.
+        if pos > start {
+            out.push_str(&s[copied..start]);
+            out.push('0');
+            copied = pos;
         }
     }
+    out.push_str(&s[copied..]);
     out
 }
 
@@ -413,6 +479,58 @@ mod tests {
             let err = trace_from_jsonl(bad).expect_err(bad);
             assert!(err.starts_with("trace line 1:"), "{err}");
         }
+    }
+
+    #[test]
+    fn chrome_round_trips_whole_microseconds() {
+        let _gate = crate::test_gate_lock();
+        let mut t = sample_trace();
+        for (i, ev) in t.events.iter_mut().enumerate() {
+            ev.ts_ns = 1_000 * (7 + 1_000 * i as u64);
+        }
+        t.events[1].args.push(("offset", V::I(-42)));
+        let chrome = to_chrome_trace(&t);
+        let back = trace_from_chrome(&chrome).expect("round trip parses");
+        assert_eq!(back, t);
+        assert_eq!(to_chrome_trace(&back), chrome);
+        // Sub-microsecond timestamps come back truncated.
+        t.events[2].ts_ns += 999;
+        let back = trace_from_chrome(&to_chrome_trace(&t)).expect("parses");
+        assert_eq!(back.events[2].ts_ns, t.events[2].ts_ns - 999);
+    }
+
+    #[test]
+    fn malformed_chrome_is_a_named_error_not_a_panic() {
+        let event = |body: &str| format!("{{\"traceEvents\":[{body}]}}");
+        for bad in [
+            "".to_string(),
+            "[]".to_string(),
+            "{\"traceEvents\":{}}".to_string(),
+            "{\"traceEvents\":[],\"x\":1}".to_string(),
+            event("1"),
+            event(r#"{"name":"a","ph":"X","pid":0,"tid":0,"ts":0,"args":{}}"#),
+            event(r#"{"name":"a","ph":"i","pid":0,"tid":0,"ts":0,"args":{}}"#),
+            event(r#"{"name":"a","ph":"i","pid":0,"tid":0,"ts":0,"s":"g","args":{}}"#),
+            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":0,"s":"t","args":{}}"#),
+            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":-1,"args":{}}"#),
+            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":1.5,"args":{}}"#),
+            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":18446744073709552,"args":{}}"#),
+            event(r#"{"name":"a","ph":"B","pid":"0","tid":0,"ts":0,"args":{}}"#),
+            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":0}"#),
+            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":0,"args":{"k":[1]}}"#),
+            event(r#"{"name":7,"ph":"B","pid":0,"tid":0,"ts":0,"args":{}}"#),
+        ] {
+            let err = trace_from_chrome(&bad).expect_err(&bad);
+            assert!(!err.is_empty(), "{bad}");
+            if bad.contains("\"ph\"") {
+                assert!(err.starts_with("trace event 0:"), "{bad}: {err}");
+            }
+        }
+        let ok = event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":3,"args":{}}"#);
+        assert_eq!(
+            trace_from_chrome(&ok).expect("valid").events[0].ts_ns,
+            3_000
+        );
     }
 
     #[test]

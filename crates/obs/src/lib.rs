@@ -90,7 +90,8 @@ pub mod schema;
 pub mod trace;
 
 pub use export::{
-    strip_folded, strip_profile, strip_timing, to_chrome_trace, to_jsonl, trace_from_jsonl,
+    strip_folded, strip_profile, strip_timing, to_chrome_trace, to_jsonl, trace_from_chrome,
+    trace_from_jsonl,
 };
 pub use profile::to_folded;
 pub use trace::{

@@ -4,10 +4,9 @@
 //! (algorithm, seed, per-start cuts, total timing) and serializes as a
 //! single JSON document (`schema: "mlpart-run-report-v3"`, with a per-phase
 //! `profile` rollup and a deterministic `metrics` registry; [`parse_report`]
-//! loads it back). The span tree is rebuilt from `Begin`/`End` bracketing;
-//! [`level_rows`] renders the same per-level table the CLI's `--stats` flag
-//! has always printed, now derived from trace content instead of ad-hoc
-//! plumbing.
+//! loads it back). [`build_tree`] rebuilds the span tree from
+//! `Begin`/`End` bracketing; it is the one tree builder, under the report's
+//! `spans` section, the phase rollup and the folded-stack export alike.
 
 use crate::export;
 use crate::json;
@@ -315,7 +314,7 @@ impl RunReport {
         out.push_str(&format!(
             "}},\"profile\":{{\"alloc_tracked\":{alloc_tracked},\"phases\":"
         ));
-        let phases = crate::profile::rollup_nodes(&crate::profile::nodes_from_tree(&tree));
+        let phases = crate::profile::rollup(&tree.spans);
         crate::profile::write_phases_json(&mut out, &phases);
         out.push_str("},\"metrics\":");
         let registry = crate::metrics::Registry::from_trace(&self.trace);
@@ -339,26 +338,22 @@ impl RunReport {
     }
 }
 
-/// A run report loaded back from its JSON serialization.
-///
-/// [`parse_report`] accepts the `mlpart-run-report-v3` format; the
-/// per-phase rollup is recomputed from the `spans` tree.
+/// The profile of a run report loaded back from its JSON serialization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadedReport {
-    /// Per-phase time/alloc aggregates.
+    /// Per-phase time/alloc aggregates, as the report's `profile.phases`.
     pub phases: Vec<crate::profile::PhaseAgg>,
     /// Whether the producing binary tracked allocations (`obs-alloc`).
     pub alloc_tracked: bool,
-    /// The parsed document, for callers needing more than the rollup.
-    pub doc: json::Json,
 }
 
-/// Parses a run-report JSON document.
+/// Parses a `mlpart-run-report-v3` document's `profile` section.
 ///
 /// # Errors
 ///
 /// Returns a message for malformed JSON, a missing/unknown `schema` tag, or
-/// a structurally broken `spans` section.
+/// a `profile` section that is missing, or has a missing, extra or
+/// mistyped field.
 pub fn parse_report(text: &str) -> Result<LoadedReport, String> {
     let doc = json::parse(text)?;
     let tag = doc
@@ -368,47 +363,17 @@ pub fn parse_report(text: &str) -> Result<LoadedReport, String> {
     if tag != "mlpart-run-report-v3" {
         return Err(format!("unsupported report schema {tag:?}"));
     }
-    let phases = crate::profile::phases_from_report(&doc)?;
-    let alloc_tracked = doc
-        .get("profile")
-        .and_then(|p| p.get("alloc_tracked"))
-        .and_then(json::Json::as_num)
-        == Some(1.0);
+    let profile = doc.get("profile").ok_or("report without a profile")?;
+    let [alloc_tracked, phases] =
+        json::fields(profile, ["alloc_tracked", "phases"]).map_err(|e| format!("profile: {e}"))?;
     Ok(LoadedReport {
-        phases,
-        alloc_tracked,
-        doc,
+        phases: crate::profile::read_phases_json(phases)?,
+        alloc_tracked: alloc_tracked.int::<u8>()? == 1,
     })
 }
 
-/// One per-level row of the `--stats` table, derived from trace content.
-///
-/// Field semantics match `LevelStats` in `mlpart-core`: the coarsest level
-/// reports the winning initial-partitioning try, each finer level its
-/// uncoarsening refinement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelRow {
-    /// Start index this row belongs to (0 when no `start` spans exist).
-    pub start: u64,
-    /// Hierarchy level (coarsest first in the returned order).
-    pub level: u64,
-    /// Modules in this level's netlist.
-    pub modules: u64,
-    /// Engine objective entering refinement.
-    pub cut_before: u64,
-    /// Engine objective after refinement.
-    pub cut_after: u64,
-    /// Moves attempted across the level's passes.
-    pub attempted: u64,
-    /// Moves kept after rollback.
-    pub kept: u64,
-    /// Rebalance moves after projection to this level.
-    pub rebalance_moves: u64,
-    /// Refinement passes run.
-    pub passes: u64,
-}
-
-fn arg_u64(args: &[(&'static str, V)], key: &str) -> Option<u64> {
+/// The unsigned integer value of argument `key`, if present.
+pub(crate) fn arg_u64(args: &[(&'static str, V)], key: &str) -> Option<u64> {
     args.iter()
         .find(|(k, _)| *k == key)
         .and_then(|(_, v)| match v {
@@ -416,106 +381,6 @@ fn arg_u64(args: &[(&'static str, V)], key: &str) -> Option<u64> {
             V::I(n) => u64::try_from(*n).ok(),
             _ => None,
         })
-}
-
-fn collect_pass_counters<'t>(node: &'t SpanNode, out: &mut Vec<&'t CounterSample>) {
-    for c in &node.counters {
-        if c.name == "fm_pass" || c.name == "kway_pass" {
-            out.push(c);
-        }
-    }
-    for child in &node.children {
-        collect_pass_counters(child, out);
-    }
-}
-
-fn row_from_passes(
-    start: u64,
-    level: u64,
-    modules: u64,
-    rebalance_moves: u64,
-    passes: &[&CounterSample],
-) -> LevelRow {
-    LevelRow {
-        start,
-        level,
-        modules,
-        cut_before: passes
-            .first()
-            .and_then(|c| arg_u64(&c.args, "cut_before"))
-            .unwrap_or(0),
-        cut_after: passes
-            .last()
-            .and_then(|c| arg_u64(&c.args, "cut_after"))
-            .unwrap_or(0),
-        attempted: passes
-            .iter()
-            .filter_map(|c| arg_u64(&c.args, "attempted"))
-            .sum(),
-        kept: passes.iter().filter_map(|c| arg_u64(&c.args, "kept")).sum(),
-        rebalance_moves,
-        passes: passes.len() as u64,
-    }
-}
-
-fn walk_levels(node: &SpanNode, start: u64, rows: &mut Vec<LevelRow>) {
-    let start = match node.name {
-        "start" => arg_u64(&node.args, "start").unwrap_or(start),
-        _ => start,
-    };
-    match node.name {
-        "initial" => {
-            // The coarsest-level row comes from the *winning* try, matching
-            // `LevelStats::from_passes` over the winner's pass stats.
-            let winner = node
-                .counters
-                .iter()
-                .filter(|c| c.name == "initial_winner")
-                .filter_map(|c| arg_u64(&c.args, "try"))
-                .next_back()
-                .unwrap_or(0);
-            let level = arg_u64(&node.args, "level").unwrap_or(0);
-            let modules = arg_u64(&node.args, "modules").unwrap_or(0);
-            let mut passes = Vec::new();
-            for child in &node.children {
-                if child.name == "try" && arg_u64(&child.args, "try") == Some(winner) {
-                    collect_pass_counters(child, &mut passes);
-                }
-            }
-            rows.push(row_from_passes(start, level, modules, 0, &passes));
-        }
-        "level" => {
-            let level = arg_u64(&node.args, "level").unwrap_or(0);
-            let modules = arg_u64(&node.args, "modules").unwrap_or(0);
-            let rebalance = node
-                .counters
-                .iter()
-                .filter(|c| c.name == "rebalance")
-                .filter_map(|c| arg_u64(&c.args, "moves"))
-                .sum();
-            let mut passes = Vec::new();
-            collect_pass_counters(node, &mut passes);
-            rows.push(row_from_passes(start, level, modules, rebalance, &passes));
-            return; // nothing level-shaped nests inside a level span
-        }
-        _ => {}
-    }
-    for child in &node.children {
-        walk_levels(child, start, rows);
-    }
-}
-
-/// Extracts per-level rows from a captured trace, in execution order.
-///
-/// Rows are tagged with the enclosing `start` span's index so a renderer
-/// can select one start (the CLI's `--stats` prints start 0).
-pub fn level_rows(trace: &Trace) -> Vec<LevelRow> {
-    let tree = build_tree(trace);
-    let mut rows = Vec::new();
-    for node in &tree.spans {
-        walk_levels(node, 0, &mut rows);
-    }
-    rows
 }
 
 #[cfg(test)]
@@ -607,48 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn level_rows_match_from_passes_semantics() {
-        let _gate = crate::test_gate_lock();
-        let rows = level_rows(&synthetic_run());
-        assert_eq!(rows.len(), 4); // 2 starts × (initial + level)
-                                   // Start 0: winner is try 0.
-        assert_eq!(
-            rows[0],
-            LevelRow {
-                start: 0,
-                level: 3,
-                modules: 8,
-                cut_before: 40,
-                cut_after: 30,
-                attempted: 10,
-                kept: 6,
-                rebalance_moves: 0,
-                passes: 1,
-            }
-        );
-        // Start 1: winner is try 1 → cut_before/after shift by one.
-        assert_eq!(rows[2].start, 1);
-        assert_eq!(rows[2].cut_before, 41);
-        assert_eq!(rows[2].cut_after, 31);
-        assert_eq!(rows[2].kept, 7);
-        // Uncoarsening level: two passes aggregated, first before / last after.
-        assert_eq!(
-            rows[1],
-            LevelRow {
-                start: 0,
-                level: 2,
-                modules: 16,
-                cut_before: 30,
-                cut_after: 22,
-                attempted: 32,
-                kept: 8,
-                rebalance_moves: 3,
-                passes: 2,
-            }
-        );
-    }
-
-    #[test]
     fn report_json_is_valid_and_complete() {
         let _gate = crate::test_gate_lock();
         let report = RunReport {
@@ -733,28 +556,7 @@ mod tests {
         let v2 = text.replacen("mlpart-run-report-v3", "mlpart-run-report-v2", 1);
         assert!(parse_report(&v2).is_err(), "only v3 loads");
         assert_eq!(loaded.alloc_tracked, cfg!(feature = "obs-alloc"));
-        assert_eq!(loaded.phases[0].name, "run");
-        // The serialized profile table matches the recomputed rollup.
-        let recomputed = crate::profile::phases_from_report(&loaded.doc).expect("spans");
-        let serialized = loaded
-            .doc
-            .get("profile")
-            .unwrap()
-            .get("phases")
-            .unwrap()
-            .as_arr()
-            .unwrap();
-        assert_eq!(serialized.len(), recomputed.len());
-        for (json_phase, agg) in serialized.iter().zip(&recomputed) {
-            assert_eq!(
-                json_phase.get("phase").unwrap().as_str(),
-                Some(agg.name.as_str())
-            );
-            assert_eq!(
-                json_phase.get("count").unwrap().as_num(),
-                Some(agg.count as f64)
-            );
-        }
+        assert_eq!(loaded.phases, crate::profile::phase_rollup(&report.trace));
         assert!(parse_report(r#"{"schema":"bogus","spans":[]}"#).is_err());
         assert!(parse_report("not json").is_err());
     }

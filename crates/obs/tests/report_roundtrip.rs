@@ -58,7 +58,12 @@ fn v3_report_loads_with_profile_and_metrics() {
     assert_eq!(names, ["run", "start", "level"]);
     assert_eq!(loaded.phases[1].count, 2, "two starts aggregate");
     assert!(
-        loaded.doc.get("metrics").unwrap().as_arr().is_some(),
+        json::parse(&doc)
+            .unwrap()
+            .get("metrics")
+            .unwrap()
+            .as_arr()
+            .is_some(),
         "metrics section present"
     );
 }

@@ -538,36 +538,6 @@ fn run_once(
     })
 }
 
-/// Renders `--stats` from the captured trace: the same per-level trajectory
-/// as [`print_level_stats`], reconstructed from span/counter events instead
-/// of the `LevelStats` side channel (the trace is the source of truth when
-/// tracing is on). Only the first start is shown, matching the legacy path.
-#[cfg(feature = "obs")]
-fn print_level_rows(trace: &mlpart::obs::Trace) {
-    let rows: Vec<_> = mlpart::obs::report::level_rows(trace)
-        .into_iter()
-        .filter(|r| r.start == 0)
-        .collect();
-    if rows.is_empty() {
-        eprintln!("per-level stats: none (flat algorithm)");
-        return;
-    }
-    eprintln!("level  modules  cut_before  cut_after  kept/attempted  rebalance  passes");
-    for r in &rows {
-        eprintln!(
-            "{:>5}  {:>7}  {:>10}  {:>9}  {:>6}/{:<7}  {:>9}  {:>6}",
-            r.level,
-            r.modules,
-            r.cut_before,
-            r.cut_after,
-            r.kept,
-            r.attempted,
-            r.rebalance_moves,
-            r.passes,
-        );
-    }
-}
-
 /// Writes `content` to `path` atomically (write-temp-then-rename), mapping
 /// failures to a printable message.
 #[cfg(feature = "obs")]
@@ -754,6 +724,9 @@ fn main() -> ExitCode {
             }
         }
     }
+    // Restored starts carry no per-level stats: the checkpoint stores only
+    // each start's result.
+    let start0_restored = resume_state.done.iter().any(|p| p.start == 0);
     let writer = match &args.checkpoint {
         Some(path) => {
             match CheckpointWriter::create(path, ckpt_config.header_line(), restored_lines) {
@@ -838,15 +811,18 @@ fn main() -> ExitCode {
     let mut cuts = Vec::with_capacity(batch.survivors.len());
     let mut truncations: Vec<(usize, Truncation)> = Vec::new();
     let mut repairs: Vec<(usize, RepairRecord)> = Vec::new();
-    #[cfg(feature = "obs")]
-    let print_legacy_stats = args.stats && trace.is_none();
-    #[cfg(not(feature = "obs"))]
-    let print_legacy_stats = args.stats;
     for (i, outcome) in batch.survivors {
         match outcome {
             Ok(v) => {
-                if print_legacy_stats && i == 0 {
-                    print_level_stats(&v.level_stats);
+                if args.stats && i == 0 {
+                    if start0_restored {
+                        eprintln!(
+                            "per-level stats: not shown (start 0 was restored from the \
+                             checkpoint, which does not store them)"
+                        );
+                    } else {
+                        print_level_stats(&v.level_stats);
+                    }
                 }
                 if let Some(t) = v.truncation {
                     truncations.push((i, t));
@@ -889,9 +865,6 @@ fn main() -> ExitCode {
     }
     #[cfg(feature = "obs")]
     if let Some(trace) = trace {
-        if args.stats {
-            print_level_rows(&trace);
-        }
         if let Some(path) = &args.trace_out {
             if let Err(msg) = write_text(path, &mlpart::obs::to_chrome_trace(&trace)) {
                 eprintln!("{msg}");

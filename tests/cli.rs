@@ -232,10 +232,9 @@ fn trace_and_report_outputs_are_valid_and_deterministic() {
     assert_eq!(normalize(&report1), normalize(&report4), "threads=4");
 }
 
-/// Traced `--stats` rebuilds the per-level table from the trace; it must
-/// agree with the untraced table (built from `LevelStats`) under both
-/// schedules, bisection and k-way alike. Only the untraced `fill_ms` column
-/// (wall clock) is ignored.
+/// `--stats` prints the same per-level table with tracing on and off,
+/// under both schedules, bisection and k-way alike. Only the `fill_ms`
+/// column (wall clock) is ignored.
 #[cfg(feature = "obs")]
 #[test]
 fn trace_and_report_stats_match_untraced_stats() {
@@ -271,6 +270,43 @@ fn trace_and_report_stats_match_untraced_stats() {
         assert!(untraced.len() > 2, "{extra:?}: a multilevel table");
         assert_eq!(table(extra, true), untraced, "{extra:?}");
     }
+}
+
+/// `--stats` after `--resume`: the checkpoint stores each start's result but
+/// not its per-level stats, so a restored start 0 is reported as such, not
+/// as a flat run.
+#[test]
+fn stats_after_resume_names_the_restored_start() {
+    let ckpt = temp_path("stats-resume.jsonl");
+    let _ = std::fs::remove_file(&ckpt);
+    let run = |resume: bool| {
+        let mut cmd = mlpart();
+        cmd.args([
+            "syn-balu", "--algo", "ml-c", "--runs", "3", "--seed", "4", "--stats",
+        ])
+        .arg("--checkpoint")
+        .arg(&ckpt);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let fresh = run(false);
+    assert!(fresh.lines().any(|l| l.starts_with("level")), "{fresh}");
+    let resumed = run(true);
+    let _ = std::fs::remove_file(&ckpt);
+    assert!(resumed.contains("3 of 3 starts already done"), "{resumed}");
+    assert!(!resumed.contains("flat algorithm"), "{resumed}");
+    assert!(
+        resumed.contains("start 0 was restored from the checkpoint"),
+        "{resumed}"
+    );
 }
 
 /// `--help` is a successful command (exit 0) and documents the full

@@ -50,6 +50,9 @@ pub struct LevelStats {
     pub rebalance_moves: usize,
     /// Refinement passes run at this level.
     pub passes: usize,
+    /// Candidates this level's selections checked for feasibility, summed
+    /// over its passes ([`PassStats::inspected`]).
+    pub inspected: u64,
     /// Wall-clock nanoseconds spent rebuilding gains and filling buckets,
     /// summed over this level's passes. Excluded from equality so
     /// fixed-seed runs compare equal.
@@ -68,6 +71,7 @@ impl PartialEq for LevelStats {
             && self.kept_moves == other.kept_moves
             && self.rebalance_moves == other.rebalance_moves
             && self.passes == other.passes
+            && self.inspected == other.inspected
     }
 }
 
@@ -88,6 +92,7 @@ impl LevelStats {
             kept_moves: passes.iter().map(|s| s.kept_moves as u64).sum(),
             rebalance_moves,
             passes: passes.len(),
+            inspected: passes.iter().map(|s| s.inspected).sum(),
             fill_time_ns: passes.iter().map(|s| s.fill_time_ns).sum(),
         }
     }

@@ -552,10 +552,12 @@ fn print_level_stats(stats: &[LevelStats]) {
         eprintln!("per-level stats: none (flat algorithm)");
         return;
     }
-    eprintln!("level  modules  cut_before  cut_after  kept/attempted  rebalance  passes  fill_ms");
+    eprintln!(
+        "level  modules  cut_before  cut_after  kept/attempted  rebalance  passes  inspected  fill_ms"
+    );
     for s in stats {
         eprintln!(
-            "{:>5}  {:>7}  {:>10}  {:>9}  {:>6}/{:<7}  {:>9}  {:>6}  {:>7.3}",
+            "{:>5}  {:>7}  {:>10}  {:>9}  {:>6}/{:<7}  {:>9}  {:>6}  {:>9}  {:>7.3}",
             s.level,
             s.modules,
             s.cut_before,
@@ -564,6 +566,7 @@ fn print_level_stats(stats: &[LevelStats]) {
             s.attempted_moves,
             s.rebalance_moves,
             s.passes,
+            s.inspected,
             s.fill_time_ns as f64 / 1e6,
         );
     }

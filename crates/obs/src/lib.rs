@@ -51,10 +51,10 @@
 //!
 //! # Recording model
 //!
-//! Events are recorded into a thread-local [`trace::Recorder`] installed by
-//! [`capture`]. Instrumentation hooks ([`span`], [`counter`]) are no-ops
-//! unless the runtime gate is on *and* a recorder is installed on the
-//! current thread, so a library user who never captures pays one atomic
+//! Events are recorded into a thread-local recorder (private to [`trace`])
+//! installed by [`capture`]. Instrumentation hooks ([`span`], [`counter`])
+//! are no-ops unless the runtime gate is on *and* a recorder is installed on
+//! the current thread, so a library user who never captures pays one atomic
 //! load per hook at most.
 //!
 //! ```

@@ -215,7 +215,7 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Option<Trace>) {
 /// Under the `obs-alloc` feature an armed guard also snapshots the
 /// thread's allocation tallies at `Begin` and attaches the deltas to the
 /// `End` event as `alloc_bytes`/`alloc_count`/`alloc_peak` args — the
-/// innermost-open-span attribution [`crate::alloc`] documents. The alloc
+/// innermost-open-span attribution the `alloc` module documents. The alloc
 /// args are non-normative (removed by `strip_profile`), so span content
 /// stays identical between `obs` and `obs-alloc` builds.
 #[derive(Debug)]

@@ -228,7 +228,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Sizes accepted by [`vec`]: a fixed length or a half-open range.
+    /// Sizes accepted by [`vec()`]: a fixed length or a half-open range.
     #[derive(Debug, Clone)]
     pub enum SizeRange {
         /// Exactly this many elements.

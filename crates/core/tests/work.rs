@@ -8,8 +8,10 @@ use mlpart_core::{ml_bipartition, MlConfig, Request};
 use mlpart_hypergraph::rng::seeded_rng;
 
 /// One ML_F start (LIFO FM, `R = 1`) on `syn-s13207` at seed 100: 16
-/// passes, 63,460 attempted moves and 531,813 feasibility checks (about 8.4
-/// per move).
+/// passes and 63,460 attempted moves. Before the side gate its selections
+/// made 531,813 feasibility checks (about 8.4 per move); skipping the
+/// buckets of a side that can give up no module leaves 70,429 (about 1.1),
+/// with the same picks.
 #[test]
 fn ml_f_selection_work() {
     let h = mlpart_gen::by_name("s13207")
@@ -26,5 +28,5 @@ fn ml_f_selection_work() {
     let moves: u64 = r.level_stats.iter().map(|s| s.attempted_moves).sum();
     let inspected: u64 = r.level_stats.iter().map(|s| s.inspected).sum();
     assert_eq!((passes, moves, r.cut), (16, 63_460, 186));
-    assert_eq!(inspected, 531_813);
+    assert_eq!(inspected, 70_429);
 }

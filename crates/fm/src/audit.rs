@@ -10,12 +10,15 @@
 //! Gains of *locked* modules are deliberately stale mid-pass (the FM
 //! update rules skip them), so the deep gain/bucket audit runs at pass
 //! start, when every module's gain has just been (re)initialized; the pass
-//! end audit verifies the rolled-back partition and its cut.
+//! end audit verifies the rolled-back partition and its cut. Between them,
+//! every pick made with a side closed is re-run without the side gate.
 
-use crate::engine::{Engine, FmConfig};
+use crate::bucket::{BucketPolicy, GainBuckets};
+use crate::engine::{Engine, FmConfig, BOTH_SIDES};
 use crate::state::RefineState;
 use mlpart_audit::{audit_partition, AuditError, AuditResult};
-use mlpart_hypergraph::{metrics, Hypergraph, Partition};
+use mlpart_hypergraph::rng::seeded_rng;
+use mlpart_hypergraph::{metrics, Hypergraph, ModuleId, Partition};
 
 const ST: &str = "RefineState";
 
@@ -129,11 +132,77 @@ fn recompute_gain(
     g
 }
 
+/// Recounts the side tallies of the bucket structure from its lists: each
+/// bucket's members by side against the stored per-(bucket, side) counts
+/// (Random keeps none), and each listed member's key against its bucket.
+fn audit_tallies(buckets: &GainBuckets, max_key: i32) -> AuditResult {
+    let tallied = buckets.policy() != BucketPolicy::Random;
+    for key in -max_key..=max_key {
+        let mut counted = [0u32; 2];
+        for v in buckets.bucket_members(key, BOTH_SIDES) {
+            if buckets.key_of(v) != key {
+                return Err(err(
+                    "bucket-list",
+                    format!("listed at key {key}, keyed {}", buckets.key_of(v)),
+                )
+                .with_module(v.index()));
+            }
+            match buckets.class_of(v).and_then(|c| counted.get_mut(c)) {
+                Some(n) => *n += 1,
+                None => {
+                    return Err(err(
+                        "bucket-class",
+                        format!("listed member filed under {:?}", buckets.class_of(v)),
+                    )
+                    .with_module(v.index()))
+                }
+            }
+        }
+        for (side, &n) in counted.iter().enumerate() {
+            let stored = buckets.tally(key, side);
+            if tallied && stored != Some(n) {
+                return Err(err(
+                    "side-tally",
+                    format!("key {key} side {side}: tally {stored:?}, lists hold {n}"),
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Pick audit of the side gate: when `open` closed a side, the ungated
+/// walk over both sides must pick `picked` too. LIFO and FIFO selection
+/// draws nothing from its RNG; a throwaway one keeps the engine's stream
+/// untouched regardless.
+pub fn audit_side_gate<F>(
+    buckets: &mut GainBuckets,
+    open: [bool; 2],
+    picked: Option<ModuleId>,
+    feasible: F,
+) -> AuditResult
+where
+    F: FnMut(ModuleId) -> bool,
+{
+    if open == [true, true] {
+        return Ok(());
+    }
+    let ungated = buckets.select_where(&mut seeded_rng(0), BOTH_SIDES, feasible);
+    if ungated != picked {
+        return Err(err(
+            "side-gate",
+            format!("open sides {open:?} picked {picked:?}, the ungated walk {ungated:?}"),
+        ));
+    }
+    Ok(())
+}
+
 /// Pass-start audit, run right after the buckets are filled: partition
 /// balance counters, `visible`/`pins_in` recount, the engine's running cut,
 /// every module's stored gain against an O(pins) recomputation, the CLIP
-/// reference gains, bucket keys, and the free/locked split (every bucket
-/// member unlocked; in non-boundary mode every unlocked module bucketed).
+/// reference gains, bucket keys and sides, the side tallies, and the
+/// free/locked split (every bucket member unlocked; in non-boundary mode
+/// every unlocked module bucketed).
 pub fn audit_pass_start(
     st: &RefineState,
     h: &Hypergraph,
@@ -143,6 +212,9 @@ pub fn audit_pass_start(
 ) -> AuditResult {
     audit_partition(h, p)?;
     let cut = audit_counts(st, h, p, cfg)?;
+    let Some(buckets) = st.buckets.first() else {
+        return Err(err("bound-shape", "no bucket structure bound".to_string()));
+    };
     if cut != start_cut {
         return Err(err(
             "cut-recount",
@@ -168,7 +240,7 @@ pub fn audit_pass_start(
             )
             .with_module(v.index()));
         }
-        let in_bucket = st.buckets[0].contains(v);
+        let in_bucket = buckets.contains(v);
         if in_bucket && st.locked[v.index()] {
             return Err(err(
                 "free-locked",
@@ -183,12 +255,20 @@ pub fn audit_pass_start(
             )
             .with_module(v.index()));
         }
+        let filed = buckets.class_of(v);
+        if in_bucket && filed != Some(p.part(v) as usize) {
+            return Err(err(
+                "bucket-side",
+                format!("filed under {filed:?}, module sits on side {}", p.part(v)),
+            )
+            .with_module(v.index()));
+        }
         if in_bucket {
             let want_key = match cfg.engine {
                 Engine::Fm => st.gain[v.index()],
                 Engine::Clip => st.gain[v.index()] - st.gain0[v.index()],
             };
-            let key = st.buckets[0].key_of(v);
+            let key = buckets.key_of(v);
             if key != want_key {
                 return Err(err(
                     "bucket-key",
@@ -198,7 +278,7 @@ pub fn audit_pass_start(
             }
         }
     }
-    Ok(())
+    audit_tallies(buckets, st.key_bound)
 }
 
 /// Pass-end audit, run after rollback to the best prefix: partition balance
@@ -219,11 +299,10 @@ pub fn audit_pass_end(h: &Hypergraph, p: &Partition, cfg: &FmConfig, best_cut: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bucket::BucketPolicy;
+    use crate::bucket::Filing;
     use crate::engine::refine;
     use crate::request::RefineRequest;
-    use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::{HypergraphBuilder, ModuleId};
+    use mlpart_hypergraph::HypergraphBuilder;
 
     /// 4 modules in a path: nets {0,1}, {1,2}, {2,3}.
     fn path4() -> Hypergraph {
@@ -238,14 +317,14 @@ mod tests {
     fn filled_state(h: &Hypergraph, cfg: &FmConfig) -> RefineState {
         let mut st = RefineState::default();
         st.bind_nets(h, 2, cfg.max_net_size).unwrap();
-        st.bind_modules(h, 1, 1, 4, BucketPolicy::Lifo);
+        st.bind_modules(h, 1, 2, Filing::Tallied, 4, BucketPolicy::Lifo);
         // pins per net: {0,1}→[2,0], {1,2}→[1,1], {2,3}→[0,2].
         st.pins_in.copy_from_slice(&[2, 0, 1, 1, 0, 2]);
         // Gains: ends −1, middles 0 (cut net crossing 1–2).
         st.gain.copy_from_slice(&[-1, 0, 0, -1]);
         st.gain0.copy_from_slice(&st.gain.clone());
         for v in h.modules() {
-            st.buckets[0].insert(v, 0, st.gain[v.index()]);
+            st.buckets[0].insert(v, v.index() / 2, st.gain[v.index()]);
         }
         st
     }
@@ -292,7 +371,7 @@ mod tests {
         st.gain[1] += 3;
         // Keep the bucket key consistent with the (corrupt) gain so the
         // gain recomputation itself is what fires.
-        st.buckets[0].update_key(ModuleId::from(1), 0, st.gain[1]);
+        st.buckets[0].update_key(ModuleId::from(1), st.gain[1]);
         let e = audit_pass_start(&st, &h, &p, &cfg, 1).unwrap_err();
         assert_eq!(e.check, "gain-recompute");
         assert_eq!(e.module, Some(1));
@@ -304,10 +383,48 @@ mod tests {
         let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
         let cfg = FmConfig::default();
         let mut st = filled_state(&h, &cfg);
-        st.buckets[0].update_key(ModuleId::from(2), 0, 3);
+        st.buckets[0].update_key(ModuleId::from(2), 3);
         let e = audit_pass_start(&st, &h, &p, &cfg, 1).unwrap_err();
         assert_eq!(e.check, "bucket-key");
         assert_eq!(e.module, Some(2));
+    }
+
+    #[test]
+    fn detects_module_filed_under_wrong_side() {
+        let h = path4();
+        let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
+        let cfg = FmConfig::default();
+        let mut st = filled_state(&h, &cfg);
+        // Module 2 sits on side 1 but is refiled under side 0.
+        let v = ModuleId::from(2);
+        st.buckets[0].remove(v);
+        st.buckets[0].insert(v, 0, st.gain[2]);
+        let e = audit_pass_start(&st, &h, &p, &cfg, 1).unwrap_err();
+        assert_eq!(e.check, "bucket-side");
+        assert_eq!(e.module, Some(2));
+    }
+
+    #[test]
+    fn side_gate_audit_reruns_closed_picks_ungated() {
+        let h = path4();
+        let cfg = FmConfig::default();
+        let mut st = filled_state(&h, &cfg);
+        // Ungated, LIFO picks module 2 (the newest member of key 0).
+        let any = |_| true;
+        let both = st.buckets[0].select_where(&mut seeded_rng(0), BOTH_SIDES, any);
+        assert_eq!(both, Some(ModuleId::from(2)));
+        assert_eq!(
+            audit_side_gate(&mut st.buckets[0], [true, true], None, any),
+            Ok(())
+        );
+        assert_eq!(
+            audit_side_gate(&mut st.buckets[0], [false, true], both, any),
+            Ok(())
+        );
+        // A gate that closed side 1 and so picked module 1 is caught.
+        let gated = Some(ModuleId::from(1));
+        let e = audit_side_gate(&mut st.buckets[0], [true, false], gated, any).unwrap_err();
+        assert_eq!(e.check, "side-gate");
     }
 
     #[test]

@@ -16,18 +16,24 @@
 //! bucket hint and, within buckets, until a candidate passes the caller's
 //! feasibility check; that walk is *not* O(1) per move.
 //!
-//! Under LIFO and FIFO each key bucket keeps one list per *class*, and a
-//! selection names the classes it may draw from ([`OpenClasses`]). Sanchis'
-//! k-way FM files a move by source and destination block; the k-way engine
-//! keeps one structure per destination and files each module under its
-//! source part, so a part that cannot give up any module closes its class
-//! and selection never inspects its members. The open lists of a bucket are
-//! merged by the caller's insertion stamps, newest first under LIFO and
-//! oldest first under FIFO: exactly the order one list per bucket would
-//! have, with the closed classes left out. Random ignores classes. Measured
-//! with `PassStats::inspected`, the 2-way engine (one class) makes about 33
-//! checks per move on a large ML bisection, and the k-way engine about 8.6
-//! on a quadrisection (about 183 before the source classes).
+//! Under LIFO and FIFO every member is filed under a *class*, and a
+//! selection names the classes it may draw from ([`OpenClasses`]); a
+//! closed class's members are never passed to the feasibility check. The
+//! order among the open members is always the one a single list per bucket
+//! would have. How the classes are kept apart is the caller's choice of
+//! [`Filing`]. The 2-way engine files each module under its side in one
+//! *tallied* list per bucket: with both sides open, selection walks that
+//! list exactly as classic FM does, and when a side can give up no module,
+//! a member count per (bucket, class) lets the walk skip every bucket that
+//! holds only that side. Sanchis' k-way FM files a move by source and
+//! destination block; the k-way engine keeps one structure per destination
+//! and files each module under its source part in *merged* lists, one per
+//! (bucket, class), which selection merges by the caller's insertion
+//! stamps. Random ignores classes. Measured with `PassStats::inspected`,
+//! the 2-way engine makes about 1.2 checks per move on a large ML bisection
+//! (about 33 before the side tallies, almost all of them in the few picks
+//! with one side blocked), and the k-way engine about 8.6 on a
+//! quadrisection (about 183 before the source classes).
 
 use mlpart_hypergraph::ModuleId;
 use rand::Rng;
@@ -70,15 +76,32 @@ impl std::fmt::Display for BucketPolicy {
     }
 }
 
+/// How a LIFO or FIFO structure keeps its classes apart. Both give the same
+/// selections; they differ in what a closed class costs. Random keeps no
+/// member order and ignores the filing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Filing {
+    /// One list per bucket holding every class, plus a member count per
+    /// (bucket, class). With every class open, selection walks the list as
+    /// it is and reads no count; with a class closed, it skips the buckets
+    /// that hold no open-class member and steps over closed members
+    /// without checking them. Needs no stamps.
+    Tallied,
+    /// One list per (bucket, class), merged at selection by the caller's
+    /// insertion stamps, so a closed class's members are never visited.
+    Merged,
+}
+
 const NIL: u32 = u32::MAX;
 
 /// The classes a selection may draw from, and the insertion stamps that
-/// order members of different classes.
+/// order members of different classes in a [`Filing::Merged`] structure.
 ///
 /// `stamps[v]` must be set whenever `v` is inserted, from a clock that
 /// only grows while `v` is present, so that a class list's order is its
 /// members' stamp order. One stamp per module serves several structures if
 /// every insertion of a module into any of them happens at one clock tick.
+/// A [`Filing::Tallied`] structure reads no stamps.
 #[derive(Debug, Clone, Copy)]
 pub struct OpenClasses<'a> {
     open: &'a [bool],
@@ -87,14 +110,11 @@ pub struct OpenClasses<'a> {
 
 impl<'a> OpenClasses<'a> {
     /// The one class of a one-class structure, open; no stamps are needed.
-    pub const SINGLE: OpenClasses<'static> = OpenClasses {
-        open: &[true],
-        stamps: &[],
-    };
+    pub const SINGLE: OpenClasses<'static> = OpenClasses::new(&[true], &[]);
 
     /// Class `c` is open when `open[c]` is `true`; classes past the end of
     /// `open` are closed.
-    pub fn new(open: &'a [bool], stamps: &'a [u32]) -> Self {
+    pub const fn new(open: &'a [bool], stamps: &'a [u32]) -> Self {
         OpenClasses { open, stamps }
     }
 
@@ -104,48 +124,66 @@ impl<'a> OpenClasses<'a> {
     }
 }
 
+/// Where a structure keeps its members: the list layout of a LIFO or FIFO
+/// [`Filing`], or Random's dense arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    Tallied,
+    Merged,
+    Dense,
+}
+
 /// An array-of-bucket-lists priority structure over module ids with integer
-/// gain keys in `[-max_key, +max_key]`, one list per class in each bucket.
+/// gain keys in `[-max_key, +max_key]`, each member filed under a class.
 ///
 /// # Examples
 ///
 /// ```
-/// use mlpart_fm::{BucketPolicy, GainBuckets, OpenClasses};
+/// use mlpart_fm::{BucketPolicy, Filing, GainBuckets, OpenClasses};
 /// use mlpart_hypergraph::ModuleId;
 ///
-/// // Two classes; the caller stamps each insertion from a growing clock.
-/// let mut b = GainBuckets::new(4, 3, BucketPolicy::Lifo, 2);
-/// let stamps = [0, 1, 2, 0];
+/// // Two classes in one tallied list per bucket.
+/// let mut b = GainBuckets::new(4, 3, BucketPolicy::Lifo, 2, Filing::Tallied);
 /// b.insert(ModuleId::new(0), 0, 2);
 /// b.insert(ModuleId::new(1), 1, 2);
 /// b.insert(ModuleId::new(2), 0, -1);
+/// assert_eq!(b.tally(2, 1), Some(1));
 /// let mut rng = mlpart_hypergraph::rng::seeded_rng(0);
 /// // LIFO: module 1 was inserted last at key 2, so it is inspected first.
-/// let both = OpenClasses::new(&[true, true], &stamps);
+/// let both = OpenClasses::new(&[true, true], &[]);
 /// assert_eq!(b.select_where(&mut rng, both, |_| true), Some(ModuleId::new(1)));
 /// // With class 1 closed, module 1 is never inspected.
-/// let first = OpenClasses::new(&[true, false], &stamps);
+/// let first = OpenClasses::new(&[true, false], &[]);
 /// assert_eq!(b.select_where(&mut rng, first, |_| true), Some(ModuleId::new(0)));
+/// // The structure remembers each member's class.
+/// b.remove(ModuleId::new(0));
+/// assert_eq!(b.tally(2, 0), Some(0));
+/// assert_eq!(b.class_of(ModuleId::new(1)), Some(1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct GainBuckets {
     policy: BucketPolicy,
+    layout: Layout,
     /// `bucket index = key + max_key`.
     max_key: i32,
-    /// Lists per bucket: the class count under LIFO and FIFO, 1 under
-    /// Random.
+    /// Classes a member may be filed under.
     classes: usize,
-    /// List head per (bucket, class), at `bucket * classes + class`. Under
-    /// Random it only marks occupancy: any non-`NIL` value means the bucket
-    /// has members.
+    /// List head per bucket, or per (bucket, class) at
+    /// `bucket * classes + class` in a merged structure. Under Random it
+    /// only marks occupancy: any non-`NIL` value means the bucket has
+    /// members.
     heads: Vec<u32>,
-    /// List tail per (bucket, class), sized under FIFO only.
+    /// List tails, laid out like `heads`; sized under FIFO only.
     tails: Vec<u32>,
     /// The list links, sized under LIFO and FIFO only.
     next: Vec<u32>,
     prev: Vec<u32>,
     key: Vec<i32>,
-    present: Vec<bool>,
+    /// Each module's class while it is present, `NIL` while absent.
+    class: Vec<u32>,
+    /// Members per (bucket, class) at `bucket * classes + class`; sized in
+    /// a tallied structure only.
+    tally: Vec<u32>,
     /// Random's members; empty under LIFO and FIFO.
     dense: DenseBuckets,
     /// Selection scratch: the walk position in each open list of a bucket.
@@ -157,10 +195,18 @@ pub struct GainBuckets {
 
 impl GainBuckets {
     /// Creates an empty structure for `num_modules` modules with keys in
-    /// `[-max_key, +max_key]` and `classes` lists per bucket.
-    pub fn new(num_modules: usize, max_key: i32, policy: BucketPolicy, classes: usize) -> Self {
+    /// `[-max_key, +max_key]`, each member filed under one of `classes`
+    /// classes as `filing` says.
+    pub fn new(
+        num_modules: usize,
+        max_key: i32,
+        policy: BucketPolicy,
+        classes: usize,
+        filing: Filing,
+    ) -> Self {
         let mut b = GainBuckets {
             policy,
+            layout: Layout::Tallied,
             max_key,
             classes: 1,
             heads: Vec::new(),
@@ -168,13 +214,14 @@ impl GainBuckets {
             next: Vec::new(),
             prev: Vec::new(),
             key: Vec::new(),
-            present: Vec::new(),
+            class: Vec::new(),
+            tally: Vec::new(),
             dense: DenseBuckets::default(),
             cursors: Vec::new(),
             top_hint: -1,
             len: 0,
         };
-        b.reset(num_modules, max_key, policy, classes);
+        b.reset(num_modules, max_key, policy, classes, filing);
         b
     }
 
@@ -196,10 +243,25 @@ impl GainBuckets {
         self.policy
     }
 
+    /// The number of classes members are filed under.
+    #[inline]
+    pub fn classes(&self) -> usize {
+        self.classes
+    }
+
     /// `true` if module `v` is currently in the structure.
     #[inline]
     pub fn contains(&self, v: ModuleId) -> bool {
-        self.present[v.index()]
+        self.class.get(v.index()).is_some_and(|&c| c != NIL)
+    }
+
+    /// The class module `v` is filed under, or `None` if it is absent.
+    #[inline]
+    pub fn class_of(&self, v: ModuleId) -> Option<usize> {
+        self.class
+            .get(v.index())
+            .filter(|&&c| c != NIL)
+            .map(|&c| c as usize)
     }
 
     /// Current key of module `v`.
@@ -213,6 +275,16 @@ impl GainBuckets {
         self.key[v.index()]
     }
 
+    /// The members of `class` filed at `key` by a tallied LIFO or FIFO
+    /// structure's count; `None` when the structure keeps no counts.
+    pub fn tally(&self, key: i32, class: usize) -> Option<u32> {
+        let b = self.bucket_index(key);
+        if class >= self.classes {
+            return None;
+        }
+        self.tally.get(b * self.classes + class).copied()
+    }
+
     #[inline]
     fn bucket_index(&self, key: i32) -> usize {
         debug_assert!(
@@ -223,30 +295,70 @@ impl GainBuckets {
         (key + self.max_key) as usize
     }
 
-    /// The list of `class` in bucket `b` (LIFO and FIFO). Here, in
-    /// `settle_top_hint` and in `select_where`, a one-class structure (the
-    /// 2-way engine's) takes the plain one-list path: through the class
-    /// arithmetic, constrained CLIP at k = 8 took about 4% more CPU time.
+    /// The list of `class` in bucket `b` (LIFO and FIFO): the bucket's one
+    /// list unless the structure is merged.
     #[inline]
     fn list_index(&self, b: usize, class: usize) -> usize {
         debug_assert!(class < self.classes, "class {class} of {}", self.classes);
-        if self.classes == 1 {
-            b
-        } else {
-            b * self.classes + class
+        match self.layout {
+            Layout::Merged => b * self.classes + class,
+            Layout::Tallied | Layout::Dense => b,
         }
     }
 
     /// Inserts module `v` under `class` with the given key according to the
     /// policy (LIFO: list head; FIFO: list tail; Random: the end of the
-    /// bucket's array, whatever the class).
+    /// bucket's array).
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `v` is already present, the key is out of
-    /// range, or the class is out of range under LIFO or FIFO.
+    /// range, or the class is out of range.
     pub fn insert(&mut self, v: ModuleId, class: usize, key: i32) {
         debug_assert!(!self.contains(v), "module already in structure");
+        debug_assert!(class < self.classes, "class {class} of {}", self.classes);
+        self.link(v, class, key);
+        if let Some(c) = self.class.get_mut(v.index()) {
+            *c = class as u32;
+        }
+        self.len += 1;
+    }
+
+    /// Removes module `v` from the structure.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `v` is not present.
+    pub fn remove(&mut self, v: ModuleId) {
+        let class = self.class_of(v);
+        debug_assert!(class.is_some(), "module not in structure");
+        self.unlink(v, class.unwrap_or(0));
+        if let Some(c) = self.class.get_mut(v.index()) {
+            *c = NIL;
+        }
+        self.len -= 1;
+    }
+
+    /// Changes the key of module `v`, reinserting it per the policy under
+    /// its class. A no-op key change still reinserts (moving `v` to the
+    /// head under LIFO), matching the classic implementation where every
+    /// gain update re-pushes the module.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `v` is not present.
+    pub fn update_key(&mut self, v: ModuleId, new_key: i32) {
+        let class = self.class_of(v);
+        debug_assert!(class.is_some(), "module not in structure");
+        let class = class.unwrap_or(0);
+        self.unlink(v, class);
+        self.link(v, class, new_key);
+    }
+
+    /// Files `v` under `class` at `key`: the list or array insertion, the
+    /// key, the tally and the top hint.
+    #[inline]
+    fn link(&mut self, v: ModuleId, class: usize, key: i32) {
         let b = self.bucket_index(key);
         let i = v.raw();
         match self.policy {
@@ -279,52 +391,41 @@ impl GainBuckets {
                 self.heads[b] = i;
             }
         }
+        if let Some(n) = self.tally.get_mut(b * self.classes + class) {
+            *n += 1;
+        }
         self.key[i as usize] = key;
-        self.present[i as usize] = true;
-        self.len += 1;
         self.top_hint = self.top_hint.max(b as i32);
     }
 
-    /// Removes module `v`, filed under `class`, from the structure.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `v` is not present or, under LIFO and FIFO,
-    /// is not filed under `class`.
-    pub fn remove(&mut self, v: ModuleId, class: usize) {
-        debug_assert!(self.contains(v), "module not in structure");
+    /// Takes `v`, filed under `class`, out of its list or array and its
+    /// tally.
+    #[inline]
+    fn unlink(&mut self, v: ModuleId, class: usize) {
         let i = v.raw();
         let b = self.bucket_index(self.key[i as usize]);
+        if let Some(n) = self.tally.get_mut(b * self.classes + class) {
+            *n -= 1;
+        }
         if self.policy == BucketPolicy::Random {
             if self.dense.swap_remove(b, v) {
                 self.heads[b] = NIL;
             }
-        } else {
-            let l = self.list_index(b, class);
-            let (p, n) = (self.prev[i as usize], self.next[i as usize]);
-            if p != NIL {
-                self.next[p as usize] = n;
-            } else {
-                debug_assert_eq!(self.heads[l], i, "module not filed under class {class}");
-                self.heads[l] = n;
-            }
-            if n != NIL {
-                self.prev[n as usize] = p;
-            } else if self.policy == BucketPolicy::Fifo {
-                self.tails[l] = p;
-            }
+            return;
         }
-        self.present[i as usize] = false;
-        self.len -= 1;
-    }
-
-    /// Changes the key of module `v`, filed under `class`, reinserting it
-    /// per the policy. A no-op key change still reinserts (moving `v` to the
-    /// head under LIFO), matching the classic implementation where every
-    /// gain update re-pushes the module.
-    pub fn update_key(&mut self, v: ModuleId, class: usize, new_key: i32) {
-        self.remove(v, class);
-        self.insert(v, class, new_key);
+        let l = self.list_index(b, class);
+        let (p, n) = (self.prev[i as usize], self.next[i as usize]);
+        if p != NIL {
+            self.next[p as usize] = n;
+        } else {
+            debug_assert_eq!(self.heads[l], i, "module not filed under class {class}");
+            self.heads[l] = n;
+        }
+        if n != NIL {
+            self.prev[n as usize] = p;
+        } else if self.policy == BucketPolicy::Fifo {
+            self.tails[l] = p;
+        }
     }
 
     /// Selects the highest-key module of an `open` class satisfying
@@ -333,10 +434,13 @@ impl GainBuckets {
     ///
     /// Walks buckets from the highest non-empty one downward. Within a
     /// bucket, LIFO and FIFO inspect the open classes' members in the order
-    /// one list per bucket would hold them (newest stamp first under LIFO,
-    /// oldest first under FIFO), and never pass a closed class's member to
-    /// `feasible`. Random ignores classes and inspects the whole bucket in a
-    /// uniformly random order drawn from `rng`, one draw per inspected
+    /// one list per bucket would hold them (newest first under LIFO, oldest
+    /// first under FIFO), and never pass a closed class's member to
+    /// `feasible`: a tallied structure with every class open walks its
+    /// lists as they are, and with a class closed skips the buckets whose
+    /// tallies show no open-class member; a merged one merges its open
+    /// lists by stamp. Random ignores classes and inspects the whole bucket
+    /// in a uniformly random order drawn from `rng`, one draw per inspected
     /// candidate, so a Random pick is uniform over the feasible members of
     /// the highest bucket that has any. Returns `None` if no candidate is
     /// feasible.
@@ -351,36 +455,64 @@ impl GainBuckets {
         F: FnMut(ModuleId) -> bool,
     {
         let mut b = self.settle_top_hint();
-        let newest_first = self.policy == BucketPolicy::Lifo;
-        while b >= 0 {
-            let picked = match self.policy {
-                // One list per bucket, as in the 2-way engine: walk it
-                // directly unless its class is closed.
-                BucketPolicy::Lifo | BucketPolicy::Fifo if self.classes == 1 => {
-                    if open.contains(0) {
-                        let head = self.heads.get(b as usize).copied().unwrap_or(NIL);
-                        walk_list(head, &self.next, &mut feasible)
-                    } else {
-                        None
+        match self.layout {
+            Layout::Tallied if (0..self.classes).all(|c| open.contains(c)) => {
+                while b >= 0 {
+                    let head = self.heads.get(b as usize).copied().unwrap_or(NIL);
+                    let picked = walk_list(head, &self.next, &mut feasible);
+                    if picked.is_some() {
+                        return picked;
                     }
+                    b -= 1;
                 }
-                BucketPolicy::Lifo | BucketPolicy::Fifo => walk_bucket(
-                    lists(&self.heads, self.classes, b as usize),
-                    &self.next,
-                    &mut self.cursors,
-                    open,
-                    newest_first,
-                    &mut feasible,
-                ),
-                BucketPolicy::Random if self.heads[b as usize] != NIL => {
-                    self.dense.pick(b as usize, rng, &mut feasible)
-                }
-                BucketPolicy::Random => None,
-            };
-            if picked.is_some() {
-                return picked;
             }
-            b -= 1;
+            Layout::Tallied => {
+                while b >= 0 {
+                    let members: u32 = lists(&self.tally, self.classes, b as usize)
+                        .iter()
+                        .enumerate()
+                        .filter(|&(class, _)| open.contains(class))
+                        .map(|(_, &n)| n)
+                        .sum();
+                    if members > 0 {
+                        let head = self.heads.get(b as usize).copied().unwrap_or(NIL);
+                        let picked =
+                            walk_open(head, members, &self.next, &self.class, open, &mut feasible);
+                        if picked.is_some() {
+                            return picked;
+                        }
+                    }
+                    b -= 1;
+                }
+            }
+            Layout::Merged => {
+                let newest_first = self.policy == BucketPolicy::Lifo;
+                while b >= 0 {
+                    let picked = walk_bucket(
+                        lists(&self.heads, self.classes, b as usize),
+                        &self.next,
+                        &mut self.cursors,
+                        open,
+                        newest_first,
+                        &mut feasible,
+                    );
+                    if picked.is_some() {
+                        return picked;
+                    }
+                    b -= 1;
+                }
+            }
+            Layout::Dense => {
+                while b >= 0 {
+                    if self.heads.get(b as usize).is_some_and(|&h| h != NIL) {
+                        let picked = self.dense.pick(b as usize, rng, &mut feasible);
+                        if picked.is_some() {
+                            return picked;
+                        }
+                    }
+                    b -= 1;
+                }
+            }
         }
         None
     }
@@ -397,16 +529,16 @@ impl GainBuckets {
     #[inline]
     fn settle_top_hint(&mut self) -> i32 {
         let mut top = self.top_hint;
-        if self.classes == 1 {
-            while top >= 0 && self.heads.get(top as usize).is_none_or(|&h| h == NIL) {
-                top -= 1;
-            }
-        } else {
+        if self.layout == Layout::Merged {
             while top >= 0
                 && lists(&self.heads, self.classes, top as usize)
                     .iter()
                     .all(|&h| h == NIL)
             {
+                top -= 1;
+            }
+        } else {
+            while top >= 0 && self.heads.get(top as usize).is_none_or(|&h| h == NIL) {
                 top -= 1;
             }
         }
@@ -415,35 +547,54 @@ impl GainBuckets {
     }
 
     /// Re-dimensions the structure in place for a new module count, key
-    /// range, policy and class count, reusing the existing allocations
-    /// (grow-only capacity). After `reset`, the structure is observationally
-    /// identical to `GainBuckets::new(num_modules, max_key, policy,
-    /// classes)` — this is what lets a
+    /// range, policy, class count and filing, reusing the existing
+    /// allocations (grow-only capacity). After `reset`, the structure is
+    /// observationally identical to `GainBuckets::new(num_modules, max_key,
+    /// policy, classes, filing)` — this is what lets a
     /// [`RefineWorkspace`](crate::RefineWorkspace) carry one bucket
     /// structure across every level of a multilevel run.
     ///
     /// # Panics
     ///
-    /// Panics if `max_key` is negative or `classes` is 0.
+    /// Panics if `max_key` is negative, `classes` is 0, or `classes` does
+    /// not fit in `u32`.
     pub fn reset(
         &mut self,
         num_modules: usize,
         max_key: i32,
         policy: BucketPolicy,
         classes: usize,
+        filing: Filing,
     ) {
         assert!(max_key >= 0, "max_key must be non-negative");
         assert!(classes > 0, "a bucket needs at least one class");
+        assert!(classes < NIL as usize, "class ids must fit in u32");
         let buckets = (2 * max_key + 1) as usize;
-        // Each policy sizes only its own layout; the others stay empty.
-        let (lists, tails, list_modules, dense_buckets, dense_modules) = match policy {
-            BucketPolicy::Lifo => (classes, 0, num_modules, 0, 0),
-            BucketPolicy::Fifo => (classes, buckets * classes, num_modules, 0, 0),
-            BucketPolicy::Random => (1, 0, 0, buckets, num_modules),
+        let layout = match (policy, filing) {
+            (BucketPolicy::Random, _) => Layout::Dense,
+            (_, Filing::Tallied) => Layout::Tallied,
+            (_, Filing::Merged) => Layout::Merged,
+        };
+        // Each layout sizes only its own arrays; the others stay empty.
+        let lists = if layout == Layout::Merged { classes } else { 1 };
+        let tails = if policy == BucketPolicy::Fifo {
+            buckets * lists
+        } else {
+            0
+        };
+        let tallies = if layout == Layout::Tallied {
+            buckets * classes
+        } else {
+            0
+        };
+        let (list_modules, dense_buckets, dense_modules) = match layout {
+            Layout::Dense => (0, buckets, num_modules),
+            Layout::Tallied | Layout::Merged => (num_modules, 0, 0),
         };
         self.policy = policy;
+        self.layout = layout;
         self.max_key = max_key;
-        self.classes = lists;
+        self.classes = classes;
         self.heads.clear();
         self.heads.resize(buckets * lists, NIL);
         self.tails.clear();
@@ -452,8 +603,10 @@ impl GainBuckets {
         self.prev.resize(list_modules, NIL);
         self.key.clear();
         self.key.resize(num_modules, 0);
-        self.present.clear();
-        self.present.resize(num_modules, false);
+        self.class.clear();
+        self.class.resize(num_modules, NIL);
+        self.tally.clear();
+        self.tally.resize(tallies, 0);
         self.dense.reset(dense_buckets, dense_modules);
         self.cursors.clear();
         self.cursors.reserve(lists);
@@ -467,7 +620,8 @@ impl GainBuckets {
     pub fn clear(&mut self) {
         self.heads.fill(NIL);
         self.tails.fill(NIL);
-        self.present.fill(false);
+        self.class.fill(NIL);
+        self.tally.fill(0);
         self.dense.clear();
         self.top_hint = -1;
         self.len = 0;
@@ -476,32 +630,40 @@ impl GainBuckets {
     /// The members of the bucket holding `key` in its open classes: in
     /// selection order under LIFO and FIFO; the whole bucket in arbitrary
     /// order under Random, where selection reorders the bucket. Intended for
-    /// tests and lookahead selection.
+    /// tests, audits and lookahead selection.
     pub fn bucket_members(&self, key: i32, open: OpenClasses<'_>) -> Vec<ModuleId> {
         let b = self.bucket_index(key);
-        if self.policy == BucketPolicy::Random {
-            return self.dense.members.get(b).cloned().unwrap_or_default();
-        }
         let mut out = Vec::new();
-        walk_bucket(
-            lists(&self.heads, self.classes, b),
-            &self.next,
-            &mut Vec::new(),
-            open,
-            self.policy == BucketPolicy::Lifo,
-            &mut |v| {
-                out.push(v);
-                false
-            },
-        );
+        let mut collect = |v| {
+            out.push(v);
+            false
+        };
+        match self.layout {
+            Layout::Dense => return self.dense.members.get(b).cloned().unwrap_or_default(),
+            Layout::Tallied => {
+                let head = self.heads.get(b).copied().unwrap_or(NIL);
+                let members = u32::try_from(self.len).unwrap_or(NIL);
+                walk_open(head, members, &self.next, &self.class, open, &mut collect);
+            }
+            Layout::Merged => {
+                walk_bucket(
+                    lists(&self.heads, self.classes, b),
+                    &self.next,
+                    &mut Vec::new(),
+                    open,
+                    self.policy == BucketPolicy::Lifo,
+                    &mut collect,
+                );
+            }
+        }
         out
     }
 }
 
-/// The list heads of bucket `b`, one per class.
+/// The `classes` entries of bucket `b` in a per-(bucket, class) array.
 #[inline]
-fn lists(heads: &[u32], classes: usize, b: usize) -> &[u32] {
-    heads.get(b * classes..(b + 1) * classes).unwrap_or(&[])
+fn lists(entries: &[u32], classes: usize, b: usize) -> &[u32] {
+    entries.get(b * classes..(b + 1) * classes).unwrap_or(&[])
 }
 
 /// Visits the list that starts at `cur`, head to tail, until `visit`
@@ -515,6 +677,37 @@ where
         let m = ModuleId::from(cur);
         if visit(m) {
             return Some(m);
+        }
+        cur = next.get(cur as usize).copied().unwrap_or(NIL);
+    }
+    None
+}
+
+/// Visits the `open`-class members of the tallied list that starts at
+/// `cur`, head to tail, until `visit` accepts one, and returns it. Members
+/// of closed classes (`class` gives each member's) are stepped over
+/// unvisited, and the walk ends once it has visited `members` of them: the
+/// bucket's open-class tally.
+#[inline]
+fn walk_open<F>(
+    mut cur: u32,
+    mut members: u32,
+    next: &[u32],
+    class: &[u32],
+    open: OpenClasses<'_>,
+    visit: &mut F,
+) -> Option<ModuleId>
+where
+    F: FnMut(ModuleId) -> bool,
+{
+    while cur != NIL && members > 0 {
+        let c = class.get(cur as usize).copied().unwrap_or(NIL);
+        if open.contains(c as usize) {
+            members -= 1;
+            let m = ModuleId::from(cur);
+            if visit(m) {
+                return Some(m);
+            }
         }
         cur = next.get(cur as usize).copied().unwrap_or(NIL);
     }
@@ -687,9 +880,9 @@ mod tests {
     }
 
     impl Filed {
-        fn new(n: usize, policy: BucketPolicy, classes: usize) -> Self {
+        fn new(n: usize, policy: BucketPolicy, classes: usize, filing: Filing) -> Self {
             Filed {
-                b: GainBuckets::new(n, 4, policy, classes),
+                b: GainBuckets::new(n, 4, policy, classes, filing),
                 stamps: vec![0; n],
                 clock: 0,
             }
@@ -702,10 +895,13 @@ mod tests {
         }
     }
 
+    /// Both filings: they must select alike.
+    const FILINGS: [Filing; 2] = [Filing::Tallied, Filing::Merged];
+
     /// Modules 0..6 at key 1 in classes 0, 1, 2, 0, 1, 2 (filed in id
     /// order), and module 6 in class 0 at key 0.
-    fn interleaved(policy: BucketPolicy) -> Filed {
-        let mut f = Filed::new(7, policy, 3);
+    fn interleaved(policy: BucketPolicy, filing: Filing) -> Filed {
+        let mut f = Filed::new(7, policy, 3, filing);
         for v in 0..6 {
             f.file(v, v % 3, 1);
         }
@@ -715,51 +911,58 @@ mod tests {
 
     #[test]
     fn lifo_merges_classes_newest_first() {
-        let mut f = interleaved(BucketPolicy::Lifo);
-        let all = OpenClasses::new(&[true, true, true], &f.stamps);
-        let ids = |v: Vec<ModuleId>| v.into_iter().map(|m| m.index()).collect::<Vec<_>>();
-        assert_eq!(ids(f.b.bucket_members(1, all)), [5, 4, 3, 2, 1, 0]);
-        let no_1 = OpenClasses::new(&[true, false, true], &f.stamps);
-        assert_eq!(ids(f.b.bucket_members(1, no_1)), [5, 3, 2, 0]);
-        let only_1 = OpenClasses::new(&[false, true], &f.stamps);
-        assert_eq!(ids(f.b.bucket_members(1, only_1)), [4, 1]);
-        let mut rng = seeded_rng(0);
-        assert_eq!(f.b.select_where(&mut rng, all, |_| true), Some(m(5)));
-        assert_eq!(
-            f.b.select_where(&mut rng, no_1, |v| v.index() < 5),
-            Some(m(3))
-        );
-        // Re-filing module 0 makes it the newest member of the bucket.
-        f.b.remove(m(0), 0);
-        f.file(0, 0, 1);
-        let all = OpenClasses::new(&[true, true, true], &f.stamps);
-        assert_eq!(ids(f.b.bucket_members(1, all)), [0, 5, 4, 3, 2, 1]);
+        for filing in FILINGS {
+            let mut f = interleaved(BucketPolicy::Lifo, filing);
+            let all = OpenClasses::new(&[true, true, true], &f.stamps);
+            let ids = |v: Vec<ModuleId>| v.into_iter().map(|m| m.index()).collect::<Vec<_>>();
+            assert_eq!(ids(f.b.bucket_members(1, all)), [5, 4, 3, 2, 1, 0]);
+            let no_1 = OpenClasses::new(&[true, false, true], &f.stamps);
+            assert_eq!(ids(f.b.bucket_members(1, no_1)), [5, 3, 2, 0]);
+            let only_1 = OpenClasses::new(&[false, true], &f.stamps);
+            assert_eq!(ids(f.b.bucket_members(1, only_1)), [4, 1]);
+            let mut rng = seeded_rng(0);
+            assert_eq!(f.b.select_where(&mut rng, all, |_| true), Some(m(5)));
+            assert_eq!(
+                f.b.select_where(&mut rng, no_1, |v| v.index() < 5),
+                Some(m(3))
+            );
+            // Re-filing module 0 makes it the newest member of the bucket.
+            f.b.remove(m(0));
+            f.file(0, 0, 1);
+            let all = OpenClasses::new(&[true, true, true], &f.stamps);
+            assert_eq!(ids(f.b.bucket_members(1, all)), [0, 5, 4, 3, 2, 1]);
+        }
     }
 
     #[test]
     fn fifo_merges_classes_oldest_first() {
-        let mut f = interleaved(BucketPolicy::Fifo);
-        let all = OpenClasses::new(&[true, true, true], &f.stamps);
-        let ids = |v: Vec<ModuleId>| v.into_iter().map(|m| m.index()).collect::<Vec<_>>();
-        assert_eq!(ids(f.b.bucket_members(1, all)), [0, 1, 2, 3, 4, 5]);
-        let no_0 = OpenClasses::new(&[false, true, true], &f.stamps);
-        assert_eq!(ids(f.b.bucket_members(1, no_0)), [1, 2, 4, 5]);
-        let mut rng = seeded_rng(0);
-        assert_eq!(
-            f.b.select_where(&mut rng, no_0, |v| v.index() > 1),
-            Some(m(2))
-        );
-        // Re-filing module 0 makes it the newest member of the bucket.
-        f.b.remove(m(0), 0);
-        f.file(0, 0, 1);
-        let all = OpenClasses::new(&[true, true, true], &f.stamps);
-        assert_eq!(ids(f.b.bucket_members(1, all)), [1, 2, 3, 4, 5, 0]);
+        for filing in FILINGS {
+            let mut f = interleaved(BucketPolicy::Fifo, filing);
+            let all = OpenClasses::new(&[true, true, true], &f.stamps);
+            let ids = |v: Vec<ModuleId>| v.into_iter().map(|m| m.index()).collect::<Vec<_>>();
+            assert_eq!(ids(f.b.bucket_members(1, all)), [0, 1, 2, 3, 4, 5]);
+            let no_0 = OpenClasses::new(&[false, true, true], &f.stamps);
+            assert_eq!(ids(f.b.bucket_members(1, no_0)), [1, 2, 4, 5]);
+            let mut rng = seeded_rng(0);
+            assert_eq!(
+                f.b.select_where(&mut rng, no_0, |v| v.index() > 1),
+                Some(m(2))
+            );
+            // Re-filing module 0 makes it the newest member of the bucket.
+            f.b.remove(m(0));
+            f.file(0, 0, 1);
+            let all = OpenClasses::new(&[true, true, true], &f.stamps);
+            assert_eq!(ids(f.b.bucket_members(1, all)), [1, 2, 3, 4, 5, 0]);
+        }
     }
 
     #[test]
     fn closed_class_members_are_never_checked() {
-        for policy in [BucketPolicy::Lifo, BucketPolicy::Fifo] {
-            let mut f = interleaved(policy);
+        for (policy, filing) in [BucketPolicy::Lifo, BucketPolicy::Fifo]
+            .into_iter()
+            .flat_map(|p| FILINGS.map(|f| (p, f)))
+        {
+            let mut f = interleaved(policy, filing);
             let mut checked = Vec::new();
             let open = OpenClasses::new(&[false, true], &f.stamps);
             let mut rng = seeded_rng(0);
@@ -769,15 +972,15 @@ mod tests {
             });
             // Class 2 lies past the end of `open`, so it is closed too;
             // class 0's module 6 in the lower bucket is never reached.
-            assert_eq!(got, None, "{policy}");
+            assert_eq!(got, None, "{policy} {filing:?}");
             checked.sort_unstable();
-            assert_eq!(checked, [1, 4], "{policy}");
+            assert_eq!(checked, [1, 4], "{policy} {filing:?}");
         }
     }
 
     #[test]
     fn lifo_order_within_bucket() {
-        let mut b = GainBuckets::new(5, 4, BucketPolicy::Lifo, 1);
+        let mut b = GainBuckets::new(5, 4, BucketPolicy::Lifo, 1, Filing::Tallied);
         b.insert(m(0), 0, 2);
         b.insert(m(1), 0, 2);
         b.insert(m(2), 0, 2);
@@ -788,7 +991,7 @@ mod tests {
 
     #[test]
     fn fifo_order_within_bucket() {
-        let mut b = GainBuckets::new(5, 4, BucketPolicy::Fifo, 1);
+        let mut b = GainBuckets::new(5, 4, BucketPolicy::Fifo, 1, Filing::Tallied);
         b.insert(m(0), 0, 2);
         b.insert(m(1), 0, 2);
         b.insert(m(2), 0, 2);
@@ -799,19 +1002,19 @@ mod tests {
 
     #[test]
     fn selection_prefers_higher_key() {
-        let mut b = GainBuckets::new(5, 4, BucketPolicy::Lifo, 1);
+        let mut b = GainBuckets::new(5, 4, BucketPolicy::Lifo, 1, Filing::Tallied);
         b.insert(m(0), 0, -3);
         b.insert(m(1), 0, 4);
         b.insert(m(2), 0, 0);
         let mut rng = seeded_rng(0);
         assert_eq!(b.select_where(&mut rng, ONE, |_| true), Some(m(1)));
-        b.remove(m(1), 0);
+        b.remove(m(1));
         assert_eq!(b.select_where(&mut rng, ONE, |_| true), Some(m(2)));
     }
 
     #[test]
     fn selection_skips_infeasible() {
-        let mut b = GainBuckets::new(5, 4, BucketPolicy::Lifo, 1);
+        let mut b = GainBuckets::new(5, 4, BucketPolicy::Lifo, 1, Filing::Tallied);
         b.insert(m(0), 0, 4);
         b.insert(m(1), 0, 4);
         b.insert(m(2), 0, 1);
@@ -828,10 +1031,10 @@ mod tests {
 
     #[test]
     fn update_key_moves_between_buckets() {
-        let mut b = GainBuckets::new(3, 4, BucketPolicy::Lifo, 1);
+        let mut b = GainBuckets::new(3, 4, BucketPolicy::Lifo, 1, Filing::Tallied);
         b.insert(m(0), 0, 1);
         b.insert(m(1), 0, 1);
-        b.update_key(m(0), 0, 3);
+        b.update_key(m(0), 3);
         assert_eq!(b.key_of(m(0)), 3);
         assert_eq!(b.bucket_members(3, ONE), vec![m(0)]);
         assert_eq!(b.bucket_members(1, ONE), vec![m(1)]);
@@ -841,25 +1044,25 @@ mod tests {
 
     #[test]
     fn update_key_same_value_moves_to_head_under_lifo() {
-        let mut b = GainBuckets::new(3, 4, BucketPolicy::Lifo, 1);
+        let mut b = GainBuckets::new(3, 4, BucketPolicy::Lifo, 1, Filing::Tallied);
         b.insert(m(0), 0, 1);
         b.insert(m(1), 0, 1);
         // m(1) is currently head; re-push m(0) at the same key.
-        b.update_key(m(0), 0, 1);
+        b.update_key(m(0), 1);
         assert_eq!(b.bucket_members(1, ONE), vec![m(0), m(1)]);
     }
 
     #[test]
     fn remove_middle_tail_head() {
-        let mut b = GainBuckets::new(4, 2, BucketPolicy::Fifo, 1);
+        let mut b = GainBuckets::new(4, 2, BucketPolicy::Fifo, 1, Filing::Tallied);
         for i in 0..4 {
             b.insert(m(i), 0, 0);
         }
-        b.remove(m(1), 0); // middle
+        b.remove(m(1)); // middle
         assert_eq!(b.bucket_members(0, ONE), vec![m(0), m(2), m(3)]);
-        b.remove(m(3), 0); // tail
+        b.remove(m(3)); // tail
         assert_eq!(b.bucket_members(0, ONE), vec![m(0), m(2)]);
-        b.remove(m(0), 0); // head
+        b.remove(m(0)); // head
         assert_eq!(b.bucket_members(0, ONE), vec![m(2)]);
         assert_eq!(b.len(), 1);
         // Tail pointer still valid: insert appends after m(2).
@@ -869,7 +1072,7 @@ mod tests {
 
     #[test]
     fn random_policy_selects_all_members_over_time() {
-        let mut b = GainBuckets::new(3, 1, BucketPolicy::Random, 1);
+        let mut b = GainBuckets::new(3, 1, BucketPolicy::Random, 1, Filing::Tallied);
         b.insert(m(0), 0, 1);
         b.insert(m(1), 0, 1);
         b.insert(m(2), 0, 1);
@@ -884,7 +1087,7 @@ mod tests {
 
     #[test]
     fn random_policy_respects_feasibility() {
-        let mut b = GainBuckets::new(3, 1, BucketPolicy::Random, 1);
+        let mut b = GainBuckets::new(3, 1, BucketPolicy::Random, 1, Filing::Tallied);
         b.insert(m(0), 0, 1);
         b.insert(m(1), 0, 1);
         b.insert(m(2), 0, 0);
@@ -909,7 +1112,7 @@ mod tests {
         // the 6 even ones).
         for (stride, critical) in [(1, 31.264), (2, 20.515)] {
             let feasible = |v: ModuleId| v.index().is_multiple_of(stride);
-            let mut b = GainBuckets::new(MEMBERS + 1, 3, BucketPolicy::Random, 1);
+            let mut b = GainBuckets::new(MEMBERS + 1, 3, BucketPolicy::Random, 1, Filing::Tallied);
             for i in 0..MEMBERS {
                 b.insert(m(i), 0, 2);
             }
@@ -946,7 +1149,7 @@ mod tests {
 
     #[test]
     fn negative_keys_work() {
-        let mut b = GainBuckets::new(2, 5, BucketPolicy::Lifo, 1);
+        let mut b = GainBuckets::new(2, 5, BucketPolicy::Lifo, 1, Filing::Tallied);
         b.insert(m(0), 0, -5);
         b.insert(m(1), 0, -4);
         let mut rng = seeded_rng(0);
@@ -956,7 +1159,7 @@ mod tests {
     #[test]
     fn clear_resets() {
         for policy in [BucketPolicy::Lifo, BucketPolicy::Random] {
-            let mut b = GainBuckets::new(3, 2, policy, 1);
+            let mut b = GainBuckets::new(3, 2, policy, 1, Filing::Tallied);
             b.insert(m(0), 0, 2);
             b.insert(m(1), 0, -2);
             b.clear();
@@ -973,38 +1176,38 @@ mod tests {
 
     #[test]
     fn len_and_contains_track_membership() {
-        let mut b = GainBuckets::new(3, 2, BucketPolicy::Lifo, 1);
+        let mut b = GainBuckets::new(3, 2, BucketPolicy::Lifo, 1, Filing::Tallied);
         assert!(b.is_empty());
         b.insert(m(1), 0, 0);
         assert_eq!(b.len(), 1);
         assert!(b.contains(m(1)));
         assert!(!b.contains(m(0)));
-        b.remove(m(1), 0);
+        b.remove(m(1));
         assert_eq!(b.len(), 0);
     }
 
     #[test]
     fn max_key_tracks_top() {
-        let mut b = GainBuckets::new(4, 5, BucketPolicy::Lifo, 1);
+        let mut b = GainBuckets::new(4, 5, BucketPolicy::Lifo, 1, Filing::Tallied);
         assert_eq!(b.max_key(), None);
         b.insert(m(0), 0, -2);
         b.insert(m(1), 0, 3);
         assert_eq!(b.max_key(), Some(3));
-        b.remove(m(1), 0);
+        b.remove(m(1));
         assert_eq!(b.max_key(), Some(-2));
-        b.update_key(m(0), 0, 5);
+        b.update_key(m(0), 5);
         assert_eq!(b.max_key(), Some(5));
     }
 
     #[test]
     fn top_hint_recovers_after_mass_removal() {
-        let mut b = GainBuckets::new(10, 5, BucketPolicy::Lifo, 1);
+        let mut b = GainBuckets::new(10, 5, BucketPolicy::Lifo, 1, Filing::Tallied);
         for i in 0..10 {
             b.insert(m(i), 0, (i as i32) - 5);
         }
         // Remove the top half.
         for i in (5..10).rev() {
-            b.remove(m(i), 0);
+            b.remove(m(i));
         }
         let mut rng = seeded_rng(0);
         assert_eq!(b.select_where(&mut rng, ONE, |_| true), Some(m(4)));

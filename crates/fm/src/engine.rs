@@ -9,7 +9,10 @@
 //!   until one fails to improve.
 //! * **Balance** (§III-B): side areas bounded by `A(V)/2 ± max(A(v*), r·A(V))`
 //!   ([`BipartBalance`]); every prefix of the move sequence is feasible
-//!   because each move is feasibility-checked.
+//!   because each move is feasibility-checked. Before each LIFO/FIFO pick
+//!   an exact side gate closes a side that can give up no module of any
+//!   area, so selection never checks that side's modules; the picks are
+//!   the ones an ungated walk makes.
 //! * **Large nets** (§III-B): nets with more than
 //!   [`max_net_size`](FmConfig::max_net_size) (default 200) pins are ignored
 //!   by the engine and re-inserted when measuring solution quality.
@@ -23,7 +26,7 @@
 //! initially) and [`FmConfig::early_exit_stall`] (abandon a pass after a run
 //! of non-improving moves).
 
-use crate::bucket::{BucketPolicy, OpenClasses};
+use crate::bucket::{BucketPolicy, Filing, OpenClasses};
 use crate::request::{expect_valid, RefineError, RefineRequest, RequestParts};
 use crate::state::{GainSpread, PassStats, RefineState, RefineWorkspace};
 use mlpart_hypergraph::rng::MlRng;
@@ -265,6 +268,7 @@ fn run(
 ) -> FmResult {
     let ratio = || PartBounds::from_bipart(&BipartBalance::new(h, cfg.balance_r));
     let bounds = r.bounds.map_or_else(|| Cow::Owned(ratio()), Cow::Borrowed);
+    let gate = SideGate::new(h, &bounds);
     let (st, meter) = (&mut r.ws.state, r.meter);
     obs_span!(
         "fm_refine",
@@ -282,7 +286,7 @@ fn run(
         if !meter.pass_checkpoint(passes as u32) {
             break;
         }
-        let outcome = st.run_pass(h, p, cfg, &bounds, rng, passes);
+        let outcome = st.run_pass(h, p, cfg, &gate, rng, passes);
         passes += 1;
         meter.note_pass(outcome.stats.attempted_moves as u64);
         kept_moves += outcome.stats.kept_moves as u64;
@@ -302,9 +306,10 @@ fn run(
     }
 }
 
-/// Binds the shared state to `h` in its 2-way shape: one bucket structure,
-/// key range from the max visible incident weight (doubled for CLIP
-/// deltas), and the modules of `fixed` marked.
+/// Binds the shared state to `h` in its 2-way shape: one bucket structure
+/// filing each module under its side in tallied lists, key range from the
+/// max visible incident weight (doubled for CLIP deltas), and the modules
+/// of `fixed` marked.
 fn bind_bipart(
     st: &mut RefineState,
     h: &Hypergraph,
@@ -316,7 +321,7 @@ fn bind_bipart(
         Engine::Fm => max_vis_weight,
         Engine::Clip => 2 * max_vis_weight,
     };
-    st.bind_modules(h, 1, 1, max_key, cfg.policy);
+    st.bind_modules(h, 1, 2, Filing::Tallied, max_key, cfg.policy);
     st.fix(fixed);
     Ok(())
 }
@@ -326,10 +331,64 @@ struct PassOutcome {
     stats: PassStats,
 }
 
+/// Both sides open: the view for an ungated pick.
+pub(crate) const BOTH_SIDES: OpenClasses<'static> = OpenClasses::new(&[true, true], &[]);
+
+/// The exact side gate of 2-way selection. Every module's area lies in
+/// `[min_area, max_area]`, so when no area in that range keeps both sides
+/// inside their windows after a move off side `s`, no module of `s` can
+/// move and `s` is closed: selection never checks its members. The gate
+/// assumes nothing of the current areas. A side outside its window is not
+/// monotone in the moved area (too small an area may leave it too full,
+/// too large may overshoot the other side), so it tests the interval of
+/// feasible areas, not one end of it.
+struct SideGate<'a> {
+    bounds: &'a PartBounds,
+    min_area: u64,
+    max_area: u64,
+}
+
+impl<'a> SideGate<'a> {
+    /// The gate of `h` under `bounds`; scans the module areas once.
+    fn new(h: &Hypergraph, bounds: &'a PartBounds) -> Self {
+        let areas = h.areas();
+        SideGate {
+            bounds,
+            min_area: areas.iter().copied().min().unwrap_or(0),
+            max_area: areas.iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    /// Which sides may give up a module when they hold `a0` and `a1`.
+    fn open(&self, [a0, a1]: [u64; 2]) -> [bool; 2] {
+        [self.gives(0, a0, a1), self.gives(1, a1, a0)]
+    }
+
+    /// `true` when some `a` in `[min_area, max_area]` keeps side `s`
+    /// (holding `from`) and the other side `o` (holding `to`) in their
+    /// windows after a move of area `a` from `s` to `o`:
+    /// `a ≥ max(from − hi_s, lo_o − to)` and `a ≤ min(from − lo_s, hi_o − to)`.
+    fn gives(&self, s: PartId, from: u64, to: u64) -> bool {
+        let o = 1 - s;
+        let (Some(keep_s), Some(room_o)) = (
+            from.checked_sub(self.bounds.lo(s)),
+            self.bounds.hi(o).checked_sub(to),
+        ) else {
+            return false;
+        };
+        let least = from
+            .saturating_sub(self.bounds.hi(s))
+            .max(self.bounds.lo(o).saturating_sub(to))
+            .max(self.min_area);
+        least <= keep_s.min(room_o).min(self.max_area)
+    }
+}
+
 /// The 2-way pass algorithm, implemented over the shared [`RefineState`].
 /// The state's `pins_in` is 2-strided (`pins_in[2e + side]`) and
-/// `buckets[0]` is the single bucket structure — moves always target the
-/// other side, so per-destination buckets are unnecessary at `k = 2`.
+/// `buckets[0]` is the single bucket structure, filing each module under
+/// its side — moves always target the other side, so per-destination
+/// buckets are unnecessary at `k = 2`.
 impl RefineState {
     /// Recomputes `pins_in` and `gain` from scratch (the paper's
     /// implementation reinitializes the entire structure before each pass).
@@ -422,7 +481,7 @@ impl RefineState {
             Engine::Fm => {
                 for v in h.modules() {
                     if eligible(self, v) {
-                        self.buckets[0].insert(v, 0, self.gain[v.index()]);
+                        self.buckets[0].insert(v, p.part(v) as usize, self.gain[v.index()]);
                     }
                 }
             }
@@ -436,18 +495,17 @@ impl RefineState {
                 match cfg.policy {
                     BucketPolicy::Lifo => {
                         for &v in &order {
-                            self.buckets[0].insert(v, 0, 0);
+                            self.buckets[0].insert(v, p.part(v) as usize, 0);
                         }
                     }
                     BucketPolicy::Fifo | BucketPolicy::Random => {
                         for &v in order.iter().rev() {
-                            self.buckets[0].insert(v, 0, 0);
+                            self.buckets[0].insert(v, p.part(v) as usize, 0);
                         }
                     }
                 }
             }
         }
-        let _ = p;
     }
 
     /// Applies the FM incremental gain-update rules for moving `v` across the
@@ -462,7 +520,7 @@ impl RefineState {
     ) {
         self.locked[v.index()] = true;
         if self.buckets[0].contains(v) {
-            self.buckets[0].remove(v, 0);
+            self.buckets[0].remove(v);
         }
         self.shift_module(h, p, v, cfg, cut);
     }
@@ -493,7 +551,7 @@ impl RefineState {
                 *cut += w as u64;
                 // Net was uncut on `from`; every other pin gains desire to
                 // follow (their "net becomes uncut if I move" term appears).
-                self.bump_net_gains(h, e, v, w, cfg);
+                self.bump_net_gains(h, p, e, v, w, cfg);
             } else if t_before == 1 {
                 // The lone pin on `to` no longer saves the net by moving.
                 self.bump_single_side_gain(h, p, e, v, to as u32, -w, cfg);
@@ -504,7 +562,7 @@ impl RefineState {
             let f_after = self.pins_in[2 * ei + from];
             if f_after == 0 {
                 *cut -= w as u64;
-                self.bump_net_gains(h, e, v, -w, cfg);
+                self.bump_net_gains(h, p, e, v, -w, cfg);
             } else if f_after == 1 {
                 // The lone remaining pin on `from` can now uncut the net.
                 self.bump_single_side_gain(h, p, e, v, from as u32, w, cfg);
@@ -513,9 +571,11 @@ impl RefineState {
     }
 
     /// Adds `delta` to the gain of every unlocked pin of `e` other than `v`.
+    #[allow(clippy::too_many_arguments)]
     fn bump_net_gains(
         &mut self,
         h: &Hypergraph,
+        p: &Partition,
         e: NetId,
         v: ModuleId,
         delta: i32,
@@ -523,7 +583,7 @@ impl RefineState {
     ) {
         for &w in h.pins(e) {
             if w != v && !self.locked[w.index()] {
-                self.change_gain(w, delta, cfg);
+                self.change_gain(p, w, delta, cfg);
             }
         }
     }
@@ -544,21 +604,23 @@ impl RefineState {
         for &w in h.pins(e) {
             if w != v && p.part(w) == side {
                 if !self.locked[w.index()] {
-                    self.change_gain(w, delta, cfg);
+                    self.change_gain(p, w, delta, cfg);
                 }
                 break;
             }
         }
     }
 
-    fn change_gain(&mut self, w: ModuleId, delta: i32, cfg: &FmConfig) {
+    /// Adds `delta` to the gain of `w` and re-files it under its stored
+    /// side; only a module entering the structure reads its side from `p`.
+    fn change_gain(&mut self, p: &Partition, w: ModuleId, delta: i32, cfg: &FmConfig) {
         self.gain[w.index()] += delta;
         let key = self.bucket_key(w, cfg.engine);
         if self.buckets[0].contains(w) {
-            self.buckets[0].update_key(w, 0, key);
+            self.buckets[0].update_key(w, key);
         } else {
             // Boundary mode: a module touched by a move enters the structure.
-            self.buckets[0].insert(w, 0, key);
+            self.buckets[0].insert(w, p.part(w) as usize, key);
         }
     }
 
@@ -602,7 +664,7 @@ impl RefineState {
         let top = self.buckets[0].max_key()?;
         let mut key = top;
         while key >= -self.key_bound {
-            let members = self.buckets[0].bucket_members(key, OpenClasses::SINGLE);
+            let members = self.buckets[0].bucket_members(key, BOTH_SIDES);
             let mut best: Option<(i32, ModuleId)> = None;
             for v in members {
                 if !feasible(v) {
@@ -627,7 +689,7 @@ impl RefineState {
         h: &Hypergraph,
         p: &mut Partition,
         cfg: &FmConfig,
-        bounds: &PartBounds,
+        gate: &SideGate<'_>,
         rng: &mut MlRng,
         pass_no: usize,
     ) -> PassOutcome {
@@ -649,6 +711,8 @@ impl RefineState {
             .map_err(|e| e.with_pass(pass_no)));
 
         let total = h.total_area();
+        // Random and lookahead picks stay ungated.
+        let gated = cfg.policy != BucketPolicy::Random && !cfg.lookahead;
         let mut cut = start_cut;
         let mut best_cut = start_cut;
         let mut best_len = 0usize;
@@ -668,8 +732,8 @@ impl RefineState {
             let pick = {
                 let part_of = p.assignment();
                 let areas = h.areas();
-                let check = |v: ModuleId| {
-                    inspected += 1;
+                let bounds = gate.bounds;
+                let feasible = |v: ModuleId| {
                     let a = areas[v.index()];
                     let new_a0 = if part_of[v.index()] == 0 {
                         area0 - a
@@ -679,10 +743,25 @@ impl RefineState {
                     let new_a1 = total - new_a0.min(total);
                     bounds.is_area_feasible(0, new_a0) && bounds.is_area_feasible(1, new_a1)
                 };
+                let check = |v: ModuleId| {
+                    inspected += 1;
+                    feasible(v)
+                };
                 if cfg.lookahead {
                     self.select_lookahead(h, p, check)
                 } else {
-                    self.buckets[0].select_where(rng, OpenClasses::SINGLE, check)
+                    let open = if gated {
+                        gate.open([area0, p.part_area(1)])
+                    } else {
+                        [true, true]
+                    };
+                    let buckets = &mut self.buckets[0];
+                    let picked = buckets.select_where(rng, OpenClasses::new(&open, &[]), check);
+                    audit!(
+                        crate::audit::audit_side_gate(buckets, open, picked, feasible)
+                            .map_err(|e| e.with_pass(pass_no))
+                    );
+                    picked
                 }
             };
             let Some(v) = pick else { break };
@@ -713,7 +792,7 @@ impl RefineState {
                             self.locked[u.index()] = false;
                             self.recompute_gain_of(h, p, u);
                             let key = self.bucket_key(u, cfg.engine);
-                            self.buckets[0].insert(u, 0, key);
+                            self.buckets[0].insert(u, p.part(u) as usize, key);
                         }
                     }
                     self.moves.truncate(best_len);
@@ -949,7 +1028,7 @@ mod tests {
         let p = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1, 0, 1, 0, 1]).unwrap();
         ctx.recompute(&h, &p);
         ctx.fill_buckets(&h, &p, &cfg);
-        let members = ctx.buckets[0].bucket_members(0, OpenClasses::SINGLE);
+        let members = ctx.buckets[0].bucket_members(0, BOTH_SIDES);
         assert_eq!(members.len(), h.num_modules());
         let head_gain = ctx.gain0[members[0].index()];
         let max_gain = ctx.gain0.iter().copied().max().unwrap();

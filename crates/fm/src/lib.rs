@@ -43,7 +43,7 @@ pub mod repair;
 pub mod request;
 pub mod state;
 
-pub use bucket::{BucketPolicy, GainBuckets, OpenClasses};
+pub use bucket::{BucketPolicy, Filing, GainBuckets, OpenClasses};
 pub use budget::{Budget, BudgetLimit, BudgetMeter, Truncation};
 pub use engine::{fm_partition, fm_partition_in, refine, refine_in, Engine, FmConfig, FmResult};
 pub use repair::{repair_to_feasible, RepairRecord};

@@ -17,7 +17,7 @@
 //! results do not depend on whether a workspace is reused — the equivalence
 //! tests in `crates/fm/tests` and `crates/kway/tests` pin this down.
 
-use crate::bucket::{BucketPolicy, GainBuckets};
+use crate::bucket::{BucketPolicy, Filing, GainBuckets};
 use crate::request::RefineError;
 use mlpart_hypergraph::{Hypergraph, ModuleId, PartId};
 
@@ -107,10 +107,11 @@ impl GainSpread {
 ///
 /// * `pins_in[e * k + part]` counts the pins of net `e` in `part`, for
 ///   engine-visible nets only (`visible[e]`); invisible entries are zero.
-/// * `buckets` holds one one-class structure for the 2-way engine (moves
-///   always go to the other side) and `k` per-destination structures for
-///   the k-way engine, each filing a module under its current part (`k`
-///   classes, ordered by `stamp`).
+/// * `buckets` holds one structure for the 2-way engine (moves always go to
+///   the other side), filing each module under its side in tallied lists,
+///   and `k` per-destination structures for the k-way engine, each filing
+///   a module under its current part in merged lists (`k` classes, ordered
+///   by `stamp`).
 /// * `moves` logs `(module, from_part)` pairs; rollback walks it in reverse.
 #[derive(Debug, Default)]
 pub struct RefineState {
@@ -136,10 +137,10 @@ pub struct RefineState {
     /// the index of each touched neighbour in the engine's list; else
     /// `u32::MAX`.
     pub slot: Vec<u32>,
-    /// Insertion stamps of multi-class buckets: the clock tick at which each
-    /// module was last inserted into its bucket structures (see
-    /// [`OpenClasses`](crate::OpenClasses)). Empty when the buckets have one
-    /// class.
+    /// Insertion stamps of merged multi-class buckets: the clock tick at
+    /// which each module was last inserted into its bucket structures (see
+    /// [`OpenClasses`](crate::OpenClasses)). Empty unless the buckets are
+    /// [`Filing::Merged`] with several classes.
     pub stamp: Vec<u32>,
     /// Magnitude of the bucket key range.
     pub key_bound: i32,
@@ -189,14 +190,16 @@ impl RefineState {
     }
 
     /// Phase 2 of binding: sizes the per-module state for `h`, resetting
-    /// `num_buckets` bucket structures with `classes` lists per bucket and
-    /// keys in `[-max_key, +max_key]`. After this the state is
-    /// observationally identical to a freshly allocated one.
+    /// `num_buckets` bucket structures that file members under `classes`
+    /// classes as `filing` says, with keys in `[-max_key, +max_key]`. After
+    /// this the state is observationally identical to a freshly allocated
+    /// one.
     pub fn bind_modules(
         &mut self,
         h: &Hypergraph,
         num_buckets: usize,
         classes: usize,
+        filing: Filing,
         max_key: i32,
         policy: BucketPolicy,
     ) {
@@ -211,18 +214,18 @@ impl RefineState {
         self.fixed.resize(n, false);
         self.buckets.truncate(num_buckets);
         for b in &mut self.buckets {
-            b.reset(n, max_key, policy, classes);
+            b.reset(n, max_key, policy, classes, filing);
         }
         while self.buckets.len() < num_buckets {
             self.buckets
-                .push(GainBuckets::new(n, max_key, policy, classes));
+                .push(GainBuckets::new(n, max_key, policy, classes, filing));
         }
         self.moves.clear();
         self.moves.reserve(n);
         self.slot.clear();
         self.slot.resize(n, u32::MAX);
         self.stamp.clear();
-        if classes > 1 {
+        if filing == Filing::Merged && classes > 1 {
             self.stamp.resize(n, 0);
         }
         self.key_bound = max_key;
@@ -330,7 +333,7 @@ mod tests {
         let mut st = RefineState::default();
         let w = st.bind_nets(&h, 2, 200);
         assert_eq!(w, Ok(2), "modules 2 and 3 each touch two unit nets");
-        st.bind_modules(&h, 1, 1, 2, BucketPolicy::Lifo);
+        st.bind_modules(&h, 1, 2, Filing::Tallied, 2, BucketPolicy::Lifo);
         assert_eq!(st.visible.len(), h.num_nets());
         assert_eq!(st.pins_in.len(), h.num_nets() * 2);
         assert_eq!(st.gain.len(), h.num_modules());
@@ -343,11 +346,11 @@ mod tests {
         let tiny = HypergraphBuilder::with_unit_areas(2).build().unwrap();
         let mut st = RefineState::default();
         st.bind_nets(&h, 4, 200).unwrap();
-        st.bind_modules(&h, 4, 4, 5, BucketPolicy::Lifo);
+        st.bind_modules(&h, 4, 4, Filing::Merged, 5, BucketPolicy::Lifo);
         assert_eq!(st.buckets.len(), 4);
         // Shrink to the k = 2 shape with a single bucket structure.
         st.bind_nets(&tiny, 2, 200).unwrap();
-        st.bind_modules(&tiny, 1, 1, 0, BucketPolicy::Fifo);
+        st.bind_modules(&tiny, 1, 2, Filing::Tallied, 0, BucketPolicy::Fifo);
         assert_eq!(st.buckets.len(), 1);
         assert_eq!(st.pins_in.len(), 0);
         assert_eq!(st.gain.len(), 2);

@@ -4,12 +4,12 @@
 //! structure under arbitrary operation sequences.
 
 use mlpart_fm::{
-    fm_partition, refine, BucketPolicy, Engine, FmConfig, GainBuckets, OpenClasses, RefineRequest,
-    RefineWorkspace,
+    fm_partition, refine, BucketPolicy, Engine, Filing, FmConfig, GainBuckets, OpenClasses,
+    RefineRequest, RefineWorkspace,
 };
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_hypergraph::{
-    metrics, BipartBalance, Hypergraph, HypergraphBuilder, ModuleId, Partition,
+    metrics, BipartBalance, Hypergraph, HypergraphBuilder, ModuleId, PartBounds, Partition,
 };
 use proptest::prelude::*;
 
@@ -99,24 +99,29 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0usize..16, -5i32..=5, 0usize..4), 1..200),
         policy in 0usize..3,
         classes in 1usize..=4,
+        merged in any::<bool>(),
         mask in any::<u32>(),
         open_mask in 0u32..16,
     ) {
-        // Model-based test over every policy and 1–4 classes: mirror
-        // GainBuckets with one list per bucket, i.e. each module's key,
-        // class and insertion stamp, and open the classes in `open_mask`.
-        // Under a feasibility mask (bit `v` of `mask`), LIFO and FIFO must
-        // pick the first feasible open-class member in the single list's
-        // order (newest stamp first under LIFO, oldest first under FIFO),
+        // Model-based test over every policy, both filings and 1–4
+        // classes: mirror GainBuckets with one list per bucket, i.e. each
+        // module's key, class and insertion stamp, and open the classes in
+        // `open_mask`. After every operation the structure must report each
+        // module's class, and a tallied LIFO/FIFO structure must count each
+        // (key, class) as the model does. Under a feasibility mask (bit `v`
+        // of `mask`), LIFO and FIFO must pick the first feasible open-class
+        // member in the single list's order (newest stamp first under LIFO,
+        // oldest first under FIFO) without checking a closed-class member,
         // and `bucket_members` must list the open classes in that order.
         // Random ignores classes: its pick must be a feasible member of the
         // highest bucket that has one, and each bucket must hold exactly the
         // model's members for its key (a stale position after a
         // swap-remove shows up here).
         let policy = [BucketPolicy::Lifo, BucketPolicy::Fifo, BucketPolicy::Random][policy];
+        let filing = if merged { Filing::Merged } else { Filing::Tallied };
         let feasible = move |v: ModuleId| (mask >> v.index()) & 1 == 1;
         let open: Vec<bool> = (0..classes).map(|c| (open_mask >> c) & 1 == 1).collect();
-        let mut b = GainBuckets::new(16, 5, policy, classes);
+        let mut b = GainBuckets::new(16, 5, policy, classes, filing);
         let mut stamps = vec![0u32; 16];
         let mut clock = 0u32;
         let mut model: std::collections::HashMap<usize, (i32, usize)> = Default::default();
@@ -134,20 +139,31 @@ proptest! {
                     });
                 }
                 1 => {
-                    if let Some((_, class)) = model.remove(&vi) {
-                        b.remove(v, class);
+                    if model.remove(&vi).is_some() {
+                        b.remove(v);
                     }
                 }
                 _ => {
                     if let Some(entry) = model.get_mut(&vi) {
                         clock += 1;
                         stamps[vi] = clock;
-                        b.update_key(v, entry.1, key);
+                        b.update_key(v, key);
                         entry.0 = key;
                     }
                 }
             }
             prop_assert_eq!(b.len(), model.len());
+            for u in 0..16 {
+                prop_assert_eq!(b.class_of(ModuleId::new(u)), model.get(&u).map(|e| e.1));
+            }
+            let tallied = policy != BucketPolicy::Random && filing == Filing::Tallied;
+            for key in -5..=5 {
+                for c in 0..classes {
+                    let n = model.values().filter(|&&(k, cl)| k == key && cl == c).count();
+                    let want = tallied.then_some(n as u32);
+                    prop_assert_eq!(b.tally(key, c), want, "key {} class {}", key, c);
+                }
+            }
             // The open-class members of bucket `key` in single-list order.
             let single_list = |key: i32| -> Vec<usize> {
                 let mut members: Vec<usize> = model
@@ -162,7 +178,16 @@ proptest! {
                 members
             };
             let view = OpenClasses::new(&open, &stamps);
-            let got = b.select_where(&mut rng, view, feasible);
+            let mut checked_closed = None;
+            let got = b.select_where(&mut rng, view, |v| {
+                if !open[model[&v.index()].1] {
+                    checked_closed = Some(v);
+                }
+                feasible(v)
+            });
+            if policy != BucketPolicy::Random {
+                prop_assert_eq!(checked_closed, None, "closed-class member checked");
+            }
             if policy == BucketPolicy::Random {
                 let best = model
                     .iter()
@@ -200,6 +225,69 @@ proptest! {
                 };
                 prop_assert_eq!(got, want);
             }
+        }
+    }
+
+    #[test]
+    fn side_gated_refinement_under_random_windows(
+        (areas, nets) in arb_netlist(),
+        sides in proptest::collection::vec(any::<bool>(), 32),
+        pins in proptest::collection::vec(0u8..4, 32),
+        window in (0u64..=100, 0u64..=100, 0u64..=100, 0u64..=100),
+        fifo in any::<bool>(),
+        clip in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        // The side gate of LIFO/FIFO selection on tiny netlists with random
+        // areas, per-side windows (percentages of the total area, so the
+        // start is often outside them) and pins (modules drawn 0 stay on
+        // their start side). Built with `--features audit`, every pick made
+        // with a side closed is re-run without the gate and must choose the
+        // same module, and each pass start recounts the side tallies. In
+        // every build: pins stay put, the reported cut is the partition's,
+        // every pick was checked, and since each move is checked before it
+        // is made, a run that keeps any move ends inside the windows (one
+        // that keeps none returns its start).
+        #[cfg(feature = "audit")]
+        mlpart_audit::force_enabled(true);
+        let h = build(areas, &nets);
+        let n = h.num_modules();
+        let total = h.total_area();
+        let pct = |x: u64| total * x / 100;
+        let (a, b, c, d) = window;
+        let bounds = PartBounds::new(
+            vec![pct(a.min(b)), pct(c.min(d))],
+            vec![pct(a.max(b)), pct(c.max(d))],
+        );
+        let assignment: Vec<u32> = (0..n).map(|i| u32::from(sides[i % 32])).collect();
+        let p0 = Partition::from_assignment(&h, 2, assignment).expect("valid");
+        let fixed: Vec<(ModuleId, u32)> = (0..n)
+            .filter(|&i| pins[i % 32] == 0)
+            .map(|i| (ModuleId::new(i), p0.part(ModuleId::new(i))))
+            .collect();
+        let cfg = FmConfig {
+            engine: if clip { Engine::Clip } else { Engine::Fm },
+            policy: if fifo { BucketPolicy::Fifo } else { BucketPolicy::Lifo },
+            ..FmConfig::default()
+        };
+        let mut p = p0.clone();
+        let req = RefineRequest {
+            bounds: Some(&bounds),
+            fixed: &fixed,
+            ..RefineRequest::default()
+        };
+        let r = refine(&h, &mut p, &cfg, &mut seeded_rng(seed), req).unwrap();
+        prop_assert_eq!(r.cut, metrics::cut(&h, &p));
+        for &(v, side) in &fixed {
+            prop_assert_eq!(p.part(v), side);
+        }
+        for s in &r.pass_stats {
+            prop_assert!(s.inspected >= s.attempted_moves as u64);
+        }
+        if r.kept_moves > 0 {
+            prop_assert!(bounds.is_partition_feasible(&p), "areas {:?}", p.part_areas());
+        } else {
+            prop_assert_eq!(p.assignment(), p0.assignment());
         }
     }
 

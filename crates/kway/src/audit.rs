@@ -316,7 +316,7 @@ pub fn audit_pass_end(
 mod tests {
     use super::*;
     use crate::kway_refine;
-    use mlpart_fm::RefineRequest;
+    use mlpart_fm::{Filing, RefineRequest};
     use mlpart_hypergraph::rng::seeded_rng;
     use mlpart_hypergraph::HypergraphBuilder;
 
@@ -333,7 +333,7 @@ mod tests {
     fn filled_state(h: &Hypergraph, p: &Partition, cfg: &KwayConfig) -> RefineState {
         let mut st = RefineState::default();
         st.bind_nets(h, 2, cfg.max_net_size).unwrap();
-        st.bind_modules(h, 2, 2, 4, BucketPolicy::Lifo);
+        st.bind_modules(h, 2, 2, Filing::Merged, 4, BucketPolicy::Lifo);
         for e in h.net_ids() {
             let row = recount_row(h, p, e, 2);
             st.pins_in[2 * e.index()..][..2].copy_from_slice(&row);
@@ -378,7 +378,7 @@ mod tests {
         let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
         let cfg = KwayConfig::default();
         let mut st = filled_state(&h, &p, &cfg);
-        st.buckets[1].update_key(ModuleId::from(0), 0, 3);
+        st.buckets[1].update_key(ModuleId::from(0), 3);
         let e = audit_pass_start(&st, &h, &p, &cfg, 1).unwrap_err();
         assert_eq!(e.check, "gain-rederive");
         assert_eq!(e.module, Some(0));
@@ -391,7 +391,7 @@ mod tests {
         let cfg = KwayConfig::default();
         let mut st = filled_state(&h, &p, &cfg);
         assert_eq!(audit_pass_drift(&st, &h, &p, &cfg, 1), Ok(()));
-        st.buckets[0].update_key(ModuleId::from(2), 1, -1);
+        st.buckets[0].update_key(ModuleId::from(2), -1);
         let e = audit_pass_drift(&st, &h, &p, &cfg, 1).unwrap_err();
         assert_eq!(e.check, "gain-drift");
         assert_eq!(e.module, Some(2));
@@ -407,7 +407,7 @@ mod tests {
         // part 1 with its key unchanged.
         let v = ModuleId::from(0);
         let key = st.buckets[1].key_of(v);
-        st.buckets[1].remove(v, 0);
+        st.buckets[1].remove(v);
         st.buckets[1].insert(v, 1, key);
         let e = audit_pass_start(&st, &h, &p, &cfg, 1).unwrap_err();
         assert_eq!(e.check, "class-filing");

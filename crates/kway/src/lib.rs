@@ -64,8 +64,8 @@
 pub mod audit;
 
 use mlpart_fm::{
-    BucketPolicy, BudgetMeter, GainSpread, OpenClasses, PassStats, RefineError, RefineRequest,
-    RefineState, RefineWorkspace,
+    BucketPolicy, BudgetMeter, Filing, GainSpread, OpenClasses, PassStats, RefineError,
+    RefineRequest, RefineState, RefineWorkspace,
 };
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
@@ -391,7 +391,14 @@ fn bind_kway(
     fixed: &[(ModuleId, PartId)],
 ) -> Result<(), RefineError> {
     let max_vis_weight = st.bind_nets(h, k, cfg.max_net_size)?;
-    st.bind_modules(h, k as usize, k as usize, max_vis_weight, cfg.policy);
+    st.bind_modules(
+        h,
+        k as usize,
+        k as usize,
+        Filing::Merged,
+        max_vis_weight,
+        cfg.policy,
+    );
     st.fix(fixed);
     Ok(())
 }
@@ -639,7 +646,7 @@ fn run(
             // Execute the move.
             for b in &mut st.buckets {
                 if b.contains(v) {
-                    b.remove(v, from as usize);
+                    b.remove(v);
                 }
             }
             st.locked[v.index()] = true;
@@ -692,7 +699,7 @@ fn run(
                 clock += 1;
                 for (t, bucket) in st.buckets.iter_mut().enumerate() {
                     if t != from_w {
-                        bucket.update_key(w, from_w, bucket.key_of(w) + at(from_w) + at(t));
+                        bucket.update_key(w, bucket.key_of(w) + at(from_w) + at(t));
                     }
                 }
             }

@@ -94,6 +94,11 @@ pub enum Filing {
 
 const NIL: u32 = u32::MAX;
 
+/// The class entry of an absent module. Class ids are stored in 16 bits:
+/// a merged structure keeps a head per (bucket, class), and the k-way
+/// engine keeps `k` such structures, so memory bounds `k` far below this.
+const ABSENT: u16 = u16::MAX;
+
 /// The classes a selection may draw from, and the insertion stamps that
 /// order members of different classes in a [`Filing::Merged`] structure.
 ///
@@ -109,9 +114,6 @@ pub struct OpenClasses<'a> {
 }
 
 impl<'a> OpenClasses<'a> {
-    /// The one class of a one-class structure, open; no stamps are needed.
-    pub const SINGLE: OpenClasses<'static> = OpenClasses::new(&[true], &[]);
-
     /// Class `c` is open when `open[c]` is `true`; classes past the end of
     /// `open` are closed.
     pub const fn new(open: &'a [bool], stamps: &'a [u32]) -> Self {
@@ -179,8 +181,8 @@ pub struct GainBuckets {
     next: Vec<u32>,
     prev: Vec<u32>,
     key: Vec<i32>,
-    /// Each module's class while it is present, `NIL` while absent.
-    class: Vec<u32>,
+    /// Each module's class while it is present, `ABSENT` while absent.
+    class: Vec<u16>,
     /// Members per (bucket, class) at `bucket * classes + class`; sized in
     /// a tallied structure only.
     tally: Vec<u32>,
@@ -252,7 +254,7 @@ impl GainBuckets {
     /// `true` if module `v` is currently in the structure.
     #[inline]
     pub fn contains(&self, v: ModuleId) -> bool {
-        self.class.get(v.index()).is_some_and(|&c| c != NIL)
+        self.class.get(v.index()).is_some_and(|&c| c != ABSENT)
     }
 
     /// The class module `v` is filed under, or `None` if it is absent.
@@ -260,8 +262,8 @@ impl GainBuckets {
     pub fn class_of(&self, v: ModuleId) -> Option<usize> {
         self.class
             .get(v.index())
-            .filter(|&&c| c != NIL)
-            .map(|&c| c as usize)
+            .filter(|&&c| c != ABSENT)
+            .map(|&c| usize::from(c))
     }
 
     /// Current key of module `v`.
@@ -319,7 +321,7 @@ impl GainBuckets {
         debug_assert!(class < self.classes, "class {class} of {}", self.classes);
         self.link(v, class, key);
         if let Some(c) = self.class.get_mut(v.index()) {
-            *c = class as u32;
+            *c = u16::try_from(class).unwrap_or(ABSENT);
         }
         self.len += 1;
     }
@@ -334,7 +336,7 @@ impl GainBuckets {
         debug_assert!(class.is_some(), "module not in structure");
         self.unlink(v, class.unwrap_or(0));
         if let Some(c) = self.class.get_mut(v.index()) {
-            *c = NIL;
+            *c = ABSENT;
         }
         self.len -= 1;
     }
@@ -556,8 +558,8 @@ impl GainBuckets {
     ///
     /// # Panics
     ///
-    /// Panics if `max_key` is negative, `classes` is 0, or `classes` does
-    /// not fit in `u32`.
+    /// Panics if `max_key` is negative, `classes` is 0, or `classes` is
+    /// 65,535 or more.
     pub fn reset(
         &mut self,
         num_modules: usize,
@@ -568,7 +570,7 @@ impl GainBuckets {
     ) {
         assert!(max_key >= 0, "max_key must be non-negative");
         assert!(classes > 0, "a bucket needs at least one class");
-        assert!(classes < NIL as usize, "class ids must fit in u32");
+        assert!(classes < usize::from(ABSENT), "class ids must fit in u16");
         let buckets = (2 * max_key + 1) as usize;
         let layout = match (policy, filing) {
             (BucketPolicy::Random, _) => Layout::Dense,
@@ -604,7 +606,7 @@ impl GainBuckets {
         self.key.clear();
         self.key.resize(num_modules, 0);
         self.class.clear();
-        self.class.resize(num_modules, NIL);
+        self.class.resize(num_modules, ABSENT);
         self.tally.clear();
         self.tally.resize(tallies, 0);
         self.dense.reset(dense_buckets, dense_modules);
@@ -620,7 +622,7 @@ impl GainBuckets {
     pub fn clear(&mut self) {
         self.heads.fill(NIL);
         self.tails.fill(NIL);
-        self.class.fill(NIL);
+        self.class.fill(ABSENT);
         self.tally.fill(0);
         self.dense.clear();
         self.top_hint = -1;
@@ -693,7 +695,7 @@ fn walk_open<F>(
     mut cur: u32,
     mut members: u32,
     next: &[u32],
-    class: &[u32],
+    class: &[u16],
     open: OpenClasses<'_>,
     visit: &mut F,
 ) -> Option<ModuleId>
@@ -701,8 +703,8 @@ where
     F: FnMut(ModuleId) -> bool,
 {
     while cur != NIL && members > 0 {
-        let c = class.get(cur as usize).copied().unwrap_or(NIL);
-        if open.contains(c as usize) {
+        let c = class.get(cur as usize).copied().unwrap_or(ABSENT);
+        if open.contains(usize::from(c)) {
             members -= 1;
             let m = ModuleId::from(cur);
             if visit(m) {
@@ -865,7 +867,7 @@ mod tests {
     use mlpart_hypergraph::rng::seeded_rng;
 
     /// The one class of a one-class structure.
-    const ONE: OpenClasses<'static> = OpenClasses::SINGLE;
+    const ONE: OpenClasses<'static> = OpenClasses::new(&[true], &[]);
 
     fn m(i: usize) -> ModuleId {
         ModuleId::new(i)

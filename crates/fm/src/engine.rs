@@ -571,7 +571,6 @@ impl RefineState {
     }
 
     /// Adds `delta` to the gain of every unlocked pin of `e` other than `v`.
-    #[allow(clippy::too_many_arguments)]
     fn bump_net_gains(
         &mut self,
         h: &Hypergraph,

@@ -245,12 +245,6 @@ impl GainBuckets {
         self.policy
     }
 
-    /// The number of classes members are filed under.
-    #[inline]
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     /// `true` if module `v` is currently in the structure.
     #[inline]
     pub fn contains(&self, v: ModuleId) -> bool {

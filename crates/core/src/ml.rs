@@ -53,6 +53,9 @@ pub struct LevelStats {
     /// Candidates this level's selections checked for feasibility, summed
     /// over its passes ([`PassStats::inspected`]).
     pub inspected: u64,
+    /// Gain updates this level's moves made, summed over its passes
+    /// ([`PassStats::updates`]).
+    pub updates: u64,
     /// Wall-clock nanoseconds spent rebuilding gains and filling buckets,
     /// summed over this level's passes. Excluded from equality so
     /// fixed-seed runs compare equal.
@@ -72,6 +75,7 @@ impl PartialEq for LevelStats {
             && self.rebalance_moves == other.rebalance_moves
             && self.passes == other.passes
             && self.inspected == other.inspected
+            && self.updates == other.updates
     }
 }
 
@@ -93,6 +97,7 @@ impl LevelStats {
             rebalance_moves,
             passes: passes.len(),
             inspected: passes.iter().map(|s| s.inspected).sum(),
+            updates: passes.iter().map(|s| s.updates).sum(),
             fill_time_ns: passes.iter().map(|s| s.fill_time_ns).sum(),
         }
     }

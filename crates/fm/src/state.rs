@@ -41,6 +41,11 @@ pub struct PassStats {
     /// area bounds), summed over every pick: a hardware-independent measure
     /// of selection work.
     pub inspected: u64,
+    /// Gain updates the pass made after its moves, summed over every move
+    /// (and every CDIP undo): one per 2-way neighbour gain change, one per
+    /// k-way neighbour key change in one destination's structure. A
+    /// hardware-independent measure of update work.
+    pub updates: u64,
     /// Wall-clock nanoseconds spent rebuilding gains and filling the bucket
     /// structure for this pass. Excluded from equality so fixed-seed runs
     /// compare equal.
@@ -56,6 +61,7 @@ impl PartialEq for PassStats {
             && self.attempted_moves == other.attempted_moves
             && self.kept_moves == other.kept_moves
             && self.inspected == other.inspected
+            && self.updates == other.updates
     }
 }
 
@@ -144,6 +150,9 @@ pub struct RefineState {
     pub stamp: Vec<u32>,
     /// Magnitude of the bucket key range.
     pub key_bound: i32,
+    /// Gain updates made so far in the current 2-way pass; reported as
+    /// [`PassStats::updates`].
+    pub updates: u64,
 }
 
 impl RefineState {
@@ -374,6 +383,7 @@ mod tests {
             attempted_moves: 10,
             kept_moves: 4,
             inspected: 17,
+            updates: 40,
             fill_time_ns: 123,
         };
         let b = PassStats {
@@ -383,5 +393,7 @@ mod tests {
         assert_eq!(a, b);
         let c = PassStats { cut_after: 2, ..a };
         assert_ne!(a, c);
+        let d = PassStats { updates: 41, ..a };
+        assert_ne!(a, d);
     }
 }

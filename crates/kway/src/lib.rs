@@ -607,6 +607,7 @@ fn run(
         let mut best_obj = obj;
         let mut best_len = 0usize;
         let mut inspected = 0u64;
+        let mut updates = 0u64;
 
         // --- Move loop. ---
         loop {
@@ -700,6 +701,7 @@ fn run(
                 for (t, bucket) in st.buckets.iter_mut().enumerate() {
                     if t != from_w {
                         bucket.update_key(w, bucket.key_of(w) + at(from_w) + at(t));
+                        updates += 1;
                     }
                 }
             }
@@ -727,6 +729,7 @@ fn run(
             attempted_moves: attempted,
             kept_moves: best_len,
             inspected,
+            updates,
             fill_time_ns,
         });
         if let Some(s) = fill {

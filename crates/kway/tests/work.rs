@@ -1,6 +1,8 @@
-//! Selection work counter: `PassStats::inspected` counts every candidate a
-//! k-way pass checked for feasibility. The count is deterministic, so it
-//! pins the engine's selection work independently of the hardware.
+//! Work counters: `PassStats::inspected` counts every candidate a k-way
+//! pass checked for feasibility, `PassStats::updates` every neighbour key
+//! change in one destination's bucket structure. The counts are
+//! deterministic, so they pin the engine's selection and update work
+//! independently of the hardware.
 
 use mlpart_fm::RefineRequest;
 use mlpart_hypergraph::rng::seeded_rng;
@@ -11,7 +13,7 @@ use mlpart_kway::{kway_partition, KwayConfig};
 /// checked 1,484,129 candidates (about 336 per move). The destination gate
 /// left 108,473, most of them on a source part at its lower bound; filing
 /// each module under its source part and closing such parts' classes
-/// leaves 13,916 (about 3 per move).
+/// leaves 13,916 (about 3 per move). Its moves make 60,687 key updates.
 #[test]
 fn kway_selection_skips_full_destinations() {
     const BEFORE_SOURCE_GATE: u64 = 108_473;
@@ -32,4 +34,6 @@ fn kway_selection_skips_full_destinations() {
     assert_eq!((r.passes, moves), (6, 4_420));
     assert_eq!(inspected, 13_916);
     assert!(inspected < BEFORE_SOURCE_GATE / 5);
+    let updates: u64 = r.pass_stats.iter().map(|s| s.updates).sum();
+    assert_eq!(updates, 60_687);
 }

@@ -553,11 +553,11 @@ fn print_level_stats(stats: &[LevelStats]) {
         return;
     }
     eprintln!(
-        "level  modules  cut_before  cut_after  kept/attempted  rebalance  passes  inspected  fill_ms"
+        "level  modules  cut_before  cut_after  kept/attempted  rebalance  passes  inspected    updates  fill_ms"
     );
     for s in stats {
         eprintln!(
-            "{:>5}  {:>7}  {:>10}  {:>9}  {:>6}/{:<7}  {:>9}  {:>6}  {:>9}  {:>7.3}",
+            "{:>5}  {:>7}  {:>10}  {:>9}  {:>6}/{:<7}  {:>9}  {:>6}  {:>9}  {:>9}  {:>7.3}",
             s.level,
             s.modules,
             s.cut_before,
@@ -567,6 +567,7 @@ fn print_level_stats(stats: &[LevelStats]) {
             s.rebalance_moves,
             s.passes,
             s.inspected,
+            s.updates,
             s.fill_time_ns as f64 / 1e6,
         );
     }

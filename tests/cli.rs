@@ -257,7 +257,7 @@ fn trace_and_report_stats_match_untraced_stats() {
             .lines()
             .skip_while(|l| !l.starts_with("level"))
             .take_while(|l| l.starts_with("level") || l.trim_start().starts_with(char::is_numeric))
-            .map(|l| l.split_whitespace().take(8).collect::<Vec<_>>().join(" "))
+            .map(|l| l.split_whitespace().take(9).collect::<Vec<_>>().join(" "))
             .collect::<Vec<_>>()
     };
     for extra in [

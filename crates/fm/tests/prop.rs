@@ -21,6 +21,34 @@ fn arb_netlist() -> impl Strategy<Value = (Vec<u64>, Vec<Vec<usize>>)> {
     })
 }
 
+/// A weighted netlist of mostly two-pin nets (14 in 20), some of 3–6
+/// pins, and a few of 7 or 12 pins, which a `max_net_size` of 6 hides from
+/// the engine (duplicate pins merge, so a drawn net may come out smaller).
+fn arb_edge_netlist() -> impl Strategy<Value = (Vec<u64>, Vec<(Vec<usize>, u32)>)> {
+    (4usize..40).prop_flat_map(|n| {
+        let areas = proptest::collection::vec(1u64..6, n);
+        let net = (
+            0usize..20,
+            proptest::collection::vec(0usize..n, 12),
+            1u32..5,
+        );
+        let nets = proptest::collection::vec(net, 1..80).prop_map(|nets| {
+            nets.into_iter()
+                .map(|(kind, mut pins, weight)| {
+                    pins.truncate(match kind {
+                        0..=13 => 2,
+                        14..=17 => kind - 11,
+                        18 => 7,
+                        _ => 12,
+                    });
+                    (pins, weight)
+                })
+                .collect()
+        });
+        (areas, nets)
+    })
+}
+
 fn build(areas: Vec<u64>, nets: &[Vec<usize>]) -> Hypergraph {
     let mut b = HypergraphBuilder::new(areas);
     for net in nets {
@@ -288,6 +316,70 @@ proptest! {
             prop_assert!(bounds.is_partition_feasible(&p), "areas {:?}", p.part_areas());
         } else {
             prop_assert_eq!(p.assignment(), p0.assignment());
+        }
+    }
+
+    #[test]
+    fn edge_heavy_weighted_refinement_under_every_discipline(
+        (areas, nets) in arb_edge_netlist(),
+        sides in proptest::collection::vec(any::<bool>(), 40),
+        pins in proptest::collection::vec(0u8..6, 40),
+        seed in 0u64..1000,
+    ) {
+        // The two-pin update path and the net-major gain init under every
+        // bucket policy, both gain disciplines, and the plain, boundary,
+        // CDIP and lookahead passes, with pins (modules drawn 0) and
+        // invisible large nets. Built with `--features audit`, every pass
+        // start and every forward move re-derives the gains, keys and pin
+        // counts the updates wrote. In every build: the engine's running
+        // cut of its final pass is the visible cut of the result, no pass
+        // worsens it, the result stays in the ratio window and pins stay
+        // put.
+        #[cfg(feature = "audit")]
+        mlpart_audit::force_enabled(true);
+        let mut b = HypergraphBuilder::new(areas);
+        for (net, weight) in &nets {
+            b.add_weighted_net(net.iter().copied(), *weight).expect("in range");
+        }
+        let h = b.build().expect("valid");
+        let n = h.num_modules();
+        let assignment: Vec<u32> = (0..n).map(|i| u32::from(sides[i])).collect();
+        let p0 = Partition::from_assignment(&h, 2, assignment).expect("valid");
+        let balance = BipartBalance::new(&h, 0.1);
+        prop_assume!(balance.is_partition_feasible(&p0));
+        let fixed: Vec<(ModuleId, u32)> = (0..n)
+            .filter(|&i| pins[i] == 0)
+            .map(|i| (ModuleId::new(i), p0.part(ModuleId::new(i))))
+            .collect();
+        let start = metrics::cut_with_net_size_limit(&h, &p0, 6);
+        for policy in [BucketPolicy::Lifo, BucketPolicy::Fifo, BucketPolicy::Random] {
+            for engine in [Engine::Fm, Engine::Clip] {
+                for mode in 0..4 {
+                    let cfg = FmConfig {
+                        engine,
+                        policy,
+                        max_net_size: 6,
+                        boundary_init: mode == 1,
+                        cdip_window: (mode == 2).then_some(2),
+                        lookahead: mode == 3,
+                        ..FmConfig::default()
+                    };
+                    let mut p = p0.clone();
+                    let req = RefineRequest { fixed: &fixed, ..RefineRequest::default() };
+                    let r = refine(&h, &mut p, &cfg, &mut seeded_rng(seed), req).unwrap();
+                    let what = format!("{policy} {engine} mode {mode}");
+                    prop_assert_eq!(r.cut, metrics::cut(&h, &p), "{}", what);
+                    let visible = metrics::cut_with_net_size_limit(&h, &p, 6);
+                    prop_assert_eq!(r.internal_cut, visible, "{}", what);
+                    let last = r.pass_stats.last().map(|s| s.cut_after);
+                    prop_assert_eq!(last, Some(visible), "{}", what);
+                    prop_assert!(visible <= start, "{}: {} -> {}", what, start, visible);
+                    prop_assert!(balance.is_partition_feasible(&p), "{}", what);
+                    for &(v, side) in &fixed {
+                        prop_assert_eq!(p.part(v), side, "{}", what);
+                    }
+                }
+            }
         }
     }
 

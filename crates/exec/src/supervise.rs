@@ -27,6 +27,12 @@
 //! attempt 0 of start `i` runs on the plain `child_seed(base, i)` stream,
 //! which is exactly what [`crate::try_run_starts`] promises its callers.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "per-start and batch wall/CPU telemetry: it flows only into ExecTiming, \
+              never into a retry decision"
+)]
+
 use crate::trace::{append_attempt, append_contribution, capture_unwind, failure_phase};
 use crate::{panic_message, BatchResult, ExecError, ExecTiming, StartFailure};
 use mlpart_fm::{Budget, RefineWorkspace};

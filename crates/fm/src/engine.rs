@@ -32,6 +32,12 @@
 //! initially) and [`FmConfig::early_exit_stall`] (abandon a pass after a run
 //! of non-improving moves).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "per-pass bucket-fill timing: the time flows only into PassStats::fill_time_ns, \
+              which result equality excludes, never into a decision"
+)]
+
 use crate::bucket::{BucketPolicy, Filing, OpenClasses};
 use crate::request::{expect_valid, RefineError, RefineRequest, RequestParts};
 use crate::state::{GainSpread, PassStats, RefineState, RefineWorkspace};

@@ -152,7 +152,7 @@ proptest! {
         let mut b = GainBuckets::new(16, 5, policy, classes, filing);
         let mut stamps = vec![0u32; 16];
         let mut clock = 0u32;
-        let mut model: std::collections::HashMap<usize, (i32, usize)> = Default::default();
+        let mut model: std::collections::BTreeMap<usize, (i32, usize)> = Default::default();
         let mut rng = seeded_rng(0);
         for (op, vi, key, class) in ops {
             let v = ModuleId::new(vi);

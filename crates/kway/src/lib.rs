@@ -73,7 +73,6 @@ use mlpart_hypergraph::{
     PartId, Partition,
 };
 use std::borrow::Cow;
-use std::time::Instant;
 
 /// Which gain computation drives the k-way engine (§III-C lists the paper's
 /// three options; Table IX is reported with [`SumOfDegrees`](Self::SumOfDegrees)).
@@ -546,7 +545,12 @@ fn run(
         }
         passes += 1;
         // --- Reinitialize per-pass state. ---
-        let fill_start = Instant::now();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "per-pass bucket-fill timing: the time flows only into \
+                      PassStats::fill_time_ns, which result equality excludes"
+        )]
+        let fill_start = std::time::Instant::now();
         st.pins_in.fill(0);
         for e in h.net_ids() {
             if !st.visible[e.index()] {

@@ -77,7 +77,7 @@ proptest! {
         let h = build(areas, &nets);
         let n = h.num_modules();
         // Deduplicate fixed modules (a module can only be pinned once).
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let fixed: Vec<(ModuleId, u32)> = fixed_picks
             .into_iter()
             .map(|(vi, part)| (ModuleId::new(vi % n), part))

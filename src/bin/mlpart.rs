@@ -696,7 +696,9 @@ fn main() -> ExitCode {
         retries: args.retries,
         degraded_passes: args.retry_degrade_passes,
         budget: args.budget,
-        traced: tracing,
+        // Records carry traces whenever the gate is on, which in an `obs`
+        // build `MLPART_TRACE=1` does without any artifact flag.
+        traced: cfg!(feature = "obs") && mlpart::obs::enabled(),
     };
     let mut resume_state: ResumeState<StartValue> = ResumeState::default();
     let mut restored_lines = BTreeMap::new();

@@ -237,6 +237,40 @@ fn resume_rejects_mismatched_checkpoint() {
     );
 }
 
+/// `MLPART_TRACE=1` alone turns tracing on in an `obs` build, so its
+/// records carry traces and the header says so: resuming that checkpoint
+/// with the gate off is a different invocation.
+#[cfg(feature = "obs")]
+#[test]
+fn env_traced_checkpoint_pins_the_trace_gate() {
+    let s = Scratch::new("env-traced");
+    let common = ["syn-balu", "--runs", "2", "--seed", "3", "--threads", "1"];
+    let traced = bin()
+        .env("MLPART_TRACE", "1")
+        .args(common)
+        .args(["--checkpoint", &s.path("run.ckpt")])
+        .output()
+        .expect("traced run");
+    assert!(traced.status.success(), "{}", stderr_of(&traced));
+    let text = String::from_utf8(read(&s.path("run.ckpt"))).expect("utf8 checkpoint");
+    let header = text.lines().next().expect("header line");
+    assert!(header.ends_with("\"traced\":true}}"), "{header}");
+
+    let resumed = bin()
+        .env_remove("MLPART_TRACE")
+        .args(common)
+        .args(["--checkpoint", &s.path("run.ckpt")])
+        .arg("--resume")
+        .output()
+        .expect("untraced resume");
+    assert_eq!(resumed.status.code(), Some(2), "{}", stderr_of(&resumed));
+    assert!(
+        stderr_of(&resumed).contains("different invocation"),
+        "{}",
+        stderr_of(&resumed)
+    );
+}
+
 /// An unwritable checkpoint path fails the run with exit 1 before any
 /// start burns cycles.
 #[test]

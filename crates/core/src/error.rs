@@ -4,7 +4,7 @@
 //! panicking, so harnesses feeding parsed benchmarks can report bad inputs as
 //! values. The three panicking wrappers the `perf` benchmark calls funnel
 //! through `expect_valid`, the single deliberate panic site of this crate,
-//! kept on the analyzer's ratchet.
+//! counted by the `panic` line of `panics-allow.txt`.
 
 use std::error::Error as StdError;
 use std::fmt;

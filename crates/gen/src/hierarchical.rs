@@ -92,7 +92,8 @@ pub fn hierarchical<R: Rng + ?Sized>(cfg: &HierarchicalConfig, rng: &mut R) -> H
 
     let mut b = HypergraphBuilder::with_unit_areas(n);
     let mut net: Vec<usize> = Vec::new();
-    let mut all_nets: Vec<Vec<usize>> = Vec::with_capacity(cfg.nets);
+    // Connectivity is tracked as nets are drawn; it draws no randomness.
+    let mut components = cfg.ensure_connected.then(|| Components::new(n));
     for _ in 0..cfg.nets {
         // --- Net size: 2 + Geometric(p_geo), truncated. ---
         let mut size = 2usize;
@@ -129,56 +130,68 @@ pub fn hierarchical<R: Rng + ?Sized>(cfg: &HierarchicalConfig, rng: &mut R) -> H
             }
         }
         b.add_net(net.iter().copied()).expect("indices in range");
-        all_nets.push(net.clone());
+        if let Some(c) = components.as_mut() {
+            c.union_net(&net);
+        }
     }
-    if cfg.ensure_connected {
-        for link in connecting_links(n, &all_nets, rng) {
+    if let Some(c) = components {
+        for link in c.connecting_links(rng) {
             b.add_net(link).expect("indices in range");
         }
     }
     b.build().expect("valid synthetic netlist")
 }
 
-/// Union-find pass over the drawn nets; returns one 2-pin bridge per extra
-/// connected component, linking a random member of each component to a
-/// random member of the first.
-fn connecting_links<R: Rng + ?Sized>(
-    n: usize,
-    nets: &[Vec<usize>],
-    rng: &mut R,
-) -> Vec<[usize; 2]> {
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    fn find(parent: &mut [u32], mut v: u32) -> u32 {
-        while parent[v as usize] != v {
-            parent[v as usize] = parent[parent[v as usize] as usize];
-            v = parent[v as usize];
+/// Union-find over the modules, fed one drawn net at a time.
+struct Components {
+    parent: Vec<u32>,
+}
+
+impl Components {
+    fn new(n: usize) -> Self {
+        Components {
+            parent: (0..n as u32).collect(),
+        }
+    }
+
+    fn find(&mut self, mut v: u32) -> u32 {
+        while self.parent[v as usize] != v {
+            self.parent[v as usize] = self.parent[self.parent[v as usize] as usize];
+            v = self.parent[v as usize];
         }
         v
     }
-    for net in nets {
+
+    /// Joins every pin of `net` to its first pin's component.
+    fn union_net(&mut self, net: &[usize]) {
         let first = net[0] as u32;
         for &other in &net[1..] {
-            let (a, b) = (find(&mut parent, first), find(&mut parent, other as u32));
+            let (a, b) = (self.find(first), self.find(other as u32));
             if a != b {
-                parent[a as usize] = b;
+                self.parent[a as usize] = b;
             }
         }
     }
-    // Group members by root, ordered by smallest member for determinism.
-    let mut members: std::collections::BTreeMap<u32, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for v in 0..n {
-        let root = find(&mut parent, v as u32);
-        members.entry(root).or_default().push(v);
+
+    /// One 2-pin bridge per extra connected component, linking a random
+    /// member of each component to a random member of the first.
+    fn connecting_links<R: Rng + ?Sized>(mut self, rng: &mut R) -> Vec<[usize; 2]> {
+        // Group members by root, ordered by smallest member for determinism.
+        let mut members: std::collections::BTreeMap<u32, Vec<usize>> =
+            std::collections::BTreeMap::new();
+        for v in 0..self.parent.len() {
+            let root = self.find(v as u32);
+            members.entry(root).or_default().push(v);
+        }
+        let components: Vec<Vec<usize>> = members.into_values().collect();
+        let mut links = Vec::new();
+        for comp in components.iter().skip(1) {
+            let a = components[0][rng.gen_range(0..components[0].len())];
+            let b = comp[rng.gen_range(0..comp.len())];
+            links.push([a, b]);
+        }
+        links
     }
-    let components: Vec<Vec<usize>> = members.into_values().collect();
-    let mut links = Vec::new();
-    for comp in components.iter().skip(1) {
-        let a = components[0][rng.gen_range(0..components[0].len())];
-        let b = comp[rng.gen_range(0..comp.len())];
-        links.push([a, b]);
-    }
-    links
 }
 
 /// Selects `count` distinct modules to act as I/O pads, preferring

@@ -444,7 +444,7 @@ impl HypergraphBuilder {
     ///
     /// * [`BuildHypergraphError::ZeroArea`] if any module area is zero.
     /// * [`BuildHypergraphError::AreaOverflow`] if the total area overflows.
-    pub fn build(self) -> Result<Hypergraph, BuildHypergraphError> {
+    pub fn build(mut self) -> Result<Hypergraph, BuildHypergraphError> {
         let n = self.areas.len();
         if let Some(z) = self.areas.iter().position(|&a| a == 0) {
             return Err(BuildHypergraphError::ZeroArea { module: z });
@@ -457,34 +457,44 @@ impl HypergraphBuilder {
         }
         let max_area = self.areas.iter().copied().max().unwrap_or(0);
 
-        // Deduplicate pins per net with a stamp array (O(pins) total).
+        // Deduplicate pins per net with a stamp array (O(pins) total) and
+        // compact the kept nets in place: kept pins, offsets and weights
+        // never pass their read position, so the input buffers become the
+        // output, trimmed to what was kept.
         let mut stamp = vec![u32::MAX; n];
-        let mut net_offsets: Vec<u32> = Vec::with_capacity(self.offsets.len());
-        let mut net_pins: Vec<ModuleId> = Vec::with_capacity(self.pins.len());
-        let mut net_weights: Vec<u32> = Vec::with_capacity(self.weights.len());
-        net_offsets.push(0);
-        let mut kept_net: u32 = 0;
-        for (net_idx, w) in self.offsets.windows(2).enumerate() {
-            let (lo, hi) = (w[0] as usize, w[1] as usize);
-            let start = net_pins.len();
-            for &pin in &self.pins[lo..hi] {
-                if stamp[pin as usize] != kept_net {
-                    stamp[pin as usize] = kept_net;
-                    net_pins.push(ModuleId::from(pin));
+        let (mut kept_pins, mut kept_nets, mut lo, mut tag) = (0usize, 0usize, 0usize, 0u32);
+        for net in 0..self.weights.len() {
+            // Read before the slot `kept_nets + 1 ≤ net + 1` is rewritten.
+            let hi = self.offsets[net + 1] as usize;
+            let start = kept_pins;
+            for read in lo..hi {
+                let seen = &mut stamp[self.pins[read] as usize];
+                if *seen != tag {
+                    *seen = tag;
+                    self.pins.swap(kept_pins, read);
+                    kept_pins += 1;
                 }
             }
-            if net_pins.len() - start < 2 {
-                // Single-pin (or empty) net after dedup: drop it. Reset the
-                // stamps we just wrote so the next net can't alias them.
-                for p in net_pins.drain(start..) {
-                    stamp[p.index()] = u32::MAX;
-                }
+            (lo, tag) = (hi, tag + 1);
+            if kept_pins - start < 2 {
+                // Single-pin (or empty) net after dedup: drop it.
+                kept_pins = start;
             } else {
-                net_offsets.push(net_pins.len() as u32);
-                net_weights.push(self.weights[net_idx]);
-                kept_net += 1;
+                kept_nets += 1;
+                self.offsets[kept_nets] = kept_pins as u32;
+                self.weights.swap(kept_nets - 1, net);
             }
         }
+        drop(stamp);
+        self.pins.truncate(kept_pins);
+        self.pins.shrink_to_fit();
+        self.offsets.truncate(kept_nets + 1);
+        self.offsets.shrink_to_fit();
+        self.weights.truncate(kept_nets);
+        self.weights.shrink_to_fit();
+        let (net_offsets, net_weights) = (self.offsets, self.weights);
+        // Same size and alignment, so this collect reuses the buffer.
+        let net_pins: Vec<ModuleId> = self.pins.into_iter().map(ModuleId::from).collect();
 
         // Build the module -> nets direction by counting then filling.
         let mut mod_offsets = vec![0u32; n + 1];
@@ -584,6 +594,21 @@ mod tests {
         let h = b.build().unwrap();
         assert_eq!(h.num_nets(), 1);
         assert_eq!(h.net_size(NetId::new(0)), 3);
+    }
+
+    #[test]
+    fn build_trims_buffers_to_the_kept_nets() {
+        let mut b = HypergraphBuilder::with_unit_areas(4);
+        b.add_net([0, 1, 1, 0, 2]).unwrap(); // dedups to {0, 1, 2}
+        b.add_net([3, 3]).unwrap(); // one distinct pin: dropped
+        b.add_weighted_net([3, 2, 3], 5).unwrap(); // dedups to {3, 2}
+        let h = b.build().unwrap();
+        assert_eq!(h.pins(NetId::new(1)), &[ModuleId::new(3), ModuleId::new(2)]);
+        assert_eq!(h.net_weights, vec![1, 5]);
+        assert_eq!(h.net_pins.capacity(), 5);
+        assert_eq!(h.net_offsets.capacity(), 3);
+        assert_eq!(h.net_weights.capacity(), 2);
+        assert!(h.validate());
     }
 
     #[test]

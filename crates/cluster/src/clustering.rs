@@ -40,22 +40,11 @@ impl Clustering {
     /// `0..max(map)` never occurs. (An empty map is the valid clustering of
     /// an empty netlist.)
     pub fn from_map(cluster_of: Vec<u32>) -> Option<Self> {
-        let num_clusters = match cluster_of.iter().max() {
-            None => 0,
-            Some(&m) => m as usize + 1,
-        };
-        let mut seen = vec![false; num_clusters];
-        for &c in &cluster_of {
-            seen[c as usize] = true;
-        }
-        if seen.iter().all(|&s| s) {
-            Some(Clustering {
-                cluster_of,
-                num_clusters,
-            })
-        } else {
-            None
-        }
+        let num_clusters = dense_count(&cluster_of)?;
+        Some(Clustering {
+            cluster_of,
+            num_clusters,
+        })
     }
 
     /// Builds a clustering from a map whose ids are dense in
@@ -64,11 +53,7 @@ impl Clustering {
     /// `debug_assertions`; in release builds this is a plain move.
     pub fn from_dense(cluster_of: Vec<u32>, num_clusters: usize) -> Self {
         debug_assert!(
-            {
-                let roundtrip = Clustering::from_map(cluster_of.clone());
-                roundtrip.as_ref().map(Clustering::num_clusters) == Some(num_clusters)
-                    || (cluster_of.is_empty() && num_clusters == 0)
-            },
+            dense_count(&cluster_of) == Some(num_clusters),
             "cluster ids are not dense in 0..{num_clusters}"
         );
         Clustering {
@@ -138,9 +123,19 @@ impl Clustering {
 
     /// `true` if this clustering matches hypergraph `h` and its ids are dense.
     pub fn validate(&self, h: &Hypergraph) -> bool {
-        self.cluster_of.len() == h.num_modules()
-            && Clustering::from_map(self.cluster_of.clone()).is_some()
+        self.cluster_of.len() == h.num_modules() && dense_count(&self.cluster_of).is_some()
     }
+}
+
+/// The cluster count of `map` (`max + 1`, zero when empty) if every id
+/// below it occurs, `None` otherwise.
+fn dense_count(map: &[u32]) -> Option<usize> {
+    let num_clusters = map.iter().max().map_or(0, |&m| m as usize + 1);
+    let mut seen = vec![false; num_clusters];
+    for &c in map {
+        seen[c as usize] = true;
+    }
+    seen.iter().all(|&s| s).then_some(num_clusters)
 }
 
 #[cfg(test)]

@@ -223,6 +223,16 @@ impl Hierarchy {
         sizes.extend(self.coarse.iter().map(Hypergraph::num_modules));
         sizes
     }
+
+    /// Removes the coarsest level `m`, handing back the clustering of
+    /// `Hₘ₋₁` onto it and `Hₘ` itself (its fixed list is dropped), so
+    /// uncoarsening frees each level once it has been projected. `None`
+    /// once only `H₀` is left.
+    pub(crate) fn pop_level(&mut self) -> Option<(Clustering, Hypergraph)> {
+        let coarse = self.coarse.pop()?;
+        self.fixed.pop();
+        Some((self.clusterings.pop()?, coarse))
+    }
 }
 
 /// One `Match` pass (Fig. 3) that keeps pins apart: the paper's `Match`

@@ -370,7 +370,8 @@ impl<R: Refiner> Cycle<'_, R> {
 
     /// Coarsens `h` under `cfg`, seeds the coarsest level
     /// (`cfg.initial_tries` times, keeping the first best cut), then projects,
-    /// rebalances and refines level by level down to `h`.
+    /// rebalances and refines level by level down to `h`. Each coarse level
+    /// is dropped as soon as its partition has been projected.
     fn cycle(
         &self,
         h: &Hypergraph,
@@ -378,8 +379,9 @@ impl<R: Refiner> Cycle<'_, R> {
         cx: &mut Ctx<'_>,
     ) -> Result<(Partition, MlResult), PipelineError> {
         let fixed = self.fixed();
-        let hierarchy = Hierarchy::coarsen(h, cfg, fixed, cx.rng)?;
+        let mut hierarchy = Hierarchy::coarsen(h, cfg, fixed, cx.rng)?;
         let m = hierarchy.num_levels();
+        let level_sizes = hierarchy.level_sizes(h);
 
         // --- Initial partitioning of Hₘ (step 6). ---
         let coarsest = hierarchy.coarsest(h);
@@ -430,21 +432,19 @@ impl<R: Refiner> Cycle<'_, R> {
 
         // --- Uncoarsening (steps 7-9), rebalancing after projection. ---
         let mut rebalance_moves = 0usize;
-        for i in (0..m).rev() {
-            let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
+        while let Some((clustering, coarse)) = hierarchy.pop_level() {
+            let i = hierarchy.num_levels();
+            let fine = hierarchy.coarsest(h);
             obs_span!("level", "level" => i, "modules" => fine.num_modules());
-            let mut fine_p = project(fine, hierarchy.clustering(i), &p)?;
+            let mut fine_p = project(fine, &clustering, &p)?;
             // Definition 2 audit: the projected solution must pull back
             // through the cluster map and preserve the cut bit-exactly,
             // checked before rebalancing perturbs `fine_p`.
-            audit!(mlpart_audit::audit_projection(
-                fine,
-                &fine_p,
-                hierarchy.level(i + 1),
-                &p,
-                hierarchy.clustering(i).as_map(),
-            )
-            .map_err(|e| e.with_level(i)));
+            audit!(
+                mlpart_audit::audit_projection(fine, &fine_p, &coarse, &p, clustering.as_map())
+                    .map_err(|e| e.with_level(i))
+            );
+            drop((clustering, coarse));
             let level_fixed = hierarchy.fixed_at(i);
             let bounds = self.bounds(fine);
             let level_rebalance =
@@ -479,7 +479,7 @@ impl<R: Refiner> Cycle<'_, R> {
         let result = MlResult {
             cut: metrics::cut(h, &p),
             levels: m,
-            level_sizes: hierarchy.level_sizes(h),
+            level_sizes,
             total_passes,
             rebalance_moves,
             level_stats,

@@ -3,8 +3,8 @@
 //!
 //! Every wrapper with an `_in` twin runs through a caller-owned
 //! [`RefineWorkspace`]; results are bit-identical either way, so the
-//! parallel runner can hand each worker thread one long-lived workspace
-//! without changing any table number.
+//! parallel runner can hand each start a workspace of its own without
+//! changing any table number.
 
 use mlpart_core::{
     ml_bipartition, ml_kway, recursive_ml_partition, MlConfig, MlKwayConfig, Request,

@@ -92,8 +92,7 @@ where
 /// The parallel twin of [`run_many`]: fans the `runs` starts out over
 /// `threads` worker threads through the `mlpart-exec` execution layer. Each
 /// start runs with the same `child_seed(base_seed, i)` stream the sequential
-/// path uses and each worker reuses a long-lived [`RefineWorkspace`], so the
-/// cut statistics are **bit-identical to [`run_many`] for every thread
+/// path uses, on a [`RefineWorkspace`] of its own, so the cut statistics are **bit-identical to [`run_many`] for every thread
 /// count** — only the timing fields differ.
 ///
 /// # Panics

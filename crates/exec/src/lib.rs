@@ -19,9 +19,11 @@
 //! 1. Start `i` always derives its PRNG from `child_seed(base_seed, i)` —
 //!    the SplitMix64 streams are a function of the start index alone, never
 //!    of which worker claims the start or in what order.
-//! 2. Each worker owns a private long-lived [`RefineWorkspace`]; workspace
-//!    reuse is bit-identical to fresh allocation (the `*_in` entry-point
-//!    contract), so which starts share a workspace is unobservable.
+//! 2. Each attempt of a start runs on a fresh [`RefineWorkspace`] of its
+//!    own, dropped when the attempt ends, so nothing flows from one start
+//!    to the next through it and a start's heap ends with the start. (A
+//!    reused workspace would give the same results, by the `*_in`
+//!    entry-point contract.)
 //! 3. Results are scattered into a slot vector indexed by start, so the
 //!    returned `Vec` is in start order regardless of completion order, and
 //!    reductions such as [`best_index_by_key`] break ties by the lowest
@@ -175,15 +177,14 @@ pub fn default_threads() -> usize {
 ///
 /// Each start runs under `catch_unwind`: a panicking start becomes a
 /// [`StartFailure`] (with the panic message and, under `obs`, the innermost
-/// open span as its phase) while every other start proceeds normally. A
-/// worker whose start panicked replaces its workspace with a fresh one —
-/// fresh allocation is bit-identical to reuse by the `*_in` contract, so
-/// isolation cannot change any surviving start's result. Consequently the
-/// surviving results are bit-identical to a sequential run over just the
-/// surviving start indices, at every thread count.
+/// open span as its phase) while every other start proceeds normally. The
+/// unwound start's workspace dies with it and the next start gets a fresh
+/// one, so isolation cannot change any surviving start's result.
+/// Consequently the surviving results are bit-identical to a sequential run
+/// over just the surviving start indices, at every thread count.
 ///
-/// Start `i` receives a PRNG seeded with `child_seed(base_seed, i)` and its
-/// worker's long-lived [`RefineWorkspace`]. Starts are distributed by an
+/// Start `i` receives a PRNG seeded with `child_seed(base_seed, i)` and a
+/// fresh [`RefineWorkspace`] of its own. Starts are distributed by an
 /// atomic next-start counter — idle workers steal whatever start is next —
 /// but the returned vectors are in start order for every `threads` value.
 ///
@@ -328,12 +329,12 @@ mod tests {
     }
 
     #[test]
-    fn workspace_is_long_lived_per_worker() {
-        // Jobs observe their worker's workspace; the *values* must still be
-        // workspace-independent (the *_in contract), so here we only check
-        // the runner never hands the same workspace to two concurrent jobs:
-        // each job writes a marker and asserts it sees its own.
+    fn workspace_is_private_to_one_start() {
+        // Each job gets a fresh workspace of its own: it sees no marker a
+        // previous start left, and no concurrent job sees its marker.
+        let fresh = RefineWorkspace::new().state.key_bound;
         let marker_job = |rng: &mut MlRng, ws: &mut RefineWorkspace| -> i32 {
+            assert_eq!(ws.state.key_bound, fresh);
             let tag = rng.gen_range(1..i32::MAX);
             ws.state.key_bound = tag;
             std::thread::yield_now();

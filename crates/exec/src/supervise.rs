@@ -211,14 +211,14 @@ pub type Sink<'s, T> = Option<&'s (dyn Fn(&StartDone<T>) + Sync)>;
 
 /// Runs one start to success or retry exhaustion. Every attempt runs
 /// inside its own isolation boundary (catch_unwind inside the obs capture,
-/// fault sites innermost), and each attempt's trace is wrapped and
-/// appended to the start's contribution locally so the scatter phase can
-/// splice it in start order.
+/// fault sites innermost) on a workspace of its own, dropped when the
+/// attempt ends, and each attempt's trace is wrapped and appended to the
+/// start's contribution locally so the scatter phase can splice it in
+/// start order.
 fn run_start_supervised<T, F>(
     i: usize,
     base_seed: u64,
     policy: &RetryPolicy,
-    ws: &mut RefineWorkspace,
     job: &F,
 ) -> (f64, StartYield<T>)
 where
@@ -255,7 +255,7 @@ where
         let (result, trace) = capture_unwind(|| {
             fault_point!("start", i as u64);
             fault_point!("attempt", i as u64 * ATTEMPT_STRIDE + u64::from(a));
-            job(&mut rng, ws, attempt)
+            job(&mut rng, &mut RefineWorkspace::new(), attempt)
         });
         append_attempt(&mut contribution, i, a, &trace);
         match result {
@@ -263,9 +263,6 @@ where
             Err(payload) => {
                 let message = panic_message(payload);
                 let phase = failure_phase(&trace);
-                // The unwound job may have left the workspace mid-mutation;
-                // fresh is bit-identical to reused (the `*_in` contract).
-                *ws = RefineWorkspace::new();
                 if a + 1 < max {
                     retries.push(RetryRecord {
                         start: i,
@@ -379,14 +376,13 @@ where
         .collect();
 
     // One worker: claims pending starts off the shared counter until none
-    // are left, on its own long-lived workspace. One thread runs it inline;
-    // more threads each spawn one, even for a lone pending start.
+    // are left. One thread runs it inline; more threads each spawn one, even
+    // for a lone pending start.
     let next = AtomicUsize::new(0);
     let work = || {
-        let mut ws = RefineWorkspace::new();
         let mut local = Vec::new();
         while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-            let (secs, y) = run_start_supervised(i, base_seed, policy, &mut ws, job);
+            let (secs, y) = run_start_supervised(i, base_seed, policy, job);
             notify_sink(sink, i, &y);
             local.push((i, secs, y));
         }

@@ -10,12 +10,14 @@
 //!
 //! # Non-normative by construction
 //!
-//! Allocation values are telemetry, like timestamps: a worker reusing a
-//! warm refinement workspace allocates less than a cold one, and
-//! which worker runs which start is a scheduling accident. The exporters
-//! therefore treat the `alloc_*` keys exactly like timing — zeroed by
-//! `strip_timing`, removed entirely by `strip_profile` so traces from
-//! `obs-alloc` and plain `obs` builds compare equal on content.
+//! Allocation values are telemetry, like timestamps. Every start runs on a
+//! refinement workspace of its own, so which worker runs a start no longer
+//! moves them, but they still follow the standard library's growth policy
+//! for collections and whatever the toolchain inlines or elides, which no
+//! result depends on. The exporters therefore treat the `alloc_*` keys
+//! exactly like timing — zeroed by `strip_timing`, removed entirely by
+//! `strip_profile` so traces from `obs-alloc` and plain `obs` builds
+//! compare equal on content.
 //!
 //! The tallies are `Cell`s in `const`-initialized thread-local storage: no
 //! lazy initialization, no destructor, and no allocation inside the

@@ -235,9 +235,9 @@ fn chrome_event(ev: &Json) -> Result<Event, String> {
 }
 
 /// Timestamp-carrying JSON keys excluded from the determinism contract,
-/// plus the allocation telemetry keys — alloc tallies depend on which
-/// worker's warm workspace ran a start, so they are scheduling artifacts
-/// exactly like durations.
+/// plus the allocation telemetry keys — alloc tallies follow the standard
+/// library's growth policy and the toolchain, not the algorithm, so they
+/// are telemetry exactly like durations.
 const TIMING_KEYS: [&str; 10] = [
     "ts",
     "dur_ns",

@@ -43,8 +43,9 @@
 //!
 //! `--retries` gives each start up to N deterministically reseeded
 //! attempts before it counts as failed; `--checkpoint` records every
-//! completed start to an atomically rewritten `mlpart-checkpoint-v1` file
-//! and `--resume` skips the recorded starts, reproducing the
+//! completed start to an `mlpart-checkpoint-v1` file (its header written
+//! atomically, then one synced line appended per completed start) and
+//! `--resume` skips the recorded starts, reproducing the
 //! uninterrupted run's partition and stripped report byte-for-byte — even
 //! after a mid-batch `SIGKILL`. A start whose solution leaves its balance
 //! window (retry exhaustion, truncation, injected faults) is funneled
@@ -211,8 +212,9 @@ supervision (crash-safe batches):
                   run a start's *final* attempt under --max-passes N
                   (graceful degradation; needs --retries >= 2)
   --checkpoint F  record every completed start to F, a
-                  mlpart-checkpoint-v1 JSONL file rewritten
-                  atomically on each completion
+                  mlpart-checkpoint-v1 JSONL file: the header is
+                  written atomically, then each completed start
+                  appends one synced line
   --resume        skip the starts recorded in --checkpoint's file;
                   the resumed run's partition and stripped report
                   are byte-identical to an uninterrupted run's

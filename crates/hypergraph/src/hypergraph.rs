@@ -9,7 +9,9 @@
 //! The structure is immutable after construction: the partitioners never
 //! mutate the netlist, only partitions of it, and coarsening produces *new*
 //! (induced) hypergraphs. Both incidence directions are stored CSR-style:
-//! `net → pins` and `module → incident nets`.
+//! `net → pins` and `module → incident nets`. A [`NetList`] is the same
+//! netlist with only the first direction, for levels that are stored but
+//! not worked on.
 
 use crate::error::BuildHypergraphError;
 use crate::ids::{ModuleId, NetId};
@@ -260,6 +262,19 @@ impl Hypergraph {
         Ok((sub, back))
     }
 
+    /// Drops the module → net incidence, keeping the nets, their weights
+    /// and the module areas; [`NetList::into_hypergraph`] rebuilds it.
+    pub fn into_net_list(self) -> NetList {
+        NetList {
+            net_offsets: self.net_offsets,
+            net_pins: self.net_pins,
+            net_weights: self.net_weights,
+            areas: self.areas,
+            total_area: self.total_area,
+            max_area: self.max_area,
+        }
+    }
+
     /// Checks internal CSR consistency; used by tests and debug assertions.
     ///
     /// Verifies that offsets are monotone, every pin and net reference is in
@@ -290,6 +305,85 @@ impl Hypergraph {
             }
         }
         forward == self.mod_nets.len()
+    }
+}
+
+/// A [`Hypergraph`] without its module → net incidence: the net → pin CSR,
+/// the net weights and the module areas.
+///
+/// The multilevel hierarchy stores every coarse level but the one being
+/// worked on this way; the dropped direction is a pure function of the
+/// nets, so [`into_hypergraph`](Self::into_hypergraph) gives back a netlist
+/// equal to the one [`Hypergraph::into_net_list`] was called on.
+///
+/// # Examples
+///
+/// ```
+/// use mlpart_hypergraph::HypergraphBuilder;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = HypergraphBuilder::with_unit_areas(3);
+/// b.add_net([0, 1, 2])?;
+/// let h = b.build()?;
+/// let nets = h.clone().into_net_list();
+/// assert_eq!(nets.num_modules(), 3);
+/// assert_eq!(nets.into_hypergraph(), h);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NetList {
+    net_offsets: Vec<u32>,
+    net_pins: Vec<ModuleId>,
+    net_weights: Vec<u32>,
+    areas: Vec<u64>,
+    total_area: u64,
+    max_area: u64,
+}
+
+impl NetList {
+    /// Number of modules `|V|`.
+    pub fn num_modules(&self) -> usize {
+        self.areas.len()
+    }
+
+    /// Total number of pins (sum of net sizes).
+    pub fn num_pins(&self) -> usize {
+        self.net_pins.len()
+    }
+
+    /// Rebuilds the module → net incidence by one counting transpose of
+    /// the pins, listing each module's nets in ascending net order.
+    pub fn into_hypergraph(self) -> Hypergraph {
+        let n = self.areas.len();
+        let mut mod_offsets = vec![0u32; n + 1];
+        for &p in &self.net_pins {
+            mod_offsets[p.index() + 1] += 1;
+        }
+        for i in 0..n {
+            mod_offsets[i + 1] += mod_offsets[i];
+        }
+        let mut cursor = mod_offsets.clone();
+        let mut mod_nets = vec![NetId::default(); self.net_pins.len()];
+        for (e, w) in self.net_offsets.windows(2).enumerate() {
+            for &p in &self.net_pins[w[0] as usize..w[1] as usize] {
+                let c = &mut cursor[p.index()];
+                mod_nets[*c as usize] = NetId::new(e);
+                *c += 1;
+            }
+        }
+        let h = Hypergraph {
+            net_offsets: self.net_offsets,
+            net_pins: self.net_pins,
+            mod_offsets,
+            mod_nets,
+            net_weights: self.net_weights,
+            areas: self.areas,
+            total_area: self.total_area,
+            max_area: self.max_area,
+        };
+        debug_assert!(h.validate());
+        h
     }
 }
 
@@ -492,40 +586,16 @@ impl HypergraphBuilder {
         self.offsets.shrink_to_fit();
         self.weights.truncate(kept_nets);
         self.weights.shrink_to_fit();
-        let (net_offsets, net_weights) = (self.offsets, self.weights);
-        // Same size and alignment, so this collect reuses the buffer.
-        let net_pins: Vec<ModuleId> = self.pins.into_iter().map(ModuleId::from).collect();
-
-        // Build the module -> nets direction by counting then filling.
-        let mut mod_offsets = vec![0u32; n + 1];
-        for &p in &net_pins {
-            mod_offsets[p.index() + 1] += 1;
-        }
-        for i in 0..n {
-            mod_offsets[i + 1] += mod_offsets[i];
-        }
-        let mut cursor = mod_offsets.clone();
-        let mut mod_nets = vec![NetId::default(); net_pins.len()];
-        for (e, w) in net_offsets.windows(2).enumerate() {
-            for &p in &net_pins[w[0] as usize..w[1] as usize] {
-                let c = &mut cursor[p.index()];
-                mod_nets[*c as usize] = NetId::new(e);
-                *c += 1;
-            }
-        }
-
-        let h = Hypergraph {
-            net_offsets,
-            net_pins,
-            mod_offsets,
-            mod_nets,
-            net_weights,
+        Ok(NetList {
+            net_offsets: self.offsets,
+            // Same size and alignment, so this collect reuses the buffer.
+            net_pins: self.pins.into_iter().map(ModuleId::from).collect(),
+            net_weights: self.weights,
             areas: self.areas,
             total_area,
             max_area,
-        };
-        debug_assert!(h.validate());
-        Ok(h)
+        }
+        .into_hypergraph())
     }
 }
 

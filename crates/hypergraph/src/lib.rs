@@ -56,7 +56,7 @@ pub use constraints::{
     adapted_epsilon, Constraints, ConstraintsError, PartBounds, DEFAULT_EPSILON,
 };
 pub use error::{BuildHypergraphError, ParseFixError, ParseHgrError};
-pub use hypergraph::{Hypergraph, HypergraphBuilder};
+pub use hypergraph::{Hypergraph, HypergraphBuilder, NetList};
 pub use ids::{ModuleId, NetId};
 pub use metrics::CutStats;
 pub use partition::{BipartBalance, KwayBalance, PartId, Partition};

@@ -138,6 +138,29 @@ proptest! {
         prop_assert_eq!(total_degree, h.num_pins());
     }
 
+    /// Dropping the module → net incidence and rebuilding it gives back an
+    /// equal netlist: weighted nets, nets listing a pin twice, and modules
+    /// on no net at all.
+    #[test]
+    fn net_list_roundtrip_is_identity((mut areas, nets) in arb_netlist(), isolated in 0usize..4) {
+        areas.extend((1..=isolated as u64).map(|a| a * 3));
+        let nets: Vec<(Vec<usize>, u32)> = with_weights(nets)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mut net, w))| {
+                if i % 2 == 0 {
+                    net.push(net[0]);
+                }
+                (net, w)
+            })
+            .collect();
+        let h = build_weighted(areas, &nets);
+        let nets = h.clone().into_net_list();
+        prop_assert_eq!(nets.num_modules(), h.num_modules());
+        prop_assert_eq!(nets.num_pins(), h.num_pins());
+        prop_assert_eq!(nets.into_hypergraph(), h);
+    }
+
     #[test]
     fn hgr_roundtrip_is_identity((areas, nets) in arb_netlist()) {
         let h = build(areas, &nets);

@@ -22,9 +22,10 @@ use rand::Rng;
 
 /// Reusable scratch buffers for [`match_clusters_frozen_in`]: the random
 /// module permutation of Fig. 3 step 1 plus the `Conn` array and touched set
-/// `S` of step 5. The multilevel coarsener calls `Match` once per pass, and
-/// holding one `MatchScratch` across the whole coarsening loop means no
-/// per-pass allocation (levels shrink, so level-0 capacity serves them all).
+/// `S` of step 5. The multilevel coarsener calls `Match` once per level and
+/// holds one `MatchScratch` across the whole coarsening loop; each pass
+/// shrinks the per-module buffers to its own level, so a coarse level's
+/// `Match` does not keep level-0 capacity alive.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     /// The random visit permutation π (Fig. 3 step 1).
@@ -113,8 +114,8 @@ pub fn match_clusters<R: Rng + ?Sized>(
 /// [`match_clusters`] with a set of *frozen* modules that must remain
 /// singleton clusters — used by multilevel quadrisection so that pre-assigned
 /// I/O pads are never merged with movable logic (or with pads pinned to a
-/// different part) — and caller-owned scratch buffers, so no pass allocates
-/// the permutation or `Conn` machinery.
+/// different part) — and caller-owned scratch buffers, so one permutation
+/// and `Conn` machinery serves a whole coarsening loop.
 ///
 /// `frozen`, when present, must have one entry per module.
 ///
@@ -199,10 +200,13 @@ where
 
     // Scratch for the conn computation: Conn array + touched set S (Fig. 3's
     // description of step 5). `conn` is all-zero between modules (entries are
-    // reset via `touched`), so clear+resize restores the invariant without
-    // reallocating.
+    // reset via `touched`), so clear+resize restores the invariant; both
+    // per-module buffers give back capacity beyond this level's `n`.
     scratch.conn.clear();
+    scratch.conn.shrink_to(n);
     scratch.conn.resize(n, 0.0);
+    scratch.perm.clear();
+    scratch.perm.shrink_to(n);
     scratch.touched.clear();
     let conn = &mut scratch.conn;
     let touched = &mut scratch.touched;

@@ -12,7 +12,7 @@ use mlpart::core::{Hierarchy, MlConfig};
 use mlpart::fm::refine;
 use mlpart::gen::suite;
 use mlpart::hypergraph::rng::seeded_rng;
-use mlpart::hypergraph::{metrics, BipartBalance, Hypergraph};
+use mlpart::hypergraph::{metrics, BipartBalance};
 use mlpart::{fm_partition, RefineRequest};
 
 fn main() -> Result<(), mlpart::PipelineError> {
@@ -29,7 +29,7 @@ fn main() -> Result<(), mlpart::PipelineError> {
     println!();
 
     // --- Coarsening phase (Fig. 2, steps 1-5). ---
-    let hier = Hierarchy::coarsen(&h0, &cfg, &[], &mut rng)?;
+    let mut hier = Hierarchy::coarsen(&h0, &cfg, &[], &mut rng)?;
     let m = hier.num_levels();
     println!(
         "coarsening with R = {} built {m} levels:",
@@ -51,9 +51,11 @@ fn main() -> Result<(), mlpart::PipelineError> {
         "{:<6} {:>10} {:>12} {:>10}",
         "level", "projected", "rebalanced", "refined"
     );
-    for i in (0..m).rev() {
-        let fine: &Hypergraph = if i == 0 { &h0 } else { hier.level(i) };
-        let mut fine_p = project(fine, hier.clustering(i), &p).expect("hierarchy levels align");
+    // Each step pops the coarsest level and projects onto the one below it.
+    while let Some((clustering, _)) = hier.pop_level() {
+        let i = hier.num_levels();
+        let fine = hier.coarsest(&h0);
+        let mut fine_p = project(fine, &clustering, &p).expect("hierarchy levels align");
         let projected_cut = metrics::cut(fine, &fine_p);
         let balance = BipartBalance::new(fine, cfg.fm.balance_r);
         let moved = if balance.is_partition_feasible(&fine_p) {

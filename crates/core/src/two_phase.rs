@@ -115,15 +115,24 @@ fn phases(
 ) -> Result<(Partition, TwoPhaseResult), PipelineError> {
     let fixed = cycle.fixed();
     // Phase 1: cluster once and partition the coarse netlist.
-    let clustering = match_level(h, match_cfg, fixed, cx.rng, &mut MatchScratch::new());
-    let coarse = induce(h, &clustering)?;
+    let clustering = {
+        obs_span!("match", "level" => 0u64, "modules" => h.num_modules());
+        match_level(h, match_cfg, fixed, cx.rng, &mut MatchScratch::new())
+    };
+    let coarse = {
+        obs_span!("induce", "level" => 0u64, "pins" => h.num_pins());
+        induce(h, &clustering)?
+    };
     let coarse_fixed = lift_fixed(fixed, &clustering);
     obs_counter!("two_phase_coarse", "coarse_modules" => coarse.num_modules());
     cx.meter.set_level_context(Some(1));
     let (coarse_p, coarse_r) = cycle.seed(&coarse, &coarse_fixed, cx)?;
 
     // Phase 2: project and refine on the original netlist.
-    let mut p = project(h, &clustering, &coarse_p)?;
+    let mut p = {
+        obs_span!("project", "modules" => h.num_modules());
+        project(h, &clustering, &coarse_p)?
+    };
     let bounds = cycle.bounds(h);
     let rebalance = cycle.rebalance(h, &mut p, &bounds, fixed, cx.rng)?;
     obs_counter!("rebalance", "level" => 0u64, "moves" => rebalance);

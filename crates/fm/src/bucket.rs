@@ -35,6 +35,7 @@
 //! with one side blocked), and the k-way engine about 8.6 on a
 //! quadrisection (about 183 before the source classes).
 
+use crate::state::resize_exact;
 use mlpart_hypergraph::ModuleId;
 use rand::Rng;
 
@@ -592,17 +593,17 @@ impl GainBuckets {
         self.max_key = max_key;
         self.classes = classes;
         self.heads.clear();
-        self.heads.resize(buckets * lists, NIL);
+        resize_exact(&mut self.heads, buckets * lists, NIL);
         self.tails.clear();
-        self.tails.resize(tails, NIL);
-        self.next.resize(list_modules, NIL);
-        self.prev.resize(list_modules, NIL);
+        resize_exact(&mut self.tails, tails, NIL);
+        resize_exact(&mut self.next, list_modules, NIL);
+        resize_exact(&mut self.prev, list_modules, NIL);
         self.key.clear();
-        self.key.resize(num_modules, 0);
+        resize_exact(&mut self.key, num_modules, 0);
         self.class.clear();
-        self.class.resize(num_modules, ABSENT);
+        resize_exact(&mut self.class, num_modules, ABSENT);
         self.tally.clear();
-        self.tally.resize(tallies, 0);
+        resize_exact(&mut self.tally, tallies, 0);
         self.dense.reset(dense_buckets, dense_modules);
         self.cursors.clear();
         self.cursors.reserve(lists);
@@ -788,7 +789,7 @@ impl DenseBuckets {
     fn reset(&mut self, buckets: usize, num_modules: usize) {
         self.clear();
         self.members.resize_with(buckets, Vec::new);
-        self.slot.resize(num_modules, 0);
+        resize_exact(&mut self.slot, num_modules, 0);
     }
 
     fn clear(&mut self) {

@@ -11,8 +11,9 @@
 //!
 //! [`RefineWorkspace`] wraps a `RefineState` so a multilevel driver can
 //! allocate the scratch once and re-bind it at every level of the V-cycle
-//! (`bind_nets` / `bind_modules` are grow-only: `Vec::resize` and
-//! [`GainBuckets::reset`] reuse capacity). A freshly bound state is
+//! (`bind_nets` / `bind_modules` are grow-only: `resize_exact` and
+//! [`GainBuckets::reset`] reuse capacity, and grow it to the level's size
+//! rather than doubling it). A freshly bound state is
 //! observationally identical to a freshly allocated one, so refinement
 //! results do not depend on whether a workspace is reused — the equivalence
 //! tests in `crates/fm/tests` and `crates/kway/tests` pin this down.
@@ -20,6 +21,14 @@
 use crate::bucket::{BucketPolicy, Filing, GainBuckets};
 use crate::request::RefineError;
 use mlpart_hypergraph::{Hypergraph, ModuleId, PartId};
+
+/// `v.resize(n, value)` that grows the capacity to exactly `n`. A workspace
+/// re-bound at each finer level would otherwise double its buffers at every
+/// bind and end up to twice the size of the finest level.
+pub(crate) fn resize_exact<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.reserve_exact(n.saturating_sub(v.len()));
+    v.resize(n, value);
+}
 
 /// Statistics of one refinement pass, collected by both engines.
 ///
@@ -176,10 +185,11 @@ impl RefineState {
     ) -> Result<i32, RefineError> {
         self.k = k;
         self.visible.clear();
+        self.visible.reserve_exact(h.num_nets());
         self.visible
             .extend(h.net_ids().map(|e| h.net_size(e) <= max_net_size));
         self.pins_in.clear();
-        self.pins_in.resize(h.num_nets() * k as usize, 0);
+        resize_exact(&mut self.pins_in, h.num_nets() * k as usize, 0);
         let weight = h
             .modules()
             .map(|v| {
@@ -214,13 +224,13 @@ impl RefineState {
     ) {
         let n = h.num_modules();
         self.gain.clear();
-        self.gain.resize(n, 0);
+        resize_exact(&mut self.gain, n, 0);
         self.gain0.clear();
-        self.gain0.resize(n, 0);
+        resize_exact(&mut self.gain0, n, 0);
         self.locked.clear();
-        self.locked.resize(n, false);
+        resize_exact(&mut self.locked, n, false);
         self.fixed.clear();
-        self.fixed.resize(n, false);
+        resize_exact(&mut self.fixed, n, false);
         self.buckets.truncate(num_buckets);
         for b in &mut self.buckets {
             b.reset(n, max_key, policy, classes, filing);
@@ -230,12 +240,12 @@ impl RefineState {
                 .push(GainBuckets::new(n, max_key, policy, classes, filing));
         }
         self.moves.clear();
-        self.moves.reserve(n);
+        self.moves.reserve_exact(n);
         self.slot.clear();
-        self.slot.resize(n, u32::MAX);
+        resize_exact(&mut self.slot, n, u32::MAX);
         self.stamp.clear();
         if filing == Filing::Merged && classes > 1 {
-            self.stamp.resize(n, 0);
+            resize_exact(&mut self.stamp, n, 0);
         }
         self.key_bound = max_key;
     }

@@ -14,7 +14,8 @@
 //! candidate and allocates nothing. All operations except selection are
 //! O(1). Selection walks down from a lazily-maintained highest-non-empty
 //! bucket hint and, within buckets, until a candidate passes the caller's
-//! feasibility check; that walk is *not* O(1) per move.
+//! feasibility check or the walk reaches the caller's floor key; that walk
+//! is *not* O(1) per move.
 //!
 //! Under LIFO and FIFO every member is filed under a *class*, and a
 //! selection names the classes it may draw from ([`OpenClasses`]); a
@@ -32,8 +33,10 @@
 //! stamps. Random ignores classes. Measured with `PassStats::inspected`,
 //! the 2-way engine makes about 1.2 checks per move on a large ML bisection
 //! (about 33 before the side tallies, almost all of them in the few picks
-//! with one side blocked), and the k-way engine about 8.6 on a
-//! quadrisection (about 183 before the source classes).
+//! with one side blocked), and the k-way engine about 7.2 on a
+//! quadrisection (about 183 before the source classes, and 10.3 before
+//! [`GainBuckets::select_above`] let it stop each probe at the key of the
+//! pick it already has).
 
 use crate::state::resize_exact;
 use mlpart_hypergraph::ModuleId;
@@ -445,16 +448,35 @@ impl GainBuckets {
         &mut self,
         rng: &mut R,
         open: OpenClasses<'_>,
+        feasible: F,
+    ) -> Option<ModuleId>
+    where
+        R: Rng + ?Sized,
+        F: FnMut(ModuleId) -> bool,
+    {
+        self.select_above(rng, open, None, feasible)
+    }
+
+    /// [`select_where`](Self::select_where) over the keys above `floor`
+    /// only: no member at or below it is passed to `feasible`, and Random
+    /// draws for none of them. `None` walks every key.
+    pub fn select_above<R, F>(
+        &mut self,
+        rng: &mut R,
+        open: OpenClasses<'_>,
+        floor: Option<i32>,
         mut feasible: F,
     ) -> Option<ModuleId>
     where
         R: Rng + ?Sized,
         F: FnMut(ModuleId) -> bool,
     {
+        // The walks below stop at bucket index `stop`, the floor's.
+        let stop = floor.map_or(-1, |f| f.saturating_add(self.max_key).max(-1));
         let mut b = self.settle_top_hint();
         match self.layout {
             Layout::Tallied if (0..self.classes).all(|c| open.contains(c)) => {
-                while b >= 0 {
+                while b > stop {
                     let head = self.heads.get(b as usize).copied().unwrap_or(NIL);
                     let picked = walk_list(head, &self.next, &mut feasible);
                     if picked.is_some() {
@@ -464,7 +486,7 @@ impl GainBuckets {
                 }
             }
             Layout::Tallied => {
-                while b >= 0 {
+                while b > stop {
                     let members: u32 = lists(&self.tally, self.classes, b as usize)
                         .iter()
                         .enumerate()
@@ -484,7 +506,7 @@ impl GainBuckets {
             }
             Layout::Merged => {
                 let newest_first = self.policy == BucketPolicy::Lifo;
-                while b >= 0 {
+                while b > stop {
                     let picked = walk_bucket(
                         lists(&self.heads, self.classes, b as usize),
                         &self.next,
@@ -500,7 +522,7 @@ impl GainBuckets {
                 }
             }
             Layout::Dense => {
-                while b >= 0 {
+                while b > stop {
                     if self.heads.get(b as usize).is_some_and(|&h| h != NIL) {
                         let picked = self.dense.pick(b as usize, rng, &mut feasible);
                         if picked.is_some() {

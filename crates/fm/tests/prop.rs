@@ -130,6 +130,7 @@ proptest! {
         merged in any::<bool>(),
         mask in any::<u32>(),
         open_mask in 0u32..16,
+        floor in -6i32..=5,
     ) {
         // Model-based test over every policy, both filings and 1–4
         // classes: mirror GainBuckets with one list per bucket, i.e. each
@@ -144,7 +145,10 @@ proptest! {
         // Random ignores classes: its pick must be a feasible member of the
         // highest bucket that has one, and each bucket must hold exactly the
         // model's members for its key (a stale position after a
-        // swap-remove shows up here).
+        // swap-remove shows up here). Selection walks only the keys above
+        // `floor` (every key at −6) and checks no member at or below it.
+        let floor = (floor > -6).then_some(floor);
+        let above = |key: i32| floor.is_none_or(|f| key > f);
         let policy = [BucketPolicy::Lifo, BucketPolicy::Fifo, BucketPolicy::Random][policy];
         let filing = if merged { Filing::Merged } else { Filing::Tallied };
         let feasible = move |v: ModuleId| (mask >> v.index()) & 1 == 1;
@@ -206,20 +210,25 @@ proptest! {
                 members
             };
             let view = OpenClasses::new(&open, &stamps);
-            let mut checked_closed = None;
-            let got = b.select_where(&mut rng, view, |v| {
-                if !open[model[&v.index()].1] {
+            let (mut checked_closed, mut checked_below) = (None, None);
+            let got = b.select_above(&mut rng, view, floor, |v| {
+                let (key, class) = model[&v.index()];
+                if !open[class] {
                     checked_closed = Some(v);
+                }
+                if !above(key) {
+                    checked_below = Some(v);
                 }
                 feasible(v)
             });
+            prop_assert_eq!(checked_below, None, "member at or below the floor checked");
             if policy != BucketPolicy::Random {
                 prop_assert_eq!(checked_closed, None, "closed-class member checked");
             }
             if policy == BucketPolicy::Random {
                 let best = model
                     .iter()
-                    .filter(|&(&v, _)| feasible(ModuleId::new(v)))
+                    .filter(|&(&v, &(k, _))| above(k) && feasible(ModuleId::new(v)))
                     .map(|(_, &(k, _))| k)
                     .max();
                 match (got, best) {
@@ -236,6 +245,7 @@ proptest! {
             } else {
                 let want = (-5..=5)
                     .rev()
+                    .filter(|&key| above(key))
                     .find_map(|key| single_list(key).into_iter().find(|&v| feasible(ModuleId::new(v))));
                 prop_assert_eq!(got.map(|m| m.index()), want);
             }

@@ -10,8 +10,9 @@
 
 use crate::{KwayConfig, KwayGain};
 use mlpart_audit::{audit_partition, AuditError, AuditResult};
-use mlpart_fm::{BucketPolicy, OpenClasses, RefineState};
-use mlpart_hypergraph::{Hypergraph, ModuleId, NetId, PartId, Partition};
+use mlpart_fm::{BucketPolicy, GainBuckets, OpenClasses, RefineState};
+use mlpart_hypergraph::rng::seeded_rng;
+use mlpart_hypergraph::{Hypergraph, ModuleId, NetId, PartBounds, PartId, Partition};
 
 const ST: &str = "KwayState";
 
@@ -289,6 +290,50 @@ fn audit_class_filing(st: &RefineState, p: &Partition) -> AuditResult {
     Ok(())
 }
 
+/// Pick audit of destination pruning, run after each LIFO or FIFO
+/// selection: probing every destination the area gate admits over all its
+/// keys, none pruned, must give the engine's `picked` `(key, destination,
+/// module)`, ties to the lower destination. These policies draw nothing
+/// from their RNG, and a throwaway one keeps the engine's stream untouched
+/// regardless. Random selection is not pruned and not checked here.
+pub fn audit_destination_pruning(
+    buckets: &mut [GainBuckets],
+    h: &Hypergraph,
+    p: &Partition,
+    bounds: &PartBounds,
+    min_area: u64,
+    open: OpenClasses<'_>,
+    picked: Option<(i32, PartId, ModuleId)>,
+) -> AuditResult {
+    if buckets.first().map(GainBuckets::policy) == Some(BucketPolicy::Random) {
+        return Ok(());
+    }
+    let admitted = buckets
+        .iter_mut()
+        .zip(0..p.k())
+        .filter(|&(_, t)| p.part_area(t) + min_area <= bounds.hi(t));
+    let mut unpruned: Option<(i32, PartId, ModuleId)> = None;
+    for (bucket, t) in admitted {
+        let cand = bucket.select_where(&mut seeded_rng(0), open, |v| {
+            let (a, from) = (h.area(v), p.part(v));
+            p.part_area(t) + a <= bounds.hi(t) && p.part_area(from) - a >= bounds.lo(from)
+        });
+        if let Some(v) = cand {
+            let key = bucket.key_of(v);
+            if unpruned.is_none_or(|(best, _, _)| key > best) {
+                unpruned = Some((key, t, v));
+            }
+        }
+    }
+    if unpruned != picked {
+        return Err(err(
+            "destination-prune",
+            format!("pruned probes picked {picked:?}, probing every destination {unpruned:?}"),
+        ));
+    }
+    Ok(())
+}
+
 /// Pass-end audit, run after rollback to the best prefix: partition
 /// balance counters and the engine's claimed best objective against a full
 /// from-scratch sweep.
@@ -453,6 +498,26 @@ mod tests {
         assert_eq!(e.check, "objective-rollback");
         let e = audit_pass_drift(&st, &h, &p, &cfg, 7).unwrap_err();
         assert_eq!(e.check, "objective-drift");
+    }
+
+    #[test]
+    fn detects_a_pruned_better_destination() {
+        let h = path4();
+        let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
+        let cfg = KwayConfig::default();
+        let mut st = filled_state(&h, &p, &cfg);
+        let bounds = PartBounds::uniform(2, 0, 4);
+        let open = [true, true];
+        let classes = OpenClasses::new(&open, &st.stamp);
+        // Modules 1 and 2 both gain 0, toward parts 1 and 0: the tie goes
+        // to the lower destination.
+        let best = Some((0, 0, ModuleId::from(2)));
+        let audit = |buckets: &mut [GainBuckets], picked| {
+            audit_destination_pruning(buckets, &h, &p, &bounds, 1, classes, picked)
+        };
+        assert_eq!(audit(&mut st.buckets, best), Ok(()));
+        let e = audit(&mut st.buckets, Some((0, 1, ModuleId::from(1)))).unwrap_err();
+        assert_eq!(e.check, "destination-prune");
     }
 
     #[test]

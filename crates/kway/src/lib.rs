@@ -23,7 +23,8 @@
 //! and so is every module of a source part that cannot give up even the
 //! smallest one: its class is closed. Both gates drop only candidates the
 //! balance check would reject, so they change no pick, only the number of
-//! candidates checked.
+//! candidates checked. Under LIFO and FIFO, a probe also walks only the
+//! keys above the pick found so far, since no candidate below can beat it.
 //!
 //! # Examples
 //!
@@ -116,6 +117,15 @@ impl KwayGain {
         match self {
             KwayGain::SumOfDegrees => -i32::from(n == 0),
             KwayGain::NetCut => i32::from(n + 1 == size),
+        }
+    }
+
+    /// Per unit of net weight, a visible net's share of the objective when
+    /// it spans `span` parts.
+    fn objective(self, span: u64) -> u64 {
+        match self {
+            KwayGain::SumOfDegrees => span.saturating_sub(1),
+            KwayGain::NetCut => u64::from(span > 1),
         }
     }
 }
@@ -498,7 +508,8 @@ impl NetDelta {
 }
 
 /// The engine objective over visible nets: weighted `Σ (span − 1)` for
-/// sum-of-degrees, weighted cut for net-cut.
+/// sum-of-degrees, weighted cut for net-cut. The engine counts it from its
+/// pin rows; this sweep over the partition is the audits' cross-check.
 fn kway_objective(st: &RefineState, h: &Hypergraph, cfg: &KwayConfig, p: &Partition) -> u64 {
     match cfg.gain {
         KwayGain::SumOfDegrees => h
@@ -534,6 +545,7 @@ fn run(
     // up none: its class is closed.
     let min_area = h.areas().iter().copied().min().unwrap_or(0);
     let mut open = vec![false; k as usize];
+    let prune = cfg.policy != BucketPolicy::Random;
     obs_span!("kway_refine", "k" => k, "modules" => h.num_modules());
 
     let mut passes = 0usize;
@@ -551,14 +563,20 @@ fn run(
                       PassStats::fill_time_ns, which result equality excludes"
         )]
         let fill_start = std::time::Instant::now();
+        // Recount the pin rows; each visible net's row gives its span and
+        // so its share of the pass's starting objective.
         st.pins_in.fill(0);
-        for e in h.net_ids() {
-            if !st.visible[e.index()] {
+        let mut start_obj = 0u64;
+        let rows = st.pins_in.chunks_exact_mut(k as usize);
+        for ((e, row), &visible) in h.net_ids().zip(rows).zip(&st.visible) {
+            if !visible {
                 continue;
             }
             for &v in h.pins(e) {
-                st.pins_in[e.index() * k as usize + p.part(v) as usize] += 1;
+                row[p.part(v) as usize] += 1;
             }
+            let span = row.iter().filter(|&&n| n > 0).count() as u64;
+            start_obj += u64::from(h.net_weight(e)) * cfg.gain.objective(span);
         }
         st.locked.fill(false);
         st.moves.clear();
@@ -605,7 +623,6 @@ fn run(
                     }),
             )
         });
-        let start_obj = kway_objective(st, h, cfg, p);
         audit!(audit::audit_pass_start(st, h, p, cfg, start_obj).map_err(|e| e.with_pass(passes)));
         let mut obj = start_obj as i64;
         let mut best_obj = obj;
@@ -632,20 +649,37 @@ fn run(
                 if area_t + min_area > bounds.hi(t) {
                     continue;
                 }
-                let cand = st.buckets[t as usize].select_where(rng, classes, |v| {
+                let bucket = &mut st.buckets[t as usize];
+                // Exact prune: a candidate keyed at or below the pick so far
+                // would lose to it (a tie keeps the lower destination), so
+                // the probe walks only the keys above; a destination whose
+                // top key is no higher checks nothing. LIFO and FIFO draw
+                // nothing; each Random check draws, so Random walks all.
+                let floor = pick.filter(|_| prune).map(|(bk, _, _)| bk);
+                let cand = bucket.select_above(rng, classes, floor, |v| {
                     inspected += 1;
                     let a = areas[v.index()];
                     let from = part_of[v.index()];
                     area_t + a <= bounds.hi(t) && part_areas[from as usize] - a >= bounds.lo(from)
                 });
                 if let Some(v) = cand {
-                    let key = st.buckets[t as usize].key_of(v);
+                    let key = bucket.key_of(v);
                     match pick {
                         Some((bk, _, _)) if bk >= key => {}
                         _ => pick = Some((key, t, v)),
                     }
                 }
             }
+            audit!(audit::audit_destination_pruning(
+                &mut st.buckets,
+                h,
+                p,
+                bounds,
+                min_area,
+                classes,
+                pick
+            )
+            .map_err(|e| e.with_pass(passes)));
             let Some((gain, to, v)) = pick else { break };
             let from = p.part(v);
             // Execute the move.
@@ -758,9 +792,16 @@ fn run(
         }
     }
 
+    let (mut cut, mut sum_of_degrees) = (0u64, 0u64);
+    for e in h.net_ids() {
+        let w = u64::from(h.net_weight(e));
+        let span = u64::from(metrics::net_span(h, p, e));
+        cut += w * u64::from(span > 1);
+        sum_of_degrees += w * span.saturating_sub(1);
+    }
     KwayResult {
-        cut: metrics::cut(h, p),
-        sum_of_degrees: metrics::sum_of_spans_minus_one(h, p),
+        cut,
+        sum_of_degrees,
         passes,
         kept_moves,
         pass_stats,

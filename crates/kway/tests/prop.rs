@@ -148,3 +148,66 @@ proptest! {
         prop_assert_eq!(r1, r2);
     }
 }
+
+/// Destination pruning against its audit oracle.
+#[cfg(feature = "audit")]
+mod pruning {
+    use super::*;
+    use mlpart_fm::BucketPolicy;
+    use mlpart_hypergraph::PartBounds;
+
+    /// Per-part windows around the mean part area of `h`: each part's `lo`
+    /// is `lo_pct`% and its `hi` is `hi_pct`% of the mean, so a random
+    /// start often lies outside them and the area gates and closed source
+    /// classes bind.
+    fn windows(h: &Hypergraph, pcts: &[(u64, u64)]) -> PartBounds {
+        let mean = h.total_area() / pcts.len() as u64;
+        let (lo, hi) = pcts
+            .iter()
+            .map(|&(lo_pct, hi_pct)| (mean * lo_pct / 100, mean * hi_pct / 100))
+            .unzip();
+        PartBounds::new(lo, hi)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// With the audits forced on, every LIFO and FIFO pick must equal
+        /// the pick of probing every destination the area gate admits over
+        /// all its keys, none pruned. Random runs ride along under the
+        /// other audits.
+        #[test]
+        fn destination_pruning_changes_no_pick(
+            n in 6usize..40,
+            areas in proptest::collection::vec(1u64..24, 40),
+            nets in proptest::collection::vec(
+                (proptest::collection::vec(0usize..40, 2..6), 1u32..5),
+                1..60,
+            ),
+            pcts in proptest::collection::vec((40u64..100, 100u64..160), 5),
+            k in 3u32..6,
+            policy in 0usize..3,
+            sod in any::<bool>(),
+            seed in 0u64..500,
+        ) {
+            let nets: Vec<(Vec<usize>, u32)> = nets
+                .into_iter()
+                .map(|(pins, w)| (pins.into_iter().map(|v| v % n).collect(), w))
+                .collect();
+            let h = build(areas[..n].to_vec(), &nets);
+            let bounds = windows(&h, &pcts[..k as usize]);
+            let cfg = KwayConfig {
+                gain: if sod { KwayGain::SumOfDegrees } else { KwayGain::NetCut },
+                policy: [BucketPolicy::Lifo, BucketPolicy::Fifo, BucketPolicy::Random][policy],
+                ..KwayConfig::default()
+            };
+            let mut rng = seeded_rng(seed);
+            let mut p = Partition::random(&h, k, &mut rng);
+            let req = RefineRequest { bounds: Some(&bounds), ..RefineRequest::default() };
+            mlpart_audit::force_enabled(true);
+            let r = kway_refine(&h, &mut p, &cfg, &mut rng, req);
+            mlpart_audit::force_enabled(false);
+            prop_assert!(r.is_ok());
+        }
+    }
+}

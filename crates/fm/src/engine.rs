@@ -308,9 +308,21 @@ fn run(
             break;
         }
     }
+    // The last pass's best cut is the visible-net cut after its rollback;
+    // only the nets the engine cannot see need a walk.
+    let internal_cut = pass_stats.last().map_or_else(
+        || metrics::cut_with_net_size_limit(h, p, cfg.max_net_size),
+        |s| s.cut_after,
+    );
+    let hidden_cut: u64 = h
+        .net_ids()
+        .zip(&st.visible)
+        .filter(|&(e, &vis)| !vis && metrics::is_net_cut(h, p, e))
+        .map(|(e, _)| u64::from(h.net_weight(e)))
+        .sum();
     FmResult {
-        cut: metrics::cut(h, p),
-        internal_cut: metrics::cut_with_net_size_limit(h, p, cfg.max_net_size),
+        cut: internal_cut + hidden_cut,
+        internal_cut,
         passes,
         kept_moves,
         attempted_moves,

@@ -127,7 +127,8 @@ pub fn induce(h: &Hypergraph, clustering: &Clustering) -> Result<Hypergraph, Coa
             num_modules: h.num_modules(),
         });
     }
-    let mut builder = HypergraphBuilder::new(clustering.cluster_areas(h));
+    let mut builder =
+        HypergraphBuilder::with_capacity(clustering.cluster_areas(h), h.num_nets(), h.num_pins());
     // The builder deduplicates pins within a net and drops nets that end up
     // with fewer than two distinct pins, which is exactly Definition 1.
     let mut scratch: Vec<usize> = Vec::new();

@@ -429,6 +429,20 @@ impl HypergraphBuilder {
         }
     }
 
+    /// Creates a builder with explicit per-module areas and room for `nets`
+    /// nets of `pins` pins in total, so adding that many grows no buffer;
+    /// [`build`](Self::build) trims what dropped nets and merged pins leave.
+    pub fn with_capacity(areas: Vec<u64>, nets: usize, pins: usize) -> Self {
+        let mut offsets = Vec::with_capacity(nets + 1);
+        offsets.push(0);
+        HypergraphBuilder {
+            areas,
+            pins: Vec::with_capacity(pins),
+            offsets,
+            weights: Vec::with_capacity(nets),
+        }
+    }
+
     /// Creates a builder with `n` modules of unit area, matching the paper's
     /// experimental setup ("we assume unit cell area for all test cases").
     pub fn with_unit_areas(n: usize) -> Self {

@@ -68,6 +68,16 @@ fn kill_mid_run_then_resume_is_byte_identical() {
             .spawn()
             .expect("spawn");
         std::thread::sleep(std::time::Duration::from_millis(200));
+        // On a loaded machine the run may not have written its checkpoint
+        // header yet, and a kill then leaves resume nothing to resume
+        // from: wait for the file (the header lands by an atomic rename).
+        let ckpt = s.0.join("run.ckpt");
+        for _ in 0..1_000 {
+            if ckpt.exists() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
         // SIGKILL: no destructors, no flushing — only the atomic rename
         // protocol protects the checkpoint. (If the batch happened to
         // finish first, resume degrades to a full restore; the byte

@@ -121,12 +121,12 @@ where
     stats
 }
 
-/// Runs `body` under the observability gate when `--report-out` or
+/// Runs `body` inside an `obs` capture when `--report-out` or
 /// `--trace-out` was given. `--report-out` writes a `mlpart-run-report-v3`
 /// JSON document capturing every batch the body executed (each multi-start
 /// batch contributes its per-start `start` spans plus one `batch` summary
 /// counter); `--trace-out` writes the same capture as a Chrome trace, ready
-/// for `chrome://tracing` or `obs-diff`. Without the `obs` feature both
+/// for `chrome://tracing`. Without the `obs` feature both
 /// flags are rejected up front so an artifact is never silently skipped.
 /// Returns whatever `body` returns.
 pub fn with_report<R>(args: &HarnessArgs, harness: &'static str, body: impl FnOnce() -> R) -> R {
@@ -160,13 +160,11 @@ pub fn with_report<R>(args: &HarnessArgs, harness: &'static str, body: impl FnOn
                     std::process::exit(1);
                 }
             };
-        mlpart_obs::force_enabled(true);
         let wall = Instant::now();
         let (value, trace) = mlpart_obs::capture(|| {
             mlpart_hypergraph::obs_span!("run", "runs" => args.runs, "seed" => args.seed);
             body()
         });
-        let trace = trace.expect("gate forced on");
         if let Some(path) = &args.trace_out {
             write_or_die(path, "trace", &mlpart_obs::to_chrome_trace(&trace));
         }

@@ -14,14 +14,6 @@ use mlpart_bench::{algos, run_many_par, RunStats};
 use mlpart_gen::suite;
 use mlpart_hypergraph::Hypergraph;
 use mlpart_obs as obs;
-use std::sync::{Mutex, MutexGuard};
-
-/// The observability gate is process-global; tests that toggle it must not
-/// interleave.
-fn gate_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn thread_counts() -> Vec<usize> {
     let mut counts = vec![1, 2, 4, 8];
@@ -48,20 +40,16 @@ fn batch(h: &Hypergraph, threads: usize) -> RunStats {
 /// Runs one traced batch and returns the cut statistics plus the stripped
 /// (timestamp-free) JSONL rendering of the captured trace.
 fn traced_batch(h: &Hypergraph, threads: usize) -> (RunStats, String) {
-    obs::force_enabled(true);
     let (stats, trace) = obs::capture(|| {
         let _run = obs::span("run", &[("seed", 29u64.into())]);
         batch(h, threads)
     });
-    obs::force_enabled(false);
-    let trace = trace.expect("gate forced on");
     assert!(!trace.events.is_empty(), "instrumentation should fire");
     (stats, obs::strip_timing(&obs::to_jsonl(&trace)))
 }
 
 #[test]
 fn trace_content_is_identical_across_repeated_runs() {
-    let _gate = gate_lock();
     let h = circuit();
     let (s1, t1) = traced_batch(&h, 2);
     let (s2, t2) = traced_batch(&h, 2);
@@ -71,7 +59,6 @@ fn trace_content_is_identical_across_repeated_runs() {
 
 #[test]
 fn trace_content_is_identical_across_thread_counts() {
-    let _gate = gate_lock();
     let h = circuit();
     let (s1, t1) = traced_batch(&h, 1);
     for threads in thread_counts() {
@@ -85,13 +72,10 @@ fn trace_content_is_identical_across_thread_counts() {
 /// inherits the same invariance.
 #[test]
 fn chrome_trace_content_is_thread_count_invariant() {
-    let _gate = gate_lock();
     let h = circuit();
     let render = |threads: usize| {
-        obs::force_enabled(true);
         let (_, trace) = obs::capture(|| batch(&h, threads));
-        obs::force_enabled(false);
-        obs::strip_timing(&obs::to_chrome_trace(&trace.expect("gate forced on")))
+        obs::strip_timing(&obs::to_chrome_trace(&trace))
     };
     let c1 = render(1);
     for threads in [2, 8] {
@@ -101,13 +85,11 @@ fn chrome_trace_content_is_thread_count_invariant() {
 
 /// Captures one traced batch and returns the raw trace.
 fn raw_traced_batch(h: &Hypergraph, threads: usize) -> (RunStats, obs::Trace) {
-    obs::force_enabled(true);
     let (stats, trace) = obs::capture(|| {
         let _run = obs::span("run", &[("seed", 29u64.into())]);
         batch(h, threads)
     });
-    obs::force_enabled(false);
-    (stats, trace.expect("gate forced on"))
+    (stats, trace)
 }
 
 /// The metrics registry is a pure function of trace content, so its JSON
@@ -115,7 +97,6 @@ fn raw_traced_batch(h: &Hypergraph, threads: usize) -> (RunStats, obs::Trace) {
 /// needed at all.
 #[test]
 fn metrics_registry_is_bit_identical_across_thread_counts() {
-    let _gate = gate_lock();
     let h = circuit();
     let (_, t1) = raw_traced_batch(&h, 1);
     let r1 = obs::metrics::Registry::from_trace(&t1).to_json();
@@ -134,7 +115,6 @@ fn metrics_registry_is_bit_identical_across_thread_counts() {
 /// across thread counts; only the trailing sample values vary.
 #[test]
 fn folded_stacks_are_structurally_identical_across_thread_counts() {
-    let _gate = gate_lock();
     let h = circuit();
     let (_, t1) = raw_traced_batch(&h, 1);
     let f1 = obs::strip_folded(&obs::to_folded(&t1));
@@ -154,7 +134,6 @@ fn folded_stacks_are_structurally_identical_across_thread_counts() {
 /// invariant `obs-diff` enforces between same-seed runs.
 #[test]
 fn v3_reports_strip_identical_across_thread_counts() {
-    let _gate = gate_lock();
     let report_doc = |h: &Hypergraph, threads: usize| {
         let (_, trace) = raw_traced_batch(h, threads);
         obs::report::RunReport {
@@ -206,7 +185,6 @@ fn v3_reports_strip_identical_across_thread_counts() {
 /// thread-count invariant even though its ns columns are telemetry.
 #[test]
 fn phase_rollup_structure_is_thread_count_invariant() {
-    let _gate = gate_lock();
     let h = circuit();
     let (_, t1) = raw_traced_batch(&h, 1);
     let shape = |t: &obs::Trace| -> Vec<(String, u64)> {
@@ -232,9 +210,7 @@ fn phase_rollup_structure_is_thread_count_invariant() {
 /// hooks never perturb RNG streams, move order, or tie-breaking.
 #[test]
 fn cuts_are_bit_identical_with_obs_on_and_off() {
-    let _gate = gate_lock();
     let h = circuit();
-    obs::force_enabled(false);
     let off = batch(&h, 2);
     let (on, _) = traced_batch(&h, 2);
     assert_eq!(off, on, "tracing must not change results");

@@ -416,7 +416,7 @@ fn fingerprints(h: &Hypergraph, run: &dyn Fn(&Hypergraph, &mut MlRng) -> u64) ->
 fn trace_fingerprints(h: &Hypergraph, run: &dyn Fn(&Hypergraph, &mut MlRng) -> u64) -> [u64; 3] {
     [0, 1, 2].map(|seed| {
         let (_, trace) = mlpart_obs::capture(|| run(h, &mut seeded_rng(seed)));
-        let jsonl = mlpart_obs::to_jsonl(&trace.expect("gate forced on"));
+        let jsonl = mlpart_obs::to_jsonl(&trace);
         let mut f = Fnv::new();
         f.bytes(mlpart_obs::strip_profile(&jsonl).as_bytes());
         f.0
@@ -440,12 +440,10 @@ fn pipelines_match_golden_trace_fingerprints() {
     let h = primary1();
     let cases = cases();
     assert_eq!(cases.len(), GOLDEN_TRACE.len(), "one constant row per case");
-    mlpart_obs::force_enabled(true);
     let got: Vec<[u64; 3]> = cases
         .iter()
         .map(|(_, run)| trace_fingerprints(&h, run.as_ref()))
         .collect();
-    mlpart_obs::force_enabled(false);
     for (((name, _), &(golden_name, expected)), got) in cases.iter().zip(GOLDEN_TRACE).zip(got) {
         assert_eq!(*name, golden_name, "case order");
         assert_eq!(got, expected, "trace of case {name}");
@@ -491,14 +489,12 @@ fn print_golden_fingerprints() {
     println!("];");
     #[cfg(feature = "obs")]
     {
-        mlpart_obs::force_enabled(true);
         println!("const GOLDEN_TRACE: &[(&str, [u64; 3])] = &[");
         for (name, run) in cases() {
             let [a, b, c] = trace_fingerprints(&h, run.as_ref());
             println!("    (\"{name}\", [{a:#018x}, {b:#018x}, {c:#018x}]),");
         }
         println!("];");
-        mlpart_obs::force_enabled(false);
     }
 }
 

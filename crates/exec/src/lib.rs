@@ -34,10 +34,11 @@
 //! Independence also makes starts a natural *fault* boundary:
 //! [`try_run_starts`] runs each start under `catch_unwind`, records a panic
 //! as a structured [`StartFailure`] (start index, panic message, and the
-//! deepest observability phase when tracing is on), and reduces over the
-//! surviving starts. Because the winner is still chosen by (cut, lowest
-//! start index), the surviving-start result is **bit-identical to a
-//! sequential run with the failed starts removed** — at every thread count.
+//! deepest observability phase when the caller is capturing a trace), and
+//! reduces over the surviving starts. Because the winner is still chosen by
+//! (cut, lowest start index), the surviving-start result is
+//! **bit-identical to a sequential run with the failed starts removed** — at
+//! every thread count.
 //! A batch where every start fails is a typed [`ExecError`], not a panic.
 //!
 //! ```
@@ -84,8 +85,9 @@ pub struct StartFailure {
     pub start: usize,
     /// The panic payload message.
     pub message: String,
-    /// The innermost observability span open at the panic, when tracing was
-    /// active (`None` otherwise) — e.g. `"fm_refine"` or `"level"`.
+    /// The innermost observability span open at the panic, when the batch
+    /// ran inside an `obs` capture (`None` otherwise) — e.g. `"fm_refine"`
+    /// or `"level"`.
     pub phase: Option<String>,
 }
 
@@ -292,15 +294,6 @@ mod tests {
 
     fn job(rng: &mut MlRng, _ws: &mut RefineWorkspace) -> u64 {
         rng.gen_range(0..1_000_000u64)
-    }
-
-    /// Serializes the tests that flip the process-global obs gate, which
-    /// would otherwise cut each other's traces short under the parallel
-    /// test runner.
-    #[cfg(feature = "obs")]
-    pub(crate) fn obs_gate() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
@@ -544,8 +537,6 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn trace_content_is_thread_count_invariant() {
-        let _gate = obs_gate();
-        mlpart_obs::force_enabled(true);
         let span_job = |rng: &mut MlRng, _ws: &mut RefineWorkspace| -> u64 {
             let v = rng.gen_range(0..1000u64);
             let _s = mlpart_obs::span("job", &[("draw", v.into())]);
@@ -554,7 +545,6 @@ mod tests {
         };
         let capture_run = |threads: usize| {
             let ((vals, _), trace) = mlpart_obs::capture(|| run_starts(13, 77, threads, &span_job));
-            let trace = trace.expect("gate forced on");
             // Every start contributes its span wrapper plus the job's events.
             assert_eq!(
                 trace.events.iter().filter(|e| e.name == "start").count(),
@@ -572,7 +562,6 @@ mod tests {
             assert_eq!(v1, v, "threads={threads}");
             assert_eq!(t1, t, "threads={threads}");
         }
-        mlpart_obs::force_enabled(false);
     }
 
     /// Pins the runner's merged output at 1 and 3 threads: a job that opens
@@ -584,8 +573,6 @@ mod tests {
     #[test]
     fn runner_output_is_pinned() {
         const PINNED_TRACE: u64 = 0x7893_423b_1b3a_6bbc;
-        let _gate = obs_gate();
-        mlpart_obs::force_enabled(true);
         let firsts: Vec<u64> = (0..6)
             .map(|i| seeded_rng(child_seed(61, i as u64)).gen_range(0..u64::MAX))
             .collect();
@@ -614,7 +601,7 @@ mod tests {
                 }],
                 "threads={threads}"
             );
-            let jsonl = mlpart_obs::to_jsonl(&trace.expect("gate forced on"));
+            let jsonl = mlpart_obs::to_jsonl(&trace);
             let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
             for &b in mlpart_obs::strip_timing(&jsonl).as_bytes() {
                 hash ^= u64::from(b);
@@ -622,15 +609,12 @@ mod tests {
             }
             assert_eq!(hash, PINNED_TRACE, "threads={threads}");
         }
-        mlpart_obs::force_enabled(false);
     }
 
     /// A panicking start is attributed to the innermost open span.
     #[cfg(feature = "obs")]
     #[test]
     fn failure_phase_names_the_innermost_span() {
-        let _gate = obs_gate();
-        mlpart_obs::force_enabled(true);
         let firsts: Vec<u64> = (0..4)
             .map(|i| seeded_rng(child_seed(53, i as u64)).gen_range(0..u64::MAX))
             .collect();
@@ -649,7 +633,6 @@ mod tests {
         };
         let ((batch, _), _trace) =
             mlpart_obs::capture(|| try_run_starts(4, 53, 2, &job).expect("survivors"));
-        mlpart_obs::force_enabled(false);
         assert_eq!(batch.failures.len(), 1);
         assert_eq!(batch.failures[0].phase.as_deref(), Some("inner"));
     }

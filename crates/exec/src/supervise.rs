@@ -33,7 +33,7 @@
               never into a retry decision"
 )]
 
-use crate::trace::{append_attempt, append_contribution, capture_unwind, failure_phase};
+use crate::trace::{append_attempt, append_contribution, capture_unwind, failure_phase, recording};
 use crate::{panic_message, BatchResult, ExecError, ExecTiming, StartFailure};
 use mlpart_fm::{Budget, RefineWorkspace};
 use mlpart_hypergraph::rng::{child_seed, seeded_rng, MlRng};
@@ -99,8 +99,8 @@ pub struct RetryRecord {
     pub attempt: u32,
     /// The panic payload message.
     pub message: String,
-    /// The innermost observability span open at the panic, when tracing
-    /// was active.
+    /// The innermost observability span open at the panic, when the batch
+    /// ran inside an `obs` capture.
     pub phase: Option<String>,
 }
 
@@ -210,15 +210,16 @@ struct StartYield<T> {
 pub type Sink<'s, T> = Option<&'s (dyn Fn(&StartDone<T>) + Sync)>;
 
 /// Runs one start to success or retry exhaustion. Every attempt runs
-/// inside its own isolation boundary (catch_unwind inside the obs capture,
-/// fault sites innermost) on a workspace of its own, dropped when the
-/// attempt ends, and each attempt's trace is wrapped and appended to the
-/// start's contribution locally so the scatter phase can splice it in
-/// start order.
+/// inside its own isolation boundary (catch_unwind, inside an obs capture
+/// when `traced`, fault sites innermost) on a workspace of its own, dropped
+/// when the attempt ends, and each attempt's trace is wrapped and appended
+/// to the start's contribution locally so the scatter phase can splice it
+/// in start order.
 fn run_start_supervised<T, F>(
     i: usize,
     base_seed: u64,
     policy: &RetryPolicy,
+    traced: bool,
     job: &F,
 ) -> (f64, StartYield<T>)
 where
@@ -252,7 +253,7 @@ where
             attempt: a,
             budget,
         };
-        let (result, trace) = capture_unwind(|| {
+        let (result, trace) = capture_unwind(traced, || {
             fault_point!("start", i as u64);
             fault_point!("attempt", i as u64 * ATTEMPT_STRIDE + u64::from(a));
             job(&mut rng, &mut RefineWorkspace::new(), attempt)
@@ -375,6 +376,9 @@ where
         .map(|(i, _)| i)
         .collect();
 
+    // Workers capture their attempts only when the caller is capturing: a
+    // worker thread has no recorder of its own to inherit.
+    let traced = recording();
     // One worker: claims pending starts off the shared counter until none
     // are left. One thread runs it inline; more threads each spawn one, even
     // for a lone pending start.
@@ -382,7 +386,7 @@ where
     let work = || {
         let mut local = Vec::new();
         while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-            let (secs, y) = run_start_supervised(i, base_seed, policy, job);
+            let (secs, y) = run_start_supervised(i, base_seed, policy, traced, job);
             notify_sink(sink, i, &y);
             local.push((i, secs, y));
         }
@@ -517,8 +521,6 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn retry_free_trace_is_byte_compatible() {
-        let _gate = crate::tests::obs_gate();
-        mlpart_obs::force_enabled(true);
         let span_sup = |rng: &mut MlRng, _ws: &mut RefineWorkspace, _a: Attempt| -> u64 {
             let v = rng.gen_range(0..1000u64);
             mlpart_obs::counter("draw", &[("value", v.into())]);
@@ -536,10 +538,7 @@ mod tests {
         });
         let (_, uns_trace) =
             mlpart_obs::capture(|| try_run_starts(9, 41, 3, &span_uns).expect("survivors"));
-        mlpart_obs::force_enabled(false);
-        let strip = |t: Option<mlpart_obs::Trace>| {
-            mlpart_obs::strip_timing(&mlpart_obs::to_jsonl(&t.expect("gate forced on")))
-        };
+        let strip = |t: mlpart_obs::Trace| mlpart_obs::strip_timing(&mlpart_obs::to_jsonl(&t));
         assert_eq!(strip(sup_trace), strip(uns_trace));
     }
 

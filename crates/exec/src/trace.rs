@@ -1,7 +1,8 @@
 //! Per-start trace plumbing for the scheduler in [`crate::supervise`].
 //!
-//! Under `obs` each attempt runs inside its own capture, on whichever worker
-//! claimed the start, and is wrapped into the start's contribution; the
+//! Under `obs`, when the batch's caller is capturing, each attempt runs
+//! inside its own capture, on whichever worker claimed the start, and is
+//! wrapped into the start's contribution; the
 //! scheduler splices the contributions into the caller's trace **in start
 //! order** — so the merged stream's content is thread-count-invariant, the
 //! same argument as for the result vector itself. Without `obs` every item
@@ -15,22 +16,35 @@ mod imp {
     use mlpart_obs::{EvKind, Trace};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// One attempt's captured events (`None` when the obs gate was off).
+    /// One attempt's captured events (`None` when the batch is untraced).
     pub(crate) type StartTrace = Option<Trace>;
 
     /// A start's full trace contribution: the concatenation of its
     /// per-attempt streams, each wrapped in its `start` span. Empty when
-    /// the obs gate was off; the unit type on non-`obs` builds. Checkpoints
-    /// persist this and replay it verbatim on resume.
+    /// the batch is untraced; the unit type on non-`obs` builds.
+    /// Checkpoints persist this and replay it verbatim on resume.
     pub type StartContribution = Trace;
 
-    /// Runs `body` under the per-start isolation boundary: `catch_unwind`
-    /// inside the obs capture, so a panicking start still yields the events
-    /// it recorded before unwinding.
+    /// Whether the batch is traced: the calling thread is inside a capture
+    /// that the per-start streams will be merged into.
+    pub(crate) fn recording() -> bool {
+        mlpart_obs::recording()
+    }
+
+    /// Runs `body` under the per-start isolation boundary: `catch_unwind`,
+    /// inside an obs capture when `traced`, so a panicking start still
+    /// yields the events it recorded before unwinding.
     pub(crate) fn capture_unwind<T>(
+        traced: bool,
         body: impl FnOnce() -> T,
     ) -> (std::thread::Result<T>, StartTrace) {
-        mlpart_obs::capture(|| catch_unwind(AssertUnwindSafe(body)))
+        let body = || catch_unwind(AssertUnwindSafe(body));
+        if traced {
+            let (result, trace) = mlpart_obs::capture(body);
+            (result, Some(trace))
+        } else {
+            (body(), None)
+        }
     }
 
     /// Appends attempt `a` of start `i` to the start's contribution as a
@@ -103,7 +117,12 @@ mod imp {
     /// (the per-attempt `start` spans under `obs`).
     pub type StartContribution = ();
 
+    pub(crate) fn recording() -> bool {
+        false
+    }
+
     pub(crate) fn capture_unwind<T>(
+        _traced: bool,
         body: impl FnOnce() -> T,
     ) -> (std::thread::Result<T>, StartTrace) {
         (catch_unwind(AssertUnwindSafe(body)), ())

@@ -270,16 +270,14 @@ fn resumed_trace_content_matches_uninterrupted() {
         max_attempts: 2,
         degraded_final: None,
     };
-    let with_plan = |f: &dyn Fn() -> (Option<mlpart_obs::Trace>, SupervisedBatch<u64>)| {
+    let with_plan = |f: &dyn Fn() -> (mlpart_obs::Trace, SupervisedBatch<u64>)| {
         let _gate = mlpart_fault::test_lock();
-        mlpart_obs::force_enabled(true);
         mlpart_fault::force_plan(
             // attempt 0 of starts 1 and 4 (indices 8 and 32).
             mlpart_fault::FaultPlan::parse("panic@attempt:8|32").unwrap(),
         );
         let out = f();
         mlpart_fault::clear_force();
-        mlpart_obs::force_enabled(false);
         out
     };
     let (full_trace, _full) = with_plan(&|| {
@@ -334,9 +332,7 @@ fn resumed_trace_content_matches_uninterrupted() {
         });
         (trace, batch)
     });
-    let strip = |t: Option<mlpart_obs::Trace>| {
-        mlpart_obs::strip_timing(&mlpart_obs::to_jsonl(&t.expect("gate forced on")))
-    };
+    let strip = |t: mlpart_obs::Trace| mlpart_obs::strip_timing(&mlpart_obs::to_jsonl(&t));
     let full_jsonl = strip(full_trace);
     // The retried starts' second attempts are tagged in the wrapper span.
     assert!(full_jsonl.contains("\"attempt\":1"), "{full_jsonl}");

@@ -10,7 +10,7 @@
 //!
 //! # Gating
 //!
-//! Mirrors `mlpart-audit`/`mlpart-obs` exactly: call sites (each one
+//! Mirrors `mlpart-audit` exactly: call sites (each one
 //! `mlpart_hypergraph::fault_point!`) are compiled in only under per-crate
 //! `fault` cargo features, and at runtime nothing fires
 //! unless the `MLPART_FAULTS` environment variable holds a fault plan (or a

@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn engine_hooks_fire_when_forced_on() {
-        // End-to-end: with the gate forced on, a full refinement run audits
+        // End-to-end: with audits forced on, a full refinement run audits
         // every pass boundary without tripping.
         mlpart_audit::force_enabled(true);
         let h = path4();

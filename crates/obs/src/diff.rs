@@ -1,7 +1,7 @@
 //! Comparison engine behind the `obs-diff` binary.
 //!
-//! Compares two observability artifacts — run reports, Chrome traces, or
-//! JSONL traces — in two stages:
+//! Compares two run reports (`mlpart-run-report-v3`, written by
+//! `--report-out`) in two stages:
 //!
 //! 1. **Normative content check.** Both documents are normalized with
 //!    [`strip_profile`] (timing zeroed, scheduling keys zeroed, alloc keys
@@ -11,12 +11,8 @@
 //! 2. **Telemetry deltas.** Per-phase time (and, when both sides tracked
 //!    allocations, per-phase allocation) ratios are reported, and phases
 //!    above a noise floor whose ratio exceeds the configured threshold are
-//!    flagged as regressions. A run report supplies its own
-//!    `profile.phases` table; a JSONL or Chrome trace is read back into a
-//!    [`Trace`](crate::Trace) by the exporters' strict inverses
-//!    ([`trace_from_jsonl`], [`trace_from_chrome`]) and rolled up with
-//!    [`phase_rollup`], so a line or event the exporter could not have
-//!    written is an error.
+//!    flagged as regressions. Each report supplies its own
+//!    `profile.phases` table.
 //!
 //! # Exit contract
 //!
@@ -24,12 +20,11 @@
 //!   thresholds.
 //! - [`EXIT_REGRESSION`] (1) — identical content, but at least one phase
 //!   regressed past a threshold.
-//! - [`EXIT_ERROR`] (2) — normative content mismatch, or the inputs could
-//!   not be read/parsed/paired (usage errors included).
+//! - [`EXIT_ERROR`] (2) — normative content mismatch, or an input that is
+//!   not a readable run report (usage errors included).
 
-use crate::export::{strip_profile, trace_from_chrome, trace_from_jsonl};
-use crate::profile::{phase_rollup, PhaseAgg};
-use crate::report;
+use crate::export::strip_profile;
+use crate::report::{self, LoadedReport};
 
 /// Content identical, telemetry within thresholds.
 pub const EXIT_CLEAN: u8 = 0;
@@ -74,63 +69,13 @@ pub struct DiffReport {
     pub text: String,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Report,
-    Chrome,
-    Jsonl,
-}
-
-impl Format {
-    fn name(self) -> &'static str {
-        match self {
-            Format::Report => "run-report",
-            Format::Chrome => "chrome-trace",
-            Format::Jsonl => "jsonl-trace",
-        }
-    }
-}
-
-fn detect(text: &str) -> Result<Format, String> {
-    let head = text.trim_start();
-    if head.starts_with("{\"schema\":\"mlpart-run-report") {
-        Ok(Format::Report)
-    } else if head.starts_with("{\"traceEvents\"") {
-        Ok(Format::Chrome)
-    } else if head.starts_with("{\"ev\":") {
-        Ok(Format::Jsonl)
-    } else {
-        Err(
-            "unrecognized document (expected a run report, chrome trace, or JSONL trace)"
-                .to_string(),
+/// Parses one side, naming it and the one schema `obs-diff` reads in the
+/// error.
+fn load(label: &str, text: &str) -> Result<LoadedReport, String> {
+    report::parse_report(text).map_err(|e| {
+        format!(
+            "{label}: {e}\nobs-diff compares two mlpart-run-report-v3 run reports (--report-out)\n"
         )
-    }
-}
-
-struct Side {
-    phases: Vec<PhaseAgg>,
-    alloc_tracked: bool,
-}
-
-/// A report's own `profile` table, or [`phase_rollup`] of a trace read back
-/// with [`trace_from_chrome`] or [`trace_from_jsonl`].
-fn load(format: Format, text: &str) -> Result<Side, String> {
-    let trace = match format {
-        Format::Report => {
-            let loaded = report::parse_report(text)?;
-            return Ok(Side {
-                phases: loaded.phases,
-                alloc_tracked: loaded.alloc_tracked,
-            });
-        }
-        Format::Chrome => trace_from_chrome(text)?,
-        Format::Jsonl => trace_from_jsonl(text)?,
-    };
-    let phases = phase_rollup(&trace);
-    let alloc_tracked = phases.iter().any(|p| p.alloc_count > 0);
-    Ok(Side {
-        phases,
-        alloc_tracked,
     })
 }
 
@@ -165,7 +110,7 @@ fn ratio(new: u64, old: u64) -> f64 {
     }
 }
 
-/// Compares two artifact documents; see the module docs for the contract.
+/// Compares two run reports; see the module docs for the contract.
 /// `label_a`/`label_b` name the sides in the rendered output (typically
 /// the file paths).
 pub fn diff_documents(
@@ -175,32 +120,15 @@ pub fn diff_documents(
     b: &str,
     opts: &DiffOptions,
 ) -> DiffReport {
-    let mut text = String::new();
-    let (fa, fb) = match (detect(a), detect(b)) {
-        (Ok(fa), Ok(fb)) => (fa, fb),
-        (Err(e), _) => {
+    let (sa, sb) = match (load(label_a, a), load(label_b, b)) {
+        (Ok(sa), Ok(sb)) => (sa, sb),
+        (Err(text), _) | (_, Err(text)) => {
             return DiffReport {
                 exit: EXIT_ERROR,
-                text: format!("{label_a}: {e}\n"),
-            }
-        }
-        (_, Err(e)) => {
-            return DiffReport {
-                exit: EXIT_ERROR,
-                text: format!("{label_b}: {e}\n"),
+                text,
             }
         }
     };
-    if fa != fb {
-        return DiffReport {
-            exit: EXIT_ERROR,
-            text: format!(
-                "format mismatch: {label_a} is a {} but {label_b} is a {}\n",
-                fa.name(),
-                fb.name()
-            ),
-        };
-    }
     // Stage 1: byte-identical normative content after normalization.
     let norm_a = strip_profile(a);
     let norm_b = strip_profile(b);
@@ -208,27 +136,14 @@ pub fn diff_documents(
         return DiffReport {
             exit: EXIT_ERROR,
             text: format!(
-                "NORMATIVE CONTENT MISMATCH: the two {}s did different work \
+                "NORMATIVE CONTENT MISMATCH: the two run-reports did different work \
                  ({})\nA regression diff needs same-seed, same-config runs.\n",
-                fa.name(),
                 first_divergence(&norm_a, &norm_b)
             ),
         };
     }
-    text.push_str(&format!(
-        "normative content: identical ({} format)\n",
-        fa.name()
-    ));
+    let mut text = String::from("normative content: identical (run-report format)\n");
     // Stage 2: per-phase telemetry.
-    let (sa, sb) = match (load(fa, a), load(fb, b)) {
-        (Ok(sa), Ok(sb)) => (sa, sb),
-        (Err(e), _) | (_, Err(e)) => {
-            return DiffReport {
-                exit: EXIT_ERROR,
-                text: format!("cannot extract phases: {e}\n"),
-            }
-        }
-    };
     // Content was byte-identical, so the phase lists line up 1:1.
     let alloc = sa.alloc_tracked && sb.alloc_tracked;
     text.push_str(&format!(
@@ -391,19 +306,6 @@ mod tests {
         assert!(d.text.contains("NORMATIVE CONTENT MISMATCH"));
     }
 
-    #[test]
-    fn jsonl_traces_diff_like_reports() {
-        for export in [crate::export::to_jsonl, crate::export::to_chrome_trace] {
-            let a = export(&synthetic(10_000_000, 5));
-            let slow = export(&synthetic(90_000_000, 5));
-            let d = diff_documents("a", &a, "b", &slow, &opts());
-            assert_eq!(d.exit, EXIT_REGRESSION, "{}", d.text);
-            let changed = export(&synthetic(10_000_000, 9));
-            let d = diff_documents("a", &a, "b", &changed, &opts());
-            assert_eq!(d.exit, EXIT_ERROR, "{}", d.text);
-        }
-    }
-
     /// One hand-built trace covering every shape the span tree handles: a
     /// counter outside any span, nested same-name `level` spans, End-event
     /// `alloc_*` args as `obs-alloc` writes them, and a `run` span left
@@ -495,10 +397,10 @@ run;level;level 500000
 run;level;level;fm_refine 2000000
 ";
 
-    /// The diff of [`pinned_trace`] against its ×10 copy when both sides
-    /// tracked allocations; `FORMAT` stands for the format name.
+    /// The diff of [`pinned_report`] against its ×10 copy from an
+    /// `obs-alloc` build, where both sides tracked allocations.
     const PINNED_DIFF_ALLOC: &str = "\
-normative content: identical (FORMAT format)
+normative content: identical (run-report format)
 phase              count       old_ms       new_ms   ratio old_alloc_kb new_alloc_kb   ratio
 run                    1        5.990       59.900   10.00          0.0          0.0    1.00  <-- TIME REGRESSION
 level                  3        7.380       73.800   10.00          8.5          8.5    1.00  <-- TIME REGRESSION
@@ -508,7 +410,7 @@ verdict: REGRESSION level: time 10.00x (limit 1.50x)
 verdict: REGRESSION fm_refine: time 10.00x (limit 1.50x)
 ";
 
-    /// The same diff for run reports from a build without `obs-alloc`.
+    /// The same diff from a build without `obs-alloc`.
     const PINNED_DIFF_NO_ALLOC: &str = "\
 normative content: identical (run-report format)
 phase              count       old_ms       new_ms   ratio
@@ -538,31 +440,43 @@ verdict: REGRESSION fm_refine: time 10.00x (limit 1.50x)
 
     #[test]
     fn pinned_diff_texts() {
-        let (base, slow) = (pinned_trace(1), pinned_trace(10));
-        let diff = |a: &str, b: &str| diff_documents("a", a, "b", b, &DiffOptions::default());
-        let (jsonl, chrome) = (crate::export::to_jsonl, crate::export::to_chrome_trace);
-        for (format, d) in [
-            ("run-report", diff(&pinned_report(1), &pinned_report(10))),
-            ("jsonl-trace", diff(&jsonl(&base), &jsonl(&slow))),
-            ("chrome-trace", diff(&chrome(&base), &chrome(&slow))),
-        ] {
-            let expected = if format == "run-report" && !cfg!(feature = "obs-alloc") {
-                PINNED_DIFF_NO_ALLOC.to_string()
-            } else {
-                PINNED_DIFF_ALLOC.replace("FORMAT", format)
-            };
-            assert_eq!((d.exit, d.text), (EXIT_REGRESSION, expected), "{format}");
-        }
+        let d = diff_documents(
+            "a",
+            &pinned_report(1),
+            "b",
+            &pinned_report(10),
+            &DiffOptions::default(),
+        );
+        let expected = if cfg!(feature = "obs-alloc") {
+            PINNED_DIFF_ALLOC
+        } else {
+            PINNED_DIFF_NO_ALLOC
+        };
+        assert_eq!((d.exit, d.text.as_str()), (EXIT_REGRESSION, expected));
     }
 
     #[test]
     fn mixed_formats_are_rejected() {
         let a = report_doc(10_000_000, 5);
-        let b = crate::export::to_jsonl(&synthetic(10_000_000, 5));
-        let d = diff_documents("a", &a, "b", &b, &opts());
-        assert_eq!(d.exit, EXIT_ERROR);
-        assert!(d.text.contains("format mismatch"));
-        let d = diff_documents("a", "garbage", "b", &b, &opts());
-        assert_eq!(d.exit, EXIT_ERROR);
+        let trace = synthetic(10_000_000, 5);
+        for (label, other) in [
+            ("jsonl", crate::export::to_jsonl(&trace)),
+            ("chrome", crate::export::to_chrome_trace(&trace)),
+            ("garbage", "garbage".to_string()),
+            ("v2", a.replacen("run-report-v3", "run-report-v2", 1)),
+        ] {
+            for d in [
+                diff_documents("a", &a, label, &other, &opts()),
+                diff_documents(label, &other, "a", &a, &opts()),
+            ] {
+                assert_eq!(d.exit, EXIT_ERROR, "{label}: {}", d.text);
+                assert!(d.text.starts_with(label), "{label}: {}", d.text);
+                assert!(
+                    d.text.contains("mlpart-run-report-v3"),
+                    "{label}: {}",
+                    d.text
+                );
+            }
+        }
     }
 }

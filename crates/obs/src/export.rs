@@ -2,12 +2,10 @@
 //!
 //! Both formats interleave deterministic content with timestamps;
 //! [`strip_timing`] normalizes the timestamp fields so exported documents
-//! can be compared byte-for-byte across runs and thread counts. Both also
-//! read back through [`json::parse`] and its typed field reader:
+//! can be compared byte-for-byte across runs and thread counts. JSONL also
+//! reads back through [`json::parse`] and its typed field reader:
 //! [`trace_from_jsonl`] rebuilds the exact [`Trace`], which is how a
-//! checkpoint restores each finished start's trace on `--resume`, and
-//! [`trace_from_chrome`] rebuilds it up to the format's microsecond
-//! timestamps. `obs-diff` reads both formats this way.
+//! checkpoint restores each finished start's trace on `--resume`.
 
 use crate::json::{self, Json};
 use crate::trace::{EvKind, Event, Trace, V};
@@ -177,63 +175,6 @@ pub fn to_chrome_trace(trace: &Trace) -> String {
     out
 }
 
-/// Reconstructs a [`Trace`] from its [`to_chrome_trace`] serialization.
-///
-/// The inverse up to timestamp resolution: each `ts` is microseconds, so
-/// `ts_ns` comes back truncated to a whole microsecond, and a trace whose
-/// timestamps are all whole microseconds re-serializes to the same bytes.
-///
-/// # Errors
-///
-/// Returns a message naming the offending event for anything that is not a
-/// `to_chrome_trace`-shaped document.
-pub fn trace_from_chrome(text: &str) -> Result<Trace, String> {
-    let doc = json::parse(text)?;
-    let [events] = json::fields(&doc, ["traceEvents"])?;
-    let events = events
-        .items()?
-        .enumerate()
-        .map(|(i, ev)| chrome_event(ev.value).map_err(|e| format!("trace event {i}: {e}")));
-    Ok(Trace {
-        events: events.collect::<Result<_, String>>()?,
-    })
-}
-
-fn chrome_event(ev: &Json) -> Result<Event, String> {
-    const KEYS: [&str; 6] = ["name", "ph", "pid", "tid", "ts", "args"];
-    // Counters are thread-scoped instants, the one event with an `s` key.
-    let ([name, ph, pid, tid, ts, args], scope) = match ev.get("s") {
-        None => (json::fields(ev, KEYS)?, None),
-        Some(_) => {
-            let [name, ph, pid, tid, ts, s, args] =
-                json::fields(ev, ["name", "ph", "pid", "tid", "ts", "s", "args"])?;
-            ([name, ph, pid, tid, ts, args], Some(s.str()?))
-        }
-    };
-    let kind = match (ph.str()?, scope) {
-        ("B", None) => EvKind::Begin,
-        ("E", None) => EvKind::End,
-        ("i", Some("t")) => EvKind::Counter,
-        (ph, None) => {
-            return Err(format!(
-                "ph: expected \"B\", \"E\" or \"i\" with s \"t\", found {ph:?}"
-            ))
-        }
-        (ph, Some(s)) => return Err(format!("s: {s:?} on a {ph:?} event")),
-    };
-    pid.int::<u64>()?;
-    tid.int::<u64>()?;
-    Ok(Event {
-        kind,
-        name: intern(name.str()?),
-        ts_ns: ts
-            .int::<u64>()?
-            .checked_mul(1_000)
-            .ok_or("ts: out of range")?,
-        args: read_args(args)?,
-    })
-}
-
 /// Timestamp-carrying JSON keys excluded from the determinism contract,
 /// plus the allocation telemetry keys — alloc tallies follow the standard
 /// library's growth policy and the toolchain, not the algorithm, so they
@@ -364,7 +305,6 @@ mod tests {
     use crate::trace::{capture, counter, span};
 
     fn sample_trace() -> Trace {
-        crate::force_enabled(true);
         let (_, t) = capture(|| {
             let _run = span("run", &[("runs", V::U(2)), ("algo", V::S("ml-fm"))]);
             counter(
@@ -376,13 +316,11 @@ mod tests {
                 ],
             );
         });
-        crate::force_enabled(false);
-        t.expect("recorded")
+        t
     }
 
     #[test]
     fn jsonl_lines_parse_and_carry_args() {
-        let _gate = crate::test_gate_lock();
         let jsonl = to_jsonl(&sample_trace());
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -403,7 +341,6 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_and_balanced() {
-        let _gate = crate::test_gate_lock();
         let doc = to_chrome_trace(&sample_trace());
         let parsed = json::parse(&doc).unwrap();
         let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
@@ -418,8 +355,6 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_exactly() {
-        let _gate = crate::test_gate_lock();
-        crate::force_enabled(true);
         let (_, t) = capture(|| {
             let _run = span(
                 "run",
@@ -436,8 +371,7 @@ mod tests {
             );
             counter("draw", &[("value", V::U(9_007_199_254_740_993))]);
         });
-        crate::force_enabled(false);
-        let mut t = t.expect("recorded");
+        let mut t = t;
         t.events[0].ts_ns = 123_456_789; // exercise non-zero timestamps too
         let jsonl = to_jsonl(&t);
         let back = trace_from_jsonl(&jsonl).expect("round-trip parses");
@@ -482,58 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_round_trips_whole_microseconds() {
-        let _gate = crate::test_gate_lock();
-        let mut t = sample_trace();
-        for (i, ev) in t.events.iter_mut().enumerate() {
-            ev.ts_ns = 1_000 * (7 + 1_000 * i as u64);
-        }
-        t.events[1].args.push(("offset", V::I(-42)));
-        let chrome = to_chrome_trace(&t);
-        let back = trace_from_chrome(&chrome).expect("round trip parses");
-        assert_eq!(back, t);
-        assert_eq!(to_chrome_trace(&back), chrome);
-        // Sub-microsecond timestamps come back truncated.
-        t.events[2].ts_ns += 999;
-        let back = trace_from_chrome(&to_chrome_trace(&t)).expect("parses");
-        assert_eq!(back.events[2].ts_ns, t.events[2].ts_ns - 999);
-    }
-
-    #[test]
-    fn malformed_chrome_is_a_named_error_not_a_panic() {
-        let event = |body: &str| format!("{{\"traceEvents\":[{body}]}}");
-        for bad in [
-            "".to_string(),
-            "[]".to_string(),
-            "{\"traceEvents\":{}}".to_string(),
-            "{\"traceEvents\":[],\"x\":1}".to_string(),
-            event("1"),
-            event(r#"{"name":"a","ph":"X","pid":0,"tid":0,"ts":0,"args":{}}"#),
-            event(r#"{"name":"a","ph":"i","pid":0,"tid":0,"ts":0,"args":{}}"#),
-            event(r#"{"name":"a","ph":"i","pid":0,"tid":0,"ts":0,"s":"g","args":{}}"#),
-            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":0,"s":"t","args":{}}"#),
-            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":-1,"args":{}}"#),
-            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":1.5,"args":{}}"#),
-            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":18446744073709552,"args":{}}"#),
-            event(r#"{"name":"a","ph":"B","pid":"0","tid":0,"ts":0,"args":{}}"#),
-            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":0}"#),
-            event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":0,"args":{"k":[1]}}"#),
-            event(r#"{"name":7,"ph":"B","pid":0,"tid":0,"ts":0,"args":{}}"#),
-        ] {
-            let err = trace_from_chrome(&bad).expect_err(&bad);
-            assert!(!err.is_empty(), "{bad}");
-            if bad.contains("\"ph\"") {
-                assert!(err.starts_with("trace event 0:"), "{bad}: {err}");
-            }
-        }
-        let ok = event(r#"{"name":"a","ph":"B","pid":0,"tid":0,"ts":3,"args":{}}"#);
-        assert_eq!(
-            trace_from_chrome(&ok).expect("valid").events[0].ts_ns,
-            3_000
-        );
-    }
-
-    #[test]
     fn strip_timing_zeroes_only_timing_values() {
         let line = r#"{"ev":"C","name":"pass","ts":123456,"args":{"cut_after":31,"dur_ns":987,"wall_secs":0.25,"cpu_secs":1.5,"fill_ms":0.2}}"#;
         let stripped = strip_timing(line);
@@ -545,7 +427,6 @@ mod tests {
 
     #[test]
     fn same_content_different_timing_strips_equal() {
-        let _gate = crate::test_gate_lock();
         let t = sample_trace();
         let mut shifted = t.clone();
         for ev in &mut shifted.events {

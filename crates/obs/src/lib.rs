@@ -5,8 +5,9 @@
 //! hierarchy, how FM/CLIP passes converge at each uncoarsening level, and
 //! where time actually goes. This crate is the measurement substrate: a
 //! zero-dependency tracing layer the algorithm crates hook into behind
-//! per-crate `obs` cargo features plus an `MLPART_TRACE=1` environment gate
-//! (mirroring `mlpart-audit`'s gating exactly).
+//! per-crate `obs` cargo features. At run time a hook records exactly when
+//! [`capture`] has installed a recorder on its thread; there is no other
+//! gate.
 //!
 //! The algorithm crates never call [`span`] or [`counter`] directly: each
 //! call site is one `mlpart_hypergraph::obs_span!` or `obs_counter!` line.
@@ -44,8 +45,8 @@
 //! under the `obs-alloc` feature, per-phase allocation tallies from the
 //! tracking global allocator in [`alloc`](crate)), and
 //! [`profile::to_folded`] exports flamegraph-compatible folded stacks. The
-//! [`diff`] module (surfaced as the `obs-diff` binary) compares two
-//! artifacts: normative content must match byte-for-byte after
+//! [`diff`] module (surfaced as the `obs-diff` binary) compares two run
+//! reports: normative content must match byte-for-byte after
 //! [`export::strip_profile`], and per-phase telemetry ratios past a
 //! threshold flag a regression.
 //!
@@ -53,21 +54,19 @@
 //!
 //! Events are recorded into a thread-local recorder (private to [`trace`])
 //! installed by [`capture`]. Instrumentation hooks ([`span`], [`counter`])
-//! are no-ops unless the runtime gate is on *and* a recorder is installed on
-//! the current thread, so a library user who never captures pays one atomic
-//! load per hook at most.
+//! are no-ops unless a recorder is installed on the current thread, so a
+//! library user who never captures pays one thread-local check per hook.
+//! Captures on different threads never see each other, so tests and
+//! parallel workers each capture on their own.
 //!
 //! ```
 //! use mlpart_obs as obs;
 //!
-//! obs::force_enabled(true);
 //! let (value, trace) = obs::capture(|| {
 //!     let _run = obs::span("run", &[("runs", obs::V::U(1))]);
 //!     obs::counter("pass", &[("cut_before", obs::V::U(40)), ("cut_after", obs::V::U(31))]);
 //!     42
 //! });
-//! obs::force_enabled(false);
-//! let trace = trace.expect("recording was forced on");
 //! assert_eq!(value, 42);
 //! assert_eq!(trace.events.len(), 3); // span begin + counter + span end
 //! let jsonl = obs::export::to_jsonl(&trace);
@@ -90,72 +89,9 @@ pub mod schema;
 pub mod trace;
 
 pub use export::{
-    strip_folded, strip_profile, strip_timing, to_chrome_trace, to_jsonl, trace_from_chrome,
-    trace_from_jsonl,
+    strip_folded, strip_profile, strip_timing, to_chrome_trace, to_jsonl, trace_from_jsonl,
 };
 pub use profile::to_folded;
 pub use trace::{
     append_raw, capture, counter, recording, span, EvKind, Event, SpanGuard, Trace, V,
 };
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-// Runtime gate: 0 = follow MLPART_TRACE, 1 = forced on, 2 = forced off.
-static FORCE: AtomicU8 = AtomicU8::new(0);
-
-/// True when observability hooks should record.
-///
-/// Reads `MLPART_TRACE` once (`"1"` enables) and caches the answer, so the
-/// per-hook cost inside refinement loops is one atomic load. Tests and the
-/// CLI (`--trace-out`/`--report-out`) may override the environment with
-/// [`force_enabled`].
-pub fn enabled() -> bool {
-    match FORCE.load(Ordering::Relaxed) {
-        1 => return true,
-        2 => return false,
-        _ => {}
-    }
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var("MLPART_TRACE").is_ok_and(|v| v == "1"))
-}
-
-/// Overrides the `MLPART_TRACE` environment gate for the whole process.
-///
-/// `false` returns to following the environment (rather than forcing
-/// tracing off), so a test binary running under `MLPART_TRACE=1` keeps
-/// tracing after a forced-on test finishes. Affects every thread.
-pub fn force_enabled(on: bool) {
-    FORCE.store(if on { 1 } else { 0 }, Ordering::Relaxed);
-}
-
-/// Serializes unit tests that flip the process-global [`force_enabled`]
-/// gate, which would otherwise race under the parallel test runner.
-#[cfg(test)]
-pub(crate) fn test_gate_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Forces the gate *off* even when the test binary runs under
-/// `MLPART_TRACE=1` (CI's traced suite does), for tests asserting disabled
-/// behavior. Restore with [`force_enabled`].
-#[cfg(test)]
-pub(crate) fn force_off_for_test() {
-    FORCE.store(2, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn force_gate_round_trips() {
-        let _gate = test_gate_lock();
-        force_enabled(true);
-        assert!(enabled());
-        force_enabled(false);
-        // Back to the environment; tests run without MLPART_TRACE unless CI
-        // sets it, so only assert the forced-on path deterministically.
-    }
-}

@@ -186,7 +186,6 @@ mod tests {
     }
 
     fn sample() -> Trace {
-        crate::force_enabled(true);
         let (_, t) = capture(|| {
             let _run = span("run", &[("runs", V::U(2))]);
             for i in 0..3u64 {
@@ -201,13 +200,11 @@ mod tests {
                 );
             }
         });
-        crate::force_enabled(false);
-        t.expect("recorded")
+        t
     }
 
     #[test]
     fn registry_folds_counters_in_first_appearance_order() {
-        let _gate = crate::test_gate_lock();
         let reg = Registry::from_trace(&sample());
         let names: Vec<&str> = reg.metrics.iter().map(|m| m.name.as_str()).collect();
         // F-valued args (ratio, fill_ms) are skipped; span args don't count.
@@ -227,7 +224,6 @@ mod tests {
 
     #[test]
     fn registry_json_is_stable_and_sparse() {
-        let _gate = crate::test_gate_lock();
         let reg = Registry::from_trace(&sample());
         let doc = reg.to_json();
         assert_eq!(doc, reg.to_json(), "serialization is deterministic");
@@ -241,7 +237,6 @@ mod tests {
 
     #[test]
     fn identical_content_yields_identical_registries() {
-        let _gate = crate::test_gate_lock();
         let a = sample();
         let mut b = sample();
         for ev in &mut b.events {

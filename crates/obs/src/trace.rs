@@ -133,18 +133,15 @@ thread_local! {
     static REC: RefCell<Option<Recorder>> = const { RefCell::new(None) };
 }
 
-/// True when the gate is on *and* a recorder is installed on this thread —
-/// i.e. a hook firing now would actually record. Hooks that do non-trivial
-/// work to assemble their arguments (gain histograms, occupancy scans)
-/// should check this first.
+/// True when a recorder is installed on this thread — i.e. a hook firing
+/// now would actually record. Hooks that do non-trivial work to assemble
+/// their arguments (gain histograms, occupancy scans) should check this
+/// first.
 pub fn recording() -> bool {
-    crate::enabled() && REC.with(|r| r.borrow().is_some())
+    REC.with(|r| r.borrow().is_some())
 }
 
 fn with_recorder(f: impl FnOnce(&mut Recorder)) {
-    if !crate::enabled() {
-        return;
-    }
     REC.with(|r| {
         if let Some(rec) = r.borrow_mut().as_mut() {
             f(rec);
@@ -168,7 +165,7 @@ impl CaptureScope {
         CaptureScope { prev }
     }
 
-    fn finish(mut self) -> Option<Trace> {
+    fn finish(mut self) -> Trace {
         let cur = REC.with(|r| {
             let mut slot = r.borrow_mut();
             let cur = slot.take();
@@ -176,7 +173,9 @@ impl CaptureScope {
             cur
         });
         std::mem::forget(self);
-        cur.map(|r| Trace { events: r.events })
+        Trace {
+            events: cur.map_or_else(Vec::new, |r| r.events),
+        }
     }
 }
 
@@ -193,15 +192,12 @@ impl Drop for CaptureScope {
 /// Runs `f` with a fresh recorder installed on this thread and returns its
 /// value plus the captured trace.
 ///
-/// Returns `None` for the trace when the runtime gate is off — `f` then
-/// runs with zero recording overhead. Captures nest: an inner `capture`
-/// stashes the outer recorder and restores it afterwards, which is how the
+/// Only the calling thread records: a thread `f` spawns has no recorder
+/// until it captures on its own. Captures nest: an inner `capture` stashes
+/// the outer recorder and restores it afterwards, which is how the
 /// execution layer captures one stream per attempt and then merges them into
 /// the caller's stream via [`Trace::append_span`] and [`append_raw`].
-pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Option<Trace>) {
-    if !crate::enabled() {
-        return (f(), None);
-    }
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Trace) {
     let scope = CaptureScope::install();
     let value = f();
     let trace = scope.finish();
@@ -314,32 +310,32 @@ mod tests {
     }
 
     #[test]
-    fn disabled_capture_records_nothing() {
-        let _gate = crate::test_gate_lock();
-        crate::force_off_for_test();
-        let (v, t) = capture(|| {
-            let _s = span("a", &[]);
-            counter("c", &[]);
-            7
-        });
-        assert_eq!(v, 7);
-        assert!(t.is_none());
-        crate::force_enabled(false);
+    fn hooks_without_recorder_are_noops() {
+        assert!(!recording());
+        let s = span("orphan", &[]);
+        assert!(s.name.is_none(), "an orphan span is inert");
+        counter("orphan", &[]);
     }
 
     #[test]
-    fn hooks_without_recorder_are_noops() {
-        let _gate = crate::test_gate_lock();
-        crate::force_enabled(true);
-        let _s = span("orphan", &[]);
-        counter("orphan", &[]);
-        crate::force_enabled(false);
+    fn capture_records_only_its_own_thread() {
+        let (spawned, t) = capture(|| {
+            counter("here", &[]);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    counter("elsewhere", &[]);
+                    recording()
+                })
+                .join()
+                .expect("joins")
+            })
+        });
+        assert!(!spawned, "a spawned thread has no recorder");
+        assert_eq!(names(&t), vec![("here", EvKind::Counter)]);
     }
 
     #[test]
     fn spans_and_counters_nest() {
-        let _gate = crate::test_gate_lock();
-        crate::force_enabled(true);
         let (_, t) = capture(|| {
             let _outer = span("outer", &[("n", V::U(2))]);
             for i in 0..2u64 {
@@ -347,8 +343,6 @@ mod tests {
                 counter("tick", &[("i", V::U(i))]);
             }
         });
-        crate::force_enabled(false);
-        let t = t.expect("recording on");
         assert_eq!(
             names(&t),
             vec![
@@ -368,20 +362,15 @@ mod tests {
 
     #[test]
     fn nested_capture_restores_outer_recorder() {
-        let _gate = crate::test_gate_lock();
-        crate::force_enabled(true);
         let (_, outer) = capture(|| {
             counter("before", &[]);
             let (_, inner) = capture(|| counter("inner", &[]));
-            let inner = inner.expect("inner capture records");
             assert_eq!(names(&inner), vec![("inner", EvKind::Counter)]);
             let mut wrapped = Trace::default();
             wrapped.append_span("start", &[("start", V::U(0))], &inner);
             append_raw(&wrapped);
             counter("after", &[]);
         });
-        crate::force_enabled(false);
-        let outer = outer.expect("outer capture records");
         assert_eq!(
             names(&outer),
             vec![
@@ -396,8 +385,6 @@ mod tests {
 
     #[test]
     fn capture_restores_recorder_on_panic() {
-        let _gate = crate::test_gate_lock();
-        crate::force_enabled(true);
         let (_, outer) = capture(|| {
             counter("kept", &[]);
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -409,8 +396,6 @@ mod tests {
             assert!(r.is_err());
             counter("still-kept", &[]);
         });
-        crate::force_enabled(false);
-        let outer = outer.expect("outer capture records");
         assert_eq!(
             names(&outer),
             vec![("kept", EvKind::Counter), ("still-kept", EvKind::Counter)]
@@ -419,18 +404,13 @@ mod tests {
 
     #[test]
     fn append_rebases_timestamps() {
-        let _gate = crate::test_gate_lock();
-        crate::force_enabled(true);
         let (_, child) = capture(|| counter("c", &[]));
-        let child = child.expect("recorded");
         let (_, parent) = capture(|| {
             std::thread::sleep(std::time::Duration::from_millis(1));
             let mut wrapped = Trace::default();
             wrapped.append_span("start", &[], &child);
             append_raw(&wrapped);
         });
-        crate::force_enabled(false);
-        let parent = parent.expect("recorded");
         // The appended child's counter is rebased at/after the parent Begin.
         assert!(parent.events[1].ts_ns >= parent.events[0].ts_ns);
         assert!(parent.events[0].ts_ns >= 1_000_000);

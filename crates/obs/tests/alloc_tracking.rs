@@ -8,13 +8,7 @@ use mlpart_obs as obs;
 use obs::report::RunReport;
 use obs::trace::{EvKind, V};
 
-/// Serializes the tests here that flip the process-global trace gate: one
-/// test switching it off would drop the spans another is capturing.
-static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn traced_workload() -> obs::Trace {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    obs::force_enabled(true);
     let (_, trace) = obs::capture(|| {
         let _run = obs::span("run", &[("runs", 1u64.into())]);
         {
@@ -25,8 +19,7 @@ fn traced_workload() -> obs::Trace {
         }
         let _tail = obs::span("level", &[("level", 1u64.into())]);
     });
-    obs::force_enabled(false);
-    trace.expect("gate forced on")
+    trace
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end exit-code contract of the `obs-diff` binary over committed
-//! fixtures: a clean self-compare exits 0, the injected 10x regression
-//! fixture exits 1, a structural change exits 2 — the full 0/1/2 ladder
-//! through a real process, not just the library.
+//! run-report fixtures: a clean self-compare exits 0, the injected 10x
+//! regression fixture exits 1, a structural change exits 2 — the full
+//! 0/1/2 ladder through a real process, not just the library.
 
 use std::process::Command;
 
@@ -18,7 +18,7 @@ fn diff(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn self_compare_exits_zero() {
-    let out = diff(&[&fixture("diff-base.jsonl"), &fixture("diff-base.jsonl")]);
+    let out = diff(&[&fixture("diff-base.json"), &fixture("diff-base.json")]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -32,10 +32,7 @@ fn self_compare_exits_zero() {
 
 #[test]
 fn injected_regression_fixture_exits_one() {
-    let out = diff(&[
-        &fixture("diff-base.jsonl"),
-        &fixture("diff-regressed.jsonl"),
-    ]);
+    let out = diff(&[&fixture("diff-base.json"), &fixture("diff-regressed.json")]);
     assert_eq!(
         out.status.code(),
         Some(1),
@@ -52,8 +49,8 @@ fn loosened_threshold_accepts_the_regression() {
     let out = diff(&[
         "--max-time-ratio",
         "100",
-        &fixture("diff-base.jsonl"),
-        &fixture("diff-regressed.jsonl"),
+        &fixture("diff-base.json"),
+        &fixture("diff-regressed.json"),
     ]);
     assert_eq!(
         out.status.code(),
@@ -65,7 +62,7 @@ fn loosened_threshold_accepts_the_regression() {
 
 #[test]
 fn structural_change_exits_two() {
-    let out = diff(&[&fixture("diff-base.jsonl"), &fixture("diff-mismatch.jsonl")]);
+    let out = diff(&[&fixture("diff-base.json"), &fixture("diff-mismatch.json")]);
     assert_eq!(
         out.status.code(),
         Some(2),
@@ -78,12 +75,39 @@ fn structural_change_exits_two() {
 
 #[test]
 fn missing_file_and_bad_usage_exit_two() {
-    let out = diff(&[&fixture("diff-base.jsonl"), "/no/such/file.json"]);
+    let out = diff(&[&fixture("diff-base.json"), "/no/such/file.json"]);
     assert_eq!(out.status.code(), Some(2));
-    let out = diff(&[&fixture("diff-base.jsonl")]);
+    let out = diff(&[&fixture("diff-base.json")]);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("usage"), "stderr: {err}");
+    // Bad thresholds: negative or fractional floors, and ratios that are
+    // not finite or not positive, which could never flag a phase.
+    let (base, regressed) = (fixture("diff-base.json"), fixture("diff-regressed.json"));
+    for (flag, value) in [
+        ("--min-total-ns", "-5"),
+        ("--min-total-ns", "1.5"),
+        ("--min-alloc-bytes", "-1"),
+        ("--min-alloc-bytes", "many"),
+        ("--max-time-ratio", "nan"),
+        ("--max-time-ratio", "inf"),
+        ("--max-time-ratio", "0"),
+        ("--max-alloc-ratio", "-2"),
+        ("--max-alloc-ratio", "NaN"),
+    ] {
+        let out = diff(&[flag, value, &base, &regressed]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(flag) && err.contains("usage"),
+            "{flag} {value}: {err}"
+        );
+    }
+    let out = diff(&["--min-total-ns"]);
+    assert_eq!(out.status.code(), Some(2));
+    // A zero floor is valid: every phase can be flagged.
+    let out = diff(&["--min-total-ns", "0", &base, &regressed]);
+    assert_eq!(out.status.code(), Some(1));
 }
 
 #[test]

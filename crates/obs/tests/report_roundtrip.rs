@@ -6,12 +6,7 @@ use mlpart_obs as obs;
 use obs::json;
 use obs::report::{parse_report, RunReport};
 
-/// Serializes the tests here that flip the process-global trace gate.
-static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn sample_report() -> RunReport {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    obs::force_enabled(true);
     let (_, trace) = obs::capture(|| {
         let _run = obs::span("run", &[("runs", 2u64.into())]);
         for i in 0..2u64 {
@@ -23,7 +18,6 @@ fn sample_report() -> RunReport {
             );
         }
     });
-    obs::force_enabled(false);
     RunReport {
         meta: vec![("algo", obs::V::S("ml-fm")), ("seed", 1997u64.into())],
         cuts: vec![31, 30],
@@ -33,7 +27,7 @@ fn sample_report() -> RunReport {
         repairs: Vec::new(),
         wall_secs: 0.25,
         cpu_secs: 0.5,
-        trace: trace.expect("gate forced on"),
+        trace,
     }
 }
 

@@ -7,17 +7,12 @@ use obs::json;
 use obs::report::RunReport;
 use obs::schema;
 
-/// Serializes the tests here that flip the process-global trace gate.
-static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 const REPORT_SCHEMA: &str = include_str!("../../../schemas/run-report.schema.json");
 const CHROME_SCHEMA: &str = include_str!("../../../schemas/chrome-trace.schema.json");
 
 /// A small but structurally representative trace: a run with two starts,
 /// each holding nested spans and counters.
 fn sample_trace() -> obs::Trace {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    obs::force_enabled(true);
     let (_, trace) = obs::capture(|| {
         let _run = obs::span("run", &[("runs", 2u64.into())]);
         for i in 0..2u64 {
@@ -29,8 +24,7 @@ fn sample_trace() -> obs::Trace {
             );
         }
     });
-    obs::force_enabled(false);
-    trace.expect("gate forced on")
+    trace
 }
 
 #[test]

@@ -666,10 +666,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(EXIT_INVALID_INPUT);
     }
-    #[cfg(feature = "obs")]
-    if tracing {
-        mlpart::obs::force_enabled(true);
-    }
     // Supervision setup: the balance window and fixed mask gate every
     // start's output, the retry policy governs reseeded attempts, and the
     // checkpoint config pins this invocation's identity on disk.
@@ -698,9 +694,9 @@ fn main() -> ExitCode {
         retries: args.retries,
         degraded_passes: args.retry_degrade_passes,
         budget: args.budget,
-        // Records carry traces whenever the gate is on, which in an `obs`
-        // build `MLPART_TRACE=1` does without any artifact flag.
-        traced: cfg!(feature = "obs") && mlpart::obs::enabled(),
+        // Records carry traces exactly when an artifact flag asks for them
+        // (a build without `obs` has already refused those flags).
+        traced: tracing,
     };
     let mut resume_state: ResumeState<StartValue> = ResumeState::default();
     let mut restored_lines = BTreeMap::new();
@@ -762,10 +758,11 @@ fn main() -> ExitCode {
     // Every start is an independent seeded job; the executor spreads them
     // over `--threads` workers, isolates per-attempt panics, retries under
     // the policy, and returns the outcomes in start order, so everything
-    // below this line is oblivious to the thread count. With tracing on,
-    // the whole batch is captured under one `run` span and the per-start
-    // streams arrive merged in start order — restored starts splice their
-    // recorded streams back in, keeping resumed trace content identical.
+    // below this line is oblivious to the thread count. When an artifact
+    // flag asks for a trace, the whole batch is captured under one `run`
+    // span and the per-start streams arrive merged in start order — restored
+    // starts splice their recorded streams back in, keeping resumed trace
+    // content identical.
     let run_batch = || {
         obs_span!("run", "runs" => args.runs, "seed" => args.seed, "k" => args.k);
         run_supervised(
@@ -790,7 +787,12 @@ fn main() -> ExitCode {
         )
     };
     #[cfg(feature = "obs")]
-    let (batch_result, trace) = mlpart::obs::capture(run_batch);
+    let (batch_result, trace) = if tracing {
+        let (result, trace) = mlpart::obs::capture(run_batch);
+        (result, Some(trace))
+    } else {
+        (run_batch(), None)
+    };
     #[cfg(not(feature = "obs"))]
     let batch_result = run_batch();
     let (batch, timing) = match batch_result {

@@ -17,7 +17,8 @@
 //! * [`place`] — the GORDIAN-analogue quadratic placer;
 //! * [`obs`] — the JSON codec the checkpoints use and, with the `obs`
 //!   feature compiled into the library crates, deterministic structured
-//!   tracing, metrics, and run-report exporters behind `MLPART_TRACE=1`;
+//!   tracing, metrics, and run-report exporters that record inside
+//!   `obs::capture`;
 //! * `fault` (feature-gated) — deterministic fault injection (panics and
 //!   budget exhaustion at named sites) behind `MLPART_FAULTS`.
 //!

@@ -232,9 +232,9 @@ fn trace_and_report_outputs_are_valid_and_deterministic() {
     assert_eq!(normalize(&report1), normalize(&report4), "threads=4");
 }
 
-/// `--stats` prints the same per-level table with tracing on and off,
-/// under both schedules, bisection and k-way alike. Only the `fill_ms`
-/// column (wall clock) is ignored.
+/// `--stats` prints the same per-level table with tracing on
+/// (`--report-out`) and off, under both schedules, bisection and k-way
+/// alike. Only the `fill_ms` column (wall clock) is ignored.
 #[cfg(feature = "obs")]
 #[test]
 fn trace_and_report_stats_match_untraced_stats() {
@@ -242,12 +242,12 @@ fn trace_and_report_stats_match_untraced_stats() {
         let mut cmd = mlpart();
         cmd.args(["syn-primary1", "--runs", "1", "--seed", "3", "--stats"])
             .args(extra);
+        let report = temp_path("stats-traced.json");
         if traced {
-            cmd.env("MLPART_TRACE", "1");
-        } else {
-            cmd.env_remove("MLPART_TRACE");
+            cmd.arg("--report-out").arg(&report);
         }
         let out = cmd.output().expect("binary runs");
+        let _ = std::fs::remove_file(&report);
         assert!(
             out.status.success(),
             "{}",

@@ -116,7 +116,6 @@ fn torn_checkpoint_tail_reruns_its_start() {
     let s = Scratch::new("torn");
     let common = ["syn-balu", "--runs", "6", "--seed", "3", "--threads", "1"];
     let full = bin()
-        .env_remove("MLPART_TRACE")
         .args(common)
         .args(["--checkpoint", &s.path("full.ckpt")])
         .args(["--output", &s.path("full.part")])
@@ -131,7 +130,6 @@ fn torn_checkpoint_tail_reruns_its_start() {
     std::fs::write(s.path("torn.ckpt"), torn).expect("torn checkpoint");
 
     let resumed = bin()
-        .env_remove("MLPART_TRACE")
         .args(common)
         .args(["--checkpoint", &s.path("torn.ckpt")])
         .arg("--resume")
@@ -247,27 +245,33 @@ fn resume_rejects_mismatched_checkpoint() {
     );
 }
 
-/// `MLPART_TRACE=1` alone turns tracing on in an `obs` build, so its
-/// records carry traces and the header says so: resuming that checkpoint
-/// with the gate off is a different invocation.
+/// An artifact flag turns tracing on in an `obs` build, so the records
+/// carry traces and the header says so: resuming that checkpoint without
+/// one is a different invocation. The environment turns nothing on: a run
+/// that only sets the retired trace variable writes an untraced header.
 #[cfg(feature = "obs")]
 #[test]
-fn env_traced_checkpoint_pins_the_trace_gate() {
-    let s = Scratch::new("env-traced");
+fn traced_checkpoint_pins_the_trace_flag() {
+    let s = Scratch::new("traced");
     let common = ["syn-balu", "--runs", "2", "--seed", "3", "--threads", "1"];
+    let header = |ckpt: &str| {
+        let text = String::from_utf8(read(&s.path(ckpt))).expect("utf8 checkpoint");
+        text.lines().next().expect("header line").to_string()
+    };
     let traced = bin()
-        .env("MLPART_TRACE", "1")
         .args(common)
         .args(["--checkpoint", &s.path("run.ckpt")])
+        .args(["--report-out", &s.path("run.json")])
         .output()
         .expect("traced run");
     assert!(traced.status.success(), "{}", stderr_of(&traced));
-    let text = String::from_utf8(read(&s.path("run.ckpt"))).expect("utf8 checkpoint");
-    let header = text.lines().next().expect("header line");
-    assert!(header.ends_with("\"traced\":true}}"), "{header}");
+    let traced_header = header("run.ckpt");
+    assert!(
+        traced_header.ends_with("\"traced\":true}}"),
+        "{traced_header}"
+    );
 
     let resumed = bin()
-        .env_remove("MLPART_TRACE")
         .args(common)
         .args(["--checkpoint", &s.path("run.ckpt")])
         .arg("--resume")
@@ -279,6 +283,16 @@ fn env_traced_checkpoint_pins_the_trace_gate() {
         "{}",
         stderr_of(&resumed)
     );
+
+    let env_only = bin()
+        .env("MLPART_TRACE", "1")
+        .args(common)
+        .args(["--checkpoint", &s.path("env.ckpt")])
+        .output()
+        .expect("env-only run");
+    assert!(env_only.status.success(), "{}", stderr_of(&env_only));
+    let env_header = header("env.ckpt");
+    assert!(env_header.ends_with("\"traced\":false}}"), "{env_header}");
 }
 
 /// An unwritable checkpoint path fails the run with exit 1 before any

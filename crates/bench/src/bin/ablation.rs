@@ -3,8 +3,8 @@
 //! 1. **Coarsener**: the paper's `Match` vs Chaco-style random matching vs
 //!    Metis-style heavy-edge matching.
 //! 2. **§V extensions**: boundary-only bucket initialization, early pass
-//!    exit, multi-start at the coarsest level, and Krishnamurthy-style
-//!    lookahead tie-breaking — each toggled on top of the baseline `ML_C`.
+//!    exit and multi-start at the coarsest level — each toggled on top of
+//!    the baseline `ML_C`, with net coalescing alongside.
 //!
 //! 3. **4-way strategy**: the paper's direct Sanchis-style quadrisection
 //!    (sum-of-degrees and net-cut gains) vs recursive ML bisection.
@@ -40,22 +40,12 @@ fn run(args: &HarnessArgs) -> bool {
     );
     println!();
     println!(
-        "{:<16} {:>8} {:>8} {:>8}  {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "Test Case",
-        "aMatch",
-        "aRandom",
-        "aHeavy",
-        "aBound",
-        "aEarly",
-        "aMulti",
-        "aLook",
-        "aCdip",
-        "aCoal"
+        "{:<16} {:>8} {:>8} {:>8}  {:>8} {:>8} {:>8} {:>8}",
+        "Test Case", "aMatch", "aRandom", "aHeavy", "aBound", "aEarly", "aMulti", "aCoal"
     );
     let (mut base_avg, mut rand_avg, mut heavy_avg) = (Vec::new(), Vec::new(), Vec::new());
     let (mut bound_avg, mut early_avg, mut multi_avg) = (Vec::new(), Vec::new(), Vec::new());
-    let mut look_avg: Vec<f64> = Vec::new();
-    let (mut cdip_avg, mut coal_avg): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+    let mut coal_avg: Vec<f64> = Vec::new();
     for (ci, c) in args.circuits().iter().enumerate() {
         let h = c.generate(args.seed);
         let seed = child_seed(args.seed, 600 + ci as u64);
@@ -110,26 +100,6 @@ fn run(args: &HarnessArgs) -> bool {
             },
             5,
         );
-        let a_look = cell(
-            MlConfig {
-                fm: FmConfig {
-                    lookahead: true,
-                    ..base.fm
-                },
-                ..base
-            },
-            6,
-        );
-        let a_cdip = cell(
-            MlConfig {
-                fm: FmConfig {
-                    cdip_window: Some(16),
-                    ..base.fm
-                },
-                ..base
-            },
-            7,
-        );
         let a_coal = cell(
             MlConfig {
                 coalesce_nets: true,
@@ -138,7 +108,7 @@ fn run(args: &HarnessArgs) -> bool {
             8,
         );
         println!(
-            "{:<16} {:>8.1} {:>8.1} {:>8.1}  {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
+            "{:<16} {:>8.1} {:>8.1} {:>8.1}  {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
             c.name,
             a_match.cut.avg,
             a_rand.cut.avg,
@@ -146,8 +116,6 @@ fn run(args: &HarnessArgs) -> bool {
             a_bound.cut.avg,
             a_early.cut.avg,
             a_multi.cut.avg,
-            a_look.cut.avg,
-            a_cdip.cut.avg,
             a_coal.cut.avg
         );
         base_avg.push(a_match.cut.avg.max(1.0));
@@ -156,8 +124,6 @@ fn run(args: &HarnessArgs) -> bool {
         bound_avg.push(a_bound.cut.avg.max(1.0));
         early_avg.push(a_early.cut.avg.max(1.0));
         multi_avg.push(a_multi.cut.avg.max(1.0));
-        look_avg.push(a_look.cut.avg.max(1.0));
-        cdip_avg.push(a_cdip.cut.avg.max(1.0));
         coal_avg.push(a_coal.cut.avg.max(1.0));
     }
     let vs_rand = mlpart_bench::geomean_ratio(&base_avg, &rand_avg);
@@ -165,8 +131,6 @@ fn run(args: &HarnessArgs) -> bool {
     let vs_bound = mlpart_bench::geomean_ratio(&bound_avg, &base_avg);
     let vs_early = mlpart_bench::geomean_ratio(&early_avg, &base_avg);
     let vs_multi = mlpart_bench::geomean_ratio(&multi_avg, &base_avg);
-    let vs_look = mlpart_bench::geomean_ratio(&look_avg, &base_avg);
-    let vs_cdip = mlpart_bench::geomean_ratio(&cdip_avg, &base_avg);
     let vs_coal = mlpart_bench::geomean_ratio(&coal_avg, &base_avg);
     println!();
     println!("geomean avg-cut ratio Match/Random:          {vs_rand:.3}");
@@ -174,8 +138,6 @@ fn run(args: &HarnessArgs) -> bool {
     println!("geomean avg-cut ratio boundary-init/base:    {vs_bound:.3}");
     println!("geomean avg-cut ratio early-exit/base:       {vs_early:.3}");
     println!("geomean avg-cut ratio multi-start/base:      {vs_multi:.3}");
-    println!("geomean avg-cut ratio lookahead/base:        {vs_look:.3}");
-    println!("geomean avg-cut ratio CDIP/base:             {vs_cdip:.3}");
     println!("geomean avg-cut ratio coalesced/base:        {vs_coal:.3}");
     // --- 4-way strategy comparison. ---
     println!();
@@ -280,14 +242,6 @@ fn run(args: &HarnessArgs) -> bool {
         ShapeCheck::new(
             format!("multi-start roughly neutral or better (ratio {vs_multi:.3} <= 1.08)"),
             vs_multi <= 1.08,
-        ),
-        ShapeCheck::new(
-            format!("lookahead quality within 10% of base (ratio {vs_look:.3})"),
-            vs_look <= 1.10,
-        ),
-        ShapeCheck::new(
-            format!("CDIP quality within 10% of base (ratio {vs_cdip:.3})"),
-            vs_cdip <= 1.10,
         ),
         ShapeCheck::new(
             format!("net coalescing preserves quality (ratio {vs_coal:.3} in [0.9, 1.1])"),

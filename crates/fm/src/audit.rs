@@ -12,7 +12,7 @@
 //! start, when every module's gain has just been (re)initialized; the pass
 //! end audit verifies the rolled-back partition and its cut. Between them,
 //! every pick made with a side closed is re-run without the side gate, and
-//! after every forward move the moved module's nets and their free pins
+//! after every move the moved module's nets and their free pins
 //! are re-derived: the state the move's gain updates wrote.
 
 use crate::bucket::{BucketPolicy, GainBuckets};
@@ -309,10 +309,10 @@ fn audit_filing(
     Ok(())
 }
 
-/// Per-move audit, run after each forward move of `v`: for every visible
-/// net of `v`, the stored pin counts against a recount, and every free pin
-/// of those nets: its gain against a recomputation and its filing — the
-/// nets and modules the move's gain updates touched.
+/// Per-move audit, run after each move of `v`: for every visible net of
+/// `v`, the stored pin counts against a recount, and every free pin of
+/// those nets: its gain against a recomputation and its filing — the nets
+/// and modules the move's gain updates touched.
 pub fn audit_move(
     st: &RefineState,
     h: &Hypergraph,

@@ -536,13 +536,6 @@ impl GainBuckets {
         None
     }
 
-    /// The highest key currently present, or `None` if empty. Lazily lowers
-    /// the internal hint, like selection does.
-    pub fn max_key(&mut self) -> Option<i32> {
-        let top = self.settle_top_hint();
-        (top >= 0).then_some(top - self.max_key)
-    }
-
     /// Lowers the top hint past empty buckets and returns it (−1 when the
     /// structure is empty).
     #[inline]
@@ -649,7 +642,7 @@ impl GainBuckets {
     /// The members of the bucket holding `key` in its open classes: in
     /// selection order under LIFO and FIFO; the whole bucket in arbitrary
     /// order under Random, where selection reorders the bucket. Intended for
-    /// tests, audits and lookahead selection.
+    /// tests and audits.
     pub fn bucket_members(&self, key: i32, open: OpenClasses<'_>) -> Vec<ModuleId> {
         let b = self.bucket_index(key);
         let mut out = Vec::new();
@@ -1203,19 +1196,6 @@ mod tests {
         assert!(!b.contains(m(0)));
         b.remove(m(1));
         assert_eq!(b.len(), 0);
-    }
-
-    #[test]
-    fn max_key_tracks_top() {
-        let mut b = GainBuckets::new(4, 5, BucketPolicy::Lifo, 1, Filing::Tallied);
-        assert_eq!(b.max_key(), None);
-        b.insert(m(0), 0, -2);
-        b.insert(m(1), 0, 3);
-        assert_eq!(b.max_key(), Some(3));
-        b.remove(m(1));
-        assert_eq!(b.max_key(), Some(-2));
-        b.update_key(m(0), 5);
-        assert_eq!(b.max_key(), Some(5));
     }
 
     #[test]

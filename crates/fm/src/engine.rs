@@ -110,20 +110,6 @@ pub struct FmConfig {
     /// nets; other modules enter the structure when a neighboring move first
     /// changes their gain.
     pub boundary_init: bool,
-    /// §II-B extension (Dutt-Deng's CDIP): when the move sequence since the
-    /// last best solution accumulates `Some(window)` moves without a new
-    /// best, the sequence is rolled back, its first module is locked out,
-    /// and the pass continues from a different seed — "backing up ...
-    /// prevents continuing an entire pass in which positive gain is unlikely
-    /// to be realized". `None` (the default) disables backtracking.
-    pub cdip_window: Option<usize>,
-    /// §V extension: Krishnamurthy-style lookahead tie-breaking. Among the
-    /// feasible modules of the best bucket, pick the one whose move creates
-    /// the most follow-up gain for its neighbors (second-level gain:
-    /// `Σ_e [pins_from(e) = 2] − [pins_to(e) = 1]`). The paper notes that
-    /// lookahead does not help plain-LIFO FM but "its impact increases
-    /// dramatically when using CLIP"; it costs extra selection time.
-    pub lookahead: bool,
 }
 
 impl Default for FmConfig {
@@ -136,8 +122,6 @@ impl Default for FmConfig {
             max_passes: 64,
             early_exit_stall: None,
             boundary_init: false,
-            cdip_window: None,
-            lookahead: false,
         }
     }
 }
@@ -355,7 +339,8 @@ struct PassOutcome {
     stats: PassStats,
 }
 
-/// Both sides open: the view for an ungated pick.
+/// Both sides open: the view audits and tests take of an ungated pick.
+#[cfg(any(test, feature = "audit"))]
 pub(crate) const BOTH_SIDES: OpenClasses<'static> = OpenClasses::new(&[true, true], &[]);
 
 /// The exact side gate of 2-way selection. Every module's area lies in
@@ -449,28 +434,6 @@ impl RefineState {
         cut
     }
 
-    /// Recomputes `gain[v]` from the current `pins_in` (used when a module
-    /// re-enters the structure after a CDIP rollback; its stored gain went
-    /// stale while it was locked).
-    fn recompute_gain_of(&mut self, h: &Hypergraph, p: &Partition, v: ModuleId) {
-        let s = p.part(v) as usize;
-        let o = 1 - s;
-        let mut g = 0i32;
-        for &e in h.nets(v) {
-            if !self.visible[e.index()] {
-                continue;
-            }
-            let w = h.net_weight(e) as i32;
-            if self.pins_in[2 * e.index() + s] == 1 {
-                g += w;
-            }
-            if self.pins_in[2 * e.index() + o] == 0 {
-                g -= w;
-            }
-        }
-        self.gain[v.index()] = g;
-    }
-
     fn bucket_key(&self, v: ModuleId, engine: Engine) -> i32 {
         match engine {
             Engine::Fm => self.gain[v.index()],
@@ -540,20 +503,6 @@ impl RefineState {
         if self.buckets[0].contains(v) {
             self.buckets[0].remove(v);
         }
-        self.shift_module(h, p, v, cfg, cut);
-    }
-
-    /// The raw state updates of moving `v` to the other side: partition,
-    /// `pins_in`, neighbor gains, running cut. Shared by forward moves and
-    /// CDIP's backtracking undo (the updates are their own inverse).
-    fn shift_module(
-        &mut self,
-        h: &Hypergraph,
-        p: &mut Partition,
-        v: ModuleId,
-        cfg: &FmConfig,
-        cut: &mut u64,
-    ) {
         let from = p.part(v) as usize;
         let to = 1 - from;
         p.move_module(h, v, to as u32);
@@ -660,66 +609,6 @@ impl RefineState {
         }
     }
 
-    /// Second-level (lookahead) gain: how much immediate gain the move of
-    /// `v` would create for its still-unlocked neighbors. A net with exactly
-    /// two pins on `v`'s side is one move away from granting a +1 to the
-    /// remaining pin; a net with exactly one pin on the destination side is
-    /// about to lose that pin's +1.
-    fn second_level_gain(&self, h: &Hypergraph, p: &Partition, v: ModuleId) -> i32 {
-        let from = p.part(v) as usize;
-        let to = 1 - from;
-        let mut g = 0i32;
-        for &e in h.nets(v) {
-            if !self.visible[e.index()] {
-                continue;
-            }
-            let w = h.net_weight(e) as i32;
-            if self.pins_in[2 * e.index() + from] == 2 {
-                g += w;
-            }
-            if self.pins_in[2 * e.index() + to] == 1 {
-                g -= w;
-            }
-        }
-        g
-    }
-
-    /// Lookahead selection: find the highest bucket with a feasible member,
-    /// then break ties inside it by the second-level gain (bucket order
-    /// breaks remaining ties: list order under LIFO/FIFO, the arbitrary
-    /// array order under Random).
-    fn select_lookahead<F>(
-        &mut self,
-        h: &Hypergraph,
-        p: &Partition,
-        mut feasible: F,
-    ) -> Option<ModuleId>
-    where
-        F: FnMut(ModuleId) -> bool,
-    {
-        let top = self.buckets[0].max_key()?;
-        let mut key = top;
-        while key >= -self.key_bound {
-            let members = self.buckets[0].bucket_members(key, BOTH_SIDES);
-            let mut best: Option<(i32, ModuleId)> = None;
-            for v in members {
-                if !feasible(v) {
-                    continue;
-                }
-                let g2 = self.second_level_gain(h, p, v);
-                match best {
-                    Some((bg, _)) if bg >= g2 => {}
-                    _ => best = Some((g2, v)),
-                }
-            }
-            if let Some((_, v)) = best {
-                return Some(v);
-            }
-            key -= 1;
-        }
-        None
-    }
-
     fn run_pass(
         &mut self,
         h: &Hypergraph,
@@ -748,17 +637,13 @@ impl RefineState {
             .map_err(|e| e.with_pass(pass_no)));
 
         let total = h.total_area();
-        // Random and lookahead picks stay ungated.
-        let gated = cfg.policy != BucketPolicy::Random && !cfg.lookahead;
+        // Random picks stay ungated.
+        let gated = cfg.policy != BucketPolicy::Random;
         let mut cut = start_cut;
         let mut best_cut = start_cut;
         let mut best_len = 0usize;
         let mut stall = 0usize;
-        let mut backtracks = 0usize;
         let mut inspected = 0u64;
-        // Each backtrack permanently locks one seed module, so the pass
-        // still terminates; the cap keeps worst cases cheap.
-        let max_backtracks = h.num_modules().min(64);
         loop {
             if let Some(limit) = cfg.early_exit_stall {
                 if stall >= limit {
@@ -784,22 +669,18 @@ impl RefineState {
                     inspected += 1;
                     feasible(v)
                 };
-                if cfg.lookahead {
-                    self.select_lookahead(h, p, check)
+                let open = if gated {
+                    gate.open([area0, p.part_area(1)])
                 } else {
-                    let open = if gated {
-                        gate.open([area0, p.part_area(1)])
-                    } else {
-                        [true, true]
-                    };
-                    let buckets = &mut self.buckets[0];
-                    let picked = buckets.select_where(rng, OpenClasses::new(&open, &[]), check);
-                    audit!(
-                        crate::audit::audit_side_gate(buckets, open, picked, feasible)
-                            .map_err(|e| e.with_pass(pass_no))
-                    );
-                    picked
-                }
+                    [true, true]
+                };
+                let buckets = &mut self.buckets[0];
+                let picked = buckets.select_where(rng, OpenClasses::new(&open, &[]), check);
+                audit!(
+                    crate::audit::audit_side_gate(buckets, open, picked, feasible)
+                        .map_err(|e| e.with_pass(pass_no))
+                );
+                picked
             };
             let Some(v) = pick else { break };
             let from = p.part(v);
@@ -812,40 +693,6 @@ impl RefineState {
                 stall = 0;
             } else {
                 stall += 1;
-            }
-            // CDIP backtracking: a window of moves without a new best means
-            // this sequence is going nowhere — undo it, lock out its seed,
-            // and let selection pick a different cluster to chase.
-            if let Some(window) = cfg.cdip_window {
-                if self.moves.len() - best_len >= window.max(1) && backtracks < max_backtracks {
-                    backtracks += 1;
-                    let seed = self.moves[best_len].0;
-                    let undo: Vec<(ModuleId, u32)> = self.moves[best_len..].to_vec();
-                    for &(u, from_part) in undo.iter().rev() {
-                        debug_assert_ne!(p.part(u), from_part);
-                        self.shift_module(h, p, u, cfg, &mut cut);
-                        if u != seed {
-                            // Rejoin the pass with a fresh gain; the stored
-                            // one went stale while locked.
-                            self.locked[u.index()] = false;
-                            self.recompute_gain_of(h, p, u);
-                            let key = self.bucket_key(u, cfg.engine);
-                            self.buckets[0].insert(u, p.part(u) as usize, key);
-                        }
-                    }
-                    self.moves.truncate(best_len);
-                    // In audit builds this runs in release too (the
-                    // debug_assert it replaces was debug-only).
-                    audit!(mlpart_audit::check_counter(
-                        "RefineState",
-                        "cdip-backtrack-cut",
-                        cut,
-                        best_cut,
-                    )
-                    .map_err(|e| e.with_pass(pass_no)));
-                    debug_assert_eq!(cut, best_cut);
-                    stall = 0;
-                }
             }
         }
         let attempted = self.moves.len();
@@ -863,7 +710,6 @@ impl RefineState {
                 "attempted" => attempted,
                 "kept" => best_len,
                 "rolled_back" => attempted - best_len,
-                "backtracks" => backtracks,
                 "bucket_occupancy" => s.occupancy,
                 "gain_min" => s.min,
                 "gain_max" => s.max,
@@ -1078,6 +924,27 @@ mod tests {
         }
     }
 
+    /// `v`'s gain from the current `pins_in`, walked over its own nets: the
+    /// per-module reference for `recompute`'s net-major walk.
+    fn recompute_gain_of(st: &RefineState, h: &Hypergraph, p: &Partition, v: ModuleId) -> i32 {
+        let s = p.part(v) as usize;
+        let o = 1 - s;
+        let mut g = 0i32;
+        for &e in h.nets(v) {
+            if !st.visible[e.index()] {
+                continue;
+            }
+            let w = h.net_weight(e) as i32;
+            if st.pins_in[2 * e.index() + s] == 1 {
+                g += w;
+            }
+            if st.pins_in[2 * e.index() + o] == 0 {
+                g -= w;
+            }
+        }
+        g
+    }
+
     #[test]
     fn initial_gains_match_definition() {
         // Hand-checked gains on a 4-module netlist.
@@ -1112,8 +979,11 @@ mod tests {
         let gains = ctx.gain.clone();
         assert_eq!(ctx.gain0, gains);
         for v in h.modules() {
-            ctx.recompute_gain_of(&h, &p, v);
-            assert_eq!(ctx.gain[v.index()], gains[v.index()], "{v:?}");
+            assert_eq!(
+                recompute_gain_of(&ctx, &h, &p, v),
+                gains[v.index()],
+                "{v:?}"
+            );
         }
     }
 
@@ -1406,15 +1276,14 @@ mod constrained_tests {
     #[cfg_attr(miri, ignore)] // multi-seed loop: too slow under the interpreter
     fn empty_fixed_set_is_byte_identical_to_legacy_refine() {
         let h = dumbbell();
-        for (engine, extra) in [
+        for (engine, boundary_init) in [
             (Engine::Fm, false),
             (Engine::Clip, false),
             (Engine::Fm, true),
         ] {
             let cfg = FmConfig {
                 engine,
-                boundary_init: extra,
-                cdip_window: extra.then_some(4),
+                boundary_init,
                 ..FmConfig::default()
             };
             for seed in 0..6 {
@@ -1458,23 +1327,6 @@ mod constrained_tests {
                     assert!(p.validate(&h));
                 }
             }
-        }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // multi-seed loop: too slow under the interpreter
-    fn fixed_modules_survive_cdip_backtracking() {
-        let h = dumbbell();
-        let p0 = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1, 0, 1, 0, 1]).unwrap();
-        let fixed = pins(&p0, &[2, 5]);
-        let cfg = FmConfig {
-            cdip_window: Some(1),
-            ..FmConfig::default()
-        };
-        for seed in 0..6 {
-            let (p, _) = run_constrained(&h, &p0, &cfg, &fixed, seed);
-            assert_eq!(p.part(ModuleId::new(2)), 0, "seed {seed}");
-            assert_eq!(p.part(ModuleId::new(5)), 1, "seed {seed}");
         }
     }
 
@@ -1542,223 +1394,5 @@ mod constrained_tests {
             k: 2,
         };
         super::tests::assert_rejected(&h, &p0, req, err.into());
-    }
-}
-
-#[cfg(test)]
-mod lookahead_tests {
-    use super::*;
-    use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
-
-    fn dumbbell() -> Hypergraph {
-        let mut b = HypergraphBuilder::with_unit_areas(8);
-        for i in 0..4usize {
-            for j in (i + 1)..4 {
-                b.add_net([i, j]).unwrap();
-                b.add_net([i + 4, j + 4]).unwrap();
-            }
-        }
-        b.add_net([3, 4]).unwrap();
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn lookahead_finds_optimum() {
-        let h = dumbbell();
-        for engine in [Engine::Fm, Engine::Clip] {
-            let cfg = FmConfig {
-                engine,
-                lookahead: true,
-                ..FmConfig::default()
-            };
-            let best = (0..8)
-                .map(|s| {
-                    let mut rng = seeded_rng(s);
-                    fm_partition(&h, &cfg, &mut rng, RefineRequest::default())
-                        .unwrap()
-                        .1
-                        .cut
-                })
-                .min()
-                .unwrap();
-            assert_eq!(best, 1, "engine {engine}");
-        }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // multi-seed loop: too slow under the interpreter
-    fn lookahead_respects_balance_and_reporting() {
-        let mut b = HypergraphBuilder::with_unit_areas(40);
-        for i in 0..39usize {
-            b.add_net([i, i + 1]).unwrap();
-            b.add_net([i, (i + 7) % 40]).unwrap();
-        }
-        let h = b.build().unwrap();
-        let cfg = FmConfig {
-            lookahead: true,
-            ..FmConfig::default()
-        };
-        let bal = BipartBalance::new(&h, cfg.balance_r);
-        for seed in 0..4 {
-            let mut rng = seeded_rng(seed);
-            let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
-            assert!(bal.is_partition_feasible(&p));
-            assert_eq!(r.cut, metrics::cut(&h, &p));
-        }
-    }
-
-    #[test]
-    fn lookahead_is_deterministic() {
-        let h = dumbbell();
-        let cfg = FmConfig {
-            engine: Engine::Clip,
-            lookahead: true,
-            ..FmConfig::default()
-        };
-        let run = |seed| {
-            let mut rng = seeded_rng(seed);
-            fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap()
-        };
-        let (p1, r1) = run(33);
-        let (p2, r2) = run(33);
-        assert_eq!(p1.assignment(), p2.assignment());
-        assert_eq!(r1, r2);
-    }
-
-    #[test]
-    fn second_level_gain_hand_checked() {
-        // Chain 0-1-2-3, partition 0,0 | 1,1.
-        // For v=1 (side 0): net {0,1}: pins_in[0]=2 -> +1; net {1,2}:
-        // pins_in[to]=pins_in[1]=1 -> -1. g2(1) = 0.
-        // For v=0: net {0,1}: pins_in[0]=2 -> +1; g2(0) = 1.
-        let mut b = HypergraphBuilder::with_unit_areas(4);
-        b.add_net([0, 1]).unwrap();
-        b.add_net([1, 2]).unwrap();
-        b.add_net([2, 3]).unwrap();
-        let h = b.build().unwrap();
-        let p = Partition::from_assignment(&h, 2, vec![0, 0, 1, 1]).unwrap();
-        let cfg = FmConfig::default();
-        let mut ctx = RefineState::default();
-        bind_bipart(&mut ctx, &h, &cfg, &[]).unwrap();
-        ctx.recompute(&h, &p);
-        assert_eq!(ctx.second_level_gain(&h, &p, ModuleId::new(1)), 0);
-        assert_eq!(ctx.second_level_gain(&h, &p, ModuleId::new(0)), 1);
-    }
-}
-
-#[cfg(test)]
-mod cdip_tests {
-    use super::*;
-    use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
-
-    fn dumbbell() -> Hypergraph {
-        let mut b = HypergraphBuilder::with_unit_areas(8);
-        for i in 0..4usize {
-            for j in (i + 1)..4 {
-                b.add_net([i, j]).unwrap();
-                b.add_net([i + 4, j + 4]).unwrap();
-            }
-        }
-        b.add_net([3, 4]).unwrap();
-        b.build().unwrap()
-    }
-
-    fn cdip_cfg(engine: Engine) -> FmConfig {
-        FmConfig {
-            engine,
-            cdip_window: Some(4),
-            ..FmConfig::default()
-        }
-    }
-
-    #[test]
-    fn cdip_finds_optimum_on_dumbbell() {
-        let h = dumbbell();
-        for engine in [Engine::Fm, Engine::Clip] {
-            let best = (0..8)
-                .map(|s| {
-                    let mut rng = seeded_rng(s);
-                    fm_partition(&h, &cdip_cfg(engine), &mut rng, RefineRequest::default())
-                        .unwrap()
-                        .1
-                        .cut
-                })
-                .min()
-                .unwrap();
-            assert_eq!(best, 1, "engine {engine}");
-        }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // multi-seed loop: too slow under the interpreter
-    fn cdip_respects_balance_and_reporting() {
-        let mut b = HypergraphBuilder::with_unit_areas(60);
-        for i in 0..59usize {
-            b.add_net([i, i + 1]).unwrap();
-            b.add_net([i, (i + 9) % 60]).unwrap();
-        }
-        let h = b.build().unwrap();
-        let cfg = cdip_cfg(Engine::Clip);
-        let bal = BipartBalance::new(&h, cfg.balance_r);
-        for seed in 0..5 {
-            let mut rng = seeded_rng(seed);
-            let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
-            assert!(bal.is_partition_feasible(&p), "seed {seed}");
-            assert_eq!(r.cut, metrics::cut(&h, &p), "seed {seed}");
-            assert!(p.validate(&h));
-        }
-    }
-
-    #[test]
-    fn cdip_never_worse_than_initial() {
-        let h = dumbbell();
-        let p0 = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1, 0, 1, 0, 1]).unwrap();
-        let start = metrics::cut(&h, &p0);
-        let mut rng = seeded_rng(4);
-        let mut p = p0;
-        let r = refine(
-            &h,
-            &mut p,
-            &cdip_cfg(Engine::Fm),
-            &mut rng,
-            RefineRequest::default(),
-        )
-        .unwrap();
-        assert!(r.cut <= start);
-    }
-
-    #[test]
-    fn cdip_deterministic() {
-        let h = dumbbell();
-        let run = |seed| {
-            let mut rng = seeded_rng(seed);
-            fm_partition(
-                &h,
-                &cdip_cfg(Engine::Clip),
-                &mut rng,
-                RefineRequest::default(),
-            )
-            .unwrap()
-        };
-        let (p1, r1) = run(17);
-        let (p2, r2) = run(17);
-        assert_eq!(p1.assignment(), p2.assignment());
-        assert_eq!(r1, r2);
-    }
-
-    #[test]
-    fn cdip_pass_terminates_on_pathological_window() {
-        // window = 1 triggers backtracking aggressively; must still halt.
-        let h = dumbbell();
-        let cfg = FmConfig {
-            cdip_window: Some(1),
-            ..FmConfig::default()
-        };
-        let mut rng = seeded_rng(2);
-        let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
-        assert!(p.validate(&h));
-        assert_eq!(r.cut, metrics::cut(&h, &p));
     }
 }

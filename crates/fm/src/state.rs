@@ -50,10 +50,10 @@ pub struct PassStats {
     /// area bounds), summed over every pick: a hardware-independent measure
     /// of selection work.
     pub inspected: u64,
-    /// Gain updates the pass made after its moves, summed over every move
-    /// (and every CDIP undo): one per 2-way neighbour gain change, one per
-    /// k-way neighbour key change in one destination's structure. A
-    /// hardware-independent measure of update work.
+    /// Gain updates the pass made after its moves, summed over every move:
+    /// one per 2-way neighbour gain change, one per k-way neighbour key
+    /// change in one destination's structure. A hardware-independent
+    /// measure of update work.
     pub updates: u64,
     /// Wall-clock nanoseconds spent rebuilding gains and filling the bucket
     /// structure for this pass. Excluded from equality so fixed-seed runs

@@ -31,7 +31,7 @@
 //! guards the invariant against future edits.
 
 use mlpart_hypergraph::metrics::{cut, net_span};
-use mlpart_hypergraph::{Hypergraph, ModuleId, PartBounds, Partition};
+use mlpart_hypergraph::{audit, Hypergraph, ModuleId, PartBounds, Partition};
 
 /// What one repair pass did to one start's solution, as recorded in the
 /// run report's `repairs` section.
@@ -112,6 +112,13 @@ pub fn repair_to_feasible(
     fixed: &[bool],
 ) -> RepairRecord {
     let cut_before = cut(h, p);
+    // The masked modules' entry parts, which a repaired solution must keep.
+    #[cfg(feature = "audit")]
+    let pinned: Vec<_> = h
+        .modules()
+        .filter(|v| fixed.get(v.index()).copied().unwrap_or(false))
+        .map(|v| (v, p.part(v)))
+        .collect();
     let mut moves = 0u64;
     // Defensive cap: termination is proven by the monotone overflow /
     // underflow argument in the module docs, but a future edit to the
@@ -146,12 +153,20 @@ pub fn repair_to_feasible(
         moves += 1;
     }
 
-    RepairRecord {
+    let record = RepairRecord {
         moves,
         cut_before,
         cut_after: cut(h, p),
         feasible: bounds.is_partition_feasible(p),
-    }
+    };
+    audit!(if record.feasible {
+        let (lo, hi): (Vec<u64>, Vec<u64>) =
+            (0..p.k()).map(|q| (bounds.lo(q), bounds.hi(q))).unzip();
+        mlpart_audit::audit_repair(h, p, &lo, &hi, &pinned, record.cut_after)
+    } else {
+        Ok(())
+    });
+    record
 }
 
 #[cfg(test)]
@@ -229,6 +244,25 @@ mod tests {
         for v in 0..3 {
             assert_eq!(p.part(ModuleId::new(v)), 0, "fixed module {v} moved");
         }
+    }
+
+    /// With audits forced on, a repair that reaches its window is audited:
+    /// pins on their entry parts, every part in bounds, the cut recounted.
+    #[cfg(feature = "audit")]
+    #[test]
+    fn audit_hooks_fire_on_healthy_repair() {
+        mlpart_audit::force_enabled(true);
+        let h = chain(12);
+        let bounds = PartBounds::from_epsilon(&h, 4, 0.3);
+        let mut p = all_in_part(&h, 4, 2);
+        // Module 0 is the greedy's first pick when free: an end of the
+        // chain, lowest id among the zero-gain moves.
+        let mut fixed = vec![false; 12];
+        fixed[0] = true;
+        let r = repair_to_feasible(&h, &mut p, &bounds, &fixed);
+        mlpart_audit::force_enabled(false);
+        assert!(r.feasible, "{r:?}");
+        assert!(r.moves > 0);
     }
 
     #[test]

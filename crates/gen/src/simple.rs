@@ -97,30 +97,6 @@ pub fn two_communities(half: usize) -> Hypergraph {
     b.build().expect("valid netlist")
 }
 
-/// A caterpillar: a spine chain where each spine module also drives a
-/// `legs`-pin net to dedicated leaf modules. Exercises multi-pin nets and
-/// degree-1 leaves (pad-like structure).
-///
-/// # Panics
-///
-/// Panics if `spine < 2` or `legs == 0`.
-pub fn caterpillar(spine: usize, legs: usize) -> Hypergraph {
-    assert!(spine >= 2 && legs >= 1, "need a spine and legs");
-    let n = spine * (1 + legs);
-    let mut b = HypergraphBuilder::with_unit_areas(n);
-    for i in 0..spine - 1 {
-        b.add_net([i, i + 1]).expect("in range");
-    }
-    for i in 0..spine {
-        let mut net = vec![i];
-        for l in 0..legs {
-            net.push(spine + i * legs + l);
-        }
-        b.add_net(net).expect("in range");
-    }
-    b.build().expect("valid netlist")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,14 +133,6 @@ mod tests {
         let p = Partition::from_assignment(&h, 2, (0..16).map(|i| u32::from(i >= 8)).collect())
             .expect("valid");
         assert_eq!(metrics::cut(&h, &p), 1);
-    }
-
-    #[test]
-    fn caterpillar_counts() {
-        let h = caterpillar(5, 3);
-        assert_eq!(h.num_modules(), 20);
-        assert_eq!(h.num_nets(), 4 + 5);
-        assert_eq!(h.max_net_size(), 4);
     }
 
     #[test]

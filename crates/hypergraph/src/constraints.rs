@@ -375,12 +375,6 @@ impl Constraints {
         &self.fixed
     }
 
-    /// `true` when no module is fixed.
-    #[inline]
-    pub fn has_no_fixed(&self) -> bool {
-        self.fixed.is_empty()
-    }
-
     /// The part module `v` is fixed to, or `None` if it is free.
     pub fn part_of(&self, v: ModuleId) -> Option<PartId> {
         self.fixed
@@ -550,8 +544,6 @@ mod tests {
         assert_eq!(c.fixed()[1].0.index(), 5);
         assert_eq!(c.part_of(ModuleId::new(5)), Some(2));
         assert_eq!(c.part_of(ModuleId::new(2)), None);
-        assert!(!c.has_no_fixed());
-        assert!(Constraints::unconstrained(2).has_no_fixed());
         assert_eq!(
             c.fixed_mask(6),
             vec![false, true, false, false, false, true]

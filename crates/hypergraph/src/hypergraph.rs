@@ -159,11 +159,6 @@ impl Hypergraph {
         self.net_ids().map(|e| self.net_size(e)).max().unwrap_or(0)
     }
 
-    /// Maximum module degree; `0` for an empty netlist.
-    pub fn max_degree(&self) -> usize {
-        self.modules().map(|v| self.degree(v)).max().unwrap_or(0)
-    }
-
     /// Weight of net `e` (`1` for plain netlists).
     #[inline]
     pub fn net_weight(&self, e: NetId) -> u32 {
@@ -179,15 +174,6 @@ impl Hypergraph {
     /// Sum of all net weights (`num_nets()` for plain netlists).
     pub fn total_net_weight(&self) -> u64 {
         self.net_weights.iter().map(|&w| w as u64).sum()
-    }
-
-    /// Average net size (pins per net); `0.0` for a netlist with no nets.
-    pub fn avg_net_size(&self) -> f64 {
-        if self.num_nets() == 0 {
-            0.0
-        } else {
-            self.num_pins() as f64 / self.num_nets() as f64
-        }
     }
 
     /// Extracts the sub-netlist induced by the modules with `keep[v] = true`.
@@ -655,8 +641,6 @@ mod tests {
     fn stats() {
         let h = tiny();
         assert_eq!(h.max_net_size(), 3);
-        assert_eq!(h.max_degree(), 2);
-        assert!((h.avg_net_size() - 2.25).abs() < 1e-12);
     }
 
     #[test]
@@ -758,7 +742,6 @@ mod tests {
         assert_eq!(h.num_modules(), 0);
         assert_eq!(h.num_nets(), 0);
         assert_eq!(h.max_net_size(), 0);
-        assert_eq!(h.max_degree(), 0);
         assert!(h.validate());
     }
 

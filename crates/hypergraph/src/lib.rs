@@ -49,7 +49,6 @@ pub mod metrics;
 pub mod netd;
 pub mod partition;
 pub mod rng;
-pub mod stats;
 pub mod transform;
 
 pub use constraints::{

@@ -7,7 +7,8 @@
 //!    the baseline `ML_C`, with net coalescing alongside.
 //!
 //! 3. **4-way strategy**: the paper's direct Sanchis-style quadrisection
-//!    (sum-of-degrees and net-cut gains) vs recursive ML bisection.
+//!    (sum-of-degrees and net-cut gains) vs recursive ML bisection under
+//!    the same per-part balance window.
 //! 4. **Direct hypergraph vs graph expansion** (paper footnote 2): ML_C on
 //!    the netlist hypergraph vs ML_C on its clique/star expansions with the
 //!    true hypergraph cut measured afterwards — the transformation loss the
@@ -19,12 +20,15 @@
 use mlpart_bench::{
     algos, report_shape_checks, run_many_par, with_report, HarnessArgs, ShapeCheck,
 };
-use mlpart_core::{ml_bipartition, recursive_ml_bisection, Coarsener, MlConfig, MlKwayConfig};
+use mlpart_core::{
+    ml_bipartition, recursive_ml_partition, Coarsener, Constraints, MlConfig, MlKwayConfig, Request,
+};
 use mlpart_fm::FmConfig;
 use mlpart_hypergraph::rng::child_seed;
 use mlpart_hypergraph::transform::{
     clique_expansion, hypergraph_cut_of_expanded, star_expansion, DEFAULT_WEIGHT_SCALE,
 };
+use mlpart_hypergraph::KwayBalance;
 use mlpart_kway::{KwayConfig, KwayGain};
 
 fn main() {
@@ -146,8 +150,13 @@ fn run(args: &HarnessArgs) -> bool {
         "Test Case", "a4SoD", "a4Cut", "a4Rec"
     );
     let (mut sod4, mut cut4, mut rec4) = (Vec::new(), Vec::new(), Vec::new());
+    // Recursive bisection at ε = 2r composes to the window that the direct
+    // engine keeps every part in.
+    let r = MlKwayConfig::default().kway.balance_r;
+    let rec_c = Constraints::new(4, 2.0 * r, vec![]).expect("valid constraints");
     for (ci, c) in args.circuits().iter().enumerate() {
         let h = c.generate(args.seed);
+        let window = KwayBalance::new(&h, 4, r);
         let seed = child_seed(args.seed, 900 + ci as u64);
         let a_sod = run_many_par(args.runs, child_seed(seed, 0), args.threads, |rng, ws| {
             algos::kway_cut_in(&h, &MlKwayConfig::default(), rng, ws)
@@ -163,10 +172,19 @@ fn run(args: &HarnessArgs) -> bool {
             algos::kway_cut_in(&h, &cfg, rng, ws)
         });
         let a_rec = run_many_par(args.runs, child_seed(seed, 2), args.threads, |rng, ws| {
-            recursive_ml_bisection(&h, 2, &MlConfig::default(), rng, algos::reusing(ws))
-                .expect("valid run")
-                .1
-                .cut
+            let req = Request {
+                constraints: Some(&rec_c),
+                ..algos::reusing(ws)
+            };
+            let (p, res) =
+                recursive_ml_partition(&h, &MlConfig::default(), rng, req).expect("valid run");
+            assert!(
+                window.is_partition_feasible(&p),
+                "{}: part areas {:?} outside the 4-way window",
+                c.name,
+                p.part_areas()
+            );
+            res.cut
         });
         println!(
             "{:<16} {:>8.1} {:>8.1} {:>8.1}",

@@ -40,18 +40,13 @@ pub enum PipelineError {
         /// The part count actually supplied.
         got: u32,
     },
-    /// Recursive bisection depth outside `1..=16`.
-    BadDepth {
-        /// The rejected depth.
-        depth: u32,
-    },
     /// An internally produced region assignment used part ids `>= k`.
     InvalidRegionIds {
         /// The part count the assignment was checked against.
         k: u32,
     },
     /// The entry point cannot serve this combination of inputs, e.g.
-    /// constraints passed to the paper-only recursive bisection.
+    /// recursive partitioning requested without the constraints that give k.
     Unsupported(&'static str),
 }
 
@@ -67,9 +62,6 @@ impl fmt::Display for PipelineError {
                 expected,
                 got,
             } => write!(f, "{context} (expected {expected}, got {got})"),
-            PipelineError::BadDepth { depth } => {
-                write!(f, "depth must be at least 1 and at most 16, got {depth}")
-            }
             PipelineError::InvalidRegionIds { k } => {
                 write!(f, "recursive split must keep region ids below k = {k}")
             }
@@ -144,9 +136,6 @@ mod tests {
         assert!(PipelineError::Unsupported("pins")
             .to_string()
             .contains("unsupported request: pins"));
-        assert!(PipelineError::BadDepth { depth: 0 }
-            .to_string()
-            .contains("depth must be at least 1"));
     }
 
     #[test]
@@ -164,16 +153,12 @@ mod tests {
         assert!(e.to_string().contains("bounds have 3 part(s) but k = 2"));
         let e = PipelineError::from(BuildHypergraphError::AreaOverflow);
         assert!(StdError::source(&e).is_some());
-        assert_eq!(
-            PipelineError::BadDepth { depth: 0 },
-            PipelineError::BadDepth { depth: 0 }
-        );
     }
 
     #[test]
     #[should_panic(expected = "invalid pipeline input")]
     fn expect_valid_panics_with_display() {
-        let r: Result<(), PipelineError> = Err(PipelineError::BadDepth { depth: 0 });
+        let r: Result<(), PipelineError> = Err(PipelineError::InvalidRegionIds { k: 4 });
         expect_valid(r);
     }
 

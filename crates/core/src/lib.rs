@@ -10,8 +10,7 @@
 //!
 //! * [`ml_bipartition`] — ML bisection (Fig. 2);
 //! * [`ml_kway`] — ML k-way, quadrisection at `k = 4` (§III-C);
-//! * [`recursive_ml_bisection`] and [`recursive_ml_partition`] — recursive
-//!   bisection into `2^depth` or any `k` parts;
+//! * [`recursive_ml_partition`] — recursive bisection into any `k` parts;
 //! * [`two_phase_fm`] — the two-phase baseline (§II-C).
 //!
 //! `Request::constraints` picks the schedule: `None` is the paper's,
@@ -70,10 +69,7 @@ pub use hierarchy::{Coarsener, Hierarchy};
 pub use ml::{ml_bipartition, ml_bipartition_in, LevelStats, MlConfig, MlResult};
 pub use preflight::{preflight, preflight_constrained, PreflightError};
 pub use quadrisection::{ml_kway, ml_kway_in, MlKwayConfig, MlKwayResult};
-pub use recursive::{
-    recursive_ml_bisection, recursive_ml_partition, recursive_ml_partition_budgeted_in,
-    RecursiveResult,
-};
+pub use recursive::{recursive_ml_partition, recursive_ml_partition_budgeted_in, RecursiveResult};
 pub use two_phase::{two_phase_fm, TwoPhaseResult};
 pub use vcycle::Request;
 

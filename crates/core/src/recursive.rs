@@ -3,11 +3,10 @@
 //!
 //! The paper partitions 4 ways *directly* with a Sanchis-style engine
 //! (§III-C); most placement flows of the era instead quadrisected by
-//! bisecting twice. This module provides that alternative so the two
-//! strategies can be compared (see the `ablation` harness binary and the
-//! quadrisection tests): each side of an ML bisection is extracted as a
-//! sub-netlist and bisected again, recursively, yielding `k = 2^depth`
-//! parts.
+//! bisecting twice. This module provides that alternative, for any `k`, so
+//! the two strategies can be compared (see the `ablation` harness binary):
+//! each side of an ML bisection is extracted as a sub-netlist and bisected
+//! again, recursively, until every region is a single part.
 
 use crate::error::{expect_valid, PipelineError};
 use crate::ml::MlConfig;
@@ -25,8 +24,8 @@ pub struct RecursiveResult {
     pub cut: u64,
     /// Final `Σ_e (span(e) − 1)`.
     pub sum_of_degrees: u64,
-    /// Number of bisections performed (`2^depth − 1` unless a region became
-    /// too small to split).
+    /// Number of bisections performed (`k − 1` unless a region became too
+    /// small to split).
     pub bisections: usize,
     /// `Some` when a budget limit fired during any region's bisection; the
     /// budget is shared across all regions, so later bisections degrade to
@@ -45,99 +44,19 @@ impl RecursiveResult {
     }
 }
 
-/// Partitions `h` into `2^depth` parts by recursive ML bisection under the
-/// paper's schedule.
-///
-/// Each level runs the full V-cycle on the extracted sub-netlist of a
-/// region. Regions with fewer than two modules are left whole (their
-/// "split" is trivial), so the result always has exactly `2^depth` part ids
-/// (possibly with empty parts on degenerate inputs). A budget in `req` is
-/// shared by every region: once exhausted, the remaining regions still
-/// split, unrefined, keeping the `2^depth`-part shape.
-///
-/// # Errors
-///
-/// [`PipelineError::Unsupported`] when `req` carries constraints (use
-/// [`recursive_ml_partition`]); [`PipelineError::BadDepth`] when `depth` is
-/// outside `1..=16`; [`PipelineError::Netlist`] when a region sub-netlist
-/// fails extraction; plus anything a region's bisection reports.
-pub fn recursive_ml_bisection(
-    h: &Hypergraph,
-    depth: u32,
-    cfg: &MlConfig,
-    rng: &mut MlRng,
-    req: Request<'_>,
-) -> Result<(Partition, RecursiveResult), PipelineError> {
-    if req.constraints.is_some() {
-        return Err(PipelineError::Unsupported(
-            "recursive_ml_bisection runs the paper schedule; use recursive_ml_partition",
-        ));
-    }
-    if !(1..=16).contains(&depth) {
-        return Err(PipelineError::BadDepth { depth });
-    }
-    let k = 1u32 << depth;
-    let n = h.num_modules();
-    let cycle = Cycle {
-        refiner: Bisect(&cfg.fm),
-        pins: None,
-    };
-    obs_span!("recursive_bisection", "depth" => depth, "modules" => n);
-    req.with(rng, |_, cx| {
-        // `region[v]` is the current part of module v.
-        let mut region = vec![0u32; n];
-        let mut bisections = 0usize;
-        for level in 0..depth {
-            // Split against the frozen labels of this level and write the
-            // new labels into a fresh array: relabeling in place would make a
-            // fresh `high` id collide with a not-yet-processed old region id.
-            let mut next_region = region.clone();
-            for r_id in 0..1u32 << level {
-                let keep: Vec<bool> = region.iter().map(|&r| r == r_id).collect();
-                let count = keep.iter().filter(|&&x| x).count();
-                // The new ids for this region's halves after this level.
-                let (low, high) = (r_id * 2, r_id * 2 + 1);
-                if count < 2 {
-                    for (v, _) in keep.iter().enumerate().filter(|(_, &x)| x) {
-                        next_region[v] = low;
-                    }
-                    continue;
-                }
-                let (sub, back) = h.extract(&keep)?;
-                obs_span!(
-                    "region",
-                    "depth_level" => level,
-                    "region" => r_id,
-                    "modules" => count,
-                );
-                let (sub_p, _) = cycle.run(&sub, cfg, cx)?;
-                bisections += 1;
-                // Write back: side 0 -> low, side 1 -> high.
-                for (&side, &orig) in sub_p.assignment().iter().zip(&back) {
-                    next_region[orig.index()] = if side == 0 { low } else { high };
-                }
-            }
-            region = next_region;
-        }
-        let p = Partition::from_assignment(h, k, region)
-            .ok_or(PipelineError::InvalidRegionIds { k })?;
-        let result = RecursiveResult::new(h, &p, bisections, cx.meter);
-        Ok((p, result))
-    })
-}
-
 /// Partitions `h` into an **arbitrary** `k` parts by recursive ML bisection
 /// under the constrained schedule; `req.constraints` is required and gives
 /// `k`, ε and the pins.
 ///
-/// Where [`recursive_ml_bisection`] serves only `k = 2^depth` with uniform
-/// halves, this driver splits each region `⌈k/2⌉ : ⌊k/2⌋` with an area
-/// target proportional to the part counts, runs every bisection under the
+/// The driver splits each region `⌈k/2⌉ : ⌊k/2⌋` with an area target
+/// proportional to the part counts, runs every bisection under the
 /// per-level tolerance `ε′ = (1 + ε)^(1/⌈log₂ k⌉) − 1` ([`adapted_epsilon`])
 /// so the composed imbalance never exceeds the requested ε, and routes each
-/// fixed module to whichever side of a split contains its pinned part. A
-/// budget in `req` is shared by every region, as in
-/// [`recursive_ml_bisection`].
+/// fixed module to whichever side of a split contains its pinned part.
+/// Regions with fewer than two modules are left whole, so a part may be
+/// empty on degenerate inputs. A budget in `req` is shared by every region:
+/// once it is exhausted, the remaining regions still split, unrefined,
+/// keeping the `k`-part shape.
 ///
 /// # Errors
 ///
@@ -324,11 +243,6 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn bisect(h: &Hypergraph, depth: u32, seed: u64) -> (Partition, RecursiveResult) {
-        let cfg = MlConfig::default();
-        recursive_ml_bisection(h, depth, &cfg, &mut seeded_rng(seed), Request::default()).unwrap()
-    }
-
     fn general(h: &Hypergraph, c: &Constraints, seed: u64) -> (Partition, RecursiveResult) {
         let req = Request {
             constraints: Some(c),
@@ -338,36 +252,21 @@ mod tests {
     }
 
     #[test]
-    fn quadrisects_four_communities() {
-        let h = four_communities(32);
-        let best = (0..5).map(|s| bisect(&h, 2, s).1.cut).min().unwrap();
-        assert!(best <= 8, "best={best}");
-    }
-
-    #[test]
-    fn produces_exactly_k_parts_with_near_even_sizes() {
-        let h = four_communities(25);
-        let (p, r) = bisect(&h, 2, 3);
-        assert_eq!(p.k(), 4);
-        assert!(p.validate(&h));
-        assert_eq!(r.cut, metrics::cut(&h, &p));
-        let sizes = p.part_sizes();
-        let (min, max) = (
-            *sizes.iter().min().expect("4 parts"),
-            *sizes.iter().max().expect("4 parts"),
-        );
-        // Each bisection is within r=0.1, so quadrant sizes stay near n/4.
-        assert!(max - min <= h.num_modules() / 4, "{sizes:?}");
-    }
-
-    #[test]
-    fn depth_one_matches_plain_bisection_cutwise() {
+    fn two_parts_equal_constrained_bisection() {
         let h = four_communities(16);
-        let (_, r1) = bisect(&h, 1, 7);
-        let req = Request::default();
-        let (_, r2) = ml_bipartition(&h, &MlConfig::default(), &mut seeded_rng(7), req).unwrap();
-        assert_eq!(r1.cut, r2.cut, "same seed, same single bisection");
-        assert_eq!(r1.bisections, 1);
+        let c = Constraints::unconstrained(2);
+        for seed in 0..6 {
+            let (p1, r1) = general(&h, &c, seed);
+            let req = Request {
+                constraints: Some(&c),
+                ..Request::default()
+            };
+            let cfg = MlConfig::default();
+            let (p2, r2) = ml_bipartition(&h, &cfg, &mut seeded_rng(seed), req).unwrap();
+            assert_eq!(p1.assignment(), p2.assignment(), "seed {seed}");
+            assert_eq!(r1.cut, r2.cut, "seed {seed}");
+            assert_eq!(r1.bisections, 1);
+        }
     }
 
     #[test]
@@ -376,7 +275,7 @@ mod tests {
         b.add_net([0, 1]).unwrap();
         b.add_net([1, 2]).unwrap();
         let h = b.build().unwrap();
-        let (p, _) = bisect(&h, 3, 0);
+        let (p, _) = general(&h, &Constraints::unconstrained(8), 0);
         assert_eq!(p.k(), 8);
         assert!(p.validate(&h));
     }
@@ -388,12 +287,14 @@ mod tests {
             max_passes: Some(2),
             ..Budget::default()
         });
+        let c = Constraints::unconstrained(4);
         let req = Request {
+            constraints: Some(&c),
             meter: Some(&mut meter),
             ..Request::default()
         };
         let cfg = MlConfig::default();
-        let (p, r) = recursive_ml_bisection(&h, 2, &cfg, &mut seeded_rng(3), req).unwrap();
+        let (p, r) = recursive_ml_partition(&h, &cfg, &mut seeded_rng(3), req).unwrap();
         // Two passes cannot cover three bisections' V-cycles.
         assert_eq!(
             r.truncation.expect("must truncate").limit,
@@ -405,18 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_depth_and_constraints() {
+    fn rejects_a_request_without_constraints() {
         let h = four_communities(8);
         let cfg = MlConfig::default();
-        let err = recursive_ml_bisection(&h, 0, &cfg, &mut seeded_rng(0), Request::default());
-        assert_eq!(err.unwrap_err(), PipelineError::BadDepth { depth: 0 });
-        let c = Constraints::unconstrained(4);
-        let req = Request {
-            constraints: Some(&c),
-            ..Request::default()
-        };
-        let err = recursive_ml_bisection(&h, 2, &cfg, &mut seeded_rng(0), req);
-        assert!(matches!(err, Err(PipelineError::Unsupported(_))));
         let err = recursive_ml_partition(&h, &cfg, &mut seeded_rng(0), Request::default());
         assert!(matches!(err, Err(PipelineError::Unsupported(_))));
     }

@@ -15,9 +15,9 @@
 
 use mlpart_cluster::MatchConfig;
 use mlpart_core::{
-    ml_bipartition, ml_kway, recursive_ml_bisection, recursive_ml_partition, two_phase_fm, Budget,
-    BudgetMeter, Coarsener, Constraints, LevelStats, MlConfig, MlKwayConfig, MlKwayResult,
-    MlResult, PipelineError, RecursiveResult, Request, Truncation, TwoPhaseResult,
+    ml_bipartition, ml_kway, recursive_ml_partition, two_phase_fm, Budget, BudgetMeter, Coarsener,
+    Constraints, LevelStats, MlConfig, MlKwayConfig, MlKwayResult, MlResult, PipelineError,
+    RecursiveResult, Request, Truncation, TwoPhaseResult,
 };
 use mlpart_fm::{BucketPolicy, FmConfig, PassStats};
 use mlpart_hypergraph::rng::{seeded_rng, MlRng};
@@ -270,13 +270,6 @@ fn cases() -> Vec<Case> {
             Box::new(move |h, rng| kway(ml_kway(h, &net_cut, rng, req(None, None)))),
         ),
         (
-            "recursive_depth2",
-            Box::new(|h, rng| {
-                let cfg = MlConfig::fm();
-                recursive(recursive_ml_bisection(h, 2, &cfg, rng, req(None, None)))
-            }),
-        ),
-        (
             "two_phase",
             Box::new(move |h, rng| two_phase(two_phase_fm(h, &fm, &mc, rng, req(None, None)))),
         ),
@@ -343,15 +336,6 @@ fn cases() -> Vec<Case> {
         (
             "budget_kway",
             Box::new(move |h, rng| kway(ml_kway(h, &quad, rng, req(None, Some(&mut budget()))))),
-        ),
-        (
-            "budget_recursive_bisection",
-            Box::new(|h, rng| {
-                let cfg = MlConfig::fm();
-                let mut meter = budget();
-                let req = req(None, Some(&mut meter));
-                recursive(recursive_ml_bisection(h, 2, &cfg, rng, req))
-            }),
         ),
         (
             "budget_two_phase",
@@ -513,7 +497,6 @@ const GOLDEN: &[(&str, [u64; 3])] = &[
     ("ml_heavy_edge", [0xa305e3221fcb8e6a, 0x6e5841f8736522de, 0x8e68109c2ed3b7ca]),
     ("kway_sod", [0x9e70367d06fdf81c, 0xd9c1703dd8c5ad06, 0xb22b62ff6ca12146]),
     ("kway_net_cut", [0x9b1f963a96e550ca, 0xe1b7d0d03efcabca, 0x3d5ad008de141de3]),
-    ("recursive_depth2", [0x62bd265b8c4bd928, 0x1add2244e53a40e2, 0x21731f7681b7a2c9]),
     ("two_phase", [0xce1ae3461a68ccaa, 0x2520b9c08ded0bd5, 0xe9c59e347b293d8b]),
     ("pinned_bisection", [0xa859c8469952bb6d, 0x9ef89939c2cf91e9, 0xc323f6889c3d5b7b]),
     ("pinned_kway3", [0x3b190964f9f006e0, 0x3eca4b37fc162af8, 0x3b39733132db892f]),
@@ -524,7 +507,6 @@ const GOLDEN: &[(&str, [u64; 3])] = &[
     ("pinned_two_phase", [0xefaefb8a92fdd21d, 0xf1cbea0979df904c, 0x53a45a0e77af7444]),
     ("budget_bisection", [0x855417b8b734eef1, 0x0116ee1769a0d76e, 0x36e72162c9b3272d]),
     ("budget_kway", [0x70aec8e250cbb56e, 0x65be208dd573b196, 0xf762be6e4aa60e3d]),
-    ("budget_recursive_bisection", [0xa3cabf0677bc96fa, 0xab660d47e9c79c69, 0xa533a640e10cf7d2]),
     ("budget_two_phase", [0x407e1c8f2b0ed380, 0xffc0c6b871cf633a, 0x7244e6a3273df26f]),
     ("budget_pinned_bisection", [0x04758d330bfeb175, 0x95b6ca42ceb03d86, 0x6264dde65d09d6a3]),
     ("budget_pinned_kway4", [0xff9010d75809fdf6, 0x5d4f85fe80ed2cd7, 0x161e44bc769e94be]),
@@ -553,7 +535,6 @@ const GOLDEN_TRACE: &[(&str, [u64; 3])] = &[
     ("ml_heavy_edge", [0x989cc6f79d135ff5, 0x55dcb018e78b8bee, 0xa6838a6fe7706d89]),
     ("kway_sod", [0x1c35da2e94084740, 0x3a37f86ae775acb4, 0xf15ed733298ff41c]),
     ("kway_net_cut", [0xb8825fcaba9f7376, 0x75642dcb2e04eda2, 0xa650b9a4e853f31f]),
-    ("recursive_depth2", [0x56ca11292b1a909a, 0x3382609585f8545b, 0x408b4c4d9eeff565]),
     ("two_phase", [0x874cb66301ad1c5d, 0xc54b46486907cc8b, 0x84eaca017a4ffd52]),
     ("pinned_bisection", [0x7c7573084e6ecfc1, 0x5ca5fdd42c79fcd1, 0x2455fff0c46daef6]),
     ("pinned_kway3", [0x5fccf38cceba85fd, 0xd02aea623ee2ed5b, 0x095c40b2f595b030]),
@@ -564,7 +545,6 @@ const GOLDEN_TRACE: &[(&str, [u64; 3])] = &[
     ("pinned_two_phase", [0x508411ca67e79249, 0xc0782d99994bb597, 0x09e7aa595e08b0ad]),
     ("budget_bisection", [0x3554d45093b80656, 0x762c2cfbbd4b02b8, 0x6349653f268e5710]),
     ("budget_kway", [0x313964a298b5209d, 0x7bb2ba23a7b0c405, 0x268bd74e8c461973]),
-    ("budget_recursive_bisection", [0xb96936119303ddb7, 0xf6c35aa59a9a5c56, 0xa04d51170aa7ef9f]),
     ("budget_two_phase", [0x4727ca07d8a9da21, 0x025c504fc385970e, 0xa50b9311887b4dcb]),
     ("budget_pinned_bisection", [0x9ce4358ae03d4b12, 0xfafd26b9167e800b, 0x6118c9693fec07dc]),
     ("budget_pinned_kway4", [0x91065a0c77d9e4ec, 0xdbfa6d71bd3edea0, 0xba9fd457257583bc]),

@@ -68,9 +68,9 @@ pub use mlpart_obs as obs;
 pub use mlpart_place as place;
 
 pub use mlpart_core::{
-    ml_bipartition, ml_kway, preflight, preflight_constrained, recursive_ml_bisection,
-    recursive_ml_partition, two_phase_fm, Budget, BudgetLimit, BudgetMeter, LevelStats, MlConfig,
-    MlKwayConfig, PipelineError, PreflightError, Request, Truncation,
+    ml_bipartition, ml_kway, preflight, preflight_constrained, recursive_ml_partition,
+    two_phase_fm, Budget, BudgetLimit, BudgetMeter, LevelStats, MlConfig, MlKwayConfig,
+    PipelineError, PreflightError, Request, Truncation,
 };
 pub use mlpart_exec::{
     run_supervised, Attempt, BatchResult, ExecError, PriorStart, ResumeState, RetryPolicy,

@@ -2,10 +2,7 @@
 //!
 //! 1. **Coarsener**: the paper's `Match` vs Chaco-style random matching vs
 //!    Metis-style heavy-edge matching.
-//! 2. **§V extensions**: boundary-only bucket initialization, early pass
-//!    exit and multi-start at the coarsest level — each toggled on top of
-//!    the baseline `ML_C`, with net coalescing alongside.
-//!
+//! 2. **§V early pass exit**, toggled on top of the baseline `ML_C`.
 //! 3. **4-way strategy**: the paper's direct Sanchis-style quadrisection
 //!    (sum-of-degrees and net-cut gains) vs recursive ML bisection under
 //!    the same per-part balance window.
@@ -44,12 +41,11 @@ fn run(args: &HarnessArgs) -> bool {
     );
     println!();
     println!(
-        "{:<16} {:>8} {:>8} {:>8}  {:>8} {:>8} {:>8} {:>8}",
-        "Test Case", "aMatch", "aRandom", "aHeavy", "aBound", "aEarly", "aMulti", "aCoal"
+        "{:<16} {:>8} {:>8} {:>8}  {:>8}",
+        "Test Case", "aMatch", "aRandom", "aHeavy", "aEarly"
     );
     let (mut base_avg, mut rand_avg, mut heavy_avg) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut bound_avg, mut early_avg, mut multi_avg) = (Vec::new(), Vec::new(), Vec::new());
-    let mut coal_avg: Vec<f64> = Vec::new();
+    let mut early_avg = Vec::new();
     for (ci, c) in args.circuits().iter().enumerate() {
         let h = c.generate(args.seed);
         let seed = child_seed(args.seed, 600 + ci as u64);
@@ -77,16 +73,6 @@ fn run(args: &HarnessArgs) -> bool {
             },
             2,
         );
-        let a_bound = cell(
-            MlConfig {
-                fm: FmConfig {
-                    boundary_init: true,
-                    ..base.fm
-                },
-                ..base
-            },
-            3,
-        );
         let a_early = cell(
             MlConfig {
                 fm: FmConfig {
@@ -97,52 +83,22 @@ fn run(args: &HarnessArgs) -> bool {
             },
             4,
         );
-        let a_multi = cell(
-            MlConfig {
-                initial_tries: 5,
-                ..base
-            },
-            5,
-        );
-        let a_coal = cell(
-            MlConfig {
-                coalesce_nets: true,
-                ..base
-            },
-            8,
-        );
         println!(
-            "{:<16} {:>8.1} {:>8.1} {:>8.1}  {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
-            c.name,
-            a_match.cut.avg,
-            a_rand.cut.avg,
-            a_heavy.cut.avg,
-            a_bound.cut.avg,
-            a_early.cut.avg,
-            a_multi.cut.avg,
-            a_coal.cut.avg
+            "{:<16} {:>8.1} {:>8.1} {:>8.1}  {:>8.1}",
+            c.name, a_match.cut.avg, a_rand.cut.avg, a_heavy.cut.avg, a_early.cut.avg,
         );
         base_avg.push(a_match.cut.avg.max(1.0));
         rand_avg.push(a_rand.cut.avg.max(1.0));
         heavy_avg.push(a_heavy.cut.avg.max(1.0));
-        bound_avg.push(a_bound.cut.avg.max(1.0));
         early_avg.push(a_early.cut.avg.max(1.0));
-        multi_avg.push(a_multi.cut.avg.max(1.0));
-        coal_avg.push(a_coal.cut.avg.max(1.0));
     }
     let vs_rand = mlpart_bench::geomean_ratio(&base_avg, &rand_avg);
     let vs_heavy = mlpart_bench::geomean_ratio(&base_avg, &heavy_avg);
-    let vs_bound = mlpart_bench::geomean_ratio(&bound_avg, &base_avg);
     let vs_early = mlpart_bench::geomean_ratio(&early_avg, &base_avg);
-    let vs_multi = mlpart_bench::geomean_ratio(&multi_avg, &base_avg);
-    let vs_coal = mlpart_bench::geomean_ratio(&coal_avg, &base_avg);
     println!();
     println!("geomean avg-cut ratio Match/Random:          {vs_rand:.3}");
     println!("geomean avg-cut ratio Match/HeavyEdge:       {vs_heavy:.3}");
-    println!("geomean avg-cut ratio boundary-init/base:    {vs_bound:.3}");
     println!("geomean avg-cut ratio early-exit/base:       {vs_early:.3}");
-    println!("geomean avg-cut ratio multi-start/base:      {vs_multi:.3}");
-    println!("geomean avg-cut ratio coalesced/base:        {vs_coal:.3}");
     // --- 4-way strategy comparison. ---
     println!();
     println!(
@@ -250,20 +206,6 @@ fn run(args: &HarnessArgs) -> bool {
         ShapeCheck::new(
             format!("paper Match no worse than random matching (ratio {vs_rand:.3} <= 1.05)"),
             vs_rand <= 1.05,
-        ),
-        ShapeCheck::new(
-            format!("boundary-init quality within 10% of base (ratio {vs_bound:.3})"),
-            vs_bound <= 1.10,
-        ),
-        // Multi-start only improves the *coarsest-level* solution; the final
-        // average over a different random stream can drift a few percent.
-        ShapeCheck::new(
-            format!("multi-start roughly neutral or better (ratio {vs_multi:.3} <= 1.08)"),
-            vs_multi <= 1.08,
-        ),
-        ShapeCheck::new(
-            format!("net coalescing preserves quality (ratio {vs_coal:.3} in [0.9, 1.1])"),
-            (0.9..=1.1).contains(&vs_coal),
         ),
         // Footnote 2 / the GMetis column: the hypergraph-direct partitioner
         // never needs a lossy transformation. On low-fanout circuits the

@@ -15,7 +15,7 @@ use mlpart_hypergraph::{
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Why a level transition (`induce`, `induce_coalesced`, `project`) was
+/// Why a level transition (`induce`, `project`) was
 /// rejected. These operations sit on the multilevel hot path and receive
 /// caller-assembled clusterings and partitions, so mismatches surface as
 /// typed errors rather than panics.
@@ -38,11 +38,6 @@ pub enum CoarsenError {
         /// Clusters in the clustering.
         num_clusters: usize,
     },
-    /// Coalescing merged parallel nets whose summed weight exceeds `u32`.
-    WeightOverflow {
-        /// The overflowing summed weight.
-        total: u64,
-    },
     /// The induced netlist failed hypergraph validation.
     Build(BuildHypergraphError),
 }
@@ -64,9 +59,6 @@ impl std::fmt::Display for CoarsenError {
                 f,
                 "coarse partition covers {partition_len} modules but the clustering has {num_clusters} clusters"
             ),
-            CoarsenError::WeightOverflow { total } => {
-                write!(f, "coalesced net weight {total} overflows u32")
-            }
             CoarsenError::Build(e) => write!(f, "induced netlist is invalid: {e}"),
         }
     }
@@ -148,64 +140,6 @@ pub fn induce(h: &Hypergraph, clustering: &Clustering) -> Result<Hypergraph, Coa
         ),
     );
     Ok(coarse)
-}
-
-/// [`induce`] followed by **coalescing identical nets**: coarse nets with the
-/// same pin set are merged into one net whose weight is the sum of theirs.
-///
-/// Definition 1 keeps duplicates (each fine net maps to its own coarse net);
-/// every later multilevel tool (hMETIS, MLPart, KaHyPar) coalesces instead,
-/// because coarse levels otherwise accumulate large bundles of parallel nets.
-/// The weighted cut of a coalesced netlist equals the plain cut of the
-/// duplicated one for every partition, so solution quality is untouched
-/// while memory and per-pass time shrink.
-///
-/// # Errors
-///
-/// [`CoarsenError::ClusteringMismatch`] when the clustering does not match
-/// `h`; [`CoarsenError::WeightOverflow`] when merged parallel nets overflow
-/// the `u32` weight; [`CoarsenError::Build`] when the coalesced netlist
-/// fails validation.
-pub fn induce_coalesced(
-    h: &Hypergraph,
-    clustering: &Clustering,
-) -> Result<Hypergraph, CoarsenError> {
-    let dup = induce(h, clustering)?;
-    // Group nets by sorted pin set. A BTreeMap keeps the grouping — and
-    // therefore the coarse net order — independent of hash state and
-    // insertion order: iteration is always ascending by pin set, so no
-    // separate sort pass is needed and no default-hasher nondeterminism
-    // can ever leak into the coarse netlist.
-    let mut keyed: std::collections::BTreeMap<Vec<u32>, u64> = std::collections::BTreeMap::new();
-    for e in dup.net_ids() {
-        let mut key: Vec<u32> = dup.pins(e).iter().map(|v| v.raw()).collect();
-        key.sort_unstable();
-        *keyed.entry(key).or_insert(0) += dup.net_weight(e) as u64;
-    }
-    let merged: Vec<(Vec<u32>, u64)> = keyed.into_iter().collect();
-    let mut builder = HypergraphBuilder::new(
-        (0..dup.num_modules())
-            .map(|i| dup.area(ModuleId::new(i)))
-            .collect(),
-    );
-    for (pins, weight) in merged {
-        let weight =
-            u32::try_from(weight).map_err(|_| CoarsenError::WeightOverflow { total: weight })?;
-        builder.add_weighted_net(pins.iter().map(|&p| p as usize), weight)?;
-    }
-    let coalesced = builder.build()?;
-    // Coalescing must conserve total net weight (each merged net carries
-    // the sum of its duplicates), which is what keeps weighted cuts equal.
-    audit!(
-        mlpart_audit::audit_hypergraph(&coalesced),
-        mlpart_audit::check_counter(
-            "Hypergraph",
-            "coalesce-net-weight",
-            coalesced.total_net_weight(),
-            dup.total_net_weight(),
-        ),
-    );
-    Ok(coalesced)
 }
 
 /// Definition 2: projects a partition of the coarse netlist back onto the
@@ -498,120 +432,6 @@ mod tests {
                 partition_len: 2,
                 num_clusters: 3
             }
-        );
-    }
-}
-
-#[cfg(test)]
-mod coalesce_tests {
-    use super::*;
-    use crate::matching::{match_clusters, MatchConfig};
-    use mlpart_hypergraph::metrics;
-    use mlpart_hypergraph::rng::seeded_rng;
-
-    #[test]
-    fn coalesced_merges_parallel_nets() {
-        let mut b = HypergraphBuilder::with_unit_areas(4);
-        b.add_net([0, 2]).unwrap();
-        b.add_net([1, 3]).unwrap();
-        b.add_net([0, 3]).unwrap();
-        let h = b.build().unwrap();
-        let c = Clustering::from_map(vec![0, 0, 1, 1]).unwrap();
-        let dup = induce(&h, &c).unwrap();
-        let merged = induce_coalesced(&h, &c).unwrap();
-        assert_eq!(dup.num_nets(), 3);
-        assert_eq!(merged.num_nets(), 1);
-        assert_eq!(merged.net_weight(mlpart_hypergraph::NetId::new(0)), 3);
-        assert_eq!(merged.total_net_weight(), 3);
-    }
-
-    #[test]
-    fn coalesced_cut_equals_duplicate_cut_for_every_partition() {
-        // The key invariant: for any coarse partition, the weighted cut of
-        // the coalesced netlist equals the plain cut of the duplicated one.
-        let mut b = HypergraphBuilder::with_unit_areas(12);
-        for i in 0..12usize {
-            b.add_net([i, (i + 1) % 12]).unwrap();
-            b.add_net([i, (i + 2) % 12]).unwrap();
-            b.add_net([i, (i + 1) % 12]).unwrap(); // deliberate duplicate
-        }
-        let h = b.build().unwrap();
-        let mut rng = seeded_rng(7);
-        let c = match_clusters(&h, &MatchConfig::default(), &mut rng);
-        let dup = induce(&h, &c).unwrap();
-        let merged = induce_coalesced(&h, &c).unwrap();
-        assert_eq!(dup.num_modules(), merged.num_modules());
-        assert!(merged.num_nets() <= dup.num_nets());
-        for seed in 0..10 {
-            let p_dup = Partition::random(&dup, 2, &mut seeded_rng(seed));
-            let p_merged = Partition::from_assignment(&merged, 2, p_dup.assignment().to_vec())
-                .expect("same module count");
-            assert_eq!(
-                metrics::cut(&dup, &p_dup),
-                metrics::cut(&merged, &p_merged),
-                "seed {seed}"
-            );
-            assert_eq!(
-                metrics::sum_of_spans_minus_one(&dup, &p_dup),
-                metrics::sum_of_spans_minus_one(&merged, &p_merged),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn coalesced_independent_of_net_insertion_order() {
-        // Regression for the old default-hasher grouping: the coarse netlist
-        // must be a pure function of the (multiset of) fine nets, never of
-        // the order they were inserted in or of any map's iteration order.
-        let nets: Vec<[usize; 2]> = (0..8).map(|i| [i, (i + 1) % 8]).collect();
-        let build = |order: &[usize]| {
-            let mut b = HypergraphBuilder::with_unit_areas(8);
-            for &i in order {
-                b.add_net(nets[i]).unwrap();
-            }
-            b.build().unwrap()
-        };
-        let forward = build(&(0..8).collect::<Vec<_>>());
-        let reversed = build(&(0..8).rev().collect::<Vec<_>>());
-        let c = Clustering::from_map(vec![0, 0, 1, 1, 2, 2, 3, 3]).unwrap();
-        assert_eq!(
-            induce_coalesced(&forward, &c).unwrap(),
-            induce_coalesced(&reversed, &c).unwrap()
-        );
-    }
-
-    #[test]
-    fn coalesced_net_order_is_sorted_by_pin_set() {
-        // BTreeMap grouping emits merged nets ascending by pin set; pin this
-        // down so the coarse net order stays canonical.
-        let mut b = HypergraphBuilder::with_unit_areas(6);
-        b.add_net([4, 5]).unwrap();
-        b.add_net([2, 4]).unwrap();
-        b.add_net([0, 2]).unwrap();
-        let h = b.build().unwrap();
-        let c = Clustering::from_map(vec![0, 0, 1, 1, 2, 2]).unwrap();
-        let merged = induce_coalesced(&h, &c).unwrap();
-        let pin_sets: Vec<Vec<u32>> = merged
-            .net_ids()
-            .map(|e| merged.pins(e).iter().map(|v| v.raw()).collect())
-            .collect();
-        let mut sorted = pin_sets.clone();
-        sorted.sort();
-        assert_eq!(pin_sets, sorted);
-    }
-
-    #[test]
-    fn coalesced_is_deterministic() {
-        let mut b = HypergraphBuilder::with_unit_areas(6);
-        for i in 0..6usize {
-            b.add_net([i, (i + 1) % 6]).unwrap();
-        }
-        let h = b.build().unwrap();
-        let c = Clustering::from_map(vec![0, 0, 1, 1, 2, 2]).unwrap();
-        assert_eq!(
-            induce_coalesced(&h, &c).unwrap(),
-            induce_coalesced(&h, &c).unwrap()
         );
     }
 }

@@ -42,9 +42,7 @@ pub mod hierarchy;
 pub mod matching;
 
 pub use clustering::Clustering;
-pub use hierarchy::{
-    induce, induce_coalesced, project, rebalance_bipart, rebalance_kway_frozen, CoarsenError,
-};
+pub use hierarchy::{induce, project, rebalance_bipart, rebalance_kway_frozen, CoarsenError};
 pub use matching::{
     conn, heavy_edge_matching, match_clusters, match_clusters_frozen_in, match_clusters_parts_in,
     random_matching, MatchConfig, MatchScratch, MATCH_MAX_NET_SIZE,

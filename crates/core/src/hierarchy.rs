@@ -3,8 +3,8 @@
 
 use crate::error::PipelineError;
 use mlpart_cluster::{
-    heavy_edge_matching, induce, induce_coalesced, match_clusters_frozen_in,
-    match_clusters_parts_in, random_matching, Clustering, MatchConfig, MatchScratch,
+    heavy_edge_matching, induce, match_clusters_frozen_in, match_clusters_parts_in,
+    random_matching, Clustering, MatchConfig, MatchScratch,
 };
 use mlpart_hypergraph::{obs_counter, obs_span, Hypergraph, ModuleId, NetList, PartId};
 use rand::Rng;
@@ -164,11 +164,7 @@ impl Hierarchy {
             }
             let next = {
                 obs_span!("induce", "level" => clusterings.len(), "pins" => current.num_pins());
-                if cfg.coalesce_nets {
-                    induce_coalesced(current, &clustering)?
-                } else {
-                    induce(current, &clustering)?
-                }
+                induce(current, &clustering)?
             };
             let next_fixed = lift_fixed(&current_fixed, &clustering);
             clusterings.push(clustering);

@@ -135,16 +135,6 @@ pub struct MlConfig {
     /// Ablation knob: which matching algorithm coarsens (default: the
     /// paper's `Match`).
     pub coarsener: crate::hierarchy::Coarsener,
-    /// Coalesce identical coarse nets into weighted nets during `Induce`
-    /// (hMETIS-style). `false` reproduces the paper's Definition 1 exactly
-    /// (duplicates kept); `true` gives identical cut values with smaller
-    /// coarse netlists.
-    pub coalesce_nets: bool,
-    /// §V extension: number of independent initial partitions tried on the
-    /// coarsest netlist, keeping the best ("it may be worthwhile to spend
-    /// more CPU time partitioning at these levels, e.g., by calling FM
-    /// multiple times"). `1` reproduces the paper's algorithm.
-    pub initial_tries: usize,
     /// Number of parts `k`, kept for callers that describe a constrained
     /// run in one value. The pipelines read `k` from
     /// [`Constraints`](crate::Constraints), never from here.
@@ -163,8 +153,6 @@ impl Default for MlConfig {
             fm: FmConfig::default(),
             max_levels: 256,
             coarsener: crate::hierarchy::Coarsener::PaperMatch,
-            coalesce_nets: false,
-            initial_tries: 1,
             k: 2,
             epsilon: DEFAULT_EPSILON,
         }
@@ -397,18 +385,6 @@ mod tests {
             ml_avg <= flat_avg,
             "ML avg {ml_avg} should not exceed flat FM avg {flat_avg}"
         );
-    }
-
-    #[test]
-    fn initial_tries_extension_runs() {
-        let h = two_communities(64);
-        let cfg = MlConfig {
-            initial_tries: 5,
-            ..MlConfig::default()
-        };
-        let (p, r) = ml(&h, &cfg, 3);
-        assert!(p.validate(&h));
-        assert!(r.total_passes >= 5, "five initial tries imply ≥5 passes");
     }
 
     #[test]
@@ -656,28 +632,5 @@ mod tests {
         let (p2, r2) = budgeted(&h, &MlConfig::clip(), &budget, 33);
         assert_eq!(p1.assignment(), p2.assignment());
         assert_eq!(r1, r2);
-    }
-
-    #[test]
-    fn coalesced_ml_produces_valid_comparable_results() {
-        let h = two_communities(64);
-        let avg = |coalesce: bool, base: u64| -> f64 {
-            let cfg = MlConfig {
-                coalesce_nets: coalesce,
-                ..MlConfig::clip()
-            };
-            (0..5)
-                .map(|s| {
-                    let (p, r) = ml(&h, &cfg, base + s);
-                    assert!(p.validate(&h));
-                    assert_eq!(r.cut, metrics::cut(&h, &p));
-                    r.cut as f64
-                })
-                .sum::<f64>()
-                / 5.0
-        };
-        // Same algorithm quality class; both should land near the optimum 1.
-        assert!(avg(false, 100) <= 6.0, "plain");
-        assert!(avg(true, 200) <= 6.0, "coalesced");
     }
 }

@@ -95,13 +95,12 @@ pub(crate) trait Refiner {
     type Run;
     /// Run-span names under the paper and the constrained schedule.
     const SPANS: [&'static str; 2];
-    /// The k-way engine's traces name `k` on the run span and report only
-    /// the winning initial try; the 2-way engine's report every try.
+    /// The k-way engine's traces name `k` on the run span.
     const TRACE_K: bool;
     /// Parts the engine produces.
     fn k(&self) -> u32;
-    /// A call's final cut over all nets and its per-pass statistics.
-    fn summary(run: &Self::Run) -> (u64, &[PassStats]);
+    /// A call's per-pass statistics.
+    fn passes(run: &Self::Run) -> &[PassStats];
     /// The paper's §III-B window for `h`, from the balance ratio `r`.
     fn ratio_bounds(&self, h: &Hypergraph) -> PartBounds;
     /// The paper's initial partition: the engine draws its own random
@@ -133,8 +132,8 @@ impl Refiner for Bisect<'_> {
         2
     }
 
-    fn summary(run: &FmResult) -> (u64, &[PassStats]) {
-        (run.cut, &run.pass_stats)
+    fn passes(run: &FmResult) -> &[PassStats] {
+        &run.pass_stats
     }
 
     fn ratio_bounds(&self, h: &Hypergraph) -> PartBounds {
@@ -178,8 +177,8 @@ impl Refiner for Kway<'_> {
         self.k
     }
 
-    fn summary(run: &KwayResult) -> (u64, &[PassStats]) {
-        (run.cut, &run.pass_stats)
+    fn passes(run: &KwayResult) -> &[PassStats] {
+        &run.pass_stats
     }
 
     fn ratio_bounds(&self, h: &Hypergraph) -> PartBounds {
@@ -368,8 +367,7 @@ impl<R: Refiner> Cycle<'_, R> {
         }
     }
 
-    /// Coarsens `h` under `cfg`, seeds the coarsest level
-    /// (`cfg.initial_tries` times, keeping the first best cut), then projects,
+    /// Coarsens `h` under `cfg`, seeds the coarsest level, then projects,
     /// rebalances and refines level by level down to `h`. Each coarse level
     /// is dropped as soon as its partition has been projected.
     fn cycle(
@@ -386,43 +384,13 @@ impl<R: Refiner> Cycle<'_, R> {
         // --- Initial partitioning of Hₘ (step 6). ---
         let coarsest = hierarchy.coarsest(h);
         cx.meter.set_level_context(Some(m as u32));
-        let tries = cfg.initial_tries.max(1);
-        let (mut p, initial, mut total_passes) = {
-            obs_span!(
-                "initial",
-                "tries" => tries,
-                "level" => m,
-                "modules" => coarsest.num_modules(),
-            );
-            let mut attempt = |t: usize| {
-                let (p, run) = {
-                    obs_span!("try", "try" => t);
-                    self.seed(coarsest, hierarchy.fixed_at(m), cx)?
-                };
-                let (cut, passes) = R::summary(&run);
-                if !R::TRACE_K {
-                    obs_counter!("initial_try", "try" => t, "cut" => cut, "passes" => passes.len());
-                }
-                Ok::<_, PipelineError>((cut, passes.len(), t, p, run))
-            };
-            let mut best = attempt(0)?;
-            let mut total_passes = best.1;
-            for t in 1..tries {
-                let next = attempt(t)?;
-                total_passes += next.1;
-                // Strict `<` keeps the *first* try that reaches the minimum
-                // cut, so the winner does not depend on how many later tries
-                // tie it.
-                if next.0 < best.0 {
-                    best = next;
-                }
-            }
-            let (best_cut, _, winner, p, initial) = best;
-            obs_counter!("initial_winner", "try" => winner, "cut" => best_cut);
-            (p, initial, total_passes)
+        let (mut p, initial) = {
+            obs_span!("initial", "level" => m, "modules" => coarsest.num_modules());
+            self.seed(coarsest, hierarchy.fixed_at(m), cx)?
         };
         let mut level_stats = Vec::with_capacity(m + 1);
-        let initial_passes = R::summary(&initial).1;
+        let initial_passes = R::passes(&initial);
+        let mut total_passes = initial_passes.len();
         level_stats.push(LevelStats::from_passes(
             m,
             coarsest.num_modules(),
@@ -472,7 +440,7 @@ impl<R: Refiner> Cycle<'_, R> {
             // Pins must survive every level, not just the final answer.
             audit!(mlpart_audit::audit_fixed_assignment(&fine_p, level_fixed)
                 .map_err(|e| e.with_level(i)));
-            let passes = R::summary(&r).1;
+            let passes = R::passes(&r);
             total_passes += passes.len();
             let stats = LevelStats::from_passes(i, fine.num_modules(), passes, level_rebalance);
             level_stats.push(stats);

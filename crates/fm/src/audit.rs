@@ -203,8 +203,8 @@ where
 /// balance counters, `visible`/`pins_in` recount, the engine's running cut,
 /// every module's stored gain against an O(pins) recomputation, the CLIP
 /// reference gains, bucket keys and sides, the side tallies, and the
-/// free/locked split (every bucket member unlocked; in non-boundary mode
-/// every unlocked module bucketed).
+/// free/locked split (every bucket member unlocked, every unlocked module
+/// bucketed).
 pub fn audit_pass_start(
     st: &RefineState,
     h: &Hypergraph,
@@ -266,9 +266,8 @@ fn audit_gain(
     Ok(want)
 }
 
-/// Checks how a free module `v` is filed: in the bucket (outside boundary
-/// mode every free module is), under its side, at the key its gain
-/// discipline demands.
+/// Checks how a free module `v` is filed: in the bucket, under its side, at
+/// the key its gain discipline demands.
 fn audit_filing(
     st: &RefineState,
     buckets: &GainBuckets,
@@ -277,9 +276,6 @@ fn audit_filing(
     v: ModuleId,
 ) -> AuditResult {
     if !buckets.contains(v) {
-        if cfg.boundary_init {
-            return Ok(());
-        }
         return Err(err(
             "free-locked",
             "unlocked module missing from the bucket".to_string(),

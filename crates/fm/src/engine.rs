@@ -27,10 +27,9 @@
 //!   selection is driven by *gain deltas* since the pass began; the bucket
 //!   index range doubles.
 //!
-//! The paper's §V future-work items are available as options:
-//! [`FmConfig::boundary_init`] (only modules on cut nets enter the buckets
-//! initially) and [`FmConfig::early_exit_stall`] (abandon a pass after a run
-//! of non-improving moves).
+//! The paper's §V early-exit item is available as an option:
+//! [`FmConfig::early_exit_stall`] abandons a pass after a run of
+//! non-improving moves.
 
 #![expect(
     clippy::disallowed_types,
@@ -106,10 +105,6 @@ pub struct FmConfig {
     /// §V extension: if `Some(s)`, a pass is abandoned after `s` consecutive
     /// moves without a new best solution (Chaco/Metis-style early exit).
     pub early_exit_stall: Option<usize>,
-    /// §V extension: initialize buckets with only the modules incident to cut
-    /// nets; other modules enter the structure when a neighboring move first
-    /// changes their gain.
-    pub boundary_init: bool,
 }
 
 impl Default for FmConfig {
@@ -121,7 +116,6 @@ impl Default for FmConfig {
             max_net_size: 200,
             max_passes: 64,
             early_exit_stall: None,
-            boundary_init: false,
         }
     }
 }
@@ -441,27 +435,14 @@ impl RefineState {
         }
     }
 
-    /// Loads the bucket structure for a fresh pass.
+    /// Loads the bucket structure for a fresh pass with every free module;
+    /// fixed modules never enter.
     fn fill_buckets(&mut self, h: &Hypergraph, p: &Partition, cfg: &FmConfig) {
         self.buckets[0].clear();
-        // Which modules enter initially? Fixed modules never do.
-        let eligible = |ctx: &Self, v: ModuleId| -> bool {
-            if ctx.fixed[v.index()] {
-                return false;
-            }
-            if !cfg.boundary_init {
-                return true;
-            }
-            h.nets(v).iter().any(|e| {
-                ctx.visible[e.index()]
-                    && ctx.pins_in[2 * e.index()] > 0
-                    && ctx.pins_in[2 * e.index() + 1] > 0
-            })
-        };
         match cfg.engine {
             Engine::Fm => {
                 for v in h.modules() {
-                    if eligible(self, v) {
+                    if !self.fixed[v.index()] {
                         self.buckets[0].insert(v, p.part(v) as usize, self.gain[v.index()]);
                     }
                 }
@@ -471,7 +452,8 @@ impl RefineState {
                 // LIFO (insert-at-head) we insert ascending so the largest
                 // initial gain ends at the head; FIFO/Random append at the
                 // tail so we insert descending.
-                let mut order: Vec<ModuleId> = h.modules().filter(|&v| eligible(self, v)).collect();
+                let mut order: Vec<ModuleId> =
+                    h.modules().filter(|&v| !self.fixed[v.index()]).collect();
                 order.sort_by_key(|v| self.gain0[v.index()]);
                 match cfg.policy {
                     BucketPolicy::Lifo => {
@@ -500,9 +482,7 @@ impl RefineState {
         cut: &mut u64,
     ) {
         self.locked[v.index()] = true;
-        if self.buckets[0].contains(v) {
-            self.buckets[0].remove(v);
-        }
+        self.buckets[0].remove(v);
         let from = p.part(v) as usize;
         let to = 1 - from;
         p.move_module(h, v, to as u32);
@@ -530,7 +510,7 @@ impl RefineState {
                     -2 * w
                 };
                 if !self.locked[u.index()] {
-                    self.change_gain(p, u, delta, cfg);
+                    self.change_gain(u, delta, cfg);
                 }
                 continue;
             }
@@ -538,7 +518,7 @@ impl RefineState {
                 *cut += w as u64;
                 // Net was uncut on `from`; every other pin gains desire to
                 // follow (their "net becomes uncut if I move" term appears).
-                self.bump_net_gains(h, p, e, v, w, cfg);
+                self.bump_net_gains(h, e, v, w, cfg);
             } else if t_before == 1 {
                 // The lone pin on `to` no longer saves the net by moving.
                 self.bump_single_side_gain(h, p, e, v, to as u32, -w, cfg);
@@ -547,7 +527,7 @@ impl RefineState {
             let f_after = self.pins_in[2 * ei + from];
             if f_after == 0 {
                 *cut -= w as u64;
-                self.bump_net_gains(h, p, e, v, -w, cfg);
+                self.bump_net_gains(h, e, v, -w, cfg);
             } else if f_after == 1 {
                 // The lone remaining pin on `from` can now uncut the net.
                 self.bump_single_side_gain(h, p, e, v, from as u32, w, cfg);
@@ -559,7 +539,6 @@ impl RefineState {
     fn bump_net_gains(
         &mut self,
         h: &Hypergraph,
-        p: &Partition,
         e: NetId,
         v: ModuleId,
         delta: i32,
@@ -567,7 +546,7 @@ impl RefineState {
     ) {
         for &w in h.pins(e) {
             if w != v && !self.locked[w.index()] {
-                self.change_gain(p, w, delta, cfg);
+                self.change_gain(w, delta, cfg);
             }
         }
     }
@@ -588,25 +567,20 @@ impl RefineState {
         for &w in h.pins(e) {
             if w != v && p.part(w) == side {
                 if !self.locked[w.index()] {
-                    self.change_gain(p, w, delta, cfg);
+                    self.change_gain(w, delta, cfg);
                 }
                 break;
             }
         }
     }
 
-    /// Adds `delta` to the gain of `w` and re-files it under its stored
-    /// side; only a module entering the structure reads its side from `p`.
-    fn change_gain(&mut self, p: &Partition, w: ModuleId, delta: i32, cfg: &FmConfig) {
+    /// Adds `delta` to the gain of the free module `w` and re-files it
+    /// under its stored side.
+    fn change_gain(&mut self, w: ModuleId, delta: i32, cfg: &FmConfig) {
         self.updates += 1;
         self.gain[w.index()] += delta;
         let key = self.bucket_key(w, cfg.engine);
-        if self.buckets[0].contains(w) {
-            self.buckets[0].update_key(w, key);
-        } else {
-            // Boundary mode: a module touched by a move enters the structure.
-            self.buckets[0].insert(w, p.part(w) as usize, key);
-        }
+        self.buckets[0].update_key(w, key);
     }
 
     fn run_pass(
@@ -988,26 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_init_reaches_same_quality_on_dumbbell() {
-        let h = dumbbell();
-        let cfg = FmConfig {
-            boundary_init: true,
-            ..FmConfig::default()
-        };
-        let best = (0..8)
-            .map(|s| {
-                let mut rng = seeded_rng(100 + s);
-                fm_partition(&h, &cfg, &mut rng, RefineRequest::default())
-                    .unwrap()
-                    .1
-                    .cut
-            })
-            .min()
-            .unwrap();
-        assert_eq!(best, 1);
-    }
-
-    #[test]
     fn early_exit_stall_terminates_and_is_feasible() {
         let h = chain(60);
         let cfg = FmConfig {
@@ -1276,14 +1230,9 @@ mod constrained_tests {
     #[cfg_attr(miri, ignore)] // multi-seed loop: too slow under the interpreter
     fn empty_fixed_set_is_byte_identical_to_legacy_refine() {
         let h = dumbbell();
-        for (engine, boundary_init) in [
-            (Engine::Fm, false),
-            (Engine::Clip, false),
-            (Engine::Fm, true),
-        ] {
+        for engine in [Engine::Fm, Engine::Clip] {
             let cfg = FmConfig {
                 engine,
-                boundary_init,
                 ..FmConfig::default()
             };
             for seed in 0..6 {
@@ -1313,19 +1262,16 @@ mod constrained_tests {
         let p0 = Partition::from_assignment(&h, 2, vec![1, 0, 0, 0, 1, 1, 1, 0]).unwrap();
         let fixed = pins(&p0, &[0, 7]);
         for engine in [Engine::Fm, Engine::Clip] {
-            for boundary_init in [false, true] {
-                let cfg = FmConfig {
-                    engine,
-                    boundary_init,
-                    ..FmConfig::default()
-                };
-                for seed in 0..8 {
-                    let (p, r) = run_constrained(&h, &p0, &cfg, &fixed, seed);
-                    assert_eq!(p.part(ModuleId::new(0)), 1, "seed {seed}");
-                    assert_eq!(p.part(ModuleId::new(7)), 0, "seed {seed}");
-                    assert_eq!(r.cut, metrics::cut(&h, &p));
-                    assert!(p.validate(&h));
-                }
+            let cfg = FmConfig {
+                engine,
+                ..FmConfig::default()
+            };
+            for seed in 0..8 {
+                let (p, r) = run_constrained(&h, &p0, &cfg, &fixed, seed);
+                assert_eq!(p.part(ModuleId::new(0)), 1, "seed {seed}");
+                assert_eq!(p.part(ModuleId::new(7)), 0, "seed {seed}");
+                assert_eq!(r.cut, metrics::cut(&h, &p));
+                assert!(p.validate(&h));
             }
         }
     }

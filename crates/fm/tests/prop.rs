@@ -346,8 +346,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         // The two-pin update path and the net-major gain init under every
-        // bucket policy, both gain disciplines, and the plain and boundary
-        // passes, with pins (modules drawn 0) and invisible large nets.
+        // bucket policy and both gain disciplines, with pins (modules drawn 0) and invisible large nets.
         // Built with `--features audit`, every pass start and every move
         // re-derives the gains, keys and pin counts the updates wrote. In
         // every build: the engine's running cut of its final pass is the
@@ -368,28 +367,25 @@ proptest! {
         let start = metrics::cut_with_net_size_limit(&h, &p0, 6);
         for policy in [BucketPolicy::Lifo, BucketPolicy::Fifo, BucketPolicy::Random] {
             for engine in [Engine::Fm, Engine::Clip] {
-                for boundary_init in [false, true] {
-                    let cfg = FmConfig {
-                        engine,
-                        policy,
-                        max_net_size: 6,
-                        boundary_init,
-                        ..FmConfig::default()
-                    };
-                    let mut p = p0.clone();
-                    let req = RefineRequest { fixed: &fixed, ..RefineRequest::default() };
-                    let r = refine(&h, &mut p, &cfg, &mut seeded_rng(seed), req).unwrap();
-                    let what = format!("{policy} {engine} boundary {boundary_init}");
-                    prop_assert_eq!(r.cut, metrics::cut(&h, &p), "{}", what);
-                    let visible = metrics::cut_with_net_size_limit(&h, &p, 6);
-                    prop_assert_eq!(r.internal_cut, visible, "{}", what);
-                    let last = r.pass_stats.last().map(|s| s.cut_after);
-                    prop_assert_eq!(last, Some(visible), "{}", what);
-                    prop_assert!(visible <= start, "{}: {} -> {}", what, start, visible);
-                    prop_assert!(balance.is_partition_feasible(&p), "{}", what);
-                    for &(v, side) in &fixed {
-                        prop_assert_eq!(p.part(v), side, "{}", what);
-                    }
+                let cfg = FmConfig {
+                    engine,
+                    policy,
+                    max_net_size: 6,
+                    ..FmConfig::default()
+                };
+                let mut p = p0.clone();
+                let req = RefineRequest { fixed: &fixed, ..RefineRequest::default() };
+                let r = refine(&h, &mut p, &cfg, &mut seeded_rng(seed), req).unwrap();
+                let what = format!("{policy} {engine}");
+                prop_assert_eq!(r.cut, metrics::cut(&h, &p), "{}", what);
+                let visible = metrics::cut_with_net_size_limit(&h, &p, 6);
+                prop_assert_eq!(r.internal_cut, visible, "{}", what);
+                let last = r.pass_stats.last().map(|s| s.cut_after);
+                prop_assert_eq!(last, Some(visible), "{}", what);
+                prop_assert!(visible <= start, "{}: {} -> {}", what, start, visible);
+                prop_assert!(balance.is_partition_feasible(&p), "{}", what);
+                for &(v, side) in &fixed {
+                    prop_assert_eq!(p.part(v), side, "{}", what);
                 }
             }
         }
@@ -407,8 +403,8 @@ proptest! {
         // tell the sides apart. So refining the complement of `p0`, with
         // every pin on its opposite side, must return the complement of
         // refining `p0`, with an equal `FmResult` (so equal `PassStats`),
-        // under every bucket policy, both gain disciplines and both fills,
-        // with and without pins (modules drawn 0).
+        // under every bucket policy and both gain disciplines, with and
+        // without pins (modules drawn 0).
         let h = build_weighted(areas, &nets);
         let n = h.num_modules();
         let flip = |p: &Partition| {
@@ -427,28 +423,22 @@ proptest! {
                 fixed.iter().map(|&(v, s)| (v, 1 - s)).collect();
             for policy in [BucketPolicy::Lifo, BucketPolicy::Fifo, BucketPolicy::Random] {
                 for engine in [Engine::Fm, Engine::Clip] {
-                    for boundary_init in [false, true] {
-                        let cfg = FmConfig {
-                            engine,
-                            policy,
-                            max_net_size: 6,
-                            boundary_init,
-                            ..FmConfig::default()
-                        };
-                        let mut p = p0.clone();
-                        let req = RefineRequest { fixed: &fixed, ..RefineRequest::default() };
-                        let r = refine(&h, &mut p, &cfg, &mut seeded_rng(seed), req).unwrap();
-                        let mut q = flip(&p0);
-                        let req = RefineRequest { fixed: &fixed_flipped, ..RefineRequest::default() };
-                        let rq = refine(&h, &mut q, &cfg, &mut seeded_rng(seed), req).unwrap();
-                        let what = format!(
-                            "{policy} {engine} boundary {boundary_init} pins {}",
-                            fixed.len()
-                        );
-                        let want = flip(&p);
-                        prop_assert_eq!(q.assignment(), want.assignment(), "{}", what);
-                        prop_assert_eq!(&rq, &r, "{}", what);
-                    }
+                    let cfg = FmConfig {
+                        engine,
+                        policy,
+                        max_net_size: 6,
+                        ..FmConfig::default()
+                    };
+                    let mut p = p0.clone();
+                    let req = RefineRequest { fixed: &fixed, ..RefineRequest::default() };
+                    let r = refine(&h, &mut p, &cfg, &mut seeded_rng(seed), req).unwrap();
+                    let mut q = flip(&p0);
+                    let req = RefineRequest { fixed: &fixed_flipped, ..RefineRequest::default() };
+                    let rq = refine(&h, &mut q, &cfg, &mut seeded_rng(seed), req).unwrap();
+                    let what = format!("{policy} {engine} pins {}", fixed.len());
+                    let want = flip(&p);
+                    prop_assert_eq!(q.assignment(), want.assignment(), "{}", what);
+                    prop_assert_eq!(&rq, &r, "{}", what);
                 }
             }
         }

@@ -388,29 +388,19 @@ mod tests {
     use super::*;
     use crate::trace::{append_raw, capture, counter, span};
 
-    fn synthetic_start(win: u64) {
+    fn synthetic_start(t: u64) {
         let _ml = span("ml_bipartition", &[("modules", V::U(64))]);
         {
-            let _init = span(
-                "initial",
-                &[("tries", V::U(2)), ("level", V::U(3)), ("modules", V::U(8))],
-            );
-            for t in 0..2u64 {
-                let _try = span("try", &[("try", V::U(t))]);
-                counter(
-                    "fm_pass",
-                    &[
-                        ("pass", V::U(0)),
-                        ("cut_before", V::U(40 + t)),
-                        ("cut_after", V::U(30 + t)),
-                        ("attempted", V::U(10)),
-                        ("kept", V::U(6 + t)),
-                    ],
-                );
-            }
+            let _init = span("initial", &[("level", V::U(3)), ("modules", V::U(8))]);
             counter(
-                "initial_winner",
-                &[("try", V::U(win)), ("cut", V::U(30 + win))],
+                "fm_pass",
+                &[
+                    ("pass", V::U(0)),
+                    ("cut_before", V::U(40 + t)),
+                    ("cut_after", V::U(30 + t)),
+                    ("attempted", V::U(10)),
+                    ("kept", V::U(6 + t)),
+                ],
             );
         }
         let _lvl = span("level", &[("level", V::U(2)), ("modules", V::U(16))]);

@@ -1,15 +1,9 @@
 //! Integration tests for the weighted-net machinery across crates: weighted
-//! cuts drive every engine consistently, and hMETIS-style coalescing during
-//! multilevel coarsening preserves the objective.
+//! cuts drive every engine consistently.
 
-use mlpart::cluster::{induce, induce_coalesced, match_clusters, MatchConfig};
-use mlpart::gen::suite;
 use mlpart::hypergraph::metrics;
 use mlpart::hypergraph::rng::seeded_rng;
-use mlpart::{
-    fm_partition, ml_bipartition, FmConfig, HypergraphBuilder, MlConfig, Partition, RefineRequest,
-    Request,
-};
+use mlpart::{fm_partition, FmConfig, HypergraphBuilder, Partition, RefineRequest};
 
 /// A ring where every third net is a weight-5 "bus".
 fn weighted_ring(n: usize) -> mlpart::Hypergraph {
@@ -42,49 +36,6 @@ fn fm_avoids_heavy_nets() {
     // landed on buses that alone would cost 10. The engine should find
     // cheaper crossings.
     assert!(best < 10 + 8, "best weighted cut {best}");
-}
-
-#[test]
-fn coalesced_multilevel_reports_true_cut_on_suite_circuit() {
-    let h = suite::by_name("primary1").expect("in suite").generate(9);
-    let cfg = MlConfig {
-        coalesce_nets: true,
-        ..MlConfig::clip()
-    };
-    for seed in 0..3 {
-        let mut rng = seeded_rng(seed);
-        let (p, r) = ml_bipartition(&h, &cfg, &mut rng, Request::default()).expect("valid run");
-        // The reported cut is measured on the original unweighted netlist.
-        assert_eq!(r.cut, metrics::cut(&h, &p), "seed {seed}");
-        assert!(p.validate(&h));
-    }
-}
-
-#[test]
-fn coalescing_shrinks_coarse_netlists_without_changing_objective() {
-    let h = suite::by_name("balu").expect("in suite").generate(4);
-    let mut rng = seeded_rng(1);
-    // Coarsen twice with each policy from the same clusterings.
-    let c1 = match_clusters(&h, &MatchConfig::default(), &mut rng);
-    let dup1 = induce(&h, &c1).expect("clustering covers h");
-    let coal1 = induce_coalesced(&h, &c1).expect("clustering covers h");
-    assert!(coal1.num_nets() <= dup1.num_nets());
-    assert_eq!(coal1.total_net_weight(), dup1.total_net_weight());
-    // Objective equivalence on random bipartitions of the coarse level.
-    for seed in 0..5 {
-        let p = Partition::random(&dup1, 2, &mut seeded_rng(100 + seed));
-        let p2 =
-            Partition::from_assignment(&coal1, 2, p.assignment().to_vec()).expect("same modules");
-        assert_eq!(metrics::cut(&dup1, &p), metrics::cut(&coal1, &p2));
-    }
-    // Second level: the win compounds (duplicate bundles accumulate).
-    let mut rng2 = seeded_rng(2);
-    let c2 = match_clusters(&dup1, &MatchConfig::default(), &mut rng2);
-    let dup2 = induce(&dup1, &c2).expect("clustering covers dup1");
-    let mut rng2b = seeded_rng(2);
-    let c2b = match_clusters(&coal1, &MatchConfig::default(), &mut rng2b);
-    let coal2 = induce_coalesced(&coal1, &c2b).expect("clustering covers coal1");
-    assert!(coal2.num_nets() < dup2.num_nets() || dup2.num_nets() == 0);
 }
 
 #[test]

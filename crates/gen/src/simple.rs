@@ -27,29 +27,6 @@ pub fn chain(n: usize) -> Hypergraph {
     b.build().expect("valid netlist")
 }
 
-/// A `w × h` 2-D mesh with horizontal and vertical 2-pin nets. Optimal
-/// bisection cut is `min(w, h)`.
-///
-/// # Panics
-///
-/// Panics if `w == 0` or `h == 0`.
-pub fn grid(w: usize, h: usize) -> Hypergraph {
-    assert!(w > 0 && h > 0, "grid dimensions must be positive");
-    let mut b = HypergraphBuilder::with_unit_areas(w * h);
-    for y in 0..h {
-        for x in 0..w {
-            let i = y * w + x;
-            if x + 1 < w {
-                b.add_net([i, i + 1]).expect("in range");
-            }
-            if y + 1 < h {
-                b.add_net([i, i + w]).expect("in range");
-            }
-        }
-    }
-    b.build().expect("valid netlist")
-}
-
 /// `count` cliques of `size` modules each, connected in a ring by single
 /// 2-pin bridges. The optimal `count`-way partition cuts exactly the `count`
 /// bridges (for `count ≥ 3`; for `count == 2` the two bridges coincide...
@@ -107,17 +84,6 @@ mod tests {
         let h = chain(5);
         assert_eq!(h.num_nets(), 4);
         assert_eq!(h.num_pins(), 8);
-    }
-
-    #[test]
-    fn grid_optimal_cut_known() {
-        let h = grid(4, 6);
-        assert_eq!(h.num_modules(), 24);
-        // Split along the long axis: columns 0-1 vs 2-3 ... actually modules
-        // are row-major; left half {x<2} vs right half cuts 6 horizontal nets.
-        let p = Partition::from_assignment(&h, 2, (0..24).map(|i| u32::from(i % 4 >= 2)).collect())
-            .expect("valid");
-        assert_eq!(metrics::cut(&h, &p), 6);
     }
 
     #[test]

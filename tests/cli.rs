@@ -206,7 +206,7 @@ fn trace_and_report_outputs_are_valid_and_deterministic() {
     );
     assert!(
         report1.contains("\"name\":\"initial\""),
-        "initial tries covered"
+        "initial partitioning covered"
     );
 
     // Content determinism: repeats and thread counts agree once the timing

@@ -455,37 +455,103 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn epsilon_bounds_reproduce_legacy_balance_exactly() {
-        // ε = 2r must match both legacy balance types bit-exactly, across
-        // sizes with odd totals and a dominant module.
-        for n in [10usize, 99, 100, 257] {
-            let h = h_units(n);
-            for r in [0.05f64, 0.1, 0.25] {
-                let eps = 2.0 * r;
-                assert_eq!(
-                    PartBounds::from_epsilon(&h, 2, eps),
-                    PartBounds::from_bipart(&BipartBalance::new(&h, r)),
-                    "n={n} r={r}"
-                );
-                for k in [2u32, 3, 4, 8] {
-                    assert_eq!(
-                        PartBounds::from_epsilon(&h, k, eps),
-                        PartBounds::from_kway(&KwayBalance::new(&h, k, r)),
-                        "n={n} k={k} r={r}"
-                    );
-                }
-            }
+    /// The §III-B window `A/k ± max(A(v*), ⌊r·A·2/k⌋)` as literal
+    /// `(modules, largest, k, r, lo, hi)` rows: `modules` unit-area modules
+    /// plus, when `largest > 1`, one module of that area. Totals are odd and
+    /// even, and the largest module sits below the slack in some rows and
+    /// above it in others. The pairs were printed from the ratio types
+    /// `BipartBalance` and `KwayBalance`; `from_epsilon` at `ε = 2r` must
+    /// give the same integers.
+    const PAPER_WINDOWS: [(usize, u64, u32, f64, u64, u64); 60] = [
+        (100, 1, 2, 0.05, 45, 55),
+        (100, 1, 3, 0.05, 30, 36),
+        (100, 1, 4, 0.05, 23, 27),
+        (100, 1, 8, 0.05, 11, 13),
+        (100, 1, 2, 0.1, 40, 60),
+        (100, 1, 3, 0.1, 27, 39),
+        (100, 1, 4, 0.1, 20, 30),
+        (100, 1, 8, 0.1, 10, 14),
+        (100, 1, 2, 0.25, 25, 75),
+        (100, 1, 3, 0.25, 17, 49),
+        (100, 1, 4, 0.25, 13, 37),
+        (100, 1, 8, 0.25, 6, 18),
+        (257, 1, 2, 0.05, 116, 140),
+        (257, 1, 3, 0.05, 77, 93),
+        (257, 1, 4, 0.05, 58, 70),
+        (257, 1, 8, 0.05, 29, 35),
+        (257, 1, 2, 0.1, 103, 153),
+        (257, 1, 3, 0.1, 68, 102),
+        (257, 1, 4, 0.1, 52, 76),
+        (257, 1, 8, 0.1, 26, 38),
+        (257, 1, 2, 0.25, 64, 192),
+        (257, 1, 3, 0.25, 43, 127),
+        (257, 1, 4, 0.25, 32, 96),
+        (257, 1, 8, 0.25, 16, 48),
+        (200, 20, 2, 0.05, 90, 130),
+        (200, 20, 3, 0.05, 53, 93),
+        (200, 20, 4, 0.05, 35, 75),
+        (200, 20, 8, 0.05, 7, 47),
+        (200, 20, 2, 0.1, 88, 132),
+        (200, 20, 3, 0.1, 53, 93),
+        (200, 20, 4, 0.1, 35, 75),
+        (200, 20, 8, 0.1, 7, 47),
+        (200, 20, 2, 0.25, 55, 165),
+        (200, 20, 3, 0.25, 37, 109),
+        (200, 20, 4, 0.25, 28, 82),
+        (200, 20, 8, 0.25, 7, 47),
+        (300, 25, 2, 0.05, 137, 187),
+        (300, 25, 3, 0.05, 83, 133),
+        (300, 25, 4, 0.05, 56, 106),
+        (300, 25, 8, 0.05, 15, 65),
+        (300, 25, 2, 0.1, 130, 194),
+        (300, 25, 3, 0.1, 83, 133),
+        (300, 25, 4, 0.1, 56, 106),
+        (300, 25, 8, 0.1, 15, 65),
+        (300, 25, 2, 0.25, 81, 243),
+        (300, 25, 3, 0.25, 54, 162),
+        (300, 25, 4, 0.25, 41, 121),
+        (300, 25, 8, 0.25, 15, 65),
+        (70, 30, 2, 0.05, 20, 80),
+        (70, 30, 3, 0.05, 3, 63),
+        (70, 30, 4, 0.05, 0, 55),
+        (70, 30, 8, 0.05, 0, 42),
+        (70, 30, 2, 0.1, 20, 80),
+        (70, 30, 3, 0.1, 3, 63),
+        (70, 30, 4, 0.1, 0, 55),
+        (70, 30, 8, 0.1, 0, 42),
+        (70, 30, 2, 0.25, 20, 80),
+        (70, 30, 3, 0.25, 3, 63),
+        (70, 30, 4, 0.25, 0, 55),
+        (70, 30, 8, 0.25, 0, 42),
+    ];
+
+    fn with_largest(modules: usize, largest: u64) -> Hypergraph {
+        let mut areas = vec![1u64; modules];
+        if largest > 1 {
+            areas.push(largest);
         }
-        let mut areas = vec![1u64; 70];
-        areas.push(30);
         let mut b = HypergraphBuilder::new(areas);
         b.add_net([0, 1]).unwrap();
-        let h = b.build().unwrap();
-        assert_eq!(
-            PartBounds::from_epsilon(&h, 2, 0.2),
-            PartBounds::from_bipart(&BipartBalance::new(&h, 0.1))
-        );
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn epsilon_bounds_pin_the_paper_window() {
+        for &(modules, largest, k, r, lo, hi) in &PAPER_WINDOWS {
+            let h = with_largest(modules, largest);
+            let case = format!("modules={modules} largest={largest} k={k} r={r}");
+            let kway = KwayBalance::new(&h, k, r);
+            assert_eq!((kway.lower(), kway.upper()), (lo, hi), "{case}");
+            if k == 2 {
+                let bipart = BipartBalance::new(&h, r);
+                assert_eq!((bipart.lower(), bipart.upper()), (lo, hi), "{case}");
+            }
+            assert_eq!(
+                PartBounds::from_epsilon(&h, k, 2.0 * r),
+                PartBounds::uniform(k, lo, hi),
+                "{case}"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@ use mlpart_hypergraph::rng::child_seed;
 use mlpart_hypergraph::transform::{
     clique_expansion, hypergraph_cut_of_expanded, star_expansion, DEFAULT_WEIGHT_SCALE,
 };
-use mlpart_hypergraph::KwayBalance;
 use mlpart_kway::{KwayConfig, KwayGain};
 
 fn main() {
@@ -112,7 +111,7 @@ fn run(args: &HarnessArgs) -> bool {
     let rec_c = Constraints::new(4, 2.0 * r, vec![]).expect("valid constraints");
     for (ci, c) in args.circuits().iter().enumerate() {
         let h = c.generate(args.seed);
-        let window = KwayBalance::new(&h, 4, r);
+        let window = rec_c.bounds(&h);
         let seed = child_seed(args.seed, 900 + ci as u64);
         let a_sod = run_many_par(args.runs, child_seed(seed, 0), args.threads, |rng, ws| {
             algos::kway_cut_in(&h, &MlKwayConfig::default(), rng, ws)

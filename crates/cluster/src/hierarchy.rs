@@ -9,8 +9,7 @@
 
 use crate::clustering::Clustering;
 use mlpart_hypergraph::{
-    audit, BipartBalance, BuildHypergraphError, Hypergraph, HypergraphBuilder, KwayBalance,
-    ModuleId, Partition,
+    audit, BuildHypergraphError, Hypergraph, HypergraphBuilder, ModuleId, PartBounds, Partition,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -201,7 +200,8 @@ pub fn project(
 
 /// §III-B rebalancing for bipartitions: "the solution is rebalanced by
 /// randomly moving modules from the larger cluster to the smaller one" until
-/// the balance bounds hold.
+/// `bounds` hold. This is [`rebalance_kway_frozen`] at `k = 2` with nothing
+/// frozen.
 ///
 /// Returns the number of modules moved. If the bounds are unreachable (e.g.
 /// pathological areas) the function stops once no move can help and returns
@@ -209,37 +209,16 @@ pub fn project(
 pub fn rebalance_bipart<R: Rng + ?Sized>(
     h: &Hypergraph,
     p: &mut Partition,
-    balance: &BipartBalance,
+    bounds: &PartBounds,
     rng: &mut R,
 ) -> usize {
     debug_assert_eq!(p.k(), 2);
-    let mut moved = 0;
-    let mut order: Vec<u32> = (0..h.num_modules() as u32).collect();
-    order.shuffle(rng);
-    let mut cursor = 0;
-    while !balance.is_feasible(p.part_area(0)) && cursor < order.len() {
-        let big: u32 = if p.part_area(0) > p.part_area(1) {
-            0
-        } else {
-            1
-        };
-        // Advance to the next random movable module in the big part.
-        while cursor < order.len() {
-            let v = ModuleId::from(order[cursor]);
-            cursor += 1;
-            if p.part(v) == big {
-                p.move_module(h, v, 1 - big);
-                moved += 1;
-                break;
-            }
-        }
-    }
-    moved
+    rebalance_kway_frozen(h, p, bounds, None, rng)
 }
 
-/// K-way analogue of [`rebalance_bipart`]: random modules move from
-/// over-full parts to the currently smallest part until all parts fit.
-/// Frozen modules (e.g. pre-assigned pads) are never moved.
+/// §III-B rebalancing for any `k`: random modules move from the largest part
+/// to the currently smallest part until every part fits `bounds`. Frozen
+/// modules (e.g. pre-assigned pads) are never moved.
 ///
 /// Returns the number of modules moved.
 ///
@@ -249,7 +228,7 @@ pub fn rebalance_bipart<R: Rng + ?Sized>(
 pub fn rebalance_kway_frozen<R: Rng + ?Sized>(
     h: &Hypergraph,
     p: &mut Partition,
-    balance: &KwayBalance,
+    bounds: &PartBounds,
     frozen: Option<&[bool]>,
     rng: &mut R,
 ) -> usize {
@@ -262,7 +241,7 @@ pub fn rebalance_kway_frozen<R: Rng + ?Sized>(
     let mut order: Vec<u32> = (0..h.num_modules() as u32).collect();
     order.shuffle(rng);
     let mut cursor = 0;
-    while !balance.is_partition_feasible(p) && cursor < order.len() {
+    while !bounds.is_partition_feasible(p) && cursor < order.len() {
         // Identify the most over-full part and the least-full part.
         let (mut big, mut small) = (0u32, 0u32);
         for part in 1..k {
@@ -373,13 +352,13 @@ mod tests {
     #[test]
     fn rebalance_bipart_restores_feasibility() {
         let h = line(100);
-        let balance = BipartBalance::new(&h, 0.1);
+        let bounds = PartBounds::from_epsilon(&h, 2, 0.2);
         // Everything on one side: infeasible.
         let mut p = Partition::from_assignment(&h, 2, vec![0; 100]).unwrap();
-        assert!(!balance.is_feasible(p.part_area(0)));
+        assert!(!bounds.is_partition_feasible(&p));
         let mut rng = seeded_rng(8);
-        let moved = rebalance_bipart(&h, &mut p, &balance, &mut rng);
-        assert!(balance.is_feasible(p.part_area(0)));
+        let moved = rebalance_bipart(&h, &mut p, &bounds, &mut rng);
+        assert!(bounds.is_partition_feasible(&p));
         assert!(moved >= 40, "needed at least 40 moves, did {moved}");
         assert!(p.validate(&h));
     }
@@ -387,21 +366,21 @@ mod tests {
     #[test]
     fn rebalance_is_noop_when_feasible() {
         let h = line(100);
-        let balance = BipartBalance::new(&h, 0.1);
+        let bounds = PartBounds::from_epsilon(&h, 2, 0.2);
         let mut p =
             Partition::from_assignment(&h, 2, (0..100).map(|i| (i % 2) as u32).collect()).unwrap();
         let mut rng = seeded_rng(0);
-        assert_eq!(rebalance_bipart(&h, &mut p, &balance, &mut rng), 0);
+        assert_eq!(rebalance_bipart(&h, &mut p, &bounds, &mut rng), 0);
     }
 
     #[test]
     fn rebalance_kway_restores_feasibility() {
         let h = line(100);
-        let balance = KwayBalance::new(&h, 4, 0.1);
+        let bounds = PartBounds::from_epsilon(&h, 4, 0.2);
         let mut p = Partition::from_assignment(&h, 4, vec![0; 100]).unwrap();
         let mut rng = seeded_rng(3);
-        rebalance_kway_frozen(&h, &mut p, &balance, None, &mut rng);
-        assert!(balance.is_partition_feasible(&p));
+        rebalance_kway_frozen(&h, &mut p, &bounds, None, &mut rng);
+        assert!(bounds.is_partition_feasible(&p));
         assert!(p.validate(&h));
     }
 

@@ -4,7 +4,7 @@
 
 use mlpart_cluster::{induce, match_clusters, project, rebalance_bipart, Clustering, MatchConfig};
 use mlpart_hypergraph::rng::seeded_rng;
-use mlpart_hypergraph::{metrics, BipartBalance, Hypergraph, HypergraphBuilder, Partition};
+use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, PartBounds, Partition};
 use proptest::prelude::*;
 
 fn arb_netlist() -> impl Strategy<Value = (Vec<u64>, Vec<Vec<usize>>)> {
@@ -111,18 +111,18 @@ proptest! {
         seed in 0u64..200,
     ) {
         let h = build(areas, &nets);
-        let balance = BipartBalance::new(&h, 0.1);
+        let bounds = PartBounds::from_epsilon(&h, 2, 0.2);
         // Worst case: everything on one side.
         let mut p = Partition::from_assignment(&h, 2, vec![0; h.num_modules()])
             .expect("valid");
         let mut rng = seeded_rng(seed);
-        rebalance_bipart(&h, &mut p, &balance, &mut rng);
+        rebalance_bipart(&h, &mut p, &bounds, &mut rng);
         // With slack >= max module area, a greedy sequence of single moves
         // always reaches feasibility.
         prop_assert!(
-            balance.is_feasible(p.part_area(0)),
-            "areas {:?} bounds [{}, {}]",
-            p.part_areas(), balance.lower(), balance.upper()
+            bounds.is_partition_feasible(&p),
+            "areas {:?} bounds {}",
+            p.part_areas(), bounds
         );
         prop_assert!(p.validate(&h));
     }

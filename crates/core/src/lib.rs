@@ -67,7 +67,7 @@ mod vcycle;
 pub use error::PipelineError;
 pub use hierarchy::{Coarsener, Hierarchy};
 pub use ml::{ml_bipartition, ml_bipartition_in, LevelStats, MlConfig, MlResult};
-pub use preflight::{preflight, preflight_constrained, PreflightError};
+pub use preflight::{preflight_constrained, PreflightError};
 pub use quadrisection::{ml_kway, ml_kway_in, MlKwayConfig, MlKwayResult};
 pub use recursive::{recursive_ml_partition, recursive_ml_partition_budgeted_in, RecursiveResult};
 pub use two_phase::{two_phase_fm, TwoPhaseResult};

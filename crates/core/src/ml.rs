@@ -18,7 +18,7 @@
 //! the larger side, which happens between steps 8 and 9.
 
 use crate::error::{expect_valid, PipelineError};
-use crate::vcycle::{Bisect, Cycle, Pinned, Request, Window};
+use crate::vcycle::{Bisect, Cycle, Request, Window};
 use mlpart_fm::{Engine, FmConfig, PassStats, RefineWorkspace, Truncation};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{Hypergraph, Partition, DEFAULT_EPSILON};
@@ -247,9 +247,9 @@ pub fn ml_bipartition(
     req: Request<'_>,
 ) -> Result<(Partition, MlResult), PipelineError> {
     req.with(rng, |c, cx| {
-        let pins = Pinned::checked(c, h, 2, "bipartition requires k = 2", Window::halves(h))?;
-        let refiner = Bisect(&cfg.fm);
-        Cycle { refiner, pins }.run(h, cfg, cx)
+        let context = "bipartition requires k = 2";
+        let r = cfg.fm.balance_r;
+        Cycle::checked(Bisect(&cfg.fm), r, c, h, context, Window::halves(h))?.run(h, cfg, cx)
     })
 }
 
@@ -277,9 +277,7 @@ mod tests {
     use super::*;
     use mlpart_fm::{fm_partition, BucketPolicy, Budget, BudgetLimit, BudgetMeter, RefineRequest};
     use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::{
-        metrics, BipartBalance, Constraints, HypergraphBuilder, ModuleId, PartBounds,
-    };
+    use mlpart_hypergraph::{metrics, Constraints, HypergraphBuilder, ModuleId, PartBounds};
 
     /// Two communities of size `half`, internally ring+chords, one bridge.
     fn two_communities(half: usize) -> Hypergraph {
@@ -333,7 +331,7 @@ mod tests {
     fn result_is_feasible_and_consistent() {
         let h = two_communities(100);
         let cfg = MlConfig::default();
-        let bal = BipartBalance::new(&h, cfg.fm.balance_r);
+        let bal = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.fm.balance_r);
         for seed in 0..3 {
             let (p, r) = ml(&h, &cfg, seed);
             assert!(p.validate(&h));
@@ -576,7 +574,7 @@ mod tests {
         assert_eq!(t.limit, BudgetLimit::Passes);
         assert!(r.total_passes <= 2, "pass budget: {}", r.total_passes);
         assert!(p.validate(&h));
-        let bal = BipartBalance::new(&h, cfg.fm.balance_r);
+        let bal = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.fm.balance_r);
         assert!(bal.is_partition_feasible(&p));
         assert_eq!(r.cut, metrics::cut(&h, &p));
     }
@@ -593,7 +591,7 @@ mod tests {
         assert_eq!(r.total_passes, 0, "no refinement pass may run");
         assert_eq!(r.truncation.unwrap().limit, BudgetLimit::Moves);
         assert!(p.validate(&h));
-        let bal = BipartBalance::new(&h, cfg.fm.balance_r);
+        let bal = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.fm.balance_r);
         assert!(bal.is_partition_feasible(&p));
     }
 

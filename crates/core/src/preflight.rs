@@ -5,7 +5,7 @@
 //! positive total area, `k` no larger than the module count, and a balance
 //! tolerance wide enough that every module fits in a part. Violations used to
 //! surface as engine panics or silently-degenerate answers deep inside a run;
-//! [`preflight`] rejects them up front with a [`PreflightError`] the CLI (and
+//! [`preflight_constrained`] rejects them up front with a [`PreflightError`] the CLI (and
 //! any embedding tool) can report as *invalid input* rather than a crash.
 
 use mlpart_hypergraph::{Constraints, ConstraintsError, Hypergraph, PartId};
@@ -19,8 +19,6 @@ pub enum PreflightError {
         /// Modules in the netlist.
         modules: usize,
     },
-    /// `k == 0`: no parts to assign modules to.
-    ZeroParts,
     /// More parts than modules: at least one part must stay empty, which the
     /// balance constraint can never accept for a meaningful tolerance.
     KExceedsModules {
@@ -32,7 +30,7 @@ pub enum PreflightError {
     /// Total module area is zero, so balance bounds collapse to `[0, 0]`.
     ZeroTotalArea,
     /// A single module is larger than a part's capacity at the *requested*
-    /// tolerance `r`. The engines would still run — §III-B widens the slack
+    /// tolerance ε. The engines would still run — §III-B widens the slack
     /// to the largest module area so their bounds never strand a module —
     /// but the balance constraint as stated is unattainable, which a tool
     /// driving the partitioner should hear about up front rather than
@@ -42,8 +40,8 @@ pub enum PreflightError {
         module: usize,
         /// Its area.
         area: u64,
-        /// The per-part capacity implied by `(k, r)` before §III-B widening:
-        /// `A(V)/k + ⌊r·A(V)·2/k⌋`.
+        /// The per-part capacity implied by `(k, ε)` before §III-B widening:
+        /// `A(V)/k + ⌊ε·A(V)/k⌋`.
         capacity: u64,
     },
     /// The modules fixed to one part already exceed that part's ε-capacity:
@@ -83,7 +81,6 @@ impl std::fmt::Display for PreflightError {
             PreflightError::TooFewModules { modules } => {
                 write!(f, "netlist has {modules} module(s); need at least 2")
             }
-            PreflightError::ZeroParts => write!(f, "k must be at least 1"),
             PreflightError::KExceedsModules { k, modules } => {
                 write!(f, "k = {k} exceeds the {modules} module(s) in the netlist")
             }
@@ -130,35 +127,21 @@ impl std::fmt::Display for PreflightError {
 impl std::error::Error for PreflightError {}
 
 /// Validates that partitioning `h` into `k` parts at balance tolerance
-/// `balance_r` has any feasible solution, returning the first violation as a
+/// `epsilon` has any feasible solution, returning the first violation as a
 /// typed error.
 ///
-/// The capacity check mirrors the engines' balance arithmetic (`BipartBalance`
-/// / `KwayBalance`) **without** the §III-B max-module widening: the engines
-/// widen their bounds so every module always has a feasible home, which means
-/// a widened-bounds check can never fail — pre-flight instead reports when
+/// The capacity check is [`PartBounds::from_epsilon`]'s arithmetic
+/// **without** the §III-B max-module widening: the engines widen their
+/// bounds so every module always has a feasible home, which means a
+/// widened-bounds check can never fail — pre-flight instead reports when
 /// that widening would be the only thing keeping the instance feasible.
+/// `k ≥ 1` holds: [`Constraints::new`] rejects `k = 0`.
 ///
-/// # Examples
-///
-/// ```
-/// use mlpart_core::preflight::{preflight, PreflightError};
-/// use mlpart_hypergraph::HypergraphBuilder;
-///
-/// let h = HypergraphBuilder::with_unit_areas(8).build().unwrap();
-/// assert!(preflight(&h, 2, 0.1).is_ok());
-/// assert!(matches!(
-///     preflight(&h, 16, 0.1),
-///     Err(PreflightError::KExceedsModules { k: 16, modules: 8 })
-/// ));
-/// ```
-pub fn preflight(h: &Hypergraph, k: u32, balance_r: f64) -> Result<(), PreflightError> {
+/// [`PartBounds::from_epsilon`]: mlpart_hypergraph::PartBounds::from_epsilon
+fn preflight(h: &Hypergraph, k: u32, epsilon: f64) -> Result<(), PreflightError> {
     let modules = h.num_modules();
     if modules < 2 {
         return Err(PreflightError::TooFewModules { modules });
-    }
-    if k == 0 {
-        return Err(PreflightError::ZeroParts);
     }
     if k as usize > modules {
         return Err(PreflightError::KExceedsModules { k, modules });
@@ -167,9 +150,10 @@ pub fn preflight(h: &Hypergraph, k: u32, balance_r: f64) -> Result<(), Preflight
     if total == 0 {
         return Err(PreflightError::ZeroTotalArea);
     }
-    // Per-part capacity at the requested tolerance. With k = 2 this is the
-    // paper's `A(V)/2 + r·A(V)` bound before the max-module widening.
-    let slack = (balance_r * total as f64 * 2.0 / k as f64).floor() as u64;
+    // Per-part capacity at the requested tolerance. With k = 2 and ε = 2r
+    // this is the paper's `A(V)/2 + r·A(V)` bound before the max-module
+    // widening.
+    let slack = (epsilon * total as f64 / k as f64).floor() as u64;
     let capacity = (total / k as u64).saturating_add(slack);
     for (module, &area) in h.areas().iter().enumerate() {
         if area > capacity {
@@ -183,8 +167,10 @@ pub fn preflight(h: &Hypergraph, k: u32, balance_r: f64) -> Result<(), Preflight
     Ok(())
 }
 
-/// [`preflight`] for a full [`Constraints`] set: the base `(k, r = ε/2)`
-/// checks plus the fixed-module feasibility that only a constraint-aware run
+/// Validates a full [`Constraints`] set against `h`: the base checks (at
+/// least two modules, `k` no larger than the module count, positive total
+/// area, every module within a part's capacity at ε before the §III-B
+/// widening) plus the fixed-module feasibility that only a constraint-aware run
 /// can violate — pins out of range, a part over-committed by its pinned
 /// area, or too few free modules to populate the unpinned parts.
 ///
@@ -204,7 +190,7 @@ pub fn preflight(h: &Hypergraph, k: u32, balance_r: f64) -> Result<(), Preflight
 /// ));
 /// ```
 pub fn preflight_constrained(h: &Hypergraph, c: &Constraints) -> Result<(), PreflightError> {
-    preflight(h, c.k(), c.balance_r())?;
+    preflight(h, c.k(), c.epsilon())?;
     // Range-check pins before touching their areas.
     if let Err(ConstraintsError::ModuleOutOfRange { module, modules }) =
         c.check_modules(h.num_modules())
@@ -252,25 +238,24 @@ mod tests {
             b.add_net([i, i + 1]).unwrap();
         }
         let h = b.build().unwrap();
-        assert_eq!(preflight(&h, 2, 0.1), Ok(()));
-        assert_eq!(preflight(&h, 4, 0.1), Ok(()));
+        assert_eq!(preflight(&h, 2, 0.2), Ok(()));
+        assert_eq!(preflight(&h, 4, 0.2), Ok(()));
     }
 
     #[test]
     fn rejects_single_module_graphs() {
         let h = HypergraphBuilder::with_unit_areas(1).build().unwrap();
         assert_eq!(
-            preflight(&h, 2, 0.1),
+            preflight(&h, 2, 0.2),
             Err(PreflightError::TooFewModules { modules: 1 })
         );
     }
 
     #[test]
-    fn rejects_zero_parts_and_oversized_k() {
+    fn rejects_oversized_k() {
         let h = HypergraphBuilder::with_unit_areas(4).build().unwrap();
-        assert_eq!(preflight(&h, 0, 0.1), Err(PreflightError::ZeroParts));
         assert_eq!(
-            preflight(&h, 5, 0.1),
+            preflight(&h, 5, 0.2),
             Err(PreflightError::KExceedsModules { k: 5, modules: 4 })
         );
     }
@@ -278,13 +263,13 @@ mod tests {
     #[test]
     fn rejects_an_area_outlier_the_balance_cannot_hold() {
         // One module carries (almost) all the area: its area exceeds the
-        // per-part capacity at r = 0.1 for both 2- and 4-way splits, so any
+        // per-part capacity at ε = 0.2 for both 2- and 4-way splits, so any
         // "balanced" partition is balanced in name only.
         let mut areas = vec![1u64; 16];
         areas[3] = 1_000_000;
         let h = HypergraphBuilder::new(areas).build().unwrap();
         for k in [2u32, 4] {
-            match preflight(&h, k, 0.1) {
+            match preflight(&h, k, 0.2) {
                 Err(PreflightError::InfeasibleBalance { module, area, .. }) => {
                     assert_eq!(module, 3, "k = {k}");
                     assert_eq!(area, 1_000_000);
@@ -296,7 +281,7 @@ mod tests {
         let mut areas = vec![1u64; 16];
         areas[0] = 4;
         let h = HypergraphBuilder::new(areas).build().unwrap();
-        assert_eq!(preflight(&h, 2, 0.1), Ok(()));
+        assert_eq!(preflight(&h, 2, 0.2), Ok(()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::error::{expect_valid, PipelineError};
 use crate::ml::{LevelStats, MlConfig};
-use crate::vcycle::{Cycle, Kway, Pinned, Request, Window};
+use crate::vcycle::{Cycle, Kway, Request, Window};
 use mlpart_fm::{RefineWorkspace, Truncation};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{metrics, ConstraintsError, Hypergraph, ModuleId, PartId, Partition};
@@ -126,12 +126,12 @@ pub fn ml_kway(
     };
     req.with(rng, |c, cx| {
         let context = "cfg.k and constraints.k() disagree";
-        let pins = Pinned::checked(c, h, cfg.k, context, Window::Even)?;
         let refiner = Kway {
             k: cfg.k,
             cfg: &cfg.kway,
         };
-        let (p, r) = Cycle { refiner, pins }.run(h, &ml_cfg, cx)?;
+        let cycle = Cycle::checked(refiner, cfg.kway.balance_r, c, h, context, Window::Even)?;
+        let (p, r) = cycle.run(h, &ml_cfg, cx)?;
         let result = MlKwayResult {
             cut: r.cut,
             sum_of_degrees: metrics::sum_of_spans_minus_one(h, &p),
@@ -178,7 +178,7 @@ mod tests {
     use super::*;
     use mlpart_fm::{Budget, BudgetLimit, BudgetMeter, RefineRequest};
     use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::{Constraints, HypergraphBuilder, KwayBalance};
+    use mlpart_hypergraph::{Constraints, HypergraphBuilder, PartBounds};
     use mlpart_kway::kway_partition;
 
     /// Four communities in a ring; optimum quadrisection cuts the 4 bridges.
@@ -220,7 +220,7 @@ mod tests {
     fn result_is_feasible_and_consistent() {
         let h = four_communities(60);
         let cfg = MlKwayConfig::default();
-        let bal = KwayBalance::new(&h, 4, cfg.kway.balance_r);
+        let bal = PartBounds::from_epsilon(&h, 4, 2.0 * cfg.kway.balance_r);
         let (p, r) = kway(&h, &cfg, 2);
         assert!(p.validate(&h));
         assert!(bal.is_partition_feasible(&p), "{:?}", p.part_areas());
@@ -311,7 +311,7 @@ mod tests {
         assert_eq!(t.limit, BudgetLimit::Passes);
         assert!(r.total_passes <= 1);
         assert!(p.validate(&h));
-        let bal = KwayBalance::new(&h, 4, cfg.kway.balance_r);
+        let bal = PartBounds::from_epsilon(&h, 4, 2.0 * cfg.kway.balance_r);
         assert!(bal.is_partition_feasible(&p));
         assert_eq!(r.cut, metrics::cut(&h, &p));
     }

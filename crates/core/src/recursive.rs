@@ -10,7 +10,7 @@
 
 use crate::error::{expect_valid, PipelineError};
 use crate::ml::MlConfig;
-use crate::vcycle::{Bisect, Ctx, Cycle, Pinned, Request, Window};
+use crate::vcycle::{Bisect, Ctx, Cycle, Request, Window};
 use mlpart_fm::{BudgetMeter, RefineWorkspace, Truncation};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
@@ -204,10 +204,8 @@ impl Split<'_> {
         };
         let cycle = Cycle {
             refiner: Bisect(&self.cfg.fm),
-            pins: Some(Pinned {
-                fixed: &sub_fixed,
-                window,
-            }),
+            window,
+            pins: Some(&sub_fixed),
         };
         let (sub_p, _) = cycle.run(&sub, self.cfg, cx)?;
         self.bisections += 1;

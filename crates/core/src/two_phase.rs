@@ -13,7 +13,7 @@
 
 use crate::error::PipelineError;
 use crate::hierarchy::{lift_fixed, match_level};
-use crate::vcycle::{Bisect, Ctx, Cycle, Pinned, Refiner, Request, Window};
+use crate::vcycle::{Bisect, Ctx, Cycle, Refiner, Request, Window};
 use mlpart_cluster::{induce, project, MatchConfig, MatchScratch};
 use mlpart_fm::{FmConfig, FmResult, Truncation};
 use mlpart_hypergraph::rng::MlRng;
@@ -87,11 +87,9 @@ pub fn two_phase_fm(
     req: Request<'_>,
 ) -> Result<(Partition, TwoPhaseResult), PipelineError> {
     req.with(rng, |c, cx| {
-        let pins = Pinned::checked(c, h, 2, "two-phase FM requires k = 2", Window::halves(h))?;
-        let cycle = Cycle {
-            refiner: Bisect(fm),
-            pins,
-        };
+        let context = "two-phase FM requires k = 2";
+        let window = Window::halves(h);
+        let cycle = Cycle::checked(Bisect(fm), fm.balance_r, c, h, context, window)?;
         let n = h.num_modules();
         match cycle.pins {
             None => {
@@ -163,7 +161,7 @@ mod tests {
     use super::*;
     use mlpart_fm::{fm_partition, Budget, BudgetLimit, BudgetMeter, RefineRequest};
     use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::{BipartBalance, Constraints, HypergraphBuilder, ModuleId, PartBounds};
+    use mlpart_hypergraph::{Constraints, HypergraphBuilder, ModuleId, PartBounds};
 
     fn two_communities(half: usize) -> Hypergraph {
         let mut b = HypergraphBuilder::with_unit_areas(2 * half);
@@ -193,7 +191,7 @@ mod tests {
     #[test]
     fn produces_feasible_consistent_result() {
         let h = two_communities(50);
-        let bal = BipartBalance::new(&h, FmConfig::default().balance_r);
+        let bal = PartBounds::from_epsilon(&h, 2, 2.0 * FmConfig::default().balance_r);
         let (p, r) = run(&h, 2, Request::default());
         assert!(p.validate(&h));
         assert!(bal.is_partition_feasible(&p));
@@ -270,7 +268,7 @@ mod tests {
         );
         assert_eq!(r.refine.passes, 0, "the budget went to the coarse run");
         assert!(p.validate(&h));
-        let bal = BipartBalance::new(&h, FmConfig::default().balance_r);
+        let bal = PartBounds::from_epsilon(&h, 2, 2.0 * FmConfig::default().balance_r);
         assert!(bal.is_partition_feasible(&p));
         assert_eq!(r.cut, metrics::cut(&h, &p));
     }

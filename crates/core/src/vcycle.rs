@@ -3,11 +3,12 @@
 //!
 //! * the **refiner**: the 2-way FM/CLIP engine ([`Bisect`]) or the Sanchis
 //!   k-way engine ([`Kway`]);
-//! * the **schedule**: the paper's (no [`Pinned`]) or the constrained one
-//!   (`Some(Pinned)`). The two differ at three points only — where a level's
-//!   balance window comes from, how the coarsest level is seeded, and how a
-//!   projected partition is rebalanced — and both refine through the
-//!   engines' constrained refinement calls.
+//! * the **schedule**: the paper's (no pins) or the constrained one (pins,
+//!   possibly none). The two differ at two points only — how the coarsest
+//!   level is seeded and how a projected partition is rebalanced — and both
+//!   refine through the engines' constrained refinement calls. Each level's
+//!   balance window comes from the cycle's [`Window`]; the paper's is
+//!   `Window::Even(2r)`, the §III-B window.
 //!
 //! Two-phase FM (§II-C) is built from the same schedule helpers
 //! ([`Cycle::seed`], [`Cycle::rebalance`]) around a single level.
@@ -15,15 +16,15 @@
 use crate::error::PipelineError;
 use crate::hierarchy::Hierarchy;
 use crate::ml::{LevelStats, MlConfig, MlResult};
-use mlpart_cluster::{project, rebalance_bipart, rebalance_kway_frozen};
+use mlpart_cluster::{project, rebalance_kway_frozen};
 use mlpart_fm::{
     fm_partition, refine, BudgetMeter, FmConfig, FmResult, PassStats, RefineError, RefineRequest,
     RefineWorkspace,
 };
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
-    audit, metrics, obs_counter, obs_span, BipartBalance, Constraints, Hypergraph, KwayBalance,
-    ModuleId, PartBounds, PartId, Partition,
+    audit, metrics, obs_counter, obs_span, Constraints, Hypergraph, ModuleId, PartBounds, PartId,
+    Partition,
 };
 use mlpart_kway::{kway_partition, kway_refine, rebalance_to_bounds, KwayConfig, KwayResult};
 
@@ -101,14 +102,10 @@ pub(crate) trait Refiner {
     fn k(&self) -> u32;
     /// A call's per-pass statistics.
     fn passes(run: &Self::Run) -> &[PassStats];
-    /// The paper's §III-B window for `h`, from the balance ratio `r`.
-    fn ratio_bounds(&self, h: &Hypergraph) -> PartBounds;
     /// The paper's initial partition: the engine draws its own random
     /// start, then refines it.
     fn draw(&self, h: &Hypergraph, cx: &mut Ctx<'_>)
         -> Result<(Partition, Self::Run), RefineError>;
-    /// The paper's §III-B rebalancing: random moves out of the larger part.
-    fn rebalance(&self, h: &Hypergraph, p: &mut Partition, rng: &mut MlRng) -> usize;
     /// Refines `p` within `bounds`, never moving a module of `fixed`.
     fn refine(
         &self,
@@ -136,17 +133,9 @@ impl Refiner for Bisect<'_> {
         &run.pass_stats
     }
 
-    fn ratio_bounds(&self, h: &Hypergraph) -> PartBounds {
-        PartBounds::from_bipart(&BipartBalance::new(h, self.0.balance_r))
-    }
-
     fn draw(&self, h: &Hypergraph, cx: &mut Ctx<'_>) -> Result<(Partition, FmResult), RefineError> {
         let (rng, req) = cx.request(None, &[]);
         fm_partition(h, self.0, rng, req)
-    }
-
-    fn rebalance(&self, h: &Hypergraph, p: &mut Partition, rng: &mut MlRng) -> usize {
-        rebalance_bipart(h, p, &BipartBalance::new(h, self.0.balance_r), rng)
     }
 
     fn refine(
@@ -181,10 +170,6 @@ impl Refiner for Kway<'_> {
         &run.pass_stats
     }
 
-    fn ratio_bounds(&self, h: &Hypergraph) -> PartBounds {
-        PartBounds::from_kway(&KwayBalance::new(h, self.k, self.cfg.balance_r))
-    }
-
     fn draw(
         &self,
         h: &Hypergraph,
@@ -192,11 +177,6 @@ impl Refiner for Kway<'_> {
     ) -> Result<(Partition, KwayResult), RefineError> {
         let (rng, req) = cx.request(None, &[]);
         kway_partition(h, self.k, self.cfg, rng, req)
-    }
-
-    fn rebalance(&self, h: &Hypergraph, p: &mut Partition, rng: &mut MlRng) -> usize {
-        let balance = KwayBalance::new(h, self.k, self.cfg.balance_r);
-        rebalance_kway_frozen(h, p, &balance, None, rng)
     }
 
     fn refine(
@@ -212,10 +192,13 @@ impl Refiner for Kway<'_> {
     }
 }
 
-/// How the constrained schedule derives each level's balance window.
+/// How a cycle derives each level's balance window. Windows are recomputed
+/// per level, widened to each level's largest module, so coarse levels are
+/// never over-constrained.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Window {
-    /// Every part within `(1 ± ε)·A(V)/k` ([`PartBounds::from_epsilon`]).
+    /// Every part within `(1 ± ε)·A(V)/k` ([`PartBounds::from_epsilon`]);
+    /// at `ε = 2r` the paper's §III-B window.
     Even(f64),
     /// Side 0 targets area `target0` and side 1 the rest, each within a
     /// relative ε: one step of recursive bisection.
@@ -230,28 +213,35 @@ impl Window {
     }
 }
 
-/// The constrained schedule's inputs: pins on `H₀` and the window rule.
-/// Windows are recomputed per level, widened to each level's largest
-/// module, so coarse levels are never over-constrained.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Pinned<'a> {
-    pub fixed: &'a [(ModuleId, PartId)],
+/// One refiner under one schedule and one window rule.
+pub(crate) struct Cycle<'a, R> {
+    pub refiner: R,
     pub window: Window,
+    /// Pins on `H₀` under the constrained schedule; `None` runs the paper's.
+    pub pins: Option<&'a [(ModuleId, PartId)]>,
 }
 
-impl<'a> Pinned<'a> {
-    /// The schedule a request's constraints select: `None` (the paper's)
-    /// without constraints, else their pins under `window(ε)`, checked
-    /// against the part count `k` the pipeline produces (`context` names
-    /// that rule).
+impl<'a, R: Refiner> Cycle<'a, R> {
+    /// The cycle a request's constraints select: the paper's schedule
+    /// under the §III-B window for the ratio `r` without constraints, else
+    /// their pins under `window(ε)`, checked against the refiner's part
+    /// count (`context` names that rule).
     pub(crate) fn checked(
+        refiner: R,
+        r: f64,
         c: Option<&'a Constraints>,
         h: &Hypergraph,
-        k: u32,
         context: &'static str,
         window: impl FnOnce(f64) -> Window,
-    ) -> Result<Option<Self>, PipelineError> {
-        let Some(c) = c else { return Ok(None) };
+    ) -> Result<Self, PipelineError> {
+        let Some(c) = c else {
+            return Ok(Cycle {
+                refiner,
+                window: Window::Even(2.0 * r),
+                pins: None,
+            });
+        };
+        let k = refiner.k();
         if c.k() != k {
             let got = c.k();
             return Err(PipelineError::KMismatch {
@@ -261,33 +251,24 @@ impl<'a> Pinned<'a> {
             });
         }
         c.check_modules(h.num_modules())?;
-        let window = window(c.epsilon());
-        Ok(Some(Pinned {
-            fixed: c.fixed(),
-            window,
-        }))
+        Ok(Cycle {
+            refiner,
+            window: window(c.epsilon()),
+            pins: Some(c.fixed()),
+        })
     }
-}
 
-/// One refiner under one schedule (`pins: None` is the paper's).
-pub(crate) struct Cycle<'a, R> {
-    pub refiner: R,
-    pub pins: Option<Pinned<'a>>,
-}
-
-impl<R: Refiner> Cycle<'_, R> {
     /// The pins on `H₀`: none under the paper's schedule.
     pub(crate) fn fixed(&self) -> &[(ModuleId, PartId)] {
-        self.pins.as_ref().map_or(&[], |s| s.fixed)
+        self.pins.unwrap_or(&[])
     }
 
     /// The balance window of the level netlist `h`.
     pub(crate) fn bounds(&self, h: &Hypergraph) -> PartBounds {
-        let total = h.total_area();
-        match self.pins.map(|s| s.window) {
-            None => self.refiner.ratio_bounds(h),
-            Some(Window::Even(eps)) => PartBounds::from_epsilon(h, self.refiner.k(), eps),
-            Some(Window::Split { target0, epsilon }) => {
+        match self.window {
+            Window::Even(eps) => PartBounds::from_epsilon(h, self.refiner.k(), eps),
+            Window::Split { target0, epsilon } => {
+                let total = h.total_area();
                 let targets = [target0, total - target0];
                 PartBounds::around_targets(&targets, total, h.max_area(), epsilon)
             }
@@ -330,7 +311,7 @@ impl<R: Refiner> Cycle<'_, R> {
         Ok(if bounds.is_partition_feasible(p) {
             0
         } else if self.pins.is_none() {
-            self.refiner.rebalance(h, p, rng)
+            rebalance_kway_frozen(h, p, bounds, None, rng)
         } else {
             rebalance_to_bounds(h, p, fixed, bounds, rng)?
         })

@@ -5,7 +5,7 @@
 
 use mlpart_core::{ml_bipartition, ml_kway, Hierarchy, MlConfig, MlKwayConfig, Request};
 use mlpart_hypergraph::rng::seeded_rng;
-use mlpart_hypergraph::{metrics, BipartBalance, Hypergraph, HypergraphBuilder, KwayBalance};
+use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, PartBounds};
 use proptest::prelude::*;
 
 fn arb_netlist() -> impl Strategy<Value = (Vec<u64>, Vec<Vec<usize>>)> {
@@ -44,7 +44,7 @@ proptest! {
         let (p, r) = ml_bipartition(&h, &cfg, &mut rng, Request::default()).expect("valid run");
         prop_assert!(p.validate(&h));
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
-        let balance = BipartBalance::new(&h, cfg.fm.balance_r);
+        let balance = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.fm.balance_r);
         prop_assert!(balance.is_partition_feasible(&p), "{:?}", p.part_areas());
         prop_assert_eq!(r.level_sizes.len(), r.levels + 1);
         prop_assert_eq!(r.level_sizes[0], h.num_modules());
@@ -69,7 +69,7 @@ proptest! {
         prop_assert!(p.validate(&h));
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         prop_assert_eq!(r.sum_of_degrees, metrics::sum_of_spans_minus_one(&h, &p));
-        let balance = KwayBalance::new(&h, k, cfg.kway.balance_r);
+        let balance = PartBounds::from_epsilon(&h, k, 2.0 * cfg.kway.balance_r);
         prop_assert!(balance.is_partition_feasible(&p), "{:?}", p.part_areas());
     }
 

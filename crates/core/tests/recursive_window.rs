@@ -3,9 +3,8 @@
 //! the ε window that the constraints give, on real suite circuits and not
 //! only on the loose-ε netlists of the property tests.
 
-use mlpart_core::{recursive_ml_partition, Constraints, MlConfig, PartBounds, Request};
+use mlpart_core::{recursive_ml_partition, Constraints, MlConfig, Request};
 use mlpart_hypergraph::rng::seeded_rng;
-use mlpart_hypergraph::KwayBalance;
 
 #[test]
 fn every_part_lands_in_the_composed_window() {
@@ -14,7 +13,6 @@ fn every_part_lands_in_the_composed_window() {
         for k in [4u32, 8] {
             let c = Constraints::new(k, 0.2, vec![]).expect("valid");
             let bounds = c.bounds(&h);
-            assert_eq!(bounds, PartBounds::from_kway(&KwayBalance::new(&h, k, 0.1)));
             for seed in 0..4 {
                 let req = Request {
                     constraints: Some(&c),

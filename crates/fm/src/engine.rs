@@ -8,7 +8,7 @@
 //!   per pass; the best prefix of the move sequence is kept; passes repeat
 //!   until one fails to improve.
 //! * **Balance** (§III-B): side areas bounded by `A(V)/2 ± max(A(v*), r·A(V))`
-//!   ([`BipartBalance`]); every prefix of the move sequence is feasible
+//!   ([`PartBounds::from_epsilon`] at `ε = 2r`); every prefix of the move sequence is feasible
 //!   because each move is feasibility-checked. Before each LIFO/FIFO pick
 //!   an exact side gate closes a side that can give up no module of any
 //!   area, so selection never checks that side's modules; the picks are
@@ -42,8 +42,8 @@ use crate::request::{expect_valid, RefineError, RefineRequest, RequestParts};
 use crate::state::{GainSpread, PassStats, RefineState, RefineWorkspace};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
-    audit, metrics, obs_counter, obs_span, BipartBalance, Hypergraph, ModuleId, NetId, PartBounds,
-    PartId, Partition,
+    audit, metrics, obs_counter, obs_span, Hypergraph, ModuleId, NetId, PartBounds, PartId,
+    Partition,
 };
 use std::borrow::Cow;
 use std::time::Instant;
@@ -256,7 +256,7 @@ fn run(
     rng: &mut MlRng,
     r: RequestParts<'_>,
 ) -> FmResult {
-    let ratio = || PartBounds::from_bipart(&BipartBalance::new(h, cfg.balance_r));
+    let ratio = || PartBounds::from_epsilon(h, 2, 2.0 * cfg.balance_r);
     let bounds = r.bounds.map_or_else(|| Cow::Owned(ratio()), Cow::Borrowed);
     let gate = SideGate::new(h, &bounds);
     let (st, meter) = (&mut r.ws.state, r.meter);
@@ -786,16 +786,14 @@ mod tests {
     fn respects_balance_bounds() {
         let h = chain(100);
         let cfg = FmConfig::default();
-        let bal = BipartBalance::new(&h, cfg.balance_r);
+        let bal = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.balance_r);
         for seed in 0..5 {
             let mut rng = seeded_rng(seed);
             let (p, _) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
             assert!(
                 bal.is_partition_feasible(&p),
-                "seed {seed}: areas {:?} outside [{}, {}]",
+                "seed {seed}: areas {:?} outside {bal}",
                 p.part_areas(),
-                bal.lower(),
-                bal.upper()
             );
         }
     }
@@ -968,7 +966,7 @@ mod tests {
             early_exit_stall: Some(5),
             ..FmConfig::default()
         };
-        let bal = BipartBalance::new(&h, cfg.balance_r);
+        let bal = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.balance_r);
         let mut rng = seeded_rng(4);
         let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
         assert!(bal.is_partition_feasible(&p));
@@ -1019,7 +1017,7 @@ mod tests {
         b.add_net([5, 6]).unwrap();
         let h = b.build().unwrap();
         let cfg = FmConfig::default();
-        let bal = BipartBalance::new(&h, cfg.balance_r);
+        let bal = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.balance_r);
         let mut rng = seeded_rng(9);
         let (p, _) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
         assert!(bal.is_partition_feasible(&p));
@@ -1215,7 +1213,7 @@ mod constrained_tests {
         fixed: &[(ModuleId, PartId)],
         seed: u64,
     ) -> (Partition, FmResult) {
-        let bounds = PartBounds::from_bipart(&BipartBalance::new(h, cfg.balance_r));
+        let bounds = PartBounds::from_epsilon(h, 2, 2.0 * cfg.balance_r);
         let mut p = p0.clone();
         let req = RefineRequest {
             bounds: Some(&bounds),

@@ -8,9 +8,7 @@ use mlpart_fm::{
     RefineRequest, RefineWorkspace,
 };
 use mlpart_hypergraph::rng::seeded_rng;
-use mlpart_hypergraph::{
-    metrics, BipartBalance, Hypergraph, HypergraphBuilder, ModuleId, PartBounds, Partition,
-};
+use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, ModuleId, PartBounds, Partition};
 use proptest::prelude::*;
 
 fn arb_netlist() -> impl Strategy<Value = (Vec<u64>, Vec<Vec<usize>>)> {
@@ -80,7 +78,7 @@ proptest! {
             engine: if engine_clip { Engine::Clip } else { Engine::Fm },
             ..FmConfig::default()
         };
-        let balance = BipartBalance::new(&h, cfg.balance_r);
+        let balance = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.balance_r);
         let mut rng = seeded_rng(seed);
         // Start from a feasible random solution.
         let p0 = Partition::random(&h, 2, &mut rng);
@@ -123,7 +121,7 @@ proptest! {
         let h = build(areas, &nets);
         for policy in [BucketPolicy::Lifo, BucketPolicy::Fifo, BucketPolicy::Random] {
             let cfg = FmConfig { policy, ..FmConfig::default() };
-            let balance = BipartBalance::new(&h, cfg.balance_r);
+            let balance = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.balance_r);
             let mut rng = seeded_rng(seed);
             let (p, r) = fm_partition(&h, &cfg, &mut rng, RefineRequest::default()).unwrap();
             prop_assert!(balance.is_partition_feasible(&p));
@@ -358,7 +356,7 @@ proptest! {
         let n = h.num_modules();
         let assignment: Vec<u32> = (0..n).map(|i| u32::from(sides[i])).collect();
         let p0 = Partition::from_assignment(&h, 2, assignment).expect("valid");
-        let balance = BipartBalance::new(&h, 0.1);
+        let balance = PartBounds::from_epsilon(&h, 2, 0.2);
         prop_assume!(balance.is_partition_feasible(&p0));
         let fixed: Vec<(ModuleId, u32)> = (0..n)
             .filter(|&i| pins[i] == 0)
@@ -413,7 +411,7 @@ proptest! {
         };
         let p0 = Partition::from_assignment(&h, 2, (0..n).map(|i| u32::from(sides[i])).collect())
             .expect("valid");
-        prop_assume!(BipartBalance::new(&h, 0.1).is_partition_feasible(&p0));
+        prop_assume!(PartBounds::from_epsilon(&h, 2, 0.2).is_partition_feasible(&p0));
         let pinned: Vec<(ModuleId, u32)> = (0..n)
             .filter(|&i| pins[i] == 0)
             .map(|i| (ModuleId::new(i), p0.part(ModuleId::new(i))))
@@ -483,7 +481,7 @@ proptest! {
         // Same property for pure refinement from a shared starting point.
         let mut rng = seeded_rng(seed.wrapping_add(1));
         let p0 = Partition::random(&h, 2, &mut rng);
-        let balance = BipartBalance::new(&h, cfg.balance_r);
+        let balance = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.balance_r);
         prop_assume!(balance.is_partition_feasible(&p0));
         let mut p1 = p0.clone();
         let mut p2 = p0;
@@ -508,7 +506,7 @@ proptest! {
             .map(|i| u32::from(assignment_bits[i % assignment_bits.len()]))
             .collect();
         let p0 = Partition::from_assignment(&h, 2, assignment).expect("valid");
-        let balance = BipartBalance::new(&h, 0.1);
+        let balance = PartBounds::from_epsilon(&h, 2, 0.2);
         prop_assume!(balance.is_partition_feasible(&p0));
         let start = metrics::cut(&h, &p0);
         for engine in [Engine::Fm, Engine::Clip] {

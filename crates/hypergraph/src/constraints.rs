@@ -17,37 +17,36 @@
 
 use crate::hypergraph::Hypergraph;
 use crate::ids::ModuleId;
-use crate::partition::{BipartBalance, KwayBalance, PartId, Partition};
+use crate::partition::{PartId, Partition};
 use std::fmt;
 
 /// The default balance tolerance ε, chosen so that unconstrained runs
 /// reproduce the paper's `r = 0.1` bounds exactly (`ε = 2r`).
 pub const DEFAULT_EPSILON: f64 = 0.2;
 
-/// Per-part `[lo, hi]` area capacity bounds for a k-way partition.
+/// Per-part `[lo, hi]` area capacity bounds for a k-way partition: the one
+/// balance window every engine, rebalancer, audit and pipeline reads.
 ///
-/// This generalizes [`BipartBalance`] / [`KwayBalance`] (uniform bounds
-/// derived from the ratio `r`) to arbitrary per-part windows: recursive
-/// bisection with `k_lo ≠ k_hi` needs asymmetric targets, and ε-derived
-/// bounds need not match the legacy ratio arithmetic. Conversions from the
-/// legacy balance types are exact, so refactoring a feasibility check from
-/// `KwayBalance` to `PartBounds` cannot change a single accept/reject
-/// decision (the byte-identity contract for unconstrained runs).
+/// The paper's §III-B window, `A(V)/k ± max(A(v*), r·A(V)·2/k)`, is
+/// [`PartBounds::from_epsilon`] at `ε = 2r`, integer for integer. The
+/// other constructors give the per-part windows the paper does not need:
+/// asymmetric targets for recursive bisection ([`PartBounds::around_targets`])
+/// and explicit windows ([`PartBounds::new`], [`PartBounds::uniform`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use mlpart_hypergraph::{HypergraphBuilder, PartBounds, BipartBalance};
+/// use mlpart_hypergraph::{HypergraphBuilder, PartBounds};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = HypergraphBuilder::with_unit_areas(100);
 /// b.add_net([0, 1])?;
 /// let h = b.build()?;
-/// let eps = PartBounds::from_epsilon(&h, 2, 0.2);
-/// let legacy = PartBounds::from_bipart(&BipartBalance::new(&h, 0.1));
-/// assert_eq!(eps, legacy); // ε = 2r reproduces §III-B exactly
-/// assert!(eps.is_area_feasible(0, 50));
-/// assert!(!eps.is_area_feasible(1, 61));
+/// // The paper's r = 0.1: each side within 50 ± max(1, 10).
+/// let window = PartBounds::from_epsilon(&h, 2, 0.2);
+/// assert_eq!(window, PartBounds::uniform(2, 40, 60));
+/// assert!(window.is_area_feasible(0, 50));
+/// assert!(!window.is_area_feasible(1, 61));
 /// # Ok(())
 /// # }
 /// ```
@@ -84,21 +83,11 @@ impl PartBounds {
         PartBounds::new(vec![lo; k as usize], vec![hi; k as usize])
     }
 
-    /// The exact windows of a [`BipartBalance`] (§III-B), as per-part bounds.
-    pub fn from_bipart(b: &BipartBalance) -> Self {
-        PartBounds::uniform(2, b.lower(), b.upper())
-    }
-
-    /// The exact windows of a [`KwayBalance`], as per-part bounds.
-    pub fn from_kway(b: &KwayBalance) -> Self {
-        PartBounds::uniform(b.k(), b.lower(), b.upper())
-    }
-
     /// ε-derived uniform bounds: every part within `A(V)/k ± ε·A(V)/k`,
     /// widened to the largest module area so a feasible solution always
-    /// exists (the §III-B widening). `ε = 2r` reproduces
-    /// [`KwayBalance::new`] (and [`BipartBalance::new`] at `k = 2`)
-    /// bit-exactly.
+    /// exists (the §III-B widening). At `ε = 2r` this is the paper's
+    /// window for the ratio `r`: doubling a double is exact, so
+    /// `⌊2r·A/k⌋ = ⌊r·A·2/k⌋`.
     ///
     /// # Panics
     ///
@@ -116,37 +105,11 @@ impl PartBounds {
         PartBounds::uniform(k, target.saturating_sub(slack), (target + slack).min(total))
     }
 
-    /// Asymmetric 2-way bounds for one recursive-bisection step: side 0
-    /// targets `total · k_lo / (k_lo + k_hi)` (it will be split into `k_lo`
-    /// final parts), side 1 the rest, each within a relative tolerance
-    /// `epsilon` widened to `max_area`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either side has zero parts or `epsilon` is invalid.
-    pub fn split(total: u64, max_area: u64, k_lo: u32, k_hi: u32, epsilon: f64) -> Self {
-        assert!(k_lo > 0 && k_hi > 0, "both sides need at least one part");
-        assert!(
-            epsilon.is_finite() && epsilon >= 0.0,
-            "epsilon must be a finite non-negative tolerance"
-        );
-        let k = (k_lo + k_hi) as u128;
-        let target0 = ((total as u128 * k_lo as u128) / k) as u64;
-        let target1 = total - target0;
-        let window = |target: u64| {
-            let slack = ((epsilon * target as f64).floor() as u64).max(max_area);
-            (target.saturating_sub(slack), (target + slack).min(total))
-        };
-        let (lo0, hi0) = window(target0);
-        let (lo1, hi1) = window(target1);
-        PartBounds::new(vec![lo0, lo1], vec![hi0, hi1])
-    }
-
     /// Bounds around explicit per-part area targets: part `p` must stay
     /// within `targets[p] ± max(⌊ε·targets[p]⌋, max_area)`, capped at
     /// `total`. This is the per-level recompute used by the constraint-aware
     /// pipelines — the widening to the largest module tracks each coarsened
-    /// level's module areas the same way §III-B widens the legacy windows.
+    /// level's module areas the same way §III-B widens the paper's windows.
     ///
     /// # Panics
     ///
@@ -362,13 +325,6 @@ impl Constraints {
         self.epsilon
     }
 
-    /// The equivalent legacy ratio `r = ε/2` for code still parameterized by
-    /// the paper's tolerance.
-    #[inline]
-    pub fn balance_r(&self) -> f64 {
-        self.epsilon / 2.0
-    }
-
     /// The fixed (pre-assigned) modules, sorted by module index.
     #[inline]
     pub fn fixed(&self) -> &[(ModuleId, PartId)] {
@@ -459,9 +415,8 @@ mod tests {
     /// `(modules, largest, k, r, lo, hi)` rows: `modules` unit-area modules
     /// plus, when `largest > 1`, one module of that area. Totals are odd and
     /// even, and the largest module sits below the slack in some rows and
-    /// above it in others. The pairs were printed from the ratio types
-    /// `BipartBalance` and `KwayBalance`; `from_epsilon` at `ε = 2r` must
-    /// give the same integers.
+    /// above it in others. The pairs were printed from the ratio-window
+    /// types that `from_epsilon` at `ε = 2r` replaced.
     const PAPER_WINDOWS: [(usize, u64, u32, f64, u64, u64); 60] = [
         (100, 1, 2, 0.05, 45, 55),
         (100, 1, 3, 0.05, 30, 36),
@@ -540,18 +495,48 @@ mod tests {
         for &(modules, largest, k, r, lo, hi) in &PAPER_WINDOWS {
             let h = with_largest(modules, largest);
             let case = format!("modules={modules} largest={largest} k={k} r={r}");
-            let kway = KwayBalance::new(&h, k, r);
-            assert_eq!((kway.lower(), kway.upper()), (lo, hi), "{case}");
-            if k == 2 {
-                let bipart = BipartBalance::new(&h, r);
-                assert_eq!((bipart.lower(), bipart.upper()), (lo, hi), "{case}");
-            }
             assert_eq!(
                 PartBounds::from_epsilon(&h, k, 2.0 * r),
                 PartBounds::uniform(k, lo, hi),
                 "{case}"
             );
         }
+    }
+
+    #[test]
+    fn paper_window_widens_to_the_largest_module() {
+        // 100 unit modules, r = 0.1: slack = max(1, 10) = 10.
+        let h = h_units(100);
+        assert_eq!(
+            PartBounds::from_epsilon(&h, 2, 0.2),
+            PartBounds::uniform(2, 40, 60)
+        );
+        // One module of area 30 out of 100: slack = max(30, 10) = 30.
+        let h = with_largest(70, 30);
+        assert_eq!(
+            PartBounds::from_epsilon(&h, 2, 0.2),
+            PartBounds::uniform(2, 20, 80)
+        );
+    }
+
+    #[test]
+    fn bipartition_feasibility_is_symmetric() {
+        let b = PartBounds::from_epsilon(&h_units(100), 2, 0.2);
+        let feasible = |a: u64| b.is_area_feasible(0, a) && b.is_area_feasible(1, 100 - a);
+        for a in 0..=100u64 {
+            assert_eq!(feasible(a), feasible(100 - a), "a={a}");
+        }
+    }
+
+    #[test]
+    fn quadrisection_window_admits_an_even_split() {
+        // 100 unit modules, k = 4, r = 0.1: target 25, slack = max(1, 5) = 5.
+        let h = h_units(100);
+        let b = PartBounds::from_epsilon(&h, 4, 0.2);
+        assert_eq!(b, PartBounds::uniform(4, 20, 30));
+        let p =
+            Partition::from_assignment(&h, 4, (0..100).map(|i| (i % 4) as u32).collect()).unwrap();
+        assert!(b.is_partition_feasible(&p));
     }
 
     #[test]
@@ -568,19 +553,6 @@ mod tests {
         assert!(bounds.is_partition_feasible(&p));
         let tight = PartBounds::new(vec![26, 0], vec![50, 50]);
         assert!(!tight.is_partition_feasible(&p));
-    }
-
-    #[test]
-    fn split_targets_follow_part_ratio() {
-        // 300 area split 2:1 at ε = 0 with unit modules: targets 200/100,
-        // slack widened to max_area = 1.
-        let b = PartBounds::split(300, 1, 2, 1, 0.0);
-        assert_eq!((b.lo(0), b.hi(0)), (199, 201));
-        assert_eq!((b.lo(1), b.hi(1)), (99, 101));
-        // ε = 0.1 widens each window by 10% of its own target.
-        let b = PartBounds::split(300, 1, 2, 1, 0.1);
-        assert_eq!((b.lo(0), b.hi(0)), (180, 220));
-        assert_eq!((b.lo(1), b.hi(1)), (90, 110));
     }
 
     #[test]
@@ -614,7 +586,6 @@ mod tests {
             c.fixed_mask(6),
             vec![false, true, false, false, false, true]
         );
-        assert!((c.balance_r() - 0.05).abs() < 1e-12);
     }
 
     #[test]

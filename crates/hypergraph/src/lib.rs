@@ -7,8 +7,9 @@
 //! * [`Hypergraph`] — an immutable CSR netlist hypergraph with module areas,
 //!   built via [`HypergraphBuilder`];
 //! * [`Partition`] — k-way module assignments with incrementally maintained
-//!   part areas, plus the paper's balance bounds ([`BipartBalance`],
-//!   [`KwayBalance`], §III-B);
+//!   part areas;
+//! * [`Constraints`] and [`PartBounds`] — pins, the tolerance ε and the
+//!   per-part balance windows, the paper's §III-B window among them;
 //! * [`metrics`] — cut size and the statistics columns of the paper's tables;
 //! * [`io`] — hMETIS `.hgr` reading/writing;
 //! * [`rng`] — seeded randomness so every experiment is reproducible;

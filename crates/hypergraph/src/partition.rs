@@ -4,11 +4,13 @@
 //! quadrisection (§III-C) is `k = 4`. The type tracks per-part areas
 //! incrementally so that move-based partitioners can check balance in O(1).
 
+use crate::constraints::PartBounds;
 use crate::hypergraph::Hypergraph;
 use crate::ids::ModuleId;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::fmt;
+use std::ops::Deref;
 
 /// Identifier of a part (block) in a k-way partition.
 ///
@@ -235,143 +237,53 @@ impl fmt::Display for Partition {
     }
 }
 
-/// Balance bounds for a bipartitioning, per the paper's §III-B:
+/// The §III-B window of a bipartition under its former name:
+/// [`PartBounds::from_epsilon`] at `k = 2` and `ε = 2r`, read through
+/// `Deref`.
 ///
-/// > the areas of `X` and `Y` are bounded below by
-/// > `A(V)/2 − max(A(v*), r·A(V))` and above by
-/// > `A(V)/2 + max(A(v*), r·A(V))`, where `v*` is the module with largest
-/// > area.
-///
-/// Taking the max with `A(v*)` guarantees that at least one module can always
-/// move, even when a single module is larger than the tolerance window.
-///
-/// # Examples
-///
-/// ```
-/// use mlpart_hypergraph::{HypergraphBuilder, BipartBalance};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = HypergraphBuilder::with_unit_areas(100);
-/// b.add_net([0, 1])?;
-/// let h = b.build()?;
-/// let bal = BipartBalance::new(&h, 0.1);
-/// assert!(bal.is_feasible(50));
-/// assert!(bal.is_feasible(40) && bal.is_feasible(60));
-/// assert!(!bal.is_feasible(39) && !bal.is_feasible(61));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BipartBalance {
-    lower: u64,
-    upper: u64,
-    total: u64,
-}
+/// Nothing in the workspace names it; it stays only because the `perf`
+/// benchmark package does, and goes when that package moves to
+/// [`PartBounds`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BipartBalance(PartBounds);
 
 impl BipartBalance {
-    /// Computes bounds for hypergraph `h` with balance tolerance `r`
-    /// (the paper's experiments use `r = 0.1`).
+    /// The window for `h` at the paper's ratio `r`.
     pub fn new(h: &Hypergraph, r: f64) -> Self {
-        let total = h.total_area();
-        let slack_r = (r * total as f64).floor() as u64;
-        let slack = slack_r.max(h.max_area());
-        let half = total / 2;
-        BipartBalance {
-            lower: half.saturating_sub(slack),
-            upper: (half + slack).min(total),
-            total,
-        }
-    }
-
-    /// Lower area bound for either side.
-    #[inline]
-    pub fn lower(&self) -> u64 {
-        self.lower
-    }
-
-    /// Upper area bound for either side.
-    #[inline]
-    pub fn upper(&self) -> u64 {
-        self.upper
-    }
-
-    /// `true` if a side of area `area_x` (the other side implicitly holding
-    /// `total − area_x`) satisfies both bounds.
-    #[inline]
-    pub fn is_feasible(&self, area_x: u64) -> bool {
-        let area_y = self.total - area_x.min(self.total);
-        area_x >= self.lower && area_x <= self.upper && area_y >= self.lower && area_y <= self.upper
-    }
-
-    /// `true` if the given bipartition satisfies the bounds.
-    pub fn is_partition_feasible(&self, p: &Partition) -> bool {
-        debug_assert_eq!(p.k(), 2);
-        self.is_feasible(p.part_area(0))
+        BipartBalance(PartBounds::from_epsilon(h, 2, 2.0 * r))
     }
 }
 
-/// Balance bounds for a k-way partition.
-///
-/// The paper only specifies the 2-way formula; we generalize it so that
-/// `k = 2` reproduces §III-B exactly: each part's area must lie within
-/// `A(V)/k ± max(A(v*), r·A(V)·2/k)`. With `k = 2` the slack is
-/// `max(A(v*), r·A(V))` as in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KwayBalance {
-    lower: u64,
-    upper: u64,
-    k: u32,
+impl Deref for BipartBalance {
+    type Target = PartBounds;
+
+    fn deref(&self) -> &PartBounds {
+        &self.0
+    }
 }
+
+/// The k-way §III-B window under its former name:
+/// [`PartBounds::from_epsilon`] at `ε = 2r`, read through `Deref`. Kept for
+/// the `perf` benchmark package only, like [`BipartBalance`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KwayBalance(PartBounds);
 
 impl KwayBalance {
-    /// Computes per-part bounds for a k-way partition with tolerance `r`.
+    /// The window for `h` in `k` parts at the paper's ratio `r`.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn new(h: &Hypergraph, k: u32, r: f64) -> Self {
-        assert!(k > 0, "k must be positive");
-        let total = h.total_area();
-        let target = total / k as u64;
-        let slack_r = (r * total as f64 * 2.0 / k as f64).floor() as u64;
-        let slack = slack_r.max(h.max_area());
-        KwayBalance {
-            lower: target.saturating_sub(slack),
-            upper: (target + slack).min(total),
-            k,
-        }
+        KwayBalance(PartBounds::from_epsilon(h, k, 2.0 * r))
     }
+}
 
-    /// Lower area bound for every part.
-    #[inline]
-    pub fn lower(&self) -> u64 {
-        self.lower
-    }
+impl Deref for KwayBalance {
+    type Target = PartBounds;
 
-    /// Upper area bound for every part.
-    #[inline]
-    pub fn upper(&self) -> u64 {
-        self.upper
-    }
-
-    /// The part count these bounds were computed for.
-    #[inline]
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// `true` if every part of `p` satisfies the bounds.
-    pub fn is_partition_feasible(&self, p: &Partition) -> bool {
-        debug_assert_eq!(p.k(), self.k);
-        p.part_areas()
-            .iter()
-            .all(|&a| a >= self.lower && a <= self.upper)
-    }
-
-    /// `true` if a single part of area `area` satisfies the bounds.
-    #[inline]
-    pub fn is_area_feasible(&self, area: u64) -> bool {
-        area >= self.lower && area <= self.upper
+    fn deref(&self) -> &PartBounds {
+        &self.0
     }
 }
 
@@ -489,55 +401,18 @@ mod tests {
     }
 
     #[test]
-    fn bipart_balance_matches_paper_formula() {
-        // 100 unit modules, r = 0.1: slack = max(1, 10) = 10 -> [40, 60].
-        let h = h_units(100);
-        let bal = BipartBalance::new(&h, 0.1);
-        assert_eq!(bal.lower(), 40);
-        assert_eq!(bal.upper(), 60);
-    }
-
-    #[test]
-    fn bipart_balance_large_module_dominates() {
-        // One module of area 30 out of total 100: slack = max(30, 10) = 30.
-        let mut areas = vec![1u64; 70];
-        areas.push(30);
-        let mut b = HypergraphBuilder::new(areas);
-        b.add_net([0, 1]).unwrap();
-        let h = b.build().unwrap();
-        let bal = BipartBalance::new(&h, 0.1);
-        assert_eq!(bal.lower(), 20);
-        assert_eq!(bal.upper(), 80);
-    }
-
-    #[test]
-    fn bipart_feasibility_is_symmetric() {
-        let h = h_units(100);
-        let bal = BipartBalance::new(&h, 0.1);
-        for a in 0..=100u64 {
-            assert_eq!(bal.is_feasible(a), bal.is_feasible(100 - a), "a={a}");
+    fn shims_read_the_epsilon_window() {
+        let h = h_units(257);
+        for r in [0.05, 0.1, 0.25] {
+            assert_eq!(
+                *BipartBalance::new(&h, r),
+                PartBounds::from_epsilon(&h, 2, 2.0 * r)
+            );
+            for k in [2, 3, 8] {
+                let window = PartBounds::from_epsilon(&h, k, 2.0 * r);
+                assert_eq!(*KwayBalance::new(&h, k, r), window);
+            }
         }
-    }
-
-    #[test]
-    fn kway_balance_reduces_to_bipart_at_k2() {
-        let h = h_units(100);
-        let b2 = BipartBalance::new(&h, 0.1);
-        let bk = KwayBalance::new(&h, 2, 0.1);
-        assert_eq!(b2.lower(), bk.lower());
-        assert_eq!(b2.upper(), bk.upper());
-    }
-
-    #[test]
-    fn kway_balance_quadrisection() {
-        // 100 unit modules, k=4, r=0.1: target 25, slack = max(1, 5) = 5.
-        let h = h_units(100);
-        let bal = KwayBalance::new(&h, 4, 0.1);
-        assert_eq!(bal.lower(), 20);
-        assert_eq!(bal.upper(), 30);
-        let p =
-            Partition::from_assignment(&h, 4, (0..100).map(|i| (i % 4) as u32).collect()).unwrap();
-        assert!(bal.is_partition_feasible(&p));
     }
 
     #[test]

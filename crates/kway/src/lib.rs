@@ -70,8 +70,8 @@ use mlpart_fm::{
 };
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
-    audit, metrics, obs_counter, obs_span, Hypergraph, KwayBalance, ModuleId, NetId, PartBounds,
-    PartId, Partition,
+    audit, metrics, obs_counter, obs_span, Hypergraph, ModuleId, NetId, PartBounds, PartId,
+    Partition,
 };
 use std::borrow::Cow;
 
@@ -178,7 +178,7 @@ pub struct KwayResult {
 /// the worst upper-bound overflow to the part with the worst lower-bound
 /// deficit until `bounds` holds (or no move can help). Draws from `rng`
 /// only while the partition is infeasible. Under uniform windows
-/// ([`PartBounds::from_kway`]) the donor is the largest part and the
+/// ([`PartBounds::from_epsilon`]) the donor is the largest part and the
 /// receiver the smallest, lowest id on ties.
 ///
 /// `kway_partition` applies this to random starting solutions: on lumpy
@@ -385,7 +385,7 @@ fn bounds_or_ratio<'b>(
     k: u32,
     cfg: &KwayConfig,
 ) -> Cow<'b, PartBounds> {
-    let ratio = || PartBounds::from_kway(&KwayBalance::new(h, k, cfg.balance_r));
+    let ratio = || PartBounds::from_epsilon(h, k, 2.0 * cfg.balance_r);
     bounds.map_or_else(|| Cow::Owned(ratio()), Cow::Borrowed)
 }
 
@@ -867,7 +867,7 @@ mod tests {
     fn respects_kway_balance() {
         let h = ring_of_cliques();
         let cfg = KwayConfig::default();
-        let bal = KwayBalance::new(&h, 4, cfg.balance_r);
+        let bal = PartBounds::from_epsilon(&h, 4, 2.0 * cfg.balance_r);
         for seed in 0..5 {
             let mut rng = seeded_rng(seed);
             let (p, _) = kway_partition(&h, 4, &cfg, &mut rng, RefineRequest::default()).unwrap();
@@ -1099,17 +1099,17 @@ mod tests {
     }
 
     #[test]
-    fn constrained_with_legacy_bounds_is_byte_identical() {
+    fn explicit_epsilon_window_equals_the_ratio_default() {
         let h = ring_of_cliques();
         let cfg = KwayConfig::default();
         for seed in 0..5 {
             let p0 = Partition::random(&h, 4, &mut seeded_rng(500 + seed));
-            let bounds = PartBounds::from_kway(&KwayBalance::new(&h, 4, cfg.balance_r));
-            let mut p_legacy = p0.clone();
+            let bounds = PartBounds::from_epsilon(&h, 4, 2.0 * cfg.balance_r);
+            let mut p_ratio = p0.clone();
             let mut p_new = p0.clone();
-            let r_legacy = kway_refine(
+            let r_ratio = kway_refine(
                 &h,
-                &mut p_legacy,
+                &mut p_ratio,
                 &cfg,
                 &mut seeded_rng(seed),
                 RefineRequest::default(),
@@ -1120,8 +1120,8 @@ mod tests {
                 ..RefineRequest::default()
             };
             let r_new = kway_refine(&h, &mut p_new, &cfg, &mut seeded_rng(seed), req).unwrap();
-            assert_eq!(p_legacy.assignment(), p_new.assignment(), "seed {seed}");
-            assert_eq!(r_legacy, r_new, "seed {seed}");
+            assert_eq!(p_ratio.assignment(), p_new.assignment(), "seed {seed}");
+            assert_eq!(r_ratio, r_new, "seed {seed}");
         }
     }
 

@@ -4,7 +4,7 @@
 
 use mlpart_fm::{RefineRequest, RefineWorkspace};
 use mlpart_hypergraph::rng::seeded_rng;
-use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, KwayBalance, ModuleId, Partition};
+use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, ModuleId, PartBounds, Partition};
 use mlpart_kway::{kway_partition, kway_refine, KwayConfig, KwayGain};
 use proptest::prelude::*;
 
@@ -45,7 +45,7 @@ proptest! {
         };
         let mut rng = seeded_rng(seed);
         let p0 = Partition::random(&h, k, &mut rng);
-        let balance = KwayBalance::new(&h, k, cfg.balance_r);
+        let balance = PartBounds::from_epsilon(&h, k, 2.0 * cfg.balance_r);
         prop_assume!(balance.is_partition_feasible(&p0));
         let start = match cfg.gain {
             KwayGain::SumOfDegrees => metrics::sum_of_spans_minus_one(&h, &p0),

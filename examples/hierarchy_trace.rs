@@ -12,7 +12,7 @@ use mlpart::core::{Hierarchy, MlConfig};
 use mlpart::fm::refine;
 use mlpart::gen::suite;
 use mlpart::hypergraph::rng::seeded_rng;
-use mlpart::hypergraph::{metrics, BipartBalance};
+use mlpart::hypergraph::{metrics, PartBounds};
 use mlpart::{fm_partition, RefineRequest};
 
 fn main() -> Result<(), mlpart::PipelineError> {
@@ -57,7 +57,7 @@ fn main() -> Result<(), mlpart::PipelineError> {
         let fine = hier.coarsest(&h0);
         let mut fine_p = project(fine, &clustering, &p).expect("hierarchy levels align");
         let projected_cut = metrics::cut(fine, &fine_p);
-        let balance = BipartBalance::new(fine, cfg.fm.balance_r);
+        let balance = PartBounds::from_epsilon(fine, 2, 2.0 * cfg.fm.balance_r);
         let moved = if balance.is_partition_feasible(&fine_p) {
             0
         } else {

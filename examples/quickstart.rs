@@ -6,7 +6,7 @@
 //! ```
 
 use mlpart::hypergraph::rng::seeded_rng;
-use mlpart::hypergraph::{metrics, BipartBalance};
+use mlpart::hypergraph::{metrics, PartBounds};
 use mlpart::{
     fm_partition, ml_bipartition, FmConfig, HypergraphBuilder, MlConfig, RefineRequest, Request,
 };
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 4. Verify balance and cut. ---
-    let balance = BipartBalance::new(&h, 0.1);
+    let balance = PartBounds::from_epsilon(&h, 2, 0.2);
     assert!(balance.is_partition_feasible(&ml_solution));
     assert_eq!(ml_result.cut, metrics::cut(&h, &ml_solution));
     assert!(ml_result.cut <= fm_result.cut);
@@ -58,8 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sides: {} / {} area within [{}, {}]",
         ml_solution.part_area(0),
         ml_solution.part_area(1),
-        balance.lower(),
-        balance.upper()
+        balance.lo(0),
+        balance.hi(0)
     );
     let _ = fm_solution;
     Ok(())

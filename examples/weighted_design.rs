@@ -11,7 +11,7 @@
 use mlpart::hypergraph::netd::{module_name, read_netd_with_areas};
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::hypergraph::{metrics, HypergraphBuilder};
-use mlpart::{ml_bipartition, BipartBalance, MlConfig, Request};
+use mlpart::{ml_bipartition, MlConfig, PartBounds, Request};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- A design with two macros (area 40) and 32 standard cells. ---
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let h = b.build()?;
 
     let cfg = MlConfig::clip();
-    let balance = BipartBalance::new(&h, cfg.fm.balance_r);
+    let balance = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.fm.balance_r);
     println!(
         "design: {} modules (total area {}), {} nets (total weight {})",
         h.num_modules(),
@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "balance window: [{}, {}] (the macro area dominates the slack)",
-        balance.lower(),
-        balance.upper()
+        balance.lo(0),
+        balance.hi(0)
     );
 
     let mut rng = seeded_rng(11);

@@ -64,12 +64,11 @@ use mlpart::hypergraph::rng::MlRng;
 use mlpart::hypergraph::{fault_point, obs_span};
 use mlpart::lsmc::{lsmc_bipartition, LsmcConfig};
 use mlpart::{
-    fm_partition, ml_bipartition, ml_kway, preflight, preflight_constrained,
-    recursive_ml_partition, repair_to_feasible, run_supervised, two_phase_fm, Attempt,
-    BipartBalance, Budget, BudgetMeter, Constraints, Engine, ExecError, FmConfig, Hypergraph,
-    KwayBalance, LevelStats, MlConfig, MlKwayConfig, PartBounds, Partition, RefineRequest,
-    RefineWorkspace, RepairRecord, Request, ResumeState, RetryPolicy, Sink, StartDone, Truncation,
-    ATTEMPT_STRIDE, DEFAULT_EPSILON,
+    fm_partition, ml_bipartition, ml_kway, preflight_constrained, recursive_ml_partition,
+    repair_to_feasible, run_supervised, two_phase_fm, Attempt, Budget, BudgetMeter, Constraints,
+    Engine, ExecError, FmConfig, Hypergraph, LevelStats, MlConfig, MlKwayConfig, PartBounds,
+    Partition, RefineRequest, RefineWorkspace, RepairRecord, Request, ResumeState, RetryPolicy,
+    Sink, StartDone, Truncation, ATTEMPT_STRIDE, DEFAULT_EPSILON,
 };
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -479,19 +478,6 @@ fn run_engine(
     run.map_err(|e| e.to_string())
 }
 
-/// The balance window every emitted partition must satisfy: the constraint
-/// window when constraints are in play, otherwise the legacy window the
-/// preflight check already vouched for.
-fn balance_bounds(h: &Hypergraph, args: &CliArgs, constraints: Option<&Constraints>) -> PartBounds {
-    match constraints {
-        Some(c) => c.bounds(h),
-        None if args.k == 4 => {
-            PartBounds::from_kway(&KwayBalance::new(h, 4, FmConfig::default().balance_r))
-        }
-        None => PartBounds::from_bipart(&BipartBalance::new(h, FmConfig::default().balance_r)),
-    }
-}
-
 /// One supervised start: runs the engine under the attempt's budget (the
 /// caller's, or the degraded final-attempt budget), then gates the raw
 /// solution through the balance window — repairing it in place when a
@@ -640,12 +626,13 @@ fn main() -> ExitCode {
         None
     };
     // Pre-flight: reject infeasible problem instances with a typed message
-    // before any start burns cycles on them.
-    let feasible = match &constraints {
-        Some(c) => preflight_constrained(&h, c),
-        None => preflight(&h, args.k, FmConfig::default().balance_r),
-    };
-    if let Err(e) = feasible {
+    // before any start burns cycles on them. An unconstrained run is checked,
+    // and its starts gated, under `Constraints::unconstrained`: the default
+    // ε = 2r gives the paper's §III-B window.
+    let window = constraints
+        .clone()
+        .unwrap_or_else(|| Constraints::unconstrained(args.k));
+    if let Err(e) = preflight_constrained(&h, &window) {
         eprintln!("infeasible input: {e}");
         return ExitCode::from(EXIT_INVALID_INPUT);
     }
@@ -669,7 +656,7 @@ fn main() -> ExitCode {
     // Supervision setup: the balance window and fixed mask gate every
     // start's output, the retry policy governs reseeded attempts, and the
     // checkpoint config pins this invocation's identity on disk.
-    let bounds = balance_bounds(&h, &args, constraints.as_ref());
+    let bounds = window.bounds(&h);
     let fixed_mask = constraints
         .as_ref()
         .map(|c| c.fixed_mask(h.num_modules()))
@@ -1256,7 +1243,7 @@ mod tests {
             input: "syn-balu".to_owned(),
             ..CliArgs::default()
         };
-        let bounds = balance_bounds(&h, &args, None);
+        let bounds = Constraints::unconstrained(args.k).bounds(&h);
         let mut ws = RefineWorkspace::new();
         let mut rng = mlpart::hypergraph::rng::seeded_rng(1);
         let v = run_once(

@@ -68,9 +68,9 @@ pub use mlpart_obs as obs;
 pub use mlpart_place as place;
 
 pub use mlpart_core::{
-    ml_bipartition, ml_kway, preflight, preflight_constrained, recursive_ml_partition,
-    two_phase_fm, Budget, BudgetLimit, BudgetMeter, LevelStats, MlConfig, MlKwayConfig,
-    PipelineError, PreflightError, Request, Truncation,
+    ml_bipartition, ml_kway, preflight_constrained, recursive_ml_partition, two_phase_fm, Budget,
+    BudgetLimit, BudgetMeter, LevelStats, MlConfig, MlKwayConfig, PipelineError, PreflightError,
+    Request, Truncation,
 };
 pub use mlpart_exec::{
     run_supervised, Attempt, BatchResult, ExecError, PriorStart, ResumeState, RetryPolicy,
@@ -81,6 +81,6 @@ pub use mlpart_fm::{
     RefineRequest, RefineWorkspace, RepairRecord,
 };
 pub use mlpart_hypergraph::{
-    adapted_epsilon, BipartBalance, Constraints, ConstraintsError, Hypergraph, HypergraphBuilder,
-    KwayBalance, ModuleId, NetId, PartBounds, Partition, DEFAULT_EPSILON,
+    adapted_epsilon, Constraints, ConstraintsError, Hypergraph, HypergraphBuilder, ModuleId, NetId,
+    PartBounds, Partition, DEFAULT_EPSILON,
 };

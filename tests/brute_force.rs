@@ -6,21 +6,21 @@ use mlpart::fm::refine;
 use mlpart::gen::simple::{chain, ring_of_cliques};
 use mlpart::hypergraph::rng::{seeded_rng, MlRng};
 use mlpart::hypergraph::{
-    metrics, BipartBalance, Hypergraph, HypergraphBuilder, ModuleId, PartBounds, PartId, Partition,
+    metrics, Hypergraph, HypergraphBuilder, ModuleId, PartBounds, PartId, Partition,
 };
 use mlpart::kway::{kway_refine, KwayConfig};
 use mlpart::{fm_partition, ml_bipartition, FmConfig, MlConfig, RefineRequest, Request};
 use rand::Rng;
 
 /// Exhaustive balanced min-cut over all 2^n assignments (n ≤ ~16).
-fn brute_force_min_cut(h: &Hypergraph, balance: &BipartBalance) -> u64 {
+fn brute_force_min_cut(h: &Hypergraph, balance: &PartBounds) -> u64 {
     let n = h.num_modules();
     assert!(n <= 16, "exhaustive search only for tiny netlists");
     let mut best = u64::MAX;
     for mask in 0u32..(1 << n) {
         let assignment: Vec<u32> = (0..n).map(|i| (mask >> i) & 1).collect();
         let p = Partition::from_assignment(h, 2, assignment).expect("valid");
-        if !balance.is_feasible(p.part_area(0)) {
+        if !balance.is_partition_feasible(&p) {
             continue;
         }
         best = best.min(metrics::cut(h, &p));
@@ -63,7 +63,7 @@ fn fm_reaches_optimum_on_random_tiny_netlists() {
     for instance in 0..20u64 {
         let mut gen_rng = seeded_rng(1000 + instance);
         let h = random_netlist(12, 18, &mut gen_rng);
-        let balance = BipartBalance::new(&h, cfg.balance_r);
+        let balance = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.balance_r);
         let optimal = brute_force_min_cut(&h, &balance);
         let found = heuristic_best(30, 5000 + instance * 100, |rng| {
             fm_partition(&h, &cfg, rng, RefineRequest::default())
@@ -88,7 +88,7 @@ fn ml_reaches_optimum_on_random_tiny_netlists() {
     for instance in 0..12u64 {
         let mut gen_rng = seeded_rng(2000 + instance);
         let h = random_netlist(14, 22, &mut gen_rng);
-        let balance = BipartBalance::new(&h, cfg.fm.balance_r);
+        let balance = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.fm.balance_r);
         let optimal = brute_force_min_cut(&h, &balance);
         let found = heuristic_best(30, 9000 + instance * 100, |rng| {
             ml_bipartition(&h, &cfg, rng, Request::default())
@@ -108,7 +108,7 @@ fn ml_reaches_optimum_on_random_tiny_netlists() {
 fn known_optima_on_structured_netlists() {
     // Chain of 12: optimal bisection cut 1.
     let h = chain(12);
-    let balance = BipartBalance::new(&h, 0.1);
+    let balance = PartBounds::from_epsilon(&h, 2, 0.2);
     assert_eq!(brute_force_min_cut(&h, &balance), 1);
     let found = heuristic_best(10, 1, |rng| {
         fm_partition(&h, &FmConfig::default(), rng, RefineRequest::default())
@@ -120,7 +120,7 @@ fn known_optima_on_structured_netlists() {
 
     // Ring of 2 cliques of 7: the two bridges form the optimal 2-cut.
     let h = ring_of_cliques(2, 7);
-    let balance = BipartBalance::new(&h, 0.1);
+    let balance = PartBounds::from_epsilon(&h, 2, 0.2);
     assert_eq!(brute_force_min_cut(&h, &balance), 2);
     let found = heuristic_best(10, 2, |rng| {
         ml_bipartition(&h, &MlConfig::default(), rng, Request::default())
@@ -144,7 +144,7 @@ fn weighted_optimum_respected() {
         b.add_weighted_net([i, 5 + i], w).expect("in range");
     }
     let h = b.build().expect("valid");
-    let balance = BipartBalance::new(&h, 0.1);
+    let balance = PartBounds::from_epsilon(&h, 2, 0.2);
     let optimal = brute_force_min_cut(&h, &balance);
     let found = heuristic_best(20, 3, |rng| {
         fm_partition(&h, &FmConfig::default(), rng, RefineRequest::default())

@@ -10,8 +10,8 @@ use mlpart::hypergraph::metrics;
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::place::{gordian_quadrisection, PlacerConfig};
 use mlpart::{
-    fm_partition, ml_bipartition, ml_kway, BipartBalance, FmConfig, KwayBalance, MlConfig,
-    MlKwayConfig, Partition, RefineRequest, Request,
+    fm_partition, ml_bipartition, ml_kway, FmConfig, MlConfig, MlKwayConfig, PartBounds, Partition,
+    RefineRequest, Request,
 };
 
 #[test]
@@ -19,7 +19,7 @@ fn full_pipeline_on_suite_circuit() {
     let circuit = suite::by_name("primary1").expect("in suite");
     let h = circuit.generate(1);
     let cfg = MlConfig::clip().with_ratio(0.5);
-    let balance = BipartBalance::new(&h, cfg.fm.balance_r);
+    let balance = PartBounds::from_epsilon(&h, 2, 2.0 * cfg.fm.balance_r);
     let mut rng = seeded_rng(11);
     let (p, r) = ml_bipartition(&h, &cfg, &mut rng, Request::default()).expect("valid run");
     assert!(p.validate(&h));
@@ -125,7 +125,7 @@ fn quadrisection_pipeline_with_pads_and_placer() {
         ml_best <= g_cut,
         "multilevel {ml_best} should not lose to placer {g_cut}"
     );
-    let bal = KwayBalance::new(&h, 4, 0.1);
+    let bal = PartBounds::from_epsilon(&h, 4, 0.2);
     let mut rng = seeded_rng(400);
     let (p, r) =
         ml_kway(&h, &MlKwayConfig::default(), &mut rng, Request::default()).expect("valid run");

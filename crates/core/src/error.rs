@@ -45,6 +45,19 @@ pub enum PipelineError {
         /// The part count the assignment was checked against.
         k: u32,
     },
+    /// A recursive-bisection region that reached one part (or one module)
+    /// holds a pin whose part lies outside the region's part range: a
+    /// bisection moved the pin to the wrong side.
+    PinOutsideRegion {
+        /// The pinned module.
+        module: usize,
+        /// The part it is pinned to.
+        part: u32,
+        /// The region's first part id.
+        part_base: u32,
+        /// The region's part count.
+        k_region: u32,
+    },
     /// The entry point cannot serve this combination of inputs, e.g.
     /// recursive partitioning requested without the constraints that give k.
     Unsupported(&'static str),
@@ -65,6 +78,17 @@ impl fmt::Display for PipelineError {
             PipelineError::InvalidRegionIds { k } => {
                 write!(f, "recursive split must keep region ids below k = {k}")
             }
+            PipelineError::PinOutsideRegion {
+                module,
+                part,
+                part_base,
+                k_region,
+            } => write!(
+                f,
+                "recursive split put module {module}, pinned to part {part}, \
+                 in the region of parts {part_base}..{}",
+                part_base + k_region
+            ),
             PipelineError::Unsupported(what) => write!(f, "unsupported request: {what}"),
         }
     }

@@ -63,7 +63,8 @@ impl RecursiveResult {
 /// [`PipelineError::Unsupported`] when `req` carries no constraints;
 /// [`PipelineError::Constraints`] when a pin is out of range;
 /// [`PipelineError::Netlist`] when a region sub-netlist fails extraction;
-/// plus anything a region's bisection reports.
+/// [`PipelineError::PinOutsideRegion`] when a bisection moved a pin; plus
+/// anything a region's bisection reports.
 ///
 /// # Examples
 ///
@@ -167,11 +168,23 @@ impl Split<'_> {
         cx: &mut Ctx<'_>,
     ) -> Result<(), PipelineError> {
         if k_region == 1 || members.len() < 2 {
-            // A single part, or too small to bisect: pins keep their parts,
-            // free modules take the region's first part.
+            // A single part, or too small to bisect: free modules take the
+            // region's first part. Each pin must already lie in the region's
+            // part range; one outside it was moved by a bisection.
             for &v in members {
-                let pin = self.pins.part_of(ModuleId::from(v));
-                self.region[v as usize] = pin.unwrap_or(part_base);
+                let part = match self.pins.part_of(ModuleId::from(v)) {
+                    None => part_base,
+                    Some(pin) if (part_base..part_base + k_region).contains(&pin) => pin,
+                    Some(pin) => {
+                        return Err(PipelineError::PinOutsideRegion {
+                            module: v as usize,
+                            part: pin,
+                            part_base,
+                            k_region,
+                        })
+                    }
+                };
+                self.region[v as usize] = part;
             }
             return Ok(());
         }
@@ -348,6 +361,36 @@ mod tests {
             }
             assert!(p.validate(&h));
         }
+    }
+
+    #[test]
+    fn a_leaf_region_rejects_a_pin_outside_its_parts() {
+        let h = four_communities(8);
+        let c = Constraints::new(4, 0.2, vec![(ModuleId::new(3), 2)]).unwrap();
+        let cfg = MlConfig::default();
+        let mut split = Split {
+            h: &h,
+            cfg: &cfg,
+            pins: &c,
+            epsilon: 0.2,
+            region: vec![0; h.num_modules()],
+            bisections: 0,
+        };
+        let moved = |part_base, k_region| PipelineError::PinOutsideRegion {
+            module: 3,
+            part: 2,
+            part_base,
+            k_region,
+        };
+        Request::default().with(&mut seeded_rng(0), |_, cx| {
+            // Both leaf cases: one part, and a lone module among two parts.
+            assert_eq!(split.region(&[1, 3], 0, 1, cx), Err(moved(0, 1)));
+            assert_eq!(split.region(&[3], 0, 2, cx), Err(moved(0, 2)));
+            // Inside its region's range the pin keeps its part.
+            assert_eq!(split.region(&[3], 2, 2, cx), Ok(()));
+        });
+        assert_eq!(split.region[3], 2);
+        assert!(moved(0, 1).to_string().contains("pinned to part 2"));
     }
 
     #[test]

@@ -23,7 +23,8 @@ use mlpart_hypergraph::{BuildHypergraphError, ConstraintsError};
 pub enum PipelineError {
     /// The fixed-module constraint set does not fit the hypergraph.
     Constraints(ConstraintsError),
-    /// Coarsening, coalescing, or projection failed (see [`CoarsenError`]).
+    /// Inducing a coarse level or projecting through it failed (see
+    /// [`CoarsenError`]).
     Coarsen(CoarsenError),
     /// A refinement engine rejected its input (see [`RefineError`]), e.g. net
     /// weights too large for its gain buckets.

@@ -96,8 +96,8 @@ impl Hierarchy {
     /// # Errors
     ///
     /// [`PipelineError::Unsupported`] when pins meet a baseline coarsener;
-    /// [`PipelineError::Coarsen`] when inducing a coarse level fails (e.g.
-    /// coalesced net weights overflow `u32`).
+    /// [`PipelineError::Coarsen`] when an induced coarse level fails
+    /// netlist validation.
     pub fn coarsen<R: Rng + ?Sized>(
         h0: &Hypergraph,
         cfg: &crate::MlConfig,

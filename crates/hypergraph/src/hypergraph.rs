@@ -53,8 +53,9 @@ pub struct Hypergraph {
     mod_nets: Vec<NetId>,
     /// Weight of each net; `1` unless built with weighted nets. The cut
     /// objective sums the weights of cut nets (the paper's unweighted cut is
-    /// the all-ones special case; weights arise when coalescing duplicate
-    /// coarse nets, hMETIS-style).
+    /// the all-ones special case). Weights come only from the input, e.g. a
+    /// weighted `.hgr` file; a coarse net keeps the weight of the fine net
+    /// it was induced from.
     net_weights: Vec<u32>,
     /// `A(v)` per module; strictly positive.
     areas: Vec<u64>,

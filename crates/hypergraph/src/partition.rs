@@ -241,9 +241,8 @@ impl fmt::Display for Partition {
 /// [`PartBounds::from_epsilon`] at `k = 2` and `ε = 2r`, read through
 /// `Deref`.
 ///
-/// Nothing in the workspace names it; it stays only because the `perf`
-/// benchmark package does, and goes when that package moves to
-/// [`PartBounds`].
+/// No workspace crate uses it; it stays only because the `perf` benchmark
+/// package does, and goes when that package moves to [`PartBounds`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BipartBalance(PartBounds);
 
